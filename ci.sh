@@ -47,6 +47,17 @@ echo "==> bandwidth_trading example smoke (pinned seed)"
 cargo run --release -q --example bandwidth_trading \
     | grep -q "priced spot lease settled: buyer paid, seller earned, books reconcile"
 
+# The full-stack benchmark is a standalone package (own workspace and
+# lock file) that calls this workspace's public API from outside; an API
+# change under crates/ that breaks it must fail here, not in the
+# acceptance run. --quick exits 1 on any failed self-check or digest
+# mismatch between counted, timed and traced reps.
+echo "==> benchmark package tests"
+cargo test --offline --manifest-path benchmark/Cargo.toml
+
+echo "==> benchmark run --quick (self-checks + outcome digests)"
+benchmark/run.sh run --quick > /dev/null
+
 echo "==> golden files unchanged"
 if ! git diff --quiet -- results/*.golden BENCH_surv.json BENCH_market.json; then
     git --no-pager diff -- results/*.golden BENCH_surv.json BENCH_market.json

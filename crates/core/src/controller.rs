@@ -19,7 +19,7 @@ use vbundle_dcn::{Bandwidth, DomainKind, Topology};
 use vbundle_fdetect::{Courier, CourierConfig, DomainSuspicion, RetryDecision};
 use vbundle_market::{BillingBook, BillingEntry, EntrySide, PriceIndex};
 use vbundle_obs::{Counter, FlightRecorder, Registry, Subsystem};
-use vbundle_pastry::NodeHandle;
+use vbundle_pastry::{actor_distance, NodeHandle};
 use vbundle_scribe::{group_id, GroupId, ScribeClient, ScribeCtx};
 use vbundle_sim::{ActorId, SimDuration, SimTime};
 use vbundle_trade::{HalfLease, Lease, LeaseId, LeaseRole, ResourceSpec, TradeBook};
@@ -1444,8 +1444,7 @@ impl Controller {
         let amount = vm.spec.reservation.scale(sc.backup);
         let site = ctx
             .pastry_state()
-            .known_nodes()
-            .into_iter()
+            .known_iter()
             .filter(|h| h.actor != me.actor && h.actor.index() < topo.num_servers())
             .filter(|h| {
                 let hs = topo.server(h.actor.index());
@@ -1547,25 +1546,14 @@ impl Controller {
         }
         q.ttl -= 1;
         let state = ctx.pastry_state();
-        let topo = state.topology().clone();
-        let dist = |a: ActorId, b: ActorId| -> u32 {
-            if a.index() < topo.num_servers() && b.index() < topo.num_servers() {
-                topo.distance(topo.server(a.index()), topo.server(b.index()))
-            } else {
-                u32::MAX
-            }
-        };
-        let next = state
-            .known_nodes()
-            .into_iter()
-            .filter(|h| !q.visited.contains(&h.actor))
-            .min_by_key(|h| {
-                (
-                    dist(h.actor, root.actor),
-                    dist(h.actor, me.actor),
-                    h.id.ring_distance(root.id),
-                )
-            });
+        let topo = state.topology();
+        let next = boot_next_hop(state.known_iter(), &q.visited, topo.num_servers(), |h| {
+            (
+                actor_distance(topo, h.actor, root.actor),
+                actor_distance(topo, h.actor, me.actor),
+                h.id.ring_distance(root.id),
+            )
+        });
         match next {
             Some(n) => ctx.send_client(n, CtrlMsg::Boot(q)),
             None => reject(ctx, &q),
@@ -2118,7 +2106,7 @@ impl Controller {
         // view: every known node in a protected rack is a probe target,
         // so a declaration needs the *whole rack* silent, not just the
         // charge primaries.
-        for h in ctx.pastry_state().known_nodes() {
+        for h in ctx.pastry_state().known_iter() {
             if Self::rack_of_actor(&topo, h.actor).is_some_and(|r| racks.contains(&r)) {
                 self.fo_handles.insert(h.actor.index() as u32, h);
             }
@@ -2778,6 +2766,32 @@ impl ScribeClient for Controller {
     }
 }
 
+/// The boot walk's next hop: the first node of `known` with the smallest
+/// `key` that the walk has not visited. `known` may repeat a node — the
+/// repeat ties with its first occurrence, which `min_by_key` keeps. The
+/// visited servers are marked once in a per-hop bitmap (one bit per
+/// server), so the hop costs O(known + visited) instead of a scan of the
+/// visited list per known node; actors beyond the server range, which the
+/// bitmap does not cover, fall back to that scan.
+fn boot_next_hop<K: Ord>(
+    known: impl Iterator<Item = NodeHandle>,
+    visited: &[ActorId],
+    servers: usize,
+    key: impl Fn(&NodeHandle) -> K,
+) -> Option<NodeHandle> {
+    let mut mark = vec![0u64; servers.div_ceil(64)];
+    for a in visited {
+        if let Some(word) = mark.get_mut(a.index() / 64) {
+            *word |= 1 << (a.index() % 64);
+        }
+    }
+    let seen = |a: ActorId| match mark.get(a.index() / 64) {
+        Some(word) => word >> (a.index() % 64) & 1 == 1,
+        None => visited.contains(&a),
+    };
+    known.filter(|h| !seen(h.actor)).min_by_key(key)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2800,6 +2814,59 @@ mod tests {
         );
         vm.demand = ResourceVector::bandwidth_only(Bandwidth::from_mbps(dem));
         vm
+    }
+
+    mod boot_walk {
+        use super::*;
+        use proptest::prelude::*;
+        use std::sync::Arc;
+        use vbundle_pastry::{Id, PastryState};
+
+        proptest! {
+            /// Ids come from a 40-value ring around the local node and the
+            /// leaf set holds 4 per side, so most learned nodes sit in the
+            /// leaf set (often on both sides), the routing table *and* the
+            /// neighbor set: `known_iter` repeats them, `known_nodes` does
+            /// not, and the next hop must not care. Distances are coarse
+            /// (rack/pod), so equal keys are common too. Actors past the
+            /// 16 servers exercise the bitmap's fallback scan.
+            #[test]
+            fn next_hop_matches_known_nodes_reference(
+                peers in proptest::collection::vec(1u128..40, 0..30),
+                visited in proptest::collection::vec(0u32..20, 0..16),
+                root in 0u32..16,
+            ) {
+                let topo = Arc::new(
+                    Topology::builder().pods(2).racks_per_pod(2).servers_per_rack(4).build(),
+                );
+                let me = NodeHandle::new(Id::from_u128(20 << 120), ActorId::new(0));
+                let mut state = PastryState::new(me, topo.clone(), 4, 8);
+                for &id in &peers {
+                    // One actor per id, as in any real overlay.
+                    let actor = ActorId::new((id * 7 % 20) as u32);
+                    state.learn(NodeHandle::new(Id::from_u128(id << 120), actor));
+                }
+                let visited: Vec<ActorId> = visited.into_iter().map(ActorId::new).collect();
+                let root = ActorId::new(root);
+                let key = |h: &NodeHandle| {
+                    (
+                        actor_distance(&topo, h.actor, root),
+                        actor_distance(&topo, h.actor, me.actor),
+                    )
+                };
+                let reference = state
+                    .known_nodes()
+                    .into_iter()
+                    .filter(|h| !visited.contains(&h.actor))
+                    .min_by_key(key);
+                let got = boot_next_hop(state.known_iter(), &visited, topo.num_servers(), key);
+                prop_assert_eq!(got, reference);
+                prop_assert!(
+                    state.known_iter().count() >= state.known_nodes().len(),
+                    "known_iter yields every known node at least once"
+                );
+            }
+        }
     }
 
     #[test]

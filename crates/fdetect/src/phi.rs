@@ -198,21 +198,72 @@ pub enum Verdict {
     Dead,
 }
 
-/// A multi-peer phi-accrual detector with SWIM suspicion state.
-///
-/// `K` identifies a peer (a node id, or a `(group, child)` link). All maps
-/// are ordered so iteration — and therefore every downstream decision — is
-/// deterministic.
+/// One peer's phi-accrual state: its arrival window plus the SWIM
+/// suspicion stamp. [`FailureDetector`] keys a map of these by peer; a
+/// layer that already owns a per-peer record (Scribe's tree links) embeds
+/// one directly, so the state dies with the record that holds it.
 #[derive(Debug, Clone)]
-pub struct FailureDetector<K: Ord + Copy> {
-    peers: BTreeMap<K, PeerState>,
-    config: PhiConfig,
-}
-
-#[derive(Debug, Clone)]
-struct PeerState {
+pub struct PeerDetector {
     window: ArrivalWindow,
     suspect_since: Option<SimTime>,
+}
+
+impl PeerDetector {
+    /// Starts tracking a peer at `now`: the silence clock runs from here,
+    /// so the peer accrues suspicion even if it never sends anything.
+    /// `estimate` is the expected cadence until real samples arrive.
+    pub fn new(config: &PhiConfig, estimate: SimDuration, now: SimTime) -> Self {
+        let mut window = ArrivalWindow::new(config.window, estimate);
+        window.observe(now);
+        PeerDetector {
+            window,
+            suspect_since: None,
+        }
+    }
+
+    /// Records a proof of life and clears any suspicion.
+    pub fn heartbeat(&mut self, now: SimTime) {
+        self.window.record(now);
+        self.suspect_since = None;
+    }
+
+    /// The current suspicion level.
+    pub fn phi(&self, config: &PhiConfig, now: SimTime) -> f64 {
+        self.window
+            .phi(now, config.min_std_dev, config.acceptable_pause)
+    }
+
+    /// Whether the peer is currently under suspicion.
+    pub fn is_suspect(&self) -> bool {
+        self.suspect_since.is_some()
+    }
+
+    /// Classifies the peer at `now`, advancing the suspicion state machine.
+    pub fn evaluate(&mut self, config: &PhiConfig, now: SimTime) -> Verdict {
+        if self.phi(config, now) < config.threshold {
+            self.suspect_since = None;
+            return Verdict::Alive;
+        }
+        match self.suspect_since {
+            None => {
+                self.suspect_since = Some(now);
+                Verdict::NewlySuspect
+            }
+            Some(since) if now.saturating_since(since) >= config.confirm_timeout => Verdict::Dead,
+            Some(_) => Verdict::Suspect,
+        }
+    }
+}
+
+/// A multi-peer phi-accrual detector with SWIM suspicion state: one
+/// [`PeerDetector`] per key.
+///
+/// `K` identifies a peer (e.g. a node id). The map is ordered so iteration
+/// — and therefore every downstream decision — is deterministic.
+#[derive(Debug, Clone)]
+pub struct FailureDetector<K: Ord + Copy> {
+    peers: BTreeMap<K, PeerDetector>,
+    config: PhiConfig,
 }
 
 impl<K: Ord + Copy> FailureDetector<K> {
@@ -229,14 +280,18 @@ impl<K: Ord + Copy> FailureDetector<K> {
         &self.config
     }
 
-    fn entry(&mut self, key: K, now: SimTime, estimate: SimDuration) -> &mut PeerState {
-        let window = self.config.window;
-        let st = self.peers.entry(key).or_insert_with(|| PeerState {
-            window: ArrivalWindow::new(window, estimate),
-            suspect_since: None,
-        });
-        st.window.observe(now);
-        st
+    fn entry(
+        &mut self,
+        key: K,
+        now: SimTime,
+        estimate: SimDuration,
+    ) -> (&mut PeerDetector, &PhiConfig) {
+        let config = &self.config;
+        let st = self
+            .peers
+            .entry(key)
+            .or_insert_with(|| PeerDetector::new(config, estimate, now));
+        (st, config)
     }
 
     /// Starts tracking `key` (idempotent), with the config's default
@@ -255,49 +310,26 @@ impl<K: Ord + Copy> FailureDetector<K> {
     /// Records a proof of life for `key` and clears any suspicion.
     pub fn heartbeat(&mut self, key: K, now: SimTime) {
         let estimate = self.config.first_interval;
-        let st = self.entry(key, now, estimate);
-        st.window.record(now);
-        st.suspect_since = None;
+        self.entry(key, now, estimate).0.heartbeat(now);
     }
 
     /// The current suspicion level for `key` (0 if untracked).
     pub fn phi(&self, key: &K, now: SimTime) -> f64 {
         self.peers
             .get(key)
-            .map(|st| {
-                st.window
-                    .phi(now, self.config.min_std_dev, self.config.acceptable_pause)
-            })
-            .unwrap_or(0.0)
+            .map_or(0.0, |st| st.phi(&self.config, now))
     }
 
     /// Whether `key` is currently under suspicion.
     pub fn is_suspect(&self, key: &K) -> bool {
-        self.peers
-            .get(key)
-            .is_some_and(|st| st.suspect_since.is_some())
+        self.peers.get(key).is_some_and(PeerDetector::is_suspect)
     }
 
     /// Classifies `key` at `now`, advancing the suspicion state machine.
     pub fn evaluate(&mut self, key: K, now: SimTime) -> Verdict {
-        let threshold = self.config.threshold;
-        let confirm = self.config.confirm_timeout;
-        let min_std = self.config.min_std_dev;
-        let pause = self.config.acceptable_pause;
         let estimate = self.config.first_interval;
-        let st = self.entry(key, now, estimate);
-        if st.window.phi(now, min_std, pause) < threshold {
-            st.suspect_since = None;
-            return Verdict::Alive;
-        }
-        match st.suspect_since {
-            None => {
-                st.suspect_since = Some(now);
-                Verdict::NewlySuspect
-            }
-            Some(since) if now.saturating_since(since) >= confirm => Verdict::Dead,
-            Some(_) => Verdict::Suspect,
-        }
+        let (st, config) = self.entry(key, now, estimate);
+        st.evaluate(config, now)
     }
 
     /// Stops tracking `key` (evicted, departed, or no longer a neighbor).

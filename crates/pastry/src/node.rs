@@ -142,12 +142,6 @@ impl<'a, 'b, M: Message + Clone> AppCtx<'a, 'b, M> {
         self.state.proximity(h.actor)
     }
 
-    /// Estimated round-trip time to `h` under the installed latency model
-    /// — seeds failure-detector cadence expectations.
-    pub fn rtt_to(&self, h: &NodeHandle) -> SimDuration {
-        self.sim.rtt_to(h.actor)
-    }
-
     /// Routes `msg` toward `key` through the overlay, starting at the
     /// local node. Processing begins after a loopback delay, exactly as if
     /// the node had routed a received message.
@@ -563,8 +557,13 @@ impl<A: PastryApp> PastryNode<A> {
                 }
             }
             // Stop tracking peers that left the leaf set without an
-            // explicit eviction (displaced by closer nodes).
-            detector.retain(|key| members.iter().any(|h| h.id.as_u128() == *key));
+            // explicit eviction (displaced by closer nodes). Every member
+            // is tracked by now, so equal counts mean equal sets.
+            if detector.tracked() != members.len() {
+                let mut ids: Vec<u128> = members.iter().map(|h| h.id.as_u128()).collect();
+                ids.sort_unstable();
+                detector.retain(|key| ids.binary_search(key).is_ok());
+            }
         } else {
             // Legacy fixed-interval mode: a peer silent for
             // `failure_multiplier` rounds is declared dead outright.

@@ -107,6 +107,12 @@ impl LeafSet {
         self.cw.iter().chain(self.ccw.iter()).any(|e| e.id == id)
     }
 
+    /// Both sides, clockwise first, each closest first. A node that sits
+    /// on both sides (small rings) appears twice.
+    pub fn sides(&self) -> impl Iterator<Item = NodeHandle> + '_ {
+        self.cw.iter().chain(self.ccw.iter()).copied()
+    }
+
     /// All distinct members (a node may sit on both sides in small rings).
     pub fn members(&self) -> Vec<NodeHandle> {
         let mut out: Vec<NodeHandle> = Vec::with_capacity(self.cw.len() + self.ccw.len());
@@ -177,6 +183,9 @@ impl LeafSet {
 pub struct RoutingTable {
     self_id: NodeId,
     rows: Vec<[Option<NodeHandle>; DIGIT_BASE]>,
+    /// Rows at or past this index have never held an entry (a table fills
+    /// about log16(n) of its rows), so scans stop here.
+    used_rows: usize,
 }
 
 impl RoutingTable {
@@ -185,6 +194,7 @@ impl RoutingTable {
         RoutingTable {
             self_id,
             rows: vec![[None; DIGIT_BASE]; NUM_DIGITS],
+            used_rows: 0,
         }
     }
 
@@ -202,6 +212,7 @@ impl RoutingTable {
         match &mut self.rows[row][col] {
             slot @ None => {
                 *slot = Some(h);
+                self.used_rows = self.used_rows.max(row + 1);
                 true
             }
             Some(existing) if existing.id == h.id => false,
@@ -239,7 +250,7 @@ impl RoutingTable {
     /// was present.
     pub fn remove(&mut self, id: NodeId) -> bool {
         let mut removed = false;
-        for row in &mut self.rows {
+        for row in &mut self.rows[..self.used_rows] {
             for slot in row.iter_mut() {
                 if slot.map(|h| h.id) == Some(id) {
                     *slot = None;
@@ -252,7 +263,10 @@ impl RoutingTable {
 
     /// All filled entries.
     pub fn entries(&self) -> impl Iterator<Item = NodeHandle> + '_ {
-        self.rows.iter().flatten().filter_map(|s| *s)
+        self.rows[..self.used_rows]
+            .iter()
+            .flatten()
+            .filter_map(|s| *s)
     }
 
     /// The contents of row `row` (used by the join protocol, where each
@@ -337,7 +351,7 @@ impl NeighborSet {
 
 /// Physical distance between two actors under `topo`, `u32::MAX` when
 /// either actor lies outside the server range.
-fn prox_between(topo: &Topology, a: ActorId, b: ActorId) -> u32 {
+pub fn actor_distance(topo: &Topology, a: ActorId, b: ActorId) -> u32 {
     if a.index() < topo.num_servers() && b.index() < topo.num_servers() {
         topo.distance(topo.server(a.index()), topo.server(b.index()))
     } else {
@@ -414,7 +428,7 @@ impl PastryState {
     /// Physical distance from this node to another actor (0 same server …
     /// 3 cross-pod; `u32::MAX` for actors outside the topology).
     pub fn proximity(&self, actor: ActorId) -> u32 {
-        prox_between(&self.topology, self.handle.actor, actor)
+        actor_distance(&self.topology, self.handle.actor, actor)
     }
 
     /// Learns about a node: offered to the leaf set, routing table and
@@ -429,7 +443,7 @@ impl PastryState {
         let my_actor = self.handle.actor;
         changed |= self
             .routing_table
-            .insert(h, move |c| prox_between(&topo, my_actor, c.actor));
+            .insert(h, move |c| actor_distance(&topo, my_actor, c.actor));
         changed |= self.neighbor_set.insert(h, prox);
         changed
     }
@@ -440,6 +454,22 @@ impl PastryState {
         let b = self.routing_table.remove(id);
         let c = self.neighbor_set.remove(id);
         a || b || c
+    }
+
+    /// Every node this state knows about, without allocating: leaf set
+    /// clockwise then counter-clockwise, routing-table entries row by row,
+    /// then neighbor-set members — the order of [`known_nodes`], except
+    /// that a node held by several structures is yielded once per
+    /// structure. Fine for first-minimum searches (`min_by_key` keeps the
+    /// first of equal keys, and a repeat can only tie with its own first
+    /// occurrence); use [`known_nodes`] where each node must appear once.
+    ///
+    /// [`known_nodes`]: PastryState::known_nodes
+    pub fn known_iter(&self) -> impl Iterator<Item = NodeHandle> + '_ {
+        self.leaf_set
+            .sides()
+            .chain(self.routing_table.entries())
+            .chain(self.neighbor_set.members())
     }
 
     /// Every distinct node this state knows about.
@@ -481,7 +511,7 @@ impl PastryState {
         let own_prefix = self.handle.id.shared_prefix_len(key);
         let own_dist = self.handle.id.ring_distance(key);
         let mut best: Option<(usize, u128, NodeHandle)> = None;
-        for h in self.known_nodes() {
+        for h in self.known_iter() {
             let p = h.id.shared_prefix_len(key);
             let d = h.id.ring_distance(key);
             if p >= own_prefix && d < own_dist {

@@ -11,9 +11,9 @@
 
 use std::collections::BTreeMap;
 
-use vbundle_fdetect::{DedupWindow, FailureDetection, FailureDetector, Verdict};
+use vbundle_fdetect::{DedupWindow, FailureDetection, Verdict};
 use vbundle_obs::{Counter, FlightRecorder, Registry, Subsystem};
-use vbundle_pastry::{AppCtx, Key, NodeHandle, PastryApp, RouteDecision};
+use vbundle_pastry::{actor_distance, AppCtx, Id, Key, NodeHandle, PastryApp, RouteDecision};
 use vbundle_sim::{ActorId, Message, SimDuration, SimTime};
 
 use crate::message::{AnycastEnvelope, ScribeMsg};
@@ -312,12 +312,12 @@ impl<'a, 'b, 'c, 'd, M: Message + Clone> ScribeCtx<'a, 'b, 'c, 'd, M> {
         self.groups.get(&group.as_u128()).and_then(|g| g.parent)
     }
 
-    /// The children grafted below the local node in `group`'s tree.
-    pub fn children(&self, group: GroupId) -> Vec<NodeHandle> {
+    /// Whether the node with this id is grafted below the local node in
+    /// `group`'s tree.
+    pub fn is_child(&self, group: GroupId, id: Id) -> bool {
         self.groups
             .get(&group.as_u128())
-            .map(|g| g.children.clone())
-            .unwrap_or_default()
+            .is_some_and(|g| g.children.contains(id))
     }
 
     /// Whether the local node participates in `group`'s tree at all.
@@ -330,16 +330,12 @@ impl<'a, 'b, 'c, 'd, M: Message + Clone> ScribeCtx<'a, 'b, 'c, 'd, M> {
 
 /// The Scribe layer hosting a client of type `C`.
 pub struct Scribe<C: ScribeClient> {
+    /// Per-group tree state. Each grafted child's link record carries its
+    /// own liveness state (last proof of life, phi window): links silent
+    /// for too long are dropped on the probe tick, so a child that
+    /// re-parented elsewhere (or died without a Leave) cannot stay grafted
+    /// under a stale parent.
     groups: BTreeMap<u128, GroupState>,
-    /// When each `(group, child id)` link last proved itself alive (a Join,
-    /// re-Join or ParentProbe from the child). Links silent for three probe
-    /// rounds are dropped, so a child that re-parented elsewhere (or died
-    /// without a Leave) cannot stay grafted under a stale parent.
-    child_heard: BTreeMap<(u128, u128), SimTime>,
-    /// Phi-accrual detector over `(group, child id)` links. `None` in
-    /// [`FailureDetection::FixedInterval`] mode, where the three-round
-    /// expiry over `child_heard` decides.
-    child_detector: Option<FailureDetector<(u128, u128)>>,
     /// `(origin, nonce)` pairs of Publishes already disseminated by this
     /// root: a Publish duplicated in flight must not fan out twice under
     /// two sequence numbers.
@@ -367,14 +363,8 @@ impl<C: ScribeClient> Scribe<C> {
 
     /// Creates a Scribe layer with explicit tunables.
     pub fn with_config(client: C, config: ScribeConfig) -> Self {
-        let child_detector = match &config.child_detection {
-            FailureDetection::FixedInterval => None,
-            FailureDetection::PhiAccrual(phi) => Some(FailureDetector::new(phi.clone())),
-        };
         Scribe {
             groups: BTreeMap::new(),
-            child_heard: BTreeMap::new(),
-            child_detector,
             pub_seen: DedupWindow::new(PUB_DEDUP_WINDOW),
             next_pub_nonce: 0,
             children_expired: Counter::default(),
@@ -398,19 +388,20 @@ impl<C: ScribeClient> Scribe<C> {
         self.children_expired.get()
     }
 
-    /// Records proof of life for a `(group, child)` tree link.
-    fn child_alive(&mut self, group: u128, child: u128, now: SimTime) {
-        self.child_heard.insert((group, child), now);
-        if let Some(det) = self.child_detector.as_mut() {
-            det.heartbeat((group, child), now);
-        }
-    }
-
-    /// Drops all liveness state for a `(group, child)` tree link.
-    fn child_gone(&mut self, group: u128, child: u128) {
-        self.child_heard.remove(&(group, child));
-        if let Some(det) = self.child_detector.as_mut() {
-            det.forget(&(group, child));
+    /// Grafts `child` below this node in `group`'s tree — or, if it is
+    /// grafted already, refreshes the link's proof of life (the stamp and
+    /// window that guard parent-side expiry).
+    fn graft(
+        &mut self,
+        pastry: &mut AppCtx<'_, '_, ScribeMsg<C::Msg>>,
+        group: GroupId,
+        child: NodeHandle,
+    ) {
+        let now = pastry.now();
+        let phi = self.config.child_detection.phi_config();
+        let st = self.groups.entry(group.as_u128()).or_default();
+        if st.children.graft(child, now, phi) {
+            self.with_client(pastry, |c, ctx| c.on_child_added(ctx, group, child));
         }
     }
 
@@ -481,7 +472,6 @@ impl<C: ScribeClient> Scribe<C> {
     }
 
     fn apply_join(&mut self, pastry: &mut AppCtx<'_, '_, ScribeMsg<C::Msg>>, g: GroupId) {
-        let me = pastry.self_handle();
         let st = self.groups.entry(g.as_u128()).or_default();
         if st.member {
             return;
@@ -490,13 +480,7 @@ impl<C: ScribeClient> Scribe<C> {
         if st.root || st.parent.is_some() || !st.children.is_empty() {
             return; // already grafted as root or forwarder
         }
-        pastry.route(
-            g,
-            ScribeMsg::Join {
-                group: g,
-                child: me,
-            },
-        );
+        route_join(pastry, g);
     }
 
     fn apply_leave(&mut self, pastry: &mut AppCtx<'_, '_, ScribeMsg<C::Msg>>, g: GroupId) {
@@ -522,10 +506,6 @@ impl<C: ScribeClient> Scribe<C> {
         }
         let parent = st.parent;
         self.groups.remove(&g.as_u128());
-        self.child_heard.retain(|&(gk, _), _| gk != g.as_u128());
-        if let Some(det) = self.child_detector.as_mut() {
-            det.retain(|&(gk, _)| gk != g.as_u128());
-        }
         if let Some(p) = parent {
             pastry.send_direct(
                 p,
@@ -580,7 +560,6 @@ impl<C: ScribeClient> Scribe<C> {
     /// any children, so the whole subtree reconnects through us) or prune
     /// if nothing keeps us in the group.
     fn demote_stale_root(&mut self, pastry: &mut AppCtx<'_, '_, ScribeMsg<C::Msg>>, g: GroupId) {
-        let me = pastry.self_handle();
         let mut rejoin = false;
         if let Some(st) = self.groups.get_mut(&g.as_u128()) {
             st.root = false;
@@ -588,13 +567,7 @@ impl<C: ScribeClient> Scribe<C> {
             rejoin = st.member || !st.children.is_empty();
         }
         if rejoin {
-            pastry.route(
-                g,
-                ScribeMsg::Join {
-                    group: g,
-                    child: me,
-                },
-            );
+            route_join(pastry, g);
         } else {
             self.prune(pastry, g);
         }
@@ -667,17 +640,21 @@ impl<C: ScribeClient> Scribe<C> {
         st.last_delivered = Some((root, seq));
         let member = st.member;
         if ttl > 0 {
-            for child in st.children.clone() {
-                pastry.send_direct(
-                    child,
-                    ScribeMsg::Disseminate {
-                        group: g,
-                        payload: payload.clone(),
-                        ttl: ttl - 1,
-                        seq,
-                        root,
-                    },
-                );
+            let down = |payload| ScribeMsg::Disseminate {
+                group: g,
+                payload,
+                ttl: ttl - 1,
+                seq,
+                root,
+            };
+            let mut children = st.children.iter().peekable();
+            while let Some(child) = children.next() {
+                if !member && children.peek().is_none() {
+                    // A pure forwarder has no further use for the payload.
+                    pastry.send_direct(child, down(payload));
+                    return;
+                }
+                pastry.send_direct(child, down(payload.clone()));
             }
         }
         if member {
@@ -711,61 +688,38 @@ impl<C: ScribeClient> Scribe<C> {
         // the *origin* — the paper's "prefers topologically closest
         // candidates among the target candidates", which keeps receivers
         // near the shedder and thus preserves the placement's locality.
-        let topo = pastry.state().topology().clone();
+        // Only the best candidate is ever tried (a child ends the step, a
+        // declining local member hands over to the best child), so one
+        // min-scan replaces sorting them all.
+        let topo = pastry.state().topology();
         let origin_actor = env.origin.actor;
-        let dist_to_origin = |actor: ActorId| -> u32 {
-            if actor.index() < topo.num_servers() && origin_actor.index() < topo.num_servers() {
-                topo.distance(
-                    topo.server(actor.index()),
-                    topo.server(origin_actor.index()),
-                )
-            } else {
-                u32::MAX
-            }
-        };
-        let already_visited = env.visited.contains(&me.actor);
+        let dist_to_origin = |actor| actor_distance(topo, actor, origin_actor);
         let self_eligible = st.member && !env.offered.contains(&me.actor) && me.id != env.origin.id;
-        #[derive(Clone, Copy)]
-        enum Candidate {
-            Local,
-            Child(NodeHandle),
-        }
-        let mut candidates: Vec<(u32, u128, Candidate)> = Vec::new();
-        if self_eligible {
-            candidates.push((dist_to_origin(me.actor), 0, Candidate::Local));
-        }
-        for c in &st.children {
-            if !env.visited.contains(&c.actor) {
-                candidates.push((
-                    dist_to_origin(c.actor),
-                    c.id.ring_distance(me.id).max(1),
-                    Candidate::Child(*c),
-                ));
-            }
-        }
-        candidates.sort_by_key(|&(d, tie, _)| (d, tie));
-        if !already_visited {
+        let (local_first, best_child) = anycast_choice(
+            me,
+            self_eligible.then(|| dist_to_origin(me.actor)),
+            st.children.iter(),
+            &env.visited,
+            dist_to_origin,
+        );
+        if !env.visited.contains(&me.actor) {
             env.visited.push(me.actor);
         }
-        for (_, _, cand) in candidates {
-            match cand {
-                Candidate::Local => {
-                    let origin = env.origin;
-                    env.offered.push(me.actor);
-                    let accepted = self.with_client(pastry, |c, ctx| {
-                        c.anycast_accept(ctx, g, &env.payload, origin)
-                    });
-                    if accepted {
-                        return;
-                    }
-                    // Declined: fall through to the next candidate.
-                }
-                Candidate::Child(c) => {
-                    env.ttl -= 1;
-                    pastry.send_direct(c, ScribeMsg::AnycastStep(env));
-                    return;
-                }
+        if local_first {
+            let origin = env.origin;
+            env.offered.push(me.actor);
+            let accepted = self.with_client(pastry, |c, ctx| {
+                c.anycast_accept(ctx, g, &env.payload, origin)
+            });
+            if accepted {
+                return;
             }
+            // Declined: fall through to the best child.
+        }
+        if let Some(child) = best_child {
+            env.ttl -= 1;
+            pastry.send_direct(child, ScribeMsg::AnycastStep(env));
+            return;
         }
         // Exhausted here: backtrack to the parent, which scans its
         // remaining branches.
@@ -808,7 +762,6 @@ impl<C: ScribeClient> Scribe<C> {
         pastry: &mut AppCtx<'_, '_, ScribeMsg<C::Msg>>,
         failed_actor: ActorId,
     ) {
-        let me = pastry.self_handle();
         let group_keys: Vec<u128> = self.groups.keys().copied().collect();
         for key in group_keys {
             let g = GroupId::from_u128(key);
@@ -820,37 +773,53 @@ impl<C: ScribeClient> Scribe<C> {
                     st.parent = None;
                     lost_parent = true;
                 }
-                let dead: Vec<NodeHandle> = st
-                    .children
-                    .iter()
-                    .copied()
-                    .filter(|c| c.actor == failed_actor)
-                    .collect();
-                for d in dead {
-                    st.remove_child(d.id);
-                    removed_children.push(d);
+                removed_children.extend(st.children.iter().filter(|c| c.actor == failed_actor));
+                for d in &removed_children {
+                    st.children.remove(d.id);
                 }
             }
             for d in removed_children {
-                self.child_gone(key, d.id.as_u128());
                 self.with_client(pastry, |c, ctx| c.on_child_removed(ctx, g, d));
             }
             if lost_parent {
                 let st = self.groups.get(&key).expect("group present");
                 if st.member || !st.children.is_empty() {
-                    pastry.route(
-                        g,
-                        ScribeMsg::Join {
-                            group: g,
-                            child: me,
-                        },
-                    );
+                    route_join(pastry, g);
                 } else {
                     self.prune(pastry, g);
                 }
             }
         }
     }
+}
+
+/// Routes a JOIN toward `group`'s rendezvous root under the local node's
+/// own name.
+fn route_join<M: Message + Clone>(pastry: &mut AppCtx<'_, '_, ScribeMsg<M>>, group: GroupId) {
+    let child = pastry.self_handle();
+    pastry.route(group, ScribeMsg::Join { group, child });
+}
+
+/// What an anycast step at `me` tries, in order: whether the local member
+/// (eligible iff `local` carries its distance) is offered first, and the
+/// child subtree the search descends into otherwise or on decline. That
+/// child is, among those not yet visited, the first in graft order with
+/// the smallest `(distance, ring distance to me)` — what a stable sort of
+/// all candidates would put first among children. Ring ties are at least
+/// 1 and the local member's is 0, so it goes first at equal distance.
+fn anycast_choice(
+    me: NodeHandle,
+    local: Option<u32>,
+    children: impl Iterator<Item = NodeHandle>,
+    visited: &[ActorId],
+    dist: impl Fn(ActorId) -> u32,
+) -> (bool, Option<NodeHandle>) {
+    let best = children
+        .filter(|c| !visited.contains(&c.actor))
+        .map(|c| (dist(c.actor), c.id.ring_distance(me.id).max(1), c))
+        .min_by_key(|&(d, tie, _)| (d, tie));
+    let local_first = local.is_some_and(|l| best.is_none_or(|(d, _, _)| l <= d));
+    (local_first, best.map(|(_, _, c)| c))
 }
 
 impl<C: ScribeClient> PastryApp for Scribe<C> {
@@ -866,17 +835,9 @@ impl<C: ScribeClient> PastryApp for Scribe<C> {
     fn on_joined(&mut self, ctx: &mut AppCtx<'_, '_, Self::Msg>) {
         // Re-issue joins for groups subscribed before the overlay join
         // completed.
-        let me = ctx.self_handle();
         for (&key, st) in &self.groups {
             if st.member && st.parent.is_none() && !st.root {
-                let g = GroupId::from_u128(key);
-                ctx.route(
-                    g,
-                    ScribeMsg::Join {
-                        group: g,
-                        child: me,
-                    },
-                );
+                route_join(ctx, GroupId::from_u128(key));
             }
         }
     }
@@ -900,7 +861,7 @@ impl<C: ScribeClient> PastryApp for Scribe<C> {
         let mut gone = Vec::new();
         for (&key, st) in &mut self.groups {
             let g = GroupId::from_u128(key);
-            for child in std::mem::take(&mut st.children) {
+            for child in std::mem::take(&mut st.children).iter() {
                 dropped.push((g, child));
             }
             let parent = st.parent.take();
@@ -919,10 +880,6 @@ impl<C: ScribeClient> PastryApp for Scribe<C> {
         for key in gone {
             self.groups.remove(&key);
         }
-        self.child_heard.clear();
-        if let Some(det) = self.child_detector.as_mut() {
-            det.clear();
-        }
         for (g, child) in dropped {
             self.with_client(ctx, |c, sctx| c.on_child_removed(sctx, g, child));
         }
@@ -936,13 +893,7 @@ impl<C: ScribeClient> PastryApp for Scribe<C> {
             );
         }
         for g in rejoins {
-            ctx.route(
-                g,
-                ScribeMsg::Join {
-                    group: g,
-                    child: me,
-                },
-            );
+            route_join(ctx, g);
         }
         self.with_client(ctx, |c, sctx| c.on_restart(sctx));
     }
@@ -959,16 +910,11 @@ impl<C: ScribeClient> PastryApp for Scribe<C> {
                 debug_assert_eq!(key, group);
                 // We are (numerically closest to) the rendezvous point.
                 let me = ctx.self_handle();
-                let now = ctx.now();
                 let st = self.groups.entry(group.as_u128()).or_default();
                 st.root = true;
                 st.parent = None;
                 if child.id != me.id {
-                    let added = st.add_child(child);
-                    self.child_alive(group.as_u128(), child.id.as_u128(), now);
-                    if added {
-                        self.with_client(ctx, |c, sctx| c.on_child_added(sctx, group, child));
-                    }
+                    self.graft(ctx, group, child);
                 }
             }
             ScribeMsg::Publish {
@@ -1012,25 +958,16 @@ impl<C: ScribeClient> PastryApp for Scribe<C> {
                     st.parent = Some(next);
                     return Some(ScribeMsg::Join { group, child });
                 }
-                let now = ctx.now();
                 let st = self.groups.entry(group.as_u128()).or_default();
-                if st.in_tree() {
-                    // Already grafted: adopt the child and stop the join.
-                    let added = st.add_child(child);
-                    self.child_alive(group.as_u128(), child.id.as_u128(), now);
-                    if added {
-                        self.with_client(ctx, |c, sctx| c.on_child_added(sctx, group, child));
-                    }
-                    None
-                } else {
-                    // Become a forwarder: adopt the child, keep joining
-                    // toward the root under our own name.
+                // Already grafted: adopt the child and stop the join.
+                // Otherwise become a forwarder: adopt the child, keep
+                // joining toward the root under our own name.
+                let forwarder = !st.in_tree();
+                if forwarder {
                     st.parent = Some(next);
-                    st.add_child(child);
-                    self.child_alive(group.as_u128(), child.id.as_u128(), now);
-                    self.with_client(ctx, |c, sctx| c.on_child_added(sctx, group, child));
-                    Some(ScribeMsg::Join { group, child: me })
                 }
+                self.graft(ctx, group, child);
+                forwarder.then_some(ScribeMsg::Join { group, child: me })
             }
             ScribeMsg::Anycast(env) => {
                 if self
@@ -1055,8 +992,7 @@ impl<C: ScribeClient> PastryApp for Scribe<C> {
                 let Some(st) = self.groups.get_mut(&group.as_u128()) else {
                     return;
                 };
-                if st.remove_child(child.id) {
-                    self.child_gone(group.as_u128(), child.id.as_u128());
+                if st.children.remove(child.id) {
                     self.with_client(ctx, |c, sctx| c.on_child_removed(sctx, group, child));
                     self.prune(ctx, group);
                 }
@@ -1080,26 +1016,15 @@ impl<C: ScribeClient> PastryApp for Scribe<C> {
             ScribeMsg::ParentProbe { group, child } => {
                 let in_tree = matches!(self.groups.get(&group.as_u128()), Some(st) if st.in_tree());
                 if in_tree {
-                    // Refresh the child link (it may have been dropped by
-                    // an over-eager repair) and the liveness stamp that
-                    // guards parent-side expiry.
-                    let now = ctx.now();
-                    let added = self
-                        .groups
-                        .get_mut(&group.as_u128())
-                        .expect("group present")
-                        .add_child(child);
-                    self.child_alive(group.as_u128(), child.id.as_u128(), now);
-                    if added {
-                        self.with_client(ctx, |c, sctx| c.on_child_added(sctx, group, child));
-                    }
+                    // Refresh the child link; it may have been dropped by
+                    // an over-eager repair.
+                    self.graft(ctx, group, child);
                 } else {
                     ctx.send_direct(child, ScribeMsg::ProbeNack { group });
                 }
             }
             ScribeMsg::ProbeNack { group } => {
                 // Our supposed parent has no tree state: re-join.
-                let me = ctx.self_handle();
                 let mut action = None;
                 if let Some(st) = self.groups.get_mut(&group.as_u128()) {
                     if st.parent.is_some_and(|p| p.actor == from.actor) {
@@ -1108,7 +1033,7 @@ impl<C: ScribeClient> PastryApp for Scribe<C> {
                     }
                 }
                 match action {
-                    Some(true) => ctx.route(group, ScribeMsg::Join { group, child: me }),
+                    Some(true) => route_join(ctx, group),
                     Some(false) => self.prune(ctx, group),
                     None => {}
                 }
@@ -1153,43 +1078,26 @@ impl<C: ScribeClient> PastryApp for Scribe<C> {
             // node stays grafted under two parents. Phi mode adapts to the
             // link's observed probe cadence and double-checks with a direct
             // ChildProbe before dropping; fixed mode expires after three
-            // silent rounds.
+            // silent rounds. One pass over this node's link records.
             if let Some(interval) = self.config.probe_interval {
                 let now = ctx.now();
+                let phi = self.config.child_detection.phi_config();
+                let expiry = interval * 3;
                 let mut expired: Vec<(GroupId, NodeHandle)> = Vec::new();
-                if let Some(det) = self.child_detector.as_mut() {
-                    let links: Vec<(u128, NodeHandle)> = self
-                        .groups
-                        .iter()
-                        .flat_map(|(&key, st)| st.children.iter().map(move |&c| (key, c)))
-                        .collect();
-                    for &(key, child) in &links {
-                        let link = (key, child.id.as_u128());
-                        det.observe_with_estimate(link, now, interval + ctx.rtt_to(&child));
-                        match det.evaluate(link, now) {
+                for (&key, st) in &mut self.groups {
+                    let g = GroupId::from_u128(key);
+                    for link in st.children.links_mut() {
+                        let verdict = match (link.detector.as_mut(), phi) {
+                            (Some(det), Some(cfg)) => det.evaluate(cfg, now),
+                            _ if now.saturating_since(link.heard) > expiry => Verdict::Dead,
+                            _ => Verdict::Alive,
+                        };
+                        match verdict {
                             Verdict::Alive | Verdict::Suspect => {}
-                            Verdict::NewlySuspect => ctx.send_direct(
-                                child,
-                                ScribeMsg::ChildProbe {
-                                    group: GroupId::from_u128(key),
-                                },
-                            ),
-                            Verdict::Dead => expired.push((GroupId::from_u128(key), child)),
-                        }
-                    }
-                    // Stop tracking links that disappeared without passing
-                    // through child_gone (e.g. bulk drops on restart).
-                    det.retain(|&(g, c)| links.iter().any(|(k, h)| *k == g && h.id.as_u128() == c));
-                } else {
-                    let expiry = interval * 3;
-                    let groups = &self.groups;
-                    let child_heard = &mut self.child_heard;
-                    for (&key, st) in groups {
-                        for &child in &st.children {
-                            let heard = child_heard.entry((key, child.id.as_u128())).or_insert(now);
-                            if now.saturating_since(*heard) > expiry {
-                                expired.push((GroupId::from_u128(key), child));
+                            Verdict::NewlySuspect => {
+                                ctx.send_direct(link.handle, ScribeMsg::ChildProbe { group: g })
                             }
+                            Verdict::Dead => expired.push((g, link.handle)),
                         }
                     }
                 }
@@ -1197,7 +1105,7 @@ impl<C: ScribeClient> PastryApp for Scribe<C> {
                     let removed = self
                         .groups
                         .get_mut(&g.as_u128())
-                        .is_some_and(|st| st.remove_child(child.id));
+                        .is_some_and(|st| st.children.remove(child.id));
                     if removed {
                         self.children_expired.inc();
                         self.flight.event_with(
@@ -1207,7 +1115,6 @@ impl<C: ScribeClient> PastryApp for Scribe<C> {
                             "child-expired",
                             || format!("group {g} child {}", child.id),
                         );
-                        self.child_gone(g.as_u128(), child.id.as_u128());
                         self.with_client(ctx, |c, sctx| c.on_child_removed(sctx, g, child));
                         self.prune(ctx, g);
                     }
@@ -1266,5 +1173,73 @@ impl<C: ScribeClient> std::fmt::Debug for Scribe<C> {
         f.debug_struct("Scribe")
             .field("groups", &self.groups.len())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn h(id: u128, actor: u32) -> NodeHandle {
+        NodeHandle::new(Id::from_u128(id), ActorId::new(actor))
+    }
+
+    /// The walk the min-scan replaced: collect every candidate, stable-sort
+    /// by `(distance, tie)`, try them in order — a local member that
+    /// declines hands over to the next, the first child ends the step.
+    fn sorted_walk(
+        me: NodeHandle,
+        local: Option<u32>,
+        children: &[NodeHandle],
+        visited: &[ActorId],
+        dist: impl Fn(ActorId) -> u32,
+    ) -> (bool, Option<NodeHandle>) {
+        let mut candidates: Vec<(u32, u128, Option<NodeHandle>)> = Vec::new();
+        if let Some(d) = local {
+            candidates.push((d, 0, None));
+        }
+        for c in children {
+            if !visited.contains(&c.actor) {
+                candidates.push((dist(c.actor), c.id.ring_distance(me.id).max(1), Some(*c)));
+            }
+        }
+        candidates.sort_by_key(|&(d, tie, _)| (d, tie));
+        let mut local_first = false;
+        for (_, _, cand) in candidates {
+            match cand {
+                None => local_first = true,
+                Some(c) => return (local_first, Some(c)),
+            }
+        }
+        (local_first, None)
+    }
+
+    proptest! {
+        /// Child ids cluster around the local id (equal ring distances on
+        /// both sides) and distances come from a four-value table, so
+        /// equal keys — where only graft order decides — are the norm.
+        #[test]
+        fn anycast_choice_matches_sorted_walk(
+            ids in proptest::collection::vec(90u128..111, 0..16),
+            dists in proptest::collection::vec(0u32..4, 24),
+            visited in proptest::collection::vec(0u32..24, 0..12),
+            local in (any::<bool>(), 0u32..4),
+        ) {
+            let me = h(100, 23);
+            let mut children: Vec<NodeHandle> = Vec::new();
+            for (i, &id) in ids.iter().enumerate() {
+                if id != 100 && !children.iter().any(|c| c.id == Id::from_u128(id)) {
+                    children.push(h(id, i as u32));
+                }
+            }
+            let visited: Vec<ActorId> = visited.into_iter().map(ActorId::new).collect();
+            let local = local.0.then_some(local.1);
+            let dist = |a: ActorId| dists[a.index()];
+            prop_assert_eq!(
+                anycast_choice(me, local, children.iter().copied(), &visited, dist),
+                sorted_walk(me, local, &children, &visited, dist)
+            );
+        }
     }
 }
