@@ -970,7 +970,7 @@ impl Controller {
         let me = ctx.self_handle();
         ctx.route_client(
             key,
-            CtrlMsg::Boot(BootQuery {
+            CtrlMsg::Boot(Box::new(BootQuery {
                 request,
                 vm,
                 origin: me,
@@ -979,7 +979,7 @@ impl Controller {
                 visited: Vec::new(),
                 ttl: self.config.boot_ttl,
                 failover: false,
-            }),
+            })),
         );
     }
 
@@ -1126,13 +1126,13 @@ impl Controller {
             self.trade.stats.requests_sent.inc();
             ctx.anycast(
                 trade_group(customer),
-                CtrlMsg::Borrow(BorrowRequest {
+                CtrlMsg::Borrow(Box::new(BorrowRequest {
                     customer,
                     borrower: vm_id,
                     amount: ResourceVector::bandwidth_only(Bandwidth::from_mbps(short)),
                     origin: me,
                     spot: false,
-                }),
+                })),
             );
         }
         if self.config.spot_market.is_some() {
@@ -1193,13 +1193,13 @@ impl Controller {
             self.market_stats.spot_asks.inc();
             ctx.anycast(
                 spot_group(self.pod_index),
-                CtrlMsg::Borrow(BorrowRequest {
+                CtrlMsg::Borrow(Box::new(BorrowRequest {
                     customer,
                     borrower: vm_id,
                     amount: ResourceVector::bandwidth_only(Bandwidth::from_mbps(short)),
                     origin: me,
                     spot: true,
-                }),
+                })),
             );
         }
     }
@@ -1306,11 +1306,11 @@ impl Controller {
             self.stats.queries_sent += 1;
             ctx.anycast(
                 less_loaded_group(),
-                CtrlMsg::Load(LoadQuery {
+                CtrlMsg::Load(Box::new(LoadQuery {
                     query,
                     vm,
                     shedder: me,
-                }),
+                })),
             );
             projected = after;
             issued += 1;
@@ -1467,7 +1467,7 @@ impl Controller {
                 // borrow pool: it can bring the VM back.
                 let msg = if self.config.failover.is_some() {
                     CtrlMsg::FoBackupReserve {
-                        vm,
+                        vm: Box::new(vm),
                         primary: me,
                         amount,
                     }
@@ -1483,7 +1483,10 @@ impl Controller {
         }
     }
 
-    fn handle_boot(&mut self, ctx: &mut ScribeCtx<'_, '_, '_, '_, CtrlMsg>, mut q: BootQuery) {
+    /// One hop of a boot walk. The query arrives and leaves in the box its
+    /// origin allocated: a walk of any length costs one `BootQuery`
+    /// allocation.
+    fn handle_boot(&mut self, ctx: &mut ScribeCtx<'_, '_, '_, '_, CtrlMsg>, mut q: Box<BootQuery>) {
         self.stats.boots_handled += 1;
         let me = ctx.self_handle();
         let at_root = q.root.is_none();
@@ -1620,7 +1623,7 @@ impl Controller {
             receiver,
             CtrlMsg::Migrate {
                 query,
-                vm,
+                vm: Box::new(vm),
                 from: me,
             },
             self.config.migration_delay,
@@ -1767,7 +1770,12 @@ impl Controller {
             },
         );
         let timeout = self.trade_courier.register(raw);
-        ctx.send_client(q.origin, CtrlMsg::BorrowGrant { lease });
+        ctx.send_client(
+            q.origin,
+            CtrlMsg::BorrowGrant {
+                lease: Box::new(lease),
+            },
+        );
         ctx.schedule(timeout, TRADE_RETRY_TAG_BASE | raw);
         true
     }
@@ -1862,7 +1870,12 @@ impl Controller {
             },
         );
         let timeout = self.trade_courier.register(raw);
-        ctx.send_client(q.origin, CtrlMsg::BorrowGrant { lease });
+        ctx.send_client(
+            q.origin,
+            CtrlMsg::BorrowGrant {
+                lease: Box::new(lease),
+            },
+        );
         ctx.schedule(timeout, TRADE_RETRY_TAG_BASE | raw);
         true
     }
@@ -1944,7 +1957,12 @@ impl Controller {
             },
         );
         let timeout = self.trade_courier.register(raw);
-        ctx.send_client(from, CtrlMsg::BorrowGrant { lease });
+        ctx.send_client(
+            from,
+            CtrlMsg::BorrowGrant {
+                lease: Box::new(lease),
+            },
+        );
         ctx.schedule(timeout, TRADE_RETRY_TAG_BASE | raw);
     }
 
@@ -2060,7 +2078,12 @@ impl Controller {
                 let peer = self.lease_peers.get(&raw).copied();
                 match (half, peer) {
                     (Some(h), Some(p)) if h.role == LeaseRole::Lender => {
-                        ctx.send_client(p, CtrlMsg::BorrowGrant { lease: h.lease });
+                        ctx.send_client(
+                            p,
+                            CtrlMsg::BorrowGrant {
+                                lease: Box::new(h.lease),
+                            },
+                        );
                         ctx.schedule(timeout, TRADE_RETRY_TAG_BASE | raw);
                     }
                     _ => self.trade_courier.forget(raw),
@@ -2245,7 +2268,7 @@ impl Controller {
         } else {
             Vec::new()
         };
-        let q = BootQuery {
+        let q = Box::new(BootQuery {
             request,
             vm: boot.vm,
             origin: me,
@@ -2254,7 +2277,7 @@ impl Controller {
             visited,
             ttl: self.config.boot_ttl,
             failover: true,
-        };
+        });
         self.fo_pending.insert(request, boot);
         self.handle_boot(ctx, q);
     }
@@ -2480,13 +2503,13 @@ impl ScribeClient for Controller {
                 receiver,
             } => self.handle_accept(ctx, query, vm, receiver),
             CtrlMsg::Migrate { query, vm, from } => {
-                self.handle_migrate_arrival(ctx, query, vm, from)
+                self.handle_migrate_arrival(ctx, query, *vm, from)
             }
             CtrlMsg::MigrateAck { query } => {
                 self.courier.ack(query);
                 self.in_flight.remove(&query);
             }
-            CtrlMsg::BorrowGrant { lease } => self.handle_borrow_grant(ctx, from, lease),
+            CtrlMsg::BorrowGrant { lease } => self.handle_borrow_grant(ctx, from, *lease),
             CtrlMsg::LeaseAck { id, accepted } => {
                 self.trade_courier.ack(id.0);
                 if !accepted {
@@ -2557,7 +2580,7 @@ impl ScribeClient for Controller {
                     self.protects.insert(
                         vm.id,
                         Protection {
-                            vm,
+                            vm: *vm,
                             primary,
                             amount,
                         },
@@ -2694,7 +2717,7 @@ impl ScribeClient for Controller {
             CtrlMsg::Migrate { query, vm, .. } => {
                 self.courier.forget(query);
                 self.in_flight.remove(&query);
-                self.reinstall_failed_migration(vm);
+                self.reinstall_failed_migration(*vm);
                 self.stats.migrations_failed += 1;
             }
             // A boot hop died: continue the walk without it.
@@ -3194,21 +3217,21 @@ mod tests {
         let mut c = controller(0.15);
         let mut insane = ResourceVector::ZERO;
         insane.cpu = f64::NAN; // Bandwidth's constructor rejects NaN itself
-        let bad = CtrlMsg::Borrow(BorrowRequest {
+        let bad = CtrlMsg::Borrow(Box::new(BorrowRequest {
             customer: CustomerId(0),
             borrower: VmId(1),
             amount: insane,
             origin: NodeHandle::new(vbundle_pastry::Id::from_u128(1), ActorId::new(1)),
             spot: false,
-        });
+        }));
         assert!(!c.validate_payload(&bad));
-        let good = CtrlMsg::Borrow(BorrowRequest {
+        let good = CtrlMsg::Borrow(Box::new(BorrowRequest {
             customer: CustomerId(0),
             borrower: VmId(1),
             amount: ResourceVector::bandwidth_only(Bandwidth::from_mbps(25.0)),
             origin: NodeHandle::new(vbundle_pastry::Id::from_u128(1), ActorId::new(1)),
             spot: false,
-        });
+        }));
         assert!(c.validate_payload(&good));
         assert_eq!(c.stats.invalid_payloads, 1);
     }

@@ -108,12 +108,17 @@ pub struct BorrowRequest {
 
 /// Everything v-Bundle controllers exchange. Aggregation traffic is
 /// embedded via [`AggMsg`].
+///
+/// Sized by its hot variants (aggregation updates, lease renewals,
+/// acks): the queries that walk the datacenter and the full VM / lease
+/// records travel behind a `Box` allocated by whoever issues them and
+/// passed on, not copied, by every hop that forwards them.
 #[derive(Debug, Clone)]
 pub enum CtrlMsg {
     /// Aggregation-tree traffic (updates up, results down).
     Agg(AggMsg),
     /// A VM boot query (routed to the customer key, then forwarded).
-    Boot(BootQuery),
+    Boot(Box<BootQuery>),
     /// Boot outcome, sent directly to the query's origin.
     BootResult {
         /// Echo of [`BootQuery::request`].
@@ -124,7 +129,7 @@ pub enum CtrlMsg {
         host: Option<NodeHandle>,
     },
     /// A shedder's query, carried by the Less-Loaded tree anycast.
-    Load(LoadQuery),
+    Load(Box<LoadQuery>),
     /// A receiver accepted a [`LoadQuery`] and holds bandwidth for the VM.
     LoadAccept {
         /// Echo of [`LoadQuery::query`].
@@ -141,7 +146,7 @@ pub enum CtrlMsg {
         /// Echo of the originating query id (releases the hold).
         query: u64,
         /// The VM's full record.
-        vm: VmRecord,
+        vm: Box<VmRecord>,
         /// The shedding server it left.
         from: NodeHandle,
     },
@@ -154,13 +159,13 @@ pub enum CtrlMsg {
     },
     /// A starved VM's borrow request, anycast into the customer's trade
     /// tree.
-    Borrow(BorrowRequest),
+    Borrow(Box<BorrowRequest>),
     /// A lender's committed offer: the full lease terms, sent directly to
     /// the borrower's host and resent (Courier-backed) until a
     /// [`CtrlMsg::LeaseAck`] arrives.
     BorrowGrant {
         /// The lease, already debited on the lender's book.
-        lease: Lease,
+        lease: Box<Lease>,
     },
     /// The borrower host's verdict on a grant. `accepted: false` means the
     /// borrower did not record the credit (stale terms, no room), so the
@@ -213,7 +218,7 @@ pub enum CtrlMsg {
     /// rack is declared dead. Only sent when failover is on.
     FoBackupReserve {
         /// The protected VM (re-booted verbatim on failover).
-        vm: VmRecord,
+        vm: Box<VmRecord>,
         /// The server currently hosting the VM.
         primary: NodeHandle,
         /// The backup amount reserved on the receiver.
@@ -255,6 +260,17 @@ const LEASE_BYTES: usize = 8 + 4 + 8 + 8 + 3 * 8 + 8; // id+customer+parties+amo
 /// buyer customer. Free leases omit all three, keeping the pre-market
 /// grant byte-identical.
 const PRICED_LEASE_EXTRA: usize = 8 + 8 + 4;
+
+// Layout guards for the full-stack wire type: what the engine moves per
+// event fits a cache line, and the one unbox per layer stays small.
+const _: () = {
+    use std::mem::size_of;
+    use vbundle_pastry::PastryMsg;
+    use vbundle_scribe::ScribeMsg;
+    assert!(size_of::<PastryMsg<ScribeMsg<CtrlMsg>>>() <= 64);
+    assert!(size_of::<ScribeMsg<CtrlMsg>>() <= 160);
+    assert!(size_of::<CtrlMsg>() <= 96);
+};
 
 impl Message for CtrlMsg {
     fn wire_size(&self) -> usize {
@@ -332,7 +348,7 @@ mod tests {
             CustomerId(0),
             ResourceSpec::fixed(ResourceVector::bandwidth_only(Bandwidth::from_mbps(10.0))),
         );
-        let boot = CtrlMsg::Boot(BootQuery {
+        let boot = CtrlMsg::Boot(Box::new(BootQuery {
             request: 1,
             vm,
             origin: h,
@@ -341,7 +357,7 @@ mod tests {
             visited: vec![ActorId::new(2)],
             ttl: 9,
             failover: false,
-        });
+        }));
         assert!(boot.wire_size() > VM_BYTES);
         assert_eq!(boot.category(), MsgCategory::Payload);
 
@@ -415,14 +431,20 @@ mod tests {
         );
         // A free grant is byte-identical to the pre-market wire.
         assert_eq!(
-            CtrlMsg::BorrowGrant { lease: free }.wire_size(),
+            CtrlMsg::BorrowGrant {
+                lease: Box::new(free)
+            }
+            .wire_size(),
             LEASE_BYTES
         );
         let mut priced = free;
         priced.price = 1.5;
         priced.buyer = CustomerId(7);
         assert_eq!(
-            CtrlMsg::BorrowGrant { lease: priced }.wire_size(),
+            CtrlMsg::BorrowGrant {
+                lease: Box::new(priced)
+            }
+            .wire_size(),
             LEASE_BYTES + PRICED_LEASE_EXTRA
         );
 
@@ -434,10 +456,10 @@ mod tests {
             origin: h,
             spot: false,
         };
-        let bare = CtrlMsg::Borrow(q.clone()).wire_size();
+        let bare = CtrlMsg::Borrow(Box::new(q.clone())).wire_size();
         let mut spot = q;
         spot.spot = true;
-        assert_eq!(CtrlMsg::Borrow(spot).wire_size(), bare + 1);
+        assert_eq!(CtrlMsg::Borrow(Box::new(spot)).wire_size(), bare + 1);
     }
 
     #[test]
@@ -449,7 +471,7 @@ mod tests {
             ResourceSpec::fixed(ResourceVector::bandwidth_only(Bandwidth::from_mbps(80.0))),
         );
         let reserve = CtrlMsg::FoBackupReserve {
-            vm,
+            vm: Box::new(vm),
             primary: h,
             amount: ResourceVector::bandwidth_only(Bandwidth::from_mbps(20.0)),
         };
@@ -477,9 +499,9 @@ mod tests {
             ttl: 4,
             failover: false,
         };
-        let bare = CtrlMsg::Boot(q.clone()).wire_size();
+        let bare = CtrlMsg::Boot(Box::new(q.clone())).wire_size();
         let mut fo = q;
         fo.failover = true;
-        assert_eq!(CtrlMsg::Boot(fo).wire_size(), bare + 1);
+        assert_eq!(CtrlMsg::Boot(Box::new(fo)).wire_size(), bare + 1);
     }
 }

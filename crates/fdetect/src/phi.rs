@@ -88,6 +88,8 @@ impl PhiConfig {
 #[derive(Debug, Clone)]
 pub struct ArrivalWindow {
     intervals: VecDeque<u64>, // micros
+    /// Sum of `intervals`, kept so the fitted mean is O(1).
+    sum: u64,
     last: Option<SimTime>,
     cap: usize,
     first_estimate: u64, // micros
@@ -99,6 +101,7 @@ impl ArrivalWindow {
     pub fn new(cap: usize, first_estimate: SimDuration) -> Self {
         ArrivalWindow {
             intervals: VecDeque::with_capacity(cap.max(1)),
+            sum: 0,
             last: None,
             cap: cap.max(1),
             first_estimate: first_estimate.as_micros().max(1),
@@ -118,10 +121,11 @@ impl ArrivalWindow {
     pub fn record(&mut self, now: SimTime) {
         if let Some(last) = self.last {
             if self.intervals.len() == self.cap {
-                self.intervals.pop_front();
+                self.sum -= self.intervals.pop_front().unwrap_or(0);
             }
-            self.intervals
-                .push_back(now.saturating_since(last).as_micros());
+            let gap = now.saturating_since(last).as_micros();
+            self.intervals.push_back(gap);
+            self.sum += gap;
         }
         self.last = Some(now);
     }
@@ -141,7 +145,7 @@ impl ArrivalWindow {
         if self.intervals.is_empty() {
             self.first_estimate as f64
         } else {
-            self.intervals.iter().sum::<u64>() as f64 / self.intervals.len() as f64
+            self.sum as f64 / self.intervals.len() as f64
         }
     }
 
@@ -163,15 +167,31 @@ impl ArrivalWindow {
         var.sqrt().max(min_std)
     }
 
+    /// The silence so far and the expected gap (fitted mean plus `pause`),
+    /// both in microseconds; `None` before the first observation.
+    fn silence_and_expected(&self, now: SimTime, pause: SimDuration) -> Option<(f64, f64)> {
+        let elapsed = now.saturating_since(self.last?).as_micros() as f64;
+        Some((elapsed, self.mean_micros() + pause.as_micros() as f64))
+    }
+
+    /// Whether the silence at `now` is still within the expected gap.
+    /// There [`phi`](ArrivalWindow::phi) takes its `elapsed <= mean`
+    /// branch with `e >= 1`, so `p_later >= 1/2` and phi is at most
+    /// `log10(2)` whatever the variance — the bound
+    /// [`PeerDetector::evaluate`] uses to skip the fit. (Before the first
+    /// observation phi is 0.)
+    fn within_expected_gap(&self, now: SimTime, pause: SimDuration) -> bool {
+        self.silence_and_expected(now, pause)
+            .is_none_or(|(elapsed, expected)| elapsed <= expected)
+    }
+
     /// The suspicion level at `now`: `-log10(P(arrival later than now))`
     /// under a normal fit of the window (logistic approximation to the
     /// normal CDF, as in the Akka/Cassandra implementations).
     pub fn phi(&self, now: SimTime, min_std: SimDuration, pause: SimDuration) -> f64 {
-        let Some(last) = self.last else {
+        let Some((elapsed, mean)) = self.silence_and_expected(now, pause) else {
             return 0.0;
         };
-        let elapsed = now.saturating_since(last).as_micros() as f64;
-        let mean = self.mean_micros() + pause.as_micros() as f64;
         let std = self.std_micros(min_std.as_micros().max(1) as f64);
         let y = (elapsed - mean) / std;
         let e = (-y * (1.5976 + 0.070566 * y * y)).exp();
@@ -183,6 +203,11 @@ impl ArrivalWindow {
         -p_later.max(f64::MIN_POSITIVE).log10()
     }
 }
+
+/// Upper bound on phi while the silence is within the expected gap:
+/// `log10(2)`, plus a margin far above the float error of the full
+/// computation, so the two can never disagree about a threshold.
+const PHI_WITHIN_EXPECTED_GAP: f64 = std::f64::consts::LOG10_2 + 1e-9;
 
 /// What [`FailureDetector::evaluate`] concluded about a peer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -239,8 +264,17 @@ impl PeerDetector {
     }
 
     /// Classifies the peer at `now`, advancing the suspicion state machine.
+    ///
+    /// A peer still within its expected gap has `phi <= log10(2)`, so for
+    /// any threshold above that the verdict is `Alive` without fitting the
+    /// variance or evaluating `exp`/`log10` — the common case on every
+    /// probe round.
     pub fn evaluate(&mut self, config: &PhiConfig, now: SimTime) -> Verdict {
-        if self.phi(config, now) < config.threshold {
+        let surely_alive = config.threshold > PHI_WITHIN_EXPECTED_GAP
+            && self
+                .window
+                .within_expected_gap(now, config.acceptable_pause);
+        if surely_alive || self.phi(config, now) < config.threshold {
             self.suspect_since = None;
             return Verdict::Alive;
         }
@@ -419,6 +453,71 @@ mod tests {
             d.evaluate(1, t(30)),
             Verdict::NewlySuspect | Verdict::Suspect
         ));
+    }
+
+    /// `evaluate` as it was before the within-expected-gap shortcut: the
+    /// verdict always comes from the fitted phi.
+    fn evaluate_reference(d: &mut PeerDetector, config: &PhiConfig, now: SimTime) -> Verdict {
+        if d.phi(config, now) < config.threshold {
+            d.suspect_since = None;
+            return Verdict::Alive;
+        }
+        match d.suspect_since {
+            None => {
+                d.suspect_since = Some(now);
+                Verdict::NewlySuspect
+            }
+            Some(since) if now.saturating_since(since) >= config.confirm_timeout => Verdict::Dead,
+            Some(_) => Verdict::Suspect,
+        }
+    }
+
+    proptest::proptest! {
+        /// Steps are mostly around the 1 s cadence (so evaluations land on
+        /// both sides of the fitted mean), with the odd long silence; the
+        /// threshold list straddles `log10(2)` closely, where the shortcut
+        /// must switch itself off.
+        #[test]
+        fn shortcut_never_changes_a_verdict(
+            threshold_ix in 0usize..10,
+            pause_ms in (0u64..3, 0u64..1500),
+            min_std_ms in 1u64..400,
+            window in 1usize..20,
+            estimate_ms in 1u64..3000,
+            steps in proptest::collection::vec((0u32..4, 0u64..8, 0u64..1_000_000), 1..120),
+        ) {
+            let log2 = std::f64::consts::LOG10_2;
+            let thresholds =
+                [0.0, 0.05, log2 - 1e-6, log2, log2 + 1e-12, log2 + 1e-6, 0.5, 1.0, 8.0, 16.0];
+            let config = PhiConfig {
+                window,
+                threshold: thresholds[threshold_ix],
+                min_std_dev: SimDuration::from_millis(min_std_ms),
+                acceptable_pause: SimDuration::from_millis(if pause_ms.0 == 0 { 0 } else { pause_ms.1 }),
+                confirm_timeout: SimDuration::from_millis(2500),
+                ..PhiConfig::default()
+            };
+            let estimate = SimDuration::from_millis(estimate_ms);
+            let mut now = SimTime::from_secs(1);
+            let mut fast = PeerDetector::new(&config, estimate, now);
+            let mut slow = fast.clone();
+            for (kind, whole, micros) in steps {
+                // 0..2 s in most steps, up to 8 s in one of eight.
+                let secs = if whole == 7 { 8 } else { whole % 2 };
+                now += SimDuration::from_micros(secs * 1_000_000 + micros);
+                if kind == 0 {
+                    fast.heartbeat(now);
+                    slow.heartbeat(now);
+                } else {
+                    proptest::prop_assert_eq!(
+                        fast.evaluate(&config, now),
+                        evaluate_reference(&mut slow, &config, now)
+                    );
+                }
+                proptest::prop_assert_eq!(fast.is_suspect(), slow.is_suspect());
+                proptest::prop_assert_eq!(fast.suspect_since, slow.suspect_since);
+            }
+        }
     }
 
     #[test]

@@ -30,7 +30,14 @@ pub const NUM_DIGITS: usize = 128 / BITS_PER_DIGIT as usize;
 /// let b = Id::from_u128(0x8f00_0000_0000_0000_0000_0000_0000_0000);
 /// assert_eq!(a.shared_prefix_len(b), 1);
 /// ```
+///
+/// Stored 8-byte aligned (a `u128` asks for 16), so a [`NodeHandle`]
+/// (id + 4-byte address) is 24 bytes rather than 32 — a quarter off every
+/// routing-table slot and every handle carried in a message.
+///
+/// [`NodeHandle`]: crate::NodeHandle
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+#[repr(C, packed(8))]
 pub struct Id(u128);
 
 /// A Pastry node identifier.
@@ -151,7 +158,7 @@ impl Id {
 
 impl fmt::Debug for Id {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Id({:032x})", self.0)
+        write!(f, "Id({:032x})", self.as_u128())
     }
 }
 

@@ -21,16 +21,22 @@ pub struct RouteEnvelope<M> {
 
 /// Everything that travels between Pastry nodes. `M` is the application
 /// payload type (for v-Bundle: Scribe messages).
+///
+/// The engine moves this type by value several times per event, so it is
+/// kept within one cache line whatever `M` is: Pastry's own maintenance
+/// variants are inline, the application payload sits behind one owning
+/// `Box`, allocated where the message originates and carried — not
+/// re-allocated — across route hops.
 #[derive(Debug, Clone)]
 pub enum PastryMsg<M> {
     /// A routed application message.
-    Route(RouteEnvelope<M>),
+    Route(Box<RouteEnvelope<M>>),
     /// A direct (un-routed) application message between known nodes.
     Direct {
         /// Sending node.
         from: NodeHandle,
         /// The payload.
-        msg: M,
+        msg: Box<M>,
     },
     /// A newcomer's join request, routed toward its own id.
     Join {
@@ -90,6 +96,12 @@ pub enum PastryMsg<M> {
 }
 
 const HANDLE_BYTES: usize = 20; // 16-byte id + 4-byte address
+
+// Layout guards: the wire sizes above are explicit constants, the
+// in-memory sizes are what every queue slot and every move pays.
+const _: () = assert!(std::mem::size_of::<NodeHandle>() == 24);
+const _: () = assert!(std::mem::size_of::<Option<NodeHandle>>() == 32);
+const _: () = assert!(std::mem::size_of::<PastryMsg<[u64; 64]>>() <= 64);
 
 impl<M: Message> Message for PastryMsg<M> {
     fn wire_size(&self) -> usize {
@@ -152,12 +164,12 @@ mod tests {
 
     #[test]
     fn route_size_includes_payload() {
-        let msg: PastryMsg<Payload> = PastryMsg::Route(RouteEnvelope {
+        let msg: PastryMsg<Payload> = PastryMsg::Route(Box::new(RouteEnvelope {
             key: Id::from_u128(2),
             payload: Payload,
             hops: 0,
             origin: handle(),
-        });
+        }));
         assert_eq!(msg.wire_size(), 8 + 20 + 16 + 100);
         assert_eq!(msg.category(), MsgCategory::Payload);
     }

@@ -153,7 +153,7 @@ impl<'a, 'b, M: Message + Clone> AppCtx<'a, 'b, M> {
             origin: self.state.handle(),
         };
         let me = self.state.handle().actor;
-        self.sim.send(me, PastryMsg::Route(env));
+        self.sim.send(me, PastryMsg::Route(Box::new(env)));
     }
 
     /// Sends `msg` directly to a known node, bypassing routing.
@@ -165,6 +165,7 @@ impl<'a, 'b, M: Message + Clone> AppCtx<'a, 'b, M> {
     /// (modelling per-node processing time) on top of network latency.
     pub fn send_direct_after(&mut self, to: NodeHandle, msg: M, extra: SimDuration) {
         let from = self.state.handle();
+        let msg = Box::new(msg);
         self.sim
             .send_after(to.actor, PastryMsg::Direct { from, msg }, extra);
     }
@@ -192,6 +193,9 @@ pub struct PastryNode<A: PastryApp> {
     config: PastryConfig,
     joined: bool,
     bootstrap: Option<ActorId>,
+    /// When each leaf peer last acked, for the legacy
+    /// [`FailureDetection::FixedInterval`] deadline — the only reader, so
+    /// it stays empty when a phi detector is installed.
     last_ack: HashMap<u128, SimTime>,
     /// Phi-accrual detector over leaf-set peers, keyed by node id. `None`
     /// in [`FailureDetection::FixedInterval`] mode, where the legacy
@@ -326,7 +330,7 @@ impl<A: PastryApp> PastryNode<A> {
     fn handle_route(
         &mut self,
         ctx: &mut SimContext<'_, PastryMsg<A::Msg>>,
-        mut env: RouteEnvelope<A::Msg>,
+        mut env: Box<RouteEnvelope<A::Msg>>,
     ) {
         env.hops += 1;
         self.learn_firsthand(env.origin);
@@ -341,6 +345,7 @@ impl<A: PastryApp> PastryNode<A> {
                     sim: ctx,
                     state: &self.state,
                 };
+                let env = *env;
                 self.app
                     .deliver(&mut app_ctx, env.key, env.payload, env.origin);
             }
@@ -349,7 +354,11 @@ impl<A: PastryApp> PastryNode<A> {
                     sim: ctx,
                     state: &self.state,
                 };
-                if let Some(payload) = self.app.forward(&mut app_ctx, env.key, env.payload, next) {
+                // The payload moves out for the upcall and back into the
+                // same box: a route costs one allocation at its origin
+                // however many hops it takes.
+                let payload = env.payload;
+                if let Some(payload) = self.app.forward(&mut app_ctx, env.key, payload, next) {
                     env.payload = payload;
                     ctx.send(next.actor, PastryMsg::Route(env));
                 }
@@ -667,7 +676,7 @@ impl<A: PastryApp> Actor<PastryMsg<A::Msg>> for PastryNode<A> {
                     sim: ctx,
                     state: &self.state,
                 };
-                self.app.on_direct(&mut app_ctx, from, msg);
+                self.app.on_direct(&mut app_ctx, from, *msg);
             }
             PastryMsg::Join { newcomer, hops } => self.handle_join(ctx, newcomer, hops),
             PastryMsg::JoinState {
@@ -693,9 +702,11 @@ impl<A: PastryApp> Actor<PastryMsg<A::Msg>> for PastryNode<A> {
             }
             PastryMsg::HeartbeatAck(h) => {
                 self.departed.retain(|(d, ..)| d.id != h.id);
-                self.last_ack.insert(h.id.as_u128(), ctx.now());
-                if let Some(det) = self.detector.as_mut() {
-                    det.heartbeat(h.id.as_u128(), ctx.now());
+                match self.detector.as_mut() {
+                    Some(det) => det.heartbeat(h.id.as_u128(), ctx.now()),
+                    None => {
+                        self.last_ack.insert(h.id.as_u128(), ctx.now());
+                    }
                 }
             }
             PastryMsg::LeafSetRequest(h) => {
@@ -790,7 +801,7 @@ impl<A: PastryApp> Actor<PastryMsg<A::Msg>> for PastryNode<A> {
                     sim: ctx,
                     state: &self.state,
                 };
-                self.app.on_send_failure(&mut app_ctx, to, msg);
+                self.app.on_send_failure(&mut app_ctx, to, *msg);
             }
             _ => {}
         }

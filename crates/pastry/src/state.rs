@@ -94,6 +94,19 @@ impl LeafSet {
         true
     }
 
+    /// True if both sides are full and `id` lies beyond both extremes: it
+    /// is not a member and [`insert`](LeafSet::insert) would reject it.
+    /// Most senders (tree peers from anywhere on the ring) are.
+    pub fn out_of_reach(&self, id: NodeId) -> bool {
+        let (Some(cw), Some(ccw)) = (self.cw.last(), self.ccw.last()) else {
+            return false;
+        };
+        self.cw.len() == self.half
+            && self.ccw.len() == self.half
+            && self.self_id.cw_distance(id) > self.self_id.cw_distance(cw.id)
+            && id.cw_distance(self.self_id) > ccw.id.cw_distance(self.self_id)
+    }
+
     /// Removes a (failed) node from both sides. Returns `true` if present.
     pub fn remove(&mut self, id: NodeId) -> bool {
         let before = self.cw.len() + self.ccw.len();
@@ -182,10 +195,10 @@ impl LeafSet {
 #[derive(Debug, Clone)]
 pub struct RoutingTable {
     self_id: NodeId,
+    /// Rows up to the deepest one that ever held an entry; later rows are
+    /// allocated on first use (a table fills about log16(n) of its 32
+    /// rows) and read as empty until then.
     rows: Vec<[Option<NodeHandle>; DIGIT_BASE]>,
-    /// Rows at or past this index have never held an entry (a table fills
-    /// about log16(n) of its rows), so scans stop here.
-    used_rows: usize,
 }
 
 impl RoutingTable {
@@ -193,8 +206,7 @@ impl RoutingTable {
     pub fn new(self_id: NodeId) -> Self {
         RoutingTable {
             self_id,
-            rows: vec![[None; DIGIT_BASE]; NUM_DIGITS],
-            used_rows: 0,
+            rows: Vec::new(),
         }
     }
 
@@ -209,10 +221,13 @@ impl RoutingTable {
         let row = self.self_id.shared_prefix_len(h.id);
         debug_assert!(row < NUM_DIGITS);
         let col = h.id.digit(row);
+        if row >= self.rows.len() {
+            self.rows.reserve_exact(row + 1 - self.rows.len());
+            self.rows.resize(row + 1, [None; DIGIT_BASE]);
+        }
         match &mut self.rows[row][col] {
             slot @ None => {
                 *slot = Some(h);
-                self.used_rows = self.used_rows.max(row + 1);
                 true
             }
             Some(existing) if existing.id == h.id => false,
@@ -231,9 +246,9 @@ impl RoutingTable {
     ///
     /// # Panics
     ///
-    /// Panics if `row >= NUM_DIGITS` or `col >= 16`.
+    /// Panics if `col >= 16`.
     pub fn entry(&self, row: usize, col: usize) -> Option<NodeHandle> {
-        self.rows[row][col]
+        self.rows.get(row).and_then(|r| r[col])
     }
 
     /// The next hop the prefix rule proposes for `key`, if the slot is
@@ -243,19 +258,17 @@ impl RoutingTable {
         if row >= NUM_DIGITS {
             return None; // key == self id
         }
-        self.rows[row][key.digit(row)]
+        self.entry(row, key.digit(row))
     }
 
     /// Removes a (failed) node wherever it appears. Returns `true` if it
     /// was present.
     pub fn remove(&mut self, id: NodeId) -> bool {
         let mut removed = false;
-        for row in &mut self.rows[..self.used_rows] {
-            for slot in row.iter_mut() {
-                if slot.map(|h| h.id) == Some(id) {
-                    *slot = None;
-                    removed = true;
-                }
+        for slot in self.rows.iter_mut().flatten() {
+            if slot.map(|h| h.id) == Some(id) {
+                *slot = None;
+                removed = true;
             }
         }
         removed
@@ -263,16 +276,15 @@ impl RoutingTable {
 
     /// All filled entries.
     pub fn entries(&self) -> impl Iterator<Item = NodeHandle> + '_ {
-        self.rows[..self.used_rows]
-            .iter()
-            .flatten()
-            .filter_map(|s| *s)
+        self.rows.iter().flatten().filter_map(|s| *s)
     }
 
     /// The contents of row `row` (used by the join protocol, where each
     /// node along the join route contributes one row).
     pub fn row(&self, row: usize) -> Vec<NodeHandle> {
-        self.rows[row].iter().filter_map(|s| *s).collect()
+        self.rows
+            .get(row)
+            .map_or_else(Vec::new, |r| r.iter().filter_map(|s| *s).collect())
     }
 
     /// Number of filled slots.
@@ -310,13 +322,24 @@ impl NeighborSet {
     /// Offers a handle with the given physical proximity (smaller =
     /// closer). Returns `true` if the set changed.
     pub fn insert(&mut self, h: NodeHandle, proximity: u32) -> bool {
-        if h.id == self.self_id || self.items.iter().any(|(_, e)| e.id == h.id) {
+        if h.id == self.self_id {
             return false;
         }
         let sort_key = (proximity, self.self_id.ring_distance(h.id));
+        // A full set rejects anything sorting after its last member, and a
+        // member would be rejected as a duplicate: no scan either way.
+        let rank = |&(p, e): &(u32, NodeHandle)| (p, self.self_id.ring_distance(e.id));
+        if self.items.len() == self.capacity
+            && self.items.last().is_some_and(|l| sort_key > rank(l))
+        {
+            return false;
+        }
+        if self.items.iter().any(|(_, e)| e.id == h.id) {
+            return false;
+        }
         let pos = self
             .items
-            .binary_search_by(|(p, e)| (*p, self.self_id.ring_distance(e.id)).cmp(&sort_key))
+            .binary_search_by(|item| rank(item).cmp(&sort_key))
             .unwrap_or_else(|p| p);
         if pos >= self.capacity {
             return false;
@@ -368,6 +391,9 @@ pub enum RouteDecision {
     Forward(NodeHandle),
 }
 
+/// Slots in [`PastryState`]'s settled-peer memo (504 bytes per node).
+const SETTLED_SLOTS: usize = 21;
+
 /// The complete routing state of one Pastry node.
 #[derive(Debug, Clone)]
 pub struct PastryState {
@@ -376,6 +402,17 @@ pub struct PastryState {
     routing_table: RoutingTable,
     neighbor_set: NeighborSet,
     topology: Arc<Topology>,
+    /// Handles whose last [`learn`](PastryState::learn) changed nothing,
+    /// direct-mapped by actor index. `learn` is a pure function of the
+    /// three structures and the handle, so until one of them changes —
+    /// which wipes the memo — offering the same handle again is a no-op,
+    /// and the steady-state ring neighbours (one heartbeat and one ack
+    /// each, every round) cost one compare per message instead of three
+    /// scans. Senders out of the leaf set's reach are rejected without a
+    /// scan anyway and are not admitted, so a tree hub's many children
+    /// cannot evict its ring neighbours. A vacant slot holds the local
+    /// handle, for which `learn` is a no-op by definition.
+    settled: [NodeHandle; SETTLED_SLOTS],
 }
 
 impl PastryState {
@@ -392,6 +429,7 @@ impl PastryState {
             routing_table: RoutingTable::new(handle.id),
             neighbor_set: NeighborSet::new(handle.id, neighbor_capacity),
             topology,
+            settled: [handle; SETTLED_SLOTS],
         }
     }
 
@@ -434,17 +472,23 @@ impl PastryState {
     /// Learns about a node: offered to the leaf set, routing table and
     /// neighbor set. Returns `true` if any structure changed.
     pub fn learn(&mut self, h: NodeHandle) -> bool {
-        if h.id == self.handle.id {
+        let slot = h.actor.index() % SETTLED_SLOTS;
+        if self.settled[slot] == h || h.id == self.handle.id {
             return false;
         }
+        let far = self.leaf_set.out_of_reach(h.id);
         let prox = self.proximity(h.actor);
-        let mut changed = self.leaf_set.insert(h);
-        let topo = Arc::clone(&self.topology);
-        let my_actor = self.handle.actor;
+        let mut changed = !far && self.leaf_set.insert(h);
+        let (topo, my_actor) = (&self.topology, self.handle.actor);
         changed |= self
             .routing_table
-            .insert(h, move |c| actor_distance(&topo, my_actor, c.actor));
+            .insert(h, |c| actor_distance(topo, my_actor, c.actor));
         changed |= self.neighbor_set.insert(h, prox);
+        if changed {
+            self.settled.fill(self.handle);
+        } else if !far {
+            self.settled[slot] = h;
+        }
         changed
     }
 
@@ -453,7 +497,11 @@ impl PastryState {
         let a = self.leaf_set.remove(id);
         let b = self.routing_table.remove(id);
         let c = self.neighbor_set.remove(id);
-        a || b || c
+        let changed = a || b || c;
+        if changed {
+            self.settled.fill(self.handle);
+        }
+        changed
     }
 
     /// Every node this state knows about, without allocating: leaf set
@@ -848,6 +896,112 @@ mod tests {
             assert_eq!(st.proximity(ActorId::new(1)), 1);
             assert_eq!(st.proximity(ActorId::new(2)), 2);
             assert_eq!(st.proximity(ActorId::new(99)), u32::MAX);
+        }
+    }
+
+    mod settled_memo {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// `learn` as it was before the memo and the out-of-reach
+        /// shortcuts: every handle is offered to all three structures,
+        /// the neighbor set by a full duplicate scan and binary search.
+        fn learn_reference(st: &mut PastryState, h: NodeHandle) -> bool {
+            if h.id == st.handle.id {
+                return false;
+            }
+            let prox = st.proximity(h.actor);
+            let mut changed = st.leaf_set.insert(h);
+            let (topo, me) = (&st.topology, st.handle.actor);
+            changed |= st
+                .routing_table
+                .insert(h, |c| actor_distance(topo, me, c.actor));
+            let ns = &mut st.neighbor_set;
+            if !ns.items.iter().any(|(_, e)| e.id == h.id) {
+                let key = (prox, ns.self_id.ring_distance(h.id));
+                let pos = ns
+                    .items
+                    .binary_search_by(|(p, e)| (*p, ns.self_id.ring_distance(e.id)).cmp(&key))
+                    .unwrap_or_else(|p| p);
+                if pos < ns.capacity {
+                    ns.items.insert(pos, (prox, h));
+                    ns.items.truncate(ns.capacity);
+                    changed = true;
+                }
+            }
+            changed
+        }
+
+        fn forget_reference(st: &mut PastryState, id: NodeId) -> bool {
+            let a = st.leaf_set.remove(id);
+            let b = st.routing_table.remove(id);
+            let c = st.neighbor_set.remove(id);
+            a || b || c
+        }
+
+        type Contents = (
+            Vec<NodeHandle>,
+            Vec<NodeHandle>,
+            Vec<Vec<NodeHandle>>,
+            Vec<(u32, NodeHandle)>,
+        );
+
+        fn contents(st: &PastryState) -> Contents {
+            (
+                st.leaf_set.cw.clone(),
+                st.leaf_set.ccw.clone(),
+                (0..NUM_DIGITS).map(|r| st.routing_table.row(r)).collect(),
+                st.neighbor_set.items.clone(),
+            )
+        }
+
+        /// Sixteen ids: half cluster around the local id (leaf-set churn
+        /// on both sides), half spread over the ring (routing-table rows
+        /// and slot conflicts).
+        fn id_of(i: u32) -> Id {
+            let local = 0x8000u128 << 112;
+            Id::from_u128(match i % 4 {
+                0 => local + 1 + u128::from(i),
+                1 => local - 1 - u128::from(i),
+                2 => (u128::from(i) * 0x0123_4567_89ab_cdef) << 64,
+                _ => local ^ (1 << (124 - i)),
+            })
+        }
+
+        proptest! {
+            /// Id `i` is normally offered by actor `i`, over and over, so
+            /// the memo stays warm between the forgets that must wipe it.
+            /// Now and then it arrives under actor `i + 21` or `i + 42` —
+            /// the same memo slot, another rack or no server at all — and
+            /// the local id under a foreign actor.
+            #[test]
+            fn memoised_learn_matches_reference(
+                half in 1usize..4,
+                capacity in 0usize..5,
+                ops in proptest::collection::vec((0u32..16, 0u32..16), 1..300),
+            ) {
+                let topo = Arc::new(
+                    Topology::builder().pods(2).racks_per_pod(4).servers_per_rack(4).build(),
+                );
+                let me = h(0x8000 << 112, 0);
+                let mut fast = PastryState::new(me, Arc::clone(&topo), half, capacity);
+                let mut slow = PastryState::new(me, topo, half, capacity);
+                for (kind, i) in ops {
+                    let offer = |actor| NodeHandle::new(id_of(i), ActorId::new(actor));
+                    let same = match kind {
+                        0 | 1 => fast.forget(id_of(i)) == forget_reference(&mut slow, id_of(i)),
+                        2 => {
+                            let own = NodeHandle::new(me.id, ActorId::new(i % 2 * 21));
+                            fast.learn(own) == learn_reference(&mut slow, own)
+                        }
+                        3 => fast.learn(offer(i + 21)) == learn_reference(&mut slow, offer(i + 21)),
+                        4 => fast.learn(offer(i + 42)) == learn_reference(&mut slow, offer(i + 42)),
+                        _ => fast.learn(offer(i)) == learn_reference(&mut slow, offer(i)),
+                    };
+                    prop_assert!(same, "return values diverged at op ({kind}, {i})");
+                    prop_assert_eq!(contents(&fast), contents(&slow));
+                }
+            }
         }
     }
 }

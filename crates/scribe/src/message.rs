@@ -27,6 +27,11 @@ pub struct AnycastEnvelope<M> {
 }
 
 /// Everything the Scribe layer sends. `M` is the client payload type.
+///
+/// The anycast traversal state is the one fat, cold part: it travels
+/// behind its own `Box`, allocated by the issuer and handed from step to
+/// step, so the common variants (probes, publishes, client messages) do
+/// not pay its size on every move.
 #[derive(Debug, Clone)]
 pub enum ScribeMsg<M> {
     /// Routed toward the group id; grafts `child` onto the tree at the
@@ -73,9 +78,9 @@ pub enum ScribeMsg<M> {
     },
     /// An anycast routed toward the group (intercepted by the first tree
     /// node on the route).
-    Anycast(AnycastEnvelope<M>),
+    Anycast(Box<AnycastEnvelope<M>>),
     /// One DFS step of an anycast, sent directly between tree nodes.
-    AnycastStep(AnycastEnvelope<M>),
+    AnycastStep(Box<AnycastEnvelope<M>>),
     /// Anycast exhausted the tree without an acceptor; returned to origin.
     AnycastFail {
         /// The group searched.
@@ -198,14 +203,14 @@ mod tests {
         assert_eq!(pubm.wire_size(), 94);
         assert_eq!(pubm.category(), MsgCategory::Payload);
 
-        let any: ScribeMsg<P> = ScribeMsg::Anycast(AnycastEnvelope {
+        let any: ScribeMsg<P> = ScribeMsg::Anycast(Box::new(AnycastEnvelope {
             group: Id::from_u128(2),
             payload: P,
             origin: h,
             visited: vec![ActorId::new(1), ActorId::new(2)],
             offered: vec![],
             ttl: 10,
-        });
+        }));
         assert_eq!(any.wire_size(), 16 + 20 + 8 + 8 + 50);
     }
 }

@@ -599,14 +599,14 @@ impl<C: ScribeClient> Scribe<C> {
         msg: C::Msg,
     ) {
         let me = pastry.self_handle();
-        let env = AnycastEnvelope {
+        let env = Box::new(AnycastEnvelope {
             group: g,
             payload: msg,
             origin: me,
             visited: Vec::new(),
             offered: Vec::new(),
             ttl: self.config.anycast_ttl,
-        };
+        });
         if self.groups.get(&g.as_u128()).is_some_and(|st| st.in_tree()) {
             self.anycast_step(pastry, env);
         } else {
@@ -665,14 +665,14 @@ impl<C: ScribeClient> Scribe<C> {
     fn anycast_step(
         &mut self,
         pastry: &mut AppCtx<'_, '_, ScribeMsg<C::Msg>>,
-        mut env: AnycastEnvelope<C::Msg>,
+        mut env: Box<AnycastEnvelope<C::Msg>>,
     ) {
         let me = pastry.self_handle();
         let g = env.group;
         let Some(st) = self.groups.get(&g.as_u128()) else {
             // We pruned since the sender saw us; re-enter through routing.
             if env.ttl == 0 {
-                self.anycast_fail(pastry, env);
+                self.anycast_fail(pastry, *env);
                 return;
             }
             env.ttl -= 1;
@@ -680,7 +680,7 @@ impl<C: ScribeClient> Scribe<C> {
             return;
         };
         if env.ttl == 0 {
-            self.anycast_fail(pastry, env);
+            self.anycast_fail(pastry, *env);
             return;
         }
         // Candidates at this node: the local member (if eligible) competes
@@ -729,7 +729,7 @@ impl<C: ScribeClient> Scribe<C> {
                 env.ttl -= 1;
                 pastry.send_direct(p, ScribeMsg::AnycastStep(env));
             }
-            None => self.anycast_fail(pastry, env),
+            None => self.anycast_fail(pastry, *env),
         }
     }
 

@@ -661,7 +661,7 @@ fn duplicated_publish_fans_out_once() {
     // downstream Disseminate dedup and deliver the payload twice.
     let sender = handles[3];
     let publish = || {
-        PastryMsg::Route(RouteEnvelope {
+        PastryMsg::Route(Box::new(RouteEnvelope {
             key: g,
             payload: ScribeMsg::Publish {
                 group: g,
@@ -671,7 +671,7 @@ fn duplicated_publish_fans_out_once() {
             },
             hops: 0,
             origin: sender,
-        })
+        }))
     };
     net.post(root.actor, sender.actor, publish(), SimDuration::ZERO);
     net.post(

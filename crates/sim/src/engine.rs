@@ -23,7 +23,6 @@ use crate::latency::{Latency, LatencyModel};
 use crate::prefetch;
 use crate::queue::CalendarQueue;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{summarize, TraceBuffer, TraceKind, TraceRecord};
 
 /// The engine's own registry handles. Event and fault tallies live *on*
 /// these obs counters — `events_processed()` / `fault_stats()` read them
@@ -146,7 +145,6 @@ pub struct Engine<W: Message, A: Actor<W>> {
     seq: u64,
     rng: StdRng,
     latency: Latency,
-    trace: Option<TraceBuffer>,
     injector: Option<Box<dyn FaultInjector>>,
     metrics: Registry,
     engine_metrics: EngineMetrics,
@@ -178,7 +176,6 @@ impl<W: Message, A: Actor<W>> Engine<W, A> {
             seq: 0,
             rng: StdRng::seed_from_u64(seed),
             latency,
-            trace: None,
             injector: None,
             metrics,
             engine_metrics,
@@ -251,17 +248,6 @@ impl<W: Message, A: Actor<W>> Engine<W, A> {
             .iter()
             .enumerate()
             .map(|(i, r)| (ActorId::new(i as u32), &r.actor))
-    }
-
-    /// Enables event tracing with a ring buffer of `capacity` records.
-    /// See [`TraceBuffer`] for reading it back.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(TraceBuffer::new(capacity));
-    }
-
-    /// The trace buffer, if tracing is enabled.
-    pub fn trace(&self) -> Option<&TraceBuffer> {
-        self.trace.as_ref()
     }
 
     /// Cumulative send counters for one actor (zeros for an unknown id).
@@ -555,22 +541,6 @@ impl<W: Message, A: Actor<W>> Engine<W, A> {
                 }
                 return true;
             }
-            if let Some(trace) = &mut self.trace {
-                let (kind, summary) = match &ev.kind {
-                    EventKind::Message { msg, .. } => (TraceKind::Message, summarize(msg)),
-                    EventKind::Timer { tag, .. } => (TraceKind::Timer, format!("tag={tag:#x}")),
-                    EventKind::Bounce { target, msg } => (
-                        TraceKind::Bounce,
-                        format!("to {target}: {}", summarize(msg)),
-                    ),
-                };
-                trace.push(TraceRecord {
-                    at: self.now,
-                    actor: ev.to,
-                    kind,
-                    summary,
-                });
-            }
             if self.flight.is_enabled() {
                 let (label, detail) = match &ev.kind {
                     EventKind::Message { msg, .. } => ("deliver", summarize(msg)),
@@ -766,6 +736,21 @@ impl<W: Message, A: Actor<W>> Engine<W, A> {
         self.effects_scratch = effects;
         out
     }
+}
+
+/// Truncates a `Debug` rendering to a flight-recorder-friendly length.
+fn summarize(value: &dyn std::fmt::Debug) -> String {
+    let mut s = format!("{value:?}");
+    const MAX: usize = 96;
+    if s.len() > MAX {
+        let mut cut = MAX;
+        while !s.is_char_boundary(cut) {
+            cut -= 1;
+        }
+        s.truncate(cut);
+        s.push('…');
+    }
+    s
 }
 
 impl<W: Message, A: Actor<W>> std::fmt::Debug for Engine<W, A> {
@@ -964,24 +949,12 @@ mod tests {
     }
 
     #[test]
-    fn trace_records_dispatches() {
-        let (mut e, a, b) = two_actor_engine(1);
-        e.enable_trace(16);
-        e.post(b, a, TestMsg::Ping(1), SimDuration::ZERO);
-        e.run_to_quiescence();
-        let trace = e.trace().expect("enabled");
-        assert!(trace.len() >= 2, "both deliveries traced");
-        assert!(trace.records().all(|r| !r.summary.is_empty()));
-        let dump = trace.dump_tail(10);
-        assert!(dump.contains("Ping"));
-        // Bounces are traced too.
-        e.fail(a);
-        e.post(a, b, TestMsg::Ping(0), SimDuration::ZERO);
-        e.run_to_quiescence();
-        let trace = e.trace().unwrap();
-        assert!(trace
-            .records()
-            .any(|r| matches!(r.kind, crate::TraceKind::Bounce)));
+    fn summarize_truncates() {
+        let long = "x".repeat(500);
+        let s = summarize(&long);
+        assert!(s.len() < 110);
+        assert!(s.ends_with('…'));
+        assert_eq!(summarize(&42u32), "42");
     }
 
     #[test]
@@ -1164,6 +1137,19 @@ mod tests {
         assert!(e.flight().snapshot().iter().any(|ev| ev.label == "fail"));
         e.restart(b);
         assert!(e.flight().snapshot().iter().any(|ev| ev.label == "restart"));
+        // A send that bounces off a dead actor is visible at the sender,
+        // with the failed target and the returned message in the detail.
+        e.take_injector();
+        e.fail(a);
+        e.post(a, b, TestMsg::Ping(0), SimDuration::ZERO);
+        e.run_to_quiescence();
+        let events = e.flight().for_subsystem(Subsystem::Engine);
+        let bounce = events
+            .iter()
+            .find(|ev| ev.label == "bounce")
+            .expect("bounce recorded");
+        assert_eq!(bounce.node, b.index() as u32);
+        assert!(bounce.detail.contains("Ping"), "{bounce:?}");
     }
 
     #[test]

@@ -52,7 +52,6 @@ mod latency;
 mod prefetch;
 mod queue;
 mod time;
-mod trace;
 
 pub use actor::{Actor, ActorId, Context, Message, MsgCategory};
 pub use counters::ActorCounters;
@@ -61,4 +60,3 @@ pub use fault::{CorruptionMode, FaultAction, FaultInjector, FaultStats};
 pub use latency::{ConstantLatency, Latency, LatencyFn, LatencyModel, TieredLatency};
 pub use queue::CalendarQueue;
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceBuffer, TraceKind, TraceRecord};
