@@ -58,13 +58,15 @@ cargo test --offline --manifest-path benchmark/Cargo.toml
 echo "==> benchmark run --quick (self-checks + outcome digests)"
 benchmark/run.sh run --quick > /dev/null
 
-# The sampling profiler (C + Python, no tests of its own) rots silently
-# unless something builds and runs it: one quick profiled workload through
-# its own entry point, report included. Skipped where there is no C
-# compiler.
+# The sampling profiler and heap census (C + Python, no tests of their
+# own) rot silently unless something builds and runs them: one quick
+# workload through each entry point, report included. Skipped where there
+# is no C compiler.
 if command -v cc > /dev/null; then
     echo "==> tools/sigprof smoke (frame-pointer build, profiled --quick run, report)"
     SIGPROF_ARGS="--quick --seconds 1" tools/sigprof/run.sh steady_agg > /dev/null
+    echo "==> tools/sigprof --heap smoke (heap census of a --quick run, report)"
+    SIGPROF_ARGS="--quick --seconds 1" tools/sigprof/run.sh --heap steady_agg > /dev/null
 fi
 
 echo "==> golden files unchanged"

@@ -91,6 +91,35 @@ struct TopicState {
     results: Option<ArrivalWindow>,
 }
 
+/// A node's subscribed topics, sorted by key. A node subscribes to a
+/// handful (a controller to two), so a scanned vector allocates for
+/// exactly those where a B-tree map pays a whole 11-slot leaf per node.
+#[derive(Debug, Default)]
+struct Topics(Vec<(u128, TopicState)>);
+
+impl Topics {
+    fn get(&self, topic: GroupId) -> Option<&TopicState> {
+        let key = topic.as_u128();
+        self.0.iter().find(|&&(k, _)| k == key).map(|(_, st)| st)
+    }
+
+    fn get_mut(&mut self, topic: GroupId) -> Option<&mut TopicState> {
+        let key = topic.as_u128();
+        self.0
+            .iter_mut()
+            .find(|&&mut (k, _)| k == key)
+            .map(|(_, st)| st)
+    }
+
+    fn insert(&mut self, topic: GroupId) {
+        let key = topic.as_u128();
+        if let Err(at) = self.0.binary_search_by_key(&key, |&(k, _)| k) {
+            self.0.reserve_exact(1);
+            self.0.insert(at, (key, TopicState::default()));
+        }
+    }
+}
+
 /// The aggregation component one server embeds in its Scribe client.
 ///
 /// The embedding client must:
@@ -102,7 +131,7 @@ struct TopicState {
 /// - route child-removal events to [`Aggregator::on_child_removed`].
 #[derive(Debug)]
 pub struct Aggregator {
-    topics: BTreeMap<u128, TopicState>,
+    topics: Topics,
     config: AggregationConfig,
     rejected: u64,
 }
@@ -111,7 +140,7 @@ impl Aggregator {
     /// Creates an aggregator with the given configuration.
     pub fn new(config: AggregationConfig) -> Self {
         Aggregator {
-            topics: BTreeMap::new(),
+            topics: Topics::default(),
             config,
             rejected: 0,
         }
@@ -136,8 +165,8 @@ impl Aggregator {
         ctx: &mut ScribeCtx<'_, '_, '_, '_, M>,
         topic: GroupId,
     ) {
-        let first_topic = self.topics.is_empty();
-        self.topics.entry(topic.as_u128()).or_default();
+        let first_topic = self.topics.0.is_empty();
+        self.track(topic);
         ctx.join(topic);
         if first_topic {
             if let UpdateMode::Periodic(interval) = self.config.mode {
@@ -150,12 +179,13 @@ impl Aggregator {
     /// arming the tick timer — for offline harnesses and tests that inject
     /// globals directly through [`Aggregator::on_result`].
     pub fn track(&mut self, topic: GroupId) {
-        self.topics.entry(topic.as_u128()).or_default();
+        self.topics.insert(topic);
     }
 
     /// Topics this node subscribed to.
     pub fn topics(&self) -> Vec<GroupId> {
-        let mut v: Vec<GroupId> = self.topics.keys().map(|&k| GroupId::from_u128(k)).collect();
+        let keys = self.topics.0.iter().map(|&(k, _)| GroupId::from_u128(k));
+        let mut v: Vec<GroupId> = keys.collect();
         v.sort();
         v
     }
@@ -172,10 +202,8 @@ impl Aggregator {
         topic: GroupId,
         value: f64,
     ) {
-        let st = self
-            .topics
-            .get_mut(&topic.as_u128())
-            .expect("set_local on unsubscribed topic");
+        let st = self.topics.get_mut(topic);
+        let st = st.expect("set_local on unsubscribed topic");
         st.local = AggValue::of(value);
         if self.config.mode == UpdateMode::Immediate {
             self.push_subtree(ctx, topic);
@@ -184,12 +212,12 @@ impl Aggregator {
 
     /// The node's current local sample for `topic`.
     pub fn local(&self, topic: GroupId) -> Option<AggValue> {
-        self.topics.get(&topic.as_u128()).map(|t| t.local)
+        self.topics.get(topic).map(|t| t.local)
     }
 
     /// The subtree summary this node would currently report.
     pub fn subtree(&self, topic: GroupId) -> AggValue {
-        match self.topics.get(&topic.as_u128()) {
+        match self.topics.get(topic) {
             Some(st) => st.info_base.values().fold(st.local, |acc, v| acc.merge(v)),
             None => AggValue::EMPTY,
         }
@@ -198,7 +226,7 @@ impl Aggregator {
     /// The latest global aggregate this node has heard for `topic`.
     pub fn global(&self, topic: GroupId) -> Option<AggValue> {
         self.topics
-            .get(&topic.as_u128())
+            .get(topic)
             .and_then(|t| t.global.map(|(_, _, v)| v))
     }
 
@@ -207,9 +235,8 @@ impl Aggregator {
     /// re-arm the timer.
     pub fn on_tick<M: AggCarrier>(&mut self, ctx: &mut ScribeCtx<'_, '_, '_, '_, M>) {
         self.expire_stale(ctx.now());
-        let topics: Vec<u128> = self.topics.keys().copied().collect();
-        for t in topics {
-            self.push_subtree(ctx, GroupId::from_u128(t));
+        for i in 0..self.topics.0.len() {
+            self.push_subtree(ctx, GroupId::from_u128(self.topics.0[i].0));
         }
         if let UpdateMode::Periodic(interval) = self.config.mode {
             ctx.schedule(interval, AGG_TICK_TAG);
@@ -230,7 +257,7 @@ impl Aggregator {
             UpdateMode::Periodic(interval) => phi.acceptable_pause.max(interval),
             UpdateMode::Immediate => phi.acceptable_pause.max(phi.first_interval),
         };
-        for st in self.topics.values_mut() {
+        for (_, st) in &mut self.topics.0 {
             let stale = st
                 .results
                 .as_ref()
@@ -246,7 +273,7 @@ impl Aggregator {
     /// every pending timer, including the one [`Aggregator::subscribe`]
     /// armed. Call from the embedding client's `on_restart` hook.
     pub fn on_restart<M: AggCarrier>(&mut self, ctx: &mut ScribeCtx<'_, '_, '_, '_, M>) {
-        if !self.topics.is_empty() {
+        if !self.topics.0.is_empty() {
             if let UpdateMode::Periodic(interval) = self.config.mode {
                 ctx.schedule(interval, AGG_TICK_TAG);
             }
@@ -261,7 +288,7 @@ impl Aggregator {
         topic: GroupId,
         value: AggValue,
     ) {
-        if !self.topics.contains_key(&topic.as_u128()) {
+        if self.topics.get(topic).is_none() {
             return; // not subscribed (e.g. pure forwarder); drop
         }
         let value = match &self.config.robustness {
@@ -276,10 +303,7 @@ impl Aggregator {
                 p.clamp(value)
             }
         };
-        let st = self
-            .topics
-            .get_mut(&topic.as_u128())
-            .expect("presence checked above");
+        let st = self.topics.get_mut(topic).expect("presence checked above");
         st.info_base.insert(from.id.as_u128(), value);
         if self.config.mode == UpdateMode::Immediate {
             self.push_subtree(ctx, topic);
@@ -305,7 +329,7 @@ impl Aggregator {
         value: AggValue,
         now: SimTime,
     ) {
-        if !self.topics.contains_key(&topic.as_u128()) {
+        if self.topics.get(topic).is_none() {
             return;
         }
         if let Robustness::Defensive(p) = &self.config.robustness {
@@ -315,10 +339,7 @@ impl Aggregator {
                 return;
             }
         }
-        let st = self
-            .topics
-            .get_mut(&topic.as_u128())
-            .expect("presence checked above");
+        let st = self.topics.get_mut(topic).expect("presence checked above");
         match st.global {
             Some((r, v, _)) if r == root && v >= version => {}
             _ => {
@@ -344,7 +365,7 @@ impl Aggregator {
 
     /// A child left the tree: forget its contribution.
     pub fn on_child_removed(&mut self, topic: GroupId, child: NodeHandle) {
-        if let Some(st) = self.topics.get_mut(&topic.as_u128()) {
+        if let Some(st) = self.topics.get_mut(topic) {
             st.info_base.remove(&child.id.as_u128());
         }
     }
@@ -357,7 +378,7 @@ impl Aggregator {
         let me = ctx.self_handle();
         // Prune info-base entries from nodes that are no longer children
         // (tree churn) so stale contributions do not linger.
-        let Some(st) = self.topics.get_mut(&topic.as_u128()) else {
+        let Some(st) = self.topics.get_mut(topic) else {
             return;
         };
         st.info_base
@@ -441,7 +462,7 @@ mod tests {
             mode: UpdateMode::Periodic(SimDuration::from_secs(secs)),
             ..AggregationConfig::default()
         });
-        a.topics.insert(TOPIC, TopicState::default());
+        a.track(topic());
         a
     }
 
@@ -480,7 +501,7 @@ mod tests {
             staleness: None,
             ..AggregationConfig::default()
         });
-        a.topics.insert(TOPIC, TopicState::default());
+        a.track(topic());
         a.on_result(topic(), 5, 1, AggValue::of(1.0), t(0));
         a.expire_stale(t(100_000));
         assert!(a.global(topic()).is_some());
@@ -493,7 +514,7 @@ mod tests {
             robustness: Robustness::defensive(),
             ..AggregationConfig::default()
         });
-        a.topics.insert(TOPIC, TopicState::default());
+        a.track(topic());
         a.on_result(topic(), 5, 1, AggValue::of(100.0), t(0));
 
         // A NaN-poisoned publication is rejected; the cached global stays.

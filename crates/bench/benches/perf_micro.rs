@@ -120,6 +120,35 @@ fn churn_offsets(rounds: usize) -> Vec<u64> {
         .collect()
 }
 
+/// Rounds per `burst_round` iteration: enough that a ring slot hoarding
+/// its burst shows up in the retained bytes (each round lands in a
+/// different slot — a second is 15 625 buckets, coprime with the ring).
+const BURST_ROUNDS: u64 = 32;
+
+/// One periodic protocol round per simulated second — a timer fires, its
+/// handler sends `keys` same-latency messages, all are dispatched before
+/// the next round — the heartbeat / tree-probe shape that decides what a
+/// drained ring slot should keep. Returns the bytes the queue still
+/// holds once everything has drained.
+fn burst_rounds(keys: u64) -> usize {
+    let mut queue: CalendarQueue<Payload> = CalendarQueue::new();
+    let mut seq = 0u64;
+    for round in 1..=BURST_ROUNDS {
+        let tick = round * 1_000_000;
+        queue.insert(tick, seq, [seq; 6]);
+        queue.pop().expect("tick");
+        for _ in 0..keys {
+            seq += 1;
+            queue.insert(tick + 500, seq, [seq; 6]);
+        }
+        while let Some((at, _, v)) = queue.pop() {
+            std::hint::black_box((at, v));
+        }
+        seq += 1;
+    }
+    queue.heap_bytes()
+}
+
 fn bench_queue_discipline(c: &mut Criterion) {
     let mut group = c.benchmark_group("perf/queue_churn");
     for &depth in &[1_000usize, 100_000] {
@@ -174,6 +203,16 @@ fn bench_queue_discipline(c: &mut Criterion) {
                     acc
                 });
             },
+        );
+        group.throughput(Throughput::Elements(BURST_ROUNDS * depth as u64));
+        group.bench_with_input(
+            BenchmarkId::new("burst_round", depth),
+            &(depth as u64),
+            |b, &keys| b.iter(|| burst_rounds(keys)),
+        );
+        println!(
+            "      burst_round/{depth}: {} B retained after {BURST_ROUNDS} drained rounds",
+            burst_rounds(depth as u64)
         );
     }
     group.finish();

@@ -28,7 +28,9 @@ impl<K: Ord + Clone> DedupWindow<K> {
         let cap = cap.max(1);
         DedupWindow {
             seen: BTreeSet::new(),
-            order: VecDeque::with_capacity(cap),
+            // Grown on demand: most windows (every non-root node's
+            // Scribe publish window) never remember anything.
+            order: VecDeque::new(),
             cap,
         }
     }

@@ -44,6 +44,8 @@ struct EngineMetrics {
     corrupted: Counter,
     /// High-water mark of the event queue, mirrored for export.
     queue_peak: Gauge,
+    /// [`CalendarQueue::heap_bytes`], mirrored for export.
+    queue_heap_bytes: Gauge,
 }
 
 impl EngineMetrics {
@@ -58,6 +60,7 @@ impl EngineMetrics {
             duplicated: faults.counter("duplicated"),
             corrupted: faults.counter("corrupted"),
             queue_peak: scope.gauge("queue_peak"),
+            queue_heap_bytes: scope.gauge("queue_heap_bytes"),
         }
     }
 }
@@ -368,11 +371,13 @@ impl<W: Message, A: Actor<W>> Engine<W, A> {
     /// exporting it (`to_json`/`to_csv`) covers engine and protocol
     /// metrics in one surface.
     ///
-    /// The queue-peak gauge is mirrored here, at read time — writing it
-    /// on every push would touch the gauge on nearly every send during
-    /// queue ramp-up for a value only exports ever look at.
+    /// The queue gauges (peak depth, heap held) are mirrored here, at read
+    /// time — writing them on every push would touch a gauge on nearly
+    /// every send during queue ramp-up for values only exports look at.
     pub fn metrics(&self) -> &Registry {
-        self.engine_metrics.queue_peak.set(self.queue_peak as f64);
+        let m = &self.engine_metrics;
+        m.queue_peak.set(self.queue_peak as f64);
+        m.queue_heap_bytes.set(self.queue.heap_bytes() as f64);
         &self.metrics
     }
 

@@ -39,9 +39,23 @@
 //! guarantees `at ≥ now`), so the smaller of the cursor key and the
 //! overflow top is always the global minimum — the pop sequence is
 //! exactly the old heap's `(at, seq)` order, byte for byte.
+//!
+//! **Memory bound.** Queue memory follows *live* events, not simulated
+//! time. Only the sorted window needs burst capacity, so a drain leaves
+//! the window on whichever backing vector is larger and the drained slot
+//! with at most [`SLOT_KEEP`] keys of capacity. A slot that kept its
+//! burst would never re-use it — a periodic round parks thousands of
+//! same-latency keys in one bucket and the next round lands in a
+//! *different* slot (1 s is 15 625 buckets ≡ 3 337 mod 4 096, coprime
+//! with the ring) — so kept bursts pile up, one per slot ever hit. With
+//! `P` the peak entry count, each key buffer is a vector doubled up to at
+//! most `P` keys, so [`CalendarQueue::heap_bytes`] never exceeds `24 B ×
+//! (8 P + NBUCKETS × (SLOT_KEEP + 1))` for window, ring, overflow and far
+//! plus `2 P × (size_of::<Option<T>>() + 4 B)` for slab and free list.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::mem::size_of;
 use std::time::Instant;
 
 use vbundle_obs::{HotSection, Profiler};
@@ -60,6 +74,10 @@ const SHIFT: u32 = 6;
 /// ring beats a coarse one on both ends.
 const NBUCKETS: u64 = 4096;
 const MASK: u64 = NBUCKETS - 1;
+/// Capacity (in keys) a drained ring slot may keep; a larger vector is
+/// freed. Bursts drain alike at 0–256 and a steady ~70-key bucket likes
+/// ≥ 64 (`perf_micro`, EXPERIMENTS.md); a warm ring then holds ≤ 6.3 MB.
+const SLOT_KEEP: usize = 64;
 
 /// A queue key: `(at, seq, slab index, prefetch hint)`, min-ordered via
 /// `Reverse`. The hint is an opaque caller-supplied locality token (the
@@ -100,8 +118,7 @@ pub struct CalendarQueue<T> {
     /// (e.g. same-instant sends). Almost always empty.
     overflow: BinaryHeap<Key>,
     /// The near-horizon bucket ring: per-bucket key vectors in append
-    /// (= `seq`) order. Drained vectors keep their capacity, so a ring
-    /// slot that once held a burst re-fills without allocating.
+    /// (= `seq`) order; a drained slot keeps ≤ `SLOT_KEEP` keys of capacity.
     buckets: Vec<Vec<Key>>,
     /// Min-heap over everything beyond the near horizon.
     far: BinaryHeap<Key>,
@@ -164,6 +181,17 @@ impl<T> CalendarQueue<T> {
     /// Times the active window has advanced to a later bucket.
     pub fn bucket_advances(&self) -> u64 {
         self.bucket_advances
+    }
+
+    /// Bytes of heap held right now: every tier's capacity, the slab and
+    /// its free list. Walks all ring slots — for gauges, not the hot path.
+    pub fn heap_bytes(&self) -> usize {
+        let slots: usize = self.buckets.iter().map(Vec::capacity).sum();
+        let keys = self.window.capacity() + self.overflow.capacity() + self.far.capacity();
+        (keys + slots) * size_of::<Key>()
+            + self.buckets.capacity() * size_of::<Vec<Key>>()
+            + self.payload.capacity() * size_of::<Option<T>>()
+            + self.free.capacity() * size_of::<u32>()
     }
 
     /// Inserts `value` keyed by `(at, seq)`. `seq` must be unique across
@@ -336,12 +364,10 @@ impl<T> CalendarQueue<T> {
         }
     }
 
-    /// Sorts the active bucket in place and installs it as the window.
-    /// The keys stream sequentially out of the ring slot, are sorted once
+    /// Installs the active bucket as the window and sorts it once
     /// (`O(b log b)` for a bucket of `b` entries, amortizing to well
-    /// under one sift per pop), and the window's old backing vector is
-    /// handed back to the ring slot — steady-state draining allocates
-    /// nothing.
+    /// under one sift per pop). The window takes the larger of the two
+    /// backing vectors; the slot keeps at most `SLOT_KEEP` keys' worth.
     fn drain_bucket(&mut self) {
         let slot = (self.cur_bucket & MASK) as usize;
         let bucket = &mut self.buckets[slot];
@@ -353,7 +379,14 @@ impl<T> CalendarQueue<T> {
         self.window.clear();
         self.win_pos = 0;
         self.pf_pos = 0;
-        std::mem::swap(&mut self.window, bucket);
+        if bucket.capacity() > self.window.capacity() {
+            std::mem::swap(&mut self.window, bucket);
+        } else {
+            self.window.append(bucket);
+        }
+        if bucket.capacity() > SLOT_KEEP {
+            *bucket = Vec::new();
+        }
         self.window.sort_unstable_by_key(|&Reverse(k)| k);
     }
 

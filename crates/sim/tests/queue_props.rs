@@ -4,6 +4,9 @@
 //! epoch purges — the calendar queue must yield the exact `(at, seq)`
 //! order a min-heap would. This is the determinism contract the engine's
 //! byte-identical replay rests on.
+//!
+//! They also hold the queue to its stated memory bound (`sim::queue`
+//! module doc): heap follows live entries, never simulated time.
 
 use proptest::prelude::*;
 use vbundle_sim::CalendarQueue;
@@ -39,6 +42,19 @@ impl HeapModel {
 
 const NUM_ACTORS: u32 = 4;
 
+/// The queue's private `size_of::<Key>()`, `NBUCKETS` and `SLOT_KEEP`.
+const KEY_BYTES: usize = 24;
+const NBUCKETS: usize = 4096;
+const SLOT_KEEP: usize = 64;
+
+/// The memory bound from the `sim::queue` module doc for a queue of `T`
+/// whose live entry count never exceeded `peak_live`.
+fn heap_bound<T>(peak_live: usize) -> usize {
+    let p = peak_live.max(4); // a vector's first allocation holds four
+    KEY_BYTES * (8 * p + NBUCKETS * (SLOT_KEEP + 1))
+        + 2 * p * (std::mem::size_of::<Option<T>>() + std::mem::size_of::<u32>())
+}
+
 /// Pops the calendar queue the way the engine does: entries whose stored
 /// epoch no longer matches their actor's current epoch are skipped
 /// invisibly.
@@ -71,6 +87,7 @@ proptest! {
         let mut model = HeapModel::default();
         let mut epochs = vec![0u32; NUM_ACTORS as usize];
         let mut seq = 0u64;
+        let mut peak_live = 0;
         for &(kind, at, actor) in &ops {
             match kind % 4 {
                 0 => {
@@ -102,12 +119,18 @@ proptest! {
                     epochs[actor as usize] = epochs[actor as usize].wrapping_add(1);
                 }
             }
+            peak_live = peak_live.max(queue.len());
+            prop_assert!(
+                queue.heap_bytes() <= heap_bound::<(u32, u32)>(peak_live),
+                "{} B held with at most {} live", queue.heap_bytes(), peak_live
+            );
         }
         // Drain both completely: order and content must agree to the end.
         loop {
             let got = lazy_pop(&mut queue, &epochs);
             let want = model.pop();
             prop_assert_eq!(got, want, "pop diverged during drain");
+            prop_assert!(queue.heap_bytes() <= heap_bound::<(u32, u32)>(peak_live));
             if got.is_none() {
                 break;
             }
@@ -130,4 +153,43 @@ proptest! {
         }
         prop_assert!(queue.pop().is_none());
     }
+}
+
+/// One periodic round per simulated second: a timer fires, its handler
+/// sends `burst` same-latency messages, and everything drains before the
+/// next round — the shape of a heartbeat or tree-probe round. Returns
+/// `heap_bytes()` after each round.
+fn burst_rounds(rounds: u64, burst: u64) -> Vec<usize> {
+    let mut queue: CalendarQueue<u64> = CalendarQueue::new();
+    let mut seq = 0..;
+    (1..=rounds)
+        .map(|round| {
+            let tick = round * 1_000_000;
+            queue.insert(tick, seq.next().unwrap(), 0);
+            assert_eq!(queue.pop().map(|(at, ..)| at), Some(tick));
+            for i in 0..burst {
+                queue.insert(tick + 500, seq.next().unwrap(), i);
+            }
+            for i in 0..burst {
+                assert_eq!(queue.pop().map(|(.., v)| v), Some(i));
+            }
+            assert!(queue.is_empty());
+            queue.heap_bytes()
+        })
+        .collect()
+}
+
+/// Successive rounds land in different ring slots (a second is 15 625
+/// buckets, coprime with the ring), so a slot that kept its burst would
+/// make the queue grow by one burst per round; it must stay flat.
+#[test]
+fn heap_is_flat_over_the_simulated_horizon() {
+    let held = burst_rounds(512, 1024);
+    assert!(
+        held[511] <= held[7] + SLOT_KEEP * KEY_BYTES,
+        "{} B after round 8, {} B after round 512",
+        held[7],
+        held[511]
+    );
+    assert!(held[511] <= heap_bound::<u64>(1024));
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Symbolise a sigprof.raw dump: self, inclusive and top-stack tables.
+"""Symbolise a sigprof.raw dump: self, inclusive and top-stack tables,
+or (--heap, for a heap.c dump) the size classes live at the heap's peak.
 
-usage: report.py sigprof.raw [top-n]
+usage: report.py [--heap] sigprof.raw [top-n]
 
 Every executable file-backed mapping is symbolised with `nm` (libc
 included, via its dynamic symbols); a PC is attributed to the nearest
@@ -15,7 +16,7 @@ import sys
 
 
 def load(path):
-    maps, extra, samples = [], [], []
+    maps, extra, classes, samples = [], [], [], []
     with open(path) as f:
         for line in f:
             if line.startswith("--samples"):
@@ -24,6 +25,9 @@ def load(path):
                 _, addr, name = line.split()
                 extra.append((int(addr, 16), name))
                 continue
+            if line.startswith("--class"):  # heap.c: class, live blocks, live bytes
+                classes.append(tuple(int(w) for w in line.split()[1:]))
+                continue
             m = re.match(r"([0-9a-f]+)-([0-9a-f]+) (\S+) ([0-9a-f]+) \S+ \S+\s*(\S*)", line)
             if m and m.group(5).startswith("/"):
                 lo, hi, perms, off, name = m.groups()
@@ -31,7 +35,7 @@ def load(path):
         dropped = line.strip()
         for line in f:
             samples.append([int(w, 16) for w in line.split()])
-    return maps, extra, samples, dropped
+    return maps, extra, classes, samples, dropped
 
 
 def symbols(path):
@@ -114,12 +118,35 @@ def table(title, counter, total, top):
         print(f"{100 * n / total:6.2f}%  {n:7d}  {name}")
 
 
+def heap(classes, samples, sym, top, header):
+    """Size classes at the peak, largest first, each with the two stacks
+    that allocated into it most often (sampled over the whole run)."""
+    plumbing = re.compile(r"\[heap\.so\]|^alloc::(raw_vec|alloc)::|^std::sys::alloc::|^__r")
+    owners = collections.defaultdict(collections.Counter)
+    for cls, *chain in samples:
+        frames = [sym.name(ret - 1) or "[unknown]" for ret in chain]
+        frames = [f for f in frames if not plumbing.search(f)]
+        # Generic arguments triple the width and say nothing about ownership.
+        short = [re.sub(r"(?<=\w)<[^<>]*(<[^<>]*>[^<>]*)*>", "", f) for f in frames[:4]]
+        owners[cls][" <- ".join(short)] += 1
+    total = sum(b for _, _, b in classes)
+    print(f"{header}: {total / 1e6:.1f} MB live in {len(classes)} size classes")
+    print(f"{'bytes':>12} {'blocks':>8} {'block size':>10}")
+    for cls, live, nbytes in sorted(classes, key=lambda c: -c[2])[:top]:
+        print(f"{nbytes:12d} {live:8d} {nbytes // live:10d}")
+        for stack, n in owners[cls].most_common(2):
+            print(f"{'':12} {100 * n / sum(owners[cls].values()):5.1f}%  {stack}")
+
+
 def main():
-    if len(sys.argv) < 2:
+    args = [a for a in sys.argv[1:] if a != "--heap"]
+    if not args:
         sys.exit(__doc__)
-    top = int(sys.argv[2]) if len(sys.argv) > 2 else 25
-    maps, extra, samples, dropped = load(sys.argv[1])
+    top = int(args[1]) if len(args) > 1 else 25
+    maps, extra, classes, samples, dropped = load(args[0])
     sym = Symboliser(maps, extra)
+    if "--heap" in sys.argv:
+        return heap(classes, samples, sym, top, dropped)
     self_c, incl_c, stack_c = (collections.Counter() for _ in range(3))
     total = 0
     for frames in stacks(samples, sym):
