@@ -4,6 +4,16 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# vbundle-core stays split: no source file may grow back into a
+# controller.rs. Cheapest check, so it runs first.
+echo "==> crates/core/src file size (<= 800 lines each)"
+oversize=$(find crates/core/src -name '*.rs' -exec wc -l {} + | awk '$2 != "total" && $1 > 800')
+if [ -n "$oversize" ]; then
+    echo "$oversize" >&2
+    echo "source file over 800 lines: split it by protocol (see DESIGN.md, vbundle-core)" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

@@ -375,3 +375,92 @@ fn failover_replay_is_deterministic() {
     };
     assert_eq!(run(), run(), "failover replay diverged");
 }
+
+/// Direct client sends are not deduplicated, so under a duplicating
+/// network a backup site sees the same `FoBackupReserve` more than once.
+/// The carve must be idempotent per VM: once the lost rack has been
+/// re-materialized and every fence acked, each site's reserved headroom
+/// is exactly the sum over the charges it still holds armed — no share
+/// of a twice-delivered charge is left behind.
+#[test]
+fn duplicated_backup_charges_carve_once() {
+    use vbundle_chaos::{LinkFault, Scope};
+
+    let topo = Arc::new(
+        Topology::builder()
+            .pods(2)
+            .racks_per_pod(2)
+            .servers_per_rack(2)
+            .build(),
+    );
+    let mut cluster = Cluster::builder(Arc::clone(&topo))
+        .vbundle(
+            VBundleConfig::default()
+                .with_update_interval(SimDuration::from_secs(5))
+                .with_rebalance_interval(SimDuration::from_secs(1000))
+                .with_survivability(SurvivabilityConfig {
+                    max_frac_per_domain: MAX_FRAC_PER_DOMAIN,
+                    backup: BACKUP,
+                })
+                .with_failover(FailoverConfig {
+                    probe_interval: SimDuration::from_secs(5),
+                }),
+        )
+        .seed(61)
+        .build();
+    let t = SimTime::from_secs;
+    let storm = LinkFault::loss(0.0).with_duplicate(0.35, SimDuration::from_millis(2));
+    // Boots go through the protocol, so every backup charge crosses the
+    // duplicating network.
+    let boot_plan = FaultPlan::new(61).degrade_both(t(1), Scope::All, Scope::All, storm);
+    let mut driver = ChaosDriver::install(&mut cluster.engine, Arc::clone(&topo), boot_plan);
+    driver.run_until(&mut cluster.engine, t(20));
+    for c in 0..TENANTS {
+        let customer = Customer::new(CustomerId(c), format!("tenant-{c}"));
+        for v in 0..VMS_PER_TENANT {
+            let spec = ResourceSpec::fixed(ResourceVector::bandwidth_only(bw(VM_MBPS)));
+            cluster.request_boot((c as usize + v) % 8, &customer, spec, spec.reservation);
+            let next = cluster.now() + SimDuration::from_secs(2);
+            driver.run_until(&mut cluster.engine, next);
+        }
+    }
+    driver.run_until(&mut cluster.engine, t(60));
+    // (A duplicated `Boot` can itself be admitted twice — the root's
+    // ledger moves between the two copies; that is ROADMAP item 4's
+    // business, not this test's.)
+    let placements = cluster.placements();
+    assert!(placements.len() >= TENANTS as usize * VMS_PER_TENANT);
+    let charge = bw(VM_MBPS * BACKUP);
+    let armed: usize = (0..8)
+        .map(|s| cluster.controller(s).protected_vms().len())
+        .sum();
+    assert!(armed > 0, "no backup site armed a charge");
+
+    // Lose a rack that hosts something, let failover run, bring the rack
+    // back so the fences can ack.
+    let rack = topo.rack_of(placements[0].2).index();
+    let mut plan = FaultPlan::new(61)
+        .degrade_both(t(61), Scope::All, Scope::All, storm)
+        .crash_rack(t(70), rack);
+    for s in (0..8).filter(|&s| topo.rack_of(topo.server(s)).index() == rack) {
+        plan = plan.restart(t(100), ActorId::new(s as u32));
+    }
+    let mut driver = ChaosDriver::install(&mut cluster.engine, Arc::clone(&topo), plan);
+    let open = settle(&mut cluster, &mut driver, t(110), t(240), |c| {
+        (0..c.num_servers())
+            .filter(|&s| !c.controller(s).fenced_vms().is_empty())
+            .map(|s| format!("server {s} still has pending fences"))
+            .collect()
+    });
+    assert!(open.is_empty(), "fences never acked: {open:#?}");
+    assert!(fo_counter(&cluster, |s| s.fo_rematerialized.get()) > 0);
+    for s in 0..cluster.num_servers() {
+        let ctrl = cluster.controller(s);
+        let still_armed = ctrl.protected_vms().len();
+        assert_eq!(
+            ctrl.backup_reserved().bandwidth,
+            charge * still_armed as f64,
+            "server {s}: reserved headroom differs from its {still_armed} armed charge(s)"
+        );
+    }
+}

@@ -169,6 +169,65 @@ fn rebalancing_relieves_hot_servers() {
     assert_eq!(cluster.num_vms(), (4 * 10) + (12 * 3));
 }
 
+/// Wire input is never trusted: a `LoadAccept` that echoes a live query id
+/// but names a VM other than the one that query offered is counted into
+/// `invalid_payloads` and dropped — it neither panics the shedder nor
+/// migrates a VM the receiver holds no bandwidth for — and the query stays
+/// open for the honest accept.
+#[test]
+fn mismatching_load_accept_is_counted_and_dropped() {
+    use vbundle_core::CtrlMsg;
+    use vbundle_scribe::ScribeClient;
+    use vbundle_sim::ActorId;
+
+    let topo = Arc::new(
+        Topology::builder()
+            .pods(1)
+            .racks_per_pod(4)
+            .servers_per_rack(4)
+            .build(),
+    );
+    let mut cluster = Cluster::builder(topo)
+        .vbundle(fast_config().with_threshold(0.15))
+        .seed(11)
+        .build();
+    seed_imbalance(&mut cluster, 4, 950.0, 300.0);
+    let vms_before = cluster.num_vms();
+    // Stop at the event in which the first shedder issues its queries.
+    let shedder = loop {
+        assert!(cluster.engine.step(), "nobody ever shed");
+        let issued = |s: &usize| cluster.controller(*s).stats.queries_sent > 0;
+        if let Some(s) = (0..cluster.num_servers()).find(issued) {
+            break s;
+        }
+    };
+    // Query 0 offered the shedder's largest VM (its first); the forged
+    // accept names its last.
+    let hosted = cluster.controller(shedder).vms().len();
+    let wrong = cluster.controller(shedder).vms()[hosted - 1].id;
+    let receiver = cluster.handles[15];
+    let forged = CtrlMsg::LoadAccept {
+        query: 0,
+        vm: wrong,
+        receiver,
+    };
+    cluster
+        .engine
+        .call(ActorId::new(shedder as u32), |node, ctx| {
+            node.app_call(ctx, |scribe, actx| {
+                scribe.client_call(actx, |c, sctx| c.on_direct(sctx, receiver, forged));
+            });
+        });
+    let c = cluster.controller(shedder);
+    assert_eq!(c.stats.invalid_payloads, 1);
+    assert_eq!(c.stats.migrations_out, 0);
+    assert_eq!(c.vms().len(), hosted, "the forged accept moved a VM");
+
+    cluster.run_until(SimTime::from_mins(20));
+    assert!(cluster.total_migrations() > 0, "honest accepts still work");
+    assert_eq!(cluster.num_vms(), vms_before);
+}
+
 #[test]
 fn rebalancing_converges_and_stops() {
     let topo = Arc::new(

@@ -81,8 +81,10 @@ pub struct BillingBook {
 
 impl BillingBook {
     /// An empty book.
-    pub fn new() -> Self {
-        BillingBook::default()
+    pub const fn new() -> Self {
+        BillingBook {
+            entries: BTreeMap::new(),
+        }
     }
 
     /// Records an entry. Returns `false` (book unchanged) on a duplicate
