@@ -70,13 +70,16 @@ benchmark/run.sh run --quick > /dev/null
 
 # The sampling profiler and heap census (C + Python, no tests of their
 # own) rot silently unless something builds and runs them: one quick
-# workload through each entry point, report included. Skipped where there
+# run through each entry point, report included. Skipped where there
 # is no C compiler.
 if command -v cc > /dev/null; then
     echo "==> tools/sigprof smoke (frame-pointer build, profiled --quick run, report)"
     SIGPROF_ARGS="--quick --seconds 1" tools/sigprof/run.sh steady_agg > /dev/null
     echo "==> tools/sigprof --heap smoke (heap census of a --quick run, report)"
     SIGPROF_ARGS="--quick --seconds 1" tools/sigprof/run.sh --heap steady_agg > /dev/null
+    # Long enough for a few dozen samples: the report exits 1 on none.
+    echo "==> tools/sigprof --bin smoke (a workspace binary instead of a benchmark workload)"
+    tools/sigprof/run.sh --bin vbundle_sim -- --servers 500 --minutes 90 > /dev/null
 fi
 
 echo "==> golden files unchanged"

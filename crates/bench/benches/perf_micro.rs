@@ -1,7 +1,8 @@
 //! Performance micro-benchmarks of the hot paths: shaper allocation,
-//! offline placement throughput, overlay construction and the engine's
-//! event-queue discipline (binary heap vs calendar queue). These guard
-//! the harness's ability to run the paper's 3000-server scenarios quickly.
+//! offline placement throughput, overlay construction, the anycast pick
+//! and the engine's event-queue discipline (binary heap vs calendar
+//! queue). These guard the harness's ability to run the paper's
+//! 3000-server scenarios quickly.
 //!
 //! Run: `cargo bench -p vbundle-bench --bench perf_micro`
 
@@ -16,8 +17,9 @@ use vbundle_core::{
     shaper, ClusterModel, CustomerId, PlacementPolicy, ResourceSpec, ResourceVector, VmId, VmRecord,
 };
 use vbundle_dcn::{Bandwidth, Topology};
-use vbundle_pastry::{overlay, Id, PastryConfig};
-use vbundle_sim::CalendarQueue;
+use vbundle_pastry::{overlay, Id, PastryConfig, Site};
+use vbundle_scribe::Children;
+use vbundle_sim::{ActorId, CalendarQueue, SimTime};
 
 fn bench_shaper(c: &mut Criterion) {
     let mut group = c.benchmark_group("perf/shaper_allocate");
@@ -76,7 +78,7 @@ fn bench_placement(c: &mut Criterion) {
 fn bench_overlay_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("perf/build_overlay_states");
     group.sample_size(10);
-    for &n in &[256usize, 1024] {
+    for &n in &[256usize, 1024, 4096, 16384] {
         let racks = (n / 16) as u32;
         let topo = Arc::new(
             Topology::builder()
@@ -90,6 +92,42 @@ fn bench_overlay_build(c: &mut Criterion) {
                 let ids = overlay::topology_aware_ids(topo);
                 let handles = overlay::handles_for(&ids);
                 overlay::build_states(topo, &handles, &PastryConfig::default()).len()
+            });
+        });
+    }
+    group.finish();
+}
+
+/// One anycast step at a node with `width` children (every server of a
+/// 4-pod topology with racks of 16), a third of them already visited:
+/// the pick for one origin per rack.
+fn bench_anycast_step(c: &mut Criterion) {
+    let mut group = c.benchmark_group("perf/anycast_step");
+    for &width in &[64u32, 4096] {
+        let topo = Topology::builder()
+            .pods(4)
+            .racks_per_pod(width / 64)
+            .servers_per_rack(16)
+            .build();
+        let handles = overlay::handles_for(&overlay::topology_aware_ids(&topo));
+        let parent = Id::from_name("Less-Loaded");
+        let mut children = Children::default();
+        for &h in &handles {
+            children.graft(h, Site::of(&topo, h.actor), parent, SimTime::ZERO, None);
+        }
+        let visited: Vec<ActorId> = handles.iter().step_by(3).map(|h| h.actor).collect();
+        let origins: Vec<_> = handles.iter().step_by(16).copied().collect();
+        group.throughput(Throughput::Elements(origins.len() as u64));
+        let id = BenchmarkId::from_parameter(width);
+        group.bench_with_input(id, &children, |b, children| {
+            b.iter(|| {
+                origins
+                    .iter()
+                    .filter_map(|&o| {
+                        children.nearest_unvisited(o, Site::of(&topo, o.actor), &visited)
+                    })
+                    .map(|(distance, _)| u64::from(distance))
+                    .sum::<u64>()
             });
         });
     }
@@ -221,6 +259,7 @@ fn bench_queue_discipline(c: &mut Criterion) {
 criterion_group!(
     name = perf;
     config = Criterion::default();
-    targets = bench_shaper, bench_placement, bench_overlay_build, bench_queue_discipline
+    targets = bench_shaper, bench_placement, bench_overlay_build, bench_anycast_step,
+        bench_queue_discipline
 );
 criterion_main!(perf);

@@ -64,5 +64,7 @@ pub use id::{Id, Key, NodeId};
 pub use message::{PastryMsg, RouteEnvelope};
 pub use node::{AppCtx, PastryApp, PastryNode, PASTRY_TAG_BASE};
 pub use overlay::IdAssignment;
-pub use state::{actor_distance, LeafSet, NeighborSet, PastryState, RouteDecision, RoutingTable};
+pub use state::{
+    actor_distance, LeafSet, NeighborSet, PastryState, RouteDecision, RoutingTable, Site,
+};
 pub use vbundle_fdetect::{FailureDetection, PhiConfig};

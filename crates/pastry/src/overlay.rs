@@ -7,6 +7,7 @@
 //! [`topology_aware_ids`] implements that policy; [`random_ids`] provides
 //! the conventional uniformly random assignment for ablation comparisons.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -14,9 +15,10 @@ use rand::{Rng, SeedableRng};
 use vbundle_dcn::Topology;
 use vbundle_sim::{ActorId, Engine, LatencyModel, SimDuration};
 
+use crate::id::{BITS_PER_DIGIT, DIGIT_BASE};
 use crate::message::PastryMsg;
 use crate::node::{PastryApp, PastryNode};
-use crate::state::PastryState;
+use crate::state::{PastryState, Site};
 use crate::{NodeHandle, NodeId, PastryConfig};
 
 /// How node ids are assigned to servers.
@@ -76,9 +78,10 @@ pub fn topology_aware_ids(topo: &Topology) -> Vec<NodeId> {
 pub fn random_ids(n: usize, seed: u64) -> Vec<NodeId> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut ids = Vec::with_capacity(n);
+    let mut drawn = HashSet::with_capacity(n);
     while ids.len() < n {
         let id = NodeId::from_u128(rng.gen());
-        if !ids.contains(&id) {
+        if drawn.insert(id) {
             ids.push(id);
         }
     }
@@ -101,28 +104,88 @@ pub fn handles_for(ids: &[NodeId]) -> Vec<NodeHandle> {
         .collect()
 }
 
+/// The members of `domain` in a list sorted by `(domain, id)`, in id
+/// order.
+fn members(sorted: &[(u32, NodeHandle)], domain: u32) -> &[(u32, NodeHandle)] {
+    let start = sorted.partition_point(|&(d, _)| d < domain);
+    let len = sorted[start..].partition_point(|&(d, _)| d == domain);
+    &sorted[start..start + len]
+}
+
+/// The `reach` handles on either side of position `at` in a list taken as
+/// a circle, with the one at `at` — the whole list if that wraps.
+fn around(
+    sorted: &[(u32, NodeHandle)],
+    at: usize,
+    reach: usize,
+) -> impl Iterator<Item = NodeHandle> + '_ {
+    let n = sorted.len();
+    let span = if n <= 2 * reach + 1 {
+        0..n
+    } else {
+        n + at - reach..n + at + reach + 1
+    };
+    span.map(move |i| sorted[i % n].1)
+}
+
+/// The lowest id in `lo..=hi` among handles in id order.
+fn first_in(sorted: &[(u32, NodeHandle)], lo: NodeId, hi: NodeId) -> Option<NodeHandle> {
+    let at = sorted.partition_point(|&(_, h)| h.id < lo);
+    sorted.get(at).map(|&(_, h)| h).filter(|h| h.id <= hi)
+}
+
 /// Builds fully populated routing state for every node at once — the
 /// certificate-authority bootstrap the paper assumes. Every node ends up
-/// with the leaf set, routing table and neighbor set it would converge to
-/// after joining.
+/// with the leaf set, routing table and neighbor set it would have after
+/// [`learn`](PastryState::learn)ing its ring neighbors (nearest first,
+/// alternating sides) and then every other node in id order.
+///
+/// That sweep is not run: each node is offered, in the same relative
+/// order, only the handles that can change its state. The leaf set is
+/// settled by the ring neighbors. A routing-table slot keeps the first
+/// offered of its physically closest candidates, so unless a ring neighbor
+/// already holds it, that is the lowest id in the slot's id range within
+/// the node's rack, else within its pod, else anywhere — one binary search
+/// each. The neighbor set ranks by `(proximity, ring distance)` and breaks
+/// ties by arrival; a handle that ranks behind `neighbor_capacity` others
+/// is never kept and never decides a tie among those that are, so only
+/// the ring-nearest of the node's rack, pod and ring are offered, in their
+/// sweep order.
 ///
 /// # Panics
 ///
-/// Panics if `handles` is empty or contains duplicate ids.
+/// Panics if `handles` is empty, contains duplicate ids, or names an actor
+/// that is not a server of `topo` (handles come from [`handles_for`]:
+/// actor `i` is server `i`).
 pub fn build_states(
     topo: &Arc<Topology>,
     handles: &[NodeHandle],
     config: &PastryConfig,
 ) -> Vec<PastryState> {
     assert!(!handles.is_empty(), "overlay needs at least one node");
-    // Sort once by id so each node learns ring neighbors first (cheap leaf
-    // sets) and the rest for routing tables / neighbor sets.
-    let mut by_id: Vec<NodeHandle> = handles.to_vec();
-    by_id.sort_by_key(|h| h.id);
-    for w in by_id.windows(2) {
-        assert!(w[0].id != w[1].id, "duplicate node id {:?}", w[0].id);
+    // A handle's domain per proximity class: its rack, its pod, the ring.
+    let domains = |h: &NodeHandle| {
+        let site = Site::of(topo, h.actor);
+        assert!(site != Site::OFF, "{h} is not a server of the topology");
+        [site.rack, site.pod, 0]
+    };
+    // One list per proximity class, nearest first — rack, pod, whole ring —
+    // each sorted by (domain, id).
+    let mut classes: [Vec<(u32, NodeHandle)>; 3] = Default::default();
+    for h in handles {
+        for (class, domain) in classes.iter_mut().zip(domains(h)) {
+            class.push((domain, *h));
+        }
     }
-    let n = by_id.len();
+    for class in &mut classes {
+        class.sort_unstable_by_key(|&(d, h)| (d, h.id));
+    }
+    let ring = &classes[2][..];
+    for w in ring.windows(2) {
+        assert!(w[0].1.id != w[1].1.id, "duplicate node id {:?}", w[0].1.id);
+    }
+    let n = ring.len();
+    let mut offers: Vec<NodeHandle> = Vec::new();
     handles
         .iter()
         .map(|&me| {
@@ -132,16 +195,58 @@ pub fn build_states(
                 config.leaf_half,
                 config.neighbor_capacity,
             );
-            let pos = by_id
-                .binary_search_by_key(&me.id, |h| h.id)
+            let pos = ring
+                .binary_search_by_key(&me.id, |&(_, h)| h.id)
                 .expect("own handle present");
+            let at = |step: usize| ring[(pos + step) % n].1;
             // Ring neighbors: leaf_half on each side (wrapping).
-            for step in 1..=config.leaf_half.min(n.saturating_sub(1)) {
-                st.learn(by_id[(pos + step) % n]);
-                st.learn(by_id[(pos + n - step) % n]);
+            for step in 1..=config.leaf_half.min(n - 1) {
+                st.learn(at(step));
+                st.learn(at(n - step));
             }
-            // Everyone else fills routing table + neighbor set slots.
-            for &other in &by_id {
+            let [rack, pod, _] = domains(&me);
+            let mine = [members(&classes[0], rack), members(&classes[1], pod), ring];
+            offers.clear();
+            // One candidate per routing-table slot. The ids sharing a
+            // prefix are contiguous on the sorted ring, so the deepest row
+            // anyone lands in is set by an adjacent node.
+            let deepest = [at(1), at(n - 1)]
+                .iter()
+                .filter(|h| h.id != me.id)
+                .map(|h| me.id.shared_prefix_len(h.id))
+                .max();
+            for row in 0..deepest.map_or(0, |d| d + 1) {
+                let shift = 128 - BITS_PER_DIGIT as usize * (row + 1);
+                let below = (1u128 << shift) - 1;
+                let digits = (DIGIT_BASE as u128 - 1) << shift;
+                let prefix = me.id.as_u128() & !(digits | below);
+                for digit in (0..DIGIT_BASE).filter(|&d| d != me.id.digit(row)) {
+                    let lo = prefix | (digit as u128) << shift;
+                    let (lo, hi) = (NodeId::from_u128(lo), NodeId::from_u128(lo | below));
+                    let Some(anywhere) = first_in(ring, lo, hi) else {
+                        continue;
+                    };
+                    let nearer = mine[..2].iter().find_map(|class| first_in(class, lo, hi));
+                    offers.push(nearer.unwrap_or(anywhere));
+                }
+            }
+            // The neighbor set's candidates. It ranks by (class, ring
+            // distance), so whoever is not among the `capacity` ring-nearest
+            // of its own class on either side has that many ahead of it;
+            // and nothing beyond the first class that fills the set alone
+            // (one member is the node itself) gets in.
+            for class in mine {
+                let at = class
+                    .binary_search_by_key(&me.id, |&(_, h)| h.id)
+                    .expect("own handle present");
+                offers.extend(around(class, at, config.neighbor_capacity));
+                if class.len() > config.neighbor_capacity {
+                    break;
+                }
+            }
+            offers.sort_unstable_by_key(|h| h.id);
+            offers.dedup();
+            for &other in &offers {
                 if other.id != me.id {
                     st.learn(other);
                 }

@@ -292,6 +292,12 @@ impl RoutingTable {
         self.entries().count()
     }
 
+    /// Number of rows allocated: one past the deepest row that was ever
+    /// offered an entry.
+    pub fn num_rows(&self) -> usize {
+        self.rows.len()
+    }
+
     /// True if no slots are filled.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
@@ -379,6 +385,38 @@ pub fn actor_distance(topo: &Topology, a: ActorId, b: ActorId) -> u32 {
         topo.distance(topo.server(a.index()), topo.server(b.index()))
     } else {
         u32::MAX
+    }
+}
+
+/// Where an actor sits in the datacenter. [`actor_distance`] between two
+/// actors follows from their identities and sites alone, so a structure
+/// keyed on sites can rank by distance without the topology at hand.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Site {
+    /// Dense rack index.
+    pub rack: u32,
+    /// Dense pod index.
+    pub pod: u32,
+}
+
+impl Site {
+    /// The site of an actor that is not a server of the topology: in no
+    /// rack or pod, at distance `u32::MAX` from everything.
+    pub const OFF: Site = Site {
+        rack: u32::MAX,
+        pod: u32::MAX,
+    };
+
+    /// The site of `actor` under `topo`.
+    pub fn of(topo: &Topology, actor: ActorId) -> Site {
+        if actor.index() >= topo.num_servers() {
+            return Site::OFF;
+        }
+        let rack = topo.rack_of(topo.server(actor.index()));
+        Site {
+            rack: rack.index() as u32,
+            pod: topo.pod_of_rack(rack).index() as u32,
+        }
     }
 }
 

@@ -6,7 +6,9 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use vbundle_dcn::Topology;
 use vbundle_pastry::overlay::{self, launch_null, IdAssignment, NullApp, Probe};
-use vbundle_pastry::{Id, PastryConfig, PastryMsg, PastryNode, RouteDecision};
+use vbundle_pastry::{
+    Id, NodeHandle, PastryConfig, PastryMsg, PastryNode, PastryState, RouteDecision,
+};
 use vbundle_sim::{ActorId, ConstantLatency, Engine, SimDuration, SimTime};
 
 fn topo(servers: usize) -> Arc<Topology> {
@@ -227,6 +229,177 @@ fn topology_aware_ids_cluster_racks() {
         ids[0].ring_distance(ids[1]) < d_gap,
         "rack boundary must be farther apart than rack neighbors"
     );
+}
+
+#[test]
+fn random_ids_draw_is_pinned() {
+    // Taken from the quadratic `Vec::contains` version: the membership
+    // structure may change, the draw sequence may not.
+    let ids = overlay::random_ids(300, 9);
+    assert_eq!(ids.len(), 300);
+    assert_eq!(ids[0].as_u128(), 0xa94eecf619a06040619b85d152fbf9);
+    assert_eq!(ids[299].as_u128(), 0x8b46970a7209d5402ca63a044c016016);
+    let digest = ids
+        .iter()
+        .fold(0u128, |acc, id| acc.rotate_left(7) ^ id.as_u128());
+    assert_eq!(digest, 0x5c1309a740a91b887a52f87583fdcc4d);
+}
+
+/// The bootstrap `build_states` stands for, run literally: every node
+/// learns its ring neighbors, nearest first and alternating sides, then
+/// every other node in id order.
+fn all_pairs_states(
+    topo: &Arc<Topology>,
+    handles: &[NodeHandle],
+    config: &PastryConfig,
+) -> Vec<PastryState> {
+    let mut by_id = handles.to_vec();
+    by_id.sort_by_key(|h| h.id);
+    let n = by_id.len();
+    handles
+        .iter()
+        .map(|&me| {
+            let mut st = PastryState::new(
+                me,
+                Arc::clone(topo),
+                config.leaf_half,
+                config.neighbor_capacity,
+            );
+            let pos = by_id.binary_search_by_key(&me.id, |h| h.id).unwrap();
+            for step in 1..=config.leaf_half.min(n - 1) {
+                st.learn(by_id[(pos + step) % n]);
+                st.learn(by_id[(pos + n - step) % n]);
+            }
+            for &other in by_id.iter().filter(|o| o.id != me.id) {
+                st.learn(other);
+            }
+            st
+        })
+        .collect()
+}
+
+/// Everything a state holds, order included: the leaf-set sides (the
+/// clockwise extreme marks where the first side ends), all 32 × 16
+/// routing-table slots with the number of rows allocated for them, and the
+/// neighbor set.
+type Contents = (
+    Vec<NodeHandle>,
+    Option<NodeHandle>,
+    Vec<Option<NodeHandle>>,
+    usize,
+    Vec<NodeHandle>,
+);
+
+fn contents(st: &PastryState) -> Contents {
+    let table = st.routing_table();
+    (
+        st.leaf_set().sides().collect(),
+        st.leaf_set().cw_extreme(),
+        (0..32 * 16).map(|i| table.entry(i / 16, i % 16)).collect(),
+        table.num_rows(),
+        st.neighbor_set().members().collect(),
+    )
+}
+
+#[test]
+#[should_panic(expected = "not a server of the topology")]
+fn build_states_rejects_actors_off_the_topology() {
+    let ids = overlay::random_ids(17, 3);
+    overlay::build_states(
+        &topo(16),
+        &overlay::handles_for(&ids),
+        &PastryConfig::default(),
+    );
+}
+
+/// Shapes too large for the property below: racks smaller than, equal to
+/// and larger than the default neighbor set, so the candidate windows cut
+/// into pods and the ring, and tables four rows deep.
+#[test]
+fn build_states_matches_all_pairs_sweep_at_size() {
+    let shape = |pods, racks, servers| {
+        let mut regular = Topology::builder();
+        regular
+            .pods(pods)
+            .racks_per_pod(racks)
+            .servers_per_rack(servers);
+        regular.build()
+    };
+    let config = PastryConfig::default();
+    for topo in [shape(4, 4, 16), shape(2, 3, 40), Topology::fat_tree(8)] {
+        let topo = Arc::new(topo);
+        for policy in [
+            IdAssignment::TopologyAware,
+            IdAssignment::Random { seed: 5 },
+        ] {
+            let handles = overlay::handles_for(&overlay::assign_ids(&topo, policy));
+            let built = overlay::build_states(&topo, &handles, &config);
+            let swept = all_pairs_states(&topo, &handles, &config);
+            for (b, s) in built.iter().zip(&swept) {
+                assert_eq!(contents(b), contents(s), "state of {}", b.handle());
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(768))]
+
+    /// `build_states` offers each node a few dozen handles instead of all
+    /// of them; the tables must be the ones the all-pairs sweep leaves,
+    /// entry for entry and in order. Regular and ragged topologies, both
+    /// id policies (random ids mix every proximity class into every slot),
+    /// full overlays, prefixes, random subsets and overlays no larger than
+    /// one leaf-set side (a node on both sides), and neighbor capacities
+    /// on either side of the rack and pod sizes, which decide how far the
+    /// candidate windows reach.
+    #[test]
+    fn build_states_matches_all_pairs_sweep(
+        shape in (1u32..5, 1u32..9, 1u32..6),
+        ragged in proptest::collection::vec(1u32..7, 0..8),
+        policy in (any::<bool>(), any::<u64>()),
+        subset in (0u8..4, any::<u64>()),
+        leaf_half in 1usize..=8,
+        capacity in 0usize..9,
+    ) {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let (pods, racks, servers) = shape;
+        let topo = Arc::new(if ragged.len() > 4 {
+            Topology::builder().rack_sizes(&ragged).build()
+        } else {
+            Topology::builder().pods(pods).racks_per_pod(racks).servers_per_rack(servers).build()
+        });
+        let policy = match policy {
+            (true, seed) => IdAssignment::Random { seed },
+            (false, _) => IdAssignment::TopologyAware,
+        };
+        let all = overlay::handles_for(&overlay::assign_ids(&topo, policy));
+        let mut rng = StdRng::seed_from_u64(subset.1);
+        let handles: Vec<NodeHandle> = match subset.0 {
+            0 => all.clone(),
+            1 => all[..rng.gen_range(1..=all.len())].to_vec(),
+            2 => {
+                let keep = rng.gen_range(0..all.len());
+                let picked = all.iter().enumerate().filter(|&(i, _)| i == keep || rng.gen_range(0..3) > 0);
+                picked.map(|(_, h)| *h).collect()
+            }
+            _ => all[..rng.gen_range(1..=leaf_half.min(all.len()))].to_vec(),
+        };
+        let rack = topo.rack_size(topo.rack(0));
+        let pod = topo.servers_in_pod(topo.pod(0)).count();
+        let config = PastryConfig {
+            leaf_half,
+            neighbor_capacity: [0, 1, 2, 3, 16, rack - 1, rack, pod, handles.len()][capacity],
+            ..PastryConfig::default()
+        };
+        let built = overlay::build_states(&topo, &handles, &config);
+        let swept = all_pairs_states(&topo, &handles, &config);
+        prop_assert_eq!(built.len(), swept.len());
+        for (b, s) in built.iter().zip(&swept) {
+            prop_assert_eq!(b.handle(), s.handle());
+            prop_assert_eq!(contents(b), contents(s), "state of {}", b.handle());
+        }
+    }
 }
 
 proptest! {

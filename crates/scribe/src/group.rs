@@ -3,8 +3,8 @@
 use std::collections::hash_map::{Entry, HashMap};
 
 use vbundle_fdetect::{PeerDetector, PhiConfig};
-use vbundle_pastry::{Id, NodeHandle};
-use vbundle_sim::SimTime;
+use vbundle_pastry::{Id, NodeHandle, Site};
+use vbundle_sim::{ActorId, SimTime};
 
 /// Identifies a Scribe group: a pseudo-random Pastry key, usually the hash
 /// of the group's textual name (optionally concatenated with its creator,
@@ -35,6 +35,9 @@ pub fn group_id_with_creator(name: &str, creator: &str) -> GroupId {
 pub struct ChildLink {
     /// The child node.
     pub handle: NodeHandle,
+    /// The child's site, stamped at graft: the anycast order is keyed on
+    /// it.
+    pub site: Site,
     /// When the link last proved itself alive (a Join, re-Join or
     /// ParentProbe from the child); fixed-interval mode expires on it.
     pub heard: SimTime,
@@ -42,9 +45,45 @@ pub struct ChildLink {
     pub detector: Option<PeerDetector>,
 }
 
+/// The anycast order of a node's children: per proximity class — rack,
+/// pod, everything — the slot numbers sorted by `(domain, tie, slot)`.
+/// The domain is the child's rack, its pod, or whether it is off the
+/// topology; the tie is its ring distance to the parent; the slot is its
+/// place in graft order. An origin's same-rack (same-pod, remaining)
+/// children are then one contiguous run, best first.
+#[derive(Debug, Clone)]
+struct AnycastOrder {
+    /// The node the children are grafted under.
+    parent: Id,
+    lists: [Vec<u32>; 3],
+}
+
+/// A child's domain in proximity class `class`.
+fn domain(class: usize, site: Site) -> u32 {
+    match class {
+        0 => site.rack,
+        1 => site.pod,
+        _ => u32::from(site == Site::OFF),
+    }
+}
+
+fn link(slots: &[Option<ChildLink>], slot: u32) -> &ChildLink {
+    slots[slot as usize]
+        .as_ref()
+        .expect("listed slot is filled")
+}
+
+/// The sort key of the child in `slot` in proximity class `class`. Ties
+/// are at least 1 so that the local member, at 0, goes first.
+fn key(slots: &[Option<ChildLink>], parent: Id, class: usize, slot: u32) -> (u32, u128, u32) {
+    let link = link(slots, slot);
+    let tie = link.handle.id.ring_distance(parent).max(1);
+    (domain(class, link.site), tie, slot)
+}
+
 /// The children grafted below a node in one tree: a sequence in graft
-/// order (dissemination, probing and anycast tie-breaks follow it) with an
-/// id → slot index, so graft, refresh and removal are O(1).
+/// order (dissemination and probing follow it) with an id → slot index, so
+/// graft, refresh and removal are O(1), and the order anycast descends in.
 #[derive(Debug, Clone, Default)]
 pub struct Children {
     /// Links in graft order. A removed link leaves a hole, so the others
@@ -53,6 +92,10 @@ pub struct Children {
     slots: Vec<Option<ChildLink>>,
     /// Child id → slot in `slots`. Never iterated.
     index: HashMap<u128, u32>,
+    /// Allocated with the first child, and boxed: a `GroupState` sits in
+    /// a B-tree leaf that reserves room for eleven of them on every node,
+    /// with or without children.
+    order: Option<Box<AnycastOrder>>,
 }
 
 impl Children {
@@ -86,25 +129,48 @@ impl Children {
         self.slots.iter_mut().flatten()
     }
 
-    /// Grafts `child` if it is not a child yet and records proof of life
-    /// for the link at `now`. `phi` selects the link's liveness state:
-    /// a phi-accrual window under `Some`, the bare `heard` stamp otherwise.
-    /// Returns `true` if the child was newly added.
-    pub fn graft(&mut self, child: NodeHandle, now: SimTime, phi: Option<&PhiConfig>) -> bool {
+    /// Grafts `child`, a node at `site`, below `parent` if it is not a
+    /// child yet and records proof of life for the link at `now`. `phi`
+    /// selects the link's liveness state: a phi-accrual window under
+    /// `Some`, the bare `heard` stamp otherwise. Returns `true` if the
+    /// child was newly added.
+    pub fn graft(
+        &mut self,
+        child: NodeHandle,
+        site: Site,
+        parent: Id,
+        now: SimTime,
+        phi: Option<&PhiConfig>,
+    ) -> bool {
         let (slot, added) = match self.index.entry(child.id.as_u128()) {
-            Entry::Occupied(e) => (*e.get() as usize, false),
+            Entry::Occupied(e) => (*e.get(), false),
             Entry::Vacant(e) => {
-                let slot = self.slots.len();
-                e.insert(u32::try_from(slot).expect("fewer than 2^32 children"));
+                let slot = u32::try_from(self.slots.len()).expect("fewer than 2^32 children");
+                e.insert(slot);
                 self.slots.push(Some(ChildLink {
                     handle: child,
+                    site,
                     heard: now,
                     detector: phi.map(|cfg| PeerDetector::new(cfg, cfg.first_interval, now)),
                 }));
+                let order = self.order.get_or_insert_with(|| {
+                    Box::new(AnycastOrder {
+                        parent,
+                        lists: Default::default(),
+                    })
+                });
+                debug_assert_eq!(order.parent, parent, "one parent per tree node");
+                for (class, list) in order.lists.iter_mut().enumerate() {
+                    let new = key(&self.slots, parent, class, slot);
+                    let at = list.partition_point(|&s| key(&self.slots, parent, class, s) < new);
+                    list.insert(at, slot);
+                }
                 (slot, true)
             }
         };
-        let link = self.slots[slot].as_mut().expect("indexed slot is filled");
+        let link = self.slots[slot as usize]
+            .as_mut()
+            .expect("indexed slot is filled");
         link.heard = now;
         if let Some(det) = link.detector.as_mut() {
             det.heartbeat(now);
@@ -118,17 +184,85 @@ impl Children {
         let Some(slot) = self.index.remove(&id.as_u128()) else {
             return false;
         };
+        let order = self.order.as_mut().expect("grafted with the first child");
+        for (class, list) in order.lists.iter_mut().enumerate() {
+            let old = key(&self.slots, order.parent, class, slot);
+            let at = list.partition_point(|&s| key(&self.slots, order.parent, class, s) < old);
+            debug_assert_eq!(list[at], slot);
+            list.remove(at);
+        }
         self.slots[slot as usize] = None;
         while matches!(self.slots.last(), Some(None)) {
             self.slots.pop();
         }
         if self.slots.len() > 2 * self.index.len() {
-            self.slots.retain(Option::is_some);
+            // Squeeze the holes out. The links keep their order, so each
+            // list stays sorted under the new slot numbers.
             for (slot, link) in self.slots.iter().flatten().enumerate() {
                 self.index.insert(link.handle.id.as_u128(), slot as u32);
             }
+            for slot in order.lists.iter_mut().flatten() {
+                *slot = self.index[&link(&self.slots, *slot).handle.id.as_u128()];
+            }
+            self.slots.retain(Option::is_some);
         }
         true
+    }
+
+    /// The child subtree an anycast issued by `origin`, a node at `site`,
+    /// descends into from here, with its physical distance to the origin:
+    /// among the children whose actor is not in `visited`, the first in
+    /// graft order with the smallest `(distance, ring distance to the
+    /// parent)`.
+    ///
+    /// The classes are tried nearest first — the origin itself, its rack's
+    /// run, its pod's, all servers, actors off the topology. A run also
+    /// holds the children of every nearer class, but a farther run is only
+    /// looked at once the nearer ones hold nothing unvisited, so all of
+    /// those are in `visited` and skipping visited entries skips exactly
+    /// them: the first entry left is the best of its class, and the walk
+    /// is bounded by `visited.len()`, not by the number of children. (A
+    /// node has one id: the child with the origin's actor is looked up
+    /// under the origin's id.)
+    pub fn nearest_unvisited(
+        &self,
+        origin: NodeHandle,
+        site: Site,
+        visited: &[ActorId],
+    ) -> Option<(u32, NodeHandle)> {
+        let order = self.order.as_deref()?;
+        let handle = |slot: u32| link(&self.slots, slot).handle;
+        let open = |&slot: &u32| !visited.contains(&handle(slot).actor);
+        // The best unvisited child of one domain's run.
+        let first = |class: usize, run: u32| {
+            let list = &order.lists[class];
+            let domain = |slot: u32| domain(class, link(&self.slots, slot).site);
+            let start = list.partition_point(|&s| domain(s) < run);
+            let mut run = list[start..].iter().take_while(|&&s| domain(s) == run);
+            run.find(|&s| open(s)).copied()
+        };
+        if site == Site::OFF {
+            // Everything is equally far from an origin off the topology:
+            // the two global runs compete on the tie alone.
+            let tie = |&slot: &u32| {
+                let (_, tie, slot) = key(&self.slots, order.parent, 2, slot);
+                (tie, slot)
+            };
+            let best = first(2, 0).into_iter().chain(first(2, 1)).min_by_key(tie);
+            return best.map(|slot| (u32::MAX, handle(slot)));
+        }
+        let own = self.index.get(&origin.id.as_u128());
+        if let Some(&slot) = own.filter(|&s| handle(*s).actor == origin.actor && open(s)) {
+            return Some((0, handle(slot)));
+        }
+        let runs = [
+            (0, site.rack, 1),
+            (1, site.pod, 2),
+            (2, 0, 3),
+            (2, 1, u32::MAX),
+        ];
+        runs.into_iter()
+            .find_map(|(class, run, distance)| Some((distance, handle(first(class, run)?))))
     }
 }
 
@@ -163,10 +297,43 @@ impl GroupState {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use vbundle_sim::ActorId;
+    use vbundle_dcn::Topology;
+    use vbundle_pastry::actor_distance;
 
     fn h(v: u128) -> NodeHandle {
         NodeHandle::new(Id::from_u128(v), ActorId::new(v as u32))
+    }
+
+    /// The parent every test grafts under.
+    const PARENT: Id = Id::from_u128(100);
+
+    /// An arbitrary but fixed site per child; every seventh is off the
+    /// topology.
+    fn site(v: u128) -> Site {
+        if v.is_multiple_of(7) {
+            return Site::OFF;
+        }
+        Site {
+            rack: (v % 5) as u32,
+            pod: (v % 2) as u32,
+        }
+    }
+
+    /// Each anycast list holds exactly the filled slots, in key order.
+    fn order_is_consistent(children: &Children) -> bool {
+        let slots = &children.slots;
+        let filled: Vec<u32> = (0..slots.len() as u32)
+            .filter(|&s| slots[s as usize].is_some())
+            .collect();
+        let Some(order) = &children.order else {
+            return filled.is_empty();
+        };
+        order.lists.iter().enumerate().all(|(class, list)| {
+            let mut listed = list.clone();
+            listed.sort_unstable();
+            let key = |slot| key(slots, order.parent, class, slot);
+            listed == filled && list.windows(2).all(|w| key(w[0]) < key(w[1]))
+        })
     }
 
     #[test]
@@ -187,8 +354,12 @@ mod tests {
     fn children_are_a_set() {
         let mut st = GroupState::default();
         assert!(!st.in_tree());
-        assert!(st.children.graft(h(1), SimTime::ZERO, None));
-        assert!(!st.children.graft(h(1), SimTime::ZERO, None));
+        assert!(st
+            .children
+            .graft(h(1), site(1), PARENT, SimTime::ZERO, None));
+        assert!(!st
+            .children
+            .graft(h(1), site(1), PARENT, SimTime::ZERO, None));
         assert!(st.in_tree());
         assert!(st.children.remove(Id::from_u128(1)));
         assert!(!st.children.remove(Id::from_u128(1)));
@@ -200,7 +371,8 @@ mod tests {
         /// `(handle, heard)` under any mix of grafts, removals and bulk
         /// takes: same order, same membership answers, same stamps, and
         /// `in_tree` agrees — across hole-leaving removals and the
-        /// compactions that squeeze the holes out.
+        /// compactions that squeeze the holes out, which renumber the
+        /// slots the anycast lists refer to.
         #[test]
         fn children_match_vec_model(
             ops in proptest::collection::vec((0u8..8, 1u128..24), 1..200),
@@ -215,7 +387,8 @@ mod tests {
                 let pos = model.iter().position(|(c, _)| c.id == h(v).id);
                 match kind {
                     0..=3 => {
-                        prop_assert_eq!(st.children.graft(h(v), now, phi), pos.is_none());
+                        let added = st.children.graft(h(v), site(v), PARENT, now, phi);
+                        prop_assert_eq!(added, pos.is_none());
                         match pos {
                             Some(p) => model[p].1 = now,
                             None => model.push((h(v), now)),
@@ -240,6 +413,7 @@ mod tests {
                 prop_assert_eq!(st.children.is_empty(), model.is_empty());
                 prop_assert_eq!(st.in_tree(), !model.is_empty());
                 prop_assert!(st.children.links().all(|l| l.detector.is_some() == phi.is_some()));
+                prop_assert!(order_is_consistent(&st.children), "after op {step}: {:?}", st.children);
                 for id in 1..24 {
                     let id = Id::from_u128(id);
                     prop_assert_eq!(
@@ -263,5 +437,150 @@ mod tests {
             ..GroupState::default()
         };
         assert!(st.in_tree());
+    }
+
+    /// What an anycast step at `me` tries, in order, found by scanning
+    /// every child: whether the local member (eligible iff `local` carries
+    /// its distance) is offered first, and the child subtree the search
+    /// descends into otherwise or on decline. That child is, among those
+    /// not yet visited, the first in graft order with the smallest
+    /// `(distance, ring distance to me)` — what a stable sort of all
+    /// candidates would put first among children. Ring ties are at least
+    /// 1 and the local member's is 0, so it goes first at equal distance.
+    fn anycast_choice(
+        me: NodeHandle,
+        local: Option<u32>,
+        children: impl Iterator<Item = NodeHandle>,
+        visited: &[ActorId],
+        dist: impl Fn(ActorId) -> u32,
+    ) -> (bool, Option<NodeHandle>) {
+        let best = children
+            .filter(|c| !visited.contains(&c.actor))
+            .map(|c| (dist(c.actor), c.id.ring_distance(me.id).max(1), c))
+            .min_by_key(|&(d, tie, _)| (d, tie));
+        let local_first = local.is_some_and(|l| best.is_none_or(|(d, _, _)| l <= d));
+        (local_first, best.map(|(_, _, c)| c))
+    }
+
+    /// The walk the scan stands for: collect every candidate, stable-sort
+    /// by `(distance, tie)`, try them in order — a local member that
+    /// declines hands over to the next, the first child ends the step.
+    fn sorted_walk(
+        me: NodeHandle,
+        local: Option<u32>,
+        children: &[NodeHandle],
+        visited: &[ActorId],
+        dist: impl Fn(ActorId) -> u32,
+    ) -> (bool, Option<NodeHandle>) {
+        let mut candidates: Vec<(u32, u128, Option<NodeHandle>)> = Vec::new();
+        if let Some(d) = local {
+            candidates.push((d, 0, None));
+        }
+        for c in children {
+            if !visited.contains(&c.actor) {
+                candidates.push((dist(c.actor), c.id.ring_distance(me.id).max(1), Some(*c)));
+            }
+        }
+        candidates.sort_by_key(|&(d, tie, _)| (d, tie));
+        let mut local_first = false;
+        for (_, _, cand) in candidates {
+            match cand {
+                None => local_first = true,
+                Some(c) => return (local_first, Some(c)),
+            }
+        }
+        (local_first, None)
+    }
+
+    /// Node `a` of the anycast tests: actor `a`, ids paired up at equal
+    /// ring distance on either side of the parent's.
+    fn node(a: u32) -> NodeHandle {
+        let step = u128::from(a / 2 + 1);
+        let id = if a.is_multiple_of(2) {
+            100 + step
+        } else {
+            100 - step
+        };
+        NodeHandle::new(Id::from_u128(id), ActorId::new(a))
+    }
+
+    proptest! {
+        /// Child ids cluster around the local id (equal ring distances on
+        /// both sides) and distances come from a four-value table, so
+        /// equal keys — where only graft order decides — are the norm.
+        #[test]
+        fn anycast_choice_matches_sorted_walk(
+            ids in proptest::collection::vec(90u128..111, 0..16),
+            dists in proptest::collection::vec(0u32..4, 24),
+            visited in proptest::collection::vec(0u32..24, 0..12),
+            local in (any::<bool>(), 0u32..4),
+        ) {
+            let me = NodeHandle::new(PARENT, ActorId::new(23));
+            let mut children: Vec<NodeHandle> = Vec::new();
+            for (i, &id) in ids.iter().enumerate() {
+                if id != 100 && !children.iter().any(|c| c.id == Id::from_u128(id)) {
+                    children.push(NodeHandle::new(Id::from_u128(id), ActorId::new(i as u32)));
+                }
+            }
+            let visited: Vec<ActorId> = visited.into_iter().map(ActorId::new).collect();
+            let local = local.0.then_some(local.1);
+            let dist = |a: ActorId| dists[a.index()];
+            prop_assert_eq!(
+                anycast_choice(me, local, children.iter().copied(), &visited, dist),
+                sorted_walk(me, local, &children, &visited, dist)
+            );
+        }
+
+        /// The indexed pick is the scan's pick, after every step of any
+        /// graft / remove / take sequence (removals leave holes, enough of
+        /// them compact and renumber). Twelve servers in 2 pods × 2 racks
+        /// plus four actors off the topology, any of them a child, the
+        /// origin, or both; two more origins that are never children.
+        /// Distances are the topology's own, so whole racks tie on
+        /// `(distance, tie)` and only graft order separates them.
+        #[test]
+        fn indexed_pick_matches_anycast_choice(
+            ops in proptest::collection::vec(
+                (0u8..8, 0u32..16, 0u32..18, any::<u32>(), any::<bool>(), 0u32..5),
+                1..150,
+            ),
+        ) {
+            let topo = Topology::builder().pods(2).racks_per_pod(2).servers_per_rack(3).build();
+            let me = NodeHandle::new(PARENT, ActorId::new(23));
+            let mut children = Children::default();
+            let mut model: Vec<NodeHandle> = Vec::new();
+            for (step, &(kind, a, origin, visited, local, local_distance)) in ops.iter().enumerate() {
+                let child = node(a);
+                match kind {
+                    0..=3 => {
+                        let site = Site::of(&topo, child.actor);
+                        if children.graft(child, site, me.id, SimTime::ZERO, None) {
+                            model.push(child);
+                        }
+                    }
+                    4..=6 => {
+                        children.remove(child.id);
+                        model.retain(|c| c.id != child.id);
+                    }
+                    _ => {
+                        std::mem::take(&mut children);
+                        model.clear();
+                    }
+                }
+                let origin = node(origin);
+                let visited: Vec<ActorId> =
+                    (0..18).filter(|a| visited >> a & 1 == 1).map(ActorId::new).collect();
+                let local = local.then_some([0, 1, 2, 3, u32::MAX][local_distance as usize]);
+                let dist = |a| actor_distance(&topo, a, origin.actor);
+                let best = children.nearest_unvisited(origin, Site::of(&topo, origin.actor), &visited);
+                prop_assert!(best.is_none_or(|(d, c)| d == dist(c.actor)), "{best:?} at op {step}");
+                let local_first = local.is_some_and(|l| best.is_none_or(|(d, _)| l <= d));
+                prop_assert_eq!(
+                    (local_first, best.map(|(_, c)| c)),
+                    anycast_choice(me, local, model.iter().copied(), &visited, dist),
+                    "op {} origin {} visited {:?} children {:?}", step, origin, visited, model
+                );
+            }
+        }
     }
 }

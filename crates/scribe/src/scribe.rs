@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 
 use vbundle_fdetect::{DedupWindow, FailureDetection, Verdict};
 use vbundle_obs::{Counter, FlightRecorder, Registry, Subsystem};
-use vbundle_pastry::{actor_distance, AppCtx, Id, Key, NodeHandle, PastryApp, RouteDecision};
+use vbundle_pastry::{actor_distance, AppCtx, Id, Key, NodeHandle, PastryApp, RouteDecision, Site};
 use vbundle_sim::{ActorId, Message, SimDuration, SimTime};
 
 use crate::message::{AnycastEnvelope, ScribeMsg};
@@ -399,8 +399,10 @@ impl<C: ScribeClient> Scribe<C> {
     ) {
         let now = pastry.now();
         let phi = self.config.child_detection.phi_config();
+        let site = Site::of(pastry.state().topology(), child.actor);
+        let me = pastry.self_handle().id;
         let st = self.groups.entry(group.as_u128()).or_default();
-        if st.children.graft(child, now, phi) {
+        if st.children.graft(child, site, me, now, phi) {
             self.with_client(pastry, |c, ctx| c.on_child_added(ctx, group, child));
         }
     }
@@ -689,19 +691,19 @@ impl<C: ScribeClient> Scribe<C> {
         // candidates among the target candidates", which keeps receivers
         // near the shedder and thus preserves the placement's locality.
         // Only the best candidate is ever tried (a child ends the step, a
-        // declining local member hands over to the best child), so one
-        // min-scan replaces sorting them all.
+        // declining local member hands over to the best child), and the
+        // children keep themselves in that order.
         let topo = pastry.state().topology();
-        let origin_actor = env.origin.actor;
-        let dist_to_origin = |actor| actor_distance(topo, actor, origin_actor);
-        let self_eligible = st.member && !env.offered.contains(&me.actor) && me.id != env.origin.id;
-        let (local_first, best_child) = anycast_choice(
-            me,
-            self_eligible.then(|| dist_to_origin(me.actor)),
-            st.children.iter(),
+        let best_child = st.children.nearest_unvisited(
+            env.origin,
+            Site::of(topo, env.origin.actor),
             &env.visited,
-            dist_to_origin,
         );
+        let self_eligible = st.member && !env.offered.contains(&me.actor) && me.id != env.origin.id;
+        let local_first = self_eligible && {
+            let local = actor_distance(topo, me.actor, env.origin.actor);
+            best_child.is_none_or(|(distance, _)| local <= distance)
+        };
         if !env.visited.contains(&me.actor) {
             env.visited.push(me.actor);
         }
@@ -716,7 +718,7 @@ impl<C: ScribeClient> Scribe<C> {
             }
             // Declined: fall through to the best child.
         }
-        if let Some(child) = best_child {
+        if let Some((_, child)) = best_child {
             env.ttl -= 1;
             pastry.send_direct(child, ScribeMsg::AnycastStep(env));
             return;
@@ -798,28 +800,6 @@ impl<C: ScribeClient> Scribe<C> {
 fn route_join<M: Message + Clone>(pastry: &mut AppCtx<'_, '_, ScribeMsg<M>>, group: GroupId) {
     let child = pastry.self_handle();
     pastry.route(group, ScribeMsg::Join { group, child });
-}
-
-/// What an anycast step at `me` tries, in order: whether the local member
-/// (eligible iff `local` carries its distance) is offered first, and the
-/// child subtree the search descends into otherwise or on decline. That
-/// child is, among those not yet visited, the first in graft order with
-/// the smallest `(distance, ring distance to me)` — what a stable sort of
-/// all candidates would put first among children. Ring ties are at least
-/// 1 and the local member's is 0, so it goes first at equal distance.
-fn anycast_choice(
-    me: NodeHandle,
-    local: Option<u32>,
-    children: impl Iterator<Item = NodeHandle>,
-    visited: &[ActorId],
-    dist: impl Fn(ActorId) -> u32,
-) -> (bool, Option<NodeHandle>) {
-    let best = children
-        .filter(|c| !visited.contains(&c.actor))
-        .map(|c| (dist(c.actor), c.id.ring_distance(me.id).max(1), c))
-        .min_by_key(|&(d, tie, _)| (d, tie));
-    let local_first = local.is_some_and(|l| best.is_none_or(|(d, _, _)| l <= d));
-    (local_first, best.map(|(_, _, c)| c))
 }
 
 impl<C: ScribeClient> PastryApp for Scribe<C> {
@@ -1173,73 +1153,5 @@ impl<C: ScribeClient> std::fmt::Debug for Scribe<C> {
         f.debug_struct("Scribe")
             .field("groups", &self.groups.len())
             .finish()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use proptest::prelude::*;
-
-    fn h(id: u128, actor: u32) -> NodeHandle {
-        NodeHandle::new(Id::from_u128(id), ActorId::new(actor))
-    }
-
-    /// The walk the min-scan replaced: collect every candidate, stable-sort
-    /// by `(distance, tie)`, try them in order — a local member that
-    /// declines hands over to the next, the first child ends the step.
-    fn sorted_walk(
-        me: NodeHandle,
-        local: Option<u32>,
-        children: &[NodeHandle],
-        visited: &[ActorId],
-        dist: impl Fn(ActorId) -> u32,
-    ) -> (bool, Option<NodeHandle>) {
-        let mut candidates: Vec<(u32, u128, Option<NodeHandle>)> = Vec::new();
-        if let Some(d) = local {
-            candidates.push((d, 0, None));
-        }
-        for c in children {
-            if !visited.contains(&c.actor) {
-                candidates.push((dist(c.actor), c.id.ring_distance(me.id).max(1), Some(*c)));
-            }
-        }
-        candidates.sort_by_key(|&(d, tie, _)| (d, tie));
-        let mut local_first = false;
-        for (_, _, cand) in candidates {
-            match cand {
-                None => local_first = true,
-                Some(c) => return (local_first, Some(c)),
-            }
-        }
-        (local_first, None)
-    }
-
-    proptest! {
-        /// Child ids cluster around the local id (equal ring distances on
-        /// both sides) and distances come from a four-value table, so
-        /// equal keys — where only graft order decides — are the norm.
-        #[test]
-        fn anycast_choice_matches_sorted_walk(
-            ids in proptest::collection::vec(90u128..111, 0..16),
-            dists in proptest::collection::vec(0u32..4, 24),
-            visited in proptest::collection::vec(0u32..24, 0..12),
-            local in (any::<bool>(), 0u32..4),
-        ) {
-            let me = h(100, 23);
-            let mut children: Vec<NodeHandle> = Vec::new();
-            for (i, &id) in ids.iter().enumerate() {
-                if id != 100 && !children.iter().any(|c| c.id == Id::from_u128(id)) {
-                    children.push(h(id, i as u32));
-                }
-            }
-            let visited: Vec<ActorId> = visited.into_iter().map(ActorId::new).collect();
-            let local = local.0.then_some(local.1);
-            let dist = |a: ActorId| dists[a.index()];
-            prop_assert_eq!(
-                anycast_choice(me, local, children.iter().copied(), &visited, dist),
-                sorted_walk(me, local, &children, &visited, dist)
-            );
-        }
     }
 }

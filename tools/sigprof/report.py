@@ -163,4 +163,7 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except BrokenPipeError:  # `report.py ... | head`: the reader has what it wants
+        sys.stderr.close()  # or the interpreter's exit flush complains too
