@@ -40,6 +40,14 @@ for sweep in chaos_sweep poison_sweep bundle_market scale_sweep survivability_sw
     cargo run --release -q -p vbundle-bench --bin "${sweep}" -- --smoke
 done
 
+# The full chaos sweep (a few seconds) carries the detection-quality guard
+# every message-diet step has to pass: per-scenario repair ceilings, no
+# open invariant, no false eviction under the adaptive detector. It
+# asserts them in-process and exits 1 otherwise; its CSVs are tracked, so
+# a moved number also shows up in `git status`.
+echo "==> chaos_sweep full (detection-quality guard)"
+cargo run --release -q -p vbundle-bench --bin chaos_sweep > /dev/null
+
 # The crash-only failover variant has its own golden: backup sites must
 # re-materialize dead domains' VMs without a single Restart event.
 echo "==> survivability_sweep --failover smoke (deterministic golden)"

@@ -1,8 +1,8 @@
 //! Performance micro-benchmarks of the hot paths: shaper allocation,
-//! offline placement throughput, overlay construction, the anycast pick
-//! and the engine's event-queue discipline (binary heap vs calendar
-//! queue). These guard the harness's ability to run the paper's
-//! 3000-server scenarios quickly.
+//! offline placement throughput, overlay construction, the anycast pick,
+//! the leaf-set heartbeat round and the engine's event-queue discipline
+//! (binary heap vs calendar queue). These guard the harness's ability to
+//! run the paper's 3000-server scenarios quickly.
 //!
 //! Run: `cargo bench -p vbundle-bench --bench perf_micro`
 
@@ -17,9 +17,9 @@ use vbundle_core::{
     shaper, ClusterModel, CustomerId, PlacementPolicy, ResourceSpec, ResourceVector, VmId, VmRecord,
 };
 use vbundle_dcn::{Bandwidth, Topology};
-use vbundle_pastry::{overlay, Id, PastryConfig, Site};
+use vbundle_pastry::{overlay, Id, IdAssignment, PastryConfig, Site};
 use vbundle_scribe::Children;
-use vbundle_sim::{ActorId, CalendarQueue, SimTime};
+use vbundle_sim::{ActorId, CalendarQueue, SimDuration, SimTime};
 
 fn bench_shaper(c: &mut Criterion) {
     let mut group = c.benchmark_group("perf/shaper_allocate");
@@ -131,6 +131,34 @@ fn bench_anycast_step(c: &mut Criterion) {
             });
         });
     }
+    group.finish();
+}
+
+/// One simulated second of a settled 512-node ring that does nothing but
+/// heartbeat: every node's round (16 leaf-set members each) and the
+/// delivery of everything the round sends. The arrival windows are full
+/// before the first measured round, the steady state of a long run.
+fn bench_heartbeat_round(c: &mut Criterion) {
+    let topo = Arc::new(
+        Topology::builder()
+            .pods(4)
+            .racks_per_pod(8)
+            .servers_per_rack(16)
+            .build(),
+    );
+    let second = SimDuration::from_secs(1);
+    let config = PastryConfig::default().with_heartbeat(second);
+    let (mut net, handles) =
+        overlay::launch_null(&topo, IdAssignment::Random { seed: 11 }, config, 3);
+    net.run_for(second * 20);
+    let mut group = c.benchmark_group("perf/heartbeat_round");
+    group.throughput(Throughput::Elements(handles.len() as u64));
+    group.bench_function(handles.len().to_string(), |b| {
+        b.iter(|| {
+            net.run_for(second);
+            net.events_processed()
+        });
+    });
     group.finish();
 }
 
@@ -260,6 +288,6 @@ criterion_group!(
     name = perf;
     config = Criterion::default();
     targets = bench_shaper, bench_placement, bench_overlay_build, bench_anycast_step,
-        bench_queue_discipline
+        bench_heartbeat_round, bench_queue_discipline
 );
 criterion_main!(perf);

@@ -14,6 +14,13 @@
 //! sweep asserts the adaptive detector strictly reduces false evictions
 //! under ≥10 % message loss.
 //!
+//! The full sweep ends on a **guard**, asserted in-process: no scenario
+//! takes longer to repair than it did when this guard was written, no
+//! invariant is open at any deadline, and the adaptive detector evicts
+//! nobody and needs no time to reconverge on any degraded-but-alive plan.
+//! A change that trades detection quality for fewer messages has to edit
+//! the ceilings here, in the open; otherwise the binary exits 1.
+//!
 //! Run: `cargo run --release -p vbundle-bench --bin chaos_sweep`
 //!
 //! `--smoke` runs one scenario and diffs the report against the
@@ -343,6 +350,31 @@ fn degraded_plans() -> Vec<(&'static str, FaultPlan)> {
     ]
 }
 
+/// The longest a scenario may take from its last fault until every
+/// structural invariant holds again: what it took at PR 19, when the
+/// leaf-set heartbeat acks went. Loss and duplication alone must never
+/// open an invariant at all.
+fn repair_ceiling(scenario: &str) -> SimDuration {
+    SimDuration::from_secs(match scenario {
+        "crash-restart" => 6,
+        "rack-partition" => 11,
+        "lender-crash" => 1,
+        _ => 0,
+    })
+}
+
+/// Checks one report against the guard, listing what it breaks.
+fn guard(report: &RecoveryReport, ceiling: SimDuration, broken: &mut Vec<String>) {
+    let name = &report.scenario;
+    if !report.violations_at_deadline.is_empty() {
+        broken.push(format!("{name}: invariants open at the deadline"));
+    }
+    if report.time_to_repair().is_none_or(|d| d > ceiling) {
+        let took = fmt_opt(report.time_to_repair());
+        broken.push(format!("{name}: time to repair {took}, ceiling {ceiling}"));
+    }
+}
+
 fn fmt_opt(d: Option<SimDuration>) -> String {
     match d {
         Some(d) => d.to_string(),
@@ -350,8 +382,9 @@ fn fmt_opt(d: Option<SimDuration>) -> String {
     }
 }
 
-/// Runs the phi-vs-fixed comparison and returns the CSV rows.
-fn detector_comparison() -> Vec<String> {
+/// Runs the phi-vs-fixed comparison and returns the CSV rows. The phi side
+/// is under the guard: no false eviction, nothing to reconverge from.
+fn detector_comparison(broken: &mut Vec<String>) -> Vec<String> {
     println!("\n# Failure-detector comparison under degraded-but-alive networks");
     println!("# (every eviction is a false positive: no node actually dies)");
     println!(
@@ -366,6 +399,15 @@ fn detector_comparison() -> Vec<String> {
             FailureDetection::PhiAccrual(Default::default()),
         );
         let (fixed_report, fixed_evict) = play_with(name, plan, FailureDetection::FixedInterval);
+        guard(&phi_report, SimDuration::ZERO, broken);
+        if phi_evict > 0 {
+            broken.push(format!(
+                "{name}: phi-accrual evicted {phi_evict} live peers"
+            ));
+        }
+        if !fixed_report.violations_at_deadline.is_empty() {
+            broken.push(format!("{name} (fixed): invariants open at the deadline"));
+        }
         println!(
             "{:<18} {:>14} {:>14} {:>18} {:>18}",
             name,
@@ -414,7 +456,10 @@ fn main() {
 
     println!("# Chaos sweep: recovery metrics under deterministic fault plans");
     let mut rows = Vec::new();
-    let mut record = |name: &str, first: String, second: String| {
+    let mut broken = Vec::new();
+    let mut record = |name: &str, first: RecoveryReport, second: RecoveryReport| {
+        guard(&first, repair_ceiling(name), &mut broken);
+        let (first, second) = (first.to_string(), second.to_string());
         assert_eq!(
             first, second,
             "scenario `{name}` is not deterministic across reruns"
@@ -437,26 +482,29 @@ fn main() {
         ));
     };
     for (name, plan) in scenarios() {
-        let first = play(name, plan.clone()).to_string();
-        let second = play(name, plan).to_string();
+        let first = play(name, plan.clone());
+        let second = play(name, plan);
         record(name, first, second);
     }
-    record(
-        "lender-crash",
-        play_lender_crash().to_string(),
-        play_lender_crash().to_string(),
-    );
+    record("lender-crash", play_lender_crash(), play_lender_crash());
     write_csv(
         "chaos_sweep.csv",
         "scenario,time_to_repair,messages_to_repair,aggregate_staleness,failed_migrations",
         &rows,
     );
 
-    let detector_rows = detector_comparison();
+    let detector_rows = detector_comparison(&mut broken);
     write_csv(
         "chaos_detectors.csv",
         "plan,fp_evictions_phi,fp_evictions_fixed,reconverge_phi,reconverge_fixed",
         &detector_rows,
     );
     println!("\nall scenarios reproduced byte-identically across two runs");
+    if !broken.is_empty() {
+        eprintln!("detection-quality guard broken:\n  {}", broken.join("\n  "));
+        std::process::exit(1);
+    }
+    println!(
+        "guard held: repair times within their ceilings, no open invariant, phi evicted nobody"
+    );
 }

@@ -247,15 +247,22 @@ fn boxed_storm_fingerprint(seed: u64) -> String {
 fn duplicate_and_corrupt_reach_through_the_boxes() {
     let a = boxed_storm_fingerprint(23);
     assert_eq!(a, boxed_storm_fingerprint(23), "same seed, same replay");
-    // Pinned at the commit before the message layout changed: the faults
-    // applied, the events they caused and the bytes on the wire are a
-    // property of the protocol, not of what is boxed.
+    // The faults applied, the events they caused and the bytes on the wire
+    // are a property of the protocol, not of what is boxed: pinned at the
+    // commit before the message layout changed (`duplicated: 103183,
+    // corrupted: 349`, `events 455312 msgs 346632 bytes 50827260
+    // migrations 10 leases 14`) and unmoved until PR 19 changed the
+    // protocol — settled leaf-set members stopped acking heartbeats. The
+    // injector draws once per send from one seeded stream, so with a
+    // quarter fewer sends every later message meets a different draw: the
+    // storm duplicates and corrupts other messages than before, an equally
+    // valid trajectory of the same plan, and the counts below are its.
     let head: Vec<&str> = a.lines().take(2).collect();
     assert_eq!(
         head,
         [
-            "FaultStats { dropped: 0, delayed: 0, duplicated: 103183, corrupted: 349 }",
-            "events 455312 msgs 346632 bytes 50827260 migrations 10 leases 14",
+            "FaultStats { dropped: 0, delayed: 0, duplicated: 75785, corrupted: 398 }",
+            "events 329680 msgs 248413 bytes 40335584 migrations 13 leases 15",
         ],
         "{a}"
     );

@@ -6,14 +6,13 @@
 //! false positives cascade into Scribe re-joins and spurious migration
 //! rollbacks. This crate replaces them with:
 //!
-//! - [`FailureDetector`] — a **phi-accrual** detector (per-peer
+//! - [`PeerDetector`] — a **phi-accrual** detector (one peer's
 //!   inter-arrival window, configurable suspicion threshold) with
 //!   SWIM-style suspicion: a peer crossing the threshold becomes
 //!   *suspect* and gets a confirmation grace during which intermediaries
 //!   are asked to ping it, so a lossy direct link alone cannot evict a
-//!   live node. The per-peer state machine is [`PeerDetector`]; the
-//!   keyed map wraps it for layers without a per-peer record of their
-//!   own. See [`phi`].
+//!   live node. A layer embeds one in each per-peer record it keeps.
+//!   See [`phi`].
 //! - [`Courier`] — retransmission bookkeeping for request/response
 //!   exchanges: exponential backoff, deterministic jitter (seeded via the
 //!   in-tree `rand` stub), bounded retry budgets. See [`courier`].
@@ -37,7 +36,7 @@ pub mod probe;
 pub use courier::{backoff_rounds, Courier, CourierConfig, RetryDecision};
 pub use dedup::DedupWindow;
 pub use domain::DomainSuspicion;
-pub use phi::{ArrivalWindow, FailureDetector, PeerDetector, PhiConfig, Verdict};
+pub use phi::{ArrivalWindow, PeerDetector, PhiConfig, Verdict};
 pub use probe::Probe;
 
 /// How a protocol layer decides that a peer is dead.

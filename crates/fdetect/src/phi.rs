@@ -13,14 +13,14 @@
 //! moves it to *suspect* and the protocol layer is expected to launch
 //! SWIM-style indirect probes (ask `k` intermediaries to ping the suspect
 //! on our behalf). Only when the confirmation grace expires with no proof
-//! of life — direct or relayed — does [`FailureDetector::evaluate`] return
+//! of life — direct or relayed — does [`PeerDetector::evaluate`] return
 //! [`Verdict::Dead`].
 //!
 //! Everything here is pure state driven by the simulated clock: no wall
 //! time, no hidden randomness, so detection decisions are deterministic
 //! and replayable.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use vbundle_sim::{SimDuration, SimTime};
 
@@ -36,9 +36,9 @@ pub struct PhiConfig {
     /// streams (a deterministic simulator is the extreme case) would
     /// otherwise make the detector hair-triggered.
     pub min_std_dev: SimDuration,
-    /// Expected inter-arrival time before any sample has been observed;
-    /// per-peer bootstrap estimates (e.g. probe interval + RTT) override
-    /// this via [`FailureDetector::observe_with_estimate`].
+    /// Expected inter-arrival time before any sample has been observed,
+    /// for holders with no better per-peer estimate (such as the probe
+    /// interval plus the peer's RTT) to hand to [`PeerDetector::new`].
     pub first_interval: SimDuration,
     /// Slack added to the fitted mean — tolerated silence beyond the
     /// expected cadence before phi starts to climb.
@@ -209,7 +209,7 @@ impl ArrivalWindow {
 /// computation, so the two can never disagree about a threshold.
 const PHI_WITHIN_EXPECTED_GAP: f64 = std::f64::consts::LOG10_2 + 1e-9;
 
-/// What [`FailureDetector::evaluate`] concluded about a peer.
+/// What [`PeerDetector::evaluate`] concluded about a peer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
     /// Suspicion below threshold; keep probing normally.
@@ -224,9 +224,9 @@ pub enum Verdict {
 }
 
 /// One peer's phi-accrual state: its arrival window plus the SWIM
-/// suspicion stamp. [`FailureDetector`] keys a map of these by peer; a
-/// layer that already owns a per-peer record (Scribe's tree links) embeds
-/// one directly, so the state dies with the record that holds it.
+/// suspicion stamp. A layer embeds one in the record it keeps per peer
+/// anyway (Pastry's leaf links, Scribe's tree links), so the state dies
+/// with the record that holds it.
 #[derive(Debug, Clone)]
 pub struct PeerDetector {
     window: ArrivalWindow,
@@ -289,105 +289,6 @@ impl PeerDetector {
     }
 }
 
-/// A multi-peer phi-accrual detector with SWIM suspicion state: one
-/// [`PeerDetector`] per key.
-///
-/// `K` identifies a peer (e.g. a node id). The map is ordered so iteration
-/// — and therefore every downstream decision — is deterministic.
-#[derive(Debug, Clone)]
-pub struct FailureDetector<K: Ord + Copy> {
-    peers: BTreeMap<K, PeerDetector>,
-    config: PhiConfig,
-}
-
-impl<K: Ord + Copy> FailureDetector<K> {
-    /// Creates a detector with the given tunables.
-    pub fn new(config: PhiConfig) -> Self {
-        FailureDetector {
-            peers: BTreeMap::new(),
-            config,
-        }
-    }
-
-    /// The tunables in effect.
-    pub fn config(&self) -> &PhiConfig {
-        &self.config
-    }
-
-    fn entry(
-        &mut self,
-        key: K,
-        now: SimTime,
-        estimate: SimDuration,
-    ) -> (&mut PeerDetector, &PhiConfig) {
-        let config = &self.config;
-        let st = self
-            .peers
-            .entry(key)
-            .or_insert_with(|| PeerDetector::new(config, estimate, now));
-        (st, config)
-    }
-
-    /// Starts tracking `key` (idempotent), with the config's default
-    /// cadence estimate.
-    pub fn observe(&mut self, key: K, now: SimTime) {
-        let estimate = self.config.first_interval;
-        self.entry(key, now, estimate);
-    }
-
-    /// Starts tracking `key` with an explicit cadence estimate — e.g.
-    /// probe interval plus the peer's RTT sampled from the latency model.
-    pub fn observe_with_estimate(&mut self, key: K, now: SimTime, estimate: SimDuration) {
-        self.entry(key, now, estimate);
-    }
-
-    /// Records a proof of life for `key` and clears any suspicion.
-    pub fn heartbeat(&mut self, key: K, now: SimTime) {
-        let estimate = self.config.first_interval;
-        self.entry(key, now, estimate).0.heartbeat(now);
-    }
-
-    /// The current suspicion level for `key` (0 if untracked).
-    pub fn phi(&self, key: &K, now: SimTime) -> f64 {
-        self.peers
-            .get(key)
-            .map_or(0.0, |st| st.phi(&self.config, now))
-    }
-
-    /// Whether `key` is currently under suspicion.
-    pub fn is_suspect(&self, key: &K) -> bool {
-        self.peers.get(key).is_some_and(PeerDetector::is_suspect)
-    }
-
-    /// Classifies `key` at `now`, advancing the suspicion state machine.
-    pub fn evaluate(&mut self, key: K, now: SimTime) -> Verdict {
-        let estimate = self.config.first_interval;
-        let (st, config) = self.entry(key, now, estimate);
-        st.evaluate(config, now)
-    }
-
-    /// Stops tracking `key` (evicted, departed, or no longer a neighbor).
-    pub fn forget(&mut self, key: &K) {
-        self.peers.remove(key);
-    }
-
-    /// Keeps only the peers the predicate approves of.
-    pub fn retain(&mut self, mut f: impl FnMut(&K) -> bool) {
-        self.peers.retain(|k, _| f(k));
-    }
-
-    /// Drops all peer state (e.g. after a restart: pre-crash arrival
-    /// history would read as ancient silence and evict everyone).
-    pub fn clear(&mut self) {
-        self.peers.clear();
-    }
-
-    /// Number of peers currently tracked.
-    pub fn tracked(&self) -> usize {
-        self.peers.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -425,34 +326,32 @@ mod tests {
 
     #[test]
     fn suspect_state_machine_escalates_then_redeems() {
-        let mut d: FailureDetector<u64> = FailureDetector::new(
-            PhiConfig::default().with_confirm_timeout(SimDuration::from_secs(2)),
-        );
+        let config = PhiConfig::default().with_confirm_timeout(SimDuration::from_secs(2));
+        let mut d = PeerDetector::new(&config, config.first_interval, t(0));
         for s in 0..6 {
-            d.heartbeat(7, t(s));
+            d.heartbeat(t(s));
         }
-        assert_eq!(d.evaluate(7, t(6)), Verdict::Alive);
+        assert_eq!(d.evaluate(&config, t(6)), Verdict::Alive);
         // Silence: threshold crossing yields exactly one NewlySuspect.
-        assert_eq!(d.evaluate(7, t(9)), Verdict::NewlySuspect);
-        assert_eq!(d.evaluate(7, t(10)), Verdict::Suspect);
+        assert_eq!(d.evaluate(&config, t(9)), Verdict::NewlySuspect);
+        assert_eq!(d.evaluate(&config, t(10)), Verdict::Suspect);
+        assert!(d.is_suspect());
         // A (relayed) proof of life redeems the suspect.
-        d.heartbeat(7, t(10));
-        assert_eq!(d.evaluate(7, t(11)), Verdict::Alive);
+        d.heartbeat(t(10));
+        assert!(!d.is_suspect());
+        assert_eq!(d.evaluate(&config, t(11)), Verdict::Alive);
         // Silence again — longer this time, because the window has now
         // absorbed the 5 s gap and adapted its expectations — and this
         // time nobody vouches: dead after the confirmation grace.
-        assert_eq!(d.evaluate(7, t(22)), Verdict::NewlySuspect);
-        assert_eq!(d.evaluate(7, t(25)), Verdict::Dead);
+        assert_eq!(d.evaluate(&config, t(22)), Verdict::NewlySuspect);
+        assert_eq!(d.evaluate(&config, t(25)), Verdict::Dead);
     }
 
     #[test]
     fn observe_alone_accrues_suspicion() {
-        let mut d: FailureDetector<u64> = FailureDetector::new(PhiConfig::default());
-        d.observe_with_estimate(1, t(0), SimDuration::from_secs(1));
-        assert!(matches!(
-            d.evaluate(1, t(30)),
-            Verdict::NewlySuspect | Verdict::Suspect
-        ));
+        let config = PhiConfig::default();
+        let mut d = PeerDetector::new(&config, SimDuration::from_secs(1), t(0));
+        assert_eq!(d.evaluate(&config, t(30)), Verdict::NewlySuspect);
     }
 
     /// `evaluate` as it was before the within-expected-gap shortcut: the
@@ -518,17 +417,5 @@ mod tests {
                 proptest::prop_assert_eq!(fast.suspect_since, slow.suspect_since);
             }
         }
-    }
-
-    #[test]
-    fn forget_and_clear_reset_state() {
-        let mut d: FailureDetector<u64> = FailureDetector::new(PhiConfig::default());
-        d.heartbeat(1, t(0));
-        d.heartbeat(2, t(0));
-        d.forget(&1);
-        assert_eq!(d.tracked(), 1);
-        d.clear();
-        assert_eq!(d.tracked(), 0);
-        assert_eq!(d.phi(&2, t(5)), 0.0);
     }
 }

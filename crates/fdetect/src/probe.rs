@@ -7,7 +7,7 @@ use vbundle_sim::{Message, MsgCategory};
 ///
 /// Pastry's overlay tests route `Probe`s as their application payload;
 /// protocol layers embed it wherever a content-free "are you there?"
-/// round-trip feeds a [`FailureDetector`](crate::FailureDetector).
+/// round-trip feeds a [`PeerDetector`](crate::PeerDetector).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Probe(pub u64);
 

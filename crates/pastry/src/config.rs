@@ -17,10 +17,11 @@ pub struct PastryConfig {
     /// Routing loop guard: a message that exceeds this hop count is
     /// delivered at the current node instead of being forwarded.
     pub max_hops: u32,
-    /// If set, nodes probe their leaf set at this interval and evict peers
-    /// that miss [`failure_multiplier`](Self::failure_multiplier)
-    /// consecutive probes. `None` disables active failure detection
-    /// (bounced sends still trigger eviction).
+    /// If set, nodes heartbeat their leaf set at this interval and evict
+    /// members whose own heartbeats stop (see
+    /// [`failure_detection`](Self::failure_detection)). `None` disables
+    /// active failure detection (bounced sends still trigger eviction; a
+    /// heartbeat from a node that has it on is acked).
     pub heartbeat: Option<SimDuration>,
     /// How many heartbeat intervals of silence mark a peer dead — only
     /// consulted in [`FailureDetection::FixedInterval`] mode.

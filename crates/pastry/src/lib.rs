@@ -62,7 +62,7 @@ pub use config::PastryConfig;
 pub use handle::NodeHandle;
 pub use id::{Id, Key, NodeId};
 pub use message::{PastryMsg, RouteEnvelope};
-pub use node::{AppCtx, PastryApp, PastryNode, PASTRY_TAG_BASE};
+pub use node::{AppCtx, LeafLink, PastryApp, PastryNode, PASTRY_TAG_BASE};
 pub use overlay::IdAssignment;
 pub use state::{
     actor_distance, LeafSet, NeighborSet, PastryState, RouteDecision, RoutingTable, Site,

@@ -58,9 +58,12 @@ pub enum PastryMsg<M> {
     },
     /// A (newly joined) node announcing itself.
     Announce(NodeHandle),
-    /// Leaf-set liveness probe.
+    /// Leaf-set liveness: the sender's periodic proof of life to each
+    /// member of its leaf set.
     Heartbeat(NodeHandle),
-    /// Reply to a [`PastryMsg::Heartbeat`].
+    /// Proof of life on demand: the answer to a [`PastryMsg::Heartbeat`]
+    /// from a node the receiver does not heartbeat itself, and to a
+    /// [`PastryMsg::RelayPing`].
     HeartbeatAck(NodeHandle),
     /// Request for the receiver's leaf set (repair).
     LeafSetRequest(NodeHandle),
@@ -77,9 +80,10 @@ pub enum PastryMsg<M> {
         /// The suspected node to be pinged.
         subject: NodeHandle,
     },
-    /// The relayed ping of a [`PastryMsg::PingReq`]: the receiver (the
-    /// suspect) answers `origin` directly with a
-    /// [`PastryMsg::HeartbeatAck`], refuting the suspicion.
+    /// An ack demand, relayed for a [`PastryMsg::PingReq`] or sent by a
+    /// suspecting `origin` itself: the receiver (the suspect) answers
+    /// `origin` directly with a [`PastryMsg::HeartbeatAck`], refuting the
+    /// suspicion.
     RelayPing {
         /// The node that originated the suspicion.
         origin: NodeHandle,

@@ -1,14 +1,12 @@
 //! The Pastry node actor and the application upcall interface.
 
-use std::collections::HashMap;
-
-use vbundle_fdetect::{backoff_rounds, FailureDetection, FailureDetector, Verdict};
+use vbundle_fdetect::{backoff_rounds, PeerDetector, Verdict};
 use vbundle_obs::{Counter, FlightRecorder, Registry, Subsystem};
 use vbundle_sim::{Actor, ActorId, Context as SimContext, Message, SimDuration, SimTime};
 
 use crate::message::{PastryMsg, RouteEnvelope};
 use crate::state::{PastryState, RouteDecision};
-use crate::{Key, NodeHandle, PastryConfig};
+use crate::{Key, NodeHandle, NodeId, PastryConfig};
 
 /// Timer tags at or above this value are reserved for Pastry's own use;
 /// applications must schedule with smaller tags.
@@ -182,6 +180,63 @@ impl<'a, 'b, M: Message + Clone> AppCtx<'a, 'b, M> {
     }
 }
 
+/// The liveness record of one leaf-set member a node heartbeats. Its
+/// lifetime is the membership: opened by the first heartbeat round or
+/// proof of life that sees the member, dropped when the member leaves the
+/// set — evicted, displaced by a closer node, or wiped with the rest by a
+/// restart.
+#[derive(Debug, Clone)]
+pub struct LeafLink {
+    /// The member.
+    pub id: NodeId,
+    /// When the member last proved itself alive (its own heartbeat, or an
+    /// ack where it does not heartbeat us); fixed-interval mode expires on
+    /// it.
+    pub heard: SimTime,
+    /// Phi-accrual state of the link; `None` in fixed-interval mode.
+    pub detector: Option<PeerDetector>,
+}
+
+impl LeafLink {
+    /// Opens the record of leaf-set member `id`: its silence clock starts
+    /// now, and until real samples arrive the expected cadence is
+    /// `estimate` — one proof of life per round, an RTT after our own.
+    fn open(id: NodeId, config: &PastryConfig, estimate: SimDuration, now: SimTime) -> Self {
+        let phi = config.failure_detection.phi_config();
+        LeafLink {
+            id,
+            heard: now,
+            detector: phi.map(|phi| PeerDetector::new(phi, estimate, now)),
+        }
+    }
+
+    /// Records a proof of life and clears any suspicion.
+    fn stamp(&mut self, now: SimTime) {
+        self.heard = now;
+        if let Some(detector) = &mut self.detector {
+            detector.heartbeat(now);
+        }
+    }
+
+    /// Classifies the member at `now`. The two detection modes differ
+    /// here and nowhere else: phi-accrual suspects first and confirms
+    /// later, the legacy deadline declares a member dead outright after
+    /// `failure_multiplier` silent rounds.
+    fn verdict(&mut self, config: &PastryConfig, interval: SimDuration, now: SimTime) -> Verdict {
+        if let (Some(detector), Some(phi)) =
+            (&mut self.detector, config.failure_detection.phi_config())
+        {
+            return detector.evaluate(phi, now);
+        }
+        let deadline = interval * u64::from(config.failure_multiplier);
+        if now.saturating_since(self.heard) > deadline {
+            Verdict::Dead
+        } else {
+            Verdict::Alive
+        }
+    }
+}
+
 /// A Pastry overlay node hosting an application of type `A`.
 ///
 /// Implements [`Actor`] for the simulation engine; see
@@ -193,14 +248,12 @@ pub struct PastryNode<A: PastryApp> {
     config: PastryConfig,
     joined: bool,
     bootstrap: Option<ActorId>,
-    /// When each leaf peer last acked, for the legacy
-    /// [`FailureDetection::FixedInterval`] deadline — the only reader, so
-    /// it stays empty when a phi detector is installed.
-    last_ack: HashMap<u128, SimTime>,
-    /// Phi-accrual detector over leaf-set peers, keyed by node id. `None`
-    /// in [`FailureDetection::FixedInterval`] mode, where the legacy
-    /// `failure_multiplier × heartbeat` deadline over `last_ack` decides.
-    detector: Option<FailureDetector<u128>>,
+    /// One record per leaf-set member, in the order the last heartbeat
+    /// round met them. Always a subset of the leaf set (every change of
+    /// the set drops the records of those who left) and exactly the set
+    /// after a round: at most `2 × leaf_half` records, none at all with
+    /// heartbeats off.
+    links: Vec<LeafLink>,
     /// Peers evicted by this node's own failure detector (either mode).
     /// Bounced-send evictions are not counted: under a lossy or partitioned
     /// network every detector eviction is a false positive, which is what
@@ -223,15 +276,13 @@ impl<A: PastryApp> PastryNode<A> {
     /// "centralized certificate authority" mode, §II.B): the node is born
     /// joined.
     pub fn with_state(state: PastryState, app: A, config: PastryConfig) -> Self {
-        let detector = Self::make_detector(&config);
         PastryNode {
             state,
             app,
             config,
             joined: true,
             bootstrap: None,
-            last_ack: HashMap::new(),
-            detector,
+            links: Vec::new(),
             evictions: Counter::default(),
             flight: FlightRecorder::disabled(),
             departed: Vec::new(),
@@ -241,15 +292,13 @@ impl<A: PastryApp> PastryNode<A> {
     /// Creates a node with empty state that will join through `bootstrap`
     /// (a physically nearby, already-joined node) when started.
     pub fn joining(state: PastryState, bootstrap: ActorId, app: A, config: PastryConfig) -> Self {
-        let detector = Self::make_detector(&config);
         PastryNode {
             state,
             app,
             config,
             joined: false,
             bootstrap: Some(bootstrap),
-            last_ack: HashMap::new(),
-            detector,
+            links: Vec::new(),
             evictions: Counter::default(),
             flight: FlightRecorder::disabled(),
             departed: Vec::new(),
@@ -266,11 +315,10 @@ impl<A: PastryApp> PastryNode<A> {
         self.flight = flight.clone();
     }
 
-    fn make_detector(config: &PastryConfig) -> Option<FailureDetector<u128>> {
-        match &config.failure_detection {
-            FailureDetection::FixedInterval => None,
-            FailureDetection::PhiAccrual(phi) => Some(FailureDetector::new(phi.clone())),
-        }
+    /// The liveness records of the leaf-set members this node heartbeats
+    /// (empty with heartbeats off).
+    pub fn leaf_links(&self) -> &[LeafLink] {
+        &self.links
     }
 
     /// How many peers this node's failure detector has evicted so far.
@@ -437,7 +485,9 @@ impl<A: PastryApp> PastryNode<A> {
     /// node is trusted again.
     fn learn_firsthand(&mut self, h: NodeHandle) {
         self.departed.retain(|(d, ..)| d.id != h.id);
-        self.state.learn(h);
+        if self.state.learn(h) {
+            self.drop_left_links();
+        }
     }
 
     /// Learns `h` from another node's contact list. Secondhand mentions of
@@ -448,17 +498,47 @@ impl<A: PastryApp> PastryNode<A> {
         if self.departed.iter().any(|(d, ..)| d.id == h.id) {
             return;
         }
-        self.state.learn(h);
+        if self.state.learn(h) {
+            self.drop_left_links();
+        }
+    }
+
+    /// Drops the liveness records of nodes that are no longer leaf-set
+    /// members. Runs after every change of the routing state — rare, and
+    /// the only way a member leaves — so a record never outlives its
+    /// membership.
+    fn drop_left_links(&mut self) {
+        let leaf = self.state.leaf_set();
+        self.links.retain(|link| leaf.contains(link.id));
+    }
+
+    /// Takes a message `h` authored as `h`'s proof of life, if this node
+    /// heartbeats `h` — heartbeats are on and `h` is a leaf-set member —
+    /// and says whether it did. At most `2 × leaf_half` id compares find
+    /// the record; a member without one yet (learned since the last
+    /// round) gets it here, a non-member gets nothing.
+    fn proof_of_life(&mut self, ctx: &SimContext<'_, PastryMsg<A::Msg>>, h: NodeHandle) -> bool {
+        let Some(interval) = self.config.heartbeat else {
+            return false;
+        };
+        let now = ctx.now();
+        if let Some(link) = self.links.iter_mut().find(|link| link.id == h.id) {
+            link.stamp(now);
+        } else if self.state.leaf_set().contains(h.id) {
+            let estimate = interval + ctx.rtt_to(h.actor);
+            self.links
+                .push(LeafLink::open(h.id, &self.config, estimate, now));
+        } else {
+            return false;
+        }
+        true
     }
 
     fn fail_node(&mut self, ctx: &mut SimContext<'_, PastryMsg<A::Msg>>, failed: NodeHandle) {
         if !self.state.forget(failed.id) {
             return;
         }
-        self.last_ack.remove(&failed.id.as_u128());
-        if let Some(det) = self.detector.as_mut() {
-            det.forget(&failed.id.as_u128());
-        }
+        self.drop_left_links();
         // Remember the departed for a while: if it was only unreachable (a
         // partition, not a crash), resurrection probes from the maintenance
         // loop will re-merge the rings once the network heals. The first
@@ -522,70 +602,70 @@ impl<A: PastryApp> PastryNode<A> {
         ctx.schedule(interval, MAINTENANCE_TAG);
     }
 
+    /// One liveness round: a `Heartbeat` to every leaf-set member, which
+    /// is this node's proof of life there. Members and their records are
+    /// walked together — a record sits where the previous round met its
+    /// member, so in steady state the match is one compare and the round
+    /// allocates nothing.
     fn heartbeat_round(&mut self, ctx: &mut SimContext<'_, PastryMsg<A::Msg>>) {
         let Some(interval) = self.config.heartbeat else {
             return;
         };
         let now = ctx.now();
         let me = self.state.handle();
-        let members = self.state.leaf_set().members();
+        let leaf = self.state.leaf_set();
         let mut dead = Vec::new();
-        if let Some(detector) = self.detector.as_mut() {
-            // Phi-accrual mode: suspicion adapts to each peer's observed
-            // ack cadence; a suspect gets a SWIM-style indirect-probe round
-            // and a confirmation grace before eviction.
-            for member in &members {
-                let key = member.id.as_u128();
-                // Expected ack cadence: one ack per probe round, arriving
-                // an RTT after the probe.
-                detector.observe_with_estimate(key, now, interval + ctx.rtt_to(member.actor));
-                match detector.evaluate(key, now) {
-                    Verdict::Alive | Verdict::Suspect => {
-                        ctx.send(member.actor, PastryMsg::Heartbeat(me));
-                    }
-                    Verdict::NewlySuspect => {
-                        ctx.send(member.actor, PastryMsg::Heartbeat(me));
-                        // Ask the k leaf peers numerically closest to the
-                        // suspect to ping it on our behalf: their paths may
-                        // be up even if ours is lossy.
-                        let k = detector.config().indirect_probes;
-                        let mut relays: Vec<&NodeHandle> =
-                            members.iter().filter(|h| h.id != member.id).collect();
-                        relays.sort_by_key(|h| h.id.ring_distance(member.id));
-                        for relay in relays.into_iter().take(k) {
-                            ctx.send(
-                                relay.actor,
-                                PastryMsg::PingReq {
-                                    origin: me,
-                                    subject: *member,
-                                },
-                            );
-                        }
-                    }
-                    Verdict::Dead => dead.push(*member),
+        // `links[..met]` belong to the members met so far, in that order.
+        let mut met = 0;
+        for member in leaf.sides() {
+            let at = match self.links[met..].iter().position(|l| l.id == member.id) {
+                Some(ahead) => met + ahead,
+                // On both sides of a small ring: met already.
+                None if self.links[..met].iter().any(|l| l.id == member.id) => continue,
+                None => {
+                    let estimate = interval + ctx.rtt_to(member.actor);
+                    self.links
+                        .push(LeafLink::open(member.id, &self.config, estimate, now));
+                    self.links.len() - 1
                 }
+            };
+            self.links.swap(met, at);
+            let verdict = self.links[met].verdict(&self.config, interval, now);
+            met += 1;
+            if verdict == Verdict::Dead {
+                dead.push(member);
+                continue;
             }
-            // Stop tracking peers that left the leaf set without an
-            // explicit eviction (displaced by closer nodes). Every member
-            // is tracked by now, so equal counts mean equal sets.
-            if detector.tracked() != members.len() {
-                let mut ids: Vec<u128> = members.iter().map(|h| h.id.as_u128()).collect();
-                ids.sort_unstable();
-                detector.retain(|key| ids.binary_search(key).is_ok());
+            ctx.send(member.actor, PastryMsg::Heartbeat(me));
+            if verdict == Verdict::Alive {
+                continue;
             }
-        } else {
-            // Legacy fixed-interval mode: a peer silent for
-            // `failure_multiplier` rounds is declared dead outright.
-            let deadline = interval * self.config.failure_multiplier as u64;
-            for member in &members {
-                let seen = *self.last_ack.entry(member.id.as_u128()).or_insert(now);
-                if now.saturating_since(seen) > deadline {
-                    dead.push(*member);
-                } else {
-                    ctx.send(member.actor, PastryMsg::Heartbeat(me));
+            // Suspicion goes round-trip: a member whose own heartbeats do
+            // not reach us (its round moved, it dropped us, the link is
+            // lossy) is asked for an ack outright, every round until it
+            // refutes or the confirmation grace runs out.
+            ctx.send(member.actor, PastryMsg::RelayPing { origin: me });
+            if let (Verdict::NewlySuspect, Some(phi)) =
+                (verdict, self.config.failure_detection.phi_config())
+            {
+                // And, SWIM-style, through the k leaf peers numerically
+                // closest to the suspect: their paths may be up even if
+                // ours is not.
+                let mut relays = leaf.members();
+                relays.retain(|h| h.id != member.id);
+                relays.sort_by_key(|h| h.id.ring_distance(member.id));
+                for relay in relays.into_iter().take(phi.indirect_probes) {
+                    ctx.send(
+                        relay.actor,
+                        PastryMsg::PingReq {
+                            origin: me,
+                            subject: member,
+                        },
+                    );
                 }
             }
         }
+        debug_assert_eq!(met, self.links.len(), "a record outlived its membership");
         for d in dead {
             self.evictions.inc();
             self.flight.event_with(
@@ -633,12 +713,10 @@ impl<A: PastryApp> Actor<PastryMsg<A::Msg>> for PastryNode<A> {
         if let Some(interval) = self.config.maintenance {
             ctx.schedule(interval, MAINTENANCE_TAG);
         }
-        // Acks recorded before the outage would read as ancient on the next
-        // heartbeat round and trigger false failure verdicts; start fresh.
-        self.last_ack.clear();
-        if let Some(det) = self.detector.as_mut() {
-            det.clear();
-        }
+        // Proofs of life recorded before the outage would read as ancient
+        // on the next heartbeat round and trigger false failure verdicts;
+        // start fresh.
+        self.links.clear();
         // Peers that declared us dead evicted us from their state; announce
         // ourselves so they re-learn us, and pull fresh leaf sets from the
         // extremes to pick up any membership change we slept through.
@@ -696,18 +774,21 @@ impl<A: PastryApp> Actor<PastryMsg<A::Msg>> for PastryNode<A> {
                 self.learn_firsthand(h);
             }
             PastryMsg::Heartbeat(h) => {
+                // Leaf sets are symmetric, so a member we heartbeat
+                // ourselves hears from us this round anyway and its
+                // heartbeat is all the proof of life we need from it. Only
+                // where the link is one-sided — a ring edge under churn, a
+                // member we displaced, heartbeats off here — would `h`
+                // hear nothing else from us: there we ack.
                 self.learn_firsthand(h);
-                let me = self.state.handle();
-                ctx.send(h.actor, PastryMsg::HeartbeatAck(me));
+                if !self.proof_of_life(ctx, h) {
+                    let me = self.state.handle();
+                    ctx.send(h.actor, PastryMsg::HeartbeatAck(me));
+                }
             }
             PastryMsg::HeartbeatAck(h) => {
                 self.departed.retain(|(d, ..)| d.id != h.id);
-                match self.detector.as_mut() {
-                    Some(det) => det.heartbeat(h.id.as_u128(), ctx.now()),
-                    None => {
-                        self.last_ack.insert(h.id.as_u128(), ctx.now());
-                    }
-                }
+                self.proof_of_life(ctx, h);
             }
             PastryMsg::LeafSetRequest(h) => {
                 self.learn_firsthand(h);

@@ -444,9 +444,8 @@ pub struct PastryState {
     /// direct-mapped by actor index. `learn` is a pure function of the
     /// three structures and the handle, so until one of them changes —
     /// which wipes the memo — offering the same handle again is a no-op,
-    /// and the steady-state ring neighbours (one heartbeat and one ack
-    /// each, every round) cost one compare per message instead of three
-    /// scans. Senders out of the leaf set's reach are rejected without a
+    /// and the steady-state ring neighbours (one heartbeat each, every
+    /// round) cost one compare per message instead of three scans. Senders out of the leaf set's reach are rejected without a
     /// scan anyway and are not admitted, so a tree hub's many children
     /// cannot evict its ring neighbours. A vacant slot holds the local
     /// handle, for which `learn` is a no-op by definition.

@@ -193,5 +193,9 @@ fn all_subsystems_compose_to_the_pinned_outcome() {
     );
 }
 
-/// Captured at the parent of the controller split (commit 2aec2c0).
-const PINNED: u64 = 190_833_941_401_599_415;
+/// Captured at the parent of the controller split (commit 2aec2c0) as
+/// 190_833_941_401_599_415; re-pinned once, at PR 19, which removed the
+/// leaf-set heartbeat acks: of the outcome's 89 lines only the last
+/// differs, `events 455715` → `events 261032` (EXPERIMENTS.md "Leaf-set
+/// liveness diet").
+const PINNED: u64 = 17_308_792_559_038_248_496;
