@@ -1,6 +1,7 @@
 //! Performance micro-benchmarks of the hot paths: shaper allocation,
-//! offline placement throughput, overlay construction, the anycast pick,
-//! the leaf-set heartbeat round and the engine's event-queue discipline
+//! offline placement throughput, overlay construction, the anycast pick
+//! and a whole anycast walk that cannot succeed, the leaf-set heartbeat
+//! round and the engine's event-queue discipline
 //! (binary heap vs calendar queue). These guard the harness's ability to
 //! run the paper's 3000-server scenarios quickly.
 //!
@@ -17,9 +18,9 @@ use vbundle_core::{
     shaper, ClusterModel, CustomerId, PlacementPolicy, ResourceSpec, ResourceVector, VmId, VmRecord,
 };
 use vbundle_dcn::{Bandwidth, Topology};
-use vbundle_pastry::{overlay, Id, IdAssignment, PastryConfig, Site};
-use vbundle_scribe::Children;
-use vbundle_sim::{ActorId, CalendarQueue, SimDuration, SimTime};
+use vbundle_pastry::{overlay, Id, IdAssignment, PastryConfig, PastryMsg, PastryNode, Site};
+use vbundle_scribe::{group_id, Children, CollectClient, Scribe, ScribeMsg, TestPayload};
+use vbundle_sim::{ActorId, CalendarQueue, ConstantLatency, Engine, SimDuration, SimTime};
 
 fn bench_shaper(c: &mut Criterion) {
     let mut group = c.benchmark_group("perf/shaper_allocate");
@@ -99,8 +100,9 @@ fn bench_overlay_build(c: &mut Criterion) {
 }
 
 /// One anycast step at a node with `width` children (every server of a
-/// 4-pod topology with racks of 16), a third of them already visited:
-/// the pick for one origin per rack.
+/// 4-pod topology with racks of 16), a third of them already visited and
+/// every link's summary read by the default admit rule: the pick for one
+/// origin per rack.
 fn bench_anycast_step(c: &mut Criterion) {
     let mut group = c.benchmark_group("perf/anycast_step");
     for &width in &[64u32, 4096] {
@@ -113,7 +115,8 @@ fn bench_anycast_step(c: &mut Criterion) {
         let parent = Id::from_name("Less-Loaded");
         let mut children = Children::default();
         for &h in &handles {
-            children.graft(h, Site::of(&topo, h.actor), parent, SimTime::ZERO, None);
+            let site = Site::of(&topo, h.actor);
+            children.graft(h, site, parent, SimTime::ZERO, None, Some(1));
         }
         let visited: Vec<ActorId> = handles.iter().step_by(3).map(|h| h.actor).collect();
         let origins: Vec<_> = handles.iter().step_by(16).copied().collect();
@@ -124,10 +127,67 @@ fn bench_anycast_step(c: &mut Criterion) {
                 origins
                     .iter()
                     .filter_map(|&o| {
-                        children.nearest_unvisited(o, Site::of(&topo, o.actor), &visited)
+                        let site = Site::of(&topo, o.actor);
+                        children.nearest_unvisited(o, site, &visited, |s| s != Some(0))
                     })
                     .map(|(distance, _)| u64::from(distance))
                     .sum::<u64>()
+            });
+        });
+    }
+    group.finish();
+}
+
+/// A whole anycast walk through a group of `width` members of which none
+/// accepts, all of them saying so in their summaries: issued at one member
+/// per rack, run until the origin has its failure notice.
+fn bench_anycast_dry_walk(c: &mut Criterion) {
+    let mut group = c.benchmark_group("perf/anycast_dry_walk");
+    group.sample_size(10);
+    for &width in &[64u32, 4096] {
+        let topo = Topology::builder()
+            .pods(4)
+            .racks_per_pod(width / 64)
+            .servers_per_rack(16)
+            .build();
+        let (mut net, handles) = overlay::launch(
+            &Arc::new(topo),
+            IdAssignment::TopologyAware,
+            PastryConfig::default(),
+            5,
+            Box::new(ConstantLatency(SimDuration::from_micros(100))),
+            |_, _| {
+                Scribe::new(CollectClient {
+                    summary: Some(0),
+                    ..CollectClient::default()
+                })
+            },
+        );
+        let spot = group_id("Spot-0");
+        type Net = Engine<PastryMsg<ScribeMsg<TestPayload>>, PastryNode<Scribe<CollectClient>>>;
+        let call = |net: &mut Net, at: ActorId, anycast: bool| {
+            net.call(at, |node, ctx| {
+                node.app_call(ctx, |scribe, actx| {
+                    scribe.client_call(actx, |_, sctx| match anycast {
+                        true => sctx.anycast(spot, TestPayload(1)),
+                        false => sctx.join(spot),
+                    });
+                });
+            });
+        };
+        for h in &handles {
+            call(&mut net, h.actor, false);
+        }
+        net.run_to_quiescence();
+        let origins: Vec<ActorId> = handles.iter().step_by(16).map(|h| h.actor).collect();
+        group.throughput(Throughput::Elements(origins.len() as u64));
+        group.bench_function(width.to_string(), |b| {
+            b.iter(|| {
+                for &origin in &origins {
+                    call(&mut net, origin, true);
+                }
+                net.run_to_quiescence();
+                net.events_processed()
             });
         });
     }
@@ -288,6 +348,6 @@ criterion_group!(
     name = perf;
     config = Criterion::default();
     targets = bench_shaper, bench_placement, bench_overlay_build, bench_anycast_step,
-        bench_heartbeat_round, bench_queue_discipline
+        bench_anycast_dry_walk, bench_heartbeat_round, bench_queue_discipline
 );
 criterion_main!(perf);

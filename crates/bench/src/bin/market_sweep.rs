@@ -5,7 +5,7 @@
 //! off) against the **priced spot market** across a price-elasticity
 //! axis (the buyer's `max_price` ceiling).
 //!
-//! Three contracts are asserted in-process at every cell:
+//! Four contracts are asserted in-process at every cell:
 //!
 //! 1. where intra-bundle trading leaves demand on the table and the
 //!    price ceiling clears the ask, cross-tenant trading **strictly**
@@ -14,7 +14,11 @@
 //!    — rejected quotes leave satisfied demand byte-equal to intra-only;
 //! 3. the double-entry billing books reconcile (every spend paired),
 //!    per-tenant isolation caps hold, and entitlement stays conserved —
-//!    re-checked through a lender crash in a dedicated chaos cell.
+//!    re-checked through a lender crash in a dedicated chaos cell;
+//! 4. a borrow request costs a bounded number of anycast steps, granted
+//!    or not: with nothing left to lend the trees' subtree summaries say
+//!    so, and the walk gives up where it stands instead of asking every
+//!    member (`STEPS_PER_ASK_CEILING`).
 //!
 //! Results go to `results/market_sweep.csv` and `BENCH_market.json`.
 //!
@@ -44,6 +48,11 @@ use vbundle_sim::{ActorId, SimDuration, SimTime};
 
 const SEED: u64 = 20120618; // ICDCS'12
 const HORIZON: u64 = 180;
+/// Most anycast steps a borrow request may cost on average over a cell.
+/// The trade trees here are at most two levels deep, so a walk that finds
+/// a lender or learns from the summaries that there is none takes one to
+/// three steps; one that asks all four members of a tree takes eight.
+const STEPS_PER_ASK_CEILING: f64 = 3.0;
 
 /// One measured cell of the sweep.
 struct Cell {
@@ -51,6 +60,8 @@ struct Cell {
     demand: f64,
     satisfied: f64,
     priced_leases: usize,
+    /// Anycast steps per borrow request, intra-bundle and spot together.
+    steps_per_ask: f64,
     spot_trades: u64,
     rejected_price: u64,
     spend: f64,
@@ -137,8 +148,10 @@ fn measure(cluster: &Cluster, hot_demand: f64) -> Cell {
     let mut priced: BTreeSet<u64> = BTreeSet::new();
     let mut spot_trades = 0;
     let mut rejected_price = 0;
+    let mut asks = 0;
     for i in 0..cluster.num_servers() {
         let ctrl = cluster.controller(i);
+        asks += ctrl.trade_book().stats.requests_sent.get() + ctrl.market_stats.spot_asks.get();
         spot_trades += ctrl.market_stats.spot_trades.get();
         rejected_price += ctrl.market_stats.spot_rejected_price.get();
         priced.extend(
@@ -150,7 +163,12 @@ fn measure(cluster: &Cluster, hot_demand: f64) -> Cell {
     }
     let rec = reconcile((0..cluster.num_servers()).map(|i| cluster.controller(i).billing()));
     assert!(rec.balanced(), "{:#?}", rec.violations);
+    let steps = cluster
+        .engine
+        .metrics()
+        .counter_value("scribe/anycast_steps");
     Cell {
+        steps_per_ask: steps.unwrap_or(0) as f64 / asks.max(1) as f64,
         hot_demand,
         demand: totals.demand.as_mbps(),
         satisfied: totals.satisfied.as_mbps(),
@@ -167,7 +185,14 @@ fn run_cell(hot_demand: f64, market: Option<SpotMarketConfig>) -> Cell {
     let mut cluster = build(hot_demand, market);
     cluster.run_until(SimTime::from_secs(HORIZON));
     assert_conserved(&cluster, "sweep cell");
-    measure(&cluster, hot_demand)
+    let cell = measure(&cluster, hot_demand);
+    assert!(
+        cell.steps_per_ask <= STEPS_PER_ASK_CEILING,
+        "hot {hot_demand}: {:.2} anycast steps per borrow request — walks are knocking on doors \
+         the subtree summaries should have closed",
+        cell.steps_per_ask
+    );
+    cell
 }
 
 /// The chaos cell: trade at full skew, crash a seller server mid-lease,
@@ -237,14 +262,15 @@ fn main() {
 
     println!("# Spot market: intra-bundle trading vs priced cross-tenant market");
     println!(
-        "\n{:>10} {:>10} {:>12} {:>16} {:>16} {:>8} {:>11}",
+        "\n{:>10} {:>10} {:>12} {:>16} {:>16} {:>8} {:>11} {:>10}",
         "hot Mbps",
         "max price",
         "demand",
         "satisfied(intra)",
         "satisfied(spot)",
         "trades",
-        "gain Mbps"
+        "gain Mbps",
+        "steps/ask"
     );
     let mut rows = Vec::new();
     let mut json_cells = Vec::new();
@@ -288,17 +314,18 @@ fn main() {
                 assert!(spot.spend == 0.0, "rejected quotes were billed");
             }
             println!(
-                "{:>10} {:>10} {:>12.1} {:>16.1} {:>16.1} {:>8} {:>11.1}",
+                "{:>10} {:>10} {:>12.1} {:>16.1} {:>16.1} {:>8} {:>11.1} {:>10.2}",
                 hot_demand,
                 max_price,
                 intra.demand,
                 intra.satisfied,
                 spot.satisfied,
                 spot.spot_trades,
-                gain
+                gain,
+                spot.steps_per_ask
             );
             rows.push(format!(
-                "{hot_demand},{max_price},{:.3},{:.3},{:.3},{},{},{},{:.3},{:.3},{:.3}",
+                "{hot_demand},{max_price},{:.3},{:.3},{:.3},{},{},{},{:.3},{:.3},{:.3},{:.3}",
                 intra.demand,
                 intra.satisfied,
                 spot.satisfied,
@@ -307,7 +334,8 @@ fn main() {
                 spot.rejected_price,
                 spot.spend,
                 spot.revenue,
-                spot.fees
+                spot.fees,
+                spot.steps_per_ask
             ));
             json_cells.push((hot_demand, max_price, intra.satisfied, spot, gain));
         }
@@ -315,7 +343,7 @@ fn main() {
     write_csv(
         "market_sweep.csv",
         "hot_demand_mbps,max_price,total_demand_mbps,satisfied_intra_mbps,satisfied_spot_mbps,\
-         priced_leases,spot_trades,rejected_price,spend,revenue,fees",
+         priced_leases,spot_trades,rejected_price,spend,revenue,fees,anycast_steps_per_ask",
         &rows,
     );
 

@@ -256,13 +256,20 @@ fn duplicate_and_corrupt_reach_through_the_boxes() {
     // injector draws once per send from one seeded stream, so with a
     // quarter fewer sends every later message meets a different draw: the
     // storm duplicates and corrupts other messages than before, an equally
-    // valid trajectory of the same plan, and the counts below are its.
+    // valid trajectory of the same plan (`duplicated: 75785, corrupted:
+    // 398`, `events 329680 msgs 248413 bytes 40335584 migrations 13 leases
+    // 15`). Re-pinned once more at PR 24, pruned anycast: the cluster is one
+    // tenant whose starved VMs mostly ask in vain, every duplicate of an
+    // anycast step walks on by itself, and a walk that the subtree
+    // summaries stop after a few steps instead of thirty-odd has far fewer
+    // steps to duplicate — a quarter of the events, a fourteenth of the
+    // bytes, the same fifteen leases.
     let head: Vec<&str> = a.lines().take(2).collect();
     assert_eq!(
         head,
         [
-            "FaultStats { dropped: 0, delayed: 0, duplicated: 75785, corrupted: 398 }",
-            "events 329680 msgs 248413 bytes 40335584 migrations 13 leases 15",
+            "FaultStats { dropped: 0, delayed: 0, duplicated: 12807, corrupted: 391 }",
+            "events 74674 msgs 56396 bytes 2810317 migrations 9 leases 15",
         ],
         "{a}"
     );

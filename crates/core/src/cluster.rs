@@ -443,16 +443,24 @@ impl Cluster {
     }
 
     /// Updates a VM's demand in place. Returns `false` if the VM is not
-    /// where the index says (call [`Cluster::reindex`] first).
+    /// where the index says (call [`Cluster::reindex`] first). A live
+    /// trading server gets to tell its trade trees at once that it may
+    /// have more to lend now.
     pub fn set_vm_demand(&mut self, vm: VmId, demand: ResourceVector) -> bool {
         let Some(&server) = self.vm_index.get(&vm.0) else {
             return false;
         };
-        self.engine
-            .actor_mut(ActorId::new(server as u32))
-            .app_mut()
-            .client_mut()
-            .set_vm_demand(vm, demand)
+        let actor = ActorId::new(server as u32);
+        let controller = self.engine.actor_mut(actor).app_mut().client_mut();
+        let found = controller.set_vm_demand(vm, demand);
+        if controller.has_lending_news() && self.engine.is_alive(actor) {
+            self.engine.call(actor, |node, ctx| {
+                node.app_call(ctx, |scribe, actx| {
+                    scribe.client_call(actx, |c, sctx| c.announce(sctx));
+                });
+            });
+        }
+        found
     }
 
     /// Per-server bandwidth utilization snapshot.

@@ -73,7 +73,7 @@ pub(super) fn handle(
         None => true,
     };
     if spread_ok && adm.host.admits(adm.held, q.vm.spec.reservation) {
-        adm.host.vms.push(q.vm);
+        adm.host.install(q.vm);
         answer(ctx, &q, Some(me));
         if let Some(surv) = adm.surv {
             surv.after_admit(adm.stats, ctx, q.vm, root, q.failover, adm.protect);

@@ -7,10 +7,11 @@
 use rand::Rng;
 use vbundle_aggregation::{AggMsg, Robustness, AGG_TICK_TAG};
 use vbundle_pastry::NodeHandle;
-use vbundle_scribe::{GroupId, ScribeClient};
-use vbundle_sim::{ActorId, SimDuration};
+use vbundle_scribe::{GroupId, ScribeClient, Summary};
+use vbundle_sim::{ActorId, SimDuration, SimTime};
 
 use super::boot::{self, Admission};
+use super::trade;
 use super::{
     capacity_topic, demand_topic, less_loaded_group, Controller, Ctx, FAILOVER_BOOT_BASE,
     FAILOVER_TAG, MIGRATE_RETRY_TAG_BASE, REBALANCE_TAG, TRADE_RETRY_TAG_BASE, UPDATE_TAG,
@@ -60,6 +61,16 @@ impl Controller {
             trade.tick(host, ctx);
         }
         ctx.schedule(host.config.update_interval, UPDATE_TAG);
+    }
+
+    /// Has Scribe re-read the trade trees' anycast summaries if what this
+    /// server could lend has moved since they were last computed, so that
+    /// a parent that believes too little hears now, not with the next
+    /// probe. Every upcall that can move it ends here.
+    pub fn announce(&self, ctx: &mut Ctx<'_, '_, '_, '_>) {
+        if let Some(trade) = self.trade.as_ref().filter(|_| self.host.lendable_moved) {
+            trade.announce(ctx);
+        }
     }
 
     /// A fence arrived from a backup site: this server's copies of
@@ -150,6 +161,7 @@ impl ScribeClient for Controller {
             }
             _ => {}
         }
+        self.announce(ctx);
     }
 
     /// The poison screen: when the aggregator runs defensively, inbound
@@ -255,6 +267,7 @@ impl ScribeClient for Controller {
                 }
             }
         }
+        self.announce(ctx);
     }
 
     fn deliver_routed(
@@ -266,6 +279,7 @@ impl ScribeClient for Controller {
     ) {
         if let CtrlMsg::Boot(q) = msg {
             self.boot(ctx, q);
+            self.announce(ctx);
         }
     }
 
@@ -277,6 +291,8 @@ impl ScribeClient for Controller {
         _origin: NodeHandle,
     ) -> bool {
         self.host.clock = ctx.now();
+        // Neither answer lets this server lend more: a grant debits it, a
+        // hold does not touch the ledger. Nothing to announce.
         match msg {
             CtrlMsg::Borrow(q) => match &mut self.trade {
                 Some(trade) => {
@@ -292,10 +308,32 @@ impl ScribeClient for Controller {
         }
     }
 
+    /// The two trade trees summarize what `Trade::lend` would
+    /// accept; the Less-Loaded and aggregation trees make no claim.
+    fn anycast_summary(&mut self, group: GroupId, now: SimTime, until: SimTime) -> Option<Summary> {
+        let shuffle = &self.shuffle;
+        let mid_shed = |vm| shuffle.offered(vm);
+        self.trade
+            .as_mut()?
+            .summary(&mut self.host, group, now, until, mid_shed)
+    }
+
+    fn summary_join(a: Summary, b: Summary) -> Summary {
+        trade::summary_join(a, b)
+    }
+
+    fn summary_admits(summary: Summary, msg: &CtrlMsg) -> bool {
+        match msg {
+            CtrlMsg::Borrow(q) => trade::summary_admits(summary, q),
+            _ => true,
+        }
+    }
+
     fn anycast_failed(&mut self, ctx: &mut Ctx<'_, '_, '_, '_>, _group: GroupId, msg: CtrlMsg) {
         if let CtrlMsg::Load(q) = msg {
             self.shuffle
                 .on_no_receiver(&mut self.host, &mut self.stats, ctx.now(), &q);
+            self.announce(ctx);
         }
     }
 
@@ -334,15 +372,17 @@ impl ScribeClient for Controller {
             CtrlMsg::FoBackupReserve { .. } => self.stats.backups_unplaced += 1,
             _ => {}
         }
+        self.announce(ctx);
     }
 
-    fn on_node_failed(&mut self, _ctx: &mut Ctx<'_, '_, '_, '_>, failed: NodeHandle) {
+    fn on_node_failed(&mut self, ctx: &mut Ctx<'_, '_, '_, '_>, failed: NodeHandle) {
         if let Some(trade) = &mut self.trade {
             trade.on_peer_failed(&mut self.host, failed);
         }
         if let Some(fo) = &mut self.failover {
             fo.mark_dead(failed.actor);
         }
+        self.announce(ctx);
     }
 }
 

@@ -42,6 +42,12 @@ pub(super) struct Host {
     pub flight: FlightRecorder,
     /// This server's actor index, for tagging flight events.
     pub node: u32,
+    /// Set by whatever changes what this server's VMs could lend — a
+    /// lease half recorded, reverted or expired, a VM installed, removed
+    /// or given a new demand, a shed offered or settled — and cleared when
+    /// trading recomputes its anycast summaries from scratch. Never read
+    /// with trading off.
+    pub lendable_moved: bool,
 }
 
 impl Host {
@@ -56,7 +62,20 @@ impl Host {
             clock: SimTime::ZERO,
             flight: FlightRecorder::disabled(),
             node: 0,
+            lendable_moved: true,
         }
+    }
+
+    /// Starts hosting `vm`. Admission is the caller's business.
+    pub fn install(&mut self, vm: VmRecord) {
+        self.vms.push(vm);
+        self.lendable_moved = true;
+    }
+
+    /// Stops hosting the VM at index `pos` of `vms`.
+    pub fn evict(&mut self, pos: usize) -> VmRecord {
+        self.lendable_moved = true;
+        self.vms.remove(pos)
     }
 
     /// `vm`'s effective rate/ceil contract right now: the static spec

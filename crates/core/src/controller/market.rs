@@ -6,6 +6,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use vbundle_market::{BillingBook, BillingEntry, EntrySide, PriceIndex};
+use vbundle_scribe::GroupId;
 use vbundle_sim::SimTime;
 use vbundle_trade::{Lease, LeaseRole};
 
@@ -24,15 +25,15 @@ pub(super) struct SpotMarket {
     /// This server's half of the double-entry money ledger.
     pub billing: BillingBook,
     /// Whether this server is currently in its pod's spot group.
-    in_group: bool,
+    pub in_group: bool,
     /// VMs whose last spot request went unanswered (or is outstanding).
     cooldown: Cooldown,
     /// Priced leases already re-quoted near expiry: old id → replacement
     /// id, so one lease is never replaced twice.
     pub requoted: BTreeMap<u64, u64>,
-    /// The pod this server sits in (set by the cluster builder; spot
-    /// matching is pod-scoped).
-    pub pod: u32,
+    /// The spot group of the pod this server sits in (set by the cluster
+    /// builder; spot matching is pod-scoped).
+    pub group: GroupId,
     /// The same counter shards as `Controller::market_stats`.
     pub stats: MarketStats,
 }
@@ -46,7 +47,7 @@ impl SpotMarket {
             in_group: false,
             cooldown: Cooldown::default(),
             requoted: BTreeMap::new(),
-            pod: 0,
+            group: spot_group(0),
             stats,
         }
     }
@@ -96,16 +97,16 @@ impl SpotMarket {
             .iter()
             .any(|&c| self.cap_room_mbps(host, c, now) >= MIN_LEASE_MBPS);
         if sellable && !self.in_group {
-            ctx.join(spot_group(self.pod));
+            ctx.join(self.group);
         } else if !sellable && self.in_group {
-            ctx.leave(spot_group(self.pod));
+            ctx.leave(self.group);
         }
         self.in_group = sellable;
         // Buy side: a VM still short although it already asked its own
         // bundle shops the pod's spot market, budget and price policy
         // enforced at grant time.
         self.cooldown.sweep(now);
-        let group = spot_group(self.pod);
+        let group = self.group;
         let asked = borrow_scan(
             host,
             ctx,

@@ -239,7 +239,7 @@ impl Controller {
     /// `Spot-<pod>` group.
     pub fn set_pod(&mut self, pod: u32) {
         if let Some(m) = self.market_mut() {
-            m.pod = pod;
+            m.group = spot_group(pod);
         }
     }
 
@@ -467,7 +467,7 @@ impl Controller {
         if let Some(trade) = &mut self.trade {
             trade.forget_vm(&mut self.host, vm);
         }
-        Some(self.host.vms.remove(pos))
+        Some(self.host.evict(pos))
     }
 
     /// Unwinds every lease a hosted VM is party to, notifying each peer
@@ -478,6 +478,14 @@ impl Controller {
         if let Some(trade) = &mut self.trade {
             trade.release_vm(&mut self.host, Some(ctx), vm);
         }
+        self.announce(ctx);
+    }
+
+    /// Whether what this server could lend has moved since its trade trees
+    /// last heard — which [`Controller::announce`], given a context,
+    /// takes care of. Always `false` with trading off.
+    pub fn has_lending_news(&self) -> bool {
+        self.trade.is_some() && self.host.lendable_moved
     }
 
     /// Updates a hosted VM's demand. Returns `true` if the VM lives here.
@@ -485,6 +493,7 @@ impl Controller {
         match self.host.vms.iter_mut().find(|v| v.id == vm) {
             Some(v) => {
                 v.demand = demand;
+                self.host.lendable_moved = true;
                 true
             }
             None => false,
@@ -503,7 +512,7 @@ impl Controller {
             self.host.admits(self.shuffle.held(), vm.spec.reservation),
             "install_vm violates admission control"
         );
-        self.host.vms.push(vm);
+        self.host.install(vm);
     }
 
     /// Initiates the boot protocol for `vm`: the query is routed to the

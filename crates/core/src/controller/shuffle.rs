@@ -255,7 +255,7 @@ impl Shuffle {
     /// dimension (the bottleneck).
     pub fn rebalance(
         &mut self,
-        host: &Host,
+        host: &mut Host,
         stats: &mut ControllerStats,
         ctx: &mut Ctx<'_, '_, '_, '_>,
     ) {
@@ -281,7 +281,7 @@ impl Shuffle {
     /// the mean and bounded per round.
     fn plan_sheds(
         &mut self,
-        host: &Host,
+        host: &mut Host,
         stats: &mut ControllerStats,
         ctx: &mut Ctx<'_, '_, '_, '_>,
         kind: ResourceKind,
@@ -333,6 +333,7 @@ impl Shuffle {
             let query = self.next_query;
             self.next_query += 1;
             self.sheds.insert(query, Shed::Offered(vm.id));
+            host.lendable_moved = true;
             stats.queries_sent += 1;
             ctx.anycast(
                 less_loaded_group(),
@@ -445,6 +446,7 @@ impl Shuffle {
             Some(next) => self.sheds.insert(query, next),
             None => self.sheds.remove(&query),
         };
+        host.lendable_moved = true;
         Some(from)
     }
 
@@ -484,7 +486,7 @@ impl Shuffle {
             CtrlMsg::Migrate { query, vm, from } => {
                 self.holds.retain(|h| h.query != query);
                 if !host.hosts(vm.id) {
-                    host.vms.push(*vm);
+                    host.install(*vm);
                     stats.migrations_in += 1;
                 }
                 ctx.send_client(from, CtrlMsg::MigrateAck { query });
@@ -564,7 +566,7 @@ impl Shuffle {
         if let Some(Shed::Sent { vm, .. }) = self.step(host, stats, query, ShedEvent::RollBack) {
             stats.migrations_failed += 1;
             if !host.hosts(vm.id) {
-                host.vms.push(vm);
+                host.install(vm);
                 stats.migrations_out = stats.migrations_out.saturating_sub(1);
             }
         }
@@ -618,7 +620,7 @@ fn take_for_migration(host: &mut Host, stats: &mut ControllerStats, vm: VmId) ->
         stats.migrations_gated += 1;
         return None;
     }
-    Some(host.vms.remove(pos))
+    Some(host.evict(pos))
 }
 
 /// The predictive cost-benefit module (§VII future work): compares the

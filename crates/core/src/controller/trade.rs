@@ -9,18 +9,19 @@
 //! retransmission, trade-tree membership, cooldowns, id minting — is here.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::mem;
 
 use vbundle_dcn::Bandwidth;
 use vbundle_fdetect::{Courier, CourierConfig, RetryDecision};
 use vbundle_market::EntrySide;
 use vbundle_pastry::NodeHandle;
-use vbundle_scribe::GroupId;
+use vbundle_scribe::{GroupId, Summary};
 use vbundle_sim::SimTime;
 use vbundle_trade::{HalfLease, Lease, LeaseId, LeaseRole};
 
 use super::host::{Cooldown, Host};
 use super::market::SpotMarket;
-use super::{spot_group, trade_group, Ctx, TRADE_RETRY_TAG_BASE};
+use super::{trade_group, Ctx, TRADE_RETRY_TAG_BASE};
 use crate::message::{BorrowRequest, CtrlMsg};
 use crate::{CustomerId, ResourceVector, VBundleConfig, VmId, VmRecord};
 
@@ -41,7 +42,9 @@ pub(super) struct Trade {
     /// Retransmission state for unacked lease grants, keyed by lease id.
     courier: Courier,
     /// Trade trees this server currently belongs to.
-    groups: BTreeSet<CustomerId>,
+    groups: BTreeMap<CustomerId, GroupId>,
+    /// What those trees and the spot group are told this server can lend.
+    offers: Offers,
     /// VMs whose last borrow request went unanswered.
     cooldown: Cooldown,
     /// Local counter minting unique lease ids.
@@ -65,7 +68,8 @@ impl Trade {
         Trade {
             peers: BTreeMap::new(),
             courier,
-            groups: BTreeSet::new(),
+            groups: BTreeMap::new(),
+            offers: Offers::default(),
             cooldown: Cooldown::default(),
             next_lease: 0,
             market,
@@ -80,7 +84,9 @@ impl Trade {
         let now = ctx.now();
         // 1. Expiry is the partition-safe backstop: both halves carry the
         // same expiry, so the sweep needs no coordination.
-        for half in host.book.expire(now) {
+        let expired = host.book.expire(now);
+        host.lendable_moved |= !expired.is_empty();
+        for half in expired {
             self.forget_lease(half.lease.id);
             if let Some(m) = &mut self.market {
                 m.requoted.remove(&half.lease.id.0);
@@ -88,13 +94,20 @@ impl Trade {
         }
         // 2. Membership: one trade tree per hosted customer.
         let desired: BTreeSet<CustomerId> = host.vms.iter().map(|vm| vm.customer).collect();
-        for &c in desired.difference(&self.groups) {
-            ctx.join(trade_group(c));
+        for &c in &desired {
+            self.groups.entry(c).or_insert_with(|| {
+                let group = trade_group(c);
+                ctx.join(group);
+                group
+            });
         }
-        for &c in self.groups.difference(&desired) {
-            ctx.leave(trade_group(c));
-        }
-        self.groups = desired;
+        self.groups.retain(|c, &mut group| {
+            let stay = desired.contains(c);
+            if !stay {
+                ctx.leave(group);
+            }
+            stay
+        });
         // 3. Renew each borrowing: the probe's delivery failure is the
         // borrower's early signal that the lender's host is gone.
         for h in host.book.halves().filter(|h| h.role == LeaseRole::Borrower) {
@@ -132,8 +145,8 @@ impl Trade {
     ) -> bool {
         let market = self.market.as_ref().filter(|_| q.spot);
         let right_tree = match market {
-            Some(m) => group == spot_group(m.pod),
-            None => !q.spot && group == trade_group(q.customer),
+            Some(m) => group == m.group,
+            None => !q.spot && self.groups.get(&q.customer) == Some(&group),
         };
         let me = ctx.self_handle();
         // Intra-server imbalance is the shaper's job, and a server never
@@ -153,7 +166,7 @@ impl Trade {
             })
             .filter(|vm| !mid_shed(vm.id))
             .map(|vm| {
-                let mut room = lendable_mbps(host, vm, now, margin);
+                let mut room = lendable_mbps(vm, host.book.delta(vm.id, now), margin);
                 if let Some(m) = market {
                     let cap_room = m.cap_room_mbps(host, vm.customer, now);
                     capped |= room >= MIN_LEASE_MBPS && cap_room < MIN_LEASE_MBPS;
@@ -206,6 +219,7 @@ impl Trade {
             lease.price = m.index.quote(m.cfg.ask_markup);
         }
         host.book.record(lease, LeaseRole::Lender, to.actor);
+        host.lendable_moved = true;
         self.peers.insert(raw, to);
         host.book.stats.grants_sent.inc();
         if let (true, Some(m)) = (lease.is_priced(), &mut self.market) {
@@ -262,6 +276,7 @@ impl Trade {
                     .is_some_and(|m| m.buyer_accepts(host, &lease)));
         if accepted {
             host.book.record(lease, LeaseRole::Borrower, from.actor);
+            host.lendable_moved = true;
             self.peers.insert(id.0, from);
             host.book.stats.leases_borrowed.inc();
             let mut kind = "lease-borrowed";
@@ -435,6 +450,7 @@ impl Trade {
     /// Drops a lease half and all bookkeeping attached to it.
     fn drop_half(&mut self, host: &mut Host, id: LeaseId) -> Option<HalfLease> {
         self.forget_lease(id);
+        host.lendable_moved = true;
         host.book.revert(id)
     }
 
@@ -466,6 +482,7 @@ impl Trade {
     ) {
         for id in host.book.ids_involving(vm) {
             host.book.revert(id);
+            host.lendable_moved = true;
             self.courier.forget(id.0);
             if let (Some(peer), Some(ctx)) = (self.peers.remove(&id.0), ctx.as_deref_mut()) {
                 ctx.send_client(peer, CtrlMsg::LeaseRelease { id });
@@ -489,22 +506,145 @@ impl Trade {
     }
 }
 
-/// What `vm` could lend right now, bounded by two different ceilings:
+/// What `vm` could lend given its lease `(inflow, outflow)` — right now
+/// with the book's `delta` at this instant, at any instant of a span with
+/// its `delta_over` the span — bounded by two different ceilings:
 ///  - `spare`: live entitlement it is not using (minus the self-insurance
 ///    margin), so lending never starves the lender;
 ///  - `lendable`: base reservation minus what it already lent out.
 ///    Borrowed entitlement is deliberately NOT re-lendable — re-lending
 ///    would let a released upstream lease drive the middle row negative
 ///    and mint phantom credit.
-fn lendable_mbps(host: &Host, vm: &VmRecord, now: SimTime, margin: f64) -> f64 {
-    let spec = host.entitled_spec(vm);
+///
+/// Both grow with the VM's net inflow, so the book's bound on that over
+/// a span bounds them.
+fn lendable_mbps(
+    vm: &VmRecord,
+    (inflow, outflow): (ResourceVector, ResourceVector),
+    margin: f64,
+) -> f64 {
+    let spec = vm.spec.shifted(inflow, outflow);
     let used = vm.demand.bandwidth.min(spec.limit.bandwidth).as_mbps();
     let spare = (spec.reservation.bandwidth.as_mbps() - used).max(0.0) * margin;
-    let (_, outflow) = host.book.delta(vm.id, now);
     let lendable = (vm.spec.reservation.bandwidth - outflow.bandwidth)
         .as_mbps()
         .max(0.0);
     spare.min(lendable)
+}
+
+/// Anycast summary of a trade tree's subtree: nobody below lends.
+const NOBODY: Summary = 0;
+/// Somebody below lends to whoever asks.
+const ANYBODY: Summary = Summary::MAX;
+
+/// Only VMs of `customer` lend below — of no use to a spot ask from that
+/// customer, who buys across tenants only. (The two customer ids this
+/// cannot tell from [`ANYBODY`] read as that, which is the safe side.)
+fn only(customer: CustomerId) -> Summary {
+    customer.0.checked_add(1).unwrap_or(ANYBODY)
+}
+
+/// `Controller`'s `ScribeClient::summary_join`: `Trade-<c>` subtrees say
+/// [`NOBODY`] or [`ANYBODY`]; `Spot-<pod>` subtrees add [`only`], and two
+/// different lending customers make anybody.
+pub(super) fn summary_join(a: Summary, b: Summary) -> Summary {
+    match (a, b) {
+        (NOBODY, s) | (s, NOBODY) => s,
+        (a, b) if a == b => a,
+        _ => ANYBODY,
+    }
+}
+
+/// `Controller`'s `ScribeClient::summary_admits` for a borrow request —
+/// the filter [`Trade::lend`] applies to the lending VM's customer.
+pub(super) fn summary_admits(summary: Summary, q: &BorrowRequest) -> bool {
+    match summary {
+        NOBODY => false,
+        ANYBODY => true,
+        one => one != only(q.customer),
+    }
+}
+
+/// This server's own anycast summaries, kept until something moves.
+#[derive(Debug, Default)]
+struct Offers {
+    /// Customers with a hosted VM that can lend within its bundle: their
+    /// `Trade-<c>` summary is [`ANYBODY`], any other [`NOBODY`].
+    intra: Vec<CustomerId>,
+    /// The `Spot-<pod>` summary: the customers with a VM that can lend
+    /// across tenants, isolation cap included.
+    spot: Summary,
+    /// No promise reaching this instant or beyond can be read off the
+    /// cache: a lease half starts or expires here, which may let a VM
+    /// lend more. Zero until first computed.
+    good_before: SimTime,
+}
+
+impl Trade {
+    /// What an anycast into `group` could get from this server at any
+    /// instant from `now` to `until`; `None` if `group` is not one of the
+    /// trade trees it is in. `mid_shed` as for [`Trade::lend`], whose
+    /// acceptance test this summarizes.
+    pub fn summary(
+        &mut self,
+        host: &mut Host,
+        group: GroupId,
+        now: SimTime,
+        until: SimTime,
+        mid_shed: impl Fn(VmId) -> bool,
+    ) -> Option<Summary> {
+        let spot = self.market.as_ref().is_some_and(|m| m.group == group);
+        let mut trees = self.groups.iter();
+        let customer = trees.find_map(|(&c, &g)| (g == group).then_some(c));
+        if !spot && customer.is_none() {
+            return None;
+        }
+        if mem::take(&mut host.lendable_moved) || until >= self.offers.good_before {
+            let margin = (1.0 - host.config.trade_margin).max(0.0);
+            self.offers = Offers {
+                intra: Vec::new(),
+                spot: NOBODY,
+                good_before: host.book.next_boundary(until),
+            };
+            let ids: Vec<VmId> = host.vms.iter().map(|vm| vm.id).collect();
+            let flows = host.book.deltas_over(&ids, now, until);
+            for (vm, &flow) in host.vms.iter().zip(&flows) {
+                if mid_shed(vm.id) || lendable_mbps(vm, flow, margin) < MIN_LEASE_MBPS {
+                    continue;
+                }
+                if !self.offers.intra.contains(&vm.customer) {
+                    self.offers.intra.push(vm.customer);
+                }
+                if let Some(m) = &self.market {
+                    if m.cap_room_mbps(host, vm.customer, until) >= MIN_LEASE_MBPS {
+                        self.offers.spot = summary_join(self.offers.spot, only(vm.customer));
+                    }
+                }
+            }
+        }
+        Some(match customer {
+            Some(c) if self.offers.intra.contains(&c) => ANYBODY,
+            Some(_) => NOBODY,
+            None => self.offers.spot,
+        })
+    }
+
+    /// Has Scribe re-read this server's summary of every trade tree in
+    /// which it could have risen, so that a rise reaches the parent now.
+    /// Where the last one computed is [`ANYBODY`] already there is nothing
+    /// to gain: whatever Scribe last told the parent covers it.
+    pub fn announce(&self, ctx: &mut Ctx<'_, '_, '_, '_>) {
+        for (c, &group) in &self.groups {
+            if !self.offers.intra.contains(c) {
+                ctx.summary_changed(group);
+            }
+        }
+        if let Some(m) = self.market.as_ref().filter(|m| m.in_group) {
+            if self.offers.spot != ANYBODY {
+                ctx.summary_changed(m.group);
+            }
+        }
+    }
 }
 
 /// The starved-VM scan behind both borrow paths: a VM is starved when its

@@ -69,7 +69,7 @@ pub use cluster::{Cluster, ClusterBuilder, VbEngine};
 pub use config::{FailoverConfig, SpotMarketConfig, SurvivabilityConfig, VBundleConfig};
 pub use controller::{
     bw_capacity_topic, bw_demand_topic, capacity_topic, demand_topic, less_loaded_group,
-    spot_group, Controller, ControllerStats, MarketStats, ServerStatus, FAILOVER_TAG,
+    spot_group, trade_group, Controller, ControllerStats, MarketStats, ServerStatus, FAILOVER_TAG,
     REBALANCE_TAG, UPDATE_TAG,
 };
 pub use message::{BootQuery, BorrowRequest, CtrlMsg, LoadQuery, SurvCaps};

@@ -157,6 +157,7 @@ fn scribe_variant(m: &Scribe) -> usize {
         ScribeMsg::ParentProbe { .. } => 8,
         ScribeMsg::ProbeNack { .. } => 9,
         ScribeMsg::ChildProbe { .. } => 10,
+        ScribeMsg::Summary { .. } => 11,
     }
 }
 
@@ -334,9 +335,22 @@ fn ctrl_wire_sizes_are_pinned() {
 #[test]
 fn scribe_wire_sizes_are_pinned() {
     let group = Id::from_u128(2);
+    let child = h(1);
+    let join = |summary| ScribeMsg::Join {
+        group,
+        child,
+        summary,
+    };
+    let probe = |summary| ScribeMsg::ParentProbe { group, summary };
+    let summary = |summary| ScribeMsg::Summary { group, summary };
     let rows: Vec<(Scribe, usize, MsgCategory)> = vec![
-        (ScribeMsg::Join { group, child: h(1) }, 40, Maintenance),
-        (ScribeMsg::Leave { group, child: h(1) }, 40, Maintenance),
+        // Re-pinned at PR 24: Join carries the joiner's subtree summary (a
+        // presence byte, then the 4-byte word); Leave and ParentProbe no
+        // longer name their sender, whom the Direct envelope names already
+        // (40 → 20 and 40 → 21), and the probe carries the summary instead.
+        (join(None), 41, Maintenance),
+        (join(Some(7)), 45, Maintenance),
+        (ScribeMsg::Leave { group }, 20, Maintenance),
         (
             ScribeMsg::Publish {
                 group,
@@ -392,15 +406,14 @@ fn scribe_wire_sizes_are_pinned() {
             Payload,
         ),
         (ScribeMsg::Client(boot(3, None, false)), 156, Payload),
-        (
-            ScribeMsg::ParentProbe { group, child: h(1) },
-            40,
-            Maintenance,
-        ),
+        (probe(None), 21, Maintenance),
+        (probe(Some(7)), 25, Maintenance),
         (ScribeMsg::ProbeNack { group }, 20, Maintenance),
         (ScribeMsg::ChildProbe { group }, 20, Maintenance),
+        (summary(None), 21, Maintenance),
+        (summary(Some(0)), 25, Maintenance),
     ];
-    check("ScribeMsg", 11, scribe_variant, rows);
+    check("ScribeMsg", 12, scribe_variant, rows);
 }
 
 #[test]
@@ -418,10 +431,11 @@ fn pastry_wire_sizes_are_pinned() {
     let join = || ScribeMsg::Join {
         group: Id::from_u128(2),
         child: h(1),
+        summary: None,
     };
     let rows: Vec<(Wire, usize, MsgCategory)> = vec![
         (route(client()), 56, Payload),
-        (route(join()), 84, Maintenance),
+        (route(join()), 85, Maintenance),
         (
             route(ScribeMsg::Anycast(anycast(2, 1, load()).into())),
             212,
@@ -440,7 +454,7 @@ fn pastry_wire_sizes_are_pinned() {
                 from: h(1),
                 msg: join().into(),
             },
-            64,
+            65,
             Maintenance,
         ),
         (

@@ -28,6 +28,14 @@ pub fn group_id_with_creator(name: &str, creator: &str) -> GroupId {
     Id::from_name(&format!("{name}\u{1f}{creator}"))
 }
 
+/// What a subtree of a group tree could still accept from an anycast: one
+/// word whose meaning belongs to the [`ScribeClient`](crate::ScribeClient)
+/// (it joins two with `summary_join` and tests one against a request with
+/// `summary_admits`). `0` is the join's identity — nothing below here
+/// accepts anything. Where a summary is optional, `None` is the lattice's
+/// top: no claim, so never a reason to skip the subtree.
+pub type Summary = u32;
+
 /// One grafted child: the tree link with the parent-side liveness state
 /// that decides when it is dropped. Held in the link record, that state
 /// cannot outlive the graft or be missing for one — nothing sweeps it.
@@ -43,6 +51,10 @@ pub struct ChildLink {
     pub heard: SimTime,
     /// Phi-accrual state of the link; `None` in fixed-interval mode.
     pub detector: Option<PeerDetector>,
+    /// The subtree summary last heard from the child (in its Join, a
+    /// ParentProbe or a Summary). Anycast skips the subtree when the
+    /// client says this does not admit the request.
+    pub summary: Option<Summary>,
 }
 
 /// The anycast order of a node's children: per proximity class — rack,
@@ -65,6 +77,14 @@ fn domain(class: usize, site: Site) -> u32 {
         1 => site.pod,
         _ => u32::from(site == Site::OFF),
     }
+}
+
+/// Whether the walk has entered `actor`. Out of line on purpose: inlined
+/// into the pick's closure next to the admit test, the scan loses its
+/// vectorized form (`perf/anycast_step/4096` 196 → 248 µs).
+#[inline(never)]
+fn seen(visited: &[ActorId], actor: ActorId) -> bool {
+    visited.contains(&actor)
 }
 
 fn link(slots: &[Option<ChildLink>], slot: u32) -> &ChildLink {
@@ -132,8 +152,10 @@ impl Children {
     /// Grafts `child`, a node at `site`, below `parent` if it is not a
     /// child yet and records proof of life for the link at `now`. `phi`
     /// selects the link's liveness state: a phi-accrual window under
-    /// `Some`, the bare `heard` stamp otherwise. Returns `true` if the
-    /// child was newly added.
+    /// `Some`, the bare `heard` stamp otherwise. The link's stored summary
+    /// becomes `summary`, what the child said with this proof of life.
+    /// Returns whether the child was newly added, and whether the stored
+    /// summary changed (a new link starts out unknown).
     pub fn graft(
         &mut self,
         child: NodeHandle,
@@ -141,7 +163,8 @@ impl Children {
         parent: Id,
         now: SimTime,
         phi: Option<&PhiConfig>,
-    ) -> bool {
+        summary: Option<Summary>,
+    ) -> (bool, bool) {
         let (slot, added) = match self.index.entry(child.id.as_u128()) {
             Entry::Occupied(e) => (*e.get(), false),
             Entry::Vacant(e) => {
@@ -152,6 +175,7 @@ impl Children {
                     site,
                     heard: now,
                     detector: phi.map(|cfg| PeerDetector::new(cfg, cfg.first_interval, now)),
+                    summary: None,
                 }));
                 let order = self.order.get_or_insert_with(|| {
                     Box::new(AnycastOrder {
@@ -175,7 +199,19 @@ impl Children {
         if let Some(det) = link.detector.as_mut() {
             det.heartbeat(now);
         }
-        added
+        let changed = link.summary != summary;
+        link.summary = summary;
+        (added, changed)
+    }
+
+    /// Stores `summary` on the link to the child with this id. Returns
+    /// `true` if there is such a child and its stored summary changed.
+    pub(crate) fn set_summary(&mut self, id: Id, summary: Option<Summary>) -> bool {
+        let link = self
+            .index
+            .get(&id.as_u128())
+            .and_then(|&slot| self.slots[slot as usize].as_mut());
+        link.is_some_and(|link| std::mem::replace(&mut link.summary, summary) != summary)
     }
 
     /// Removes the child with this id, dropping the link's liveness state
@@ -211,28 +247,34 @@ impl Children {
 
     /// The child subtree an anycast issued by `origin`, a node at `site`,
     /// descends into from here, with its physical distance to the origin:
-    /// among the children whose actor is not in `visited`, the first in
-    /// graft order with the smallest `(distance, ring distance to the
-    /// parent)`.
+    /// among the open children — those whose stored summary `admits` the
+    /// request and whose actor is not in `visited` — the first in graft
+    /// order with the smallest `(distance, ring distance to the parent)`.
+    /// A child that is not admitted is passed over like a visited one, but
+    /// `visited` is the caller's and does not learn of it.
     ///
     /// The classes are tried nearest first — the origin itself, its rack's
     /// run, its pod's, all servers, actors off the topology. A run also
     /// holds the children of every nearer class, but a farther run is only
-    /// looked at once the nearer ones hold nothing unvisited, so all of
-    /// those are in `visited` and skipping visited entries skips exactly
-    /// them: the first entry left is the best of its class, and the walk
-    /// is bounded by `visited.len()`, not by the number of children. (A
-    /// node has one id: the child with the origin's actor is looked up
-    /// under the origin's id.)
+    /// looked at once the nearer ones hold nothing open, so none of those
+    /// is open and skipping closed entries skips exactly them: the first
+    /// entry left is the best of its class, and the walk is bounded by the
+    /// number of closed children, not by the number of children. (A node
+    /// has one id: the child with the origin's actor is looked up under
+    /// the origin's id.)
     pub fn nearest_unvisited(
         &self,
         origin: NodeHandle,
         site: Site,
         visited: &[ActorId],
+        admits: impl Fn(Option<Summary>) -> bool,
     ) -> Option<(u32, NodeHandle)> {
         let order = self.order.as_deref()?;
         let handle = |slot: u32| link(&self.slots, slot).handle;
-        let open = |&slot: &u32| !visited.contains(&handle(slot).actor);
+        let open = |&slot: &u32| {
+            let link = link(&self.slots, slot);
+            admits(link.summary) && !seen(visited, link.handle.actor)
+        };
         // The best unvisited child of one domain's run.
         let first = |class: usize, run: u32| {
             let list = &order.lists[class];
@@ -283,13 +325,80 @@ pub struct GroupState {
     /// Member-only: `(root id, seq)` of the last multicast delivered —
     /// duplicates (e.g. after transient double-grafting during repair)
     /// are suppressed; the window resets when the rendezvous root moves.
-    pub last_delivered: Option<(u128, u64)>,
+    /// (The root as an [`Id`], which is 8-aligned where a `u128` would pad
+    /// the whole record out by the word `reported` takes.)
+    pub last_delivered: Option<(Id, u64)>,
+    /// The subtree summary — the local member's joined with every child
+    /// link's — this node last sent toward its parent, in a Join, a
+    /// ParentProbe or a Summary. A summary the parent's copy does not
+    /// cover is sent at once; a lower one waits for the next probe.
+    pub reported: Option<Summary>,
 }
 
 impl GroupState {
     /// True if the node participates in the tree at all.
     pub fn in_tree(&self) -> bool {
         self.member || self.root || self.parent.is_some() || !self.children.is_empty()
+    }
+}
+
+/// A node's per-group tree states, sorted by group key. A node is in a
+/// handful of trees, so a scanned vector allocates for exactly those where
+/// a B-tree map pays a whole 11-slot leaf per node; iteration is in key
+/// order either way.
+#[derive(Debug, Default)]
+pub(crate) struct Groups(Vec<(u128, GroupState)>);
+
+impl Groups {
+    pub fn get(&self, group: GroupId) -> Option<&GroupState> {
+        let key = group.as_u128();
+        self.0.iter().find(|&&(k, _)| k == key).map(|(_, st)| st)
+    }
+
+    pub fn get_mut(&mut self, group: GroupId) -> Option<&mut GroupState> {
+        let key = group.as_u128();
+        self.0
+            .iter_mut()
+            .find(|&&mut (k, _)| k == key)
+            .map(|(_, st)| st)
+    }
+
+    /// The state for `group`, created empty if the node had none.
+    pub fn entry(&mut self, group: GroupId) -> &mut GroupState {
+        let key = group.as_u128();
+        let at = match self.0.binary_search_by_key(&key, |&(k, _)| k) {
+            Ok(at) => at,
+            Err(at) => {
+                self.0.reserve_exact(1);
+                self.0.insert(at, (key, GroupState::default()));
+                at
+            }
+        };
+        &mut self.0[at].1
+    }
+
+    pub fn remove(&mut self, group: GroupId) {
+        let key = group.as_u128();
+        self.0.retain(|&(k, _)| k != key);
+    }
+
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// The groups held, in key order.
+    pub fn keys(&self) -> impl Iterator<Item = GroupId> + '_ {
+        self.0.iter().map(|&(k, _)| GroupId::from_u128(k))
+    }
+
+    pub fn iter(&self) -> impl Iterator<Item = (GroupId, &GroupState)> {
+        self.0.iter().map(|(k, st)| (GroupId::from_u128(*k), st))
+    }
+
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = (GroupId, &mut GroupState)> {
+        self.0
+            .iter_mut()
+            .map(|(k, st)| (GroupId::from_u128(*k), st))
     }
 }
 
@@ -354,12 +463,14 @@ mod tests {
     fn children_are_a_set() {
         let mut st = GroupState::default();
         assert!(!st.in_tree());
-        assert!(st
-            .children
-            .graft(h(1), site(1), PARENT, SimTime::ZERO, None));
-        assert!(!st
-            .children
-            .graft(h(1), site(1), PARENT, SimTime::ZERO, None));
+        let mut graft = |summary| {
+            st.children
+                .graft(h(1), site(1), PARENT, SimTime::ZERO, None, summary)
+        };
+        assert_eq!(graft(None), (true, false));
+        assert_eq!(graft(None), (false, false));
+        assert_eq!(graft(Some(0)), (false, true));
+        assert_eq!(graft(Some(0)), (false, false));
         assert!(st.in_tree());
         assert!(st.children.remove(Id::from_u128(1)));
         assert!(!st.children.remove(Id::from_u128(1)));
@@ -368,30 +479,33 @@ mod tests {
 
     proptest! {
         /// The indexed sequence behaves like a plain `Vec` of
-        /// `(handle, heard)` under any mix of grafts, removals and bulk
-        /// takes: same order, same membership answers, same stamps, and
-        /// `in_tree` agrees — across hole-leaving removals and the
-        /// compactions that squeeze the holes out, which renumber the
-        /// slots the anycast lists refer to.
+        /// `(handle, heard, summary)` under any mix of grafts, removals,
+        /// summary updates and bulk takes: same order, same membership
+        /// answers, same stamps and summaries, and `in_tree` agrees —
+        /// across hole-leaving removals and the compactions that squeeze
+        /// the holes out, which renumber the slots the anycast lists
+        /// refer to.
         #[test]
         fn children_match_vec_model(
-            ops in proptest::collection::vec((0u8..8, 1u128..24), 1..200),
+            ops in proptest::collection::vec((0u8..10, 1u128..24, 0u32..4), 1..200),
             phi in any::<bool>(),
         ) {
             let cfg = PhiConfig::default();
             let phi = phi.then_some(&cfg);
             let mut st = GroupState::default();
-            let mut model: Vec<(NodeHandle, SimTime)> = Vec::new();
-            for (step, &(kind, v)) in ops.iter().enumerate() {
+            let mut model: Vec<(NodeHandle, SimTime, Option<Summary>)> = Vec::new();
+            for (step, &(kind, v, summary)) in ops.iter().enumerate() {
                 let now = SimTime::from_secs(step as u64);
-                let pos = model.iter().position(|(c, _)| c.id == h(v).id);
+                let summary = summary.checked_sub(1);
+                let pos = model.iter().position(|(c, ..)| c.id == h(v).id);
+                let held = pos.and_then(|p| model[p].2);
                 match kind {
                     0..=3 => {
-                        let added = st.children.graft(h(v), site(v), PARENT, now, phi);
-                        prop_assert_eq!(added, pos.is_none());
+                        let grafted = st.children.graft(h(v), site(v), PARENT, now, phi, summary);
+                        prop_assert_eq!(grafted, (pos.is_none(), held != summary));
                         match pos {
-                            Some(p) => model[p].1 = now,
-                            None => model.push((h(v), now)),
+                            Some(p) => model[p] = (h(v), now, summary),
+                            None => model.push((h(v), now, summary)),
                         }
                     }
                     4..=6 => {
@@ -400,14 +514,21 @@ mod tests {
                             model.remove(p);
                         }
                     }
+                    7..=8 => {
+                        let changed = st.children.set_summary(h(v).id, summary);
+                        prop_assert_eq!(changed, pos.is_some() && held != summary);
+                        if let Some(p) = pos {
+                            model[p].2 = summary;
+                        }
+                    }
                     _ => {
                         let taken: Vec<NodeHandle> = std::mem::take(&mut st.children).iter().collect();
-                        let expect: Vec<NodeHandle> = model.drain(..).map(|(c, _)| c).collect();
+                        let expect: Vec<NodeHandle> = model.drain(..).map(|(c, ..)| c).collect();
                         prop_assert_eq!(taken, expect);
                     }
                 }
-                let got: Vec<(NodeHandle, SimTime)> =
-                    st.children.links().map(|l| (l.handle, l.heard)).collect();
+                let got: Vec<(NodeHandle, SimTime, Option<Summary>)> =
+                    st.children.links().map(|l| (l.handle, l.heard, l.summary)).collect();
                 prop_assert_eq!(&got, &model);
                 prop_assert_eq!(st.children.len(), model.len());
                 prop_assert_eq!(st.children.is_empty(), model.is_empty());
@@ -418,7 +539,7 @@ mod tests {
                     let id = Id::from_u128(id);
                     prop_assert_eq!(
                         st.children.contains(id),
-                        model.iter().any(|(c, _)| c.id == id)
+                        model.iter().any(|(c, ..)| c.id == id)
                     );
                 }
             }
@@ -443,19 +564,21 @@ mod tests {
     /// every child: whether the local member (eligible iff `local` carries
     /// its distance) is offered first, and the child subtree the search
     /// descends into otherwise or on decline. That child is, among those
-    /// not yet visited, the first in graft order with the smallest
-    /// `(distance, ring distance to me)` — what a stable sort of all
-    /// candidates would put first among children. Ring ties are at least
-    /// 1 and the local member's is 0, so it goes first at equal distance.
+    /// `admitted` and not yet visited, the first in graft order with the
+    /// smallest `(distance, ring distance to me)` — what a stable sort of
+    /// all candidates would put first among children. Ring ties are at
+    /// least 1 and the local member's is 0, so it goes first at equal
+    /// distance.
     fn anycast_choice(
         me: NodeHandle,
         local: Option<u32>,
         children: impl Iterator<Item = NodeHandle>,
         visited: &[ActorId],
+        admitted: impl Fn(ActorId) -> bool,
         dist: impl Fn(ActorId) -> u32,
     ) -> (bool, Option<NodeHandle>) {
         let best = children
-            .filter(|c| !visited.contains(&c.actor))
+            .filter(|c| admitted(c.actor) && !visited.contains(&c.actor))
             .map(|c| (dist(c.actor), c.id.ring_distance(me.id).max(1), c))
             .min_by_key(|&(d, tie, _)| (d, tie));
         let local_first = local.is_some_and(|l| best.is_none_or(|(d, _, _)| l <= d));
@@ -464,12 +587,14 @@ mod tests {
 
     /// The walk the scan stands for: collect every candidate, stable-sort
     /// by `(distance, tie)`, try them in order — a local member that
-    /// declines hands over to the next, the first child ends the step.
+    /// declines hands over to the next, the first child ends the step. A
+    /// child that is not admitted is no candidate.
     fn sorted_walk(
         me: NodeHandle,
         local: Option<u32>,
         children: &[NodeHandle],
         visited: &[ActorId],
+        admitted: impl Fn(ActorId) -> bool,
         dist: impl Fn(ActorId) -> u32,
     ) -> (bool, Option<NodeHandle>) {
         let mut candidates: Vec<(u32, u128, Option<NodeHandle>)> = Vec::new();
@@ -477,7 +602,7 @@ mod tests {
             candidates.push((d, 0, None));
         }
         for c in children {
-            if !visited.contains(&c.actor) {
+            if admitted(c.actor) && !visited.contains(&c.actor) {
                 candidates.push((dist(c.actor), c.id.ring_distance(me.id).max(1), Some(*c)));
             }
         }
@@ -513,6 +638,7 @@ mod tests {
             ids in proptest::collection::vec(90u128..111, 0..16),
             dists in proptest::collection::vec(0u32..4, 24),
             visited in proptest::collection::vec(0u32..24, 0..12),
+            pruned in any::<u32>(),
             local in (any::<bool>(), 0u32..4),
         ) {
             let me = NodeHandle::new(PARENT, ActorId::new(23));
@@ -525,10 +651,17 @@ mod tests {
             let visited: Vec<ActorId> = visited.into_iter().map(ActorId::new).collect();
             let local = local.0.then_some(local.1);
             let dist = |a: ActorId| dists[a.index()];
-            prop_assert_eq!(
-                anycast_choice(me, local, children.iter().copied(), &visited, dist),
-                sorted_walk(me, local, &children, &visited, dist)
-            );
+            let admitted = |a: ActorId| pruned >> a.index() & 1 == 0;
+            let choice = anycast_choice(me, local, children.iter().copied(), &visited, admitted, dist);
+            prop_assert_eq!(choice, sorted_walk(me, local, &children, &visited, admitted, dist));
+            // A pruned child counts like a visited one.
+            let closed: Vec<ActorId> = children
+                .iter()
+                .map(|c| c.actor)
+                .filter(|&a| !admitted(a) || visited.contains(&a))
+                .collect();
+            let all = |_| true;
+            prop_assert_eq!(choice, anycast_choice(me, local, children.iter().copied(), &closed, all, dist));
         }
 
         /// The indexed pick is the scan's pick, after every step of any
@@ -537,11 +670,15 @@ mod tests {
         /// plus four actors off the topology, any of them a child, the
         /// origin, or both; two more origins that are never children.
         /// Distances are the topology's own, so whole racks tie on
-        /// `(distance, tie)` and only graft order separates them.
+        /// `(distance, tie)` and only graft order separates them. Each
+        /// graft leaves the link a summary — unknown, or one of three
+        /// words of which the request (a new one every step) admits some:
+        /// a link that is not admitted is passed over exactly as if its
+        /// actor were in `visited`, and an unknown one never is.
         #[test]
         fn indexed_pick_matches_anycast_choice(
             ops in proptest::collection::vec(
-                (0u8..8, 0u32..16, 0u32..18, any::<u32>(), any::<bool>(), 0u32..5),
+                (0u8..8, 0u32..16, 0u32..18, any::<u32>(), (any::<bool>(), 0u32..5), (0u32..4, 0u32..8)),
                 1..150,
             ),
         ) {
@@ -549,12 +686,16 @@ mod tests {
             let me = NodeHandle::new(PARENT, ActorId::new(23));
             let mut children = Children::default();
             let mut model: Vec<NodeHandle> = Vec::new();
-            for (step, &(kind, a, origin, visited, local, local_distance)) in ops.iter().enumerate() {
+            let mut summaries = [None; 18];
+            for (step, &op) in ops.iter().enumerate() {
+                let (kind, a, origin, visited, (local, local_distance), (summary, wanted)) = op;
                 let child = node(a);
                 match kind {
                     0..=3 => {
                         let site = Site::of(&topo, child.actor);
-                        if children.graft(child, site, me.id, SimTime::ZERO, None) {
+                        let summary = summary.checked_sub(1);
+                        summaries[a as usize] = summary;
+                        if children.graft(child, site, me.id, SimTime::ZERO, None, summary).0 {
                             model.push(child);
                         }
                     }
@@ -572,14 +713,20 @@ mod tests {
                     (0..18).filter(|a| visited >> a & 1 == 1).map(ActorId::new).collect();
                 let local = local.then_some([0, 1, 2, 3, u32::MAX][local_distance as usize]);
                 let dist = |a| actor_distance(&topo, a, origin.actor);
-                let best = children.nearest_unvisited(origin, Site::of(&topo, origin.actor), &visited);
+                let admits = |summary: Option<Summary>| summary.is_none_or(|s| wanted >> s & 1 == 1);
+                let site = Site::of(&topo, origin.actor);
+                let best = children.nearest_unvisited(origin, site, &visited, admits);
                 prop_assert!(best.is_none_or(|(d, c)| d == dist(c.actor)), "{best:?} at op {step}");
                 let local_first = local.is_some_and(|l| best.is_none_or(|(d, _)| l <= d));
+                let admitted = |a: ActorId| admits(summaries[a.index()]);
                 prop_assert_eq!(
                     (local_first, best.map(|(_, c)| c)),
-                    anycast_choice(me, local, model.iter().copied(), &visited, dist),
+                    anycast_choice(me, local, model.iter().copied(), &visited, admitted, dist),
                     "op {} origin {} visited {:?} children {:?}", step, origin, visited, model
                 );
+                let closed: Vec<ActorId> =
+                    (0..18).map(ActorId::new).filter(|&a| !admitted(a) || visited.contains(&a)).collect();
+                prop_assert_eq!(best, children.nearest_unvisited(origin, site, &closed, |_| true));
             }
         }
     }

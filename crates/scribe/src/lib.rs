@@ -68,7 +68,9 @@ mod message;
 mod scribe;
 mod testutil;
 
-pub use group::{group_id, group_id_with_creator, ChildLink, Children, GroupId, GroupState};
+pub use group::{
+    group_id, group_id_with_creator, ChildLink, Children, GroupId, GroupState, Summary,
+};
 pub use message::{AnycastEnvelope, ScribeMsg};
 pub use scribe::{Scribe, ScribeClient, ScribeConfig, ScribeCtx, SCRIBE_TAG_BASE};
 pub use testutil::{CollectClient, TestPayload};

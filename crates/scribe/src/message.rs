@@ -3,7 +3,7 @@
 use vbundle_pastry::NodeHandle;
 use vbundle_sim::{ActorId, CorruptionMode, Message, MsgCategory};
 
-use crate::GroupId;
+use crate::{GroupId, Summary};
 
 /// State of one anycast traversal: a depth-first search of the group tree
 /// (§III.A of the v-Bundle paper).
@@ -41,14 +41,16 @@ pub enum ScribeMsg<M> {
         group: GroupId,
         /// The node to graft (rewritten hop by hop).
         child: NodeHandle,
+        /// `child`'s subtree summary, so that a fresh graft is not an
+        /// unknown in its ancestors' summaries.
+        summary: Option<Summary>,
     },
-    /// Sent directly to the parent when an empty, non-member forwarder
-    /// prunes itself.
+    /// Sent directly to the parent by a child that detaches: an empty,
+    /// non-member forwarder pruning itself, a restarted node giving up a
+    /// forwarder role, a node whose stale parent still probes it.
     Leave {
         /// The group being left.
         group: GroupId,
-        /// The departing child.
-        child: NodeHandle,
     },
     /// A multicast payload routed toward the group's root.
     Publish {
@@ -92,11 +94,23 @@ pub enum ScribeMsg<M> {
     Client(M),
     /// Child → parent liveness probe; a dead parent bounces it (triggering
     /// re-join), a parent that pruned its state answers [`ScribeMsg::ProbeNack`].
+    /// The sender is the child.
     ParentProbe {
         /// The group being probed.
         group: GroupId,
-        /// The probing child.
-        child: NodeHandle,
+        /// The child's subtree summary as of this probe — the periodic
+        /// refresh that also carries every fall.
+        summary: Option<Summary>,
+    },
+    /// Child → parent, between probes: the child's subtree summary rose
+    /// above what it last reported. (A fall waits for the next probe: a
+    /// parent that believes too much wastes a step, one that believes too
+    /// little refuses a request that would have fit.)
+    Summary {
+        /// The group.
+        group: GroupId,
+        /// The child's subtree summary now.
+        summary: Option<Summary>,
     },
     /// Parent's answer to a probe for a group it no longer has state for.
     ProbeNack {
@@ -117,10 +131,17 @@ pub enum ScribeMsg<M> {
 const GROUP_BYTES: usize = 16;
 const HANDLE_BYTES: usize = 20;
 
+/// A presence byte, then the word.
+fn summary_bytes(summary: &Option<Summary>) -> usize {
+    1 + summary.map_or(0, |_| 4)
+}
+
 impl<M: Message> Message for ScribeMsg<M> {
     fn wire_size(&self) -> usize {
         match self {
-            ScribeMsg::Join { .. } | ScribeMsg::Leave { .. } => GROUP_BYTES + HANDLE_BYTES + 4,
+            ScribeMsg::Join { summary, .. } => {
+                GROUP_BYTES + HANDLE_BYTES + 4 + summary_bytes(summary)
+            }
             ScribeMsg::Publish { payload, .. } => GROUP_BYTES + 28 + payload.wire_size(),
             ScribeMsg::Disseminate { payload, .. } => GROUP_BYTES + 32 + payload.wire_size(),
             ScribeMsg::Anycast(env) | ScribeMsg::AnycastStep(env) => {
@@ -132,8 +153,12 @@ impl<M: Message> Message for ScribeMsg<M> {
             }
             ScribeMsg::AnycastFail { payload, .. } => GROUP_BYTES + 4 + payload.wire_size(),
             ScribeMsg::Client(m) => 4 + m.wire_size(),
-            ScribeMsg::ParentProbe { .. } => GROUP_BYTES + HANDLE_BYTES + 4,
-            ScribeMsg::ProbeNack { .. } | ScribeMsg::ChildProbe { .. } => GROUP_BYTES + 4,
+            ScribeMsg::ParentProbe { summary, .. } | ScribeMsg::Summary { summary, .. } => {
+                GROUP_BYTES + 4 + summary_bytes(summary)
+            }
+            ScribeMsg::Leave { .. }
+            | ScribeMsg::ProbeNack { .. }
+            | ScribeMsg::ChildProbe { .. } => GROUP_BYTES + 4,
         }
     }
 
@@ -142,6 +167,7 @@ impl<M: Message> Message for ScribeMsg<M> {
             ScribeMsg::Join { .. }
             | ScribeMsg::Leave { .. }
             | ScribeMsg::ParentProbe { .. }
+            | ScribeMsg::Summary { .. }
             | ScribeMsg::ProbeNack { .. }
             | ScribeMsg::ChildProbe { .. } => MsgCategory::Maintenance,
             ScribeMsg::Publish { payload, .. }
@@ -165,6 +191,7 @@ impl<M: Message> Message for ScribeMsg<M> {
             ScribeMsg::Join { .. }
             | ScribeMsg::Leave { .. }
             | ScribeMsg::ParentProbe { .. }
+            | ScribeMsg::Summary { .. }
             | ScribeMsg::ProbeNack { .. }
             | ScribeMsg::ChildProbe { .. } => false,
         }
@@ -190,8 +217,9 @@ mod tests {
         let join: ScribeMsg<P> = ScribeMsg::Join {
             group: Id::from_u128(2),
             child: h,
+            summary: None,
         };
-        assert_eq!(join.wire_size(), 40);
+        assert_eq!(join.wire_size(), 41);
         assert_eq!(join.category(), MsgCategory::Maintenance);
 
         let pubm: ScribeMsg<P> = ScribeMsg::Publish {

@@ -9,15 +9,14 @@
 //! topologically close children — the property v-Bundle's Less-Loaded tree
 //! relies on to find *nearby* load receivers (§III.C).
 
-use std::collections::BTreeMap;
-
 use vbundle_fdetect::{DedupWindow, FailureDetection, Verdict};
 use vbundle_obs::{Counter, FlightRecorder, Registry, Subsystem};
 use vbundle_pastry::{actor_distance, AppCtx, Id, Key, NodeHandle, PastryApp, RouteDecision, Site};
 use vbundle_sim::{ActorId, Message, SimDuration, SimTime};
 
+use crate::group::Groups;
 use crate::message::{AnycastEnvelope, ScribeMsg};
-use crate::{GroupId, GroupState};
+use crate::{GroupId, GroupState, Summary};
 
 /// Timer tags at or above this value (and below the Pastry tag base) are
 /// reserved for Scribe; clients must schedule with smaller tags.
@@ -124,6 +123,39 @@ pub trait ScribeClient: Sized {
         false
     }
 
+    /// What this node itself could still accept from an anycast into
+    /// `group`, asked of members only. Scribe joins it with the summaries
+    /// heard from the node's children, passes the result up the tree with
+    /// every Join and ParentProbe, and lets an anycast skip a subtree
+    /// whose summary does not admit it. `None`, the default, makes no
+    /// claim: nothing below is computed or pruned on its account.
+    ///
+    /// The answer is a promise from `now` until `until`, when Scribe is
+    /// sure to have asked again: whatever the clock alone will do before
+    /// then that lets the node accept more counts as done. A change the
+    /// clock does not bring — one that may let the node accept more — is
+    /// announced with [`ScribeCtx::summary_changed`]. Erring high costs a
+    /// wasted step ([`ScribeClient::anycast_accept`] stays authoritative);
+    /// erring low turns away a request that would have fit.
+    fn anycast_summary(&mut self, group: GroupId, now: SimTime, until: SimTime) -> Option<Summary> {
+        let _ = (group, now, until);
+        None
+    }
+
+    /// The summary of two subtrees taken together: associative,
+    /// commutative and idempotent, with `0` as its identity.
+    fn summary_join(a: Summary, b: Summary) -> Summary {
+        a | b
+    }
+
+    /// Whether a subtree with this summary may hold a member accepting
+    /// `msg`. Must hold for every summary that covers an accepting
+    /// member's own.
+    fn summary_admits(summary: Summary, msg: &Self::Msg) -> bool {
+        let _ = msg;
+        summary != 0
+    }
+
     /// An anycast this node issued exhausted the tree without an acceptor.
     fn anycast_failed(
         &mut self,
@@ -206,6 +238,7 @@ enum Command<M> {
     Leave(GroupId),
     Multicast(GroupId, M),
     Anycast(GroupId, M),
+    SummaryChanged(GroupId),
 }
 
 /// Capabilities handed to [`ScribeClient`] upcalls.
@@ -214,7 +247,7 @@ enum Command<M> {
 /// after the upcall returns; reads reflect the state at upcall time.
 pub struct ScribeCtx<'a, 'b, 'c, 'd, M: Message + Clone> {
     pastry: &'a mut AppCtx<'b, 'c, ScribeMsg<M>>,
-    groups: &'a BTreeMap<u128, GroupState>,
+    groups: &'a Groups,
     commands: &'d mut Vec<Command<M>>,
 }
 
@@ -266,6 +299,14 @@ impl<'a, 'b, 'c, 'd, M: Message + Clone> ScribeCtx<'a, 'b, 'c, 'd, M> {
         self.commands.push(Command::Anycast(group, msg));
     }
 
+    /// Announces that the local [`ScribeClient::anycast_summary`] of
+    /// `group` may have risen: if the subtree summary now exceeds what the
+    /// parent was last told, the parent hears at once instead of with the
+    /// next probe.
+    pub fn summary_changed(&mut self, group: GroupId) {
+        self.commands.push(Command::SummaryChanged(group));
+    }
+
     /// Sends a direct client message to a known node.
     pub fn send_client(&mut self, to: NodeHandle, msg: M) {
         self.pastry.send_direct(to, ScribeMsg::Client(msg));
@@ -299,32 +340,30 @@ impl<'a, 'b, 'c, 'd, M: Message + Clone> ScribeCtx<'a, 'b, 'c, 'd, M> {
 
     /// Whether the local node subscribed to `group`.
     pub fn is_member(&self, group: GroupId) -> bool {
-        self.groups.get(&group.as_u128()).is_some_and(|g| g.member)
+        self.groups.get(group).is_some_and(|g| g.member)
     }
 
     /// Whether the local node is `group`'s rendezvous root.
     pub fn is_root(&self, group: GroupId) -> bool {
-        self.groups.get(&group.as_u128()).is_some_and(|g| g.root)
+        self.groups.get(group).is_some_and(|g| g.root)
     }
 
     /// The local node's parent in `group`'s tree, if any.
     pub fn parent(&self, group: GroupId) -> Option<NodeHandle> {
-        self.groups.get(&group.as_u128()).and_then(|g| g.parent)
+        self.groups.get(group).and_then(|g| g.parent)
     }
 
     /// Whether the node with this id is grafted below the local node in
     /// `group`'s tree.
     pub fn is_child(&self, group: GroupId, id: Id) -> bool {
         self.groups
-            .get(&group.as_u128())
+            .get(group)
             .is_some_and(|g| g.children.contains(id))
     }
 
     /// Whether the local node participates in `group`'s tree at all.
     pub fn in_tree(&self, group: GroupId) -> bool {
-        self.groups
-            .get(&group.as_u128())
-            .is_some_and(|g| g.in_tree())
+        self.groups.get(group).is_some_and(|g| g.in_tree())
     }
 }
 
@@ -335,7 +374,7 @@ pub struct Scribe<C: ScribeClient> {
     /// for too long are dropped on the probe tick, so a child that
     /// re-parented elsewhere (or died without a Leave) cannot stay grafted
     /// under a stale parent.
-    groups: BTreeMap<u128, GroupState>,
+    groups: Groups,
     /// `(origin, nonce)` pairs of Publishes already disseminated by this
     /// root: a Publish duplicated in flight must not fan out twice under
     /// two sequence numbers.
@@ -346,6 +385,9 @@ pub struct Scribe<C: ScribeClient> {
     /// default, summed across nodes under `scribe/children_expired` once
     /// [`Scribe::attach_obs`] is called.
     children_expired: Counter,
+    /// Anycast steps taken at this node, a shard of `scribe/anycast_steps`
+    /// in the same way: walks that knock on every door show up here.
+    anycast_steps: Counter,
     /// Flight-recorder handle for expiry events (disabled by default).
     flight: FlightRecorder,
     client: C,
@@ -364,10 +406,11 @@ impl<C: ScribeClient> Scribe<C> {
     /// Creates a Scribe layer with explicit tunables.
     pub fn with_config(client: C, config: ScribeConfig) -> Self {
         Scribe {
-            groups: BTreeMap::new(),
+            groups: Groups::default(),
             pub_seen: DedupWindow::new(PUB_DEDUP_WINDOW),
             next_pub_nonce: 0,
             children_expired: Counter::default(),
+            anycast_steps: Counter::default(),
             flight: FlightRecorder::disabled(),
             client,
             config,
@@ -375,11 +418,13 @@ impl<C: ScribeClient> Scribe<C> {
     }
 
     /// Attaches this layer to the shared observability planes: the expiry
-    /// tally becomes a shard of `scribe/children_expired` in `registry`
-    /// (summed across nodes on export) and expiry events are recorded on
-    /// `flight`.
+    /// and anycast-step tallies become shards of `scribe/children_expired`
+    /// and `scribe/anycast_steps` in `registry` (summed across nodes on
+    /// export) and expiry events are recorded on `flight`.
     pub fn attach_obs(&mut self, registry: &Registry, flight: &FlightRecorder) {
-        self.children_expired = registry.scope("scribe").counter("children_expired");
+        let scope = registry.scope("scribe");
+        self.children_expired = scope.counter("children_expired");
+        self.anycast_steps = scope.counter("anycast_steps");
         self.flight = flight.clone();
     }
 
@@ -390,21 +435,98 @@ impl<C: ScribeClient> Scribe<C> {
 
     /// Grafts `child` below this node in `group`'s tree — or, if it is
     /// grafted already, refreshes the link's proof of life (the stamp and
-    /// window that guard parent-side expiry).
+    /// window that guard parent-side expiry) — and notes the subtree
+    /// summary it came with.
     fn graft(
         &mut self,
         pastry: &mut AppCtx<'_, '_, ScribeMsg<C::Msg>>,
         group: GroupId,
         child: NodeHandle,
+        summary: Option<Summary>,
     ) {
         let now = pastry.now();
         let phi = self.config.child_detection.phi_config();
         let site = Site::of(pastry.state().topology(), child.actor);
         let me = pastry.self_handle().id;
-        let st = self.groups.entry(group.as_u128()).or_default();
-        if st.children.graft(child, site, me, now, phi) {
+        let st = self.groups.entry(group);
+        let (added, changed) = st.children.graft(child, site, me, now, phi, summary);
+        if added {
             self.with_client(pastry, |c, ctx| c.on_child_added(ctx, group, child));
         }
+        if added || changed {
+            self.report_rise(pastry, group);
+        }
+    }
+
+    /// How long a summary computed at `now` has to hold: one probe
+    /// interval until the next probe leaves, and as much again for it —
+    /// and the rises it sets off on the way up — to arrive.
+    fn promise_until(&self, now: SimTime) -> SimTime {
+        self.config
+            .probe_interval
+            .map_or(SimTime::MAX, |interval| now + interval * 2)
+    }
+
+    /// This node's subtree summary in `group`'s tree.
+    fn subtree_summary(
+        &mut self,
+        pastry: &AppCtx<'_, '_, ScribeMsg<C::Msg>>,
+        group: GroupId,
+    ) -> Option<Summary> {
+        let now = pastry.now();
+        let until = self.promise_until(now);
+        let st = self.groups.get(group)?;
+        subtree_summary(&mut self.client, group, st, now, until)
+    }
+
+    /// The same, noted as what the parent is being told: for the message
+    /// about to carry it there.
+    fn summary_to_report(
+        &mut self,
+        pastry: &AppCtx<'_, '_, ScribeMsg<C::Msg>>,
+        group: GroupId,
+    ) -> Option<Summary> {
+        let summary = self.subtree_summary(pastry, group);
+        if let Some(st) = self.groups.get_mut(group) {
+            st.reported = summary;
+        }
+        summary
+    }
+
+    /// Tells the parent at once if this node's subtree summary in `group`
+    /// is no longer covered by what the parent was last told. With
+    /// nothing told (`reported` unknown, as in every tree whose client
+    /// makes no claim) the parent assumes everything and there is nothing
+    /// to compute.
+    fn report_rise(&mut self, pastry: &mut AppCtx<'_, '_, ScribeMsg<C::Msg>>, group: GroupId) {
+        let Some((parent, reported)) = self
+            .groups
+            .get(group)
+            .and_then(|st| st.parent.zip(st.reported))
+        else {
+            return;
+        };
+        let summary = self.subtree_summary(pastry, group);
+        if summary.is_some_and(|s| C::summary_join(reported, s) == reported) {
+            return;
+        }
+        if let Some(st) = self.groups.get_mut(group) {
+            st.reported = summary;
+        }
+        pastry.send_direct(parent, ScribeMsg::Summary { group, summary });
+    }
+
+    /// Routes a JOIN toward `group`'s rendezvous root under the local
+    /// node's own name.
+    fn route_join(&mut self, pastry: &mut AppCtx<'_, '_, ScribeMsg<C::Msg>>, group: GroupId) {
+        let child = pastry.self_handle();
+        let summary = self.summary_to_report(pastry, group);
+        let join = ScribeMsg::Join {
+            group,
+            child,
+            summary,
+        };
+        pastry.route(group, join);
     }
 
     /// The hosted client.
@@ -420,12 +542,12 @@ impl<C: ScribeClient> Scribe<C> {
 
     /// This node's state for `group`, if it participates in the tree.
     pub fn group(&self, group: GroupId) -> Option<&GroupState> {
-        self.groups.get(&group.as_u128())
+        self.groups.get(group)
     }
 
     /// Ids of all groups this node holds state for.
     pub fn group_ids(&self) -> Vec<GroupId> {
-        let mut ids: Vec<GroupId> = self.groups.keys().map(|&k| GroupId::from_u128(k)).collect();
+        let mut ids: Vec<GroupId> = self.groups.keys().collect();
         ids.sort();
         ids
     }
@@ -469,24 +591,28 @@ impl<C: ScribeClient> Scribe<C> {
                 Command::Leave(g) => self.apply_leave(pastry, g),
                 Command::Multicast(g, m) => self.apply_multicast(pastry, g, m),
                 Command::Anycast(g, m) => self.apply_anycast(pastry, g, m),
+                Command::SummaryChanged(g) => self.report_rise(pastry, g),
             }
         }
     }
 
     fn apply_join(&mut self, pastry: &mut AppCtx<'_, '_, ScribeMsg<C::Msg>>, g: GroupId) {
-        let st = self.groups.entry(g.as_u128()).or_default();
+        let st = self.groups.entry(g);
         if st.member {
             return;
         }
         st.member = true;
         if st.root || st.parent.is_some() || !st.children.is_empty() {
-            return; // already grafted as root or forwarder
+            // Already grafted as root or forwarder; the new member may
+            // raise what the subtree admits.
+            self.report_rise(pastry, g);
+            return;
         }
-        route_join(pastry, g);
+        self.route_join(pastry, g);
     }
 
     fn apply_leave(&mut self, pastry: &mut AppCtx<'_, '_, ScribeMsg<C::Msg>>, g: GroupId) {
-        let Some(st) = self.groups.get_mut(&g.as_u128()) else {
+        let Some(st) = self.groups.get_mut(g) else {
             return;
         };
         if !st.member {
@@ -499,23 +625,16 @@ impl<C: ScribeClient> Scribe<C> {
     /// Drops tree state (telling the parent) if the node is a childless
     /// non-member non-root.
     fn prune(&mut self, pastry: &mut AppCtx<'_, '_, ScribeMsg<C::Msg>>, g: GroupId) {
-        let me = pastry.self_handle();
-        let Some(st) = self.groups.get(&g.as_u128()) else {
+        let Some(st) = self.groups.get(g) else {
             return;
         };
         if st.member || st.root || !st.children.is_empty() {
             return;
         }
         let parent = st.parent;
-        self.groups.remove(&g.as_u128());
+        self.groups.remove(g);
         if let Some(p) = parent {
-            pastry.send_direct(
-                p,
-                ScribeMsg::Leave {
-                    group: g,
-                    child: me,
-                },
-            );
+            pastry.send_direct(p, ScribeMsg::Leave { group: g });
         }
     }
 
@@ -525,7 +644,7 @@ impl<C: ScribeClient> Scribe<C> {
         g: GroupId,
         msg: C::Msg,
     ) {
-        if self.groups.get(&g.as_u128()).is_some_and(|st| st.root) {
+        if self.groups.get(g).is_some_and(|st| st.root) {
             // A node that became root while the true root was down is
             // superseded once the true root returns: routing then points
             // away from us. Demote instead of publishing a second stream
@@ -554,7 +673,7 @@ impl<C: ScribeClient> Scribe<C> {
     /// Whether this node holds root state for `g` although routing now
     /// resolves the group id to a different node.
     fn is_stale_root(&self, pastry: &AppCtx<'_, '_, ScribeMsg<C::Msg>>, g: GroupId) -> bool {
-        self.groups.get(&g.as_u128()).is_some_and(|st| st.root)
+        self.groups.get(g).is_some_and(|st| st.root)
             && matches!(pastry.state().route_decision(g), RouteDecision::Forward(_))
     }
 
@@ -563,13 +682,13 @@ impl<C: ScribeClient> Scribe<C> {
     /// if nothing keeps us in the group.
     fn demote_stale_root(&mut self, pastry: &mut AppCtx<'_, '_, ScribeMsg<C::Msg>>, g: GroupId) {
         let mut rejoin = false;
-        if let Some(st) = self.groups.get_mut(&g.as_u128()) {
+        if let Some(st) = self.groups.get_mut(g) {
             st.root = false;
             st.parent = None;
             rejoin = st.member || !st.children.is_empty();
         }
         if rejoin {
-            route_join(pastry, g);
+            self.route_join(pastry, g);
         } else {
             self.prune(pastry, g);
         }
@@ -584,7 +703,7 @@ impl<C: ScribeClient> Scribe<C> {
     ) {
         let me = pastry.self_handle().id.as_u128();
         let seq = {
-            let st = self.groups.entry(g.as_u128()).or_default();
+            let st = self.groups.entry(g);
             st.root = true;
             let seq = st.next_seq;
             st.next_seq += 1;
@@ -609,7 +728,7 @@ impl<C: ScribeClient> Scribe<C> {
             offered: Vec::new(),
             ttl: self.config.anycast_ttl,
         });
-        if self.groups.get(&g.as_u128()).is_some_and(|st| st.in_tree()) {
+        if self.groups.get(g).is_some_and(|st| st.in_tree()) {
             self.anycast_step(pastry, env);
         } else {
             pastry.route(g, ScribeMsg::Anycast(env));
@@ -630,16 +749,17 @@ impl<C: ScribeClient> Scribe<C> {
         if !self.client.validate_payload(&payload) {
             return;
         }
-        let Some(st) = self.groups.get_mut(&g.as_u128()) else {
+        let Some(st) = self.groups.get_mut(g) else {
             return; // stale: we pruned since
         };
         // Duplicate suppression: repair can transiently double-graft a
         // node; sequence numbers are scoped to the publishing root.
-        let duplicate = matches!(st.last_delivered, Some((r, s)) if r == root && s >= seq);
+        let root_id = Id::from_u128(root);
+        let duplicate = matches!(st.last_delivered, Some((r, s)) if r == root_id && s >= seq);
         if duplicate {
             return;
         }
-        st.last_delivered = Some((root, seq));
+        st.last_delivered = Some((root_id, seq));
         let member = st.member;
         if ttl > 0 {
             let down = |payload| ScribeMsg::Disseminate {
@@ -671,20 +791,17 @@ impl<C: ScribeClient> Scribe<C> {
     ) {
         let me = pastry.self_handle();
         let g = env.group;
-        let Some(st) = self.groups.get(&g.as_u128()) else {
-            // We pruned since the sender saw us; re-enter through routing.
-            if env.ttl == 0 {
-                self.anycast_fail(pastry, *env);
-                return;
-            }
-            env.ttl -= 1;
-            pastry.route(g, ScribeMsg::Anycast(env));
-            return;
-        };
+        self.anycast_steps.inc();
         if env.ttl == 0 {
             self.anycast_fail(pastry, *env);
             return;
         }
+        let Some(st) = self.groups.get(g) else {
+            // We pruned since the sender saw us; re-enter through routing.
+            env.ttl -= 1;
+            pastry.route(g, ScribeMsg::Anycast(env));
+            return;
+        };
         // Candidates at this node: the local member (if eligible) competes
         // with unvisited child subtrees, ordered by physical distance to
         // the *origin* — the paper's "prefers topologically closest
@@ -692,12 +809,16 @@ impl<C: ScribeClient> Scribe<C> {
         // near the shedder and thus preserves the placement's locality.
         // Only the best candidate is ever tried (a child ends the step, a
         // declining local member hands over to the best child), and the
-        // children keep themselves in that order.
+        // children keep themselves in that order. A child whose subtree
+        // summary does not admit the request is no candidate: nobody below
+        // it would accept. The local member is offered regardless — its
+        // own answer is the authority.
         let topo = pastry.state().topology();
         let best_child = st.children.nearest_unvisited(
             env.origin,
             Site::of(topo, env.origin.actor),
             &env.visited,
+            |summary| summary.is_none_or(|s| C::summary_admits(s, &env.payload)),
         );
         let self_eligible = st.member && !env.offered.contains(&me.actor) && me.id != env.origin.id;
         let local_first = self_eligible && {
@@ -724,13 +845,17 @@ impl<C: ScribeClient> Scribe<C> {
             return;
         }
         // Exhausted here: backtrack to the parent, which scans its
-        // remaining branches.
-        let st = self.groups.get(&g.as_u128()).expect("state still present");
+        // remaining branches. The offer ran client code, which may have
+        // left the group and so pruned this node out of the tree: then
+        // the walk re-enters through routing, like one sent to a node
+        // that pruned while it was in flight.
+        env.ttl -= 1;
+        let Some(st) = self.groups.get(g) else {
+            pastry.route(g, ScribeMsg::Anycast(env));
+            return;
+        };
         match st.parent {
-            Some(p) => {
-                env.ttl -= 1;
-                pastry.send_direct(p, ScribeMsg::AnycastStep(env));
-            }
+            Some(p) => pastry.send_direct(p, ScribeMsg::AnycastStep(env)),
             None => self.anycast_fail(pastry, *env),
         }
     }
@@ -764,13 +889,11 @@ impl<C: ScribeClient> Scribe<C> {
         pastry: &mut AppCtx<'_, '_, ScribeMsg<C::Msg>>,
         failed_actor: ActorId,
     ) {
-        let group_keys: Vec<u128> = self.groups.keys().copied().collect();
-        for key in group_keys {
-            let g = GroupId::from_u128(key);
+        let groups: Vec<GroupId> = self.groups.keys().collect();
+        for g in groups {
             let mut removed_children = Vec::new();
             let mut lost_parent = false;
-            {
-                let st = self.groups.get_mut(&key).expect("group present");
+            if let Some(st) = self.groups.get_mut(g) {
                 if st.parent.is_some_and(|p| p.actor == failed_actor) {
                     st.parent = None;
                     lost_parent = true;
@@ -784,22 +907,37 @@ impl<C: ScribeClient> Scribe<C> {
                 self.with_client(pastry, |c, ctx| c.on_child_removed(ctx, g, d));
             }
             if lost_parent {
-                let st = self.groups.get(&key).expect("group present");
-                if st.member || !st.children.is_empty() {
-                    route_join(pastry, g);
-                } else {
-                    self.prune(pastry, g);
+                // The upcall above may have left the group and pruned it.
+                let keep = self
+                    .groups
+                    .get(g)
+                    .map(|st| st.member || !st.children.is_empty());
+                match keep {
+                    Some(true) => self.route_join(pastry, g),
+                    Some(false) => self.prune(pastry, g),
+                    None => {}
                 }
             }
         }
     }
 }
 
-/// Routes a JOIN toward `group`'s rendezvous root under the local node's
-/// own name.
-fn route_join<M: Message + Clone>(pastry: &mut AppCtx<'_, '_, ScribeMsg<M>>, group: GroupId) {
-    let child = pastry.self_handle();
-    pastry.route(group, ScribeMsg::Join { group, child });
+/// A node's subtree summary in one tree: its own, if it is a member, joined
+/// with what each child link last heard. Unknown as soon as any part is.
+fn subtree_summary<C: ScribeClient>(
+    client: &mut C,
+    group: GroupId,
+    st: &GroupState,
+    now: SimTime,
+    until: SimTime,
+) -> Option<Summary> {
+    let local = match st.member {
+        true => client.anycast_summary(group, now, until)?,
+        false => 0,
+    };
+    st.children
+        .links()
+        .try_fold(local, |all, link| Some(C::summary_join(all, link.summary?)))
 }
 
 impl<C: ScribeClient> PastryApp for Scribe<C> {
@@ -815,10 +953,14 @@ impl<C: ScribeClient> PastryApp for Scribe<C> {
     fn on_joined(&mut self, ctx: &mut AppCtx<'_, '_, Self::Msg>) {
         // Re-issue joins for groups subscribed before the overlay join
         // completed.
-        for (&key, st) in &self.groups {
-            if st.member && st.parent.is_none() && !st.root {
-                route_join(ctx, GroupId::from_u128(key));
-            }
+        let orphaned: Vec<GroupId> = self
+            .groups
+            .iter()
+            .filter(|(_, st)| st.member && st.parent.is_none() && !st.root)
+            .map(|(g, _)| g)
+            .collect();
+        for g in orphaned {
+            self.route_join(ctx, g);
         }
     }
 
@@ -834,13 +976,11 @@ impl<C: ScribeClient> PastryApp for Scribe<C> {
         // with a Leave. Root state is kept: if another node took over as
         // root in the meantime, the stale-root check demotes whichever of
         // the two routing no longer favors.
-        let me = ctx.self_handle();
         let mut dropped = Vec::new();
         let mut rejoins = Vec::new();
         let mut leaves = Vec::new();
         let mut gone = Vec::new();
-        for (&key, st) in &mut self.groups {
-            let g = GroupId::from_u128(key);
+        for (g, st) in self.groups.iter_mut() {
             for child in std::mem::take(&mut st.children).iter() {
                 dropped.push((g, child));
             }
@@ -854,26 +994,20 @@ impl<C: ScribeClient> PastryApp for Scribe<C> {
                 if let Some(p) = parent {
                     leaves.push((p, g));
                 }
-                gone.push(key);
+                gone.push(g);
             }
         }
-        for key in gone {
-            self.groups.remove(&key);
+        for g in gone {
+            self.groups.remove(g);
         }
         for (g, child) in dropped {
             self.with_client(ctx, |c, sctx| c.on_child_removed(sctx, g, child));
         }
         for (p, g) in leaves {
-            ctx.send_direct(
-                p,
-                ScribeMsg::Leave {
-                    group: g,
-                    child: me,
-                },
-            );
+            ctx.send_direct(p, ScribeMsg::Leave { group: g });
         }
         for g in rejoins {
-            route_join(ctx, g);
+            self.route_join(ctx, g);
         }
         self.with_client(ctx, |c, sctx| c.on_restart(sctx));
     }
@@ -886,15 +1020,19 @@ impl<C: ScribeClient> PastryApp for Scribe<C> {
         origin: NodeHandle,
     ) {
         match msg {
-            ScribeMsg::Join { group, child } => {
+            ScribeMsg::Join {
+                group,
+                child,
+                summary,
+            } => {
                 debug_assert_eq!(key, group);
                 // We are (numerically closest to) the rendezvous point.
                 let me = ctx.self_handle();
-                let st = self.groups.entry(group.as_u128()).or_default();
+                let st = self.groups.entry(group);
                 st.root = true;
                 st.parent = None;
                 if child.id != me.id {
-                    self.graft(ctx, group, child);
+                    self.graft(ctx, group, child, summary);
                 }
             }
             ScribeMsg::Publish {
@@ -930,31 +1068,40 @@ impl<C: ScribeClient> PastryApp for Scribe<C> {
         next: NodeHandle,
     ) -> Option<Self::Msg> {
         match msg {
-            ScribeMsg::Join { group, child } => {
+            ScribeMsg::Join {
+                group,
+                child,
+                summary,
+            } => {
                 let me = ctx.self_handle();
+                let st = self.groups.entry(group);
                 if child.id == me.id {
                     // Our own join passing through: remember the parent.
-                    let st = self.groups.entry(group.as_u128()).or_default();
                     st.parent = Some(next);
-                    return Some(ScribeMsg::Join { group, child });
+                    return Some(ScribeMsg::Join {
+                        group,
+                        child,
+                        summary,
+                    });
                 }
-                let st = self.groups.entry(group.as_u128()).or_default();
                 // Already grafted: adopt the child and stop the join.
                 // Otherwise become a forwarder: adopt the child, keep
-                // joining toward the root under our own name.
+                // joining toward the root under our own name — and with
+                // our own subtree summary, which is the child's.
                 let forwarder = !st.in_tree();
                 if forwarder {
                     st.parent = Some(next);
+                    st.reported = summary;
                 }
-                self.graft(ctx, group, child);
-                forwarder.then_some(ScribeMsg::Join { group, child: me })
+                self.graft(ctx, group, child, summary);
+                forwarder.then_some(ScribeMsg::Join {
+                    group,
+                    child: me,
+                    summary,
+                })
             }
             ScribeMsg::Anycast(env) => {
-                if self
-                    .groups
-                    .get(&env.group.as_u128())
-                    .is_some_and(|st| st.in_tree())
-                {
+                if self.groups.get(env.group).is_some_and(|st| st.in_tree()) {
                     // First tree node on the route: start the DFS here.
                     self.anycast_step(ctx, env);
                     None
@@ -968,12 +1115,12 @@ impl<C: ScribeClient> PastryApp for Scribe<C> {
 
     fn on_direct(&mut self, ctx: &mut AppCtx<'_, '_, Self::Msg>, from: NodeHandle, msg: Self::Msg) {
         match msg {
-            ScribeMsg::Leave { group, child } => {
-                let Some(st) = self.groups.get_mut(&group.as_u128()) else {
+            ScribeMsg::Leave { group } => {
+                let Some(st) = self.groups.get_mut(group) else {
                     return;
                 };
-                if st.children.remove(child.id) {
-                    self.with_client(ctx, |c, sctx| c.on_child_removed(sctx, group, child));
+                if st.children.remove(from.id) {
+                    self.with_client(ctx, |c, sctx| c.on_child_removed(sctx, group, from));
                     self.prune(ctx, group);
                 }
             }
@@ -993,27 +1140,38 @@ impl<C: ScribeClient> PastryApp for Scribe<C> {
                     self.with_client(ctx, |c, sctx| c.on_direct(sctx, from, m));
                 }
             }
-            ScribeMsg::ParentProbe { group, child } => {
-                let in_tree = matches!(self.groups.get(&group.as_u128()), Some(st) if st.in_tree());
+            ScribeMsg::ParentProbe { group, summary } => {
+                let in_tree = matches!(self.groups.get(group), Some(st) if st.in_tree());
                 if in_tree {
                     // Refresh the child link; it may have been dropped by
                     // an over-eager repair.
-                    self.graft(ctx, group, child);
+                    self.graft(ctx, group, from, summary);
                 } else {
-                    ctx.send_direct(child, ScribeMsg::ProbeNack { group });
+                    ctx.send_direct(from, ScribeMsg::ProbeNack { group });
+                }
+            }
+            ScribeMsg::Summary { group, summary } => {
+                // Only a grafted child's word counts; a stale or stray
+                // Summary changes nothing.
+                let changed = self
+                    .groups
+                    .get_mut(group)
+                    .is_some_and(|st| st.children.set_summary(from.id, summary));
+                if changed {
+                    self.report_rise(ctx, group);
                 }
             }
             ScribeMsg::ProbeNack { group } => {
                 // Our supposed parent has no tree state: re-join.
                 let mut action = None;
-                if let Some(st) = self.groups.get_mut(&group.as_u128()) {
+                if let Some(st) = self.groups.get_mut(group) {
                     if st.parent.is_some_and(|p| p.actor == from.actor) {
                         st.parent = None;
                         action = Some(st.member || !st.children.is_empty());
                     }
                 }
                 match action {
-                    Some(true) => route_join(ctx, group),
+                    Some(true) => self.route_join(ctx, group),
                     Some(false) => self.prune(ctx, group),
                     None => {}
                 }
@@ -1022,15 +1180,15 @@ impl<C: ScribeClient> PastryApp for Scribe<C> {
                 // Our parent's detector suspects us. If we still consider
                 // the sender our parent, refute with an immediate probe;
                 // otherwise confirm the graft is stale with a Leave.
-                let me = ctx.self_handle();
                 let still_child = self
                     .groups
-                    .get(&group.as_u128())
+                    .get(group)
                     .is_some_and(|st| st.parent.is_some_and(|p| p.actor == from.actor));
                 if still_child {
-                    ctx.send_direct(from, ScribeMsg::ParentProbe { group, child: me });
+                    let summary = self.summary_to_report(ctx, group);
+                    ctx.send_direct(from, ScribeMsg::ParentProbe { group, summary });
                 } else {
-                    ctx.send_direct(from, ScribeMsg::Leave { group, child: me });
+                    ctx.send_direct(from, ScribeMsg::Leave { group });
                 }
             }
             other => debug_assert!(false, "unexpected direct Scribe message: {other:?}"),
@@ -1041,16 +1199,13 @@ impl<C: ScribeClient> PastryApp for Scribe<C> {
         if tag < SCRIBE_TAG_BASE {
             self.with_client(ctx, |c, sctx| c.on_timer(sctx, tag));
         } else if tag == PROBE_TAG {
-            let me = ctx.self_handle();
-            for (&key, st) in &self.groups {
+            let now = ctx.now();
+            let until = self.promise_until(now);
+            for (group, st) in self.groups.iter_mut() {
                 if let Some(parent) = st.parent {
-                    ctx.send_direct(
-                        parent,
-                        ScribeMsg::ParentProbe {
-                            group: GroupId::from_u128(key),
-                            child: me,
-                        },
-                    );
+                    let summary = subtree_summary(&mut self.client, group, st, now, until);
+                    st.reported = summary;
+                    ctx.send_direct(parent, ScribeMsg::ParentProbe { group, summary });
                 }
             }
             // Parent-side expiry: a child that re-parented elsewhere (or
@@ -1064,8 +1219,7 @@ impl<C: ScribeClient> PastryApp for Scribe<C> {
                 let phi = self.config.child_detection.phi_config();
                 let expiry = interval * 3;
                 let mut expired: Vec<(GroupId, NodeHandle)> = Vec::new();
-                for (&key, st) in &mut self.groups {
-                    let g = GroupId::from_u128(key);
+                for (g, st) in self.groups.iter_mut() {
                     for link in st.children.links_mut() {
                         let verdict = match (link.detector.as_mut(), phi) {
                             (Some(det), Some(cfg)) => det.evaluate(cfg, now),
@@ -1084,7 +1238,7 @@ impl<C: ScribeClient> PastryApp for Scribe<C> {
                 for (g, child) in expired {
                     let removed = self
                         .groups
-                        .get_mut(&g.as_u128())
+                        .get_mut(g)
                         .is_some_and(|st| st.children.remove(child.id));
                     if removed {
                         self.children_expired.inc();
@@ -1106,7 +1260,6 @@ impl<C: ScribeClient> PastryApp for Scribe<C> {
             let stale: Vec<GroupId> = self
                 .groups
                 .keys()
-                .map(|&k| GroupId::from_u128(k))
                 .filter(|&g| self.is_stale_root(ctx, g))
                 .collect();
             for g in stale {

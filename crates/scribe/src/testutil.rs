@@ -2,9 +2,9 @@
 //! Table I micro-benchmarks.
 
 use vbundle_pastry::NodeHandle;
-use vbundle_sim::Message;
+use vbundle_sim::{Message, SimTime};
 
-use crate::{GroupId, ScribeClient, ScribeCtx};
+use crate::{GroupId, ScribeClient, ScribeCtx, Summary};
 
 /// A small cloneable payload for tests and benchmarks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,6 +30,10 @@ pub struct CollectClient {
     pub directs: Vec<(NodeHandle, TestPayload)>,
     /// Whether this node accepts anycasts offered to it.
     pub accept_anycast: bool,
+    /// This node's anycast summary for every group; `None` makes no claim.
+    /// The trait's default reading applies: `0` admits nothing, anything
+    /// else may admit anything.
+    pub summary: Option<Summary>,
     /// Children currently grafted below this node (group, child), added
     /// order.
     pub child_events: Vec<(GroupId, NodeHandle, bool)>, // true = added
@@ -56,6 +60,10 @@ impl ScribeClient for CollectClient {
     ) -> bool {
         self.anycast_offers.push((group, *msg, origin));
         self.accept_anycast
+    }
+
+    fn anycast_summary(&mut self, _: GroupId, _: SimTime, _: SimTime) -> Option<Summary> {
+        self.summary
     }
 
     fn anycast_failed(

@@ -49,6 +49,23 @@ impl HalfLease {
             LeaseRole::Borrower => self.lease.borrower,
         }
     }
+
+    /// Adds this half to its local VM's `(inflow, outflow)` over
+    /// `[from, to]`: an inflow counts if it is live at some instant of the
+    /// span, an outflow only if it is live throughout.
+    fn add_over(&self, flow: &mut (ResourceVector, ResourceVector), from: SimTime, to: SimTime) {
+        let Lease {
+            starts,
+            expires,
+            amount,
+            ..
+        } = self.lease;
+        match self.role {
+            LeaseRole::Borrower if starts <= to && expires > from => flow.0 += amount,
+            LeaseRole::Lender if starts <= from && expires > to => flow.1 += amount,
+            _ => {}
+        }
+    }
 }
 
 /// Counters the trade subsystem exposes for benches and reports. Each
@@ -183,27 +200,50 @@ impl TradeBook {
     /// replacement dated to start at its predecessor's expiry shifts
     /// nothing until then.
     pub fn delta(&self, vm: VmId, now: SimTime) -> (ResourceVector, ResourceVector) {
-        let mut inflow = ResourceVector::ZERO;
-        let mut outflow = ResourceVector::ZERO;
-        for h in self.halves.values().filter(|h| h.lease.live_at(now)) {
-            match h.role {
-                LeaseRole::Borrower if h.lease.borrower == vm => inflow += h.lease.amount,
-                LeaseRole::Lender if h.lease.lender == vm => outflow += h.lease.amount,
-                _ => {}
+        let mut flow = (ResourceVector::ZERO, ResourceVector::ZERO);
+        for h in self.halves.values().filter(|h| h.local_vm() == vm) {
+            h.add_over(&mut flow, now, now);
+        }
+        flow
+    }
+
+    /// The most each of `vms` can be up by at any instant of `[from, to]`,
+    /// as `(inflow, outflow)` in one pass over the book: every inflow live
+    /// at some instant of the span, but only the outflow live throughout
+    /// it. At `from == to` these are the VMs' [`TradeBook::delta`]s.
+    pub fn deltas_over(
+        &self,
+        vms: &[VmId],
+        from: SimTime,
+        to: SimTime,
+    ) -> Vec<(ResourceVector, ResourceVector)> {
+        let mut flows = vec![(ResourceVector::ZERO, ResourceVector::ZERO); vms.len()];
+        for h in self.halves.values() {
+            if let Some(i) = vms.iter().position(|&vm| vm == h.local_vm()) {
+                h.add_over(&mut flows[i], from, to);
             }
         }
-        (inflow, outflow)
+        flows
     }
 
     /// `vm`'s effective contract at `now`: `base` shifted by the net of
-    /// its live halves. The same delta applies to reservation and limit,
-    /// preserving `limit >= reservation`.
+    /// its live halves.
     pub fn live_spec(&self, vm: VmId, base: ResourceSpec, now: SimTime) -> ResourceSpec {
         let (inflow, outflow) = self.delta(vm, now);
-        ResourceSpec {
-            reservation: (base.reservation + inflow).saturating_sub(&outflow),
-            limit: (base.limit + inflow).saturating_sub(&outflow),
-        }
+        base.shifted(inflow, outflow)
+    }
+
+    /// The first instant after `after` at which a half on the book starts
+    /// or expires ([`SimTime::MAX`] if none does): until then the clock
+    /// alone changes no [`TradeBook::deltas_over`] of a span ending at
+    /// `after` or later in a way that raises anyone's lendable amount.
+    pub fn next_boundary(&self, after: SimTime) -> SimTime {
+        self.halves
+            .values()
+            .flat_map(|h| [h.lease.starts, h.lease.expires])
+            .filter(|&t| t > after)
+            .min()
+            .unwrap_or(SimTime::MAX)
     }
 
     /// All halves, in id order.

@@ -248,6 +248,16 @@ impl ResourceSpec {
             ResourceVector::bandwidth_only(limit),
         )
     }
+
+    /// This contract with `inflow` borrowed and `outflow` lent out. The
+    /// same delta applies to reservation and limit, preserving
+    /// `limit >= reservation`.
+    pub fn shifted(self, inflow: ResourceVector, outflow: ResourceVector) -> Self {
+        ResourceSpec {
+            reservation: (self.reservation + inflow).saturating_sub(&outflow),
+            limit: (self.limit + inflow).saturating_sub(&outflow),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -197,5 +197,13 @@ fn all_subsystems_compose_to_the_pinned_outcome() {
 /// 190_833_941_401_599_415; re-pinned once, at PR 19, which removed the
 /// leaf-set heartbeat acks: of the outcome's 89 lines only the last
 /// differs, `events 455715` → `events 261032` (EXPERIMENTS.md "Leaf-set
-/// liveness diet").
-const PINNED: u64 = 17_308_792_559_038_248_496;
+/// liveness diet"), as 17_308_792_559_038_248_496; and once at PR 24,
+/// whose pruned anycast re-times grants: a borrow request no longer
+/// wanders through subtrees with nothing to lend, so it is granted a few
+/// milliseconds earlier and concurrent requests match other lenders. Of
+/// the 89 lines, three placements move (VMs 22 and 32 end on server 41
+/// instead of 24, VM 28 is hosted again), the six lease lines name other
+/// leases of the same servers (44 halves instead of 38), billing follows
+/// (spend 350 584 → 425 865) and `events 261032` → `events 260240`
+/// (EXPERIMENTS.md "Capacity-annotated anycast").
+const PINNED: u64 = 5_886_843_030_100_455_241;
