@@ -1,11 +1,11 @@
 //! Performance micro-benchmarks of the hot paths: shaper allocation,
 //! offline placement throughput, overlay construction, the anycast pick
 //! and a whole anycast walk that cannot succeed, the leaf-set heartbeat
-//! round and the engine's event-queue discipline
-//! (binary heap vs calendar queue). These guard the harness's ability to
-//! run the paper's 3000-server scenarios quickly.
+//! round, the engine's event-queue discipline (binary heap vs calendar
+//! queue) and the bare engine under gossip. These guard the harness's
+//! ability to run the paper's 3000-server scenarios quickly.
 //!
-//! Run: `cargo bench -p vbundle-bench --bench perf_micro`
+//! Run: `cargo bench -p vbundle-bench --bench perf_micro [-- <filter>]`
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -14,6 +14,7 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use vbundle_bench::scenarios::{gossip_engine, GOSSIP_TICK_MS};
 use vbundle_core::{
     shaper, ClusterModel, CustomerId, PlacementPolicy, ResourceSpec, ResourceVector, VmId, VmRecord,
 };
@@ -344,10 +345,43 @@ fn bench_queue_discipline(c: &mut Criterion) {
     group.finish();
 }
 
+/// Events each `perf/engine_gossip` iteration dispatches.
+const GOSSIP_EVENTS: u64 = 1_000_000;
+
+/// The bare engine under `scale_sweep`'s gossip actor: `N` actors, past
+/// their first tick (built in the untimed warm-up call), then a fixed
+/// event count per iteration. 1k actors fit in cache and 100k do not,
+/// which makes this the harness for ablating the engine's prefetch and
+/// layout layers (EXPERIMENTS.md "Engine layer ablation (PR 25)"): one
+/// scratch build per variant, no committed switch.
+fn bench_engine_gossip(c: &mut Criterion) {
+    let mut group = c.benchmark_group("perf/engine_gossip");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(GOSSIP_EVENTS));
+    for &actors in &[1_000usize, 100_000] {
+        let mut engine = None;
+        group.bench_function(actors.to_string(), |b| {
+            let engine = engine.get_or_insert_with(|| {
+                let mut engine = gossip_engine(actors, 20120618);
+                engine.start();
+                engine.run_for(SimDuration::from_millis(GOSSIP_TICK_MS));
+                engine
+            });
+            b.iter(|| {
+                let target = engine.events_processed() + GOSSIP_EVENTS;
+                while engine.events_processed() < target && engine.step() {}
+                engine.events_processed()
+            });
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     name = perf;
     config = Criterion::default();
     targets = bench_shaper, bench_placement, bench_overlay_build, bench_anycast_step,
-        bench_anycast_dry_walk, bench_heartbeat_round, bench_queue_discipline
+        bench_anycast_dry_walk, bench_heartbeat_round, bench_queue_discipline,
+        bench_engine_gossip
 );
 criterion_main!(perf);

@@ -32,7 +32,7 @@ use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use vbundle_bench::{golden_gate, write_csv, BenchArgs, CliSpec};
+use vbundle_bench::{golden_gate, json_rows, write_bench_json, write_csv, BenchArgs, CliSpec};
 use vbundle_chaos::{
     check_billing_conservation, check_entitlement_conservation, check_isolation_caps, ChaosDriver,
     FaultPlan,
@@ -273,7 +273,7 @@ fn main() {
         "steps/ask"
     );
     let mut rows = Vec::new();
-    let mut json_cells = Vec::new();
+    let mut cells = Vec::new();
     for hot_demand in [200.0, 260.0, 320.0] {
         let intra = run_cell(hot_demand, None);
         for max_price in [1.05, 4.0] {
@@ -337,7 +337,12 @@ fn main() {
                 spot.fees,
                 spot.steps_per_ask
             ));
-            json_cells.push((hot_demand, max_price, intra.satisfied, spot, gain));
+            cells.push(format!(
+                "{{\"hot_demand\": {hot_demand}, \"max_price\": {max_price}, \
+                 \"satisfied_intra\": {:.3}, \"satisfied_spot\": {:.3}, \
+                 \"gain\": {gain:.3}, \"trades\": {}, \"spend\": {:.3}, \"fees\": {:.3}}}",
+                intra.satisfied, spot.satisfied, spot.spot_trades, spot.spend, spot.fees
+            ));
         }
     }
     write_csv(
@@ -355,35 +360,20 @@ fn main() {
         after.spend, after.revenue, after.fees
     );
 
-    let mut json = String::from("{\n  \"bench\": \"market_sweep\",\n");
-    let _ = writeln!(json, "  \"seed\": {SEED},");
-    json.push_str("  \"cells\": [\n");
-    for (i, (hot, cap, intra_sat, spot, gain)) in json_cells.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"hot_demand\": {hot}, \"max_price\": {cap}, \
-             \"satisfied_intra\": {intra_sat:.3}, \"satisfied_spot\": {:.3}, \
-             \"gain\": {gain:.3}, \"trades\": {}, \"spend\": {:.3}, \"fees\": {:.3}}}",
-            spot.satisfied, spot.spot_trades, spot.spend, spot.fees
-        );
-        json.push_str(if i + 1 < json_cells.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    json.push_str("  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"chaos\": {{\"spend\": {:.3}, \"revenue\": {:.3}, \"fees\": {:.3}, \
+    let chaos = format!(
+        "{{\"spend\": {:.3}, \"revenue\": {:.3}, \"fees\": {:.3}, \
          \"reversals\": {reversals}, \"conserved\": true}}",
         after.spend, after.revenue, after.fees
     );
-    json.push_str("}\n");
-    match std::fs::write("BENCH_market.json", &json) {
-        Ok(()) => eprintln!("[wrote BENCH_market.json]"),
-        Err(e) => eprintln!("[could not write BENCH_market.json: {e}]"),
-    }
+    write_bench_json(
+        "market",
+        "market_sweep",
+        &[
+            ("seed", SEED.to_string()),
+            ("cells", json_rows(&cells)),
+            ("chaos", chaos),
+        ],
+    );
     println!(
         "\npriced cross-tenant trading strictly improved satisfied demand at every cleared cell"
     );

@@ -29,24 +29,20 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use rand::Rng;
-use vbundle_bench::{golden_gate, write_csv, BenchArgs, CliSpec};
+use vbundle_bench::scenarios::{
+    gossip_engine, Gossip, GossipWorker, GOSSIP_FANOUT, GOSSIP_TICK_MS,
+};
+use vbundle_bench::{golden_gate, json_rows, write_bench_json, write_csv, BenchArgs, CliSpec};
 use vbundle_obs::Histogram;
-use vbundle_sim::{Actor, ActorId, Context, Engine, Message, SimDuration, SimTime};
+use vbundle_sim::{Engine, SimDuration, SimTime};
 
 /// One seed for the whole sweep: the paper's publication date.
 const SEED: u64 = 20120618;
-/// Messages each actor fans out per gossip tick.
-const FANOUT: usize = 4;
-/// Gossip tick interval.
-const TICK_MS: u64 = 100;
 /// Events each size point processes: the simulated span per point is
 /// derived from this, so every point times a comparable wall-clock
 /// window (a fixed simulated span would give the 1k point a few
 /// milliseconds of wall time — pure timer noise on a busy host).
 const TARGET_EVENTS: u64 = 25_000_000;
-/// Gossip timer tag.
-const TICK_TAG: u64 = 1;
 /// Queue depth is sampled into the histogram every this many events.
 const SAMPLE_EVERY: u64 = 1024;
 /// Timed reps per size point; the best rep is reported. The host CPU is
@@ -79,39 +75,6 @@ const CLI: CliSpec = CliSpec {
     options: &[],
 };
 
-#[derive(Debug, Clone)]
-struct Gossip(u64);
-impl Message for Gossip {}
-
-/// A synthetic server: every tick, fan `FANOUT` messages to uniformly
-/// random peers — drawn from the engine's seeded RNG, so the run
-/// replays byte-identically; then re-arm the tick.
-struct Worker {
-    cluster: u32,
-    received: u64,
-}
-
-impl Actor<Gossip> for Worker {
-    fn on_start(&mut self, ctx: &mut Context<'_, Gossip>) {
-        // Stagger first ticks across one interval so 100k timers do not
-        // land on a single instant.
-        let jitter = ctx.rng().gen_range(0..TICK_MS * 1_000);
-        ctx.schedule(SimDuration::from_micros(jitter), TICK_TAG);
-    }
-
-    fn on_message(&mut self, _ctx: &mut Context<'_, Gossip>, _from: ActorId, msg: Gossip) {
-        self.received = self.received.wrapping_add(1 + msg.0 % 7);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_, Gossip>, _tag: u64) {
-        for round in 0..FANOUT {
-            let peer = ctx.rng().gen_range(0..self.cluster);
-            ctx.send(ActorId::new(peer), Gossip(round as u64));
-        }
-        ctx.schedule(SimDuration::from_millis(TICK_MS), TICK_TAG);
-    }
-}
-
 /// One size point's measurements. Only `wall_ms` / `events_per_sec` are
 /// nondeterministic; everything else must replay byte-identically.
 struct Point {
@@ -135,9 +98,10 @@ const PROFILE_SECS: u64 = 1;
 
 /// Simulated span for a size point: enough ticks that the point
 /// processes ~`TARGET_EVENTS` events. Each server contributes
-/// `(1 + FANOUT)` events per tick, `1000 / TICK_MS` ticks per second.
+/// `(1 + GOSSIP_FANOUT)` events per tick, `1000 / GOSSIP_TICK_MS` ticks
+/// per second.
 fn point_secs(servers: usize) -> u64 {
-    let events_per_sim_sec = servers as u64 * (1 + FANOUT as u64) * (1_000 / TICK_MS);
+    let events_per_sim_sec = servers as u64 * (1 + GOSSIP_FANOUT as u64) * (1_000 / GOSSIP_TICK_MS);
     (TARGET_EVENTS / events_per_sim_sec).max(2)
 }
 
@@ -197,15 +161,8 @@ fn run_point(servers: usize, sim_secs: u64, with_profile: bool) -> Point {
     }
 }
 
-fn build_engine(servers: usize) -> Engine<Gossip, Worker> {
-    let mut engine: Engine<Gossip, Worker> = Engine::with_seed(SEED ^ servers as u64);
-    for _ in 0..servers {
-        engine.add_actor(Worker {
-            cluster: servers as u32,
-            received: 0,
-        });
-    }
-    engine
+fn build_engine(servers: usize) -> Engine<Gossip, GossipWorker> {
+    gossip_engine(servers, SEED ^ servers as u64)
 }
 
 /// The deterministic half of a point's report — everything the smoke
@@ -401,22 +358,23 @@ fn main() {
         &rows,
     );
 
-    let mut json = String::from("{\n  \"bench\": \"scale_sweep\",\n");
-    let _ = writeln!(json, "  \"seed\": {SEED},");
-    let _ = writeln!(json, "  \"target_events\": {TARGET_EVENTS},");
-    let _ = writeln!(json, "  \"fanout\": {FANOUT},");
-    json.push_str("  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"servers\": {}, \"events\": {}, \"queue_peak\": {}, \"wall_ms\": {:.1}, \"events_per_sec\": {:.0}}}",
-            p.servers, p.events, p.queue_peak, p.wall_ms, p.events_per_sec
-        );
-        json.push_str(if i + 1 < points.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]\n}\n");
-    match std::fs::write("BENCH_scale.json", &json) {
-        Ok(()) => eprintln!("[wrote BENCH_scale.json]"),
-        Err(e) => eprintln!("[could not write BENCH_scale.json: {e}]"),
-    }
+    let json_points: Vec<String> = points
+        .iter()
+        .map(|p| {
+            format!(
+                "{{\"servers\": {}, \"events\": {}, \"queue_peak\": {}, \"wall_ms\": {:.1}, \"events_per_sec\": {:.0}}}",
+                p.servers, p.events, p.queue_peak, p.wall_ms, p.events_per_sec
+            )
+        })
+        .collect();
+    write_bench_json(
+        "scale",
+        "scale_sweep",
+        &[
+            ("seed", SEED.to_string()),
+            ("target_events", TARGET_EVENTS.to_string()),
+            ("fanout", GOSSIP_FANOUT.to_string()),
+            ("points", json_rows(&json_points)),
+        ],
+    );
 }

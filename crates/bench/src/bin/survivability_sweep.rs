@@ -33,7 +33,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use vbundle_bench::{golden_gate, write_csv, BenchArgs, CliSpec};
+use vbundle_bench::{golden_gate, json_rows, write_bench_json, write_csv, BenchArgs, CliSpec};
 use vbundle_chaos::{check_bounded_degradation, customer_satisfaction, ChaosDriver, FaultPlan};
 use vbundle_core::{
     Cluster, ClusterModel, Customer, CustomerId, FailoverConfig, PlacementPolicy, ResourceSpec,
@@ -454,35 +454,36 @@ fn csv_row(o: &Outcome) -> String {
 }
 
 fn write_surv_json(outcomes: &[Outcome]) {
-    let mut json = String::from("{\n  \"bench\": \"survivability_sweep\",\n");
-    let _ = writeln!(json, "  \"seed\": {SEED},");
-    let _ = writeln!(json, "  \"max_frac_per_domain\": {MAX_FRAC_PER_DOMAIN},");
-    let _ = writeln!(json, "  \"backup\": {BACKUP},");
-    let _ = writeln!(json, "  \"degradation_floor\": {DEGRADATION_FLOOR},");
-    json.push_str("  \"outcomes\": [\n");
-    for (i, o) in outcomes.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"policy\": \"{}\", \"fault\": \"{}\", \"servers_lost\": {}, \
-             \"min_sat_pct\": {:.1}, \"restored_sat_pct\": {:.1}, \"zeroed\": {}, \
-             \"floor_ok\": {}, \"recover_ticks\": {}, \"backup_pct\": {:.2}}}",
-            o.policy,
-            o.fault,
-            o.servers_lost,
-            o.min_sat_pct,
-            o.restored_sat_pct,
-            o.zeroed,
-            o.floor_ok,
-            o.recover_ticks.map_or(-1i64, |n| n as i64),
-            o.backup_pct
-        );
-        json.push_str(if i + 1 < outcomes.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]\n}\n");
-    match std::fs::write("BENCH_surv.json", &json) {
-        Ok(()) => eprintln!("[wrote BENCH_surv.json]"),
-        Err(e) => eprintln!("[could not write BENCH_surv.json: {e}]"),
-    }
+    let rows: Vec<String> = outcomes
+        .iter()
+        .map(|o| {
+            format!(
+                "{{\"policy\": \"{}\", \"fault\": \"{}\", \"servers_lost\": {}, \
+                 \"min_sat_pct\": {:.1}, \"restored_sat_pct\": {:.1}, \"zeroed\": {}, \
+                 \"floor_ok\": {}, \"recover_ticks\": {}, \"backup_pct\": {:.2}}}",
+                o.policy,
+                o.fault,
+                o.servers_lost,
+                o.min_sat_pct,
+                o.restored_sat_pct,
+                o.zeroed,
+                o.floor_ok,
+                o.recover_ticks.map_or(-1i64, |n| n as i64),
+                o.backup_pct
+            )
+        })
+        .collect();
+    write_bench_json(
+        "surv",
+        "survivability_sweep",
+        &[
+            ("seed", SEED.to_string()),
+            ("max_frac_per_domain", MAX_FRAC_PER_DOMAIN.to_string()),
+            ("backup", BACKUP.to_string()),
+            ("degradation_floor", DEGRADATION_FLOOR.to_string()),
+            ("outcomes", json_rows(&rows)),
+        ],
+    );
 }
 
 /// Full `--failover` mode: every rack and pod crash, crash-only, across

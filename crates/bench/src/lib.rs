@@ -219,9 +219,46 @@ pub fn write_csv(name: &str, header: &str, rows: &[String]) {
     }
 }
 
+/// Renders pre-rendered JSON objects as a list, one per line, for a
+/// [`write_bench_json`] field.
+pub fn json_rows(rows: &[String]) -> String {
+    let mut out = String::from("[\n");
+    for (i, row) in rows.iter().enumerate() {
+        out.push_str("    ");
+        out.push_str(row);
+        out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
+    }
+    out.push_str("  ]");
+    out
+}
+
+/// Writes `BENCH_<file>.json` at the repository root: `{"bench": <bench>,
+/// <fields>}`, one field per line, each value already rendered as JSON
+/// (lists through [`json_rows`]). Errors are reported but non-fatal, like
+/// [`write_csv`].
+pub fn write_bench_json(file: &str, bench: &str, fields: &[(&str, String)]) {
+    let mut json = format!("{{\n  \"bench\": \"{bench}\"");
+    for (key, value) in fields {
+        json.push_str(&format!(",\n  \"{key}\": {value}"));
+    }
+    json.push_str("\n}\n");
+    let path = format!("BENCH_{file}.json");
+    match std::fs::write(&path, json) {
+        Ok(()) => eprintln!("[wrote {path}]"),
+        Err(e) => eprintln!("[could not write {path}: {e}]"),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn json_rows_one_object_per_line() {
+        let rows = ["{\"a\": 1}".to_string(), "{\"a\": 2}".to_string()];
+        assert_eq!(json_rows(&rows), "[\n    {\"a\": 1},\n    {\"a\": 2}\n  ]");
+        assert_eq!(json_rows(&[]), "[\n  ]");
+    }
 
     const SPEC: CliSpec = CliSpec {
         bin: "demo_sweep",

@@ -1,18 +1,19 @@
 //! Reusable scenario assembly: the large-scale placements of Figs. 7–8,
-//! the skewed-load clusters of Figs. 9–11 and the SIPp testbed of
-//! Figs. 12–13.
+//! the skewed-load clusters of Figs. 9–11, the SIPp testbed of
+//! Figs. 12–13 and the bare-engine gossip cluster of `scale_sweep` and
+//! `perf/engine_gossip`.
 
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use vbundle_core::{
     Cluster, ClusterModel, Customer, CustomerId, PlacementPolicy, ResourceSpec, ResourceVector,
     VBundleConfig, VmId, VmRecord,
 };
 use vbundle_dcn::{Bandwidth, ServerId, Topology};
 use vbundle_pastry::overlay;
-use vbundle_sim::{SimDuration, SimTime};
+use vbundle_sim::{Actor, ActorId, Context, Engine, Message, SimDuration, SimTime};
 use vbundle_workloads::{SippConfig, SippGenerator, SkewedLoad};
 
 /// Places `per_customer` VMs for each of the paper's five customers with
@@ -216,4 +217,58 @@ impl SippTestbed {
             .map(|(_, a)| a.granted)
             .unwrap_or(Bandwidth::ZERO)
     }
+}
+
+/// Messages each gossip actor fans out per tick.
+pub const GOSSIP_FANOUT: usize = 4;
+/// Gossip tick interval, in milliseconds.
+pub const GOSSIP_TICK_MS: u64 = 100;
+const GOSSIP_TICK_TAG: u64 = 1;
+
+/// The gossip actors' wire message.
+#[derive(Debug, Clone)]
+pub struct Gossip(u64);
+impl Message for Gossip {}
+
+/// An engine-core synthetic server: every tick, fan [`GOSSIP_FANOUT`]
+/// messages to uniformly random peers — drawn from the engine's seeded
+/// RNG, so the run replays byte-identically — then re-arm the tick.
+/// Uniform fanout is the worst case for the memory hierarchy: no
+/// destination locality for the cache to exploit.
+pub struct GossipWorker {
+    cluster: u32,
+    received: u64,
+}
+
+impl Actor<Gossip> for GossipWorker {
+    fn on_start(&mut self, ctx: &mut Context<'_, Gossip>) {
+        // Stagger first ticks across one interval so 100k timers do not
+        // land on a single instant.
+        let jitter = ctx.rng().gen_range(0..GOSSIP_TICK_MS * 1_000);
+        ctx.schedule(SimDuration::from_micros(jitter), GOSSIP_TICK_TAG);
+    }
+
+    fn on_message(&mut self, _ctx: &mut Context<'_, Gossip>, _from: ActorId, msg: Gossip) {
+        self.received = self.received.wrapping_add(1 + msg.0 % 7);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_, Gossip>, _tag: u64) {
+        for round in 0..GOSSIP_FANOUT {
+            let peer = ctx.rng().gen_range(0..self.cluster);
+            ctx.send(ActorId::new(peer), Gossip(round as u64));
+        }
+        ctx.schedule(SimDuration::from_millis(GOSSIP_TICK_MS), GOSSIP_TICK_TAG);
+    }
+}
+
+/// A bare engine of `servers` [`GossipWorker`]s, not yet started.
+pub fn gossip_engine(servers: usize, seed: u64) -> Engine<Gossip, GossipWorker> {
+    let mut engine = Engine::with_seed(seed);
+    for _ in 0..servers {
+        engine.add_actor(GossipWorker {
+            cluster: servers as u32,
+            received: 0,
+        });
+    }
+    engine
 }

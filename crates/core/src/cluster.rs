@@ -8,9 +8,7 @@ use std::sync::Arc;
 use vbundle_aggregation::{AggregationConfig, UpdateMode};
 use vbundle_dcn::{ServerId, Topology, TopologyLatency};
 use vbundle_obs::{Gauge, Registry};
-use vbundle_pastry::{
-    overlay, IdAssignment, NodeHandle, NodeId, PastryConfig, PastryMsg, PastryNode,
-};
+use vbundle_pastry::{overlay, NodeHandle, NodeId, PastryConfig, PastryMsg, PastryNode};
 use vbundle_scribe::{Scribe, ScribeConfig, ScribeMsg};
 use vbundle_sim::{ActorId, Engine, Latency, LatencyModel, SimDuration, SimTime};
 
@@ -21,12 +19,12 @@ use crate::{Controller, Customer, ResourceSpec, ResourceVector, VBundleConfig, V
 /// The fully composed engine type of a v-Bundle cluster.
 pub type VbEngine = Engine<PastryMsg<ScribeMsg<CtrlMsg>>, PastryNode<Scribe<Controller>>>;
 
-/// Builder for a [`Cluster`]. Defaults: topology-aware ids, topology-
-/// derived latency, 30 s tree probes, periodic aggregation at the
-/// v-Bundle update interval, paper-default v-Bundle parameters.
+/// Builder for a [`Cluster`]. Node ids are always topology-aware (the
+/// random-id ablation builds its rings without a cluster). Defaults:
+/// topology-derived latency, 30 s tree probes, periodic aggregation at
+/// the v-Bundle update interval, paper-default v-Bundle parameters.
 pub struct ClusterBuilder {
     topo: Arc<Topology>,
-    policy: IdAssignment,
     pastry: PastryConfig,
     scribe: ScribeConfig,
     vbundle: VBundleConfig,
@@ -43,7 +41,6 @@ impl ClusterBuilder {
     pub fn new(topo: Arc<Topology>) -> Self {
         ClusterBuilder {
             topo,
-            policy: IdAssignment::TopologyAware,
             pastry: PastryConfig::default(),
             scribe: ScribeConfig::default().with_probe_interval(SimDuration::from_secs(30)),
             vbundle: VBundleConfig::default(),
@@ -60,12 +57,6 @@ impl ClusterBuilder {
     /// `capacity` events, shared by the engine and every subsystem.
     pub fn flight_recorder(mut self, capacity: usize) -> Self {
         self.flight_capacity = Some(capacity);
-        self
-    }
-
-    /// Sets the node-id assignment policy (ablation: random vs topology).
-    pub fn id_assignment(mut self, policy: IdAssignment) -> Self {
-        self.policy = policy;
         self
     }
 
@@ -141,7 +132,7 @@ impl ClusterBuilder {
         let default_capacity: ResourceVector = self.topo.capacity().into();
         let vb = self.vbundle.clone();
         let scribe_config = self.scribe.clone();
-        let ids = overlay::assign_ids(&self.topo, self.policy);
+        let ids = overlay::topology_aware_ids(&self.topo);
         let handles = overlay::handles_for(&ids);
         let states = overlay::build_states(&self.topo, &handles, &self.pastry);
         let mut engine: VbEngine = Engine::with_latency(latency, self.seed);

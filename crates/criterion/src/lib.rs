@@ -8,7 +8,8 @@
 //! criterion's statistical machinery with a plain wall-clock mean over
 //! `sample_size` iterations, printed to stdout. Good enough to keep the
 //! benches compiling, runnable and comparable run-to-run; not a rigorous
-//! measurement tool.
+//! measurement tool. As with criterion, `cargo bench -- <filter>` runs
+//! only the benchmarks whose full name contains `<filter>`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -181,7 +182,20 @@ impl Bencher {
     }
 }
 
+/// Whether `name` passes the command-line filter: the first argument
+/// that is not a flag (cargo itself passes `--bench`) must be a substring
+/// of the benchmark's full name.
+fn selected(name: &str) -> bool {
+    std::env::args()
+        .skip(1)
+        .find(|a| !a.starts_with('-'))
+        .is_none_or(|filter| name.contains(&filter))
+}
+
 fn run_one(name: &str, samples: usize, mut f: impl FnMut(&mut Bencher)) {
+    if !selected(name) {
+        return;
+    }
     // One warm-up call, untimed.
     let mut warm = Bencher::default();
     f(&mut warm);

@@ -25,8 +25,10 @@ pub enum HotSection {
     /// Cloning a message for a duplicate delivery (the
     /// PastryMsg→ScribeMsg→CtrlMsg clone chain).
     MessageClone,
-    /// Promoting far-future events from the calendar queue's overflow
-    /// tier into the near-horizon bucket ring as the window advances.
+    /// Nothing records this any more: the calendar queue no longer
+    /// promotes far-future events (they pop straight off its one heap),
+    /// so `sim.far_promote_ns` reads 0 and a far key's cost shows inside
+    /// [`HotSection::QueuePop`]. Kept because the benchmark names it.
     FarPromote,
 }
 

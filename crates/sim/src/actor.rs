@@ -143,7 +143,7 @@ pub struct Context<'a, W: Message> {
     pub(crate) counters: &'a mut ActorCounters,
     /// Prefetch handle over the engine's actor table, so a send can start
     /// pulling the destination's record while the callback is still
-    /// running (see `Engine::enqueue_send` for the demand-load backstop).
+    /// running.
     pub(crate) peers: crate::prefetch::Lines,
     pub(crate) effects: Vec<Effect<W>>,
 }
@@ -162,11 +162,6 @@ impl<'a, W: Message> Context<'a, W> {
     /// The engine-wide deterministic random-number generator.
     pub fn rng(&mut self) -> &mut StdRng {
         self.rng
-    }
-
-    /// Network latency from this actor to `to` under the installed model.
-    pub fn latency_to(&self, to: ActorId) -> SimDuration {
-        self.latency.latency(self.self_id, to)
     }
 
     /// Estimated round-trip time to `to` under the installed model — the

@@ -1,8 +1,8 @@
 //! The discrete-event engine: clock, event queue and actor dispatch.
 //!
 //! The hot path is built for data-center scale (100k+ actors): events
-//! flow through a two-tier [`CalendarQueue`] that parks payloads in a
-//! slab, actor callbacks reuse one effects scratch buffer (no per-event
+//! flow through a [`CalendarQueue`] (sorted window, bucket ring, one heap)
+//! that parks payloads in a slab, actor callbacks reuse one effects scratch buffer (no per-event
 //! allocation), latency models are devirtualized through [`Latency`],
 //! and [`Engine::restart`] purges a crashed actor's timers in O(1) via
 //! per-actor epochs checked lazily on pop — all without perturbing the
@@ -123,8 +123,8 @@ struct ActorMeta {
 /// per event; interleaving is worth tens of nanoseconds per event at
 /// that scale. The cache-line alignment (with the metadata laid out
 /// first) keeps a small record on exactly one line at a deterministic
-/// offset — never straddling a boundary — so one demand-touch at send
-/// time covers everything the delivery will read.
+/// offset — never straddling a boundary — so one prefetch at send time
+/// covers everything the delivery will read.
 #[repr(C, align(64))]
 struct ActorRec<A> {
     meta: ActorMeta,
@@ -483,40 +483,25 @@ impl<W: Message, A: Actor<W>> Engine<W, A> {
     pub fn step_before(&mut self, deadline: SimTime) -> bool {
         loop {
             let pop_timer = self.profiler.as_ref().map(|_| Instant::now());
-            let popped = self
-                .queue
-                .pop_before(deadline.as_micros(), self.profiler.as_mut());
+            let popped = self.queue.pop_before(deadline.as_micros());
             if let (Some(profiler), Some(t)) = (self.profiler.as_mut(), pop_timer) {
                 profiler.record(HotSection::QueuePop, t.elapsed());
             }
             let Some((at, _seq, ev)) = popped else {
                 return false;
             };
-            // Software-pipelined lookahead, two ranges deep. The rolling
-            // drain window prefetches the active bucket's upcoming
-            // events — parked payload (queue-side), actor record and
-            // send counters (here) — a few entries per pop, so the
-            // prefetches spread over the bucket's dispatch window
-            // instead of flooding the fill buffers in one burst. The
-            // heap-top peek then covers events inserted directly into
-            // the active window (e.g. short-latency messages landing
-            // within the bucket width) with one or two events of lead.
-            // The peek uses a discarded demand load rather than a
-            // prefetch hint: hardware drops software prefetches on a
-            // dTLB miss, and a uniformly random destination in a
-            // 100k-actor table misses the TLB more often than not — a
-            // real load walks the page tables while this event
-            // dispatches, and its value is irrelevant. None of this is
-            // visible to deterministic replay.
+            // Software-pipelined lookahead: the rolling drain cursor
+            // prefetches the active bucket's upcoming events — parked
+            // payload (queue-side), actor record and send counters
+            // (here) — a few entries per pop, so the prefetches spread
+            // over the bucket's dispatch window instead of flooding the
+            // fill buffers in one burst. Invisible to deterministic
+            // replay.
             for hint in self.queue.drain_prefetch(4) {
                 if let Some(r) = self.actors.get(hint as usize) {
                     prefetch::touch(&r.actor);
                     prefetch::touch(&r.meta);
                 }
-            }
-            for next in self.queue.peek_hints() {
-                let i = next.to.index();
-                std::hint::black_box(self.actors[i].meta.epoch);
             }
             // A timer from a pre-restart process epoch was purged (in
             // O(1)) when its actor restarted; it surfaces here only to be
@@ -612,18 +597,6 @@ impl<W: Message, A: Actor<W>> Engine<W, A> {
 
     /// Enqueues one send, applying the installed fault injector's verdict.
     fn enqueue_send(&mut self, from: ActorId, to: ActorId, at: SimTime, mut msg: W) {
-        // Start pulling the destination's record (metadata and actor
-        // state, one line for small actors) toward the core now:
-        // short-latency sends dispatch within a few events of here, and
-        // at hyperscale a random destination is a cold line on an
-        // unmapped-TLB page — a discarded real load walks the page
-        // tables and fills the line while the intervening events
-        // dispatch, where a prefetch hint would be silently dropped on
-        // the dTLB miss. Invisible to deterministic replay.
-        if let Some(r) = self.actors.get(to.index()) {
-            std::hint::black_box(r.meta.epoch);
-            prefetch::touch(&r.actor);
-        }
         let consult_timer = self
             .injector
             .is_some()

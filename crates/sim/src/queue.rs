@@ -1,4 +1,4 @@
-//! The two-tier calendar queue behind the engine's event loop.
+//! The calendar queue behind the engine's event loop.
 //!
 //! The engine needs exactly one queue discipline: pop the event with the
 //! smallest `(arrival time, insertion sequence)` key. A global binary heap
@@ -10,35 +10,36 @@
 //! - **window** — the *active bucket*, sorted once when it is drained
 //!   from the ring and then walked with a cursor: a pop is a bounds check
 //!   and an increment, not a heap sift, and the upcoming pops sit at a
-//!   known position so prefetching can run exactly in pop order. A tiny
-//!   `overflow` min-heap catches entries inserted *into* the active
-//!   window after the sort (same-instant sends); it is empty in the
-//!   common case and each pop only compares its top against the cursor.
-//! - **near** — a ring of FIFO buckets covering the next
-//!   `NBUCKETS × 2^SHIFT` microseconds. Each bucket is a plain vector of
-//!   keys: parking is an O(1) append, and draining a bucket streams its
-//!   keys sequentially into the window — no pointer chasing, so the
-//!   hardware prefetcher hides the latency even when the ring holds
-//!   hundreds of thousands of entries.
-//! - **far** — a min-heap holding everything beyond the near horizon
-//!   (long periodic timers, mostly). Promoted into the ring as the horizon
-//!   advances, so far events pay `O(log far)` twice but never mix with the
-//!   hot path.
+//!   known position so prefetching can run exactly in pop order.
+//! - **ring** — FIFO buckets covering the `NBUCKETS × 2^SHIFT`
+//!   microseconds after the window's bucket. Each bucket is a plain
+//!   vector of keys: parking is an O(1) append, and draining a bucket
+//!   streams its keys sequentially into the window — no pointer chasing,
+//!   so the hardware prefetcher hides the latency even when the ring
+//!   holds hundreds of thousands of entries.
+//! - **heap** — one min-heap for every key the ring does not hold: keys
+//!   that land at or before the window's bucket after its sort
+//!   (same-instant sends) and keys beyond the ring's horizon (long
+//!   periodic timers). Nothing ever moves a key out of it; each pop
+//!   compares its top against the window cursor.
 //!
 //! Payloads are *parked in a slab* and addressed by index: queue
-//! maintenance (sifts, bucket drains, promotions) moves only
-//! `(at, seq, index)` triples, never the `W` payload, which is written
-//! once on insert and read once on pop.
+//! maintenance (sifts, bucket drains) moves only `(at, seq, index)`
+//! triples, never the `W` payload, which is written once on insert and
+//! read once on pop.
 //!
 //! **Determinism argument.** Keys are unique (`seq` is a strictly
-//! increasing insertion counter), every event lives in exactly one tier,
-//! and the tiers partition time: the window (sorted run + overflow heap)
-//! holds keys with bucket `≤ cur_bucket`, the ring holds
-//! `(cur_bucket, cur_bucket + NBUCKETS)`, `far` holds the rest. Inserts
-//! never go backwards in time past the active window (the engine
-//! guarantees `at ≥ now`), so the smaller of the cursor key and the
-//! overflow top is always the global minimum — the pop sequence is
-//! exactly the old heap's `(at, seq)` order, byte for byte.
+//! increasing insertion counter) and every key lives in exactly one tier.
+//! The window holds keys of bucket `cur_bucket` only, and the ring holds
+//! keys of buckets strictly after it, so the window cursor sorts before
+//! every ring key. Once the window is exhausted, the heap top is the
+//! global minimum exactly when its bucket is not after `cur_bucket`;
+//! otherwise `refill` advances to the next occupied ring bucket (or, with
+//! the ring empty, jumps to the heap top's bucket). Inserts never go
+//! backwards in time past a popped key (the engine guarantees
+//! `at ≥ now`), so the smaller of the cursor key and the heap top is
+//! always the global minimum — the pop sequence is exactly a single
+//! heap's `(at, seq)` order, byte for byte.
 //!
 //! **Memory bound.** Queue memory follows *live* events, not simulated
 //! time. Only the sorted window needs burst capacity, so a drain leaves
@@ -50,15 +51,12 @@
 //! with the ring) — so kept bursts pile up, one per slot ever hit. With
 //! `P` the peak entry count, each key buffer is a vector doubled up to at
 //! most `P` keys, so [`CalendarQueue::heap_bytes`] never exceeds `24 B ×
-//! (8 P + NBUCKETS × (SLOT_KEEP + 1))` for window, ring, overflow and far
-//! plus `2 P × (size_of::<Option<T>>() + 4 B)` for slab and free list.
+//! (6 P + NBUCKETS × (SLOT_KEEP + 1))` for window, ring and heap plus
+//! `2 P × (size_of::<Option<T>>() + 4 B)` for slab and free list.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::mem::size_of;
-use std::time::Instant;
-
-use vbundle_obs::{HotSection, Profiler};
 
 use crate::prefetch;
 
@@ -69,9 +67,9 @@ use crate::prefetch;
 const SHIFT: u32 = 6;
 /// Number of near-tier buckets (a power of two): with `SHIFT = 6` the
 /// ring covers a ~262 ms horizon, so per-tick gossip and protocol probes
-/// park in O(1) while sub-second-and-up periodic timers overflow to
-/// `far`. Empty buckets cost one header check to skip, so a narrow-wide
-/// ring beats a coarse one on both ends.
+/// park in O(1) while sub-second-and-up periodic timers go to the heap.
+/// Empty buckets cost one header check to skip, so a narrow-wide ring
+/// beats a coarse one on both ends.
 const NBUCKETS: u64 = 4096;
 const MASK: u64 = NBUCKETS - 1;
 /// Capacity (in keys) a drained ring slot may keep; a larger vector is
@@ -87,7 +85,7 @@ const SLOT_KEEP: usize = 64;
 /// way).
 type Key = Reverse<(u64, u64, u32, u32)>;
 
-/// A deterministic two-tier calendar/ladder queue popping entries in
+/// A deterministic calendar queue popping entries in
 /// strict `(at, seq)` order — the engine's event queue, exposed so the
 /// micro-benches and property tests can exercise the discipline directly.
 ///
@@ -114,24 +112,20 @@ pub struct CalendarQueue<T> {
     window: Vec<Key>,
     /// Cursor into `window`: entries before it have been popped.
     win_pos: usize,
-    /// Min-heap for keys that land in the active window *after* its sort
-    /// (e.g. same-instant sends). Almost always empty.
-    overflow: BinaryHeap<Key>,
-    /// The near-horizon bucket ring: per-bucket key vectors in append
-    /// (= `seq`) order; a drained slot keeps ≤ `SLOT_KEEP` keys of capacity.
+    /// The bucket ring: per-bucket key vectors in append (= `seq`) order
+    /// for buckets `(cur_bucket, cur_bucket + NBUCKETS)`; a drained slot
+    /// keeps ≤ `SLOT_KEEP` keys of capacity.
     buckets: Vec<Vec<Key>>,
-    /// Min-heap over everything beyond the near horizon.
-    far: BinaryHeap<Key>,
+    /// Min-heap over every key outside the ring's span: at or before
+    /// `cur_bucket` when inserted (same-instant sends), or beyond the
+    /// horizon (long timers).
+    heap: BinaryHeap<Key>,
     /// Absolute bucket index (`at >> SHIFT`) of the active window.
     cur_bucket: u64,
     /// Entries currently parked in ring buckets.
     near_len: usize,
     /// Total entries across all tiers.
     len: usize,
-    /// Entries promoted out of the far tier so far (deterministic).
-    far_promotions: u64,
-    /// Active-window advances so far (deterministic).
-    bucket_advances: u64,
     /// Rolling prefetch cursor into `window`, always `≥ win_pos`; see
     /// [`CalendarQueue::drain_prefetch`].
     pf_pos: usize,
@@ -151,19 +145,16 @@ impl<T> CalendarQueue<T> {
             free: Vec::new(),
             window: Vec::new(),
             win_pos: 0,
-            overflow: BinaryHeap::new(),
             buckets: (0..NBUCKETS).map(|_| Vec::new()).collect(),
-            far: BinaryHeap::new(),
+            heap: BinaryHeap::new(),
             cur_bucket: 0,
             near_len: 0,
             len: 0,
-            far_promotions: 0,
-            bucket_advances: 0,
             pf_pos: 0,
         }
     }
 
-    /// Total entries queued across all tiers.
+    /// Total entries queued across window, ring and heap.
     pub fn len(&self) -> usize {
         self.len
     }
@@ -173,21 +164,11 @@ impl<T> CalendarQueue<T> {
         self.len == 0
     }
 
-    /// Entries promoted from the far tier into the near ring so far.
-    pub fn far_promotions(&self) -> u64 {
-        self.far_promotions
-    }
-
-    /// Times the active window has advanced to a later bucket.
-    pub fn bucket_advances(&self) -> u64 {
-        self.bucket_advances
-    }
-
     /// Bytes of heap held right now: every tier's capacity, the slab and
     /// its free list. Walks all ring slots — for gauges, not the hot path.
     pub fn heap_bytes(&self) -> usize {
         let slots: usize = self.buckets.iter().map(Vec::capacity).sum();
-        let keys = self.window.capacity() + self.overflow.capacity() + self.far.capacity();
+        let keys = self.window.capacity() + self.heap.capacity();
         (keys + slots) * size_of::<Key>()
             + self.buckets.capacity() * size_of::<Vec<Key>>()
             + self.payload.capacity() * size_of::<Option<T>>()
@@ -206,17 +187,17 @@ impl<T> CalendarQueue<T> {
     /// an opaque token (the engine uses the destination actor's index)
     /// echoed back via [`CalendarQueue::drain_prefetch`] once the entry's
     /// bucket is drained, far enough ahead of its pop for the caller to
-    /// prefetch whatever state dispatching it will touch.
+    /// prefetch whatever state dispatching it will touch. Entries that go
+    /// to the heap are never echoed.
     pub fn insert_hinted(&mut self, at: u64, seq: u64, hint: u32, value: T) {
         let idx = self.alloc(value);
         let abs = at >> SHIFT;
-        if abs <= self.cur_bucket {
-            self.overflow.push(Reverse((at, seq, idx, hint)));
-        } else if abs < self.cur_bucket + NBUCKETS {
-            self.buckets[(abs & MASK) as usize].push(Reverse((at, seq, idx, hint)));
+        let key = Reverse((at, seq, idx, hint));
+        if self.cur_bucket < abs && abs < self.cur_bucket + NBUCKETS {
+            self.buckets[(abs & MASK) as usize].push(key);
             self.near_len += 1;
         } else {
-            self.far.push(Reverse((at, seq, idx, hint)));
+            self.heap.push(key);
         }
         self.len += 1;
     }
@@ -245,27 +226,20 @@ impl<T> CalendarQueue<T> {
 
     /// Pops the globally smallest `(at, seq)` entry.
     pub fn pop(&mut self) -> Option<(u64, u64, T)> {
-        self.pop_before(u64::MAX, None)
+        self.pop_before(u64::MAX)
     }
 
     /// Pops the globally smallest entry if its `at` is `≤ deadline`, in a
     /// single queue operation (no separate peek). Returns `None` when the
     /// queue is empty or the earliest entry lies beyond the deadline.
-    ///
-    /// When a profiler is supplied, time spent promoting far-tier entries
-    /// is recorded under [`HotSection::FarPromote`].
-    pub fn pop_before(
-        &mut self,
-        deadline: u64,
-        mut profiler: Option<&mut Profiler>,
-    ) -> Option<(u64, u64, T)> {
-        if !self.refill(&mut profiler) {
+    pub fn pop_before(&mut self, deadline: u64) -> Option<(u64, u64, T)> {
+        if !self.refill() {
             return None;
         }
-        // The window cursor and the overflow top are each the minimum of
+        // The window cursor and the heap top are each the minimum of
         // their source; the smaller `(at, seq)` is the global minimum.
-        let from_window = match (self.window.get(self.win_pos), self.overflow.peek()) {
-            (Some(&Reverse(w)), Some(&Reverse(o))) => w < o,
+        let from_window = match (self.window.get(self.win_pos), self.heap.peek()) {
+            (Some(&Reverse(w)), Some(&Reverse(h))) => w < h,
             (Some(_), None) => true,
             (None, Some(_)) => false,
             (None, None) => unreachable!("refill left an entry"),
@@ -278,11 +252,11 @@ impl<T> CalendarQueue<T> {
             self.win_pos += 1;
             (at, seq, idx)
         } else {
-            let &Reverse((at, seq, idx, _)) = self.overflow.peek().expect("checked above");
+            let &Reverse((at, seq, idx, _)) = self.heap.peek().expect("checked above");
             if at > deadline {
                 return None;
             }
-            self.overflow.pop();
+            self.heap.pop();
             (at, seq, idx)
         };
         self.len -= 1;
@@ -291,77 +265,36 @@ impl<T> CalendarQueue<T> {
         Some((at, seq, value))
     }
 
-    /// Payloads of the next few window entries in exact pop order.
-    /// Best-effort by design: the engine uses these to prefetch upcoming
-    /// events' actor state while the current event dispatches, so
-    /// entries outside the sorted window (overflow arrivals) merely skip
-    /// a prefetch opportunity. (Deeper peeks measure slower: the extra
-    /// payload reads cost more than the added lead buys.)
-    pub fn peek_hints(&self) -> impl Iterator<Item = &T> {
-        self.window[self.win_pos..]
-            .iter()
-            .take(3)
-            .filter_map(|&Reverse((_, _, idx, _))| self.payload[idx as usize].as_ref())
-    }
-
-    /// Ensures `current` holds the global minimum (advancing the window
-    /// and promoting far entries as needed); false when the queue is empty.
+    /// Ensures the window cursor or the heap top holds the global minimum,
+    /// advancing the window as needed; false when the queue is empty.
     ///
-    /// Skipping empty buckets is a sequential header scan, and far
-    /// promotion runs once per jump: a far entry can never sort before
-    /// the ring's next occupied bucket, because everything in the far
-    /// tier lay beyond the *old* horizon and the ring sits entirely
-    /// inside it.
-    fn refill(&mut self, profiler: &mut Option<&mut Profiler>) -> bool {
-        while self.win_pos == self.window.len() && self.overflow.is_empty() {
+    /// Every ring key lies after `cur_bucket`, so once the window is
+    /// exhausted the heap top is the minimum exactly when its bucket is
+    /// not after `cur_bucket`. Otherwise the window moves to the next
+    /// occupied ring bucket (a sequential header scan) or, with the ring
+    /// empty, jumps straight to the heap top's bucket.
+    fn refill(&mut self) -> bool {
+        while self.win_pos == self.window.len() {
+            let heap_bucket = match self.heap.peek() {
+                Some(&Reverse((at, ..))) => at >> SHIFT,
+                None if self.near_len == 0 => return false,
+                None => u64::MAX,
+            };
+            if heap_bucket <= self.cur_bucket {
+                break;
+            }
             if self.near_len > 0 {
                 let mut b = self.cur_bucket + 1;
                 while self.buckets[(b & MASK) as usize].is_empty() {
                     b += 1;
                 }
                 self.cur_bucket = b;
-                self.bucket_advances += 1;
-                self.promote_far(profiler);
                 self.drain_bucket();
-            } else if let Some(&Reverse((at, ..))) = self.far.peek() {
-                // Nothing nearer: jump the window straight to the far
-                // minimum instead of stepping through empty buckets.
-                self.cur_bucket = at >> SHIFT;
-                self.bucket_advances += 1;
-                self.promote_far(profiler);
             } else {
-                return false;
+                self.cur_bucket = heap_bucket;
             }
         }
         true
-    }
-
-    /// Moves far-tier entries whose bucket fell inside the near horizon
-    /// into the ring (or straight into `current` for the active window).
-    fn promote_far(&mut self, profiler: &mut Option<&mut Profiler>) {
-        let horizon = self.cur_bucket + NBUCKETS;
-        match self.far.peek() {
-            Some(&Reverse((at, ..))) if at >> SHIFT < horizon => {}
-            _ => return,
-        }
-        let timer = profiler.as_ref().map(|_| Instant::now());
-        while let Some(&Reverse((at, seq, idx, hint))) = self.far.peek() {
-            let abs = at >> SHIFT;
-            if abs >= horizon {
-                break;
-            }
-            self.far.pop();
-            self.far_promotions += 1;
-            if abs <= self.cur_bucket {
-                self.overflow.push(Reverse((at, seq, idx, hint)));
-            } else {
-                self.buckets[(abs & MASK) as usize].push(Reverse((at, seq, idx, hint)));
-                self.near_len += 1;
-            }
-        }
-        if let (Some(p), Some(t)) = (profiler.as_deref_mut(), timer) {
-            p.record(HotSection::FarPromote, t.elapsed());
-        }
     }
 
     /// Installs the active bucket as the window and sorts it once
@@ -410,12 +343,9 @@ impl<T> std::fmt::Debug for CalendarQueue<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CalendarQueue")
             .field("len", &self.len)
-            .field(
-                "window",
-                &(self.window.len() - self.win_pos + self.overflow.len()),
-            )
-            .field("near", &self.near_len)
-            .field("far", &self.far.len())
+            .field("window", &(self.window.len() - self.win_pos))
+            .field("ring", &self.near_len)
+            .field("heap", &self.heap.len())
             .field("cur_bucket", &self.cur_bucket)
             .finish()
     }
@@ -439,7 +369,6 @@ mod tests {
         assert_eq!(q.pop(), Some((5_000_000_000, 3, 'z')));
         assert_eq!(q.pop(), None);
         assert!(q.is_empty());
-        assert!(q.far_promotions() >= 1);
     }
 
     #[test]
@@ -447,10 +376,10 @@ mod tests {
         let mut q = CalendarQueue::new();
         q.insert(100, 0, 0u32);
         q.insert(200, 1, 1u32);
-        assert_eq!(q.pop_before(150, None), Some((100, 0, 0)));
-        assert_eq!(q.pop_before(150, None), None);
+        assert_eq!(q.pop_before(150), Some((100, 0, 0)));
+        assert_eq!(q.pop_before(150), None);
         assert_eq!(q.len(), 1);
-        assert_eq!(q.pop_before(200, None), Some((200, 1, 1)));
+        assert_eq!(q.pop_before(200), Some((200, 1, 1)));
     }
 
     #[test]
@@ -466,7 +395,7 @@ mod tests {
     }
 
     #[test]
-    fn far_tier_promotes_across_multiple_horizons() {
+    fn far_keys_pop_across_multiple_horizons() {
         let width = 1u64 << SHIFT;
         let horizon = NBUCKETS * width;
         let mut q = CalendarQueue::new();
@@ -479,7 +408,6 @@ mod tests {
             got.push(k);
         }
         assert_eq!(got, vec![0, 1, 2, 3, 4]);
-        assert!(q.bucket_advances() > 0);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Property tests pinning the calendar queue to the binary-heap pop
 //! discipline it replaced: for any interleaving of inserts and pops —
-//! same-timestamp bursts, far-future overflow promotions, and lazy
-//! epoch purges — the calendar queue must yield the exact `(at, seq)`
-//! order a min-heap would. This is the determinism contract the engine's
+//! same-timestamp bursts, far-future keys sharing buckets with ring keys,
+//! and lazy epoch purges — the calendar queue must yield the exact
+//! `(at, seq)` order a min-heap would. This is the determinism contract the engine's
 //! byte-identical replay rests on.
 //!
 //! They also hold the queue to its stated memory bound (`sim::queue`
@@ -48,10 +48,11 @@ const NBUCKETS: usize = 4096;
 const SLOT_KEEP: usize = 64;
 
 /// The memory bound from the `sim::queue` module doc for a queue of `T`
-/// whose live entry count never exceeded `peak_live`.
+/// whose live entry count never exceeded `peak_live`: window, ring and
+/// heap at `2 P` keys each.
 fn heap_bound<T>(peak_live: usize) -> usize {
     let p = peak_live.max(4); // a vector's first allocation holds four
-    KEY_BYTES * (8 * p + NBUCKETS * (SLOT_KEEP + 1))
+    KEY_BYTES * (6 * p + NBUCKETS * (SLOT_KEEP + 1))
         + 2 * p * (std::mem::size_of::<Option<T>>() + std::mem::size_of::<u32>())
 }
 
@@ -70,9 +71,17 @@ fn lazy_pop(queue: &mut CalendarQueue<(u32, u32)>, epochs: &[u32]) -> Option<(u6
 /// An op stream: `kind % 4` selects insert-near / insert-far / pop /
 /// epoch-purge; `at` seeds the timestamp and `actor` the owner. Narrow
 /// `at` ranges force same-bucket and same-timestamp collisions; the far
-/// branch adds a multi-horizon offset so overflow promotion is exercised.
+/// branch adds a multi-horizon offset so keys beyond the ring's horizon
+/// are exercised.
 fn arb_ops() -> impl Strategy<Value = Vec<(u8, u64, u32)>> {
     proptest::collection::vec((0u8..8, 0u64..3_000_000, 0..NUM_ACTORS), 1..200)
+}
+
+/// An op stream of inserts relative to the last popped key, the way the
+/// engine makes them: `kind % 3` selects insert / dense insert / pop and
+/// `off` the offset, up to about three ring horizons (262 ms each).
+fn arb_relative_ops() -> impl Strategy<Value = Vec<(u8, u64)>> {
+    proptest::collection::vec((0u8..6, 0u64..800_000), 1..300)
 }
 
 proptest! {
@@ -131,6 +140,51 @@ proptest! {
             let want = model.pop();
             prop_assert_eq!(got, want, "pop diverged during drain");
             prop_assert!(queue.heap_bytes() <= heap_bound::<(u32, u32)>(peak_live));
+            if got.is_none() {
+                break;
+            }
+        }
+    }
+
+    /// Keys inserted beyond the ring's horizon stay in the heap while the
+    /// window advances, so later inserts land in the ring in the *same*
+    /// buckets — the case the heap/ring merge must order. The dense mode
+    /// (`off % 2 000`) packs keys into the few buckets around the window,
+    /// where heap, ring and window keys interleave. Checked against the
+    /// flat model op for op and on drain, under the memory bound.
+    #[test]
+    fn relative_inserts_match_heap_discipline(ops in arb_relative_ops()) {
+        let mut queue: CalendarQueue<()> = CalendarQueue::new();
+        let mut model = HeapModel::default();
+        let (mut seq, mut last_popped, mut peak_live) = (0u64, 0u64, 0);
+        let pop = |queue: &mut CalendarQueue<()>, model: &mut HeapModel| {
+            let got = queue.pop().map(|(at, seq, ())| (at, seq));
+            (got, model.pop().map(|(at, seq, ..)| (at, seq)))
+        };
+        for &(kind, off) in &ops {
+            match kind % 3 {
+                2 => {
+                    let (got, want) = pop(&mut queue, &mut model);
+                    prop_assert_eq!(got, want, "pop diverged mid-stream");
+                    last_popped = got.map_or(last_popped, |(at, _)| at);
+                }
+                dense => {
+                    let at = last_popped + if dense == 1 { off % 2_000 } else { off };
+                    queue.insert(at, seq, ());
+                    model.insert(at, seq, 0, 0);
+                    seq += 1;
+                }
+            }
+            peak_live = peak_live.max(queue.len());
+            prop_assert!(
+                queue.heap_bytes() <= heap_bound::<()>(peak_live),
+                "{} B held with at most {} live", queue.heap_bytes(), peak_live
+            );
+        }
+        loop {
+            let (got, want) = pop(&mut queue, &mut model);
+            prop_assert_eq!(got, want, "pop diverged during drain");
+            prop_assert!(queue.heap_bytes() <= heap_bound::<()>(peak_live));
             if got.is_none() {
                 break;
             }
