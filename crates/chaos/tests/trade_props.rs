@@ -7,7 +7,8 @@ use std::sync::Arc;
 
 use vbundle_chaos::{check_capacity, check_entitlement_conservation, ChaosDriver, FaultPlan};
 use vbundle_core::{
-    Cluster, CustomerId, ResourceSpec, ResourceVector, VBundleConfig, VmId, VmRecord,
+    Cluster, CustomerId, ResourceSpec, ResourceVector, SpotMarketConfig, VBundleConfig, VmId,
+    VmRecord,
 };
 use vbundle_dcn::{Bandwidth, Topology};
 use vbundle_pastry::PastryConfig;
@@ -175,4 +176,98 @@ fn lender_crash_replays_byte_identically() {
     let (a, _, _) = run_lender_crash(42);
     let (b, _, _) = run_lender_crash(42);
     assert_eq!(a, b, "same seed must replay byte-identically");
+}
+
+/// The `market_churn` benchmark's cluster (400 servers in two pods, four
+/// 100 Mbps VMs per server over eight tenants, trading and the spot market
+/// on, 120 s leases, one crash-restart and one crash) with its hot set —
+/// one VM in nine at 260 Mbps, the rest at 20 — moving by `stride` VMs
+/// every 30 s slice. Returns what `check_capacity` reports after the
+/// first slice that over-commits a server, if any does.
+fn hot_set_walk_overcommit(seed: u64, stride: u64) -> Option<Vec<String>> {
+    const VMS_PER_SERVER: u64 = 4;
+    const TENANTS: u64 = 8;
+    const HOT_EVERY: u64 = 9;
+    const SLICE_SECS: u64 = 30;
+    const HORIZON_SECS: u64 = 210;
+    let demand_of = |vm: u64, rotation: u64| {
+        let hot = (vm + rotation).is_multiple_of(HOT_EVERY);
+        ResourceVector::bandwidth_only(bw(if hot { 260.0 } else { 20.0 }))
+    };
+    let topo = Arc::new(
+        Topology::builder()
+            .pods(2)
+            .racks_per_pod(10)
+            .servers_per_rack(20)
+            .build(),
+    );
+    let pastry = PastryConfig {
+        heartbeat: Some(SimDuration::from_secs(1)),
+        maintenance: Some(SimDuration::from_secs(10)),
+        ..PastryConfig::default()
+    };
+    let mut cluster = Cluster::builder(Arc::clone(&topo))
+        .pastry(pastry)
+        .scribe(ScribeConfig::default().with_probe_interval(SimDuration::from_secs(3)))
+        .vbundle(
+            VBundleConfig::default()
+                .with_update_interval(SimDuration::from_secs(5))
+                .with_rebalance_interval(SimDuration::from_secs(100_000))
+                .with_bundle_trading(true)
+                .with_lease_duration(SimDuration::from_secs(120))
+                .with_spot_market(SpotMarketConfig::default()),
+        )
+        .seed(seed)
+        .build();
+    let servers = cluster.num_servers();
+    let vms = servers as u64 * VMS_PER_SERVER;
+    let mut rotation = seed % HOT_EVERY;
+    for v in 0..vms {
+        let id = cluster.alloc_vm_id();
+        let mut vm = VmRecord::new(
+            id,
+            CustomerId((v % TENANTS) as u32),
+            ResourceSpec::bandwidth(bw(100.0), bw(100.0)),
+        );
+        vm.demand = demand_of(v, rotation);
+        cluster.install_vm(topo.server((v / VMS_PER_SERVER) as usize), vm);
+    }
+    cluster.reindex();
+    let t = SimTime::from_secs;
+    let plan = FaultPlan::new(seed)
+        .crash(t(100), ActorId::new(1))
+        .crash(t(105), ActorId::new(servers as u32 / 2))
+        .restart(t(150), ActorId::new(1));
+    let mut driver = ChaosDriver::install(&mut cluster.engine, Arc::clone(&topo), plan);
+    for end in (SLICE_SECS..=HORIZON_SECS).step_by(SLICE_SECS as usize) {
+        driver.run_until(&mut cluster.engine, t(end));
+        let open = check_capacity(&cluster.engine);
+        if !open.is_empty() {
+            return Some(open);
+        }
+        let moved = rotation + stride;
+        for v in 0..vms {
+            let (was, is) = (demand_of(v, rotation), demand_of(v, moved));
+            if was != is {
+                cluster.set_vm_demand(VmId(v), is);
+            }
+        }
+        rotation = moved;
+    }
+    None
+}
+
+/// Borrow grants may fill only what a server has not promised: a lender's
+/// lent-out reservation comes back at the lease's expiry, so it is no
+/// headroom. With the hot set moving ±1 VM per slice all four VMs of a
+/// server turn hot within one lease lifetime, and their VMs hold lender and
+/// borrower halves at once. When a borrow grant could fill a lender's
+/// lent-out reservation, seed 209 at stride 1 left server 268 promising
+/// 1 009 Mbps on its 1 000 Mbps NIC.
+#[test]
+fn hot_set_walk_never_overcommits_a_nic() {
+    for (seed, stride) in [(209, 1), (209, 8)] {
+        let open = hot_set_walk_overcommit(seed, stride);
+        assert_eq!(open, None, "seed {seed}, stride {stride}");
+    }
 }

@@ -15,17 +15,13 @@ use super::stats::ControllerStats;
 use super::surv::Survivability;
 use super::Ctx;
 use crate::message::{BootQuery, CtrlMsg};
-use crate::ResourceVector;
 
-/// What one hop of a boot walk works on: the host, and the two things
-/// other modules contribute to an admission decision.
+/// What one hop of a boot walk works on: the host, and what the
+/// survivability and failover modules contribute to an admission decision.
 pub(super) struct Admission<'a> {
     pub host: &'a mut Host,
     pub stats: &'a mut ControllerStats,
     pub surv: &'a mut Option<Survivability>,
-    /// Reservations the shuffle holds for accepted-but-not-yet-arrived
-    /// VMs; they count against admission.
-    pub held: ResourceVector,
     /// Whether backups are requested as failover charges.
     pub protect: bool,
 }
@@ -72,7 +68,7 @@ pub(super) fn handle(
         }
         None => true,
     };
-    if spread_ok && adm.host.admits(adm.held, q.vm.spec.reservation) {
+    if spread_ok && adm.host.admits(q.vm.spec.reservation) {
         adm.host.install(q.vm);
         answer(ctx, &q, Some(me));
         if let Some(surv) = adm.surv {

@@ -26,7 +26,6 @@ impl Controller {
             host: &mut self.host,
             stats: &mut self.stats,
             surv: &mut self.surv,
-            held: self.shuffle.held(),
             protect: self.failover.is_some(),
         };
         boot::handle(&mut adm, ctx, q);
@@ -49,7 +48,7 @@ impl Controller {
     /// means through the gate, re-classify, then let trading run its pass.
     fn update_tick(&mut self, ctx: &mut Ctx<'_, '_, '_, '_>) {
         let (host, stats) = (&mut self.host, &mut self.stats);
-        self.shuffle.expire_holds(ctx.now());
+        host.expire_holds(ctx.now());
         for &kind in host.active_kinds() {
             let (demand, capacity) = (host.demand_for(kind), host.capacity.get(kind));
             host.agg.set_local(ctx, demand_topic(kind), demand);
@@ -144,7 +143,6 @@ impl ScribeClient for Controller {
                         host,
                         stats,
                         surv: &mut self.surv,
-                        held: self.shuffle.held(),
                         protect: true,
                     };
                     fo.tick(&mut adm, ctx);
@@ -232,7 +230,7 @@ impl ScribeClient for Controller {
             | CtrlMsg::LeaseRenew { .. }
             | CtrlMsg::LeaseRelease { .. } => {
                 if let Some(trade) = &mut self.trade {
-                    trade.on_direct(host, self.shuffle.held(), ctx, from, msg);
+                    trade.on_direct(host, ctx, from, msg);
                 }
             }
             CtrlMsg::SurvCommit {
@@ -248,7 +246,7 @@ impl ScribeClient for Controller {
             // Nothing identifies the VM it backs, so a duplicated request
             // carves twice (see DESIGN.md, "Survivable placement").
             CtrlMsg::BackupReserve { amount, .. } => {
-                if self.surv.is_some() && host.carve_backup(self.shuffle.held(), amount) {
+                if self.surv.is_some() && host.carve_backup(amount) {
                     stats.backups_reserved += 1;
                 }
             }
@@ -263,7 +261,7 @@ impl ScribeClient for Controller {
             | CtrlMsg::FoProbeAck { .. }
             | CtrlMsg::FoFenceAck { .. } => {
                 if let Some(fo) = &mut self.failover {
-                    fo.on_direct(host, stats, self.shuffle.held(), ctx, from, msg);
+                    fo.on_direct(host, stats, ctx, from, msg);
                 }
             }
         }
@@ -292,7 +290,7 @@ impl ScribeClient for Controller {
     ) -> bool {
         self.host.clock = ctx.now();
         // Neither answer lets this server lend more: a grant debits it, a
-        // hold does not touch the ledger. Nothing to announce.
+        // hold does not touch the lease book. Nothing to announce.
         match msg {
             CtrlMsg::Borrow(q) => match &mut self.trade {
                 Some(trade) => {
@@ -302,7 +300,8 @@ impl ScribeClient for Controller {
                 None => false,
             },
             CtrlMsg::Load(q) if group == less_loaded_group() => {
-                self.shuffle.on_query(&self.host, &mut self.stats, ctx, q)
+                self.shuffle
+                    .on_query(&mut self.host, &mut self.stats, ctx, q)
             }
             _ => false,
         }

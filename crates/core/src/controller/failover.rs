@@ -151,7 +151,6 @@ impl Failover {
         &mut self,
         host: &mut Host,
         stats: &mut ControllerStats,
-        held: ResourceVector,
         vm: VmRecord,
         primary: NodeHandle,
         amount: ResourceVector,
@@ -160,7 +159,7 @@ impl Failover {
             stats.invalid_payloads += 1;
             return false;
         }
-        let armed = host.carve_backup(held, amount);
+        let armed = host.carve_backup(amount);
         if armed {
             self.handles.insert(primary.actor.index() as u32, primary);
             let stage = FoStage::Armed { amount };
@@ -369,13 +368,11 @@ impl Failover {
         boot::handle(adm, ctx, q);
     }
 
-    /// Failover's direct messages (`held`: what the shuffle holds, for the
-    /// admission check of a carve).
+    /// Failover's direct messages.
     pub fn on_direct(
         &mut self,
         host: &mut Host,
         stats: &mut ControllerStats,
-        held: ResourceVector,
         ctx: &mut Ctx<'_, '_, '_, '_>,
         from: NodeHandle,
         msg: CtrlMsg,
@@ -405,7 +402,7 @@ impl Failover {
                 primary,
                 amount,
             } => {
-                let armed = self.arm(host, stats, held, *vm, primary, amount);
+                let armed = self.arm(host, stats, *vm, primary, amount);
                 stats.backups_reserved += u64::from(armed);
             }
             CtrlMsg::FoProbe { rack } => ctx.send_client(from, CtrlMsg::FoProbeAck { rack }),
@@ -514,8 +511,7 @@ mod tests {
         let mut c = controller(0.15);
         let mut fo = Failover::new(FailoverConfig::default());
         let mut arm = |fo: &mut Failover, amount| {
-            let held = ResourceVector::ZERO;
-            fo.arm(&mut c.host, &mut c.stats, held, protected, primary, amount)
+            fo.arm(&mut c.host, &mut c.stats, protected, primary, amount)
         };
         let too_big = ResourceVector::bandwidth_only(Bandwidth::from_gbps(2.0));
         assert!(!arm(&mut fo, too_big));

@@ -7,7 +7,7 @@ use vbundle_aggregation::{AggregationConfig, Aggregator};
 use vbundle_dcn::Bandwidth;
 use vbundle_obs::{FlightRecorder, Subsystem};
 use vbundle_sim::SimTime;
-use vbundle_trade::{ResourceSpec, TradeBook};
+use vbundle_trade::{LeaseRole, ResourceSpec, TradeBook};
 
 use super::{capacity_topic, demand_topic};
 use crate::{ResourceKind, ResourceVector, VBundleConfig, VmId, VmRecord};
@@ -15,11 +15,11 @@ use crate::{ResourceKind, ResourceVector, VBundleConfig, VmId, VmRecord};
 /// Host state, handed to each protocol module by `&mut` next to the
 /// module's own tables.
 ///
-/// Two ledgers live here rather than with the protocol that writes them,
-/// because admission control and the shaper read them on every server
-/// whether or not that protocol is configured: the lease book (written by
-/// trading) and the backup carve (written by survivable admission,
-/// failover and offline seeding).
+/// The admission ledger lives here rather than with the protocols that
+/// write it, because every admission path reads it on every server
+/// whether or not those protocols are configured: the lease book (written
+/// by trading), the shuffle's holds and the backup carve (written by
+/// survivable admission, failover and offline seeding).
 #[derive(Debug)]
 pub(super) struct Host {
     pub capacity: ResourceVector,
@@ -29,6 +29,9 @@ pub(super) struct Host {
     pub agg: Aggregator,
     /// This server's halves of committed entitlement leases.
     pub book: TradeBook,
+    /// Reservations the shuffle set aside for VMs it accepted that have
+    /// not arrived yet.
+    pub holds: Vec<Hold>,
     /// Capacity carved out for displaced VMs of survivable customers.
     /// Counted by admission control and subtracted from the shaper's
     /// borrow pool.
@@ -58,6 +61,7 @@ impl Host {
             vms: Vec::new(),
             agg: Aggregator::new(agg),
             book: TradeBook::new(),
+            holds: Vec::new(),
             backup_reserved: ResourceVector::ZERO,
             clock: SimTime::ZERO,
             flight: FlightRecorder::disabled(),
@@ -88,33 +92,46 @@ impl Host {
         }
     }
 
-    /// What admission control checks new reservations against: hosted
-    /// reservations at their live entitlement, plus `held` (reservations
-    /// the shuffle holds for accepted-but-not-yet-arrived VMs), plus the
-    /// backup carve.
-    pub fn reserved(&self, held: ResourceVector) -> ResourceVector {
-        let hosted: ResourceVector = self
-            .vms
-            .iter()
-            .map(|vm| self.entitled_spec(vm).reservation)
+    /// What this server has promised, and what every admission path checks
+    /// against: hosted VMs at their static reservation, plus the inflow of
+    /// every borrower half live at `clock` whose borrower is hosted, plus
+    /// the holds, plus the backup carve. A lender's lent-out reservation
+    /// stays counted — it comes back at the lease's expiry — so lending
+    /// frees no headroom here, and the live entitlement never exceeds this.
+    pub fn reserved(&self) -> ResourceVector {
+        let hosted: ResourceVector = self.vms.iter().map(|vm| vm.spec.reservation).sum();
+        let borrowed: ResourceVector = self
+            .book
+            .halves()
+            .filter(|h| h.role == LeaseRole::Borrower && h.lease.live_at(self.clock))
+            .filter(|h| self.hosts(h.lease.borrower))
+            .map(|h| h.lease.amount)
             .sum();
-        hosted + held + self.backup_reserved
+        let held: ResourceVector = self.holds.iter().map(|h| h.vm.spec.reservation).sum();
+        hosted + borrowed + held + self.backup_reserved
     }
 
     /// Whether `extra` still fits next to everything already reserved.
-    pub fn admits(&self, held: ResourceVector, extra: ResourceVector) -> bool {
-        (self.reserved(held) + extra).fits_within(&self.capacity)
+    pub fn admits(&self, extra: ResourceVector) -> bool {
+        (self.reserved() + extra).fits_within(&self.capacity)
     }
 
     /// Carves `amount` of backup headroom out of this server if it is sane
     /// and fits — the one carve path behind `BackupReserve`,
     /// `FoBackupReserve` and both offline seeding calls.
-    pub fn carve_backup(&mut self, held: ResourceVector, amount: ResourceVector) -> bool {
-        let fits = amount.is_sane() && self.admits(held, amount);
+    pub fn carve_backup(&mut self, amount: ResourceVector) -> bool {
+        let fits = amount.is_sane() && self.admits(amount);
         if fits {
             self.backup_reserved += amount;
         }
         fits
+    }
+
+    /// Drops lapsed holds. A hold is live strictly *before* its `expires`
+    /// instant, so at `expires` itself its reservation is already released
+    /// and an accept arriving in that very tick is not double-charged.
+    pub fn expire_holds(&mut self, now: SimTime) {
+        self.holds.retain(|h| h.expires > now);
     }
 
     pub fn release_backup(&mut self, amount: ResourceVector) {
@@ -177,6 +194,15 @@ impl Host {
     }
 }
 
+/// A reservation a receiver set aside for a VM it accepted, pending
+/// migration.
+#[derive(Debug, Clone)]
+pub(super) struct Hold {
+    pub query: u64,
+    pub vm: VmRecord,
+    pub expires: SimTime,
+}
+
 /// `demand` clamped to `limit`, where a zero limit means "untracked".
 pub(super) fn clamped(demand: f64, limit: f64) -> f64 {
     if limit > 0.0 {
@@ -218,11 +244,15 @@ impl Cooldown {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use crate::controller::tests::{controller, vm};
     use crate::controller::Controller;
-    use crate::{CustomerId, ResourceKind, ResourceVector, VBundleConfig, VmId};
+    use crate::message::CtrlMsg;
+    use crate::{Cluster, CustomerId, ResourceKind, ResourceVector, VBundleConfig, VmId};
     use vbundle_aggregation::AggregationConfig;
-    use vbundle_dcn::Bandwidth;
+    use vbundle_dcn::{Bandwidth, Topology};
+    use vbundle_scribe::ScribeClient;
     use vbundle_sim::{ActorId, SimTime};
     use vbundle_trade::{Lease, LeaseId, LeaseRole};
 
@@ -270,7 +300,7 @@ mod tests {
             .book
             .record(lease2, LeaseRole::Borrower, ActorId::new(9));
         c.host.clock = SimTime::from_secs(10);
-        // Lender's row shrank, borrower's grew; the sum is unchanged.
+        // Lender's row shrank, borrower's grew; the live sum is unchanged.
         let lender = *c.vms().iter().find(|v| v.id == VmId(1)).unwrap();
         let borrower = *c.vms().iter().find(|v| v.id == VmId(2)).unwrap();
         assert_eq!(
@@ -278,7 +308,8 @@ mod tests {
             200.0
         );
         assert_eq!(c.entitled_spec(&borrower).limit.bandwidth.as_mbps(), 400.0);
-        assert_eq!(c.reserved().bandwidth.as_mbps(), 600.0);
+        // The commitment is not: the lent 100 comes back at expiry.
+        assert_eq!(c.reserved().bandwidth.as_mbps(), 700.0);
         // The shaper now grants the borrower up to its live ceiling.
         let allocs = c.allocations();
         assert_eq!(allocs[1].granted.as_mbps(), 400.0);
@@ -291,5 +322,58 @@ mod tests {
             300.0
         );
         assert_eq!(c.demand_for(ResourceKind::Bandwidth), 400.0);
+        assert_eq!(c.reserved().bandwidth.as_mbps(), 600.0);
+    }
+
+    /// A lender's lent-out reservation is no headroom for a borrow grant:
+    /// it comes back when the lender's lease expires. Here the grant fits
+    /// the live entitlement (700 + 250 on a 1 000 Mbps NIC) but not the
+    /// commitment (900 + 250), and accepting it would leave 1 150 Mbps
+    /// promised once the lender half lapses.
+    #[test]
+    fn grant_cannot_fill_lent_out_reservation() {
+        let topo = Topology::builder()
+            .pods(1)
+            .racks_per_pod(2)
+            .servers_per_rack(2)
+            .build();
+        let config = VBundleConfig::default().with_bundle_trading(true);
+        let mut cluster = Cluster::builder(Arc::new(topo)).vbundle(config).build();
+        let server = cluster.topo.server(0);
+        cluster.install_vm(server, vm(1, 500.0, 500.0, 0.0));
+        cluster.install_vm(server, vm(2, 400.0, 400.0, 400.0));
+        let mbps = |x| ResourceVector::bandwidth_only(Bandwidth::from_mbps(x));
+        let lent = Lease::free(
+            LeaseId(1),
+            CustomerId(0),
+            VmId(1),
+            VmId(9),
+            mbps(200.0),
+            SimTime::ZERO,
+            SimTime::from_secs(100),
+        );
+        let peer = cluster.handles[1];
+        let c = cluster.controller_mut(0);
+        c.host.book.record(lent, LeaseRole::Lender, peer.actor);
+        let grant = CtrlMsg::BorrowGrant {
+            lease: Box::new(Lease::free(
+                LeaseId(2),
+                CustomerId(0),
+                VmId(9),
+                VmId(2),
+                mbps(250.0),
+                SimTime::ZERO,
+                SimTime::from_secs(1000),
+            )),
+        };
+        cluster.engine.call(ActorId::new(0), |node, ctx| {
+            node.app_call(ctx, |scribe, actx| {
+                scribe.client_call(actx, |c, sctx| c.on_direct(sctx, peer, grant));
+            });
+        });
+        let c = cluster.controller_mut(0);
+        assert!(!c.host.book.contains(LeaseId(2)), "grant accepted");
+        c.host.clock = SimTime::from_secs(150);
+        assert!(c.reserved().fits_within(c.capacity()));
     }
 }

@@ -276,24 +276,18 @@ impl Controller {
         self.host.bw_demand()
     }
 
-    /// Bandwidth currently held for accepted-but-not-yet-arrived VMs.
-    pub fn bw_held(&self) -> Bandwidth {
-        self.shuffle.bw_held()
-    }
-
     /// Bandwidth utilization: demand over NIC capacity (may exceed 1).
     pub fn utilization(&self) -> f64 {
         self.bw_demand().fraction_of(self.host.capacity.bandwidth)
     }
 
-    /// Sum of hosted reservations plus held reservations plus survivable
-    /// backup reservations — what admission control checks new
-    /// reservations against. With bundle trading on, hosted VMs count at
-    /// their *live* entitlement: a server whose VMs borrowed heavily
-    /// really has less room for newcomers, and a lender's freed
-    /// reservation is usable immediately.
+    /// What this server has promised — hosted reservations, live
+    /// borrowed entitlement, held reservations and the survivable backup
+    /// carve — and what admission control checks new reservations
+    /// against. Reservation a hosted VM lent out stays counted: it comes
+    /// back at the lease's expiry.
     pub fn reserved(&self) -> ResourceVector {
-        self.host.reserved(self.shuffle.held())
+        self.host.reserved()
     }
 
     /// Capacity carved out on this server as survivable backup.
@@ -310,7 +304,7 @@ impl Controller {
     /// carve-outs respect admission control like everything else).
     pub fn reserve_backup(&mut self, amount: ResourceVector) {
         assert!(
-            self.host.carve_backup(self.shuffle.held(), amount),
+            self.host.carve_backup(amount),
             "reserve_backup violates admission control"
         );
     }
@@ -356,10 +350,9 @@ impl Controller {
         primary: NodeHandle,
         amount: ResourceVector,
     ) {
-        let held = self.shuffle.held();
         let armed = match &mut self.failover {
-            Some(fo) => fo.arm(&mut self.host, &mut self.stats, held, vm, primary, amount),
-            None => self.host.carve_backup(held, amount),
+            Some(fo) => fo.arm(&mut self.host, &mut self.stats, vm, primary, amount),
+            None => self.host.carve_backup(amount),
         };
         assert!(armed, "install_protection violates admission control");
     }
@@ -509,7 +502,7 @@ impl Controller {
     /// capacity (offline placement must respect admission control too).
     pub fn install_vm(&mut self, vm: VmRecord) {
         assert!(
-            self.host.admits(self.shuffle.held(), vm.spec.reservation),
+            self.host.admits(vm.spec.reservation),
             "install_vm violates admission control"
         );
         self.host.install(vm);

@@ -18,17 +18,16 @@
 
 use std::collections::BTreeMap;
 
-use vbundle_dcn::Bandwidth;
 use vbundle_fdetect::{Courier, CourierConfig, RetryDecision};
 use vbundle_pastry::NodeHandle;
 use vbundle_sim::{SimDuration, SimTime};
 
 use super::gate::MeanGates;
-use super::host::{clamped, Cooldown, Host};
+use super::host::{clamped, Cooldown, Hold, Host};
 use super::stats::ControllerStats;
 use super::{less_loaded_group, Ctx, MIGRATE_RETRY_TAG_BASE};
 use crate::message::{CtrlMsg, LoadQuery};
-use crate::{ResourceKind, ResourceVector, VBundleConfig, VmId, VmRecord};
+use crate::{ResourceKind, VBundleConfig, VmId, VmRecord};
 
 /// Total transmission attempts per migration (first send included) before
 /// it is declared failed and the VM is reinstalled on the shedder.
@@ -48,14 +47,6 @@ pub enum ServerStatus {
     /// Neither; not participating in exchanges.
     #[default]
     Neutral,
-}
-
-/// Bandwidth a receiver set aside for a VM it accepted, pending migration.
-#[derive(Debug, Clone)]
-struct Hold {
-    query: u64,
-    vm: VmRecord,
-    expires: SimTime,
 }
 
 /// The stage of one load-balance query on the shedder.
@@ -88,8 +79,6 @@ enum ShedEvent {
 pub(super) struct Shuffle {
     pub status: ServerStatus,
     in_less_loaded: bool,
-    /// Receiver side: bandwidth held for accepted VMs.
-    holds: Vec<Hold>,
     /// Shedder side: outstanding queries by id. A `BTreeMap`, so restart
     /// re-arms the ack timers in query order.
     sheds: BTreeMap<u64, Shed>,
@@ -121,7 +110,6 @@ impl Shuffle {
         Shuffle {
             status: ServerStatus::Neutral,
             in_less_loaded: false,
-            holds: Vec::new(),
             sheds: BTreeMap::new(),
             courier,
             cooldown: Cooldown::default(),
@@ -160,16 +148,6 @@ impl Shuffle {
         }
     }
 
-    /// Reservations held for accepted-but-not-yet-arrived VMs.
-    pub fn held(&self) -> ResourceVector {
-        self.holds.iter().map(|h| h.vm.spec.reservation).sum()
-    }
-
-    /// Bandwidth demand held for accepted-but-not-yet-arrived VMs.
-    pub fn bw_held(&self) -> Bandwidth {
-        self.holds.iter().map(|h| h.vm.effective_bw_demand()).sum()
-    }
-
     /// Whether `vm` is the subject of a query still out in the tree — the
     /// "mid-shed" view trading reads before lending from a VM.
     pub fn offered(&self, vm: VmId) -> bool {
@@ -194,16 +172,6 @@ impl Shuffle {
     pub fn forget_vm(&mut self, vm: VmId) {
         self.sheds.retain(|_, s| *s != Shed::Offered(vm));
         self.cooldown.clear(vm);
-    }
-
-    /// Drops lapsed holds. Expiry-at-`now` semantics: a hold is live
-    /// strictly *before* its `expires` instant, so at `expires` itself the
-    /// bandwidth is already released. Called from the update tick and —
-    /// because holds can lapse between ticks — again at accept time, so a
-    /// lapsed hold is never double-counted against an arriving query in
-    /// the very tick it expires.
-    pub fn expire_holds(&mut self, now: SimTime) {
-        self.holds.retain(|h| h.expires > now);
     }
 
     /// §III.C step 1: a server sheds when *any* managed dimension exceeds
@@ -351,7 +319,7 @@ impl Shuffle {
     /// §III.C step 3: the receiver's double check before accepting a VM.
     fn receiver_check(&self, host: &Host, vm: &VmRecord, bw_mean: f64) -> bool {
         // (1) Sufficient reserved bandwidth (and CPU/memory) for the VM.
-        if !host.admits(self.held(), vm.spec.reservation) {
+        if !host.admits(vm.spec.reservation) {
             return false;
         }
         if !host.config.oscillation_guard {
@@ -372,7 +340,7 @@ impl Shuffle {
             if cap <= 0.0 {
                 continue;
             }
-            let held: f64 = self.holds.iter().map(|h| h.vm.demand.get(kind)).sum();
+            let held: f64 = host.holds.iter().map(|h| h.vm.demand.get(kind)).sum();
             let post = host.demand_for(kind) + held + vm.demand.get(kind);
             if post / cap > mean + host.config.threshold {
                 return false;
@@ -382,24 +350,25 @@ impl Shuffle {
     }
 
     /// A [`LoadQuery`] walked the Less-Loaded tree to this server. Accepting
-    /// holds the VM's bandwidth until it arrives (or the hold lapses).
+    /// holds the VM's reservation on the host until it arrives (or the
+    /// hold lapses).
     pub fn on_query(
         &mut self,
-        host: &Host,
+        host: &mut Host,
         stats: &mut ControllerStats,
         ctx: &mut Ctx<'_, '_, '_, '_>,
         q: &LoadQuery,
     ) -> bool {
         // Holds can lapse between update ticks; release them before the
         // capacity check so an expired hold does not block this accept.
-        self.expire_holds(ctx.now());
+        host.expire_holds(ctx.now());
         let fits = self
             .effective_mean(host, ResourceKind::Bandwidth)
             .is_some_and(|mean| self.receiver_check(host, &q.vm, mean));
         if !fits {
             return false;
         }
-        self.holds.push(Hold {
+        host.holds.push(Hold {
             query: q.query,
             vm: q.vm,
             expires: ctx.now() + host.config.hold_timeout,
@@ -484,7 +453,7 @@ impl Shuffle {
             // more than once; install the VM exactly once but always
             // re-ack — the earlier ack may have been the casualty.
             CtrlMsg::Migrate { query, vm, from } => {
-                self.holds.retain(|h| h.query != query);
+                host.holds.retain(|h| h.query != query);
                 if !host.hosts(vm.id) {
                     host.install(*vm);
                     stats.migrations_in += 1;
@@ -555,7 +524,7 @@ impl Shuffle {
                 self.roll_back(host, stats, query);
             }
             // The shedder died after we accepted: release the hold.
-            CtrlMsg::LoadAccept { query, .. } => self.holds.retain(|h| h.query != query),
+            CtrlMsg::LoadAccept { query, .. } => host.holds.retain(|h| h.query != query),
             _ => {}
         }
     }
@@ -643,7 +612,7 @@ mod tests {
     use super::*;
     use crate::controller::tests::{controller, vm};
     use crate::controller::Controller;
-    use crate::ResourceSpec;
+    use crate::{ResourceSpec, ResourceVector};
     use vbundle_aggregation::AggregationConfig;
     use vbundle_dcn::Bandwidth;
     use vbundle_pastry::Id;
@@ -718,20 +687,20 @@ mod tests {
 
     #[test]
     fn hold_expiry_is_exclusive_at_the_boundary() {
-        let mut s = Shuffle::new(&VBundleConfig::default());
+        let mut c = controller(0.15);
         let expires = SimTime::ZERO + SimDuration::from_mins(10);
-        s.holds.push(Hold {
+        c.host.holds.push(Hold {
             query: 1,
             vm: vm(1, 100.0, 100.0, 100.0),
             expires,
         });
         // Any instant strictly before `expires`: still held.
-        s.expire_holds(expires - SimDuration::from_micros(1));
-        assert_eq!(s.bw_held().as_mbps(), 100.0);
-        // At `expires` itself the bandwidth is already released, so an
+        c.host.expire_holds(expires - SimDuration::from_micros(1));
+        assert_eq!(c.reserved().bandwidth.as_mbps(), 100.0);
+        // At `expires` itself the reservation is already released, so an
         // accept arriving in that very tick is not double-charged.
-        s.expire_holds(expires);
-        assert_eq!(s.bw_held().as_mbps(), 0.0);
+        c.host.expire_holds(expires);
+        assert_eq!(c.reserved().bandwidth.as_mbps(), 0.0);
     }
 
     /// Every (stage, event) pair of a shed query: a legal pair moves the

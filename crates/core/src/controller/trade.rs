@@ -248,7 +248,6 @@ impl Trade {
     fn on_grant(
         &mut self,
         host: &mut Host,
-        held: ResourceVector,
         ctx: &mut Ctx<'_, '_, '_, '_>,
         from: NodeHandle,
         lease: Lease,
@@ -260,15 +259,15 @@ impl Trade {
             ctx.send_client(from, CtrlMsg::LeaseAck { id, accepted: true });
             return;
         }
-        // Admission: the borrowed reservation must still fit next to the
-        // server's other live entitlements, or the shaper could not honor
-        // it. Stale terms (expired in flight) are refused too. Priced
+        // Admission: the borrowed reservation must still fit next to
+        // everything the server has promised, or the shaper could not
+        // honor it. Stale terms (expired in flight) are refused too. Priced
         // grants additionally need the market on and its buyer policy.
         let accepted = host.hosts(lease.borrower)
             && lease.expires > now
             && lease.starts < lease.expires
             && lease.amount.is_sane()
-            && host.admits(held, lease.amount)
+            && host.admits(lease.amount)
             && (!lease.is_priced()
                 || self
                     .market
@@ -299,18 +298,16 @@ impl Trade {
         ctx.send_client(from, CtrlMsg::LeaseAck { id, accepted });
     }
 
-    /// Trading's direct messages. `held` is what the shuffle holds for
-    /// accepted VMs (a grant has to fit next to it).
+    /// Trading's direct messages.
     pub fn on_direct(
         &mut self,
         host: &mut Host,
-        held: ResourceVector,
         ctx: &mut Ctx<'_, '_, '_, '_>,
         from: NodeHandle,
         msg: CtrlMsg,
     ) {
         match msg {
-            CtrlMsg::BorrowGrant { lease } => self.on_grant(host, held, ctx, from, *lease),
+            CtrlMsg::BorrowGrant { lease } => self.on_grant(host, ctx, from, *lease),
             // The borrower host's verdict on a grant.
             CtrlMsg::LeaseAck { id, accepted } => {
                 self.courier.ack(id.0);

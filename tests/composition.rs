@@ -1,15 +1,18 @@
 //! Composition pin: every optional controller subsystem on at once —
 //! intra-bundle trading, the spot market, survivable admission, failover
 //! and the mean gate — on one seeded 48-server cluster that also shuffles,
-//! loses a server (crash + restart) and loses a rack for good. The outcome
-//! digest below was captured before `controller.rs` was split into
-//! protocol modules and must not change: it is the proof that the modules
-//! still interact exactly as the single `impl` did.
+//! loses a server (crash + restart) and loses a rack for good. No server
+//! may promise more than its capacity at any 5 s step of the fault run,
+//! and entitlement and billing must be conserved at its end. The outcome
+//! digest below pins how the modules interact; each re-pin states why.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use vbundle::chaos::{ChaosDriver, FaultPlan};
+use vbundle::chaos::{
+    check_billing_conservation, check_capacity, check_entitlement_conservation, ChaosDriver,
+    FaultPlan,
+};
 use vbundle::core::{
     reconcile, Cluster, Customer, CustomerId, FailoverConfig, ResourceSpec, ResourceVector,
     SpotMarketConfig, SurvivabilityConfig, VBundleConfig, VmRecord,
@@ -162,8 +165,17 @@ fn all_subsystems_compose_to_the_pinned_outcome() {
         .restart(t(start + 75), ActorId::new(bystander as u32))
         .crash_rack(t(start + 100), lost_rack);
     let mut driver = ChaosDriver::install(&mut cluster.engine, Arc::clone(&topo), plan);
-    driver.run_until(&mut cluster.engine, t(start + 260));
+    // No server may promise more than its NIC at any step of the run.
+    for step in (start + 5..=start + 260).step_by(5) {
+        driver.run_until(&mut cluster.engine, t(step));
+        let open = check_capacity(&cluster.engine);
+        assert!(open.is_empty(), "over-committed at t={step}: {open:#?}");
+    }
     cluster.reindex();
+    let open = check_entitlement_conservation(&cluster.engine);
+    assert!(open.is_empty(), "entitlement: {open:#?}");
+    let open = check_billing_conservation(&cluster.engine);
+    assert!(open.is_empty(), "billing: {open:#?}");
 
     // The scenario only pins something if every subsystem actually ran.
     let sum = |pick: &dyn Fn(usize) -> u64| (0..48).map(pick).sum::<u64>();
@@ -205,5 +217,16 @@ fn all_subsystems_compose_to_the_pinned_outcome() {
 /// instead of 24, VM 28 is hosted again), the six lease lines name other
 /// leases of the same servers (44 halves instead of 38), billing follows
 /// (spend 350 584 → 425 865) and `events 261032` → `events 260240`
-/// (EXPERIMENTS.md "Capacity-annotated anycast").
-const PINNED: u64 = 5_886_843_030_100_455_241;
+/// (EXPERIMENTS.md "Capacity-annotated anycast"), as
+/// 5_886_843_030_100_455_241. That outcome was over-committed: with the
+/// capacity check above, 18 of its 52 steps found a server (22, 23, 30 or
+/// 31) promising up to 1 129.8 Mbps on a 1 000 Mbps NIC, because a
+/// lender's lent-out reservation counted as free room. Re-pinned once
+/// more when admission began to count it as taken: boots and grants on
+/// lending servers now go elsewhere. Of the 90 outcome lines, 31 change
+/// and one is added — 23 placements move and VM 20 is hosted again, the
+/// six lease lines name other leases (104 halves instead of 44, on
+/// servers 15, 24, 29, 30, 31 and 42), billing follows (spend 425 865 →
+/// 368 991) and `events 260240` → `events 261041` (EXPERIMENTS.md
+/// "One admission ledger").
+const PINNED: u64 = 7_713_550_161_776_764_621;
