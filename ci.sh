@@ -65,6 +65,12 @@ echo "==> bandwidth_trading example smoke (pinned seed)"
 cargo run --release -q --example bandwidth_trading \
     | grep -q "priced spot lease settled: buyer paid, seller earned, books reconcile"
 
+# The README's entry point walks the boot protocol: every boot must be
+# placed, and the bundle must not spread over more racks than it does.
+echo "==> quickstart example smoke (pinned seed)"
+cargo run --release -q --example quickstart \
+    | grep -q "6 of 6 boots placed, the bundle in 1 rack(s)"
+
 # The full-stack benchmark is a standalone package (own workspace and
 # lock file) that calls this workspace's public API from outside; an API
 # change under crates/ that breaks it must fail here, not in the

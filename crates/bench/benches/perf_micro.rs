@@ -1,9 +1,10 @@
 //! Performance micro-benchmarks of the hot paths: shaper allocation,
 //! offline placement throughput, overlay construction, the anycast pick
-//! and a whole anycast walk that cannot succeed, the leaf-set heartbeat
-//! round, the engine's event-queue discipline (binary heap vs calendar
-//! queue) and the bare engine under gossip. These guard the harness's
-//! ability to run the paper's 3000-server scenarios quickly.
+//! and a whole anycast walk that cannot succeed, a boot walk across a
+//! full rack, the leaf-set heartbeat round, the engine's event-queue
+//! discipline (binary heap vs calendar queue) and the bare engine under
+//! gossip. These guard the harness's ability to run the paper's
+//! 3000-server scenarios quickly.
 //!
 //! Run: `cargo bench -p vbundle-bench --bench perf_micro [-- <filter>]`
 
@@ -16,7 +17,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use vbundle_bench::scenarios::{gossip_engine, GOSSIP_TICK_MS};
 use vbundle_core::{
-    shaper, ClusterModel, CustomerId, PlacementPolicy, ResourceSpec, ResourceVector, VmId, VmRecord,
+    shaper, Cluster, ClusterModel, Customer, CustomerId, PlacementPolicy, ResourceSpec,
+    ResourceVector, VBundleConfig, VmId, VmRecord,
 };
 use vbundle_dcn::{Bandwidth, Topology};
 use vbundle_pastry::{overlay, Id, IdAssignment, PastryConfig, PastryMsg, PastryNode, Site};
@@ -189,6 +191,66 @@ fn bench_anycast_dry_walk(c: &mut Criterion) {
                 }
                 net.run_to_quiescence();
                 net.events_processed()
+            });
+        });
+    }
+    group.finish();
+}
+
+/// Boot walks across a full rack: a cluster of `servers` in racks of 20
+/// whose tenant's root rack is full, so every walk crosses that rack
+/// before the pod admits it. An iteration boots 16 VMs, one at a time
+/// from entries spread over the cluster, each run until its result, and
+/// removes every placed VM again, so each iteration walks the same paths.
+fn bench_boot_walk(c: &mut Criterion) {
+    const WALKS: usize = 16;
+    let mut group = c.benchmark_group("perf/boot_walk");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(WALKS as u64));
+    for &servers in &[1_000u32, 10_000] {
+        let topo = Arc::new(
+            Topology::builder()
+                .pods(5)
+                .racks_per_pod(servers / 100)
+                .servers_per_rack(20)
+                .build(),
+        );
+        let hour = SimDuration::from_secs(3600);
+        let config = VBundleConfig::default()
+            .with_update_interval(hour)
+            .with_rebalance_interval(hour);
+        let mut cluster = Cluster::builder(Arc::clone(&topo))
+            .vbundle(config)
+            .seed(7)
+            .build();
+        let tenant = Customer::new(CustomerId(0), "tenant-0");
+        let root = (0..topo.num_servers())
+            .min_by_key(|&s| cluster.ids[s].ring_distance(tenant.key))
+            .expect("servers");
+        let nic = topo.capacity().bandwidth;
+        for server in topo.servers_in_rack(topo.rack_of(topo.server(root))) {
+            let id = cluster.alloc_vm_id();
+            let filler = VmRecord::new(id, CustomerId(1), ResourceSpec::bandwidth(nic, nic));
+            cluster.install_vm(server, filler);
+        }
+        let spec =
+            ResourceSpec::bandwidth(Bandwidth::from_mbps(100.0), Bandwidth::from_mbps(200.0));
+        group.bench_function(servers.to_string(), |b| {
+            b.iter(|| {
+                for w in 0..WALKS {
+                    let entry = w * 61 % topo.num_servers();
+                    let (request, vm) =
+                        cluster.request_boot(entry, &tenant, spec, ResourceVector::ZERO);
+                    let host = loop {
+                        if let Some(result) = cluster.boot_result(entry, request) {
+                            break result.expect("placed");
+                        }
+                        cluster.run_for(SimDuration::from_millis(1));
+                    };
+                    cluster.controller_mut(entry).stats.boot_results.clear();
+                    cluster.controller_mut(host.actor.index()).remove_vm(vm);
+                }
+                cluster.now()
             });
         });
     }
@@ -381,7 +443,7 @@ criterion_group!(
     name = perf;
     config = Criterion::default();
     targets = bench_shaper, bench_placement, bench_overlay_build, bench_anycast_step,
-        bench_anycast_dry_walk, bench_heartbeat_round, bench_queue_discipline,
-        bench_engine_gossip
+        bench_anycast_dry_walk, bench_boot_walk, bench_heartbeat_round,
+        bench_queue_discipline, bench_engine_gossip
 );
 criterion_main!(perf);

@@ -7,7 +7,7 @@
 //! state of its own between hops — the query carries it — so this module
 //! is functions over the host, with the survivability ledger handed in.
 
-use vbundle_pastry::{actor_distance, NodeHandle};
+use vbundle_pastry::{site_distance, NodeHandle, PastryState, Site};
 use vbundle_sim::ActorId;
 
 use super::host::Host;
@@ -27,8 +27,8 @@ pub(super) struct Admission<'a> {
 }
 
 /// One hop of a boot walk. The query arrives and leaves in the box its
-/// origin allocated: a walk of any length costs one `BootQuery`
-/// allocation.
+/// origin allocated, and picking the next hop allocates nothing: a walk
+/// of any length costs one `BootQuery` allocation plus `visited` growth.
 pub(super) fn handle(
     adm: &mut Admission<'_>,
     ctx: &mut Ctx<'_, '_, '_, '_>,
@@ -84,35 +84,41 @@ pub(super) fn handle(
         return;
     }
     q.ttl -= 1;
-    let state = ctx.pastry_state();
-    let topo = state.topology();
-    let next = next_hop(state.known_iter(), &q.visited, topo.num_servers(), |h| {
-        (
-            actor_distance(topo, h.actor, root.actor),
-            actor_distance(topo, h.actor, me.actor),
-            h.id.ring_distance(root.id),
-        )
-    });
-    match next {
+    match next_hop(ctx.pastry_state(), &q.visited, root) {
         Some(n) => ctx.send_client(n, CtrlMsg::Boot(q)),
         None => answer(ctx, &q, None),
     }
 }
 
-/// The boot walk's next hop: the first node of `known` with the smallest
-/// `key` that the walk has not visited. `known` may repeat a node — the
-/// repeat ties with its first occurrence, which `min_by_key` keeps. The
-/// visited servers are marked once in a per-hop bitmap (one bit per
-/// server), so the hop costs O(known + visited) instead of a scan of the
-/// visited list per known node; actors beyond the server range, which the
-/// bitmap does not cover, fall back to that scan.
-fn next_hop<K: Ord>(
-    known: impl Iterator<Item = NodeHandle>,
-    visited: &[ActorId],
-    servers: usize,
-    key: impl Fn(&NodeHandle) -> K,
-) -> Option<NodeHandle> {
-    let mut mark = vec![0u64; servers.div_ceil(64)];
+/// Words of the visited bitmap kept on the stack: one bit per server
+/// covers 4 096 servers; a larger topology marks on the heap.
+const STACK_WORDS: usize = 64;
+
+/// The boot walk's next hop: the first node of `state.known_iter()` that
+/// the walk has not visited with the smallest key `(distance to root,
+/// distance to this node, ring distance to root)`. `known_iter` may
+/// repeat a node; a repeat ties with its first occurrence and never
+/// replaces it.
+///
+/// Each candidate's [`Site`] is read once and both distances follow from
+/// it ([`site_distance`]); a candidate farther from the root than the
+/// best so far is dropped before the second, and the ring distance is
+/// computed only on a tie of both. The visited servers are marked once in
+/// a bitmap (one bit per server, on the stack up to [`STACK_WORDS`]
+/// words), so a hop costs O(known + visited); actors beyond the server
+/// range, which the bitmap does not cover, fall back to a scan of the
+/// visited list.
+fn next_hop(state: &PastryState, visited: &[ActorId], root: NodeHandle) -> Option<NodeHandle> {
+    let topo = state.topology();
+    let words = topo.num_servers().div_ceil(64);
+    let mut stack = [0u64; STACK_WORDS];
+    let mut heap;
+    let mark = if words <= STACK_WORDS {
+        &mut stack[..words]
+    } else {
+        heap = vec![0u64; words];
+        &mut heap[..]
+    };
     for a in visited {
         if let Some(word) = mark.get_mut(a.index() / 64) {
             *word |= 1 << (a.index() % 64);
@@ -122,7 +128,30 @@ fn next_hop<K: Ord>(
         Some(word) => word >> (a.index() % 64) & 1 == 1,
         None => visited.contains(&a),
     };
-    known.filter(|h| !seen(h.actor)).min_by_key(key)
+    let me = state.handle();
+    let root_at = (root.actor, Site::of(topo, root.actor));
+    let me_at = (me.actor, Site::of(topo, me.actor));
+    // The best candidate so far with its distances to the root and to me.
+    let mut best: Option<(NodeHandle, u32, u32)> = None;
+    for h in state.known_iter().filter(|h| !seen(h.actor)) {
+        let at = (h.actor, Site::of(topo, h.actor));
+        let to_root = site_distance(at, root_at);
+        if best.is_some_and(|(_, r, _)| to_root > r) {
+            continue;
+        }
+        let to_me = site_distance(at, me_at);
+        let wins = match best {
+            Some((b, r, m)) if (to_root, to_me) == (r, m) => {
+                h.id.ring_distance(root.id) < b.id.ring_distance(root.id)
+            }
+            Some((_, r, m)) => (to_root, to_me) < (r, m),
+            None => true,
+        };
+        if wins {
+            best = Some((h, to_root, to_me));
+        }
+    }
+    best.map(|(h, ..)| h)
 }
 
 #[cfg(test)]
@@ -131,38 +160,47 @@ mod tests {
     use proptest::prelude::*;
     use std::sync::Arc;
     use vbundle_dcn::Topology;
-    use vbundle_pastry::{Id, PastryState};
+    use vbundle_pastry::{actor_distance, Id};
 
     proptest! {
         /// Ids come from a 40-value ring around the local node and the
         /// leaf set holds 4 per side, so most learned nodes sit in the
         /// leaf set (often on both sides), the routing table *and* the
         /// neighbor set: `known_iter` repeats them, `known_nodes` does
-        /// not, and the next hop must not care. Distances are coarse
-        /// (rack/pod), so equal keys are common too. Actors past the
-        /// 16 servers exercise the bitmap's fallback scan.
+        /// not, and the next hop must not care. The actors are the last
+        /// 16 servers of the topology and 8 past it, so distances are
+        /// coarse and equal keys common: same-rack ties, ring ties on
+        /// both sides of the root, and `u32::MAX` ties when the root or
+        /// the local node is off the topology. The large topology has
+        /// 4 160 servers, past the stack bitmap.
         #[test]
         fn next_hop_matches_known_nodes_reference(
             peers in proptest::collection::vec(1u128..40, 0..30),
-            visited in proptest::collection::vec(0u32..20, 0..16),
-            root in 0u32..16,
+            visited in proptest::collection::vec(0u32..24, 0..16),
+            me_at in 0u32..24,
+            root in (1u128..40, 0u32..24),
+            large in any::<bool>(),
         ) {
-            let topo = Arc::new(
-                Topology::builder().pods(2).racks_per_pod(2).servers_per_rack(4).build(),
-            );
-            let me = NodeHandle::new(Id::from_u128(20 << 120), ActorId::new(0));
+            let topo = Arc::new(if large {
+                Topology::builder().pods(2).racks_per_pod(65).servers_per_rack(32).build()
+            } else {
+                Topology::builder().pods(2).racks_per_pod(2).servers_per_rack(4).build()
+            });
+            let base = topo.num_servers() as u32 - 16;
+            let actor = |i: u32| ActorId::new(base + i);
+            let me = NodeHandle::new(Id::from_u128(20 << 120), actor(me_at));
             let mut state = PastryState::new(me, topo.clone(), 4, 8);
             for &id in &peers {
                 // One actor per id, as in any real overlay.
-                let actor = ActorId::new((id * 7 % 20) as u32);
-                state.learn(NodeHandle::new(Id::from_u128(id << 120), actor));
+                state.learn(NodeHandle::new(Id::from_u128(id << 120), actor((id * 7 % 24) as u32)));
             }
-            let visited: Vec<ActorId> = visited.into_iter().map(ActorId::new).collect();
-            let root = ActorId::new(root);
+            let visited: Vec<ActorId> = visited.into_iter().map(actor).collect();
+            let root = NodeHandle::new(Id::from_u128(root.0 << 120), actor(root.1));
             let key = |h: &NodeHandle| {
                 (
-                    actor_distance(&topo, h.actor, root),
+                    actor_distance(&topo, h.actor, root.actor),
                     actor_distance(&topo, h.actor, me.actor),
+                    h.id.ring_distance(root.id),
                 )
             };
             let reference = state
@@ -170,8 +208,7 @@ mod tests {
                 .into_iter()
                 .filter(|h| !visited.contains(&h.actor))
                 .min_by_key(key);
-            let got = next_hop(state.known_iter(), &visited, topo.num_servers(), key);
-            prop_assert_eq!(got, reference);
+            prop_assert_eq!(next_hop(&state, &visited, root), reference);
             prop_assert!(
                 state.known_iter().count() >= state.known_nodes().len(),
                 "known_iter yields every known node at least once"

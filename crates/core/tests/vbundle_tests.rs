@@ -1,6 +1,7 @@
 //! End-to-end tests of the v-Bundle system: the DHT boot protocol, the
 //! decentralized shuffling loop, oscillation guards and failure handling.
 
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -9,7 +10,7 @@ use vbundle_core::{
     ServerStatus, SurvivabilityConfig, VBundleConfig, VmRecord,
 };
 use vbundle_dcn::{Bandwidth, Topology};
-use vbundle_sim::{SimDuration, SimTime};
+use vbundle_sim::{ActorId, SimDuration, SimTime};
 
 fn fast_config() -> VBundleConfig {
     VBundleConfig::default()
@@ -814,4 +815,126 @@ fn survivable_boots_spread_domains_and_reserve_backup() {
             "server {s} over-admitted"
         );
     }
+}
+
+/// FNV-1a over an outcome text: short enough to pin in source, and the
+/// text itself is printed on a mismatch.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Protocol boots, one every 5 ms, round-robin over `tenants`, from
+/// entries spread over the cluster but never `skip`: `(entry, request)`
+/// for each.
+fn boot_stream(
+    cluster: &mut Cluster,
+    tenants: &[Customer],
+    count: usize,
+    shift: usize,
+    skip: usize,
+) -> Vec<(usize, u64)> {
+    let n = cluster.num_servers();
+    let spec = ResourceSpec::bandwidth(bw(100.0), bw(200.0));
+    let demand = ResourceVector::bandwidth_only(bw(50.0));
+    (0..count)
+        .map(|i| {
+            let entry = match (i * 37 + shift) % n {
+                e if e == skip => (e + 1) % n,
+                e => e,
+            };
+            let tenant = &tenants[(i + shift) % tenants.len()];
+            let (request, _) = cluster.request_boot(entry, tenant, spec, demand);
+            cluster.run_for(SimDuration::from_millis(5));
+            (entry, request)
+        })
+        .collect()
+}
+
+/// Captured before the boot hop stopped allocating: however a hop is
+/// computed, the walk must pick the same servers.
+const BOOT_WALK_PIN: u64 = 16559167202244991286;
+
+/// The protocol boot walk's outcome, pinned. Four tenants stream 1 400
+/// boots into 200 servers and fill their roots' neighbourhoods, so late
+/// walks run past 20 hops. Halfway through, a server in tenant 0's root
+/// rack crashes: walks that pick it bounce and go on without it. Then
+/// every fifth VM on a live server departs and 300 replacements arrive.
+/// The digest covers every placement, each server's `boots_handled`, the
+/// events processed and the bytes on the wire.
+#[test]
+fn boot_walk_outcome_is_pinned() {
+    let topo = Arc::new(
+        Topology::builder()
+            .pods(2)
+            .racks_per_pod(5)
+            .servers_per_rack(20)
+            .build(),
+    );
+    let mut cluster = Cluster::builder(Arc::clone(&topo)).seed(2801).build();
+    let tenants: Vec<Customer> = (0..4)
+        .map(|i| Customer::new(CustomerId(i), format!("tenant-{i}")))
+        .collect();
+    let root = (0..topo.num_servers())
+        .min_by_key(|&s| cluster.ids[s].ring_distance(tenants[0].key))
+        .expect("servers");
+    let crashed = topo
+        .servers_in_rack(topo.rack_of(topo.server(root)))
+        .map(|s| s.index())
+        .find(|&s| s != root)
+        .expect("a rack mate");
+    let mut requests = boot_stream(&mut cluster, &tenants, 700, 0, crashed);
+    cluster.engine.fail(ActorId::new(crashed as u32));
+    requests.extend(boot_stream(&mut cluster, &tenants, 700, 700, crashed));
+    cluster.run_for(SimDuration::from_secs(30));
+
+    // How far a walk goes by now: one more boot, alone.
+    let handled = |c: &Cluster| -> u64 {
+        (0..c.num_servers())
+            .map(|s| c.controller(s).stats.boots_handled)
+            .sum()
+    };
+    let before = handled(&cluster);
+    let spec = ResourceSpec::bandwidth(bw(100.0), bw(200.0));
+    let timeout = SimDuration::from_secs(30);
+    cluster
+        .boot_and_run(root, &tenants[0], spec, ResourceVector::ZERO, timeout)
+        .expect("placed");
+    let hops = handled(&cluster) - before;
+    assert!(hops > 20, "a late walk took only {hops} hops");
+
+    cluster.reindex();
+    for (vm, _, server) in cluster.placements() {
+        if vm.0 % 5 == 0 && server.index() != crashed {
+            cluster.shutdown_vm(vm).expect("indexed");
+        }
+    }
+    requests.extend(boot_stream(&mut cluster, &tenants, 300, 7, crashed));
+    cluster.run_for(SimDuration::from_secs(30));
+    for &(entry, request) in &requests {
+        assert!(
+            matches!(cluster.boot_result(entry, request), Some(Some(_))),
+            "boot {request} from server {entry} was not placed"
+        );
+    }
+
+    let mut text = String::new();
+    let mut placements = cluster.placements();
+    placements.sort();
+    for (vm, customer, server) in placements {
+        writeln!(text, "vm {} c{} @{}", vm.0, customer.0, server.index()).unwrap();
+    }
+    for s in 0..cluster.num_servers() {
+        let n = cluster.controller(s).stats.boots_handled;
+        writeln!(text, "handled @{s}: {n}").unwrap();
+    }
+    writeln!(text, "events {}", cluster.engine.events_processed()).unwrap();
+    let wire = cluster.engine.counter_totals().total_bytes();
+    writeln!(text, "wire {wire}").unwrap();
+    let digest = fnv1a(&text);
+    assert_eq!(
+        digest, BOOT_WALK_PIN,
+        "boot walk outcome drifted (digest {digest}); full outcome:\n{text}"
+    );
 }

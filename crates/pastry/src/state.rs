@@ -388,6 +388,23 @@ pub fn actor_distance(topo: &Topology, a: ActorId, b: ActorId) -> u32 {
     }
 }
 
+/// [`actor_distance`] from two `(actor, site)` pairs, without the
+/// topology: a caller that compares many actors against the same one
+/// looks each [`Site`] up once instead of once per comparison.
+pub fn site_distance(a: (ActorId, Site), b: (ActorId, Site)) -> u32 {
+    if a.1 == Site::OFF || b.1 == Site::OFF {
+        u32::MAX
+    } else if a.0 == b.0 {
+        0
+    } else if a.1.rack == b.1.rack {
+        1
+    } else if a.1.pod == b.1.pod {
+        2
+    } else {
+        3
+    }
+}
+
 /// Where an actor sits in the datacenter. [`actor_distance`] between two
 /// actors follows from their identities and sites alone, so a structure
 /// keyed on sites can rank by distance without the topology at hand.
@@ -933,6 +950,22 @@ mod tests {
             assert_eq!(st.proximity(ActorId::new(1)), 1);
             assert_eq!(st.proximity(ActorId::new(2)), 2);
             assert_eq!(st.proximity(ActorId::new(99)), u32::MAX);
+        }
+
+        #[test]
+        fn site_distance_is_actor_distance() {
+            let topo = Topology::builder()
+                .pods(2)
+                .racks_per_pod(2)
+                .servers_per_rack(2)
+                .build();
+            let at = |a: u32| (ActorId::new(a), Site::of(&topo, ActorId::new(a)));
+            for a in 0..10 {
+                for b in 0..10 {
+                    let (x, y) = (ActorId::new(a), ActorId::new(b));
+                    assert_eq!(site_distance(at(a), at(b)), actor_distance(&topo, x, y));
+                }
+            }
         }
     }
 

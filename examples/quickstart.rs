@@ -39,6 +39,7 @@ fn main() {
         ResourceSpec::bandwidth(Bandwidth::from_mbps(100.0), Bandwidth::from_mbps(400.0));
     let high_io = ResourceSpec::bandwidth(Bandwidth::from_mbps(200.0), Bandwidth::from_mbps(400.0));
     let mut vms = Vec::new();
+    let mut racks = std::collections::BTreeSet::new();
     for i in 0..6 {
         let spec = if i < 3 { standard } else { high_io };
         let (request, vm) = cluster.request_boot(
@@ -58,14 +59,21 @@ fn main() {
             .boot_result(i % topo.num_servers(), request)
             .flatten()
             .expect("placed");
+        let server = topo.server(host.actor.index());
         println!(
-            "  booted {vm} ({}) on {} (rack {})",
+            "  booted {vm} ({}) on {server} (rack {})",
             if i < 3 { "standard" } else { "high-I/O" },
-            topo.server(host.actor.index()),
-            topo.rack_of(topo.server(host.actor.index())).index()
+            topo.rack_of(server).index()
         );
+        racks.insert(topo.rack_of(server));
         vms.push(vm);
     }
+    // The walk keeps the bundle together: all six fit in the root's rack.
+    assert!(
+        racks.len() <= 1,
+        "the bundle spread over {} racks",
+        racks.len()
+    );
     cluster.reindex();
 
     // ── 4. Three VMs' workloads spike toward their 400 Mbps limits —
@@ -101,4 +109,9 @@ fn main() {
         "shuffling must not make the bundle worse"
     );
     println!("\nv-Bundle borrowed idle bandwidth from the customer's own instances — no extra resources purchased.");
+    println!(
+        "{} of 6 boots placed, the bundle in {} rack(s)",
+        vms.len(),
+        racks.len()
+    );
 }
