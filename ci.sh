@@ -53,6 +53,24 @@ cargo run --release -q -p vbundle-bench --bin chaos_sweep > /dev/null
 echo "==> survivability_sweep --failover smoke (deterministic golden)"
 cargo run --release -q -p vbundle-bench --bin survivability_sweep -- --smoke --failover
 
+# The paper's figures: each fig*/ablation_* binary runs once (seconds in
+# all), so a panic in any of them fails CI. Each runs in its own scratch
+# directory, so the tracked results/fig*.csv stay as they are. Nothing
+# here checks their output yet.
+root=$(pwd)
+for src in crates/bench/src/bin/fig*.rs crates/bench/src/bin/ablation_*.rs; do
+    bin=$(basename "$src" .rs)
+    echo "==> ${bin} (runs without panicking)"
+    scratch=$(mktemp -d)
+    if ! (cd "$scratch" && cargo run --release -q --manifest-path "$root/Cargo.toml" \
+            -p vbundle-bench --bin "$bin" > run.log 2>&1); then
+        cat "$scratch/run.log" >&2
+        rm -rf "$scratch"
+        exit 1
+    fi
+    rm -rf "$scratch"
+done
+
 # The failure-recovery walkthrough doubles as a smoke: pinned seed, hard
 # asserts inside, and a known final line that must survive refactors.
 echo "==> failure_recovery example smoke (pinned seed)"
@@ -93,7 +111,7 @@ if command -v cc > /dev/null; then
     SIGPROF_ARGS="--quick --seconds 1" tools/sigprof/run.sh --heap steady_agg > /dev/null
     # Long enough for a few dozen samples: the report exits 1 on none.
     echo "==> tools/sigprof --bin smoke (a workspace binary instead of a benchmark workload)"
-    tools/sigprof/run.sh --bin vbundle_sim -- --servers 500 --minutes 90 > /dev/null
+    tools/sigprof/run.sh --bin vbundle_sim -- --servers=500 --minutes=90 > /dev/null
 fi
 
 echo "==> golden files unchanged"

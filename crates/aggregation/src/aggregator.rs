@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use vbundle_fdetect::{ArrivalWindow, PhiConfig};
+use vbundle_fdetect::{ArrivalWindow, PhiConfig, FIRST_INTERVAL};
 use vbundle_pastry::{Id, NodeHandle};
 use vbundle_scribe::{GroupId, ScribeCtx};
 use vbundle_sim::{Message, SimDuration, SimTime};
@@ -255,7 +255,7 @@ impl Aggregator {
         };
         let pause = match self.config.mode {
             UpdateMode::Periodic(interval) => phi.acceptable_pause.max(interval),
-            UpdateMode::Immediate => phi.acceptable_pause.max(phi.first_interval),
+            UpdateMode::Immediate => phi.acceptable_pause.max(FIRST_INTERVAL),
         };
         for (_, st) in &mut self.topics.0 {
             let stale = st
@@ -291,18 +291,14 @@ impl Aggregator {
         if self.topics.get(topic).is_none() {
             return; // not subscribed (e.g. pure forwarder); drop
         }
-        let value = match &self.config.robustness {
-            Robustness::TrustAll => value,
-            Robustness::Defensive(p) => {
-                if p.check(&value).is_err() {
-                    // Reject: keep the child's last accepted contribution
-                    // (its last-good snapshot) instead of overwriting.
-                    self.rejected += 1;
-                    return;
-                }
-                p.clamp(value)
-            }
-        };
+        let robustness = self.config.robustness;
+        if robustness.check(&value).is_err() {
+            // Reject: keep the child's last accepted contribution (its
+            // last-good snapshot) instead of overwriting.
+            self.rejected += 1;
+            return;
+        }
+        let value = robustness.clamp(value);
         let st = self.topics.get_mut(topic).expect("presence checked above");
         st.info_base.insert(from.id.as_u128(), value);
         if self.config.mode == UpdateMode::Immediate {
@@ -332,12 +328,10 @@ impl Aggregator {
         if self.topics.get(topic).is_none() {
             return;
         }
-        if let Robustness::Defensive(p) = &self.config.robustness {
-            if p.check(&value).is_err() {
-                // A poisoned global: keep the last-good cached result.
-                self.rejected += 1;
-                return;
-            }
+        if self.config.robustness.check(&value).is_err() {
+            // A poisoned global: keep the last-good cached result.
+            self.rejected += 1;
+            return;
         }
         let st = self.topics.get_mut(topic).expect("presence checked above");
         match st.global {
@@ -356,7 +350,7 @@ impl Aggregator {
         };
         let estimate = match config.mode {
             UpdateMode::Periodic(interval) => interval,
-            UpdateMode::Immediate => phi.first_interval,
+            UpdateMode::Immediate => FIRST_INTERVAL,
         };
         st.results
             .get_or_insert_with(|| ArrivalWindow::new(phi.window, estimate))
@@ -385,7 +379,7 @@ impl Aggregator {
             .retain(|&id, _| ctx.is_child(topic, Id::from_u128(id)));
         let subtree = match &self.config.robustness {
             Robustness::TrustAll => st.info_base.values().fold(st.local, |acc, v| acc.merge(v)),
-            Robustness::Defensive(_) => {
+            Robustness::Defensive => {
                 // Winsorized trimmed-mean combine: clamp the extreme
                 // contributions (local value included) to the crowd.
                 let mut contribs = Vec::with_capacity(1 + st.info_base.len());
@@ -402,10 +396,10 @@ impl Aggregator {
             // Defensive roots additionally bound how far each publication
             // may move the mean versus the last published (epoch-stamped
             // by `version`) value, so surviving poison crawls, not jumps.
-            let publish = match &self.config.robustness {
-                Robustness::TrustAll => subtree,
-                Robustness::Defensive(p) => p.bound_step(st.last_published, subtree),
-            };
+            let publish = self
+                .config
+                .robustness
+                .bound_step(st.last_published, subtree);
             if self.config.mode == UpdateMode::Immediate
                 && st
                     .last_published
@@ -511,7 +505,7 @@ mod tests {
     fn defensive_on_result_keeps_last_good_under_poison() {
         let mut a = Aggregator::new(AggregationConfig {
             mode: UpdateMode::Periodic(SimDuration::from_secs(10)),
-            robustness: Robustness::defensive(),
+            robustness: Robustness::Defensive,
             ..AggregationConfig::default()
         });
         a.track(topic());

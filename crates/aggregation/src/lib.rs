@@ -22,7 +22,7 @@
 //! use vbundle_dcn::Topology;
 //! use vbundle_pastry::{overlay, IdAssignment, PastryConfig};
 //! use vbundle_scribe::{group_id, Scribe};
-//! use vbundle_sim::{ConstantLatency, SimDuration, SimTime};
+//! use vbundle_sim::{Latency, SimDuration, SimTime};
 //!
 //! let topo = Arc::new(Topology::paper_testbed());
 //! let (mut net, handles) = overlay::launch(
@@ -30,7 +30,7 @@
 //!     IdAssignment::TopologyAware,
 //!     PastryConfig::default(),
 //!     1,
-//!     Box::new(ConstantLatency(SimDuration::from_millis(10))),
+//!     Latency::Constant(SimDuration::from_millis(10)),
 //!     |_, _| {
 //!         Scribe::new(AggClient::new(Aggregator::new(AggregationConfig {
 //!             mode: UpdateMode::Immediate,
@@ -86,5 +86,5 @@ mod value;
 pub use aggregator::{AggCarrier, AggregationConfig, Aggregator, UpdateMode, AGG_TICK_TAG};
 pub use client::AggClient;
 pub use message::AggMsg;
-pub use robust::{winsorized_combine, DefensiveParams, RejectReason, Robustness};
+pub use robust::{winsorized_combine, RejectReason, Robustness};
 pub use value::AggValue;

@@ -29,24 +29,18 @@
 use crate::AggValue;
 
 /// How an [`Aggregator`](crate::Aggregator) treats incoming contributions.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Robustness {
     /// Believe every report verbatim (the pre-hardening behavior, kept as
     /// the ablation baseline). Lossless: honest runs aggregate exactly.
     #[default]
     TrustAll,
-    /// Validate, clamp, winsorize and bound-step per the parameters.
-    Defensive(DefensiveParams),
+    /// Validate, clamp, winsorize and bound-step against the constants
+    /// below.
+    Defensive,
 }
 
-impl Robustness {
-    /// Defensive mode with default parameters.
-    pub fn defensive() -> Robustness {
-        Robustness::Defensive(DefensiveParams::default())
-    }
-}
-
-/// Why a contribution was rejected by [`DefensiveParams::check`].
+/// Why a contribution was rejected by [`Robustness::check`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RejectReason {
     /// A field is NaN or infinite.
@@ -61,46 +55,30 @@ pub enum RejectReason {
     OverCapacity,
 }
 
-/// Tunables of [`Robustness::Defensive`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct DefensiveParams {
-    /// Physical ceiling on a single sample (e.g. a server's NIC capacity in
-    /// Mbps). A subtree of `n` nodes can legally report at most
-    /// `n × max_sample` of anything.
-    pub max_sample: f64,
-    /// Upper bound on the node count a single contribution may claim —
-    /// no subtree can be larger than the cluster.
-    pub max_subtree_nodes: u64,
-    /// Fraction of the last published mean the root may move per
-    /// publication (the bounded per-interval delta).
-    pub max_step_frac: f64,
-    /// Absolute mean delta always allowed per publication, so the global
-    /// can move off zero and small topics are not frozen.
-    pub max_step_floor: f64,
-}
-
-impl Default for DefensiveParams {
-    fn default() -> Self {
-        DefensiveParams {
-            // Generous: 100 Gbps in Mbps, far above the paper's 1 Gbps
-            // testbed NICs, so honest traffic never trips it.
-            max_sample: 100_000.0,
-            max_subtree_nodes: 65_536,
-            max_step_frac: 0.5,
-            max_step_floor: 10.0,
-        }
-    }
-}
+/// Physical ceiling on a single sample (e.g. a server's NIC capacity in
+/// Mbps). A subtree of `n` nodes can legally report at most
+/// `n × MAX_SAMPLE` of anything. Generous: 100 Gbps in Mbps, far above the
+/// paper's 1 Gbps testbed NICs, so honest traffic never trips it.
+const MAX_SAMPLE: f64 = 100_000.0;
+/// Upper bound on the node count a single contribution may claim — no
+/// subtree can be larger than the cluster.
+const MAX_SUBTREE_NODES: u64 = 65_536;
+/// Fraction of the last published mean the root may move per publication
+/// (the bounded per-interval delta).
+const MAX_STEP_FRAC: f64 = 0.5;
+/// Absolute mean delta always allowed per publication, so the global can
+/// move off zero and small topics are not frozen.
+const MAX_STEP_FLOOR: f64 = 10.0;
 
 /// Relative slack for internal-consistency float comparisons.
 const CONSISTENCY_SLACK: f64 = 1e-6;
 
-impl DefensiveParams {
-    /// Validates one contribution against the rules above. Empty values are
-    /// legal (a still-joining child has nothing to report — and nothing to
-    /// poison).
-    pub fn check(&self, v: &AggValue) -> Result<(), RejectReason> {
-        if v.is_empty() {
+impl Robustness {
+    /// Validates one contribution against the rules above; `TrustAll`
+    /// admits everything. Empty values are legal (a still-joining child
+    /// has nothing to report — and nothing to poison).
+    pub fn check(self, v: &AggValue) -> Result<(), RejectReason> {
+        if self == Robustness::TrustAll || v.is_empty() {
             return Ok(());
         }
         let finite = v.sum.is_finite()
@@ -112,7 +90,7 @@ impl DefensiveParams {
         if v.sum < 0.0 || v.min.is_some_and(|m| m < 0.0) || v.max.is_some_and(|m| m < 0.0) {
             return Err(RejectReason::Negative);
         }
-        if v.count > self.max_subtree_nodes {
+        if v.count > MAX_SUBTREE_NODES {
             return Err(RejectReason::CountBound);
         }
         let mean = v.sum / v.count as f64;
@@ -121,26 +99,26 @@ impl DefensiveParams {
         if min > max + slack || mean < min - slack || mean > max + slack {
             return Err(RejectReason::Inconsistent);
         }
-        if mean > self.max_sample + slack || max > self.max_sample + slack {
+        if mean > MAX_SAMPLE + slack || max > MAX_SAMPLE + slack {
             return Err(RejectReason::OverCapacity);
         }
         Ok(())
     }
 
-    /// Clamps an accepted contribution into `[0, max_sample]` per sample —
-    /// a no-op for anything [`check`](DefensiveParams::check) admits, kept
-    /// as defense in depth should validation rules and physical ceilings
-    /// ever drift apart.
-    pub fn clamp(&self, v: AggValue) -> AggValue {
-        if v.is_empty() {
+    /// Clamps an accepted contribution into `[0, MAX_SAMPLE]` per sample —
+    /// a no-op for anything [`check`](Robustness::check) admits, kept as
+    /// defense in depth should validation rules and physical ceilings ever
+    /// drift apart. `TrustAll` returns `v` as is.
+    pub fn clamp(self, v: AggValue) -> AggValue {
+        if self == Robustness::TrustAll || v.is_empty() {
             return v;
         }
-        let mean = (v.sum / v.count as f64).clamp(0.0, self.max_sample);
+        let mean = (v.sum / v.count as f64).clamp(0.0, MAX_SAMPLE);
         AggValue {
             sum: mean * v.count as f64,
             count: v.count,
-            min: v.min.map(|m| m.clamp(0.0, self.max_sample)),
-            max: v.max.map(|m| m.clamp(0.0, self.max_sample)),
+            min: v.min.map(|m| m.clamp(0.0, MAX_SAMPLE)),
+            max: v.max.map(|m| m.clamp(0.0, MAX_SAMPLE)),
         }
     }
 
@@ -148,12 +126,15 @@ impl DefensiveParams {
     /// to the last published value. The returned value keeps `next`'s count
     /// (the membership view is not in question, only the magnitude) and
     /// widens `min`/`max` just enough to stay internally consistent.
-    pub fn bound_step(&self, last: Option<AggValue>, next: AggValue) -> AggValue {
-        let Some(last) = last else { return next };
+    /// `TrustAll` publishes `next` unbounded.
+    pub fn bound_step(self, last: Option<AggValue>, next: AggValue) -> AggValue {
+        let Some(last) = last.filter(|_| self == Robustness::Defensive) else {
+            return next;
+        };
         let (Some(last_mean), Some(next_mean)) = (last.mean(), next.mean()) else {
             return next;
         };
-        let allowed = self.max_step_floor + self.max_step_frac * last_mean.abs();
+        let allowed = MAX_STEP_FLOOR + MAX_STEP_FRAC * last_mean.abs();
         let bounded = next_mean.clamp(last_mean - allowed, last_mean + allowed);
         if bounded == next_mean {
             return next;
@@ -209,8 +190,8 @@ fn winsorize(v: &mut AggValue, lo: f64, hi: f64) {
 mod tests {
     use super::*;
 
-    fn p() -> DefensiveParams {
-        DefensiveParams::default()
+    fn p() -> Robustness {
+        Robustness::Defensive
     }
 
     #[test]

@@ -8,7 +8,7 @@ use vbundle_aggregation::{AggClient, AggMsg, AggregationConfig, Aggregator, Upda
 use vbundle_dcn::Topology;
 use vbundle_pastry::{overlay, IdAssignment, NodeHandle, PastryConfig, PastryMsg, PastryNode};
 use vbundle_scribe::{group_id, GroupId, Scribe, ScribeConfig, ScribeMsg};
-use vbundle_sim::{ConstantLatency, Engine, SimDuration, SimTime};
+use vbundle_sim::{Engine, Latency, SimDuration, SimTime};
 
 type Node = PastryNode<Scribe<AggClient>>;
 type Net = Engine<PastryMsg<ScribeMsg<AggMsg>>, Node>;
@@ -34,7 +34,7 @@ fn launch(
         IdAssignment::TopologyAware,
         PastryConfig::default(),
         seed,
-        Box::new(ConstantLatency(SimDuration::from_millis(1))),
+        Latency::Constant(SimDuration::from_millis(1)),
         |_, _| {
             Scribe::with_config(
                 AggClient::new(Aggregator::new(AggregationConfig {
@@ -262,7 +262,7 @@ fn processing_delay_slows_convergence() {
             IdAssignment::Random { seed: 5 },
             PastryConfig::default(),
             5,
-            Box::new(ConstantLatency(SimDuration::from_millis(1))),
+            Latency::Constant(SimDuration::from_millis(1)),
             |_, _| {
                 Scribe::new(AggClient::new(Aggregator::new(AggregationConfig {
                     mode: UpdateMode::Immediate,

@@ -23,7 +23,7 @@ use vbundle_core::{
 use vbundle_dcn::{Bandwidth, Topology};
 use vbundle_pastry::{overlay, Id, IdAssignment, PastryConfig, PastryMsg, PastryNode, Site};
 use vbundle_scribe::{group_id, Children, CollectClient, Scribe, ScribeMsg, TestPayload};
-use vbundle_sim::{ActorId, CalendarQueue, ConstantLatency, Engine, SimDuration, SimTime};
+use vbundle_sim::{ActorId, CalendarQueue, Engine, Latency, SimDuration, SimTime};
 
 fn bench_shaper(c: &mut Criterion) {
     let mut group = c.benchmark_group("perf/shaper_allocate");
@@ -158,7 +158,7 @@ fn bench_anycast_dry_walk(c: &mut Criterion) {
             IdAssignment::TopologyAware,
             PastryConfig::default(),
             5,
-            Box::new(ConstantLatency(SimDuration::from_micros(100))),
+            Latency::Constant(SimDuration::from_micros(100)),
             |_, _| {
                 Scribe::new(CollectClient {
                     summary: Some(0),

@@ -16,7 +16,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use vbundle_dcn::Topology;
 use vbundle_pastry::{overlay, IdAssignment, NodeHandle, PastryConfig, PastryMsg, PastryNode};
 use vbundle_scribe::{group_id, CollectClient, GroupId, Scribe, ScribeMsg, TestPayload};
-use vbundle_sim::{ConstantLatency, Engine, SimDuration};
+use vbundle_sim::{Engine, Latency, SimDuration};
 
 type Net = Engine<PastryMsg<ScribeMsg<TestPayload>>, PastryNode<Scribe<CollectClient>>>;
 
@@ -34,7 +34,7 @@ fn overlay_16(seed: u64) -> (Net, Vec<NodeHandle>) {
         PastryConfig::default(),
         seed,
         // Zero latency: measured time is protocol computation only.
-        Box::new(ConstantLatency(SimDuration::ZERO)),
+        Latency::Constant(SimDuration::ZERO),
         |_, _| Scribe::new(CollectClient::default()),
     )
 }

@@ -17,7 +17,7 @@ use vbundle_bench::write_csv;
 use vbundle_dcn::Topology;
 use vbundle_pastry::{overlay, IdAssignment, PastryConfig};
 use vbundle_scribe::{group_id, Scribe};
-use vbundle_sim::{ActorId, ConstantLatency, SimDuration, SimTime};
+use vbundle_sim::{ActorId, Latency, SimDuration, SimTime};
 
 const UPDATE_INTERVAL_MS: u64 = 30_000; // the paper's red-line offset
 
@@ -40,7 +40,7 @@ fn measure(servers: usize, seed: u64) -> (f64, usize) {
         IdAssignment::Random { seed },
         PastryConfig::default(),
         seed,
-        Box::new(ConstantLatency(SimDuration::from_millis(10))),
+        Latency::Constant(SimDuration::from_millis(10)),
         |_, _| Scribe::new(AggClient::new(Aggregator::new(config.clone()))),
     );
     let t = group_id("BW_Demand");

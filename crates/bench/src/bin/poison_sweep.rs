@@ -99,7 +99,7 @@ fn build_cluster(policy: Policy) -> Cluster {
     };
     let robustness = match policy {
         Policy::TrustAll => Robustness::TrustAll,
-        Policy::Defensive => Robustness::defensive(),
+        Policy::Defensive => Robustness::Defensive,
     };
     let vbundle = VBundleConfig::default()
         .with_update_interval(SimDuration::from_secs(10))

@@ -6,12 +6,13 @@
 //!
 //! ```console
 //! $ cargo run --release -p vbundle-bench --bin vbundle_sim -- \
-//!       --servers 300 --vms-per-server 20 --threshold 0.2 --minutes 60
+//!       --servers=300 --vms-per-server=20 --threshold=0.2 --minutes=60
 //! ```
 
 use std::sync::Arc;
 
 use vbundle_bench::scenarios::skewed_cluster;
+use vbundle_bench::{BenchArgs, CliSpec};
 use vbundle_core::{metrics, VBundleConfig};
 use vbundle_dcn::Topology;
 use vbundle_sim::{SimDuration, SimTime};
@@ -30,76 +31,48 @@ struct Args {
     multi_metric: bool,
 }
 
-impl Default for Args {
-    fn default() -> Self {
-        Args {
-            servers: 300,
-            vms_per_server: 20,
-            threshold: 0.183,
-            update_secs: 300,
-            rebalance_secs: 1500,
-            minutes: 90,
-            mean: 0.6226,
-            seed: 1,
-            multi_metric: false,
-        }
-    }
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args::default();
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut take = |name: &str| -> Result<String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--servers" => args.servers = take("--servers")?.parse().map_err(|e| format!("{e}"))?,
-            "--vms-per-server" => {
-                args.vms_per_server = take("--vms-per-server")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?
-            }
-            "--threshold" => {
-                args.threshold = take("--threshold")?.parse().map_err(|e| format!("{e}"))?
-            }
-            "--update-secs" => {
-                args.update_secs = take("--update-secs")?.parse().map_err(|e| format!("{e}"))?
-            }
-            "--rebalance-secs" => {
-                args.rebalance_secs = take("--rebalance-secs")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?
-            }
-            "--minutes" => args.minutes = take("--minutes")?.parse().map_err(|e| format!("{e}"))?,
-            "--mean" => args.mean = take("--mean")?.parse().map_err(|e| format!("{e}"))?,
-            "--seed" => args.seed = take("--seed")?.parse().map_err(|e| format!("{e}"))?,
-            "--multi-metric" => args.multi_metric = true,
-            "--help" | "-h" => {
-                println!(
-                    "usage: vbundle_sim [--servers N] [--vms-per-server N] \
-                     [--threshold F] [--update-secs N] [--rebalance-secs N] \
-                     [--minutes N] [--mean F] [--seed N] [--multi-metric]"
-                );
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown flag {other}")),
-        }
-    }
-    if args.servers == 0 || args.vms_per_server == 0 {
-        return Err("--servers and --vms-per-server must be positive".into());
-    }
-    Ok(args)
-}
+const CLI: CliSpec = CliSpec {
+    bin: "vbundle_sim",
+    about: "skewed-load cluster through v-Bundle rebalancing, before/after report",
+    flags: &[(
+        "multi-metric",
+        "shuffle on CPU and memory as well as bandwidth",
+    )],
+    options: &[
+        ("servers", "cluster size (default 300)"),
+        ("vms-per-server", "VMs seeded per server (default 20)"),
+        ("threshold", "shedder margin over the mean (default 0.183)"),
+        ("update-secs", "update interval in seconds (default 300)"),
+        (
+            "rebalance-secs",
+            "rebalancing interval in seconds (default 1500)",
+        ),
+        ("minutes", "simulated horizon in minutes (default 90)"),
+        ("mean", "target mean utilization (default 0.6226)"),
+        ("seed", "load and simulation seed (default 1)"),
+    ],
+};
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e} (try --help)");
-            std::process::exit(2);
-        }
+    let cli = BenchArgs::parse_with(&CLI);
+    let args = Args {
+        servers: cli.value_or("servers", 300),
+        vms_per_server: cli.value_or("vms-per-server", 20),
+        threshold: cli.value_or("threshold", 0.183),
+        update_secs: cli.value_or("update-secs", 300),
+        rebalance_secs: cli.value_or("rebalance-secs", 1500),
+        minutes: cli.value_or("minutes", 90),
+        mean: cli.value_or("mean", 0.6226),
+        seed: cli.value_or("seed", 1),
+        multi_metric: cli.flag("multi-metric"),
     };
+    if args.servers == 0 || args.vms_per_server == 0 {
+        eprint!(
+            "--servers and --vms-per-server must be positive\n\n{}",
+            CLI.usage()
+        );
+        std::process::exit(2);
+    }
     let racks = args.servers.div_ceil(20) as u32;
     let topo = Arc::new(
         Topology::builder()

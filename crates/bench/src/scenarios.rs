@@ -14,7 +14,7 @@ use vbundle_core::{
 use vbundle_dcn::{Bandwidth, ServerId, Topology};
 use vbundle_pastry::overlay;
 use vbundle_sim::{Actor, ActorId, Context, Engine, Message, SimDuration, SimTime};
-use vbundle_workloads::{SippConfig, SippGenerator, SkewedLoad};
+use vbundle_workloads::{SippGenerator, SkewedLoad};
 
 /// Places `per_customer` VMs for each of the paper's five customers with
 /// the given policy and returns the model (Figs. 7–8). VMs arrive
@@ -174,10 +174,8 @@ impl SippTestbed {
         }
         cluster.reindex();
 
-        let sipp = SippGenerator::new(
-            SippConfig::default(),
-            SimTime::from_secs(100), // calls start at t=100 s as in Fig. 12
-        );
+        // Calls start at t=100 s as in Fig. 12.
+        let sipp = SippGenerator::new(SimTime::from_secs(100));
         SippTestbed {
             cluster,
             sipp,

@@ -20,7 +20,7 @@ use vbundle_pastry::overlay::{self, IdAssignment, NullApp, Probe};
 use vbundle_pastry::{
     FailureDetection, Id, NodeHandle, PastryConfig, PastryMsg, PastryNode, PastryState,
 };
-use vbundle_sim::{ActorId, ConstantLatency, Engine, SimDuration, SimTime};
+use vbundle_sim::{ActorId, Engine, Latency, SimDuration, SimTime};
 
 type Net = Engine<PastryMsg<Probe>, PastryNode<NullApp>>;
 
@@ -279,7 +279,7 @@ fn a_one_sided_link_lives_on_acks() {
             heartbeat: None,
             ..on.clone()
         };
-        let mut net: Net = Engine::new(Box::new(ConstantLatency(LATENCY)), 19);
+        let mut net: Net = Engine::with_latency(Latency::Constant(LATENCY), 19);
         for (st, config) in [
             (state(a, [b, d]), &on),
             (state(x, [a, b]), &off),

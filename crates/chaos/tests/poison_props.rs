@@ -74,7 +74,7 @@ fn poison_plan(seed: u64, mode: CorruptionMode) -> FaultPlan {
 /// fault counters plus every server's steering mean, printed from
 /// simulated state only.
 fn poison_run_fingerprint(seed: u64) -> String {
-    let (mut cluster, _vms) = build_cluster(seed, Robustness::defensive(), true);
+    let (mut cluster, _vms) = build_cluster(seed, Robustness::Defensive, true);
     let topo = cluster.topo.clone();
     let plan = poison_plan(seed, CorruptionMode::HugeScale);
     let mut driver = ChaosDriver::install(&mut cluster.engine, topo, plan);
@@ -128,7 +128,7 @@ fn defensive_contains_poison_that_breaks_trust_all() {
     const EPS: f64 = 0.05;
     let deadline = SimTime::from_secs(200);
 
-    let (mut defensive, _) = build_cluster(17, Robustness::defensive(), true);
+    let (mut defensive, _) = build_cluster(17, Robustness::Defensive, true);
     let topo = defensive.topo.clone();
     let plan = poison_plan(17, CorruptionMode::HugeScale);
     let mut driver = ChaosDriver::install(&mut defensive.engine, topo, plan);

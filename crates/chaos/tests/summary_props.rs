@@ -31,6 +31,9 @@ const LEASE: SimDuration = SimDuration::from_secs(30);
 const SETTLE: SimDuration = SimDuration::from_millis(20);
 const VMS_PER_SERVER: u64 = 4;
 const TENANTS: u64 = 4;
+/// The lender's self-insurance margin, as the controller's trade module
+/// fixes it: a lender offers 90 % of its spare reservation.
+const TRADE_MARGIN: f64 = 0.1;
 
 fn demand_of(vm: u64, rotation: u64) -> ResourceVector {
     let hot = (vm + rotation).is_multiple_of(5);
@@ -120,7 +123,7 @@ fn own_now(cluster: &Cluster, group: GroupId, node: usize) -> Option<Summary> {
     let now = cluster.now();
     let c = cluster.controller(node);
     let book = c.trade_book();
-    let margin = 1.0 - VBundleConfig::default().trade_margin;
+    let margin = 1.0 - TRADE_MARGIN;
     let lendable = |vm: &VmRecord| {
         let spec = book.live_spec(vm.id, vm.spec, now);
         let used = vm.demand.bandwidth.min(spec.limit.bandwidth).as_mbps();

@@ -10,7 +10,7 @@ use vbundle_dcn::{ServerId, Topology, TopologyLatency};
 use vbundle_obs::{Gauge, Registry};
 use vbundle_pastry::{overlay, NodeHandle, NodeId, PastryConfig, PastryMsg, PastryNode};
 use vbundle_scribe::{Scribe, ScribeConfig, ScribeMsg};
-use vbundle_sim::{ActorId, Engine, Latency, LatencyModel, SimDuration, SimTime};
+use vbundle_sim::{ActorId, Engine, SimDuration, SimTime};
 
 use crate::message::CtrlMsg;
 use crate::metrics::SatisfactionTotals;
@@ -29,8 +29,6 @@ pub struct ClusterBuilder {
     scribe: ScribeConfig,
     vbundle: VBundleConfig,
     agg: Option<AggregationConfig>,
-    agg_mode: Option<UpdateMode>,
-    latency: Option<Box<dyn LatencyModel>>,
     capacity_fn: Option<Box<dyn Fn(usize) -> ResourceVector>>,
     seed: u64,
     flight_capacity: Option<usize>,
@@ -45,8 +43,6 @@ impl ClusterBuilder {
             scribe: ScribeConfig::default().with_probe_interval(SimDuration::from_secs(30)),
             vbundle: VBundleConfig::default(),
             agg: None,
-            agg_mode: None,
-            latency: None,
             capacity_fn: None,
             seed: 42,
             flight_capacity: None,
@@ -78,25 +74,12 @@ impl ClusterBuilder {
         self
     }
 
-    /// Overrides the aggregation update mode (default: periodic at the
-    /// v-Bundle update interval).
-    pub fn aggregation_mode(mut self, mode: UpdateMode) -> Self {
-        self.agg_mode = Some(mode);
-        self
-    }
-
     /// Overrides the full aggregation configuration — e.g. to run the
     /// robust (`Defensive`) combine for the poison benches. The update
-    /// mode field is still governed by [`ClusterBuilder::aggregation_mode`]
-    /// and the v-Bundle update interval, not by `config.mode`.
+    /// mode is always periodic at the v-Bundle update interval, whatever
+    /// `config.mode` says.
     pub fn aggregation(mut self, config: AggregationConfig) -> Self {
         self.agg = Some(config);
-        self
-    }
-
-    /// Overrides the latency model (default: topology-derived).
-    pub fn latency(mut self, latency: Box<dyn LatencyModel>) -> Self {
-        self.latency = Some(latency);
         self
     }
 
@@ -116,17 +99,9 @@ impl ClusterBuilder {
 
     /// Launches the cluster: builds the overlay, starts every controller.
     pub fn build(self) -> Cluster {
-        // The default topology model is flattened into the engine's
-        // devirtualized tiered fast path; explicit overrides keep the
-        // boxed trait-object route.
-        let latency = match self.latency {
-            Some(model) => Latency::Model(model),
-            None => TopologyLatency::new(Arc::clone(&self.topo)).devirtualize(),
-        };
+        let latency = TopologyLatency::new(Arc::clone(&self.topo)).devirtualize();
         let agg_config = AggregationConfig {
-            mode: self
-                .agg_mode
-                .unwrap_or(UpdateMode::Periodic(self.vbundle.update_interval)),
+            mode: UpdateMode::Periodic(self.vbundle.update_interval),
             ..self.agg.unwrap_or_default()
         };
         let default_capacity: ResourceVector = self.topo.capacity().into();

@@ -1,6 +1,5 @@
 //! v-Bundle controller tunables.
 
-use vbundle_dcn::Bandwidth;
 use vbundle_sim::SimDuration;
 
 /// Survivable-placement knobs: failure-domain spreading plus backup
@@ -59,29 +58,16 @@ impl Default for FailoverConfig {
 /// bundle has nothing left to give.
 ///
 /// Matching happens inside per-pod `Spot-<pod>` anycast groups. Lenders
-/// ask `index × (1 + ask_markup)` where `index` is a per-pod EWMA of
-/// cleared prices seeded at `base_price`; borrowers accept while the ask
-/// stays under `max_price` and their tenant's prepaid spend on the
-/// borrowing host stays under `budget`. Cleared trades bill prepaid
-/// through the double-entry books of `vbundle-market`.
+/// quote a markup over a per-pod EWMA index of cleared prices; borrowers
+/// accept while the ask stays under `max_price` and their tenant's prepaid
+/// spend on the borrowing host stays under a fixed budget. Cleared trades
+/// bill prepaid through the double-entry books of `vbundle-market`. The
+/// index seed and weight, the markup, the budget and the provider's fee
+/// are constants beside their readers in the controller.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpotMarketConfig {
-    /// Seed of the per-pod price index, per Mbps·s — the admission price
-    /// before the first trade clears.
-    pub base_price: f64,
-    /// EWMA weight of each cleared trade in the price index.
-    pub price_alpha: f64,
-    /// Lender markup over the index when quoting an ask.
-    pub ask_markup: f64,
     /// Highest per-Mbps·s price a borrower will accept.
     pub max_price: f64,
-    /// Cap on one tenant's prepaid spot spend per borrowing host. Spend
-    /// is metered locally (each host sees only its own book), so the
-    /// cluster-wide exposure of a tenant is `budget × hosts` — a
-    /// documented limitation of the decentralized design.
-    pub budget: f64,
-    /// The provider's cut of every cleared trade's gross.
-    pub fee_rate: f64,
     /// Isolation cap: at most this fraction of a lender customer's base
     /// reservations on a server may be lent cross-tenant at once, so no
     /// tenant's bundle can be hollowed out by the market.
@@ -91,12 +77,7 @@ pub struct SpotMarketConfig {
 impl Default for SpotMarketConfig {
     fn default() -> Self {
         SpotMarketConfig {
-            base_price: 1.0,
-            price_alpha: 0.2,
-            ask_markup: 0.1,
             max_price: 4.0,
-            budget: 1_000_000.0,
-            fee_rate: 0.05,
             isolation_cap: 0.5,
         }
     }
@@ -119,27 +100,13 @@ pub struct VBundleConfig {
     /// self-identifies as a load shedder (paper default: 0.183; Fig. 9
     /// also evaluates 0.3 and 0.1).
     pub threshold: f64,
-    /// A server joins the Less-Loaded tree (as a potential receiver) when
-    /// its utilization is below `mean - receiver_margin`.
-    pub receiver_margin: f64,
-    /// Upper bound on load-balance queries a shedder issues per
-    /// rebalancing round.
-    pub max_sheds_per_round: usize,
-    /// Simulated duration of one (live) VM migration.
-    pub migration_delay: SimDuration,
-    /// How long a receiver holds reserved bandwidth for an accepted VM
-    /// before the hold expires.
-    pub hold_timeout: SimDuration,
-    /// Hop budget for boot queries walking the neighbor sets.
-    pub boot_ttl: u32,
     /// Enables the predictive cost-benefit gate before migrations (the
     /// module §VII lists as future work): a migration proceeds only when
-    /// the projected bandwidth-deficit relief over one rebalancing
-    /// interval exceeds the migration's own transfer cost.
+    /// the bandwidth deficit it relieves over one rebalancing interval
+    /// (deficit Mbps × interval seconds, in Mbit) exceeds its transfer
+    /// cost, the VM's memory at `memory_mb × 8` Mbit (the larger of its
+    /// memory limit and demand). No link speed enters the model.
     pub cost_benefit: bool,
-    /// Link bandwidth assumed for migration transfers by the cost-benefit
-    /// model.
-    pub migration_link: Bandwidth,
     /// Shuffle on every resource dimension — CPU and memory as well as
     /// bandwidth (the paper's §VII lists multi-metric shuffling as future
     /// work). Servers then shed when *any* dimension exceeds its cluster
@@ -152,8 +119,9 @@ pub struct VBundleConfig {
     pub oscillation_guard: bool,
     /// Sanity-gates the aggregated cluster mean before it steers
     /// shedder/receiver classification. A fresh reading is rejected when it
-    /// is non-finite, outside `[0, mean_ceiling]`, or further than
-    /// `mean_jump_bound` from the last accepted reading; the controller
+    /// is non-finite, outside `[0, 10]` (the gate's plausibility ceiling),
+    /// or further than `mean_jump_bound` from the last accepted reading;
+    /// the controller
     /// then holds the last-good mean and enters *conservative mode* (no
     /// new sheds, in-flight holds honored) until the aggregate
     /// re-stabilizes. Lossless for honest runs with the default bounds.
@@ -161,9 +129,6 @@ pub struct VBundleConfig {
     /// Largest absolute change of the cluster mean utilization between two
     /// consecutive update ticks the gate accepts without suspicion.
     pub mean_jump_bound: f64,
-    /// Absolute plausibility ceiling on the mean utilization (demand over
-    /// capacity; oversubscription can push it past 1, but not this far).
-    pub mean_ceiling: f64,
     /// Consecutive mutually consistent suspect readings after which the
     /// gate re-anchors on the new level — a genuine cluster-wide load
     /// change must not wedge the controller on a stale mean forever.
@@ -179,11 +144,6 @@ pub struct VBundleConfig {
     /// carry the same expiry, so a partition can strand entitlement for at
     /// most this long.
     pub lease_duration: SimDuration,
-    /// Fraction of a would-be lender's spare reservation kept back as
-    /// self-insurance against its own demand growing mid-lease.
-    pub trade_margin: f64,
-    /// Upper bound on borrow requests one server issues per update tick.
-    pub max_trades_per_round: usize,
     /// Survivable placement for the protocol path: when set, boot
     /// admission additionally enforces the failure-domain caps and
     /// reserves backup bandwidth cross-domain. `None` (the default)
@@ -211,23 +171,14 @@ impl Default for VBundleConfig {
             update_interval: SimDuration::from_mins(5),
             rebalance_interval: SimDuration::from_mins(25),
             threshold: 0.183,
-            receiver_margin: 0.0,
-            max_sheds_per_round: 8,
-            migration_delay: SimDuration::from_secs(10),
-            hold_timeout: SimDuration::from_mins(10),
-            boot_ttl: 4096,
             cost_benefit: false,
-            migration_link: Bandwidth::from_gbps(1.0),
             multi_metric: false,
             oscillation_guard: true,
             mean_gate: true,
             mean_jump_bound: 0.5,
-            mean_ceiling: 10.0,
             mean_recovery_rounds: 3,
             bundle_trading: false,
             lease_duration: SimDuration::from_mins(15),
-            trade_margin: 0.1,
-            max_trades_per_round: 4,
             survivability: None,
             failover: None,
             spot_market: None,
@@ -302,18 +253,6 @@ impl VBundleConfig {
         self
     }
 
-    /// Sets the lender's self-insurance margin.
-    pub fn with_trade_margin(mut self, margin: f64) -> Self {
-        self.trade_margin = margin;
-        self
-    }
-
-    /// Sets the per-tick borrow-request bound.
-    pub fn with_max_trades_per_round(mut self, n: usize) -> Self {
-        self.max_trades_per_round = n;
-        self
-    }
-
     /// Enables survivable boot admission with the given knobs.
     pub fn with_survivability(mut self, config: SurvivabilityConfig) -> Self {
         self.survivability = Some(config);
@@ -364,18 +303,12 @@ mod tests {
         let c = VBundleConfig::default();
         assert!(!c.bundle_trading);
         assert_eq!(c.lease_duration, SimDuration::from_mins(15));
-        assert_eq!(c.trade_margin, 0.1);
-        assert_eq!(c.max_trades_per_round, 4);
 
         let c = VBundleConfig::default()
             .with_bundle_trading(true)
-            .with_lease_duration(SimDuration::from_mins(5))
-            .with_trade_margin(0.25)
-            .with_max_trades_per_round(2);
+            .with_lease_duration(SimDuration::from_mins(5));
         assert!(c.bundle_trading);
         assert_eq!(c.lease_duration, SimDuration::from_mins(5));
-        assert_eq!(c.trade_margin, 0.25);
-        assert_eq!(c.max_trades_per_round, 2);
     }
 
     #[test]
@@ -412,19 +345,14 @@ mod tests {
         let c = VBundleConfig::default();
         assert!(c.spot_market.is_none());
         let mc = SpotMarketConfig::default();
-        assert_eq!(mc.base_price, 1.0);
-        assert_eq!(mc.price_alpha, 0.2);
-        assert_eq!(mc.ask_markup, 0.1);
-        assert_eq!(mc.fee_rate, 0.05);
+        assert_eq!(mc.max_price, 4.0);
         assert_eq!(mc.isolation_cap, 0.5);
         let c = VBundleConfig::default().with_spot_market(SpotMarketConfig {
             max_price: 2.0,
-            budget: 500.0,
             ..SpotMarketConfig::default()
         });
         let mc = c.spot_market.expect("enabled");
         assert_eq!(mc.max_price, 2.0);
-        assert_eq!(mc.budget, 500.0);
     }
 
     #[test]
@@ -432,7 +360,6 @@ mod tests {
         let c = VBundleConfig::default();
         assert!(c.mean_gate);
         assert_eq!(c.mean_jump_bound, 0.5);
-        assert_eq!(c.mean_ceiling, 10.0);
         assert_eq!(c.mean_recovery_rounds, 3);
 
         let c = VBundleConfig::default()

@@ -16,6 +16,9 @@ use super::surv::Survivability;
 use super::Ctx;
 use crate::message::{BootQuery, CtrlMsg};
 
+/// Hop budget for boot queries walking the neighbor sets.
+pub(super) const BOOT_TTL: u32 = 4096;
+
 /// What one hop of a boot walk works on: the host, and what the
 /// survivability and failover modules contribute to an admission decision.
 pub(super) struct Admission<'a> {

@@ -5,7 +5,7 @@
 //! fence that drops a VM from every module at once.
 
 use rand::Rng;
-use vbundle_aggregation::{AggMsg, Robustness, AGG_TICK_TAG};
+use vbundle_aggregation::{AggMsg, AGG_TICK_TAG};
 use vbundle_pastry::NodeHandle;
 use vbundle_scribe::{GroupId, ScribeClient, Summary};
 use vbundle_sim::{ActorId, SimDuration, SimTime};
@@ -177,10 +177,7 @@ impl ScribeClient for Controller {
                 lease.amount.is_sane() && lease.price.is_finite() && lease.price >= 0.0
             }
             CtrlMsg::Agg(AggMsg::Update { value, .. } | AggMsg::Result { value, .. }) => {
-                match &self.host.agg.config().robustness {
-                    Robustness::Defensive(params) => params.check(value).is_ok(),
-                    _ => true,
-                }
+                self.host.agg.config().robustness.check(value).is_ok()
             }
             _ => true,
         };
@@ -391,13 +388,13 @@ mod tests {
     use crate::controller::tests::controller;
     use crate::message::BorrowRequest;
     use crate::{bw_demand_topic, CustomerId, ResourceVector, VBundleConfig};
-    use vbundle_aggregation::{AggValue, AggregationConfig};
+    use vbundle_aggregation::{AggValue, AggregationConfig, Robustness};
     use vbundle_dcn::Bandwidth;
 
     #[test]
     fn validate_payload_screens_poison_under_defensive() {
         let defensive = AggregationConfig {
-            robustness: Robustness::defensive(),
+            robustness: Robustness::Defensive,
             ..AggregationConfig::default()
         };
         let mut c = Controller::new(

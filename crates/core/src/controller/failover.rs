@@ -362,7 +362,7 @@ impl Failover {
             root: None,
             caps: None,
             visited,
-            ttl: adm.host.config.boot_ttl,
+            ttl: boot::BOOT_TTL,
             failover: true,
         });
         boot::handle(adm, ctx, q);

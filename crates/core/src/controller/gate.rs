@@ -3,7 +3,7 @@
 
 use super::host::Host;
 use super::stats::ControllerStats;
-use crate::{ResourceKind, VBundleConfig};
+use crate::ResourceKind;
 
 /// Per-dimension state of the gate.
 ///
@@ -38,7 +38,7 @@ impl MeanGates {
             Some(gate) => gate.last_good,
             None => host
                 .cluster_mean_for(kind)
-                .filter(|&m| in_absolute_bounds(&host.config, m)),
+                .filter(|&m| in_absolute_bounds(m)),
         }
     }
 
@@ -59,7 +59,7 @@ impl MeanGates {
             return;
         };
         let config = &host.config;
-        let in_bounds = in_absolute_bounds(config, reading);
+        let in_bounds = in_absolute_bounds(reading);
         let gate = self.0[kind as usize].get_or_insert_with(MeanGate::default);
         let plausible = in_bounds
             && match gate.last_good {
@@ -99,10 +99,14 @@ impl MeanGates {
     }
 }
 
+/// Absolute plausibility ceiling on the mean utilization (demand over
+/// capacity; oversubscription can push it past 1, but not this far).
+const MEAN_CEILING: f64 = 10.0;
+
 /// Whether a mean reading clears the gate's absolute (memoryless)
 /// plausibility bounds.
-fn in_absolute_bounds(config: &VBundleConfig, mean: f64) -> bool {
-    mean.is_finite() && (0.0..=config.mean_ceiling).contains(&mean)
+fn in_absolute_bounds(mean: f64) -> bool {
+    mean.is_finite() && (0.0..=MEAN_CEILING).contains(&mean)
 }
 
 #[cfg(test)]

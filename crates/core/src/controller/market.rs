@@ -16,6 +16,19 @@ use super::trade::{borrow_scan, MIN_LEASE_MBPS};
 use super::{spot_group, Ctx};
 use crate::{CustomerId, SpotMarketConfig, VmId};
 
+/// Seed of the per-pod price index, per Mbps·s — the admission price
+/// before the first trade clears.
+const BASE_PRICE: f64 = 1.0;
+/// EWMA weight of each cleared trade in the price index.
+const PRICE_ALPHA: f64 = 0.2;
+/// Cap on one tenant's prepaid spot spend per borrowing host. Spend is
+/// metered locally (each host sees only its own book), so the
+/// cluster-wide exposure of a tenant is `BUDGET × hosts` — a documented
+/// limitation of the decentralized design.
+const BUDGET: f64 = 1_000_000.0;
+/// The provider's cut of every cleared trade's gross.
+const FEE_RATE: f64 = 0.05;
+
 #[derive(Debug)]
 pub(super) struct SpotMarket {
     pub cfg: SpotMarketConfig,
@@ -42,7 +55,7 @@ impl SpotMarket {
     pub fn new(cfg: SpotMarketConfig, stats: MarketStats) -> Self {
         SpotMarket {
             cfg,
-            index: PriceIndex::new(cfg.base_price, cfg.price_alpha),
+            index: PriceIndex::new(BASE_PRICE, PRICE_ALPHA),
             billing: BillingBook::new(),
             in_group: false,
             cooldown: Cooldown::default(),
@@ -120,7 +133,7 @@ impl SpotMarket {
 
     /// The buyer's market policy on a priced grant: the billed tenant must
     /// really be the borrower VM's, the ask must clear `max_price`, and the
-    /// prepaid gross must fit the tenant's budget on this host.
+    /// prepaid gross must fit the tenant's [`BUDGET`] on this host.
     pub fn buyer_accepts(&self, host: &Host, lease: &Lease) -> bool {
         let buyer_ok = host
             .vms
@@ -131,7 +144,7 @@ impl SpotMarket {
         } else if lease.price > self.cfg.max_price {
             self.stats.spot_rejected_price.inc();
             false
-        } else if self.billing.spent_by(lease.buyer.0) + lease.gross() > self.cfg.budget {
+        } else if self.billing.spent_by(lease.buyer.0) + lease.gross() > BUDGET {
             self.stats.spot_rejected_budget.inc();
             false
         } else {
@@ -144,7 +157,7 @@ impl SpotMarket {
     /// mint — once per lease, whatever the ack path does; the rare
     /// reversal leaves a slightly stale index, never a corrupt ledger.
     pub fn book(&mut self, lease: &Lease, side: EntrySide) {
-        if let Some(entry) = BillingEntry::for_lease(lease, side, self.cfg.fee_rate) {
+        if let Some(entry) = BillingEntry::for_lease(lease, side, FEE_RATE) {
             self.billing.record(entry);
         }
         self.index.observe(lease.price);
@@ -158,5 +171,56 @@ impl SpotMarket {
             self.stats.billing_reversals.inc();
         }
         self.requoted.retain(|_, &mut newer| newer != lease);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::controller::tests::vm;
+    use crate::{ResourceVector, VBundleConfig};
+    use vbundle_aggregation::AggregationConfig;
+    use vbundle_dcn::Bandwidth;
+    use vbundle_trade::LeaseId;
+
+    /// A spot lease at the index seed's price selling tenant 1's
+    /// entitlement to `vm(1)` (tenant 0): 100 Mbps for `secs` seconds,
+    /// so its gross is `100 × secs`.
+    fn priced(id: u64, secs: u64) -> Lease {
+        Lease {
+            buyer: CustomerId(0),
+            price: BASE_PRICE,
+            ..Lease::free(
+                LeaseId(id),
+                CustomerId(1),
+                VmId(9),
+                VmId(1),
+                ResourceVector::bandwidth_only(Bandwidth::from_mbps(100.0)),
+                SimTime::ZERO,
+                SimTime::from_secs(secs),
+            )
+        }
+    }
+
+    #[test]
+    fn budget_refuses_a_grant_past_the_tenants_spend_cap() {
+        let mut host = Host::new(
+            ResourceVector::bandwidth_only(Bandwidth::from_gbps(1.0)),
+            AggregationConfig::default(),
+            VBundleConfig::default(),
+        );
+        host.install(vm(1, 100.0, 200.0, 150.0));
+        let mut market = SpotMarket::new(SpotMarketConfig::default(), MarketStats::default());
+        // Tenant 0 has already prepaid 60 % of its budget on this host.
+        let spent = priced(1, 6_000);
+        assert!(market.buyer_accepts(&host, &spent));
+        market.book(&spent, EntrySide::Spend);
+        assert_eq!(market.billing.spent_by(0), 0.6 * BUDGET);
+        // A grant 100 short of the remaining 40 % clears; one 100 past it
+        // is refused and counted as a budget refusal, not a price one.
+        assert!(market.buyer_accepts(&host, &priced(2, 3_999)));
+        assert!(!market.buyer_accepts(&host, &priced(3, 4_001)));
+        assert_eq!(market.stats.spot_rejected_budget.get(), 1);
+        assert_eq!(market.stats.spot_rejected_price.get(), 0);
     }
 }

@@ -528,7 +528,7 @@ impl Controller {
                 root: None,
                 caps: None,
                 visited: Vec::new(),
-                ttl: self.host.config.boot_ttl,
+                ttl: boot::BOOT_TTL,
                 failover: false,
             })),
         );

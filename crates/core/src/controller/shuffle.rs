@@ -34,6 +34,17 @@ use crate::{ResourceKind, VBundleConfig, VmId, VmRecord};
 const MIGRATION_ATTEMPTS: u32 = 3;
 /// Jitter salt for the migration courier ("MIGR").
 const MIGRATION_COURIER_SALT: u64 = 0x4d49_4752;
+/// A server joins the Less-Loaded tree (as a potential receiver) when its
+/// utilization is below `mean - RECEIVER_MARGIN`.
+const RECEIVER_MARGIN: f64 = 0.0;
+/// Upper bound on load-balance queries a shedder issues per rebalancing
+/// round.
+const MAX_SHEDS_PER_ROUND: usize = 8;
+/// Simulated duration of one (live) VM migration.
+const MIGRATION_DELAY: SimDuration = SimDuration::from_secs(10);
+/// How long a receiver holds reserved bandwidth for an accepted VM before
+/// the hold expires.
+const HOLD_TIMEOUT: SimDuration = SimDuration::from_mins(10);
 
 /// A server's self-identified role in the current rebalancing epoch
 /// (§III.C step 1).
@@ -41,7 +52,7 @@ const MIGRATION_COURIER_SALT: u64 = 0x4d49_4752;
 pub enum ServerStatus {
     /// Utilization above `mean + threshold`: evacuating VMs.
     Shedder,
-    /// Utilization below `mean - receiver_margin`: advertising spare
+    /// Utilization below `mean - RECEIVER_MARGIN`: advertising spare
     /// bandwidth in the Less-Loaded tree.
     Receiver,
     /// Neither; not participating in exchanges.
@@ -101,8 +112,8 @@ impl Shuffle {
         // inside the receiver's hold window so they still land on reserved
         // bandwidth.
         let courier = Courier::new(CourierConfig {
-            base_timeout: config.migration_delay * 2 + config.hold_timeout / 8,
-            max_timeout: config.hold_timeout / 2,
+            base_timeout: MIGRATION_DELAY * 2 + HOLD_TIMEOUT / 8,
+            max_timeout: HOLD_TIMEOUT / 2,
             max_attempts: MIGRATION_ATTEMPTS,
             jitter_pct: 10,
             salt: MIGRATION_COURIER_SALT,
@@ -196,7 +207,7 @@ impl Shuffle {
             // at the mean (e.g. a dimension that is uniform across the
             // cluster) does not — otherwise one uniform dimension would
             // veto every receiver.
-            if util > mean - host.config.receiver_margin + 1e-12 {
+            if util > mean - RECEIVER_MARGIN + 1e-12 {
                 all_under = false;
             }
         }
@@ -290,7 +301,7 @@ impl Shuffle {
         let stop_line = mean + host.config.threshold;
         let mut issued = 0;
         for vm in candidates {
-            if issued >= host.config.max_sheds_per_round || projected / cap <= stop_line {
+            if issued >= MAX_SHEDS_PER_ROUND || projected / cap <= stop_line {
                 break;
             }
             // Do not shed below the average line (§III.C step 4).
@@ -371,7 +382,7 @@ impl Shuffle {
         host.holds.push(Hold {
             query: q.query,
             vm: q.vm,
-            expires: ctx.now() + host.config.hold_timeout,
+            expires: ctx.now() + HOLD_TIMEOUT,
         });
         stats.accepts_sent += 1;
         let me = ctx.self_handle();
@@ -447,7 +458,7 @@ impl Shuffle {
                 });
                 stats.migration_times.push(ctx.now());
                 let timeout = self.courier.register(query);
-                self.send_migrate(host, ctx, query, vm, receiver, timeout);
+                self.send_migrate(ctx, query, vm, receiver, timeout);
             }
             // Retries and duplicated packets can deliver the same transfer
             // more than once; install the VM exactly once but always
@@ -471,7 +482,6 @@ impl Shuffle {
     /// Sends (or resends) an in-flight VM and arms its ack timeout.
     fn send_migrate(
         &mut self,
-        host: &Host,
         ctx: &mut Ctx<'_, '_, '_, '_>,
         query: u64,
         vm: VmRecord,
@@ -486,7 +496,7 @@ impl Shuffle {
                 vm: Box::new(vm),
                 from: me,
             },
-            host.config.migration_delay,
+            MIGRATION_DELAY,
         );
         debug_assert!(query < MIGRATE_RETRY_TAG_BASE);
         ctx.schedule(timeout, MIGRATE_RETRY_TAG_BASE | query);
@@ -507,7 +517,7 @@ impl Shuffle {
             RetryDecision::GiveUp => self.roll_back(host, stats, query),
             RetryDecision::Retry { timeout } => match self.sheds.get(&query) {
                 Some(&Shed::Sent { vm, receiver }) => {
-                    self.send_migrate(host, ctx, query, vm, receiver, timeout)
+                    self.send_migrate(ctx, query, vm, receiver, timeout)
                 }
                 _ => self.courier.forget(query),
             },

@@ -32,6 +32,13 @@ const TRADE_ATTEMPTS: u32 = 3;
 const TRADE_COURIER_SALT: u64 = 0x5452_4144;
 /// Smallest lease worth the protocol traffic, in Mbps.
 pub(super) const MIN_LEASE_MBPS: f64 = 1.0;
+/// Fraction of a would-be lender's spare reservation kept back as
+/// self-insurance against its own demand growing mid-lease.
+const TRADE_MARGIN: f64 = 0.1;
+/// Upper bound on borrow requests one server issues per update tick.
+const MAX_TRADES_PER_ROUND: usize = 4;
+/// Lender markup over the pod's price index when quoting a spot ask.
+const ASK_MARKUP: f64 = 0.1;
 
 #[derive(Debug)]
 pub(super) struct Trade {
@@ -155,7 +162,7 @@ impl Trade {
             return false;
         }
         let now = ctx.now();
-        let margin = (1.0 - host.config.trade_margin).max(0.0);
+        let margin = (1.0 - TRADE_MARGIN).max(0.0);
         let mut capped = false;
         let best = host
             .vms
@@ -216,7 +223,7 @@ impl Trade {
         debug_assert!(raw < TRADE_RETRY_TAG_BASE);
         let mut lease = terms(LeaseId(raw));
         if let (true, Some(m)) = (lease.cross_tenant(), &self.market) {
-            lease.price = m.index.quote(m.cfg.ask_markup);
+            lease.price = m.index.quote(ASK_MARKUP);
         }
         host.book.record(lease, LeaseRole::Lender, to.actor);
         host.lendable_moved = true;
@@ -597,7 +604,7 @@ impl Trade {
             return None;
         }
         if mem::take(&mut host.lendable_moved) || until >= self.offers.good_before {
-            let margin = (1.0 - host.config.trade_margin).max(0.0);
+            let margin = (1.0 - TRADE_MARGIN).max(0.0);
             self.offers = Offers {
                 intra: Vec::new(),
                 spot: NOBODY,
@@ -647,7 +654,7 @@ impl Trade {
 /// The starved-VM scan behind both borrow paths: a VM is starved when its
 /// demand exceeds its live limit by at least a minimum lease. Each starved
 /// VM that the (freshly swept) `cooldown` does not cover and `eligible`
-/// lets through — at most `max_trades_per_round` of them — anycasts a
+/// lets through — at most [`MAX_TRADES_PER_ROUND`] of them — anycasts a
 /// request for the gap into
 /// `group_of(its customer)` and enters `cooldown` for two update
 /// intervals; lenders answer with what they can actually spare. Returns
@@ -672,7 +679,7 @@ pub(super) fn borrow_scan(
             (vm.id, vm.customer, short)
         })
         .filter(|&(.., short)| short >= MIN_LEASE_MBPS)
-        .take(host.config.max_trades_per_round)
+        .take(MAX_TRADES_PER_ROUND)
         .collect();
     for &(borrower, customer, short) in &asks {
         cooldown.start(borrower, now + host.config.update_interval * 2);

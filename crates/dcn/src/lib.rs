@@ -11,8 +11,9 @@
 //!   and an oversubscription ratio (the paper's testbed uses 8:1);
 //! - [`ProximityLevel`] / [`Topology::proximity`] — the physical distance
 //!   metric Pastry's neighbor set and the placement algorithm rely on;
-//! - [`TopologyLatency`] — a `vbundle_sim::LatencyModel` where cross-rack hops cost
-//!   more than intra-rack hops;
+//! - [`TopologyLatency`] — a latency model where cross-rack hops cost more
+//!   than intra-rack hops, flattened into a `vbundle_sim::Latency` for the
+//!   engine;
 //! - [`TrafficMatrix`] / [`BisectionReport`] — accounting of how much
 //!   inter-VM traffic crosses rack and pod boundaries, the headline metric
 //!   of Figures 7–8.

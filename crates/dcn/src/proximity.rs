@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use vbundle_sim::{ActorId, LatencyModel, SimDuration, TieredLatency};
+use vbundle_sim::{ActorId, SimDuration, TieredLatency};
 
 use crate::{ServerId, Topology};
 
@@ -34,8 +34,10 @@ impl ProximityLevel {
     ];
 }
 
-/// A [`LatencyModel`] that derives per-message delay from the topology:
-/// intra-rack hops are cheaper than cross-pod hops.
+/// A latency model that derives per-message delay from the topology:
+/// intra-rack hops are cheaper than cross-pod hops. The engine runs its
+/// flat form, [`TopologyLatency::devirtualize`]; the per-pair lookup here
+/// is the reference that form is checked against.
 ///
 /// Actor index `i` is taken to be server index `i`, the convention used by
 /// every simulation harness in this workspace.
@@ -43,7 +45,7 @@ impl ProximityLevel {
 /// ```
 /// use std::sync::Arc;
 /// use vbundle_dcn::{Topology, TopologyLatency};
-/// use vbundle_sim::{ActorId, LatencyModel};
+/// use vbundle_sim::ActorId;
 ///
 /// let topo = Arc::new(Topology::paper_testbed());
 /// let model = TopologyLatency::new(topo);
@@ -99,6 +101,16 @@ impl TopologyLatency {
         self.levels[level as usize]
     }
 
+    /// The one-way delay from `from` to `to`, read off the topology.
+    pub fn latency(&self, from: ActorId, to: ActorId) -> SimDuration {
+        match (self.server(from), self.server(to)) {
+            (Some(a), Some(b)) => self.levels[self.topo.proximity(a, b) as usize],
+            // Actors outside the server range (e.g. a harness front end)
+            // pay the worst-case delay.
+            _ => self.levels[ProximityLevel::CrossPod as usize],
+        }
+    }
+
     fn server(&self, actor: ActorId) -> Option<ServerId> {
         if actor.index() < self.topo.num_servers() {
             Some(self.topo.server(actor.index()))
@@ -118,7 +130,7 @@ impl TopologyLatency {
     /// ```
     /// use std::sync::Arc;
     /// use vbundle_dcn::{Topology, TopologyLatency};
-    /// use vbundle_sim::{ActorId, LatencyModel};
+    /// use vbundle_sim::ActorId;
     ///
     /// let model = TopologyLatency::new(Arc::new(Topology::paper_testbed()));
     /// let fast = model.devirtualize();
@@ -135,17 +147,6 @@ impl TopologyLatency {
             pod.push(self.topo.pod_of(server).index() as u32);
         }
         vbundle_sim::Latency::Tiered(TieredLatency::new(rack, pod, self.levels))
-    }
-}
-
-impl LatencyModel for TopologyLatency {
-    fn latency(&self, from: ActorId, to: ActorId) -> SimDuration {
-        match (self.server(from), self.server(to)) {
-            (Some(a), Some(b)) => self.levels[self.topo.proximity(a, b) as usize],
-            // Actors outside the server range (e.g. a harness front end)
-            // pay the worst-case delay.
-            _ => self.levels[ProximityLevel::CrossPod as usize],
-        }
     }
 }
 
@@ -198,7 +199,7 @@ mod tests {
     #[test]
     fn devirtualized_model_matches_boxed_exactly() {
         // Irregular topology (uneven rack sizes) plus custom level delays:
-        // the flat-table fast path must agree with the boxed model on
+        // the flat-table fast path must agree with the per-pair lookup on
         // every pair, including actors past the server range.
         let topo = Arc::new(Topology::builder().rack_sizes(&[3, 1, 2]).build());
         let m = TopologyLatency::new(topo.clone())

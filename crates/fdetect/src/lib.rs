@@ -36,8 +36,13 @@ pub mod probe;
 pub use courier::{backoff_rounds, Courier, CourierConfig, RetryDecision};
 pub use dedup::DedupWindow;
 pub use domain::DomainSuspicion;
-pub use phi::{ArrivalWindow, PeerDetector, PhiConfig, Verdict};
+pub use phi::{ArrivalWindow, PeerDetector, PhiConfig, Verdict, FIRST_INTERVAL};
 pub use probe::Probe;
+
+/// Silent probe rounds after which [`FailureDetection::FixedInterval`]
+/// declares a peer dead: Pastry's leaf-set heartbeats and Scribe's
+/// parent-side child links share this one deadline.
+pub const FIXED_INTERVAL_ROUNDS: u64 = 3;
 
 /// How a protocol layer decides that a peer is dead.
 ///
@@ -46,8 +51,8 @@ pub use probe::Probe;
 /// between the legacy fixed deadline and the adaptive detector.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FailureDetection {
-    /// Legacy behaviour: a peer silent for `multiplier × probe interval`
-    /// is declared dead outright, no second opinion.
+    /// Legacy behaviour: a peer silent for [`FIXED_INTERVAL_ROUNDS`] probe
+    /// intervals is declared dead outright, no second opinion.
     FixedInterval,
     /// Phi-accrual suspicion plus SWIM-style indirect probing before
     /// eviction.

@@ -24,6 +24,11 @@ use std::collections::VecDeque;
 
 use vbundle_sim::{SimDuration, SimTime};
 
+/// Expected inter-arrival time before any sample has been observed, for
+/// holders with no better per-peer estimate (such as the probe interval
+/// plus the peer's RTT) to hand to [`PeerDetector::new`].
+pub const FIRST_INTERVAL: SimDuration = SimDuration::from_secs(1);
+
 /// Tunables of the phi-accrual detector.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhiConfig {
@@ -36,18 +41,12 @@ pub struct PhiConfig {
     /// streams (a deterministic simulator is the extreme case) would
     /// otherwise make the detector hair-triggered.
     pub min_std_dev: SimDuration,
-    /// Expected inter-arrival time before any sample has been observed,
-    /// for holders with no better per-peer estimate (such as the probe
-    /// interval plus the peer's RTT) to hand to [`PeerDetector::new`].
-    pub first_interval: SimDuration,
     /// Slack added to the fitted mean — tolerated silence beyond the
     /// expected cadence before phi starts to climb.
     pub acceptable_pause: SimDuration,
     /// How long a suspect may redeem itself (e.g. through an indirect
     /// probe relayed by an intermediary) before it is declared dead.
     pub confirm_timeout: SimDuration,
-    /// Intermediaries asked to ping a newly suspected peer (SWIM's `k`).
-    pub indirect_probes: usize,
 }
 
 impl Default for PhiConfig {
@@ -56,30 +55,16 @@ impl Default for PhiConfig {
             window: 16,
             threshold: 8.0,
             min_std_dev: SimDuration::from_millis(200),
-            first_interval: SimDuration::from_secs(1),
             acceptable_pause: SimDuration::ZERO,
             confirm_timeout: SimDuration::from_secs(3),
-            indirect_probes: 3,
         }
     }
 }
 
 impl PhiConfig {
-    /// Sets the suspicion threshold.
-    pub fn with_threshold(mut self, threshold: f64) -> Self {
-        self.threshold = threshold;
-        self
-    }
-
     /// Sets the confirmation grace a suspect gets before eviction.
     pub fn with_confirm_timeout(mut self, timeout: SimDuration) -> Self {
         self.confirm_timeout = timeout;
-        self
-    }
-
-    /// Sets the indirect-probe fan-out.
-    pub fn with_indirect_probes(mut self, k: usize) -> Self {
-        self.indirect_probes = k;
         self
     }
 }
@@ -215,7 +200,7 @@ pub enum Verdict {
     /// Suspicion below threshold; keep probing normally.
     Alive,
     /// Phi crossed the threshold just now: the caller should launch
-    /// indirect probes through `indirect_probes` intermediaries.
+    /// indirect probes through intermediaries.
     NewlySuspect,
     /// Already suspect, confirmation grace still running.
     Suspect,
@@ -327,7 +312,7 @@ mod tests {
     #[test]
     fn suspect_state_machine_escalates_then_redeems() {
         let config = PhiConfig::default().with_confirm_timeout(SimDuration::from_secs(2));
-        let mut d = PeerDetector::new(&config, config.first_interval, t(0));
+        let mut d = PeerDetector::new(&config, FIRST_INTERVAL, t(0));
         for s in 0..6 {
             d.heartbeat(t(s));
         }
@@ -394,7 +379,6 @@ mod tests {
                 min_std_dev: SimDuration::from_millis(min_std_ms),
                 acceptable_pause: SimDuration::from_millis(if pause_ms.0 == 0 { 0 } else { pause_ms.1 }),
                 confirm_timeout: SimDuration::from_millis(2500),
-                ..PhiConfig::default()
             };
             let estimate = SimDuration::from_millis(estimate_ms);
             let mut now = SimTime::from_secs(1);

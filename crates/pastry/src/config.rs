@@ -14,22 +14,17 @@ pub struct PastryConfig {
     pub leaf_half: usize,
     /// Capacity of the physically-closest neighbor set (`|M|`).
     pub neighbor_capacity: usize,
-    /// Routing loop guard: a message that exceeds this hop count is
-    /// delivered at the current node instead of being forwarded.
-    pub max_hops: u32,
     /// If set, nodes heartbeat their leaf set at this interval and evict
     /// members whose own heartbeats stop (see
     /// [`failure_detection`](Self::failure_detection)). `None` disables
     /// active failure detection (bounced sends still trigger eviction; a
     /// heartbeat from a node that has it on is acked).
     pub heartbeat: Option<SimDuration>,
-    /// How many heartbeat intervals of silence mark a peer dead — only
-    /// consulted in [`FailureDetection::FixedInterval`] mode.
-    pub failure_multiplier: u32,
     /// How leaf-set liveness is decided. The default, phi-accrual with
     /// SWIM-style indirect probing, tolerates lossy and slow links;
-    /// [`FailureDetection::FixedInterval`] restores the legacy
-    /// `failure_multiplier × heartbeat` deadline (ablation baseline).
+    /// [`FailureDetection::FixedInterval`] restores the legacy deadline of
+    /// [`FIXED_INTERVAL_ROUNDS`](vbundle_fdetect::FIXED_INTERVAL_ROUNDS)
+    /// silent heartbeats (ablation baseline).
     pub failure_detection: FailureDetection,
     /// If set, nodes periodically exchange routing-table rows with a
     /// random known peer — Pastry's routing-table maintenance, which
@@ -43,9 +38,7 @@ impl Default for PastryConfig {
         PastryConfig {
             leaf_half: 8,
             neighbor_capacity: 16,
-            max_hops: 64,
             heartbeat: None,
-            failure_multiplier: 3,
             failure_detection: FailureDetection::default(),
             maintenance: None,
         }
@@ -65,9 +58,8 @@ impl PastryConfig {
         self
     }
 
-    /// Selects the legacy fixed-interval failure detector (the
-    /// `failure_multiplier × heartbeat` deadline) — the ablation baseline
-    /// for the adaptive default.
+    /// Selects the legacy fixed-interval failure detector — the ablation
+    /// baseline for the adaptive default.
     pub fn with_fixed_detection(mut self) -> Self {
         self.failure_detection = FailureDetection::FixedInterval;
         self

@@ -12,8 +12,8 @@ pub struct RouteEnvelope<M> {
     pub key: Key,
     /// The application payload.
     pub payload: M,
-    /// Hops taken so far (loop guard; see
-    /// [`PastryConfig::max_hops`](crate::PastryConfig::max_hops)).
+    /// Hops taken so far: the loop guard delivers a route past 64 hops
+    /// at the node it reached.
     pub hops: u32,
     /// The node that first injected the message.
     pub origin: NodeHandle,

@@ -1,6 +1,6 @@
 //! The Pastry node actor and the application upcall interface.
 
-use vbundle_fdetect::{backoff_rounds, PeerDetector, Verdict};
+use vbundle_fdetect::{backoff_rounds, PeerDetector, Verdict, FIXED_INTERVAL_ROUNDS};
 use vbundle_obs::{Counter, FlightRecorder, Registry, Subsystem};
 use vbundle_sim::{Actor, ActorId, Context as SimContext, Message, SimDuration, SimTime};
 
@@ -25,6 +25,11 @@ const RESURRECTION_PROBES: u32 = 10;
 const RESURRECTION_BACKOFF_EXP: u32 = 1;
 /// Upper bound on remembered departed nodes (oldest evicted first).
 const GRAVEYARD_CAP: usize = 32;
+/// Routing loop guard: a message that exceeds this hop count is delivered
+/// at the current node instead of being forwarded.
+const MAX_HOPS: u32 = 64;
+/// Leaf peers asked to ping a newly suspected member (SWIM's `k`).
+const INDIRECT_PROBES: usize = 3;
 
 /// An application layered over a Pastry node (for v-Bundle: Scribe).
 ///
@@ -221,14 +226,14 @@ impl LeafLink {
     /// Classifies the member at `now`. The two detection modes differ
     /// here and nowhere else: phi-accrual suspects first and confirms
     /// later, the legacy deadline declares a member dead outright after
-    /// `failure_multiplier` silent rounds.
+    /// [`FIXED_INTERVAL_ROUNDS`] silent rounds.
     fn verdict(&mut self, config: &PastryConfig, interval: SimDuration, now: SimTime) -> Verdict {
         if let (Some(detector), Some(phi)) =
             (&mut self.detector, config.failure_detection.phi_config())
         {
             return detector.evaluate(phi, now);
         }
-        let deadline = interval * u64::from(config.failure_multiplier);
+        let deadline = interval * FIXED_INTERVAL_ROUNDS;
         if now.saturating_since(self.heard) > deadline {
             Verdict::Dead
         } else {
@@ -382,7 +387,7 @@ impl<A: PastryApp> PastryNode<A> {
     ) {
         env.hops += 1;
         self.learn_firsthand(env.origin);
-        let decision = if env.hops > self.config.max_hops {
+        let decision = if env.hops > MAX_HOPS {
             RouteDecision::DeliverHere
         } else {
             self.state.route_decision(env.key)
@@ -421,7 +426,7 @@ impl<A: PastryApp> PastryNode<A> {
         hops: u32,
     ) {
         // Decide before learning the newcomer, or we would route to it.
-        let decision = if hops >= self.config.max_hops {
+        let decision = if hops >= MAX_HOPS {
             RouteDecision::DeliverHere
         } else {
             self.state.route_decision(newcomer.id)
@@ -645,16 +650,14 @@ impl<A: PastryApp> PastryNode<A> {
             // lossy) is asked for an ack outright, every round until it
             // refutes or the confirmation grace runs out.
             ctx.send(member.actor, PastryMsg::RelayPing { origin: me });
-            if let (Verdict::NewlySuspect, Some(phi)) =
-                (verdict, self.config.failure_detection.phi_config())
-            {
-                // And, SWIM-style, through the k leaf peers numerically
-                // closest to the suspect: their paths may be up even if
-                // ours is not.
+            if verdict == Verdict::NewlySuspect {
+                // And, SWIM-style, through the INDIRECT_PROBES leaf peers
+                // numerically closest to the suspect: their paths may be
+                // up even if ours is not.
                 let mut relays = leaf.members();
                 relays.retain(|h| h.id != member.id);
                 relays.sort_by_key(|h| h.id.ring_distance(member.id));
-                for relay in relays.into_iter().take(phi.indirect_probes) {
+                for relay in relays.into_iter().take(INDIRECT_PROBES) {
                     ctx.send(
                         relay.actor,
                         PastryMsg::PingReq {

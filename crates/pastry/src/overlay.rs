@@ -13,7 +13,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vbundle_dcn::Topology;
-use vbundle_sim::{ActorId, Engine, LatencyModel, SimDuration};
+use vbundle_sim::{ActorId, Engine, Latency, SimDuration};
 
 use crate::id::{BITS_PER_DIGIT, DIGIT_BASE};
 use crate::message::PastryMsg;
@@ -273,13 +273,13 @@ pub fn launch<A: PastryApp>(
     policy: IdAssignment,
     config: PastryConfig,
     seed: u64,
-    latency: Box<dyn LatencyModel>,
+    latency: Latency,
     mut app_factory: impl FnMut(usize, NodeHandle) -> A,
 ) -> LaunchedOverlay<A> {
     let ids = assign_ids(topo, policy);
     let handles = handles_for(&ids);
     let states = build_states(topo, &handles, &config);
-    let mut engine = Engine::new(latency, seed);
+    let mut engine = Engine::with_latency(latency, seed);
     for (i, state) in states.into_iter().enumerate() {
         let app = app_factory(i, handles[i]);
         engine.add_actor(PastryNode::with_state(state, app, config.clone()));
@@ -327,7 +327,7 @@ pub fn launch_null(
         policy,
         config,
         seed,
-        Box::new(vbundle_sim::ConstantLatency(SimDuration::from_micros(100))),
+        Latency::Constant(SimDuration::from_micros(100)),
         |_, _| NullApp::default(),
     )
 }

@@ -9,7 +9,7 @@ use vbundle_pastry::overlay::{self, launch_null, IdAssignment, NullApp, Probe};
 use vbundle_pastry::{
     Id, NodeHandle, PastryConfig, PastryMsg, PastryNode, PastryState, RouteDecision,
 };
-use vbundle_sim::{ActorId, ConstantLatency, Engine, SimDuration, SimTime};
+use vbundle_sim::{ActorId, Engine, Latency, SimDuration, SimTime};
 
 fn topo(servers: usize) -> Arc<Topology> {
     // Racks of 4, as many as needed.
@@ -100,7 +100,7 @@ fn join_protocol_integrates_newcomer() {
     let existing = &handles[..16];
     let states = overlay::build_states(&topo, existing, &config);
     let mut engine: Engine<PastryMsg<Probe>, PastryNode<NullApp>> =
-        Engine::new(Box::new(ConstantLatency(SimDuration::from_micros(100))), 5);
+        Engine::with_latency(Latency::Constant(SimDuration::from_micros(100)), 5);
     for st in states {
         engine.add_actor(PastryNode::with_state(
             st,
@@ -186,7 +186,7 @@ fn heartbeats_evict_silent_peers() {
         IdAssignment::Random { seed: 2 },
         config,
         1,
-        Box::new(ConstantLatency(SimDuration::from_millis(1))),
+        Latency::Constant(SimDuration::from_millis(1)),
         |_, _| NullApp::default(),
     );
     let victim = handles[4];
@@ -511,7 +511,7 @@ fn maintenance_repopulates_routing_tables() {
     let ids = overlay::random_ids(32, 77);
     let handles = overlay::handles_for(&ids);
     let mut engine: Engine<PastryMsg<Probe>, PastryNode<NullApp>> =
-        Engine::new(Box::new(ConstantLatency(SimDuration::from_millis(1))), 9);
+        Engine::with_latency(Latency::Constant(SimDuration::from_millis(1)), 9);
     // Build states by learning only ring neighbors (no global knowledge).
     let mut by_id = handles.clone();
     by_id.sort_by_key(|h| h.id);
@@ -571,7 +571,7 @@ fn overlay_survives_interleaved_churn() {
     let ids = overlay::random_ids(24, 51);
     let handles = overlay::handles_for(&ids);
     let mut engine: Engine<PastryMsg<Probe>, PastryNode<NullApp>> =
-        Engine::new(Box::new(ConstantLatency(SimDuration::from_millis(2))), 3);
+        Engine::with_latency(Latency::Constant(SimDuration::from_millis(2)), 3);
     // Seed overlay: first 8 nodes prebuilt.
     let states = overlay::build_states(&topo, &handles[..8], &config);
     for st in states {

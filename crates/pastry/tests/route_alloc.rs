@@ -15,7 +15,7 @@ use std::sync::Arc;
 use vbundle_dcn::Topology;
 use vbundle_pastry::overlay::{self, IdAssignment, Probe};
 use vbundle_pastry::{AppCtx, Id, Key, NodeHandle, PastryApp, PastryConfig, PastryMsg, PastryNode};
-use vbundle_sim::{ConstantLatency, Engine, SimDuration, SimTime};
+use vbundle_sim::{Engine, Latency, SimDuration, SimTime};
 
 type Net = Engine<PastryMsg<Probe>, PastryNode<HopCounter>>;
 
@@ -90,7 +90,7 @@ fn a_route_allocates_once_however_many_hops() {
         IdAssignment::Random { seed: 11 },
         PastryConfig::default().with_heartbeat(SimDuration::from_secs(1)),
         3,
-        Box::new(ConstantLatency(SimDuration::from_millis(1))),
+        Latency::Constant(SimDuration::from_millis(1)),
         |_, _| HopCounter::default(),
     );
     let totals = |net: &Net| {

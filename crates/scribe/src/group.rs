@@ -2,7 +2,7 @@
 
 use std::collections::hash_map::{Entry, HashMap};
 
-use vbundle_fdetect::{PeerDetector, PhiConfig};
+use vbundle_fdetect::{PeerDetector, PhiConfig, FIRST_INTERVAL};
 use vbundle_pastry::{Id, NodeHandle, Site};
 use vbundle_sim::{ActorId, SimTime};
 
@@ -174,7 +174,7 @@ impl Children {
                     handle: child,
                     site,
                     heard: now,
-                    detector: phi.map(|cfg| PeerDetector::new(cfg, cfg.first_interval, now)),
+                    detector: phi.map(|cfg| PeerDetector::new(cfg, FIRST_INTERVAL, now)),
                     summary: None,
                 }));
                 let order = self.order.get_or_insert_with(|| {

@@ -24,7 +24,7 @@
 //! use vbundle_dcn::Topology;
 //! use vbundle_pastry::{overlay, IdAssignment, PastryConfig};
 //! use vbundle_scribe::{group_id, CollectClient, Scribe, TestPayload};
-//! use vbundle_sim::{ConstantLatency, SimDuration};
+//! use vbundle_sim::{Latency, SimDuration};
 //!
 //! let topo = Arc::new(Topology::paper_testbed());
 //! let (mut engine, handles) = overlay::launch(
@@ -32,7 +32,7 @@
 //!     IdAssignment::TopologyAware,
 //!     PastryConfig::default(),
 //!     7,
-//!     Box::new(ConstantLatency(SimDuration::from_micros(100))),
+//!     Latency::Constant(SimDuration::from_micros(100)),
 //!     |_, _| Scribe::new(CollectClient::default()),
 //! );
 //!

@@ -9,7 +9,7 @@
 //! topologically close children — the property v-Bundle's Less-Loaded tree
 //! relies on to find *nearby* load receivers (§III.C).
 
-use vbundle_fdetect::{DedupWindow, FailureDetection, Verdict};
+use vbundle_fdetect::{DedupWindow, FailureDetection, Verdict, FIXED_INTERVAL_ROUNDS};
 use vbundle_obs::{Counter, FlightRecorder, Registry, Subsystem};
 use vbundle_pastry::{actor_distance, AppCtx, Id, Key, NodeHandle, PastryApp, RouteDecision, Site};
 use vbundle_sim::{ActorId, Message, SimDuration, SimTime};
@@ -24,13 +24,14 @@ pub const SCRIBE_TAG_BASE: u64 = 1 << 62;
 
 const PROBE_TAG: u64 = SCRIBE_TAG_BASE + 1;
 
+/// Tree-depth guard for multicast dissemination.
+const DISSEMINATE_TTL: u32 = 64;
+
 /// Tunables of the Scribe layer.
 #[derive(Debug, Clone)]
 pub struct ScribeConfig {
     /// Anycast DFS step budget before the search reports failure.
     pub anycast_ttl: u32,
-    /// Tree-depth guard for multicast dissemination.
-    pub disseminate_ttl: u32,
     /// If set, every in-tree node probes its parent at this interval; a
     /// bounce (dead parent) or a nack (parent pruned its state) triggers a
     /// re-join. This is Scribe's tree-repair mechanism driven from the
@@ -41,7 +42,7 @@ pub struct ScribeConfig {
     /// phi-accrual, adapts to each link's observed probe cadence and sends
     /// the child a [`ScribeMsg::ChildProbe`] before dropping the graft;
     /// [`FailureDetection::FixedInterval`] restores the legacy rule (drop
-    /// after three silent probe rounds).
+    /// after [`FIXED_INTERVAL_ROUNDS`] silent probe rounds).
     pub child_detection: FailureDetection,
 }
 
@@ -49,7 +50,6 @@ impl Default for ScribeConfig {
     fn default() -> Self {
         ScribeConfig {
             anycast_ttl: 4096,
-            disseminate_ttl: 64,
             probe_interval: None,
             child_detection: FailureDetection::default(),
         }
@@ -63,8 +63,9 @@ impl ScribeConfig {
         self
     }
 
-    /// Selects the legacy fixed-interval child-link expiry (three silent
-    /// probe rounds) — the ablation baseline for the adaptive default.
+    /// Selects the legacy fixed-interval child-link expiry
+    /// ([`FIXED_INTERVAL_ROUNDS`] silent probe rounds) — the ablation
+    /// baseline for the adaptive default.
     pub fn with_fixed_child_detection(mut self) -> Self {
         self.child_detection = FailureDetection::FixedInterval;
         self
@@ -709,8 +710,7 @@ impl<C: ScribeClient> Scribe<C> {
             st.next_seq += 1;
             seq
         };
-        let ttl = self.config.disseminate_ttl;
-        self.handle_disseminate(pastry, g, msg, ttl, seq, me);
+        self.handle_disseminate(pastry, g, msg, DISSEMINATE_TTL, seq, me);
     }
 
     fn apply_anycast(
@@ -1212,12 +1212,13 @@ impl<C: ScribeClient> PastryApp for Scribe<C> {
             // died without a Leave) stops probing us; drop the link so no
             // node stays grafted under two parents. Phi mode adapts to the
             // link's observed probe cadence and double-checks with a direct
-            // ChildProbe before dropping; fixed mode expires after three
-            // silent rounds. One pass over this node's link records.
+            // ChildProbe before dropping; fixed mode expires after
+            // FIXED_INTERVAL_ROUNDS silent rounds. One pass over this
+            // node's link records.
             if let Some(interval) = self.config.probe_interval {
                 let now = ctx.now();
                 let phi = self.config.child_detection.phi_config();
-                let expiry = interval * 3;
+                let expiry = interval * FIXED_INTERVAL_ROUNDS;
                 let mut expired: Vec<(GroupId, NodeHandle)> = Vec::new();
                 for (g, st) in self.groups.iter_mut() {
                     for link in st.children.links_mut() {

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use vbundle_dcn::Topology;
 use vbundle_pastry::{overlay, IdAssignment, NodeHandle, PastryConfig, PastryMsg, PastryNode};
 use vbundle_scribe::{group_id, CollectClient, GroupId, Scribe, ScribeMsg, TestPayload};
-use vbundle_sim::{ActorId, ConstantLatency, Engine, SimDuration, SimTime};
+use vbundle_sim::{ActorId, Engine, Latency, SimDuration, SimTime};
 
 type Node = PastryNode<Scribe<CollectClient>>;
 type Net = Engine<PastryMsg<ScribeMsg<TestPayload>>, Node>;
@@ -29,7 +29,7 @@ fn launch(servers: usize, policy: IdAssignment, seed: u64) -> (Net, Vec<NodeHand
         policy,
         PastryConfig::default(),
         seed,
-        Box::new(ConstantLatency(SimDuration::from_micros(100))),
+        Latency::Constant(SimDuration::from_micros(100)),
         |_, _| Scribe::new(CollectClient::default()),
     )
 }
@@ -199,7 +199,7 @@ fn anycast_prefers_nearby_members() {
         IdAssignment::TopologyAware,
         PastryConfig::default(),
         4,
-        Box::new(ConstantLatency(SimDuration::from_micros(100))),
+        Latency::Constant(SimDuration::from_micros(100)),
         |_, _| Scribe::new(CollectClient::default()),
     );
     let g = group_id("less-loaded");
@@ -325,7 +325,7 @@ fn tree_repairs_after_interior_node_failure() {
         IdAssignment::TopologyAware,
         PastryConfig::default(),
         13,
-        Box::new(ConstantLatency(SimDuration::from_micros(100))),
+        Latency::Constant(SimDuration::from_micros(100)),
         |_, _| {
             Scribe::with_config(
                 CollectClient::default(),
@@ -475,7 +475,7 @@ fn heartbeat_overlay_with_scribe_survives_failure() {
         IdAssignment::TopologyAware,
         PastryConfig::default().with_heartbeat(SimDuration::from_secs(20)),
         17,
-        Box::new(ConstantLatency(SimDuration::from_millis(1))),
+        Latency::Constant(SimDuration::from_millis(1)),
         |_, _| Scribe::new(CollectClient::default()),
     );
     let g = group_id("hb-group");
@@ -616,7 +616,7 @@ fn anycast_ttl_exhaustion_fails_cleanly() {
         IdAssignment::TopologyAware,
         PastryConfig::default(),
         71,
-        Box::new(ConstantLatency(SimDuration::from_micros(100))),
+        Latency::Constant(SimDuration::from_micros(100)),
         |_, _| {
             Scribe::with_config(
                 CollectClient::default(),

@@ -12,7 +12,7 @@ use vbundle_pastry::{overlay, IdAssignment, NodeHandle, PastryConfig, PastryMsg,
 use vbundle_scribe::{
     group_id, GroupId, Scribe, ScribeClient, ScribeCtx, ScribeMsg, Summary, TestPayload,
 };
-use vbundle_sim::{ConstantLatency, Engine, SimDuration, SimTime};
+use vbundle_sim::{Engine, Latency, SimDuration, SimTime};
 
 /// A member that accepts a request sharing a bit with its mask, and — if
 /// it `claims` — says so in its summary: the join is the default bit-or,
@@ -96,7 +96,7 @@ fn launch(
         IdAssignment::Random { seed },
         PastryConfig::default(),
         seed,
-        Box::new(ConstantLatency(SimDuration::from_micros(100))),
+        Latency::Constant(SimDuration::from_micros(100)),
         |i, _| Scribe::new(client(i).unwrap_or_default()),
     );
     for (i, h) in handles.iter().enumerate() {

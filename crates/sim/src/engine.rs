@@ -19,7 +19,7 @@ use vbundle_obs::{Counter, FlightRecorder, Gauge, HotSection, Profiler, Registry
 use crate::actor::{Actor, ActorId, Context, Effect, Message};
 use crate::counters::ActorCounters;
 use crate::fault::{FaultAction, FaultInjector, FaultStats};
-use crate::latency::{Latency, LatencyModel};
+use crate::latency::Latency;
 use crate::prefetch;
 use crate::queue::CalendarQueue;
 use crate::time::{SimDuration, SimTime};
@@ -160,14 +160,7 @@ pub struct Engine<W: Message, A: Actor<W>> {
 }
 
 impl<W: Message, A: Actor<W>> Engine<W, A> {
-    /// Creates an engine with the given boxed latency model and RNG seed.
-    /// Prefer [`Engine::with_latency`] for the constant/tiered models,
-    /// which skip the virtual call on every send.
-    pub fn new(latency: Box<dyn LatencyModel>, seed: u64) -> Self {
-        Engine::with_latency(Latency::Model(latency), seed)
-    }
-
-    /// Creates an engine with a devirtualized [`Latency`] and RNG seed.
+    /// Creates an engine with the given [`Latency`] model and RNG seed.
     pub fn with_latency(latency: Latency, seed: u64) -> Self {
         let metrics = Registry::new();
         let engine_metrics = EngineMetrics::register(&metrics);
@@ -745,7 +738,6 @@ impl<W: Message, A: Actor<W>> std::fmt::Debug for Engine<W, A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::latency::ConstantLatency;
     use rand::Rng;
 
     #[derive(Debug, Clone)]
@@ -806,10 +798,7 @@ mod tests {
     }
 
     fn two_actor_engine(seed: u64) -> (Engine<TestMsg, Counter>, ActorId, ActorId) {
-        let mut e = Engine::new(
-            Box::new(ConstantLatency(SimDuration::from_millis(10))),
-            seed,
-        );
+        let mut e = Engine::with_latency(Latency::Constant(SimDuration::from_millis(10)), seed);
         let a = e.add_actor(Counter::default());
         let b = e.add_actor(Counter::default());
         (e, a, b)

@@ -1,7 +1,7 @@
 //! Network latency models.
 //!
-//! The engine asks the installed [`LatencyModel`] for the one-way delay of
-//! every message. The v-Bundle paper's overhead measurements (§V.C, Fig. 14)
+//! The engine asks its [`Latency`] for the one-way delay of every
+//! message. The v-Bundle paper's overhead measurements (§V.C, Fig. 14)
 //! assume a ~10 ms local-area hop; the datacenter crate provides a
 //! topology-aware model where same-rack hops are cheaper than cross-pod
 //! hops.
@@ -9,85 +9,26 @@
 use crate::actor::ActorId;
 use crate::time::SimDuration;
 
-/// One-way message latency between two actors.
-pub trait LatencyModel {
-    /// The delay a message from `from` to `to` experiences on the wire.
-    fn latency(&self, from: ActorId, to: ActorId) -> SimDuration;
-}
-
-/// The same latency for every pair of actors (self-sends included).
+/// The engine's latency model, dispatched without a virtual call.
+///
+/// The engine consults it on *every* send (twice for a bounced message),
+/// so both models — a constant delay and datacenter proximity tiers — are
+/// enum variants the optimizer can inline and branch-predict.
 ///
 /// ```
-/// use vbundle_sim::{ActorId, ConstantLatency, LatencyModel, SimDuration};
-/// let model = ConstantLatency(SimDuration::from_millis(10));
+/// use vbundle_sim::{ActorId, Latency, SimDuration};
+/// let lan = Latency::Constant(SimDuration::from_millis(10));
 /// assert_eq!(
-///     model.latency(ActorId::new(0), ActorId::new(1)),
+///     lan.latency(ActorId::new(0), ActorId::new(1)),
 ///     SimDuration::from_millis(10),
 /// );
 /// ```
-#[derive(Debug, Clone, Copy)]
-pub struct ConstantLatency(pub SimDuration);
-
-impl LatencyModel for ConstantLatency {
-    fn latency(&self, _from: ActorId, _to: ActorId) -> SimDuration {
-        self.0
-    }
-}
-
-/// Adapts a closure into a [`LatencyModel`].
-///
-/// ```
-/// use vbundle_sim::{ActorId, LatencyFn, LatencyModel, SimDuration};
-/// let model = LatencyFn::new(|a: ActorId, b: ActorId| {
-///     if a == b { SimDuration::ZERO } else { SimDuration::from_millis(1) }
-/// });
-/// assert!(model.latency(ActorId::new(2), ActorId::new(2)).is_zero());
-/// ```
-pub struct LatencyFn<F>(F);
-
-impl<F> LatencyFn<F>
-where
-    F: Fn(ActorId, ActorId) -> SimDuration,
-{
-    /// Wraps `f` as a latency model.
-    pub fn new(f: F) -> Self {
-        LatencyFn(f)
-    }
-}
-
-impl<F> LatencyModel for LatencyFn<F>
-where
-    F: Fn(ActorId, ActorId) -> SimDuration,
-{
-    fn latency(&self, from: ActorId, to: ActorId) -> SimDuration {
-        (self.0)(from, to)
-    }
-}
-
-impl<F> std::fmt::Debug for LatencyFn<F> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("LatencyFn(..)")
-    }
-}
-
-/// Devirtualized latency dispatch for the engine hot path.
-///
-/// The engine consults the latency model on *every* send (twice for a
-/// bounced message), so the two models every workload actually uses —
-/// a constant delay and datacenter proximity tiers — get enum variants
-/// the optimizer can inline and branch-predict, while anything else
-/// rides the boxed trait object exactly as before.
-///
-/// [`Engine::new`](crate::Engine::new) wraps its boxed model in
-/// [`Latency::Model`]; [`Engine::with_latency`](crate::Engine::with_latency)
-/// accepts a fast-path variant directly.
+#[derive(Debug)]
 pub enum Latency {
-    /// The same delay for every pair — the [`ConstantLatency`] fast path.
+    /// The same delay for every pair of actors (self-sends included).
     Constant(SimDuration),
-    /// Table-driven datacenter tiers — the topology-model fast path.
+    /// Table-driven datacenter tiers — the topology model's flat form.
     Tiered(TieredLatency),
-    /// Any other model, consulted through the boxed trait object.
-    Model(Box<dyn LatencyModel>),
 }
 
 impl Latency {
@@ -97,17 +38,6 @@ impl Latency {
         match self {
             Latency::Constant(d) => *d,
             Latency::Tiered(t) => t.latency(from, to),
-            Latency::Model(m) => m.latency(from, to),
-        }
-    }
-}
-
-impl std::fmt::Debug for Latency {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Latency::Constant(d) => f.debug_tuple("Constant").field(d).finish(),
-            Latency::Tiered(t) => f.debug_tuple("Tiered").field(t).finish(),
-            Latency::Model(_) => f.write_str("Model(..)"),
         }
     }
 }
@@ -183,19 +113,13 @@ impl TieredLatency {
     }
 }
 
-impl LatencyModel for TieredLatency {
-    fn latency(&self, from: ActorId, to: ActorId) -> SimDuration {
-        TieredLatency::latency(self, from, to)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn constant_is_uniform() {
-        let m = ConstantLatency(SimDuration::from_micros(500));
+        let m = Latency::Constant(SimDuration::from_micros(500));
         for i in 0..4u32 {
             for j in 0..4u32 {
                 assert_eq!(
@@ -204,6 +128,7 @@ mod tests {
                 );
             }
         }
+        assert!(format!("{m:?}").contains("Constant"));
     }
 
     #[test]
@@ -219,40 +144,21 @@ mod tests {
             ],
         );
         let fast = Latency::Tiered(tiered.clone());
-        let slow = Latency::Model(Box::new(tiered));
         for a in 0..4u32 {
             for b in 0..4u32 {
                 assert_eq!(
                     fast.latency(ActorId::new(a), ActorId::new(b)),
-                    slow.latency(ActorId::new(a), ActorId::new(b)),
-                    "fast path diverged at ({a},{b})"
+                    tiered.latency(ActorId::new(a), ActorId::new(b)),
+                    "enum dispatch diverged at ({a},{b})"
                 );
             }
         }
-        let constant = Latency::Constant(SimDuration::from_millis(7));
-        assert_eq!(
-            constant.latency(ActorId::new(0), ActorId::new(1)),
-            SimDuration::from_millis(7)
-        );
-        assert!(format!("{constant:?}").contains("Constant"));
-        assert!(format!("{slow:?}").contains("Model"));
+        assert!(format!("{fast:?}").contains("Tiered"));
     }
 
     #[test]
     #[should_panic(expected = "align")]
     fn tiered_tables_must_align() {
         let _ = TieredLatency::new(vec![0], vec![0, 1], [SimDuration::ZERO; 4]);
-    }
-
-    #[test]
-    fn closure_model_dispatches() {
-        let m = LatencyFn::new(|a: ActorId, b: ActorId| {
-            SimDuration::from_micros((a.index() + b.index()) as u64)
-        });
-        assert_eq!(
-            m.latency(ActorId::new(1), ActorId::new(2)),
-            SimDuration::from_micros(3)
-        );
-        assert!(format!("{m:?}").contains("LatencyFn"));
     }
 }

@@ -9,8 +9,8 @@
 //! reproducible* for a given seed.
 //!
 //! The paper's §IV evaluates v-Bundle by emulating one node per JVM; here a
-//! node is an actor and message latency is supplied by a pluggable
-//! [`LatencyModel`] (the paper's measurements in §V.C use a 10 ms LAN hop).
+//! node is an actor and message latency is supplied by a [`Latency`] model
+//! (the paper's measurements in §V.C use a 10 ms LAN hop).
 //!
 //! # Example
 //!
@@ -57,6 +57,6 @@ pub use actor::{Actor, ActorId, Context, Message, MsgCategory};
 pub use counters::ActorCounters;
 pub use engine::Engine;
 pub use fault::{CorruptionMode, FaultAction, FaultInjector, FaultStats};
-pub use latency::{ConstantLatency, Latency, LatencyFn, LatencyModel, TieredLatency};
+pub use latency::{Latency, TieredLatency};
 pub use queue::CalendarQueue;
 pub use time::{SimDuration, SimTime};

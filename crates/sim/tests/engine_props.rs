@@ -2,9 +2,7 @@
 //! determinism and latency accounting under arbitrary message plans.
 
 use proptest::prelude::*;
-use vbundle_sim::{
-    Actor, ActorId, ConstantLatency, Context, Engine, Message, SimDuration, SimTime,
-};
+use vbundle_sim::{Actor, ActorId, Context, Engine, Latency, Message, SimDuration, SimTime};
 
 #[derive(Debug, Clone, Copy)]
 struct Tagged(u64);
@@ -53,10 +51,8 @@ impl Actor<Tagged> for RestartProbe {
 }
 
 fn restart_pair() -> (Engine<Tagged, RestartProbe>, ActorId, ActorId) {
-    let mut e: Engine<Tagged, RestartProbe> = Engine::new(
-        Box::new(ConstantLatency(SimDuration::from_micros(10_000))),
-        1,
-    );
+    let mut e: Engine<Tagged, RestartProbe> =
+        Engine::with_latency(Latency::Constant(SimDuration::from_micros(10_000)), 1);
     let a = e.add_actor(RestartProbe::default());
     let b = e.add_actor(RestartProbe::default());
     (e, a, b)
@@ -144,8 +140,8 @@ proptest! {
         plan in arb_plan(6),
         latency_us in 0u64..10_000,
     ) {
-        let mut engine: Engine<Tagged, Recorder> = Engine::new(
-            Box::new(ConstantLatency(SimDuration::from_micros(latency_us))),
+        let mut engine: Engine<Tagged, Recorder> = Engine::with_latency(
+            Latency::Constant(SimDuration::from_micros(latency_us)),
             1,
         );
         for _ in 0..6 {

@@ -16,7 +16,7 @@ use vbundle_obs::Counter;
 use vbundle_sim::{ActorId, SimTime};
 
 use crate::ids::VmId;
-use crate::ledger::{Lease, LeaseId};
+use crate::lease::{Lease, LeaseId};
 use crate::resources::{ResourceSpec, ResourceVector};
 
 /// Which side of a lease this server holds.

@@ -11,14 +11,12 @@
 //! - [`ResourceVector`] / [`ResourceSpec`] / [`ResourceKind`]: points in
 //!   resource space and the reservation/limit contract (re-exported by
 //!   `vbundle-core`, which layers placement and shaping on top);
-//! - [`BundleLedger`]: a customer-scoped double-entry ledger — the
-//!   purchased bundle, per-VM entitlement rows, and time-bounded
-//!   [`Lease`]s, with [`BundleLedger::check_conservation`] asserting
-//!   `Σ live entitlements + unleased slack == purchased` per dimension;
-//! - [`TradeBook`]: the per-server half of the same ledger — each lease
+//! - [`Lease`]: a time-bounded transfer of entitlement between two VMs;
+//! - [`TradeBook`]: one server's half of the customer ledgers — each lease
 //!   appears as a debit row on the lender's server and a credit row on
 //!   the borrower's server, and the distributed conservation invariant
-//!   (checked by `vbundle-chaos`) is that the halves always pair up.
+//!   (checked by `vbundle-chaos`) is that the halves always pair up and
+//!   no customer's live entitlement exceeds what it purchased.
 //!
 //! The decentralized matcher that *creates* leases (Scribe anycast over
 //! the customer's trade tree, Courier-backed commit) lives in the
@@ -30,10 +28,10 @@
 
 mod book;
 mod ids;
-mod ledger;
+mod lease;
 mod resources;
 
 pub use book::{HalfLease, LeaseRole, TradeBook, TradeStats};
 pub use ids::{CustomerId, VmId};
-pub use ledger::{BundleLedger, Lease, LeaseId, LedgerError};
+pub use lease::{Lease, LeaseId};
 pub use resources::{ResourceKind, ResourceSpec, ResourceVector};

@@ -14,12 +14,12 @@
 //! # Example
 //!
 //! ```
-//! use vbundle_workloads::{SippConfig, SippGenerator, Cdf};
+//! use vbundle_workloads::{SippGenerator, Cdf};
 //! use vbundle_dcn::Bandwidth;
 //! use vbundle_sim::{SimDuration, SimTime};
 //! use rand::SeedableRng;
 //!
-//! let mut gen = SippGenerator::new(SippConfig::default(), SimTime::ZERO);
+//! let mut gen = SippGenerator::new(SimTime::ZERO);
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 //! // A starved second: only a tenth of the needed bandwidth.
 //! let now = SimTime::from_secs(1);
@@ -42,5 +42,5 @@ mod trace;
 pub use cdf::Cdf;
 pub use iperf::IperfFlow;
 pub use scenario::SkewedLoad;
-pub use sipp::{SippConfig, SippGenerator, SippSample};
+pub use sipp::{SippGenerator, SippSample};
 pub use trace::Trace;

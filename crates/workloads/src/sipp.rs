@@ -17,42 +17,24 @@ use rand::Rng;
 use vbundle_dcn::Bandwidth;
 use vbundle_sim::{SimDuration, SimTime};
 
-/// SIPp generator parameters; defaults match §V.A.
-#[derive(Debug, Clone)]
-pub struct SippConfig {
-    /// Initial call rate (calls per second).
-    pub start_rate: f64,
-    /// Rate increase per second.
-    pub ramp_per_sec: f64,
-    /// Maximum call rate.
-    pub max_rate: f64,
-    /// Total calls to place before the generator stops.
-    pub total_calls: u64,
-    /// Bandwidth each concurrent call consumes (RTP media).
-    pub bw_per_call: Bandwidth,
-    /// Response time of a healthy call: uniform in this range (ms).
-    pub healthy_response_ms: (f64, f64),
-    /// Response time of a congested call: uniform in this range (ms).
-    pub congested_response_ms: (f64, f64),
-    /// Fraction of unsatisfied demand that turns into failed calls (the
-    /// rest merely slows down).
-    pub failure_share: f64,
-}
-
-impl Default for SippConfig {
-    fn default() -> Self {
-        SippConfig {
-            start_rate: 800.0,
-            ramp_per_sec: 10.0,
-            max_rate: 3000.0,
-            total_calls: 1_000_000,
-            bw_per_call: Bandwidth::from_mbps(0.1), // ~100 kbps RTP stream
-            healthy_response_ms: (1.0, 9.0),
-            congested_response_ms: (12.0, 200.0),
-            failure_share: 0.5,
-        }
-    }
-}
+/// Initial call rate (calls per second).
+const START_RATE: f64 = 800.0;
+/// Rate increase per second.
+const RAMP_PER_SEC: f64 = 10.0;
+/// Maximum call rate.
+const MAX_RATE: f64 = 3000.0;
+/// Total calls to place before the generator stops.
+const TOTAL_CALLS: u64 = 1_000_000;
+/// Bandwidth each concurrent call consumes, in Mbps: a ~100 kbps RTP
+/// stream.
+const BW_PER_CALL_MBPS: f64 = 0.1;
+/// Response time of a healthy call: uniform in this range (ms).
+const HEALTHY_RESPONSE_MS: (f64, f64) = (1.0, 9.0);
+/// Response time of a congested call: uniform in this range (ms).
+const CONGESTED_RESPONSE_MS: (f64, f64) = (12.0, 200.0);
+/// Fraction of unsatisfied demand that turns into failed calls (the rest
+/// merely slows down).
+const FAILURE_SHARE: f64 = 0.5;
 
 /// One measurement step's outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -63,10 +45,9 @@ pub struct SippSample {
     pub failed: u64,
 }
 
-/// The SIPp generator state.
+/// The SIPp generator state; its load is the paper's fixed §V.A ramp.
 #[derive(Debug, Clone)]
 pub struct SippGenerator {
-    config: SippConfig,
     started_at: SimTime,
     placed: u64,
     cumulative_failed: u64,
@@ -75,9 +56,8 @@ pub struct SippGenerator {
 
 impl SippGenerator {
     /// Creates a generator that starts ramping at `started_at`.
-    pub fn new(config: SippConfig, started_at: SimTime) -> Self {
+    pub fn new(started_at: SimTime) -> Self {
         SippGenerator {
-            config,
             started_at,
             placed: 0,
             cumulative_failed: 0,
@@ -85,23 +65,18 @@ impl SippGenerator {
         }
     }
 
-    /// The configured parameters.
-    pub fn config(&self) -> &SippConfig {
-        &self.config
-    }
-
     /// Current call rate at instant `t` (calls/s).
     pub fn rate_at(&self, t: SimTime) -> f64 {
-        if t < self.started_at || self.placed >= self.config.total_calls {
+        if t < self.started_at || self.placed >= TOTAL_CALLS {
             return 0.0;
         }
         let elapsed = (t - self.started_at).as_secs_f64();
-        (self.config.start_rate + self.config.ramp_per_sec * elapsed).min(self.config.max_rate)
+        (START_RATE + RAMP_PER_SEC * elapsed).min(MAX_RATE)
     }
 
     /// Bandwidth the generator currently demands.
     pub fn bw_demand_at(&self, t: SimTime) -> Bandwidth {
-        self.config.bw_per_call * self.rate_at(t)
+        Bandwidth::from_mbps(BW_PER_CALL_MBPS) * self.rate_at(t)
     }
 
     /// Advances one step of length `dt` ending at `now`, given the
@@ -120,16 +95,16 @@ impl SippGenerator {
             return SippSample::default();
         }
         let mut attempted = (rate * dt.as_secs_f64()).round() as u64;
-        attempted = attempted.min(self.config.total_calls - self.placed);
+        attempted = attempted.min(TOTAL_CALLS - self.placed);
         self.placed += attempted;
-        let demand = self.config.bw_per_call * rate;
+        let demand = Bandwidth::from_mbps(BW_PER_CALL_MBPS) * rate;
         let satisfied_frac = if demand.is_zero() {
             1.0
         } else {
             (granted / demand).clamp(0.0, 1.0)
         };
         let starved_frac = 1.0 - satisfied_frac;
-        let failed = (attempted as f64 * starved_frac * self.config.failure_share).round() as u64;
+        let failed = (attempted as f64 * starved_frac * FAILURE_SHARE).round() as u64;
         self.cumulative_failed += failed;
         // Sample response times. Queueing delay near saturation affects
         // nearly every call, not just the starved share, so the healthy
@@ -142,9 +117,9 @@ impl SippGenerator {
         for _ in 0..samples {
             let healthy = rng.gen_bool(healthy_prob);
             let (lo, hi) = if healthy {
-                self.config.healthy_response_ms
+                HEALTHY_RESPONSE_MS
             } else {
-                self.config.congested_response_ms
+                CONGESTED_RESPONSE_MS
             };
             self.response_samples.push(rng.gen_range(lo..hi));
         }
@@ -183,7 +158,7 @@ mod tests {
 
     #[test]
     fn rate_ramps_and_caps() {
-        let g = SippGenerator::new(SippConfig::default(), SimTime::from_secs(100));
+        let g = SippGenerator::new(SimTime::from_secs(100));
         assert_eq!(g.rate_at(SimTime::from_secs(50)), 0.0);
         assert_eq!(g.rate_at(SimTime::from_secs(100)), 800.0);
         assert_eq!(g.rate_at(SimTime::from_secs(110)), 900.0);
@@ -192,7 +167,7 @@ mod tests {
 
     #[test]
     fn healthy_calls_do_not_fail() {
-        let mut g = SippGenerator::new(SippConfig::default(), SimTime::ZERO);
+        let mut g = SippGenerator::new(SimTime::ZERO);
         let mut r = rng();
         let demand = g.bw_demand_at(SimTime::from_secs(1));
         let s = g.step(
@@ -210,7 +185,7 @@ mod tests {
 
     #[test]
     fn starved_calls_fail_and_slow_down() {
-        let mut g = SippGenerator::new(SippConfig::default(), SimTime::ZERO);
+        let mut g = SippGenerator::new(SimTime::ZERO);
         let mut r = rng();
         let demand = g.bw_demand_at(SimTime::from_secs(1));
         let s = g.step(
@@ -231,24 +206,22 @@ mod tests {
 
     #[test]
     fn total_calls_bound_respected() {
-        let config = SippConfig {
-            total_calls: 1000,
-            ..SippConfig::default()
-        };
-        let mut g = SippGenerator::new(config, SimTime::ZERO);
+        let mut g = SippGenerator::new(SimTime::ZERO);
         let mut r = rng();
-        for sec in 1..10 {
-            let now = SimTime::from_secs(sec);
+        // One-minute steps reach the million calls in the seventh step,
+        // which is cut to what is left; later steps place nothing.
+        for minute in 1..10 {
+            let now = SimTime::from_mins(minute);
             let grant = g.bw_demand_at(now);
-            g.step(now, SimDuration::from_secs(1), grant, &mut r);
+            g.step(now, SimDuration::from_mins(1), grant, &mut r);
         }
-        assert_eq!(g.placed(), 1000);
-        assert_eq!(g.rate_at(SimTime::from_secs(20)), 0.0);
+        assert_eq!(g.placed(), TOTAL_CALLS);
+        assert_eq!(g.rate_at(SimTime::from_mins(20)), 0.0);
     }
 
     #[test]
     fn take_samples_splits_phases() {
-        let mut g = SippGenerator::new(SippConfig::default(), SimTime::ZERO);
+        let mut g = SippGenerator::new(SimTime::ZERO);
         let mut r = rng();
         g.step(
             SimTime::from_secs(1),

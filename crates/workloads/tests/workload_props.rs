@@ -7,7 +7,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use vbundle_dcn::Bandwidth;
 use vbundle_sim::{SimDuration, SimTime};
-use vbundle_workloads::{Cdf, SippConfig, SippGenerator, SkewedLoad, Trace};
+use vbundle_workloads::{Cdf, SippGenerator, SkewedLoad, Trace};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -87,7 +87,7 @@ proptest! {
             (grant_frac_hi, grant_frac_lo)
         };
         let run = |frac: f64| {
-            let mut g = SippGenerator::new(SippConfig::default(), SimTime::ZERO);
+            let mut g = SippGenerator::new(SimTime::ZERO);
             let mut rng = StdRng::seed_from_u64(seed);
             let now = SimTime::from_secs(1);
             let demand = g.bw_demand_at(now);
