@@ -14,7 +14,7 @@ use super::host::Host;
 use super::stats::ControllerStats;
 use super::surv::Survivability;
 use super::Ctx;
-use crate::message::{BootQuery, CtrlMsg};
+use crate::message::{BootQuery, CtrlMsg, Visited};
 
 /// Hop budget for boot queries walking the neighbor sets.
 pub(super) const BOOT_TTL: u32 = 4096;
@@ -93,9 +93,13 @@ pub(super) fn handle(
     }
 }
 
-/// Words of the visited bitmap kept on the stack: one bit per server
-/// covers 4 096 servers; a larger topology marks on the heap.
-const STACK_WORDS: usize = 64;
+/// A hop to `to` bounced: the walk goes on without it. A server that
+/// bounces twice is still listed once.
+pub(super) fn mark_bounced(visited: &mut Visited, to: ActorId) {
+    if !visited.contains(to) {
+        visited.push(to);
+    }
+}
 
 /// The boot walk's next hop: the first node of `state.known_iter()` that
 /// the walk has not visited with the smallest key `(distance to root,
@@ -106,37 +110,17 @@ const STACK_WORDS: usize = 64;
 /// Each candidate's [`Site`] is read once and both distances follow from
 /// it ([`site_distance`]); a candidate farther from the root than the
 /// best so far is dropped before the second, and the ring distance is
-/// computed only on a tie of both. The visited servers are marked once in
-/// a bitmap (one bit per server, on the stack up to [`STACK_WORDS`]
-/// words), so a hop costs O(known + visited); actors beyond the server
-/// range, which the bitmap does not cover, fall back to a scan of the
-/// visited list.
-fn next_hop(state: &PastryState, visited: &[ActorId], root: NodeHandle) -> Option<NodeHandle> {
+/// computed only on a tie of both. Whether a candidate was visited is one
+/// bit of the query's [`Visited`](crate::Visited) set, so a hop costs
+/// O(known).
+fn next_hop(state: &PastryState, visited: &Visited, root: NodeHandle) -> Option<NodeHandle> {
     let topo = state.topology();
-    let words = topo.num_servers().div_ceil(64);
-    let mut stack = [0u64; STACK_WORDS];
-    let mut heap;
-    let mark = if words <= STACK_WORDS {
-        &mut stack[..words]
-    } else {
-        heap = vec![0u64; words];
-        &mut heap[..]
-    };
-    for a in visited {
-        if let Some(word) = mark.get_mut(a.index() / 64) {
-            *word |= 1 << (a.index() % 64);
-        }
-    }
-    let seen = |a: ActorId| match mark.get(a.index() / 64) {
-        Some(word) => word >> (a.index() % 64) & 1 == 1,
-        None => visited.contains(&a),
-    };
     let me = state.handle();
     let root_at = (root.actor, Site::of(topo, root.actor));
     let me_at = (me.actor, Site::of(topo, me.actor));
     // The best candidate so far with its distances to the root and to me.
     let mut best: Option<(NodeHandle, u32, u32)> = None;
-    for h in state.known_iter().filter(|h| !seen(h.actor)) {
+    for h in state.known_iter().filter(|h| !visited.contains(h.actor)) {
         let at = (h.actor, Site::of(topo, h.actor));
         let to_root = site_distance(at, root_at);
         if best.is_some_and(|(_, r, _)| to_root > r) {
@@ -175,7 +159,8 @@ mod tests {
         /// coarse and equal keys common: same-rack ties, ring ties on
         /// both sides of the root, and `u32::MAX` ties when the root or
         /// the local node is off the topology. The large topology has
-        /// 4 160 servers, past the stack bitmap.
+        /// 4 160 servers, so its actors straddle the end of the query's
+        /// bitset and the list lookup past it.
         #[test]
         fn next_hop_matches_known_nodes_reference(
             peers in proptest::collection::vec(1u128..40, 0..30),
@@ -211,11 +196,56 @@ mod tests {
                 .into_iter()
                 .filter(|h| !visited.contains(&h.actor))
                 .min_by_key(key);
-            prop_assert_eq!(next_hop(&state, &visited, root), reference);
+            let marked: Visited = visited.iter().copied().collect();
+            prop_assert_eq!(next_hop(&state, &marked, root), reference);
             prop_assert!(
                 state.known_iter().count() >= state.known_nodes().len(),
                 "known_iter yields every known node at least once"
             );
+        }
+    }
+
+    /// A full server lists itself and forwards to its best candidate,
+    /// which is dead: the send bounces and the walk resumes here, listing
+    /// this server again. A second bounce report for the same server
+    /// adds nothing. The dead server is listed once and never picked
+    /// again, below the bitset's end and past it.
+    #[test]
+    fn bounced_hop_is_marked_once_and_never_revisited() {
+        let topo = Arc::new(
+            Topology::builder()
+                .pods(2)
+                .racks_per_pod(65)
+                .servers_per_rack(32)
+                .build(),
+        );
+        let n = topo.num_servers() as u32;
+        for base in [0, n - 8] {
+            let actor = |i: u32| ActorId::new(base + i);
+            let me = NodeHandle::new(Id::from_u128(20 << 120), actor(0));
+            let mut state = PastryState::new(me, topo.clone(), 4, 8);
+            for i in 1..8u32 {
+                state.learn(NodeHandle::new(
+                    Id::from_u128(u128::from(20 + i) << 120),
+                    actor(i),
+                ));
+            }
+            let mut visited = Visited::default();
+            visited.push(me.actor);
+            let dead = next_hop(&state, &visited, me).expect("a candidate");
+            mark_bounced(&mut visited, dead.actor);
+            visited.push(me.actor);
+            mark_bounced(&mut visited, dead.actor);
+            assert_eq!(visited.len(), 3, "me twice, the dead server once");
+            assert!(visited.contains(dead.actor));
+            let mut hops = 0;
+            while let Some(h) = next_hop(&state, &visited, me) {
+                assert_ne!(h, dead, "the walk revisits a bounced server");
+                visited.push(h.actor);
+                hops += 1;
+                assert!(hops <= 6, "the walk picks a visited server");
+            }
+            assert_eq!(hops, 6, "every other server is still reached");
         }
     }
 }

@@ -349,9 +349,7 @@ impl ScribeClient for Controller {
             }
             // A boot hop died: continue the walk without it.
             CtrlMsg::Boot(mut q) => {
-                if !q.visited.contains(&to) {
-                    q.visited.push(to);
-                }
+                boot::mark_bounced(&mut q.visited, to);
                 self.boot(ctx, q);
             }
             CtrlMsg::BorrowGrant { .. } | CtrlMsg::LeaseRenew { .. } => {

@@ -35,7 +35,7 @@ use super::host::Host;
 use super::stats::ControllerStats;
 use super::{Ctx, FAILOVER_BOOT_BASE, FAILOVER_TAG};
 use crate::config::FailoverConfig;
-use crate::message::{BootQuery, CtrlMsg};
+use crate::message::{BootQuery, CtrlMsg, Visited};
 use crate::{ResourceVector, VmId, VmRecord};
 
 /// The stage of one protection charge.
@@ -353,7 +353,7 @@ impl Failover {
                 .into_iter()
                 .map(|s| ActorId::new(s.index() as u32))
                 .collect(),
-            None => Vec::new(),
+            None => Visited::default(),
         };
         let q = Box::new(BootQuery {
             request,

@@ -48,7 +48,7 @@ use vbundle_pastry::NodeHandle;
 use vbundle_scribe::{group_id, GroupId, ScribeCtx};
 use vbundle_trade::{ResourceSpec, TradeBook};
 
-use crate::message::{BootQuery, CtrlMsg};
+use crate::message::{BootQuery, CtrlMsg, Visited};
 use crate::{shaper, CustomerId, ResourceKind, ResourceVector, VBundleConfig, VmId, VmRecord};
 use failover::Failover;
 use host::Host;
@@ -527,7 +527,7 @@ impl Controller {
                 origin: me,
                 root: None,
                 caps: None,
-                visited: Vec::new(),
+                visited: Visited::default(),
                 ttl: boot::BOOT_TTL,
                 failover: false,
             })),

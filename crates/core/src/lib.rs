@@ -72,7 +72,7 @@ pub use controller::{
     spot_group, trade_group, Controller, ControllerStats, MarketStats, ServerStatus, FAILOVER_TAG,
     REBALANCE_TAG, UPDATE_TAG,
 };
-pub use message::{BootQuery, BorrowRequest, CtrlMsg, LoadQuery, SurvCaps};
+pub use message::{BootQuery, BorrowRequest, CtrlMsg, LoadQuery, SurvCaps, Visited};
 pub use metrics::{CustomerLocality, SatisfactionTotals};
 pub use placement::{survivable_domain_cap, BackupCharge, ClusterModel, PlacementPolicy};
 pub use report::ClusterReport;

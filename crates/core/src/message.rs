@@ -59,7 +59,7 @@ pub struct BootQuery {
     /// unchanged for non-survivable runs).
     pub caps: Option<SurvCaps>,
     /// Servers already asked.
-    pub visited: Vec<ActorId>,
+    pub visited: Visited,
     /// Remaining forwarding budget.
     pub ttl: u32,
     /// True when this query re-materializes a VM lost to a declared
@@ -70,6 +70,76 @@ pub struct BootQuery {
     /// on ordinary boots, so the wire size is unchanged for
     /// non-failover runs.
     pub failover: bool,
+}
+
+/// Words of [`Visited`]'s inline bitset: one bit per actor below 4 096.
+const VISITED_WORDS: usize = 64;
+
+/// The servers a [`BootQuery`] has asked, in the order it asked them.
+///
+/// The list is what travels (4 B per entry) and what `Debug` prints.
+/// Beside it the query carries one bit per actor below 4 096, so a hop
+/// tests a candidate in O(1) without marking the list again; an actor
+/// past the bitset is looked up in the list.
+#[derive(Clone)]
+pub struct Visited {
+    list: Vec<ActorId>,
+    bits: [u64; VISITED_WORDS],
+}
+
+impl Visited {
+    /// Appends `actor`, even if it is already in the list.
+    #[inline]
+    pub fn push(&mut self, actor: ActorId) {
+        if let Some(word) = self.bits.get_mut(actor.index() / 64) {
+            *word |= 1 << (actor.index() % 64);
+        }
+        self.list.push(actor);
+    }
+
+    /// True if `actor` has been pushed.
+    #[inline]
+    pub fn contains(&self, actor: ActorId) -> bool {
+        match self.bits.get(actor.index() / 64) {
+            Some(word) => word >> (actor.index() % 64) & 1 == 1,
+            None => self.list.contains(&actor),
+        }
+    }
+
+    /// Entries in the list, repeats included.
+    pub fn len(&self) -> usize {
+        self.list.len()
+    }
+
+    /// True if nothing has been pushed.
+    pub fn is_empty(&self) -> bool {
+        self.list.is_empty()
+    }
+}
+
+impl Default for Visited {
+    fn default() -> Visited {
+        Visited {
+            list: Vec::new(),
+            bits: [0; VISITED_WORDS],
+        }
+    }
+}
+
+impl FromIterator<ActorId> for Visited {
+    fn from_iter<I: IntoIterator<Item = ActorId>>(actors: I) -> Visited {
+        let mut visited = Visited::default();
+        for actor in actors {
+            visited.push(actor);
+        }
+        visited
+    }
+}
+
+impl std::fmt::Debug for Visited {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.list.fmt(f)
+    }
 }
 
 /// A load shedder's query into the Less-Loaded anycast tree (§III.C):
@@ -354,7 +424,7 @@ mod tests {
             origin: h,
             root: None,
             caps: None,
-            visited: vec![ActorId::new(2)],
+            visited: [ActorId::new(2)].into_iter().collect(),
             ttl: 9,
             failover: false,
         }));
@@ -495,7 +565,7 @@ mod tests {
             origin: h,
             root: None,
             caps: None,
-            visited: Vec::new(),
+            visited: Visited::default(),
             ttl: 4,
             failover: false,
         };

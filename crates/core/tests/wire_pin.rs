@@ -43,7 +43,7 @@ fn boot(visited: u32, caps: Option<SurvCaps>, failover: bool) -> CtrlMsg {
         origin: h(1),
         root: Some(h(2)),
         caps,
-        visited: actors(visited),
+        visited: (0..visited).map(ActorId::new).collect(),
         ttl: 9,
         failover,
     };

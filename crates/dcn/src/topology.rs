@@ -84,7 +84,8 @@ struct RackInfo {
 #[derive(Debug, Clone)]
 pub struct Topology {
     racks: Vec<RackInfo>,
-    server_rack: Vec<RackId>,
+    /// Each server's rack and pod, so either is one load.
+    server_site: Vec<(RackId, PodId)>,
     num_pods: u32,
     capacity: ServerCapacity,
     oversubscription: f64,
@@ -151,8 +152,9 @@ impl Topology {
     }
 
     /// Total number of servers.
+    #[inline]
     pub fn num_servers(&self) -> usize {
-        self.server_rack.len()
+        self.server_site.len()
     }
 
     /// Total number of racks (ToR switches).
@@ -170,6 +172,7 @@ impl Topology {
     /// # Panics
     ///
     /// Panics if `index >= self.num_servers()`.
+    #[inline]
     pub fn server(&self, index: usize) -> ServerId {
         assert!(index < self.num_servers(), "server index out of range");
         ServerId(index as u32)
@@ -186,16 +189,19 @@ impl Topology {
     }
 
     /// The rack hosting `server`.
+    #[inline]
     pub fn rack_of(&self, server: ServerId) -> RackId {
-        self.server_rack[server.index()]
+        self.server_site[server.index()].0
     }
 
     /// The pod containing `server`.
+    #[inline]
     pub fn pod_of(&self, server: ServerId) -> PodId {
-        self.racks[self.rack_of(server).index()].pod
+        self.server_site[server.index()].1
     }
 
     /// The pod containing `rack`.
+    #[inline]
     pub fn pod_of_rack(&self, rack: RackId) -> PodId {
         self.racks[rack.index()].pod
     }
@@ -429,7 +435,7 @@ impl TopologyBuilder {
     /// Panics if the configuration describes zero servers.
     pub fn build(&self) -> Topology {
         let mut racks = Vec::new();
-        let mut server_rack = Vec::new();
+        let mut server_site = Vec::new();
         let mut next_server = 0u32;
         let num_pods;
         match &self.rack_sizes {
@@ -443,7 +449,7 @@ impl TopologyBuilder {
                         num_servers: size,
                     });
                     for _ in 0..size {
-                        server_rack.push(rack_id);
+                        server_site.push((rack_id, PodId(0)));
                         next_server += 1;
                     }
                 }
@@ -459,7 +465,7 @@ impl TopologyBuilder {
                             num_servers: self.servers_per_rack,
                         });
                         for _ in 0..self.servers_per_rack {
-                            server_rack.push(rack_id);
+                            server_site.push((rack_id, PodId(pod)));
                             next_server += 1;
                         }
                     }
@@ -467,12 +473,12 @@ impl TopologyBuilder {
             }
         }
         assert!(
-            !server_rack.is_empty(),
+            !server_site.is_empty(),
             "topology must contain at least one server"
         );
         Topology {
             racks,
-            server_rack,
+            server_site,
             num_pods,
             capacity: self.capacity,
             oversubscription: self.oversubscription,

@@ -4,6 +4,8 @@
 
 use proptest::prelude::*;
 use vbundle_dcn::{Bandwidth, ProximityLevel, Topology, TrafficMatrix};
+use vbundle_pastry::Site;
+use vbundle_sim::ActorId;
 
 fn arb_topo() -> impl Strategy<Value = Topology> {
     (1u32..5, 1u32..6, 1u32..8).prop_map(|(pods, racks, servers)| {
@@ -15,8 +17,45 @@ fn arb_topo() -> impl Strategy<Value = Topology> {
     })
 }
 
+/// Irregular topologies: one pod of racks with the given sizes.
+fn arb_rack_sizes_topo() -> impl Strategy<Value = Topology> {
+    proptest::collection::vec(1u32..8, 1..8)
+        .prop_map(|sizes| Topology::builder().rack_sizes(&sizes).build())
+}
+
+/// The per-server `(rack, pod)` table agrees with the rack records, and
+/// `Site::of` reads it for every server and `Site::OFF` past them.
+fn check_sites(topo: &Topology) -> Result<(), TestCaseError> {
+    for server in topo.servers() {
+        let rack = topo.rack_of(server);
+        prop_assert_eq!(topo.pod_of(server), topo.pod_of_rack(rack));
+        prop_assert!(topo.servers_in_rack(rack).any(|s| s == server));
+    }
+    let n = topo.num_servers() as u32;
+    for a in (0..n + 8).chain([u32::MAX - 1]) {
+        let want = if a < n {
+            let server = topo.server(a as usize);
+            Site {
+                rack: topo.rack_of(server).index() as u32,
+                pod: topo.pod_of_rack(topo.rack_of(server)).index() as u32,
+            }
+        } else {
+            Site::OFF
+        };
+        prop_assert_eq!(Site::of(topo, ActorId::new(a)), want, "actor {}", a);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Regular and `rack_sizes` topologies alike.
+    #[test]
+    fn site_table_matches_rack_records(regular in arb_topo(), irregular in arb_rack_sizes_topo()) {
+        check_sites(&regular)?;
+        check_sites(&irregular)?;
+    }
 
     /// Rack/pod/slot indexing round-trips for every server.
     #[test]

@@ -108,6 +108,7 @@ impl Id {
     }
 
     /// Clockwise (increasing, wrapping) distance from `self` to `other`.
+    #[inline]
     pub fn cw_distance(self, other: Id) -> u128 {
         other.0.wrapping_sub(self.0)
     }
@@ -121,6 +122,7 @@ impl Id {
     /// let b = Id::from_u128(u128::MAX); // one step counter-clockwise of 0
     /// assert_eq!(a.ring_distance(b), 2);
     /// ```
+    #[inline]
     pub fn ring_distance(self, other: Id) -> u128 {
         let cw = self.cw_distance(other);
         let ccw = other.cw_distance(self);

@@ -391,6 +391,7 @@ pub fn actor_distance(topo: &Topology, a: ActorId, b: ActorId) -> u32 {
 /// [`actor_distance`] from two `(actor, site)` pairs, without the
 /// topology: a caller that compares many actors against the same one
 /// looks each [`Site`] up once instead of once per comparison.
+#[inline]
 pub fn site_distance(a: (ActorId, Site), b: (ActorId, Site)) -> u32 {
     if a.1 == Site::OFF || b.1 == Site::OFF {
         u32::MAX
@@ -425,14 +426,15 @@ impl Site {
     };
 
     /// The site of `actor` under `topo`.
+    #[inline]
     pub fn of(topo: &Topology, actor: ActorId) -> Site {
         if actor.index() >= topo.num_servers() {
             return Site::OFF;
         }
-        let rack = topo.rack_of(topo.server(actor.index()));
+        let server = topo.server(actor.index());
         Site {
-            rack: rack.index() as u32,
-            pod: topo.pod_of_rack(rack).index() as u32,
+            rack: topo.rack_of(server).index() as u32,
+            pod: topo.pod_of(server).index() as u32,
         }
     }
 }

@@ -33,6 +33,18 @@ impl HeapModel {
         Some(self.entries.swap_remove(best))
     }
 
+    /// [`HeapModel::pop`] if the smallest key's `at` is `≤ deadline`.
+    fn pop_before(&mut self, deadline: u64) -> Option<(u64, u64, u32, u32)> {
+        let &(at, ..) = self
+            .entries
+            .iter()
+            .min_by_key(|&&(at, seq, ..)| (at, seq))?;
+        if at > deadline {
+            return None;
+        }
+        self.pop()
+    }
+
     /// The eager purge the old engine performed on restart: physically
     /// drop every queued timer belonging to `actor`.
     fn purge(&mut self, actor: u32) {
@@ -82,6 +94,14 @@ fn arb_ops() -> impl Strategy<Value = Vec<(u8, u64, u32)>> {
 /// `off` the offset, up to about three ring horizons (262 ms each).
 fn arb_relative_ops() -> impl Strategy<Value = Vec<(u8, u64)>> {
     proptest::collection::vec((0u8..6, 0u64..800_000), 1..300)
+}
+
+/// An op stream for the engine's `run_until` slices: `kind % 4` selects
+/// dense insert / spread insert / short slice / long slice, and `off`
+/// the offset from the current time (up to about three ring horizons,
+/// under 1 000 for the dense and short kinds).
+fn arb_sliced_ops() -> impl Strategy<Value = Vec<(u8, u64)>> {
+    proptest::collection::vec((0u8..8, 0u64..800_000), 1..300)
 }
 
 proptest! {
@@ -185,6 +205,49 @@ proptest! {
             let (got, want) = pop(&mut queue, &mut model);
             prop_assert_eq!(got, want, "pop diverged during drain");
             prop_assert!(queue.heap_bytes() <= heap_bound::<()>(peak_live));
+            if got.is_none() {
+                break;
+            }
+        }
+    }
+
+    /// `pop_before` the way `run_until` drives it: a slice pops up to its
+    /// deadline, and when it stops short (the next key lies past the
+    /// deadline) the clock moves to the deadline and later inserts land
+    /// at or after it. Dense keys and short deadlines fall on the clock
+    /// half the time, so keys sit exactly on a deadline. A short stop
+    /// with only far keys queued moves the window past the deadline, so
+    /// the inserts that follow go to the heap and must still pop in
+    /// `(at, seq)` order. Checked against the flat model op for op and
+    /// on drain.
+    #[test]
+    fn short_slices_match_heap_discipline(ops in arb_sliced_ops()) {
+        let mut queue: CalendarQueue<()> = CalendarQueue::new();
+        let mut model = HeapModel::default();
+        let (mut seq, mut now) = (0u64, 0u64);
+        for &(kind, off) in &ops {
+            // Half the dense offsets are 0: keys and deadlines on `now`.
+            let dense = (off % 2_000).saturating_sub(1_000);
+            match kind % 4 {
+                insert @ (0 | 1) => {
+                    let at = now + if insert == 0 { dense } else { off };
+                    queue.insert(at, seq, ());
+                    model.insert(at, seq, 0, 0);
+                    seq += 1;
+                }
+                slice => {
+                    let deadline = now + if slice == 2 { dense } else { off };
+                    let got = queue.pop_before(deadline).map(|(at, seq, ())| (at, seq));
+                    let want = model.pop_before(deadline).map(|(at, seq, ..)| (at, seq));
+                    prop_assert_eq!(got, want, "pop_before({}) diverged", deadline);
+                    now = got.map_or(deadline, |(at, _)| at);
+                }
+            }
+        }
+        loop {
+            let got = queue.pop().map(|(at, seq, ())| (at, seq));
+            let want = model.pop().map(|(at, seq, ..)| (at, seq));
+            prop_assert_eq!(got, want, "pop diverged during drain");
             if got.is_none() {
                 break;
             }
