@@ -24,7 +24,7 @@ pub(super) const BOOT_TTL: u32 = 4096;
 pub(super) struct Admission<'a> {
     pub host: &'a mut Host,
     pub stats: &'a mut ControllerStats,
-    pub surv: &'a mut Option<Survivability>,
+    pub surv: &'a mut Option<Box<Survivability>>,
     /// Whether backups are requested as failover charges.
     pub protect: bool,
 }

@@ -143,12 +143,14 @@ pub struct Controller {
     host: Host,
     shuffle: Shuffle,
     /// `None` with `VBundleConfig::bundle_trading` off. The spot market
-    /// (`VBundleConfig::spot_market`) lives inside.
-    trade: Option<Trade>,
+    /// (`VBundleConfig::spot_market`) lives inside. The optional
+    /// protocols are boxed: every server carries the controller, and a
+    /// subsystem that is off then costs it one pointer, not its tables.
+    trade: Option<Box<Trade>>,
     /// `None` with `VBundleConfig::survivability` unset.
-    surv: Option<Survivability>,
+    surv: Option<Box<Survivability>>,
     /// `None` with `VBundleConfig::failover` unset.
-    failover: Option<Failover>,
+    failover: Option<Box<Failover>>,
     /// Observable spot-market counters.
     pub market_stats: MarketStats,
     /// Observable counters.
@@ -167,13 +169,13 @@ impl Controller {
             let market = config
                 .spot_market
                 .map(|mc| SpotMarket::new(mc, market_stats.clone()));
-            Trade::new(&config, market)
+            Box::new(Trade::new(&config, market))
         });
         Controller {
             shuffle: Shuffle::new(&config),
             trade,
-            surv: config.survivability.map(Survivability::new),
-            failover: config.failover.map(Failover::new),
+            surv: config.survivability.map(Survivability::new).map(Box::new),
+            failover: config.failover.map(Failover::new).map(Box::new),
             market_stats,
             stats: ControllerStats::default(),
             host: Host::new(capacity, agg_config, config),
@@ -319,7 +321,7 @@ impl Controller {
     pub fn protected_vms(&self) -> Vec<VmId> {
         self.failover
             .as_ref()
-            .map_or_else(Vec::new, Failover::protected_vms)
+            .map_or_else(Vec::new, |fo| fo.protected_vms())
     }
 
     /// VMs this site re-materialized whose stale primary has not yet
@@ -330,7 +332,7 @@ impl Controller {
     pub fn fenced_vms(&self) -> Vec<VmId> {
         self.failover
             .as_ref()
-            .map_or_else(Vec::new, Failover::fenced_vms)
+            .map_or_else(Vec::new, |fo| fo.fenced_vms())
     }
 
     /// Registers a protection charge on this server: reserves `amount`

@@ -342,6 +342,17 @@ const _: () = {
     assert!(size_of::<CtrlMsg>() <= 96);
 };
 
+// Layout guards for what every server carries inline: the controller,
+// whose optional protocols are boxed, and the engine's actor record.
+const _: () = {
+    use crate::Controller;
+    use std::mem::size_of;
+    use vbundle_pastry::PastryNode;
+    use vbundle_scribe::Scribe;
+    assert!(size_of::<Controller>() <= 920);
+    assert!(size_of::<PastryNode<Scribe<Controller>>>() <= 1984);
+};
+
 impl Message for CtrlMsg {
     fn wire_size(&self) -> usize {
         match self {

@@ -89,8 +89,12 @@ impl LeafSet {
         if pos >= half {
             return false;
         }
+        // Make room first: inserting into a full side would double its
+        // allocation for one entry that is dropped again.
+        if side.len() == half {
+            side.pop();
+        }
         side.insert(pos, h);
-        side.truncate(half);
         true
     }
 
@@ -137,9 +141,15 @@ impl LeafSet {
         out
     }
 
-    /// Number of distinct members.
+    /// Number of distinct members: a side holds no duplicates, so only a
+    /// counter-clockwise entry that also sits clockwise is counted twice.
     pub fn len(&self) -> usize {
-        self.members().len()
+        let both = self
+            .ccw
+            .iter()
+            .filter(|e| self.cw.iter().any(|c| c.id == e.id))
+            .count();
+        self.cw.len() + self.ccw.len() - both
     }
 
     /// True if no members are known.
@@ -198,7 +208,40 @@ pub struct RoutingTable {
     /// Rows up to the deepest one that ever held an entry; later rows are
     /// allocated on first use (a table fills about log16(n) of its 32
     /// rows) and read as empty until then.
-    rows: Vec<[Option<NodeHandle>; DIGIT_BASE]>,
+    rows: Vec<Row>,
+}
+
+/// One routing-table row: sixteen slots and a bit per filled one. The
+/// mask takes the place of an `Option` tag per slot, which would cost 8
+/// bytes of padding each (a row is 392 bytes instead of 512), and lets
+/// readers visit filled slots only.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    slots: [NodeHandle; DIGIT_BASE],
+    /// Bit `c` set: `slots[c]` holds an entry.
+    filled: u16,
+}
+
+impl Row {
+    /// A row with no slot filled; a vacant slot's handle is never read.
+    const EMPTY: Row = Row {
+        slots: [NodeHandle::new(NodeId::from_u128(0), ActorId::new(0)); DIGIT_BASE],
+        filled: 0,
+    };
+
+    fn get(&self, col: usize) -> Option<NodeHandle> {
+        (self.filled & (1 << col) != 0).then(|| self.slots[col])
+    }
+
+    /// Filled slots, lowest column first.
+    fn entries(&self) -> impl Iterator<Item = NodeHandle> + '_ {
+        let mut left = self.filled;
+        std::iter::from_fn(move || {
+            let col = left.trailing_zeros() as usize;
+            left &= left.wrapping_sub(1);
+            (col < DIGIT_BASE).then(|| self.slots[col])
+        })
+    }
 }
 
 impl RoutingTable {
@@ -223,17 +266,19 @@ impl RoutingTable {
         let col = h.id.digit(row);
         if row >= self.rows.len() {
             self.rows.reserve_exact(row + 1 - self.rows.len());
-            self.rows.resize(row + 1, [None; DIGIT_BASE]);
+            self.rows.resize(row + 1, Row::EMPTY);
         }
-        match &mut self.rows[row][col] {
-            slot @ None => {
-                *slot = Some(h);
+        let row = &mut self.rows[row];
+        match row.get(col) {
+            None => {
+                row.slots[col] = h;
+                row.filled |= 1 << col;
                 true
             }
             Some(existing) if existing.id == h.id => false,
             Some(existing) => {
-                if proximity(&h) < proximity(existing) {
-                    *existing = h;
+                if proximity(&h) < proximity(&existing) {
+                    row.slots[col] = h;
                     true
                 } else {
                     false
@@ -248,7 +293,8 @@ impl RoutingTable {
     ///
     /// Panics if `col >= 16`.
     pub fn entry(&self, row: usize, col: usize) -> Option<NodeHandle> {
-        self.rows.get(row).and_then(|r| r[col])
+        assert!(col < DIGIT_BASE, "column {col} out of range");
+        self.rows.get(row).and_then(|r| r.get(col))
     }
 
     /// The next hop the prefix rule proposes for `key`, if the slot is
@@ -265,18 +311,20 @@ impl RoutingTable {
     /// was present.
     pub fn remove(&mut self, id: NodeId) -> bool {
         let mut removed = false;
-        for slot in self.rows.iter_mut().flatten() {
-            if slot.map(|h| h.id) == Some(id) {
-                *slot = None;
-                removed = true;
+        for row in &mut self.rows {
+            for col in 0..DIGIT_BASE {
+                if row.get(col).is_some_and(|h| h.id == id) {
+                    row.filled &= !(1 << col);
+                    removed = true;
+                }
             }
         }
         removed
     }
 
-    /// All filled entries.
+    /// All filled entries, row by row, lowest column first.
     pub fn entries(&self) -> impl Iterator<Item = NodeHandle> + '_ {
-        self.rows.iter().flatten().filter_map(|s| *s)
+        self.rows.iter().flat_map(Row::entries)
     }
 
     /// The contents of row `row` (used by the join protocol, where each
@@ -284,12 +332,15 @@ impl RoutingTable {
     pub fn row(&self, row: usize) -> Vec<NodeHandle> {
         self.rows
             .get(row)
-            .map_or_else(Vec::new, |r| r.iter().filter_map(|s| *s).collect())
+            .map_or_else(Vec::new, |r| r.entries().collect())
     }
 
     /// Number of filled slots.
     pub fn len(&self) -> usize {
-        self.entries().count()
+        self.rows
+            .iter()
+            .map(|r| r.filled.count_ones() as usize)
+            .sum()
     }
 
     /// Number of rows allocated: one past the deepest row that was ever
@@ -300,7 +351,7 @@ impl RoutingTable {
 
     /// True if no slots are filled.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.rows.iter().all(|r| r.filled == 0)
     }
 }
 
@@ -350,8 +401,10 @@ impl NeighborSet {
         if pos >= self.capacity {
             return false;
         }
+        if self.items.len() == self.capacity {
+            self.items.pop();
+        }
         self.items.insert(pos, (proximity, h));
-        self.items.truncate(self.capacity);
         true
     }
 
@@ -643,6 +696,30 @@ mod tests {
 
     fn h(v: u128, actor: u32) -> NodeHandle {
         NodeHandle::new(Id::from_u128(v), ActorId::new(actor))
+    }
+
+    /// The neighbor-set insert as it was before the pop-first change:
+    /// a full duplicate scan, a binary search, insert, then truncate.
+    fn neighbors_reference(
+        items: &mut Vec<(u32, NodeHandle)>,
+        me: NodeId,
+        h: NodeHandle,
+        prox: u32,
+        capacity: usize,
+    ) -> bool {
+        if items.iter().any(|(_, e)| e.id == h.id) {
+            return false;
+        }
+        let key = (prox, me.ring_distance(h.id));
+        let pos = items
+            .binary_search_by(|(p, e)| (*p, me.ring_distance(e.id)).cmp(&key))
+            .unwrap_or_else(|p| p);
+        if pos >= capacity {
+            return false;
+        }
+        items.insert(pos, (prox, h));
+        items.truncate(capacity);
+        true
     }
 
     mod leaf_set {
@@ -989,19 +1066,7 @@ mod tests {
                 .routing_table
                 .insert(h, |c| actor_distance(topo, me, c.actor));
             let ns = &mut st.neighbor_set;
-            if !ns.items.iter().any(|(_, e)| e.id == h.id) {
-                let key = (prox, ns.self_id.ring_distance(h.id));
-                let pos = ns
-                    .items
-                    .binary_search_by(|(p, e)| (*p, ns.self_id.ring_distance(e.id)).cmp(&key))
-                    .unwrap_or_else(|p| p);
-                if pos < ns.capacity {
-                    ns.items.insert(pos, (prox, h));
-                    ns.items.truncate(ns.capacity);
-                    changed = true;
-                }
-            }
-            changed
+            changed | neighbors_reference(&mut ns.items, ns.self_id, h, prox, ns.capacity)
         }
 
         fn forget_reference(st: &mut PastryState, id: NodeId) -> bool {
@@ -1072,6 +1137,183 @@ mod tests {
                     };
                     prop_assert!(same, "return values diverged at op ({kind}, {i})");
                     prop_assert_eq!(contents(&fast), contents(&slow));
+                }
+            }
+        }
+    }
+
+    mod bounded_sets {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The leaf-set side rule before the pop-first change: insert,
+        /// then cut back to `half`.
+        fn side_reference(
+            side: &mut Vec<NodeHandle>,
+            h: NodeHandle,
+            half: usize,
+            dist: impl Fn(NodeId) -> u128,
+        ) {
+            if side.iter().any(|e| e.id == h.id) {
+                return;
+            }
+            let pos = side
+                .binary_search_by(|e| dist(e.id).cmp(&dist(h.id)))
+                .unwrap_or_else(|p| p);
+            if pos < half {
+                side.insert(pos, h);
+                side.truncate(half);
+            }
+        }
+
+        proptest! {
+            /// A full leaf side or neighbor set keeps the allocation it
+            /// was created with, and holds what insert-then-truncate held.
+            #[test]
+            fn bounded_sets_hold_their_bound(
+                half in 1usize..5,
+                capacity in 0usize..6,
+                ops in proptest::collection::vec((0u32..4, 0u32..24), 1..300),
+            ) {
+                let topo = Arc::new(
+                    Topology::builder().pods(2).racks_per_pod(4).servers_per_rack(4).build(),
+                );
+                let me = h(0x8000 << 112, 0);
+                let mut st = PastryState::new(me, topo, half, capacity);
+                let (mut cw, mut ccw, mut items) = (Vec::new(), Vec::new(), Vec::new());
+                for (kind, i) in ops {
+                    // 24 ids, twelve on each side of the local one.
+                    let d = (u128::from(i / 2) + 1) * 0x1111;
+                    let id = if i % 2 == 0 { me.id.as_u128() + d } else { me.id.as_u128() - d };
+                    let offer = NodeHandle::new(Id::from_u128(id), ActorId::new(i + 1));
+                    if kind == 0 {
+                        st.forget(offer.id);
+                        cw.retain(|e: &NodeHandle| e.id != offer.id);
+                        ccw.retain(|e: &NodeHandle| e.id != offer.id);
+                        items.retain(|(_, e): &(u32, NodeHandle)| e.id != offer.id);
+                    } else {
+                        st.learn(offer);
+                        side_reference(&mut cw, offer, half, |x| me.id.cw_distance(x));
+                        side_reference(&mut ccw, offer, half, |x| x.cw_distance(me.id));
+                        let prox = st.proximity(offer.actor);
+                        neighbors_reference(&mut items, me.id, offer, prox, capacity);
+                    }
+                    let (ls, ns) = (&st.leaf_set, &st.neighbor_set);
+                    prop_assert_eq!(ls.cw.capacity(), half);
+                    prop_assert_eq!(ls.ccw.capacity(), half);
+                    prop_assert_eq!(ns.items.capacity(), capacity);
+                    prop_assert_eq!(&ls.cw, &cw);
+                    prop_assert_eq!(&ls.ccw, &ccw);
+                    prop_assert_eq!(&ns.items, &items);
+                    prop_assert_eq!(ls.len(), ls.members().len());
+                }
+            }
+        }
+    }
+
+    mod masked_rows {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The routing table as it was stored before the occupancy masks:
+        /// one `Option` per slot.
+        struct Reference {
+            self_id: NodeId,
+            rows: Vec<[Option<NodeHandle>; DIGIT_BASE]>,
+        }
+
+        impl Reference {
+            fn insert(&mut self, h: NodeHandle, proximity: impl Fn(&NodeHandle) -> u32) -> bool {
+                if h.id == self.self_id {
+                    return false;
+                }
+                let row = self.self_id.shared_prefix_len(h.id);
+                let col = h.id.digit(row);
+                if row >= self.rows.len() {
+                    self.rows.resize(row + 1, [None; DIGIT_BASE]);
+                }
+                match &mut self.rows[row][col] {
+                    slot @ None => {
+                        *slot = Some(h);
+                        true
+                    }
+                    Some(existing) if existing.id == h.id => false,
+                    Some(existing) if proximity(&h) < proximity(existing) => {
+                        *existing = h;
+                        true
+                    }
+                    Some(_) => false,
+                }
+            }
+
+            fn remove(&mut self, id: NodeId) -> bool {
+                let mut removed = false;
+                for slot in self.rows.iter_mut().flatten() {
+                    if slot.map(|h| h.id) == Some(id) {
+                        *slot = None;
+                        removed = true;
+                    }
+                }
+                removed
+            }
+
+            fn entries(&self) -> Vec<NodeHandle> {
+                self.rows.iter().flatten().filter_map(|s| *s).collect()
+            }
+
+            fn entry(&self, row: usize, col: usize) -> Option<NodeHandle> {
+                self.rows.get(row).and_then(|r| r[col])
+            }
+
+            fn next_hop(&self, key: Key) -> Option<NodeHandle> {
+                let row = self.self_id.shared_prefix_len(key);
+                if row >= NUM_DIGITS {
+                    return None;
+                }
+                self.entry(row, key.digit(row))
+            }
+        }
+
+        /// An id sharing `row` leading digits with `me`, then `col`, then
+        /// a small tail: rows 0-3 fill, and slots collide.
+        fn id_at(me: NodeId, row: u32, col: u32, tail: u32) -> Id {
+            let kept = me.as_u128() & !(u128::MAX >> (4 * row));
+            Id::from_u128(kept | (u128::from(col) << (124 - 4 * row)) | (u128::from(tail) * 0x1111))
+        }
+
+        proptest! {
+            #[test]
+            fn masked_rows_match_option_model(
+                proximity in proptest::collection::vec(0u32..4, 8),
+                ops in proptest::collection::vec((0u32..4, 0u32..4, 0u32..16, 0u32..4, 0u32..8), 1..200),
+            ) {
+                let me = Id::from_u128(0x8000 << 112);
+                let mut table = RoutingTable::new(me);
+                let mut model = Reference { self_id: me, rows: Vec::new() };
+                let prox = |c: &NodeHandle| proximity[c.actor.index()];
+                for (kind, row, col, tail, actor) in ops {
+                    let id = id_at(me, row, col, tail);
+                    let changed = if kind == 0 {
+                        (table.remove(id), model.remove(id))
+                    } else {
+                        let offer = NodeHandle::new(id, ActorId::new(actor));
+                        (table.insert(offer, prox), model.insert(offer, prox))
+                    };
+                    prop_assert_eq!(changed.0, changed.1);
+                    prop_assert_eq!(table.entries().collect::<Vec<_>>(), model.entries());
+                    prop_assert_eq!(table.len(), model.entries().len());
+                    prop_assert_eq!(table.is_empty(), model.entries().is_empty());
+                    prop_assert_eq!(table.num_rows(), model.rows.len());
+                    for r in 0..table.num_rows() + 1 {
+                        let want: Vec<_> = (0..DIGIT_BASE).filter_map(|c| model.entry(r, c)).collect();
+                        prop_assert_eq!(table.row(r), want);
+                        for c in 0..DIGIT_BASE {
+                            prop_assert_eq!(table.entry(r, c), model.entry(r, c));
+                        }
+                    }
+                    let key = id_at(me, col % 4, tail * 4 + row, actor);
+                    prop_assert_eq!(table.next_hop(key), model.next_hop(key));
+                    prop_assert_eq!(table.next_hop(me), None);
                 }
             }
         }

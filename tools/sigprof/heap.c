@@ -6,9 +6,12 @@
  * rounded up to 16n + 8, or to whole pages less 16 once mmapped; one
  * class per 16 bytes below 128 KiB, one per page above — and copies the
  * class table aside each time live bytes stand 5 % above the last copy.
- * One allocation in SAMPLE per class also logs its frame-pointer chain.
- * At exit /proc/self/maps, the class table at the peak and the sampled
- * stacks go to $SIGPROF_OUT (default sigprof.raw) for `report.py --heap`.
+ * One allocation in SAMPLE per class also logs its frame-pointer chain,
+ * and the block is tracked until it is freed. At exit /proc/self/maps,
+ * the class table at the peak and the stacks of the sampled blocks live
+ * at the peak (allocated before the last copy, freed after it or never)
+ * go to $SIGPROF_OUT (default sigprof.raw) for `report.py --heap`, so a
+ * frequent short-lived allocation site is not mistaken for an owner.
  * Main thread, x86-64 glibc only. */
 #define _GNU_SOURCE
 #include <errno.h>
@@ -23,6 +26,8 @@
 #define SAMPLE 8
 #define MAX_DEPTH 24
 #define MAX_WORDS (16u << 20) /* 128 MB of address space, touched lazily */
+#define SLOT_BITS 20         /* sampled blocks live at once: SLOTS / 2 at most */
+#define SLOTS (1u << SLOT_BITS)
 
 void *__libc_malloc(size_t), *__libc_calloc(size_t, size_t), *__libc_realloc(void *, size_t);
 void *__libc_memalign(size_t, size_t), __libc_free(void *);
@@ -30,8 +35,32 @@ void *__libc_memalign(size_t, size_t), __libc_free(void *);
 /* Signed: a block from before the constructor ran may be freed after. */
 static struct cls { int64_t live, bytes; uint64_t seen; } now[SMALL + LARGE], peak[SMALL + LARGE];
 static int64_t total, peak_total;
-static uint64_t *buf, words, stack_lo, stack_hi;
+/* A sample is [n, born, died, class, n - 1 return addresses] in buf; born
+ * and died are `ticks` readings, died UINT64_MAX while the block lives. */
+static uint64_t *buf, words, stack_lo, stack_hi, ticks, peak_ticks, tracked;
+/* Sampled blocks still live: open addressing on the block's address. */
+static struct slot { uint64_t ptr, sample; } *table;
 static int busy = 1; /* bookkeeping off until armed, and while dumping */
+
+static uint64_t home(uint64_t p) { return (p >> 4) * 0x9e3779b97f4a7c15ull >> (64 - SLOT_BITS); }
+
+/* A tracked block was freed: stamp its sample and drop the slot, moving
+ * later entries of the probe run back so no lookup stops short. */
+static void untrack(uint64_t p) {
+    uint64_t i = home(p);
+    for (; table[i].ptr != p; i = (i + 1) % SLOTS)
+        if (!table[i].ptr) return;
+    buf[table[i].sample + 2] = ticks;
+    tracked--;
+    for (uint64_t j = (i + 1) % SLOTS; table[j].ptr; j = (j + 1) % SLOTS) {
+        uint64_t k = home(table[j].ptr);
+        if ((j > i) ? (k <= i || k > j) : (k <= i && k > j)) {
+            table[i] = table[j];
+            i = j;
+        }
+    }
+    table[i].ptr = 0;
+}
 
 static void note(void *p, int sign, uint64_t *fp) {
     if (!p || busy) return;
@@ -41,13 +70,24 @@ static void note(void *p, int sign, uint64_t *fp) {
     c->live += sign;
     c->bytes += sign * size;
     total += sign * size;
-    if (sign < 0) return;
+    ticks++;
+    if (sign < 0) {
+        untrack((uint64_t)p);
+        return;
+    }
     if (total > peak_total + peak_total / 20) {
         peak_total = total;
+        peak_ticks = ticks;
         memcpy(peak, now, sizeof now);
     }
-    if (c->seen++ % SAMPLE || words + MAX_DEPTH + 2 > MAX_WORDS) return;
-    uint64_t *count = &buf[words++], n = 0, at = (uint64_t)fp;
+    if (c->seen++ % SAMPLE || words + MAX_DEPTH + 4 > MAX_WORDS || tracked >= SLOTS / 2) return;
+    uint64_t *count = &buf[words], n = 0, at = (uint64_t)fp, h = home((uint64_t)p);
+    while (table[h].ptr) h = (h + 1) % SLOTS;
+    table[h] = (struct slot){(uint64_t)p, words};
+    tracked++;
+    buf[++words] = ticks;
+    buf[++words] = UINT64_MAX;
+    words++;
     buf[words + n++] = i;
     while (n < MAX_DEPTH && at >= stack_lo && at + 16 <= stack_hi && !(at & 7)) {
         buf[words + n++] = ((uint64_t *)at)[1];
@@ -81,7 +121,8 @@ __attribute__((constructor)) static void arm(void) {
         if (strstr(line, "[stack]")) sscanf(line, "%lx-%lx", &stack_lo, &stack_hi);
     if (maps) fclose(maps);
     buf = __libc_calloc(MAX_WORDS, sizeof *buf);
-    busy = !buf || !stack_hi;
+    table = __libc_calloc(SLOTS, sizeof *table);
+    busy = !buf || !table || !stack_hi;
 }
 
 __attribute__((destructor)) static void dump(void) {
@@ -96,8 +137,9 @@ __attribute__((destructor)) static void dump(void) {
     for (unsigned i = 0; i < SMALL + LARGE; i++)
         if (peak[i].live > 0) fprintf(out, "--class %u %ld %ld\n", i, peak[i].live, peak[i].bytes);
     fprintf(out, "--samples peak=%ld\n", peak_total);
-    for (uint64_t i = 0; i < words; i += buf[i] + 1) {
-        for (uint64_t j = 1; j <= buf[i]; j++) fprintf(out, "%lx ", buf[i + j]);
+    for (uint64_t i = 0; i < words; i += buf[i] + 3) {
+        if (buf[i + 1] > peak_ticks || buf[i + 2] <= peak_ticks) continue;
+        for (uint64_t j = 3; j < buf[i] + 3; j++) fprintf(out, "%lx ", buf[i + j]);
         fputc('\n', out);
     }
     fclose(out);

@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Symbolise a sigprof.raw dump: self, inclusive and top-stack tables,
-or (--heap, for a heap.c dump) the size classes live at the heap's peak.
+or (--heap, for a heap.c dump) the size classes live at the heap's peak,
+each with the stacks that allocated its sampled blocks still live at the
+peak (heap.c drops a sample's stack once its block is freed before it).
 
 usage: report.py [--heap] sigprof.raw [top-n]
 
@@ -120,7 +122,7 @@ def table(title, counter, total, top):
 
 def heap(classes, samples, sym, top, header):
     """Size classes at the peak, largest first, each with the two stacks
-    that allocated into it most often (sampled over the whole run)."""
+    that allocated most of its sampled blocks live at the peak."""
     plumbing = re.compile(r"\[heap\.so\]|^alloc::(raw_vec|alloc)::|^std::sys::alloc::|^__r")
     owners = collections.defaultdict(collections.Counter)
     for cls, *chain in samples:
