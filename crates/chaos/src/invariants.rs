@@ -14,7 +14,8 @@ use vbundle_aggregation::{AggClient, Aggregator};
 use vbundle_core::{reconcile, Controller, VbEngine, VmId};
 use vbundle_pastry::{NodeId, PastryApp, PastryMsg, PastryNode};
 use vbundle_scribe::{GroupId, Scribe, ScribeClient, ScribeMsg};
-use vbundle_sim::{ActorId, Engine};
+use vbundle_sim::{ActorId, Engine, SimTime};
+use vbundle_trade::{HalfLease, Lease, LeaseId, LeaseRole};
 
 /// A broken invariant, described for a human.
 pub type Violation = String;
@@ -307,24 +308,66 @@ pub fn check_migration_rate(
 /// reached it. The fence is resent every failover tick, so the duplicate
 /// is converging, not leaked.
 pub fn check_vm_conservation(engine: &VbEngine, expected: &[VmId]) -> Vec<Violation> {
-    let mut out = Vec::new();
-    let mut hosted: BTreeMap<VmId, Vec<usize>> = BTreeMap::new();
-    let mut in_flight: BTreeSet<VmId> = BTreeSet::new();
-    let mut fence_pending: BTreeSet<VmId> = BTreeSet::new();
-    for (id, node) in engine.actors() {
+    let hosted = engine
+        .actors()
+        .map(|(_, node)| node.app().client().vms().len())
+        .sum();
+    let sites = engine.actors().map(|(id, node)| {
         let ctrl = node.app().client();
-        for vm in ctrl.vms() {
-            hosted.entry(vm.id).or_default().push(id.index());
+        VmSite {
+            server: id,
+            alive: engine.is_alive(id),
+            hosted: ctrl.vms().iter().map(|vm| vm.id),
+            in_flight: ctrl.in_flight_vms().into_iter().map(|vm| vm.id),
+            fenced: ctrl.fenced_vms(),
         }
-        for vm in ctrl.in_flight_vms() {
-            in_flight.insert(vm.id);
-        }
-        if engine.is_alive(id) {
-            fence_pending.extend(ctrl.fenced_vms());
+    });
+    vm_conservation(sites, hosted, expected)
+}
+
+/// What [`check_vm_conservation`] reads from one server: the VMs it hosts,
+/// those it has sent and not yet seen acked, and its pending fences (read
+/// only while the server is alive).
+struct VmSite<H, F, G> {
+    server: ActorId,
+    alive: bool,
+    hosted: H,
+    in_flight: F,
+    fenced: G,
+}
+
+/// [`check_vm_conservation`] over per-server inputs. `hosted` is the number
+/// of hosted VMs across `sites`, so the one vector of copies is allocated
+/// at its final size: 16 B per VM, sorted by (VM, server) and looked up by
+/// binary search, as are the in-flight and fenced ids.
+fn vm_conservation<H, F, G>(
+    sites: impl Iterator<Item = VmSite<H, F, G>>,
+    hosted: usize,
+    expected: &[VmId],
+) -> Vec<Violation>
+where
+    H: IntoIterator<Item = VmId>,
+    F: IntoIterator<Item = VmId>,
+    G: IntoIterator<Item = VmId>,
+{
+    let mut copies: Vec<(VmId, ActorId)> = Vec::with_capacity(hosted);
+    let mut in_flight: Vec<VmId> = Vec::new();
+    let mut fence_pending: Vec<VmId> = Vec::new();
+    for site in sites {
+        copies.extend(site.hosted.into_iter().map(|vm| (vm, site.server)));
+        in_flight.extend(site.in_flight);
+        if site.alive {
+            fence_pending.extend(site.fenced);
         }
     }
-    for (vm, hosts) in &hosted {
-        if hosts.len() > 1 && !fence_pending.contains(vm) {
+    copies.sort_unstable();
+    in_flight.sort_unstable();
+    fence_pending.sort_unstable();
+    let mut out = Vec::new();
+    for run in copies.chunk_by(|a, b| a.0 == b.0) {
+        let vm = run[0].0;
+        if run.len() > 1 && fence_pending.binary_search(&vm).is_err() {
+            let hosts: Vec<usize> = run.iter().map(|(_, server)| server.index()).collect();
             out.push(format!(
                 "conservation: VM {} is installed on {} servers ({hosts:?})",
                 vm.0,
@@ -333,7 +376,8 @@ pub fn check_vm_conservation(engine: &VbEngine, expected: &[VmId]) -> Vec<Violat
         }
     }
     for vm in expected {
-        if !hosted.contains_key(vm) && !in_flight.contains(vm) {
+        let hosted = copies.binary_search_by_key(vm, |&(id, _)| id).is_ok();
+        if !hosted && in_flight.binary_search(vm).is_err() {
             out.push(format!(
                 "conservation: VM {} is lost (neither hosted nor in flight)",
                 vm.0
@@ -360,20 +404,16 @@ pub fn check_vm_conservation(engine: &VbEngine, expected: &[VmId]) -> Vec<Violat
 /// All lease-liveness filtering uses one engine-wide `now`, so the check
 /// is independent of each controller's event clock.
 pub fn check_entitlement_conservation(engine: &VbEngine) -> Vec<Violation> {
-    use vbundle_trade::LeaseRole;
     let now = engine.now();
     let eps = 1e-6;
     let mut out = Vec::new();
 
     // Reassemble the cluster-wide debit ledger (dead servers included).
-    let mut lender_halves: BTreeMap<u64, vbundle_trade::Lease> = BTreeMap::new();
-    for (_, node) in engine.actors() {
-        for h in node.app().client().trade_book().halves() {
-            if h.role == LeaseRole::Lender {
-                lender_halves.insert(h.lease.id.0, h.lease);
-            }
-        }
-    }
+    let debits = Debits::new(
+        engine
+            .actors()
+            .flat_map(|(_, node)| node.app().client().trade_book().halves()),
+    );
 
     // Per-customer conservation across ALL servers: client state survives
     // crashes, so the base/entitled sums stay comparable through faults.
@@ -393,27 +433,7 @@ pub fn check_entitlement_conservation(engine: &VbEngine) -> Vec<Violation> {
         if !engine.is_alive(id) {
             continue;
         }
-        // Live borrower halves must pair with a debit somewhere. The
-        // liveness test is starts-aware: a renewal replacement lease is
-        // minted before its validity window opens and must not be scored
-        // as active credit until then.
-        for h in book.halves() {
-            if h.role != LeaseRole::Borrower || !h.lease.live_at(now) {
-                continue;
-            }
-            match lender_halves.get(&h.lease.id.0) {
-                None => out.push(format!(
-                    "entitlement: server {} holds credit for lease {} with no backing debit anywhere",
-                    id.index(),
-                    h.lease.id
-                )),
-                Some(l) if *l != h.lease => out.push(format!(
-                    "entitlement: lease {} terms disagree between lender and borrower halves",
-                    h.lease.id
-                )),
-                Some(_) => {}
-            }
-        }
+        debits.unbacked_credit(id.index(), book.halves(), now, &mut out);
         // Shaper enforcement: grants follow the live ledger, never the
         // static contract plus phantom credit.
         let allocs =
@@ -435,19 +455,7 @@ pub fn check_entitlement_conservation(engine: &VbEngine) -> Vec<Violation> {
             }
         }
     }
-    // Cross-tenant (spot-market) leases legitimately move entitlement
-    // between tenants: the buyer's VMs gained exactly what the seller's
-    // bundle lost. Reattribute each live traded amount back to the seller
-    // so the per-tenant sums stay comparable to purchased capacity — a
-    // buyer whose gain has no matching lender debit anywhere still trips
-    // the phantom-credit bound below.
-    for lease in lender_halves.values() {
-        if lease.cross_tenant() && lease.live_at(now) {
-            let amt = lease.amount.bandwidth.as_mbps();
-            *entitled.entry(lease.buyer.0).or_default() -= amt;
-            *entitled.entry(lease.customer.0).or_default() += amt;
-        }
-    }
+    debits.reattribute(now, &mut entitled);
     for (customer, &e) in &entitled {
         let b = base.get(customer).copied().unwrap_or(0.0);
         if e > b + eps {
@@ -457,6 +465,80 @@ pub fn check_entitlement_conservation(engine: &VbEngine) -> Vec<Violation> {
         }
     }
     out
+}
+
+/// Every lender half in the cluster — the debit side of each lease —
+/// held by reference and sorted by lease id. An id found on two servers
+/// keeps the half met last in server order.
+struct Debits<'a>(Vec<&'a Lease>);
+
+impl<'a> Debits<'a> {
+    fn new(halves: impl Iterator<Item = &'a HalfLease>) -> Self {
+        let mut debits: Vec<&Lease> = halves
+            .filter(|h| h.role == LeaseRole::Lender)
+            .map(|h| &h.lease)
+            .collect();
+        // Stable, so equal ids stay in server order; the merge keeps the
+        // last of each run.
+        debits.sort_by_key(|lease| lease.id);
+        debits.dedup_by(|later, kept| {
+            later.id == kept.id && {
+                *kept = *later;
+                true
+            }
+        });
+        Debits(debits)
+    }
+
+    fn get(&self, id: LeaseId) -> Option<&'a Lease> {
+        let i = self.0.binary_search_by_key(&id, |lease| lease.id).ok()?;
+        Some(self.0[i])
+    }
+
+    /// Live borrower halves on `server` must pair with a debit somewhere.
+    /// The liveness test is starts-aware: a renewal replacement lease is
+    /// minted before its validity window opens and must not be scored as
+    /// active credit until then.
+    fn unbacked_credit<'h>(
+        &self,
+        server: usize,
+        halves: impl Iterator<Item = &'h HalfLease>,
+        now: SimTime,
+        out: &mut Vec<Violation>,
+    ) {
+        for h in halves {
+            if h.role != LeaseRole::Borrower || !h.lease.live_at(now) {
+                continue;
+            }
+            match self.get(h.lease.id) {
+                None => out.push(format!(
+                    "entitlement: server {server} holds credit for lease {} with no backing debit anywhere",
+                    h.lease.id
+                )),
+                Some(l) if *l != h.lease => out.push(format!(
+                    "entitlement: lease {} terms disagree between lender and borrower halves",
+                    h.lease.id
+                )),
+                Some(_) => {}
+            }
+        }
+    }
+
+    /// Cross-tenant (spot-market) leases legitimately move entitlement
+    /// between tenants: the buyer's VMs gained exactly what the seller's
+    /// bundle lost. Reattribute each live traded amount back to the seller,
+    /// in lease-id order, so the per-tenant sums stay comparable to
+    /// purchased capacity — a buyer whose gain has no matching lender debit
+    /// anywhere still trips the phantom-credit bound.
+    fn reattribute(&self, now: SimTime, entitled: &mut BTreeMap<u32, f64>) {
+        for lease in &self.0 {
+            if lease.cross_tenant() && lease.live_at(now) {
+                let amt = lease.amount.bandwidth.as_mbps();
+                *entitled.entry(lease.buyer.0).or_default() -= amt;
+                *entitled.entry(lease.customer.0).or_default() += amt;
+            }
+        }
+    }
 }
 
 /// Billing conservation under the spot market — the double-entry
@@ -484,7 +566,6 @@ pub fn check_billing_conservation(engine: &VbEngine) -> Vec<Violation> {
 /// from the raw lender halves, independently of the controller's own
 /// admission arithmetic.
 pub fn check_isolation_caps(engine: &VbEngine, cap: f64) -> Vec<Violation> {
-    use vbundle_trade::LeaseRole;
     let now = engine.now();
     let mut out = Vec::new();
     for (id, node) in engine.actors() {
@@ -603,4 +684,285 @@ pub fn check_capacity(engine: &VbEngine) -> Vec<Violation> {
         }
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    //! The flat conservation checks against the `BTreeMap` bodies they
+    //! replaced, kept here as references: same strings, same order.
+
+    use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+    use vbundle_dcn::Bandwidth;
+    use vbundle_trade::{CustomerId, ResourceVector};
+
+    /// One server's inputs to the VM check.
+    #[derive(Debug, Clone, Default)]
+    struct Server {
+        alive: bool,
+        hosted: Vec<VmId>,
+        in_flight: Vec<VmId>,
+        fenced: Vec<VmId>,
+    }
+
+    fn flat_vm(servers: &[Server], expected: &[VmId]) -> Vec<Violation> {
+        let sites = servers.iter().zip(0..).map(|(s, server)| VmSite {
+            server: ActorId::new(server),
+            alive: s.alive,
+            hosted: s.hosted.iter().copied(),
+            in_flight: s.in_flight.iter().copied(),
+            fenced: s.fenced.iter().copied(),
+        });
+        let hosted = servers.iter().map(|s| s.hosted.len()).sum();
+        vm_conservation(sites, hosted, expected)
+    }
+
+    fn btree_vm(servers: &[Server], expected: &[VmId]) -> Vec<Violation> {
+        let mut out = Vec::new();
+        let mut hosted: BTreeMap<VmId, Vec<usize>> = BTreeMap::new();
+        let mut in_flight: BTreeSet<VmId> = BTreeSet::new();
+        let mut fence_pending: BTreeSet<VmId> = BTreeSet::new();
+        for (server, s) in servers.iter().enumerate() {
+            for &vm in &s.hosted {
+                hosted.entry(vm).or_default().push(server);
+            }
+            in_flight.extend(s.in_flight.iter().copied());
+            if s.alive {
+                fence_pending.extend(s.fenced.iter().copied());
+            }
+        }
+        for (vm, hosts) in &hosted {
+            if hosts.len() > 1 && !fence_pending.contains(vm) {
+                out.push(format!(
+                    "conservation: VM {} is installed on {} servers ({hosts:?})",
+                    vm.0,
+                    hosts.len()
+                ));
+            }
+        }
+        for vm in expected {
+            if !hosted.contains_key(vm) && !in_flight.contains(vm) {
+                out.push(format!(
+                    "conservation: VM {} is lost (neither hosted nor in flight)",
+                    vm.0
+                ));
+            }
+        }
+        out
+    }
+
+    /// One server's inputs to the lease check: alive, and its book.
+    type Book = (bool, Vec<HalfLease>);
+
+    /// The lease pairing and the cross-tenant reattribution.
+    type LeaseVerdict = (Vec<Violation>, BTreeMap<u32, f64>);
+
+    fn flat_leases(books: &[Book], now: SimTime) -> LeaseVerdict {
+        let debits = Debits::new(books.iter().flat_map(|(_, halves)| halves));
+        let mut out = Vec::new();
+        for (server, (alive, halves)) in books.iter().enumerate() {
+            if *alive {
+                debits.unbacked_credit(server, halves.iter(), now, &mut out);
+            }
+        }
+        let mut entitled = BTreeMap::new();
+        debits.reattribute(now, &mut entitled);
+        (out, entitled)
+    }
+
+    fn btree_leases(books: &[Book], now: SimTime) -> LeaseVerdict {
+        let mut lender_halves: BTreeMap<u64, Lease> = BTreeMap::new();
+        for (_, halves) in books {
+            for h in halves {
+                if h.role == LeaseRole::Lender {
+                    lender_halves.insert(h.lease.id.0, h.lease);
+                }
+            }
+        }
+        let mut out = Vec::new();
+        for (server, (alive, halves)) in books.iter().enumerate() {
+            if !alive {
+                continue;
+            }
+            for h in halves {
+                if h.role != LeaseRole::Borrower || !h.lease.live_at(now) {
+                    continue;
+                }
+                match lender_halves.get(&h.lease.id.0) {
+                    None => out.push(format!(
+                        "entitlement: server {server} holds credit for lease {} with no backing debit anywhere",
+                        h.lease.id
+                    )),
+                    Some(l) if *l != h.lease => out.push(format!(
+                        "entitlement: lease {} terms disagree between lender and borrower halves",
+                        h.lease.id
+                    )),
+                    Some(_) => {}
+                }
+            }
+        }
+        let mut entitled: BTreeMap<u32, f64> = BTreeMap::new();
+        for lease in lender_halves.values() {
+            if lease.cross_tenant() && lease.live_at(now) {
+                let amt = lease.amount.bandwidth.as_mbps();
+                *entitled.entry(lease.buyer.0).or_default() -= amt;
+                *entitled.entry(lease.customer.0).or_default() += amt;
+            }
+        }
+        (out, entitled)
+    }
+
+    fn ids(raw: &[u64]) -> Vec<VmId> {
+        raw.iter().copied().map(VmId).collect()
+    }
+
+    fn half(
+        id: u64,
+        lender: bool,
+        customer: u32,
+        buyer: u32,
+        mbps: u32,
+        starts: u64,
+        expires: u64,
+    ) -> HalfLease {
+        HalfLease {
+            lease: Lease {
+                id: LeaseId(id),
+                customer: CustomerId(customer),
+                buyer: CustomerId(buyer),
+                lender: VmId(2 * id),
+                borrower: VmId(2 * id + 1),
+                amount: ResourceVector::bandwidth_only(Bandwidth::from_mbps(f64::from(mbps))),
+                starts: SimTime::from_secs(starts),
+                expires: SimTime::from_secs(expires),
+                price: 0.0,
+            },
+            role: if lender {
+                LeaseRole::Lender
+            } else {
+                LeaseRole::Borrower
+            },
+            peer: ActorId::new(0),
+        }
+    }
+
+    #[test]
+    fn named_vm_cases_match_the_btree_check() {
+        let servers = vec![
+            // VM 1 on servers 0 and 1 is fenced on live server 2; VM 2 on
+            // servers 0 and 3 is fenced only on dead server 3.
+            Server {
+                alive: true,
+                hosted: ids(&[1, 2]),
+                ..Server::default()
+            },
+            Server {
+                alive: true,
+                hosted: ids(&[1]),
+                in_flight: ids(&[3]),
+                ..Server::default()
+            },
+            Server {
+                alive: true,
+                fenced: ids(&[1]),
+                ..Server::default()
+            },
+            Server {
+                alive: false,
+                hosted: ids(&[2]),
+                fenced: ids(&[2]),
+                ..Server::default()
+            },
+        ];
+        // VM 3 is only in flight; VM 4 is nowhere.
+        let expected = ids(&[1, 2, 3, 4]);
+        let flat = flat_vm(&servers, &expected);
+        assert_eq!(
+            flat,
+            [
+                "conservation: VM 2 is installed on 2 servers ([0, 3])",
+                "conservation: VM 4 is lost (neither hosted nor in flight)",
+            ]
+        );
+        assert_eq!(flat, btree_vm(&servers, &expected));
+        // An empty cluster loses every expected VM and nothing else.
+        for expected in [vec![], ids(&[5, 6])] {
+            assert_eq!(flat_vm(&[], &expected), btree_vm(&[], &expected));
+        }
+        assert_eq!(flat_vm(&[], &ids(&[5])).len(), 1);
+    }
+
+    #[test]
+    fn a_duplicated_debit_keeps_the_last_half() {
+        let now = SimTime::from_secs(10);
+        let first = half(7, true, 0, 1, 40, 0, 20);
+        let last = half(7, true, 0, 1, 60, 0, 20);
+        for (borrower_mbps, disagree) in [(60, false), (40, true)] {
+            let books: Vec<Book> = vec![
+                (true, vec![first]),
+                (false, vec![last]),
+                (true, vec![half(7, false, 0, 1, borrower_mbps, 0, 20)]),
+            ];
+            let flat = flat_leases(&books, now);
+            assert_eq!(flat, btree_leases(&books, now));
+            assert_eq!(flat.0.len(), usize::from(disagree));
+            assert_eq!(flat.1[&1], -60.0);
+        }
+        assert_eq!(flat_leases(&[], now), btree_leases(&[], now));
+    }
+
+    fn server() -> impl Strategy<Value = Server> {
+        (
+            any::<bool>(),
+            vec(0u64..12, 0..5),
+            vec(0u64..12, 0..3),
+            vec(0u64..12, 0..3),
+        )
+            .prop_map(|(alive, hosted, in_flight, fenced)| Server {
+                alive,
+                hosted: ids(&hosted),
+                in_flight: ids(&in_flight),
+                fenced: ids(&fenced),
+            })
+    }
+
+    fn book() -> impl Strategy<Value = Book> {
+        let half = (
+            0u64..6,
+            any::<bool>(),
+            0u32..3,
+            0u32..3,
+            1u32..100,
+            0u64..12,
+        )
+            .prop_flat_map(|(id, lender, customer, buyer, mbps, starts)| {
+                (starts + 1..starts + 12).prop_map(move |expires| {
+                    half(id, lender, customer, buyer, mbps, starts, expires)
+                })
+            });
+        (any::<bool>(), vec(half, 0..5))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn flat_vm_check_says_what_the_btree_check_said(
+            servers in vec(server(), 0..7),
+            expected in vec(0u64..16, 0..10),
+        ) {
+            let expected = ids(&expected);
+            prop_assert_eq!(flat_vm(&servers, &expected), btree_vm(&servers, &expected));
+        }
+
+        #[test]
+        fn flat_lease_check_says_what_the_btree_check_said(
+            books in vec(book(), 0..7),
+            now in 0u64..20,
+        ) {
+            let now = SimTime::from_secs(now);
+            prop_assert_eq!(flat_leases(&books, now), btree_leases(&books, now));
+        }
+    }
 }

@@ -121,7 +121,7 @@ impl ScribeClient for Controller {
         // the periodic ticks and every per-operation ack timeout.
         self.host.agg.on_restart(ctx);
         self.arm_ticks(ctx);
-        self.shuffle.rearm(ctx);
+        self.shuffle.rearm(|after, tag| ctx.schedule(after, tag));
         if let Some(trade) = &mut self.trade {
             trade.rearm(ctx);
         }

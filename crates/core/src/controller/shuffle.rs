@@ -16,7 +16,7 @@
 //! Every other (stage, event) pair is illegal: counted into
 //! `invalid_payloads` and dropped by `Shuffle::step`.
 
-use std::collections::BTreeMap;
+mod sheds;
 
 use vbundle_fdetect::{Courier, CourierConfig, RetryDecision};
 use vbundle_pastry::NodeHandle;
@@ -28,6 +28,7 @@ use super::stats::ControllerStats;
 use super::{less_loaded_group, Ctx, MIGRATE_RETRY_TAG_BASE};
 use crate::message::{CtrlMsg, LoadQuery};
 use crate::{ResourceKind, VBundleConfig, VmId, VmRecord};
+use sheds::Sheds;
 
 /// Total transmission attempts per migration (first send included) before
 /// it is declared failed and the VM is reinstalled on the shedder.
@@ -90,9 +91,9 @@ enum ShedEvent {
 pub(super) struct Shuffle {
     pub status: ServerStatus,
     in_less_loaded: bool,
-    /// Shedder side: outstanding queries by id. A `BTreeMap`, so restart
+    /// Shedder side: outstanding queries in ascending id, so restart
     /// re-arms the ack timers in query order.
-    sheds: BTreeMap<u64, Shed>,
+    sheds: Sheds,
     /// Retransmission state for `Sent` queries: exponential backoff with
     /// deterministic jitter and a bounded retry budget.
     courier: Courier,
@@ -121,7 +122,7 @@ impl Shuffle {
         Shuffle {
             status: ServerStatus::Neutral,
             in_less_loaded: false,
-            sheds: BTreeMap::new(),
+            sheds: Sheds::default(),
             courier,
             cooldown: Cooldown::default(),
             next_query: 0,
@@ -181,7 +182,7 @@ impl Shuffle {
 
     /// `vm` was shut down: it can no longer be shed.
     pub fn forget_vm(&mut self, vm: VmId) {
-        self.sheds.retain(|_, s| *s != Shed::Offered(vm));
+        self.sheds.retain(|s| *s != Shed::Offered(vm));
         self.cooldown.clear(vm);
     }
 
@@ -568,13 +569,14 @@ impl Shuffle {
 
     /// The crash purged every timer: re-arm the ack timeout of every
     /// migration still in flight, so each of those transfers is eventually
-    /// acked, retried or rolled back.
-    pub fn rearm(&mut self, ctx: &mut Ctx<'_, '_, '_, '_>) {
-        for (&query, stage) in &self.sheds {
+    /// acked, retried or rolled back. `schedule(after, tag)` arms one
+    /// timer.
+    pub fn rearm(&mut self, mut schedule: impl FnMut(SimDuration, u64)) {
+        for (query, stage) in self.sheds.iter() {
             if matches!(stage, Shed::Sent { .. }) {
                 // arm() re-covers the current attempt without burning a retry.
                 let timeout = self.courier.arm(query);
-                ctx.schedule(timeout, MIGRATE_RETRY_TAG_BASE | query);
+                schedule(timeout, MIGRATE_RETRY_TAG_BASE | query);
             }
         }
     }

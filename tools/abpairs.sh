@@ -9,8 +9,10 @@
 # Pair i runs seed first-seed+i (default 3001): a timed --trace 0 run of
 # `seconds` (default 3) per side, the side that goes first alternating,
 # then one --trace 1 run per side for the simulated counts. The CSV
-# (results/boot_walk_ab.csv's columns) goes to stdout; progress and the
-# median run_s of each side go to stderr.
+# (results/boot_walk_ab.csv's columns) goes to stdout. Progress goes to
+# stderr, then each side's median run_s and heap_peak_mb with the pairs
+# where the change read lower, and every run whose counts (attempted,
+# failed, wire_kb_per_server, sim.events) differ between the sides.
 set -eu
 usage="usage: tools/abpairs.sh <rev-a> <rev-b> <workload> <pairs> [seconds] [first-seed]"
 [ $# -ge 4 ] && [ $# -le 6 ] || { echo "$usage" >&2; exit 2; }
@@ -81,11 +83,27 @@ while [ "$i" -lt "$pairs" ]; do
 done
 cat "$work/ab.csv"
 
-# Median run_s per side, and the pairs where the change ran faster.
-for side in parent change; do
-    awk -F, -v s="$side" '$3 == 0 && $5 == s { print $8 }' "$work/ab.csv" | sort -g |
-        awk -v s="$side" '{ v[NR] = $1 } END { if (NR) printf "%s median run_s %s\n", s, (v[int((NR + 1) / 2)] + v[int(NR / 2) + 1]) / 2 }' >&2
-done
-awk -F, '$3 == 0 { t[$2, $5] = $8; seeds[$2] } END {
-    for (s in seeds) { n++; if (t[s, "change"] < t[s, "parent"]) w++ }
-    printf "change lower on %d of %d pairs\n", w, n }' "$work/ab.csv" >&2
+# median <column> <name>: each side's median over the --trace 0 runs.
+median() {
+    for side in parent change; do
+        awk -F, -v s="$side" -v c="$1" '$3 == 0 && $5 == s { print $c }' "$work/ab.csv" | sort -g |
+            awk -v s="$side" -v m="$2" '{ v[NR] = $1 } END { if (NR) printf "%s median %s %s\n", s, m, (v[int((NR + 1) / 2)] + v[int(NR / 2) + 1]) / 2 }' >&2
+    done
+}
+# wins <column> <name>: the pairs where the change read lower.
+wins() {
+    awk -F, -v c="$1" -v m="$2" '$3 == 0 { t[$2, $5] = $c; seeds[$2] } END {
+        for (s in seeds) { n++; if (t[s, "change"] < t[s, "parent"]) w++ }
+        printf "change lower on %d of %d pairs in %s\n", w, n, m }' "$work/ab.csv" >&2
+}
+median 8 run_s
+wins 8 run_s
+median 10 heap_peak_mb
+wins 10 heap_peak_mb
+# The simulated counts must match run for run; a time or memory delta
+# between runs that did different work is not a gain.
+awk -F, 'NR > 1 {
+    k = "seed " $2 " --trace " $3; x = $6 "," $7 "," $11 "," $12
+    if (k in seen) { n++; if (seen[k] != x) { d++; printf "counts differ at %s: %s %s, %s %s\n", k, side[k], seen[k], $5, x } }
+    else { seen[k] = x; side[k] = $5 } }
+    END { printf "attempted,failed,wire_kb_per_server,sim.events equal on %d of %d paired runs\n", n - d, n }' "$work/ab.csv" >&2
