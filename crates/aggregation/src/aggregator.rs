@@ -88,7 +88,9 @@ struct TopicState {
     /// Last global value this node published as root.
     last_published: Option<AggValue>,
     /// Arrival cadence of accepted global results, for staleness expiry.
-    results: Option<ArrivalWindow>,
+    /// Boxed, so a topic that has heard no result yet (every topic at
+    /// build time) pays a pointer rather than the window's inline ring.
+    results: Option<Box<ArrivalWindow>>,
 }
 
 /// A node's subscribed topics, sorted by key. A node subscribes to a
@@ -345,15 +347,15 @@ impl Aggregator {
 
     /// Records an accepted global result in the topic's arrival window.
     fn record_result(config: &AggregationConfig, st: &mut TopicState, now: SimTime) {
-        let Some(phi) = &config.staleness else {
+        if config.staleness.is_none() {
             return;
-        };
+        }
         let estimate = match config.mode {
             UpdateMode::Periodic(interval) => interval,
             UpdateMode::Immediate => FIRST_INTERVAL,
         };
         st.results
-            .get_or_insert_with(|| ArrivalWindow::new(phi.window, estimate))
+            .get_or_insert_with(|| Box::new(ArrivalWindow::new(estimate)))
             .record(now);
     }
 

@@ -324,10 +324,13 @@ fn stored_summaries_cover_the_subtree_under_every_fault() {
     }
 }
 
+/// Sends a tree-maintenance message the way Scribe does: inline, as a
+/// signal.
 fn send(cluster: &mut Cluster, from: usize, to: usize, msg: ScribeMsg<vbundle_core::CtrlMsg>) {
     let to = cluster.handles[to];
+    let signal = msg.signal().expect("tree maintenance has a signal form");
     cluster.engine.call(ActorId::new(from as u32), |node, ctx| {
-        node.app_call(ctx, |_, actx| actx.send_direct(to, msg));
+        node.app_call(ctx, |_, actx| actx.send_signal(to, signal));
     });
 }
 

@@ -177,6 +177,7 @@ fn pastry_variant(m: &Wire) -> usize {
         PastryMsg::RelayPing { .. } => 11,
         PastryMsg::RowRequest { .. } => 12,
         PastryMsg::RowReply(_) => 13,
+        PastryMsg::Signal { .. } => 14,
     }
 }
 
@@ -332,8 +333,8 @@ fn ctrl_wire_sizes_are_pinned() {
     check("CtrlMsg", 19, ctrl_variant, rows);
 }
 
-#[test]
-fn scribe_wire_sizes_are_pinned() {
+/// One row per `ScribeMsg` shape worth pinning.
+fn scribe_rows() -> Vec<(Scribe, usize, MsgCategory)> {
     let group = Id::from_u128(2);
     let child = h(1);
     let join = |summary| ScribeMsg::Join {
@@ -343,7 +344,7 @@ fn scribe_wire_sizes_are_pinned() {
     };
     let probe = |summary| ScribeMsg::ParentProbe { group, summary };
     let summary = |summary| ScribeMsg::Summary { group, summary };
-    let rows: Vec<(Scribe, usize, MsgCategory)> = vec![
+    vec![
         // Re-pinned at PR 24: Join carries the joiner's subtree summary (a
         // presence byte, then the 4-byte word); Leave and ParentProbe no
         // longer name their sender, whom the Direct envelope names already
@@ -412,8 +413,47 @@ fn scribe_wire_sizes_are_pinned() {
         (ScribeMsg::ChildProbe { group }, 20, Maintenance),
         (summary(None), 21, Maintenance),
         (summary(Some(0)), 25, Maintenance),
+    ]
+}
+
+#[test]
+fn scribe_wire_sizes_are_pinned() {
+    check("ScribeMsg", 12, scribe_variant, scribe_rows());
+}
+
+/// The five tree-maintenance variants travel as a `PastryMsg::Signal`:
+/// on the wire it is the same message as a `PastryMsg::Direct` carrying
+/// them, and it decodes back to exactly that message. No other variant
+/// has a signal form.
+#[test]
+fn a_tree_signal_is_the_direct_message() {
+    let group = Id::from_u128(2);
+    let mut tree: Vec<Scribe> = vec![
+        ScribeMsg::Leave { group },
+        ScribeMsg::ProbeNack { group },
+        ScribeMsg::ChildProbe { group },
     ];
-    check("ScribeMsg", 12, scribe_variant, rows);
+    for summary in [None, Some(0), Some(u32::MAX)] {
+        tree.push(ScribeMsg::ParentProbe { group, summary });
+        tree.push(ScribeMsg::Summary { group, summary });
+    }
+    for msg in &tree {
+        let signal = msg.signal().expect("tree maintenance has a signal form");
+        let inline: Wire = PastryMsg::Signal { from: h(1), signal };
+        let boxed: Wire = PastryMsg::Direct {
+            from: h(1),
+            msg: msg.clone().into(),
+        };
+        assert_eq!(inline.wire_size(), boxed.wire_size(), "{msg:?}");
+        assert_eq!(inline.category(), boxed.category(), "{msg:?}");
+        let decoded = Scribe::from_signal(signal).expect("Scribe's own signal decodes");
+        assert_eq!(format!("{decoded:?}"), format!("{msg:?}"));
+    }
+    let tree_variants = [1, 8, 9, 10, 11];
+    for (msg, ..) in scribe_rows() {
+        let is_tree = tree_variants.contains(&scribe_variant(&msg));
+        assert_eq!(msg.signal().is_some(), is_tree, "{msg:?}");
+    }
 }
 
 #[test]
@@ -432,6 +472,10 @@ fn pastry_wire_sizes_are_pinned() {
         group: Id::from_u128(2),
         child: h(1),
         summary: None,
+    };
+    let probe = || Scribe::ParentProbe {
+        group: Id::from_u128(2),
+        summary: Some(7),
     };
     let rows: Vec<(Wire, usize, MsgCategory)> = vec![
         (route(client()), 56, Payload),
@@ -496,6 +540,14 @@ fn pastry_wire_sizes_are_pinned() {
         ),
         (PastryMsg::RowReply(vec![h(1), h(2), h(3)]), 64, Maintenance),
         (PastryMsg::RowReply(Vec::new()), 4, Maintenance),
+        (
+            PastryMsg::Signal {
+                from: h(1),
+                signal: probe().signal().expect("a probe is a signal"),
+            },
+            49,
+            Maintenance,
+        ),
     ];
-    check("PastryMsg", 14, pastry_variant, rows);
+    check("PastryMsg", 15, pastry_variant, rows);
 }

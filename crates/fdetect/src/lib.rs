@@ -36,7 +36,7 @@ pub mod probe;
 pub use courier::{backoff_rounds, Courier, CourierConfig, RetryDecision};
 pub use dedup::DedupWindow;
 pub use domain::DomainSuspicion;
-pub use phi::{ArrivalWindow, PeerDetector, PhiConfig, Verdict, FIRST_INTERVAL};
+pub use phi::{ArrivalWindow, PeerDetector, PhiConfig, Verdict, FIRST_INTERVAL, WINDOW};
 pub use probe::Probe;
 
 /// Silent probe rounds after which [`FailureDetection::FixedInterval`]

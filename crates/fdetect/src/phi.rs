@@ -20,8 +20,6 @@
 //! time, no hidden randomness, so detection decisions are deterministic
 //! and replayable.
 
-use std::collections::VecDeque;
-
 use vbundle_sim::{SimDuration, SimTime};
 
 /// Expected inter-arrival time before any sample has been observed, for
@@ -29,11 +27,14 @@ use vbundle_sim::{SimDuration, SimTime};
 /// plus the peer's RTT) to hand to [`PeerDetector::new`].
 pub const FIRST_INTERVAL: SimDuration = SimDuration::from_secs(1);
 
+/// Inter-arrival samples kept per peer.
+pub const WINDOW: usize = 16;
+// `ArrivalWindow` indexes its ring with `u8`s.
+const _: () = assert!(WINDOW <= u8::MAX as usize);
+
 /// Tunables of the phi-accrual detector.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhiConfig {
-    /// Inter-arrival samples kept per peer.
-    pub window: usize,
     /// Suspicion level at which a peer becomes suspect. Phi 8 corresponds
     /// to a false-positive probability of 1e-8 under the fitted model.
     pub threshold: f64,
@@ -52,7 +53,6 @@ pub struct PhiConfig {
 impl Default for PhiConfig {
     fn default() -> Self {
         PhiConfig {
-            window: 16,
             threshold: 8.0,
             min_std_dev: SimDuration::from_millis(200),
             acceptable_pause: SimDuration::ZERO,
@@ -69,26 +69,31 @@ impl PhiConfig {
     }
 }
 
-/// A bounded window of inter-arrival times for one peer.
+/// A bounded window of inter-arrival times for one peer: the last
+/// [`WINDOW`] samples in a ring held inline, so a link record that embeds
+/// one owns no heap block.
 #[derive(Debug, Clone)]
 pub struct ArrivalWindow {
-    intervals: VecDeque<u64>, // micros
-    /// Sum of `intervals`, kept so the fitted mean is O(1).
+    /// Samples in micros; `len` of them, the oldest at `head`.
+    intervals: [u64; WINDOW],
+    head: u8,
+    len: u8,
+    /// Sum of the samples, kept so the fitted mean is O(1).
     sum: u64,
     last: Option<SimTime>,
-    cap: usize,
     first_estimate: u64, // micros
 }
 
 impl ArrivalWindow {
     /// An empty window that will treat `first_estimate` as the expected
     /// cadence until real samples arrive.
-    pub fn new(cap: usize, first_estimate: SimDuration) -> Self {
+    pub fn new(first_estimate: SimDuration) -> Self {
         ArrivalWindow {
-            intervals: VecDeque::with_capacity(cap.max(1)),
+            intervals: [0; WINDOW],
+            head: 0,
+            len: 0,
             sum: 0,
             last: None,
-            cap: cap.max(1),
             first_estimate: first_estimate.as_micros().max(1),
         }
     }
@@ -102,17 +107,29 @@ impl ArrivalWindow {
         }
     }
 
-    /// Records a proof-of-life arrival.
+    /// Records a proof-of-life arrival; a full window drops its oldest
+    /// sample.
     pub fn record(&mut self, now: SimTime) {
         if let Some(last) = self.last {
-            if self.intervals.len() == self.cap {
-                self.sum -= self.intervals.pop_front().unwrap_or(0);
-            }
             let gap = now.saturating_since(last).as_micros();
-            self.intervals.push_back(gap);
+            let len = usize::from(self.len);
+            let at = (usize::from(self.head) + len) % WINDOW;
+            if len == WINDOW {
+                self.sum -= self.intervals[at];
+                self.head = ((at + 1) % WINDOW) as u8;
+            } else {
+                self.len += 1;
+            }
+            self.intervals[at] = gap;
             self.sum += gap;
         }
         self.last = Some(now);
+    }
+
+    /// The samples, oldest first.
+    fn samples_in_order(&self) -> impl Iterator<Item = u64> + '_ {
+        let head = usize::from(self.head);
+        (0..usize::from(self.len)).map(move |i| self.intervals[(head + i) % WINDOW])
     }
 
     /// When the peer last proved itself (or started being observed).
@@ -122,33 +139,32 @@ impl ArrivalWindow {
 
     /// Number of recorded inter-arrival samples.
     pub fn samples(&self) -> usize {
-        self.intervals.len()
+        usize::from(self.len)
     }
 
     /// Fitted mean inter-arrival time in microseconds.
     fn mean_micros(&self) -> f64 {
-        if self.intervals.is_empty() {
+        if self.len == 0 {
             self.first_estimate as f64
         } else {
-            self.sum as f64 / self.intervals.len() as f64
+            self.sum as f64 / self.samples() as f64
         }
     }
 
     /// Fitted standard deviation in microseconds, floored at `min_std`.
     fn std_micros(&self, min_std: f64) -> f64 {
-        if self.intervals.len() < 2 {
+        if self.len < 2 {
             return min_std;
         }
         let mean = self.mean_micros();
         let var = self
-            .intervals
-            .iter()
-            .map(|&x| {
+            .samples_in_order()
+            .map(|x| {
                 let d = x as f64 - mean;
                 d * d
             })
             .sum::<f64>()
-            / (self.intervals.len() - 1) as f64;
+            / (self.samples() - 1) as f64;
         var.sqrt().max(min_std)
     }
 
@@ -222,8 +238,8 @@ impl PeerDetector {
     /// Starts tracking a peer at `now`: the silence clock runs from here,
     /// so the peer accrues suspicion even if it never sends anything.
     /// `estimate` is the expected cadence until real samples arrive.
-    pub fn new(config: &PhiConfig, estimate: SimDuration, now: SimTime) -> Self {
-        let mut window = ArrivalWindow::new(config.window, estimate);
+    pub fn new(estimate: SimDuration, now: SimTime) -> Self {
+        let mut window = ArrivalWindow::new(estimate);
         window.observe(now);
         PeerDetector {
             window,
@@ -284,7 +300,7 @@ mod tests {
 
     #[test]
     fn phi_grows_with_silence() {
-        let mut w = ArrivalWindow::new(8, SimDuration::from_secs(1));
+        let mut w = ArrivalWindow::new(SimDuration::from_secs(1));
         for s in 0..8 {
             w.record(t(s));
         }
@@ -301,7 +317,7 @@ mod tests {
         // Same total silence, but the window has seen multi-second gaps
         // before (a lossy link): phi stays low where the regular stream
         // above would have evicted.
-        let mut w = ArrivalWindow::new(8, SimDuration::from_secs(1));
+        let mut w = ArrivalWindow::new(SimDuration::from_secs(1));
         for &s in &[0u64, 1, 4, 5, 8, 9, 12, 13] {
             w.record(t(s));
         }
@@ -312,7 +328,7 @@ mod tests {
     #[test]
     fn suspect_state_machine_escalates_then_redeems() {
         let config = PhiConfig::default().with_confirm_timeout(SimDuration::from_secs(2));
-        let mut d = PeerDetector::new(&config, FIRST_INTERVAL, t(0));
+        let mut d = PeerDetector::new(FIRST_INTERVAL, t(0));
         for s in 0..6 {
             d.heartbeat(t(s));
         }
@@ -335,8 +351,141 @@ mod tests {
     #[test]
     fn observe_alone_accrues_suspicion() {
         let config = PhiConfig::default();
-        let mut d = PeerDetector::new(&config, SimDuration::from_secs(1), t(0));
+        let mut d = PeerDetector::new(SimDuration::from_secs(1), t(0));
         assert_eq!(d.evaluate(&config, t(30)), Verdict::NewlySuspect);
+    }
+
+    /// `ArrivalWindow` as it was before the inline ring: a `VecDeque` of
+    /// at most [`WINDOW`] samples, the reference the ring must match.
+    struct DequeWindow {
+        intervals: std::collections::VecDeque<u64>,
+        sum: u64,
+        last: Option<SimTime>,
+        first_estimate: u64,
+    }
+
+    impl DequeWindow {
+        fn new(first_estimate: SimDuration) -> Self {
+            DequeWindow {
+                intervals: std::collections::VecDeque::with_capacity(WINDOW),
+                sum: 0,
+                last: None,
+                first_estimate: first_estimate.as_micros().max(1),
+            }
+        }
+
+        fn observe(&mut self, now: SimTime) {
+            if self.last.is_none() {
+                self.last = Some(now);
+            }
+        }
+
+        fn record(&mut self, now: SimTime) {
+            if let Some(last) = self.last {
+                if self.intervals.len() == WINDOW {
+                    self.sum -= self.intervals.pop_front().unwrap_or(0);
+                }
+                let gap = now.saturating_since(last).as_micros();
+                self.intervals.push_back(gap);
+                self.sum += gap;
+            }
+            self.last = Some(now);
+        }
+
+        fn mean_micros(&self) -> f64 {
+            if self.intervals.is_empty() {
+                self.first_estimate as f64
+            } else {
+                self.sum as f64 / self.intervals.len() as f64
+            }
+        }
+
+        fn std_micros(&self, min_std: f64) -> f64 {
+            if self.intervals.len() < 2 {
+                return min_std;
+            }
+            let mean = self.mean_micros();
+            let var = self
+                .intervals
+                .iter()
+                .map(|&x| {
+                    let d = x as f64 - mean;
+                    d * d
+                })
+                .sum::<f64>()
+                / (self.intervals.len() - 1) as f64;
+            var.sqrt().max(min_std)
+        }
+
+        fn phi(&self, now: SimTime, min_std: SimDuration, pause: SimDuration) -> f64 {
+            let Some(last) = self.last else {
+                return 0.0;
+            };
+            let elapsed = now.saturating_since(last).as_micros() as f64;
+            let mean = self.mean_micros() + pause.as_micros() as f64;
+            let std = self.std_micros(min_std.as_micros().max(1) as f64);
+            let y = (elapsed - mean) / std;
+            let e = (-y * (1.5976 + 0.070566 * y * y)).exp();
+            let p_later = if elapsed > mean {
+                e / (1.0 + e)
+            } else {
+                1.0 - 1.0 / (1.0 + e)
+            };
+            -p_later.max(f64::MIN_POSITIVE).log10()
+        }
+    }
+
+    proptest::proptest! {
+        /// The ring holds what the deque held: after any sequence of
+        /// arrivals — gaps of zero, under a millisecond, seconds, and past
+        /// `u32::MAX` µs, enough of them to wrap the ring several times —
+        /// sample count, fitted mean and phi at arbitrary instants agree
+        /// to the bit.
+        #[test]
+        fn ring_matches_the_deque(
+            observed in proptest::prelude::any::<bool>(),
+            estimate_ms in 0u64..5000,
+            min_std_ms in 0u64..400,
+            pause_ms in 0u64..2000,
+            steps in proptest::collection::vec((0u32..5, 0u64..1_000_000, 0u64..10_000_000), 1..80),
+        ) {
+            let estimate = SimDuration::from_millis(estimate_ms);
+            let min_std = SimDuration::from_millis(min_std_ms);
+            let pause = SimDuration::from_millis(pause_ms);
+            let mut now = SimTime::from_secs(1);
+            let mut ring = ArrivalWindow::new(estimate);
+            let mut deque = DequeWindow::new(estimate);
+            if observed {
+                ring.observe(now);
+                deque.observe(now);
+            }
+            for (class, small, large) in steps {
+                let gap = match class {
+                    0 => 0,
+                    1 => small % 1000,
+                    2 => 1_000_000 + large,
+                    3 => u64::from(u32::MAX) + large,
+                    // Not an arrival: read both at an instant ahead.
+                    _ => {
+                        let at = now + SimDuration::from_micros(large);
+                        proptest::prop_assert_eq!(
+                            ring.phi(at, min_std, pause).to_bits(),
+                            deque.phi(at, min_std, pause).to_bits()
+                        );
+                        continue;
+                    }
+                };
+                now += SimDuration::from_micros(gap);
+                ring.record(now);
+                deque.record(now);
+                proptest::prop_assert_eq!(ring.samples(), deque.intervals.len());
+                proptest::prop_assert_eq!(ring.mean_micros().to_bits(), deque.mean_micros().to_bits());
+                proptest::prop_assert_eq!(
+                    ring.phi(now, min_std, pause).to_bits(),
+                    deque.phi(now, min_std, pause).to_bits()
+                );
+            }
+        }
     }
 
     /// `evaluate` as it was before the within-expected-gap shortcut: the
@@ -366,7 +515,6 @@ mod tests {
             threshold_ix in 0usize..10,
             pause_ms in (0u64..3, 0u64..1500),
             min_std_ms in 1u64..400,
-            window in 1usize..20,
             estimate_ms in 1u64..3000,
             steps in proptest::collection::vec((0u32..4, 0u64..8, 0u64..1_000_000), 1..120),
         ) {
@@ -374,7 +522,6 @@ mod tests {
             let thresholds =
                 [0.0, 0.05, log2 - 1e-6, log2, log2 + 1e-12, log2 + 1e-6, 0.5, 1.0, 8.0, 16.0];
             let config = PhiConfig {
-                window,
                 threshold: thresholds[threshold_ix],
                 min_std_dev: SimDuration::from_millis(min_std_ms),
                 acceptable_pause: SimDuration::from_millis(if pause_ms.0 == 0 { 0 } else { pause_ms.1 }),
@@ -382,7 +529,7 @@ mod tests {
             };
             let estimate = SimDuration::from_millis(estimate_ms);
             let mut now = SimTime::from_secs(1);
-            let mut fast = PeerDetector::new(&config, estimate, now);
+            let mut fast = PeerDetector::new(estimate, now);
             let mut slow = fast.clone();
             for (kind, whole, micros) in steps {
                 // 0..2 s in most steps, up to 8 s in one of eight.

@@ -61,7 +61,7 @@ mod state;
 pub use config::PastryConfig;
 pub use handle::NodeHandle;
 pub use id::{Id, Key, NodeId};
-pub use message::{PastryMsg, RouteEnvelope};
+pub use message::{PastryMsg, RouteEnvelope, Signal};
 pub use node::{AppCtx, LeafLink, PastryApp, PastryNode, PASTRY_TAG_BASE};
 pub use overlay::IdAssignment;
 pub use state::{

@@ -4,7 +4,7 @@ use vbundle_fdetect::{backoff_rounds, PeerDetector, Verdict, FIXED_INTERVAL_ROUN
 use vbundle_obs::{Counter, FlightRecorder, Registry, Subsystem};
 use vbundle_sim::{Actor, ActorId, Context as SimContext, Message, SimDuration, SimTime};
 
-use crate::message::{PastryMsg, RouteEnvelope};
+use crate::message::{PastryMsg, RouteEnvelope, Signal};
 use crate::state::{PastryState, RouteDecision};
 use crate::{Key, NodeHandle, NodeId, PastryConfig};
 
@@ -86,6 +86,16 @@ pub trait PastryApp: Sized {
     /// A direct (un-routed) message from a peer application.
     fn on_direct(&mut self, ctx: &mut AppCtx<'_, '_, Self::Msg>, from: NodeHandle, msg: Self::Msg) {
         let _ = (ctx, from, msg);
+    }
+
+    /// Decodes a [`Signal`] sent with [`AppCtx::send_signal`] back into the
+    /// message it encodes. Pastry hands the result to
+    /// [`PastryApp::on_direct`] on receipt and to
+    /// [`PastryApp::on_send_failure`] on a bounce; a signal that decodes to
+    /// `None` is dropped. The default decodes nothing.
+    fn decode_signal(signal: Signal) -> Option<Self::Msg> {
+        let _ = signal;
+        None
     }
 
     /// An application timer (scheduled with [`AppCtx::schedule`]) fired.
@@ -173,6 +183,14 @@ impl<'a, 'b, M: Message + Clone> AppCtx<'a, 'b, M> {
             .send_after(to.actor, PastryMsg::Direct { from, msg }, extra);
     }
 
+    /// Sends a direct message encoded as a [`Signal`] to a known node: it
+    /// travels inline in the envelope, so the send allocates nothing. The
+    /// receiver decodes it with [`PastryApp::decode_signal`].
+    pub fn send_signal(&mut self, to: NodeHandle, signal: Signal) {
+        let from = self.state.handle();
+        self.sim.send(to.actor, PastryMsg::Signal { from, signal });
+    }
+
     /// Arms an application timer.
     ///
     /// # Panics
@@ -211,7 +229,7 @@ impl LeafLink {
         LeafLink {
             id,
             heard: now,
-            detector: phi.map(|phi| PeerDetector::new(phi, estimate, now)),
+            detector: phi.map(|_| PeerDetector::new(estimate, now)),
         }
     }
 
@@ -417,6 +435,22 @@ impl<A: PastryApp> PastryNode<A> {
                 }
             }
         }
+    }
+
+    /// A direct application message from `from`, boxed or decoded from a
+    /// signal: firsthand proof of `from`, then the upcall.
+    fn handle_direct(
+        &mut self,
+        ctx: &mut SimContext<'_, PastryMsg<A::Msg>>,
+        from: NodeHandle,
+        msg: A::Msg,
+    ) {
+        self.learn_firsthand(from);
+        let mut app_ctx = AppCtx {
+            sim: ctx,
+            state: &self.state,
+        };
+        self.app.on_direct(&mut app_ctx, from, msg);
     }
 
     fn handle_join(
@@ -751,13 +785,12 @@ impl<A: PastryApp> Actor<PastryMsg<A::Msg>> for PastryNode<A> {
     ) {
         match msg {
             PastryMsg::Route(env) => self.handle_route(ctx, env),
-            PastryMsg::Direct { from, msg } => {
-                self.learn_firsthand(from);
-                let mut app_ctx = AppCtx {
-                    sim: ctx,
-                    state: &self.state,
-                };
-                self.app.on_direct(&mut app_ctx, from, *msg);
+            PastryMsg::Direct { from, msg } => self.handle_direct(ctx, from, *msg),
+            PastryMsg::Signal { from, signal } => {
+                // A signal the application cannot decode is dropped.
+                if let Some(msg) = A::decode_signal(signal) {
+                    self.handle_direct(ctx, from, msg);
+                }
             }
             PastryMsg::Join { newcomer, hops } => self.handle_join(ctx, newcomer, hops),
             PastryMsg::JoinState {
@@ -886,6 +919,15 @@ impl<A: PastryApp> Actor<PastryMsg<A::Msg>> for PastryNode<A> {
                     state: &self.state,
                 };
                 self.app.on_send_failure(&mut app_ctx, to, *msg);
+            }
+            PastryMsg::Signal { signal, .. } => {
+                if let Some(msg) = A::decode_signal(signal) {
+                    let mut app_ctx = AppCtx {
+                        sim: ctx,
+                        state: &self.state,
+                    };
+                    self.app.on_send_failure(&mut app_ctx, to, msg);
+                }
             }
             _ => {}
         }

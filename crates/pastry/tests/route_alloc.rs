@@ -4,6 +4,9 @@
 //! the `forward` upcall and back into the same box. A heartbeat round —
 //! inline messages, one in-place liveness record per leaf-set member —
 //! allocates nothing in any node, and on a settled ring nobody acks.
+//! Direct messages an application sends as a `Signal` travel inline as
+//! well: Scribe's tree maintenance allocates nothing
+//! (`crates/scribe/tests/probe_alloc.rs`).
 //!
 //! One test only: the counting allocator is this test binary's global
 //! allocator, and the count is per thread.

@@ -149,8 +149,9 @@ impl Children {
         self.slots.iter_mut().flatten()
     }
 
-    /// Grafts `child`, a node at `site`, below `parent` if it is not a
-    /// child yet and records proof of life for the link at `now`. `phi`
+    /// Grafts `child`, a node at `site()`, below `parent` if it is not a
+    /// child yet and records proof of life for the link at `now`. `site` is
+    /// called only for a new link, the one place it is stored. `phi`
     /// selects the link's liveness state: a phi-accrual window under
     /// `Some`, the bare `heard` stamp otherwise. The link's stored summary
     /// becomes `summary`, what the child said with this proof of life.
@@ -159,7 +160,7 @@ impl Children {
     pub fn graft(
         &mut self,
         child: NodeHandle,
-        site: Site,
+        site: impl FnOnce() -> Site,
         parent: Id,
         now: SimTime,
         phi: Option<&PhiConfig>,
@@ -172,9 +173,9 @@ impl Children {
                 e.insert(slot);
                 self.slots.push(Some(ChildLink {
                     handle: child,
-                    site,
+                    site: site(),
                     heard: now,
-                    detector: phi.map(|cfg| PeerDetector::new(cfg, FIRST_INTERVAL, now)),
+                    detector: phi.map(|_| PeerDetector::new(FIRST_INTERVAL, now)),
                     summary: None,
                 }));
                 let order = self.order.get_or_insert_with(|| {
@@ -465,7 +466,7 @@ mod tests {
         assert!(!st.in_tree());
         let mut graft = |summary| {
             st.children
-                .graft(h(1), site(1), PARENT, SimTime::ZERO, None, summary)
+                .graft(h(1), || site(1), PARENT, SimTime::ZERO, None, summary)
         };
         assert_eq!(graft(None), (true, false));
         assert_eq!(graft(None), (false, false));
@@ -501,7 +502,7 @@ mod tests {
                 let held = pos.and_then(|p| model[p].2);
                 match kind {
                     0..=3 => {
-                        let grafted = st.children.graft(h(v), site(v), PARENT, now, phi, summary);
+                        let grafted = st.children.graft(h(v), || site(v), PARENT, now, phi, summary);
                         prop_assert_eq!(grafted, (pos.is_none(), held != summary));
                         match pos {
                             Some(p) => model[p] = (h(v), now, summary),
@@ -695,7 +696,7 @@ mod tests {
                         let site = Site::of(&topo, child.actor);
                         let summary = summary.checked_sub(1);
                         summaries[a as usize] = summary;
-                        if children.graft(child, site, me.id, SimTime::ZERO, None, summary).0 {
+                        if children.graft(child, || site, me.id, SimTime::ZERO, None, summary).0 {
                             model.push(child);
                         }
                     }

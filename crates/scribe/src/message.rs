@@ -1,6 +1,6 @@
 //! Wire messages of the Scribe layer (carried as Pastry payloads).
 
-use vbundle_pastry::NodeHandle;
+use vbundle_pastry::{NodeHandle, Signal};
 use vbundle_sim::{ActorId, CorruptionMode, Message, MsgCategory};
 
 use crate::{GroupId, Summary};
@@ -31,7 +31,10 @@ pub struct AnycastEnvelope<M> {
 /// The anycast traversal state is the one fat, cold part: it travels
 /// behind its own `Box`, allocated by the issuer and handed from step to
 /// step, so the common variants (probes, publishes, client messages) do
-/// not pay its size on every move.
+/// not pay its size on every move. The five tree-maintenance variants
+/// (`ParentProbe`, `Summary`, `Leave`, `ProbeNack`, `ChildProbe`) are a
+/// group id and at most one word: they always travel as a Pastry
+/// [`Signal`], inline in the envelope (see [`ScribeMsg::signal`]).
 #[derive(Debug, Clone)]
 pub enum ScribeMsg<M> {
     /// Routed toward the group id; grafts `child` onto the tree at the
@@ -126,6 +129,53 @@ pub enum ScribeMsg<M> {
         /// The group being checked.
         group: GroupId,
     },
+}
+
+/// [`Signal`] kinds of the tree-maintenance variants. Any other kind
+/// decodes to nothing.
+const PARENT_PROBE: u8 = 0;
+const SUMMARY: u8 = 1;
+const LEAVE: u8 = 2;
+const PROBE_NACK: u8 = 3;
+const CHILD_PROBE: u8 = 4;
+
+impl<M: Message> ScribeMsg<M> {
+    /// The inline form of a tree-maintenance message: a [`Signal`]
+    /// reporting this message's wire size and category. `None` for every
+    /// other variant.
+    #[inline]
+    pub fn signal(&self) -> Option<Signal> {
+        let (kind, group, word) = match *self {
+            ScribeMsg::ParentProbe { group, summary } => (PARENT_PROBE, group, summary),
+            ScribeMsg::Summary { group, summary } => (SUMMARY, group, summary),
+            ScribeMsg::Leave { group } => (LEAVE, group, None),
+            ScribeMsg::ProbeNack { group } => (PROBE_NACK, group, None),
+            ScribeMsg::ChildProbe { group } => (CHILD_PROBE, group, None),
+            _ => return None,
+        };
+        Some(Signal::new(
+            kind,
+            group,
+            word,
+            self.wire_size(),
+            self.category(),
+        ))
+    }
+
+    /// The message a [`ScribeMsg::signal`] encodes; `None` for a kind
+    /// Scribe never sends.
+    pub fn from_signal(signal: Signal) -> Option<Self> {
+        let group = signal.key();
+        let summary = signal.word();
+        Some(match signal.kind() {
+            PARENT_PROBE => ScribeMsg::ParentProbe { group, summary },
+            SUMMARY => ScribeMsg::Summary { group, summary },
+            LEAVE => ScribeMsg::Leave { group },
+            PROBE_NACK => ScribeMsg::ProbeNack { group },
+            CHILD_PROBE => ScribeMsg::ChildProbe { group },
+            _ => return None,
+        })
+    }
 }
 
 const GROUP_BYTES: usize = 16;

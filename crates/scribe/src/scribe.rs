@@ -9,9 +9,11 @@
 //! topologically close children — the property v-Bundle's Less-Loaded tree
 //! relies on to find *nearby* load receivers (§III.C).
 
-use vbundle_fdetect::{DedupWindow, FailureDetection, Verdict, FIXED_INTERVAL_ROUNDS};
+use vbundle_fdetect::{DedupWindow, FailureDetection, PhiConfig, Verdict, FIXED_INTERVAL_ROUNDS};
 use vbundle_obs::{Counter, FlightRecorder, Registry, Subsystem};
-use vbundle_pastry::{actor_distance, AppCtx, Id, Key, NodeHandle, PastryApp, RouteDecision, Site};
+use vbundle_pastry::{
+    actor_distance, AppCtx, Id, Key, NodeHandle, PastryApp, RouteDecision, Signal, Site,
+};
 use vbundle_sim::{ActorId, Message, SimDuration, SimTime};
 
 use crate::group::Groups;
@@ -445,12 +447,22 @@ impl<C: ScribeClient> Scribe<C> {
         child: NodeHandle,
         summary: Option<Summary>,
     ) {
-        let now = pastry.now();
         let phi = self.config.child_detection.phi_config();
-        let site = Site::of(pastry.state().topology(), child.actor);
-        let me = pastry.self_handle().id;
         let st = self.groups.entry(group);
-        let (added, changed) = st.children.graft(child, site, me, now, phi, summary);
+        let grafted = link_child(st, pastry, phi, child, summary);
+        self.grafted(pastry, group, child, grafted);
+    }
+
+    /// What follows a graft: the client hears of a new child, and the
+    /// parent of a subtree summary the link raised. `(added, changed)` is
+    /// [`Children::graft`](crate::Children::graft)'s answer.
+    fn grafted(
+        &mut self,
+        pastry: &mut AppCtx<'_, '_, ScribeMsg<C::Msg>>,
+        group: GroupId,
+        child: NodeHandle,
+        (added, changed): (bool, bool),
+    ) {
         if added {
             self.with_client(pastry, |c, ctx| c.on_child_added(ctx, group, child));
         }
@@ -514,7 +526,7 @@ impl<C: ScribeClient> Scribe<C> {
         if let Some(st) = self.groups.get_mut(group) {
             st.reported = summary;
         }
-        pastry.send_direct(parent, ScribeMsg::Summary { group, summary });
+        send_tree(pastry, parent, ScribeMsg::Summary { group, summary });
     }
 
     /// Routes a JOIN toward `group`'s rendezvous root under the local
@@ -635,7 +647,7 @@ impl<C: ScribeClient> Scribe<C> {
         let parent = st.parent;
         self.groups.remove(g);
         if let Some(p) = parent {
-            pastry.send_direct(p, ScribeMsg::Leave { group: g });
+            send_tree(pastry, p, ScribeMsg::Leave { group: g });
         }
     }
 
@@ -922,6 +934,35 @@ impl<C: ScribeClient> Scribe<C> {
     }
 }
 
+/// Grafts `child` into `st` or refreshes its link (see [`Scribe::graft`]).
+/// The child's site is read from the topology only for a new link, the one
+/// place it is stored.
+fn link_child<M: Message + Clone>(
+    st: &mut GroupState,
+    pastry: &AppCtx<'_, '_, ScribeMsg<M>>,
+    phi: Option<&PhiConfig>,
+    child: NodeHandle,
+    summary: Option<Summary>,
+) -> (bool, bool) {
+    let site = || Site::of(pastry.state().topology(), child.actor);
+    let me = pastry.self_handle().id;
+    st.children
+        .graft(child, site, me, pastry.now(), phi, summary)
+}
+
+/// Sends a tree-maintenance message — `ParentProbe`, `Summary`, `Leave`,
+/// `ProbeNack` or `ChildProbe` — the one way those travel: inline, as a
+/// [`Signal`](vbundle_pastry::Signal), so a probe round allocates nothing.
+#[inline]
+fn send_tree<M: Message + Clone>(
+    pastry: &mut AppCtx<'_, '_, ScribeMsg<M>>,
+    to: NodeHandle,
+    msg: ScribeMsg<M>,
+) {
+    let signal = msg.signal().expect("tree maintenance has a signal form");
+    pastry.send_signal(to, signal);
+}
+
 /// A node's subtree summary in one tree: its own, if it is a member, joined
 /// with what each child link last heard. Unknown as soon as any part is.
 fn subtree_summary<C: ScribeClient>(
@@ -1004,7 +1045,7 @@ impl<C: ScribeClient> PastryApp for Scribe<C> {
             self.with_client(ctx, |c, sctx| c.on_child_removed(sctx, g, child));
         }
         for (p, g) in leaves {
-            ctx.send_direct(p, ScribeMsg::Leave { group: g });
+            send_tree(ctx, p, ScribeMsg::Leave { group: g });
         }
         for g in rejoins {
             self.route_join(ctx, g);
@@ -1141,13 +1182,15 @@ impl<C: ScribeClient> PastryApp for Scribe<C> {
                 }
             }
             ScribeMsg::ParentProbe { group, summary } => {
-                let in_tree = matches!(self.groups.get(group), Some(st) if st.in_tree());
-                if in_tree {
-                    // Refresh the child link; it may have been dropped by
-                    // an over-eager repair.
-                    self.graft(ctx, group, from, summary);
-                } else {
-                    ctx.send_direct(from, ScribeMsg::ProbeNack { group });
+                // Refresh the child link; it may have been dropped by an
+                // over-eager repair.
+                let phi = self.config.child_detection.phi_config();
+                match self.groups.get_mut(group).filter(|st| st.in_tree()) {
+                    Some(st) => {
+                        let grafted = link_child(st, ctx, phi, from, summary);
+                        self.grafted(ctx, group, from, grafted);
+                    }
+                    None => send_tree(ctx, from, ScribeMsg::ProbeNack { group }),
                 }
             }
             ScribeMsg::Summary { group, summary } => {
@@ -1186,9 +1229,9 @@ impl<C: ScribeClient> PastryApp for Scribe<C> {
                     .is_some_and(|st| st.parent.is_some_and(|p| p.actor == from.actor));
                 if still_child {
                     let summary = self.summary_to_report(ctx, group);
-                    ctx.send_direct(from, ScribeMsg::ParentProbe { group, summary });
+                    send_tree(ctx, from, ScribeMsg::ParentProbe { group, summary });
                 } else {
-                    ctx.send_direct(from, ScribeMsg::Leave { group });
+                    send_tree(ctx, from, ScribeMsg::Leave { group });
                 }
             }
             other => debug_assert!(false, "unexpected direct Scribe message: {other:?}"),
@@ -1205,7 +1248,7 @@ impl<C: ScribeClient> PastryApp for Scribe<C> {
                 if let Some(parent) = st.parent {
                     let summary = subtree_summary(&mut self.client, group, st, now, until);
                     st.reported = summary;
-                    ctx.send_direct(parent, ScribeMsg::ParentProbe { group, summary });
+                    send_tree(ctx, parent, ScribeMsg::ParentProbe { group, summary });
                 }
             }
             // Parent-side expiry: a child that re-parented elsewhere (or
@@ -1230,7 +1273,7 @@ impl<C: ScribeClient> PastryApp for Scribe<C> {
                         match verdict {
                             Verdict::Alive | Verdict::Suspect => {}
                             Verdict::NewlySuspect => {
-                                ctx.send_direct(link.handle, ScribeMsg::ChildProbe { group: g })
+                                send_tree(ctx, link.handle, ScribeMsg::ChildProbe { group: g })
                             }
                             Verdict::Dead => expired.push((g, link.handle)),
                         }
@@ -1270,6 +1313,10 @@ impl<C: ScribeClient> PastryApp for Scribe<C> {
                 ctx.schedule(interval, PROBE_TAG);
             }
         }
+    }
+
+    fn decode_signal(signal: Signal) -> Option<Self::Msg> {
+        ScribeMsg::from_signal(signal)
     }
 
     fn on_node_failed(&mut self, ctx: &mut AppCtx<'_, '_, Self::Msg>, failed: NodeHandle) {

@@ -6,9 +6,11 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use vbundle_dcn::Topology;
-use vbundle_pastry::{overlay, IdAssignment, NodeHandle, PastryConfig, PastryMsg, PastryNode};
+use vbundle_pastry::{
+    overlay, IdAssignment, NodeHandle, PastryConfig, PastryMsg, PastryNode, Signal,
+};
 use vbundle_scribe::{group_id, CollectClient, GroupId, Scribe, ScribeMsg, TestPayload};
-use vbundle_sim::{ActorId, Engine, Latency, SimDuration, SimTime};
+use vbundle_sim::{ActorId, Engine, Latency, MsgCategory, SimDuration, SimTime};
 
 type Node = PastryNode<Scribe<CollectClient>>;
 type Net = Engine<PastryMsg<ScribeMsg<TestPayload>>, Node>;
@@ -424,6 +426,53 @@ fn client_direct_messages_round_trip() {
     assert_eq!(c.directs.len(), 1);
     assert_eq!(c.directs[0].0.id, handles[0].id);
     assert_eq!(c.directs[0].1, TestPayload(123));
+}
+
+/// A signal of a kind Scribe never assigned is dropped where it lands: on
+/// receipt nothing is delivered, nothing changes and nothing is sent back;
+/// on a bounce nothing reaches the client either. Neither panics.
+#[test]
+fn an_unassigned_signal_kind_is_dropped() {
+    let (mut net, handles) = launch(16, IdAssignment::TopologyAware, 41);
+    let g = group_id("signals");
+    join_all(&mut net, &handles, g);
+    let snapshot = |net: &Net| -> Vec<String> {
+        handles
+            .iter()
+            .map(|h| {
+                let scribe = net.actor(h.actor).app();
+                format!("{:?} {:?}", scribe.client(), scribe.group(g))
+            })
+            .collect()
+    };
+    let before = snapshot(&net);
+    let (sender, target, dead) = (handles[2], handles[7], handles[11]);
+    for kind in [5, 42, u8::MAX] {
+        let signal = Signal::new(kind, g, Some(1), 25, MsgCategory::Maintenance);
+        let msg = PastryMsg::Signal {
+            from: sender,
+            signal,
+        };
+        net.post(target.actor, sender.actor, msg, SimDuration::ZERO);
+    }
+    let events = net.events_processed();
+    net.run_to_quiescence();
+    assert_eq!(
+        net.events_processed() - events,
+        3,
+        "three receipts, no reply"
+    );
+    assert_eq!(snapshot(&net), before);
+
+    net.fail(dead.actor);
+    let directs = net.actor(sender.actor).app().client().directs.clone();
+    net.call(sender.actor, |node, ctx| {
+        node.app_call(ctx, |_, actx| {
+            actx.send_signal(dead, Signal::new(9, g, None, 20, MsgCategory::Maintenance));
+        });
+    });
+    net.run_to_quiescence();
+    assert_eq!(net.actor(sender.actor).app().client().directs, directs);
 }
 
 proptest! {

@@ -10,9 +10,14 @@
 # `seconds` (default 3) per side, the side that goes first alternating,
 # then one --trace 1 run per side for the simulated counts. The CSV
 # (results/boot_walk_ab.csv's columns) goes to stdout. Progress goes to
-# stderr, then each side's median run_s and heap_peak_mb with the pairs
-# where the change read lower, and every run whose counts (attempted,
-# failed, wire_kb_per_server, sim.events) differ between the sides.
+# stderr, then, for run_s, setup_s and heap_peak_mb, each side's
+# q1/median/q3 over the --trace 0 runs and the verdict: the pairs where
+# the change read lower and the gap between the medians against the
+# parent's interquartile range, labelled "holds" only when the change won
+# at least nine in ten pairs and the gap exceeds that range. Then each
+# side's median core.allocs_per_event (--trace 1 runs) and every run whose
+# counts (attempted, failed, wire_kb_per_server, sim.events) differ
+# between the sides.
 set -eu
 usage="usage: tools/abpairs.sh <rev-a> <rev-b> <workload> <pairs> [seconds] [first-seed]"
 [ $# -ge 4 ] && [ $# -le 6 ] || { echo "$usage" >&2; exit 2; }
@@ -83,23 +88,38 @@ while [ "$i" -lt "$pairs" ]; do
 done
 cat "$work/ab.csv"
 
-# median <column> <name>: each side's median over the --trace 0 runs.
-median() {
-    for side in parent change; do
-        awk -F, -v s="$side" -v c="$1" '$3 == 0 && $5 == s { print $c }' "$work/ab.csv" | sort -g |
-            awk -v s="$side" -v m="$2" '{ v[NR] = $1 } END { if (NR) printf "%s median %s %s\n", s, m, (v[int((NR + 1) / 2)] + v[int(NR / 2) + 1]) / 2 }' >&2
-    done
+# quartiles <side> <column> <trace>: "q1 median q3" of one side's runs,
+# linearly interpolated between the sorted values.
+quartiles() {
+    awk -F, -v s="$1" -v c="$2" -v t="$3" '$3 == t && $5 == s { print $c }' "$work/ab.csv" | sort -g |
+        awk '{ v[NR] = $1 } END {
+            if (!NR) exit
+            for (k = 1; k <= 3; k++) {
+                h = 1 + (NR - 1) * k / 4; i = int(h); j = (i < NR) ? i + 1 : NR
+                printf "%s%.6g", (k > 1) ? " " : "", v[i] + (h - i) * (v[j] - v[i])
+            }
+            print "" }'
 }
-# wins <column> <name>: the pairs where the change read lower.
-wins() {
-    awk -F, -v c="$1" -v m="$2" '$3 == 0 { t[$2, $5] = $c; seeds[$2] } END {
+# verdict <column> <name>: each side's quartiles over the --trace 0 runs,
+# then the pairs the change read lower (ties count for neither side) and
+# the parent's median minus the change's against the parent's q3 - q1.
+verdict() {
+    parent_q="$(quartiles parent "$1" 0)" change_q="$(quartiles change "$1" 0)"
+    echo "parent $2 q1/median/q3 $parent_q" >&2
+    echo "change $2 q1/median/q3 $change_q" >&2
+    awk -F, -v c="$1" -v m="$2" -v p="$parent_q" -v x="$change_q" '$3 == 0 { t[$2, $5] = $c; seeds[$2] } END {
         for (s in seeds) { n++; if (t[s, "change"] < t[s, "parent"]) w++ }
-        printf "change lower on %d of %d pairs in %s\n", w, n, m }' "$work/ab.csv" >&2
+        split(p, P, " "); split(x, X, " ")
+        gap = P[2] - X[2]; iqr = P[3] - P[1]
+        printf "%s: change lower on %d of %d pairs, median gap %.6g vs parent IQR %.6g: %s\n", m, w, n, gap, iqr,
+            (w >= 0.9 * n && gap > iqr) ? "holds" : "does not hold" }' "$work/ab.csv" >&2
 }
-median 8 run_s
-wins 8 run_s
-median 10 heap_peak_mb
-wins 10 heap_peak_mb
+verdict 8 run_s
+verdict 9 setup_s
+verdict 10 heap_peak_mb
+for side in parent change; do
+    echo "$side median core.allocs_per_event $(quartiles "$side" 13 1 | cut -d' ' -f2)" >&2
+done
 # The simulated counts must match run for run; a time or memory delta
 # between runs that did different work is not a gain.
 awk -F, 'NR > 1 {
