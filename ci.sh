@@ -14,6 +14,19 @@ if [ -n "$oversize" ]; then
     exit 1
 fi
 
+# The long docs grow only on purpose: each has a line budget, set at its
+# length when the budget was last raised. Cut the file (ROADMAP item 11,
+# the docs diet) or raise its budget here, deliberately.
+echo "==> EXPERIMENTS.md / DESIGN.md line budgets"
+for budget in EXPERIMENTS.md:2205 DESIGN.md:1524; do
+    doc=${budget%%:*} max=${budget##*:}
+    lines=$(wc -l < "$doc")
+    if [ "$lines" -gt "$max" ]; then
+        echo "$doc has $lines lines, over its budget of $max" >&2
+        exit 1
+    fi
+done
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

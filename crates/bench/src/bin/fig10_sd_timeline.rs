@@ -1,6 +1,7 @@
 //! Figure 10 — utilization standard deviation over time during
-//! rebalancing, for 30 servers (794 VMs) and 3000 servers (75 350 VMs),
-//! threshold 0.183, updating interval 5 min, rebalancing interval 25 min.
+//! rebalancing, for 30 servers and 3000 servers (the paper's 794 and
+//! 75 350 VMs; 26 and 25 VMs per server here), threshold 0.183, updating
+//! interval 5 min, rebalancing interval 25 min.
 //!
 //! The paper's point: both sizes reach a stable snapshot in similar time,
 //! because shedding decisions are local and exchanges happen in parallel —
@@ -59,11 +60,21 @@ fn run(servers: usize, vms_per_server: usize) -> Vec<(u64, f64)> {
     series
 }
 
+/// Every minute whose SD sample fell below the one before it, as
+/// `(minute, SD before, SD after)`.
+fn drops(series: &[(u64, f64)]) -> Vec<(u64, f64, f64)> {
+    series
+        .windows(2)
+        .filter(|w| w[1].1 < w[0].1)
+        .map(|w| (w[1].0, w[0].1, w[1].1))
+        .collect()
+}
+
 fn main() {
     println!("# Figure 10: utilization SD vs time (threshold 0.183)");
-    println!("running 30-server cluster (≈794 VMs)…");
+    println!("running 30-server cluster (26 VMs per server)…");
     let small = run(30, 26); // 30 × 26 = 780 ≈ the paper's 794
-    println!("running 3000-server cluster (≈75350 VMs)…");
+    println!("running 3000-server cluster (25 VMs per server)…");
     let large = run(3000, 25); // 3000 × 25 = 75000 ≈ the paper's 75350
 
     println!(
@@ -83,5 +94,11 @@ fn main() {
         "\nSD drop: 30 servers {:.4}, 3000 servers {:.4}",
         drop_small, drop_large
     );
-    println!("(both sizes converge within the same two rebalancing rounds)");
+    for (servers, series) in [(30, &small), (3000, &large)] {
+        let found: Vec<String> = drops(series)
+            .iter()
+            .map(|(minute, before, after)| format!("minute {minute} {before:.4} → {after:.4}"))
+            .collect();
+        println!("SD drops, {servers} servers: {}", found.join(", "));
+    }
 }

@@ -23,10 +23,10 @@
 //!   periodic timers). Nothing ever moves a key out of it; each pop
 //!   compares its top against the window cursor.
 //!
-//! Payloads are *parked in a slab* and addressed by index: queue
-//! maintenance (sifts, bucket drains) moves only `(at, seq, index)`
-//! triples, never the `W` payload, which is written once on insert and
-//! read once on pop.
+//! Payloads are *parked in a slab* of fixed pages and addressed by
+//! index: queue maintenance (sifts, bucket drains) moves only `(at, seq,
+//! index)` triples, never the `W` payload, which is written once on
+//! insert and read once on pop.
 //!
 //! **Determinism argument.** Keys are unique (`seq` is a strictly
 //! increasing insertion counter) and every key lives in exactly one tier.
@@ -42,17 +42,25 @@
 //! heap's `(at, seq)` order, byte for byte.
 //!
 //! **Memory bound.** Queue memory follows *live* events, not simulated
-//! time. Only the sorted window needs burst capacity, so a drain leaves
-//! the window on whichever backing vector is larger and the drained slot
-//! with at most [`SLOT_KEEP`] keys of capacity. A slot that kept its
-//! burst would never re-use it — a periodic round parks thousands of
-//! same-latency keys in one bucket and the next round lands in a
-//! *different* slot (1 s is 15 625 buckets ≡ 3 337 mod 4 096, coprime
-//! with the ring) — so kept bursts pile up, one per slot ever hit. With
-//! `P` the peak entry count, each key buffer is a vector doubled up to at
-//! most `P` keys, so [`CalendarQueue::heap_bytes`] never exceeds `24 B ×
-//! (6 P + NBUCKETS × (SLOT_KEEP + 1))` for window, ring and heap plus
-//! `2 P × (size_of::<Option<T>>() + 4 B)` for slab and free list.
+//! time or the ring's size. Only the sorted window needs burst capacity,
+//! so a drain leaves the window on whichever backing vector is larger.
+//! The other, emptied, goes to one shared spare list if it has at most
+//! [`SLOT_KEEP`] keys of capacity (else it is freed), and a slot that
+//! receives its first key takes a buffer from that list. A periodic
+//! round parks its burst in a *different* slot each time (1 s is 15 625
+//! buckets ≡ 3 337 mod 4 096, coprime with the ring), so buffers kept per
+//! slot would pile up, one per slot ever hit; shared, they number at
+//! most the peak count of simultaneously non-empty slots, plus the
+//! window's. The slab grows by fixed pages of [`PAGE`] entries, so it
+//! ends at most one page past its peak instead of a doubling past it.
+//! With `P` the peak entry count (at least 4) and `S =
+//! min(P, NBUCKETS)`, every key buffer is doubled up to at most `2 P`
+//! keys and [`CalendarQueue::heap_bytes`] never exceeds `24 B × (6 P +
+//! (SLOT_KEEP + 2) × S + NBUCKETS)` for window, ring, heap, spare list
+//! and slot headers, plus `⌈P / PAGE⌉ × (PAGE × size_of::<Option<T>>() +
+//! 8 B) + 2 P × 4 B` for slab pages, page table and free list. Its only
+//! terms not proportional to `P` are the `NBUCKETS` slot headers and the
+//! slab's last, partly used page.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -72,10 +80,16 @@ const SHIFT: u32 = 6;
 /// beats a coarse one on both ends.
 const NBUCKETS: u64 = 4096;
 const MASK: u64 = NBUCKETS - 1;
-/// Capacity (in keys) a drained ring slot may keep; a larger vector is
-/// freed. Bursts drain alike at 0–256 and a steady ~70-key bucket likes
-/// ≥ 64 (`perf_micro`, EXPERIMENTS.md); a warm ring then holds ≤ 6.3 MB.
+/// Capacity (in keys) of a drained slot's buffer that goes to the spare
+/// list; a larger vector is freed. Bursts drain alike at 0–256 and a
+/// steady ~70-key bucket likes ≥ 64 (`perf_micro`, EXPERIMENTS.md); the
+/// spare list then holds ≤ 1.5 KB per slot non-empty at the peak.
 const SLOT_KEEP: usize = 64;
+/// log2 of the slab's page size: slab index `i` lives in entry
+/// `i & (PAGE - 1)` of page `i >> PAGE_SHIFT`.
+const PAGE_SHIFT: u32 = 10;
+/// Entries per slab page.
+const PAGE: usize = 1 << PAGE_SHIFT;
 
 /// A queue key: `(at, seq, slab index, prefetch hint)`, min-ordered via
 /// `Reverse`. The hint is an opaque caller-supplied locality token (the
@@ -103,19 +117,20 @@ type Key = Reverse<(u64, u64, u32, u32)>;
 pub struct CalendarQueue<T> {
     /// Parked payloads, written on insert and taken on pop — never moved
     /// by queue maintenance.
-    payload: Vec<Option<T>>,
-    /// Vacant slab indices available for reuse. LIFO, so the hottest
-    /// slots recycle while still in cache.
-    free: Vec<u32>,
+    slab: Slab<T>,
     /// The active window's keys, ascending in `(at, seq)` — sorted once
     /// at drain, then consumed in place.
     window: Vec<Key>,
     /// Cursor into `window`: entries before it have been popped.
     win_pos: usize,
     /// The bucket ring: per-bucket key vectors in append (= `seq`) order
-    /// for buckets `(cur_bucket, cur_bucket + NBUCKETS)`; a drained slot
-    /// keeps ≤ `SLOT_KEEP` keys of capacity.
+    /// for buckets `(cur_bucket, cur_bucket + NBUCKETS)`; an empty slot
+    /// holds no buffer.
     buckets: Vec<Vec<Key>>,
+    /// Emptied buffers of ≤ `SLOT_KEEP` keys' capacity, handed to the
+    /// next slot that receives a first key. LIFO, like the slab's free
+    /// list.
+    spare: Vec<Vec<Key>>,
     /// Min-heap over every key outside the ring's span: at or before
     /// `cur_bucket` when inserted (same-instant sends), or beyond the
     /// horizon (long timers).
@@ -141,11 +156,11 @@ impl<T> CalendarQueue<T> {
     /// An empty queue with the active window at time zero.
     pub fn new() -> Self {
         CalendarQueue {
-            payload: Vec::new(),
-            free: Vec::new(),
+            slab: Slab::new(),
             window: Vec::new(),
             win_pos: 0,
             buckets: (0..NBUCKETS).map(|_| Vec::new()).collect(),
+            spare: Vec::new(),
             heap: BinaryHeap::new(),
             cur_bucket: 0,
             near_len: 0,
@@ -164,15 +179,16 @@ impl<T> CalendarQueue<T> {
         self.len == 0
     }
 
-    /// Bytes of heap held right now: every tier's capacity, the slab and
-    /// its free list. Walks all ring slots — for gauges, not the hot path.
+    /// Bytes of heap held right now: every tier's capacity, the spare
+    /// buffers, the slab and its free list. Walks all ring slots — for
+    /// gauges, not the hot path.
     pub fn heap_bytes(&self) -> usize {
-        let slots: usize = self.buckets.iter().map(Vec::capacity).sum();
+        let buffers = self.buckets.iter().chain(&self.spare);
+        let slots: usize = buffers.map(Vec::capacity).sum();
         let keys = self.window.capacity() + self.heap.capacity();
         (keys + slots) * size_of::<Key>()
-            + self.buckets.capacity() * size_of::<Vec<Key>>()
-            + self.payload.capacity() * size_of::<Option<T>>()
-            + self.free.capacity() * size_of::<u32>()
+            + (self.buckets.capacity() + self.spare.capacity()) * size_of::<Vec<Key>>()
+            + self.slab.heap_bytes()
     }
 
     /// Inserts `value` keyed by `(at, seq)`. `seq` must be unique across
@@ -190,11 +206,17 @@ impl<T> CalendarQueue<T> {
     /// prefetch whatever state dispatching it will touch. Entries that go
     /// to the heap are never echoed.
     pub fn insert_hinted(&mut self, at: u64, seq: u64, hint: u32, value: T) {
-        let idx = self.alloc(value);
+        let idx = self.slab.alloc(value);
         let abs = at >> SHIFT;
         let key = Reverse((at, seq, idx, hint));
         if self.cur_bucket < abs && abs < self.cur_bucket + NBUCKETS {
-            self.buckets[(abs & MASK) as usize].push(key);
+            let bucket = &mut self.buckets[(abs & MASK) as usize];
+            if bucket.capacity() == 0 {
+                if let Some(spare) = self.spare.pop() {
+                    *bucket = spare;
+                }
+            }
+            bucket.push(key);
             self.near_len += 1;
         } else {
             self.heap.push(key);
@@ -215,11 +237,11 @@ impl<T> CalendarQueue<T> {
         let start = self.pf_pos;
         let end = (start + n).min(self.window.len());
         self.pf_pos = end;
-        let payload = &self.payload;
+        let slab = &self.slab;
         self.window[start..end]
             .iter()
             .map(move |&Reverse((_, _, idx, hint))| {
-                prefetch::touch(&payload[idx as usize]);
+                prefetch::touch(slab.entry(idx));
                 hint
             })
     }
@@ -260,9 +282,7 @@ impl<T> CalendarQueue<T> {
             (at, seq, idx)
         };
         self.len -= 1;
-        let value = self.payload[idx as usize].take().expect("parked payload");
-        self.free.push(idx);
-        Some((at, seq, value))
+        Some((at, seq, self.slab.take(idx)))
     }
 
     /// Ensures the window cursor or the heap top holds the global minimum,
@@ -300,10 +320,11 @@ impl<T> CalendarQueue<T> {
     /// Installs the active bucket as the window and sorts it once
     /// (`O(b log b)` for a bucket of `b` entries, amortizing to well
     /// under one sift per pop). The window takes the larger of the two
-    /// backing vectors; the slot keeps at most `SLOT_KEEP` keys' worth.
+    /// backing vectors; the other goes to the spare list if it holds at
+    /// most `SLOT_KEEP` keys' worth, and the slot is left without one.
     fn drain_bucket(&mut self) {
         let slot = (self.cur_bucket & MASK) as usize;
-        let bucket = &mut self.buckets[slot];
+        let mut bucket = std::mem::take(&mut self.buckets[slot]);
         if bucket.is_empty() {
             return;
         }
@@ -313,29 +334,78 @@ impl<T> CalendarQueue<T> {
         self.win_pos = 0;
         self.pf_pos = 0;
         if bucket.capacity() > self.window.capacity() {
-            std::mem::swap(&mut self.window, bucket);
+            std::mem::swap(&mut self.window, &mut bucket);
         } else {
-            self.window.append(bucket);
+            self.window.append(&mut bucket);
         }
-        if bucket.capacity() > SLOT_KEEP {
-            *bucket = Vec::new();
+        if (1..=SLOT_KEEP).contains(&bucket.capacity()) {
+            self.spare.push(bucket);
         }
         self.window.sort_unstable_by_key(|&Reverse(k)| k);
     }
+}
+
+/// The payload slab: fixed pages of [`PAGE`] entries, so growing it never
+/// moves an entry and it ends at most one page past its peak.
+struct Slab<T> {
+    /// Pages in index order; the table holds exactly one pointer per page.
+    pages: Vec<Box<[Option<T>; PAGE]>>,
+    /// Indices handed out so far: `0..len` are parked or free.
+    len: u32,
+    /// Vacant indices available for reuse. LIFO, so the hottest slots
+    /// recycle while still in cache.
+    free: Vec<u32>,
+}
+
+impl<T> Slab<T> {
+    fn new() -> Self {
+        Slab {
+            pages: Vec::new(),
+            len: 0,
+            free: Vec::new(),
+        }
+    }
+
+    fn entry(&self, idx: u32) -> &Option<T> {
+        &self.pages[(idx >> PAGE_SHIFT) as usize][idx as usize & (PAGE - 1)]
+    }
+
+    fn entry_mut(&mut self, idx: u32) -> &mut Option<T> {
+        &mut self.pages[(idx >> PAGE_SHIFT) as usize][idx as usize & (PAGE - 1)]
+    }
 
     fn alloc(&mut self, value: T) -> u32 {
-        match self.free.pop() {
-            Some(idx) => {
-                self.payload[idx as usize] = Some(value);
-                idx
-            }
+        let idx = match self.free.pop() {
+            Some(idx) => idx,
             None => {
-                let idx = self.payload.len() as u32;
+                let idx = self.len;
                 assert!(idx != u32::MAX, "calendar queue slab overflow");
-                self.payload.push(Some(value));
+                if idx as usize == self.pages.len() * PAGE {
+                    let page: Box<[Option<T>]> = (0..PAGE).map(|_| None).collect();
+                    let Ok(page) = page.try_into() else {
+                        unreachable!("a page holds PAGE entries")
+                    };
+                    self.pages.reserve_exact(1);
+                    self.pages.push(page);
+                }
+                self.len += 1;
                 idx
             }
-        }
+        };
+        *self.entry_mut(idx) = Some(value);
+        idx
+    }
+
+    fn take(&mut self, idx: u32) -> T {
+        let value = self.entry_mut(idx).take().expect("parked payload");
+        self.free.push(idx);
+        value
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.pages.capacity() * size_of::<Box<[Option<T>; PAGE]>>()
+            + self.pages.len() * size_of::<[Option<T>; PAGE]>()
+            + self.free.capacity() * size_of::<u32>()
     }
 }
 
@@ -421,9 +491,25 @@ mod tests {
                 q.pop().expect("entry");
             }
         }
-        // 1000 events flowed through, but the slab never grew past one
-        // round's worth of live entries.
-        assert!(q.payload.len() <= 100, "slab grew to {}", q.payload.len());
+        // 1000 events flowed through, but the slab never handed out more
+        // than one round's worth of live entries.
+        assert!(q.slab.len <= 100, "slab grew to {}", q.slab.len);
+    }
+
+    #[test]
+    fn slab_pages_keep_payloads_across_page_boundaries() {
+        let mut q = CalendarQueue::new();
+        let n = 2 * PAGE as u64 + 3;
+        // Descending times: entries pop in reverse slab order, across
+        // both page boundaries.
+        for i in 0..n {
+            q.insert(1_000_000 - i * 100, i, i);
+        }
+        assert_eq!(q.slab.pages.len(), 3);
+        for i in (0..n).rev() {
+            assert_eq!(q.pop(), Some((1_000_000 - i * 100, i, i)));
+        }
+        assert_eq!(q.slab.free.len(), n as usize);
     }
 
     #[test]

@@ -54,18 +54,24 @@ impl HeapModel {
 
 const NUM_ACTORS: u32 = 4;
 
-/// The queue's private `size_of::<Key>()`, `NBUCKETS` and `SLOT_KEEP`.
+/// The queue's private `size_of::<Key>()`, `NBUCKETS`, `SLOT_KEEP` and
+/// slab `PAGE`.
 const KEY_BYTES: usize = 24;
 const NBUCKETS: usize = 4096;
 const SLOT_KEEP: usize = 64;
+const PAGE: usize = 1024;
 
 /// The memory bound from the `sim::queue` module doc for a queue of `T`
 /// whose live entry count never exceeded `peak_live`: window, ring and
-/// heap at `2 P` keys each.
+/// heap at `2 P` keys each, one spare buffer (and its header, doubled)
+/// per slot non-empty at the peak, the slot headers, whole slab pages
+/// with one table pointer each, and the free list.
 fn heap_bound<T>(peak_live: usize) -> usize {
     let p = peak_live.max(4); // a vector's first allocation holds four
-    KEY_BYTES * (6 * p + NBUCKETS * (SLOT_KEEP + 1))
-        + 2 * p * (std::mem::size_of::<Option<T>>() + std::mem::size_of::<u32>())
+    let slots = p.min(NBUCKETS);
+    KEY_BYTES * (6 * p + (SLOT_KEEP + 2) * slots + NBUCKETS)
+        + p.div_ceil(PAGE) * (PAGE * std::mem::size_of::<Option<T>>() + 8)
+        + 2 * p * std::mem::size_of::<u32>()
 }
 
 /// Pops the calendar queue the way the engine does: entries whose stored
@@ -294,6 +300,35 @@ fn burst_rounds(rounds: u64, burst: u64) -> Vec<usize> {
             queue.heap_bytes()
         })
         .collect()
+}
+
+/// A burst of `SLOT_KEEP` keys parked in each of the 4 096 ring slots in
+/// turn, each drained before the next is parked: every slot's buffer is
+/// emptied within its slot's keep limit, so kept per slot they would
+/// hold 4 096 × 64 keys (6.3 MB) while never more than one burst is
+/// live. Shared through the spare list they stay within the bound at the
+/// schedule's peak.
+#[test]
+fn every_slot_drained_in_turn_stays_within_the_bound() {
+    let width = 64; // one ring bucket, in microseconds
+    let mut queue: CalendarQueue<u64> = CalendarQueue::new();
+    let (mut seq, mut peak_live) = (0u64, 0);
+    for slot in 1..=NBUCKETS as u64 {
+        for i in 0..SLOT_KEEP as u64 {
+            queue.insert(slot * width + i % width, seq, i);
+            seq += 1;
+        }
+        peak_live = peak_live.max(queue.len());
+        while queue.pop().is_some() {}
+    }
+    assert_eq!(peak_live, SLOT_KEEP);
+    assert!(
+        queue.heap_bytes() <= heap_bound::<u64>(peak_live),
+        "{} B held with at most {} live, bound {} B",
+        queue.heap_bytes(),
+        peak_live,
+        heap_bound::<u64>(peak_live)
+    );
 }
 
 /// Successive rounds land in different ring slots (a second is 15 625
