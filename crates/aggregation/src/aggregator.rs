@@ -6,12 +6,10 @@
 //! information bases* and pushes the subtree summary to its parent; the
 //! root publishes the global aggregate back down the tree (§III.D).
 
-use std::collections::BTreeMap;
-
 use vbundle_fdetect::{ArrivalWindow, PhiConfig, FIRST_INTERVAL};
 use vbundle_pastry::{Id, NodeHandle};
 use vbundle_scribe::{GroupId, ScribeCtx};
-use vbundle_sim::{Message, SimDuration, SimTime};
+use vbundle_sim::{FlatMap, Message, SimDuration, SimTime};
 
 use crate::robust::{winsorized_combine, Robustness};
 use crate::{AggMsg, AggValue};
@@ -76,7 +74,7 @@ impl<M: Message + Clone + From<AggMsg>> AggCarrier for M {}
 struct TopicState {
     local: AggValue,
     /// Child id → last reported subtree summary (the information base).
-    info_base: BTreeMap<u128, AggValue>,
+    info_base: FlatMap<u128, AggValue>,
     /// Last summary pushed to the parent (suppresses no-op pushes in
     /// immediate mode).
     last_pushed: Option<AggValue>,

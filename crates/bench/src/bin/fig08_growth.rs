@@ -3,7 +3,11 @@
 //! group; (b) the greedy baseline scatters them across the datacenter.
 //!
 //! Prints per-customer locality after each wave for both policies (plus a
-//! random baseline) and writes both maps to `results/`.
+//! random baseline) and writes both maps to `results/`. Then checks the
+//! figure's claim after each wave: v-Bundle sends the smallest share of
+//! chatting traffic across the bisection and has the shortest mean pair
+//! distance and the most same-rack pairs, greedy comes second and random
+//! last. Exits 1, naming each broken order on stderr, if one fails.
 //!
 //! Run: `cargo run --release -p vbundle-bench --bin fig08_growth`
 
@@ -14,12 +18,16 @@ use vbundle_bench::write_csv;
 use vbundle_core::{metrics, ClusterModel, Customer, PlacementPolicy};
 use vbundle_dcn::{Bandwidth, Topology};
 
-fn report(
-    topo: &Topology,
-    model: &ClusterModel,
-    customers: &[Customer],
-    label: &str,
-) -> (f64, f64) {
+/// One policy's locality after one wave, each a mean over customers
+/// except the bisection fraction of all chatting traffic.
+#[derive(Debug, Clone, Copy)]
+struct Wave {
+    same_rack: f64,
+    dist: f64,
+    bisection: f64,
+}
+
+fn report(topo: &Topology, model: &ClusterModel, customers: &[Customer], label: &str) -> Wave {
     let placements: Vec<_> = model
         .placements()
         .iter()
@@ -51,13 +59,14 @@ fn report(
         "bisection fraction of chatting traffic: {:.2}%",
         bisection * 100.0
     );
-    (
-        mean_same_rack / locality.len() as f64,
-        mean_dist / locality.len() as f64,
-    )
+    Wave {
+        same_rack: mean_same_rack / locality.len() as f64,
+        dist: mean_dist / locality.len() as f64,
+        bisection,
+    }
 }
 
-fn run_policy(policy: PlacementPolicy, map_name: &str) -> ((f64, f64), (f64, f64)) {
+fn run_policy(policy: PlacementPolicy, map_name: &str) -> [Wave; 2] {
     let topo = Arc::new(Topology::simulation_3000());
     let (mut model, customers) =
         five_customer_placement(&topo, policy, 1000, Bandwidth::from_mbps(100.0), 7);
@@ -86,7 +95,29 @@ fn run_policy(policy: PlacementPolicy, map_name: &str) -> ((f64, f64), (f64, f64
         })
         .collect();
     write_csv(map_name, "rack,slot,customer_id", &rows);
-    (wave1, wave2)
+    [wave1, wave2]
+}
+
+/// The orders the figure claims, v-Bundle first, greedy second, random
+/// last, as one line per broken order.
+fn broken_orders(wave: usize, policies: [Wave; 3]) -> Vec<String> {
+    let mut broken = Vec::new();
+    let mut check = |name: &str, [v, g, r]: [f64; 3], ascending: bool| {
+        let (holds, sign) = if ascending {
+            (v < g && g < r, "<")
+        } else {
+            (v > g && g > r, ">")
+        };
+        if !holds {
+            broken.push(format!(
+                "wave {wave}: {name} v-Bundle {sign} greedy {sign} random fails: {v:.4}, {g:.4}, {r:.4}"
+            ));
+        }
+    };
+    check("bisection fraction", policies.map(|w| w.bisection), true);
+    check("mean pair distance", policies.map(|w| w.dist), true);
+    check("same-rack pairs", policies.map(|w| w.same_rack), false);
+    broken
 }
 
 fn main() {
@@ -100,9 +131,21 @@ fn main() {
         "{:<10} {:>18} {:>16}",
         "policy", "same_rack_pairs", "mean_pair_dist"
     );
-    for (name, ((_, _), (same_rack, dist))) in
-        [("v-Bundle", vb), ("greedy", greedy), ("random", random)]
-    {
-        println!("{:<10} {:>17.1}% {:>16.3}", name, same_rack * 100.0, dist);
+    for (name, [_, w]) in [("v-Bundle", vb), ("greedy", greedy), ("random", random)] {
+        println!(
+            "{:<10} {:>17.1}% {:>16.3}",
+            name,
+            w.same_rack * 100.0,
+            w.dist
+        );
+    }
+    let broken: Vec<String> = (0..2)
+        .flat_map(|i| broken_orders(i + 1, [vb[i], greedy[i], random[i]]))
+        .collect();
+    if !broken.is_empty() {
+        for line in &broken {
+            eprintln!("{line}");
+        }
+        std::process::exit(1);
     }
 }

@@ -2,7 +2,6 @@
 //! engine → Pastry → Scribe → controllers) and offers the operations the
 //! examples and figure benchmarks drive it with.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use vbundle_aggregation::{AggregationConfig, UpdateMode};
@@ -137,7 +136,7 @@ impl ClusterBuilder {
             handles,
             ids,
             topo: self.topo,
-            vm_index: HashMap::new(),
+            vm_index: VmIndex::default(),
             next_request: 0,
             next_vm: 0,
             mirror,
@@ -187,6 +186,40 @@ impl StatMirror {
     }
 }
 
+/// The server hosting each VM, indexed by [`VmId`]: ids come dense from
+/// [`Cluster::alloc_vm_id`], so a slot costs 4 B per id where a hash
+/// table paid ~22 B per VM and a per-process seed.
+#[derive(Debug, Default)]
+struct VmIndex(Vec<u32>);
+
+impl VmIndex {
+    /// The slot value of an id no server hosts.
+    const NONE: u32 = u32::MAX;
+
+    fn get(&self, vm: VmId) -> Option<usize> {
+        let &server = self.0.get(usize::try_from(vm.0).ok()?)?;
+        (server != Self::NONE).then_some(server as usize)
+    }
+
+    fn set(&mut self, vm: VmId, server: usize) {
+        let i = usize::try_from(vm.0).expect("VM ids fit in usize");
+        if i >= self.0.len() {
+            self.0.resize(i + 1, Self::NONE);
+        }
+        self.0[i] = u32::try_from(server).expect("fewer than 2^32 servers");
+    }
+
+    fn unset(&mut self, vm: VmId) {
+        if let Some(slot) = usize::try_from(vm.0).ok().and_then(|i| self.0.get_mut(i)) {
+            *slot = Self::NONE;
+        }
+    }
+
+    fn clear(&mut self) {
+        self.0.fill(Self::NONE);
+    }
+}
+
 /// A running v-Bundle cluster: engine + per-server handles + bookkeeping.
 pub struct Cluster {
     /// The simulation engine (exposed for advanced harnesses).
@@ -197,7 +230,7 @@ pub struct Cluster {
     pub ids: Vec<NodeId>,
     /// The datacenter topology.
     pub topo: Arc<Topology>,
-    vm_index: HashMap<u64, usize>,
+    vm_index: VmIndex,
     next_request: u64,
     next_vm: u64,
     mirror: StatMirror,
@@ -324,7 +357,7 @@ impl Cluster {
             .app_mut()
             .client_mut()
             .install_vm(vm);
-        self.vm_index.insert(vm.id.0, server.index());
+        self.vm_index.set(vm.id, server.index());
     }
 
     /// Carves `amount` out of `server` as survivable backup capacity,
@@ -371,10 +404,11 @@ impl Cluster {
     /// Rebuilds the VM → server index by walking every controller (needed
     /// after migrations).
     pub fn reindex(&mut self) {
-        let mut index = HashMap::new();
+        let mut index = std::mem::take(&mut self.vm_index);
+        index.clear();
         for i in 0..self.num_servers() {
             for vm in self.controller(i).vms() {
-                index.insert(vm.id.0, i);
+                index.set(vm.id, i);
             }
         }
         self.vm_index = index;
@@ -383,14 +417,14 @@ impl Cluster {
     /// The server currently hosting `vm` (after the latest
     /// [`Cluster::reindex`]).
     pub fn host_of(&self, vm: VmId) -> Option<ServerId> {
-        self.vm_index.get(&vm.0).map(|&i| self.topo.server(i))
+        self.vm_index.get(vm).map(|i| self.topo.server(i))
     }
 
     /// Shuts a VM down wherever it currently lives, releasing its
     /// reservation. Returns its final record, or `None` if the VM is
     /// unknown (call [`Cluster::reindex`] first if it may have migrated).
     pub fn shutdown_vm(&mut self, vm: VmId) -> Option<VmRecord> {
-        let &server = self.vm_index.get(&vm.0)?;
+        let server = self.vm_index.get(vm)?;
         // A planned shutdown unwinds the VM's leases first, with peer
         // notification — only a crash should leave halves to expiry.
         self.engine.call(ActorId::new(server as u32), |node, ctx| {
@@ -404,7 +438,7 @@ impl Cluster {
             .app_mut()
             .client_mut()
             .remove_vm(vm)?;
-        self.vm_index.remove(&vm.0);
+        self.vm_index.unset(vm);
         Some(record)
     }
 
@@ -413,7 +447,7 @@ impl Cluster {
     /// trading server gets to tell its trade trees at once that it may
     /// have more to lend now.
     pub fn set_vm_demand(&mut self, vm: VmId, demand: ResourceVector) -> bool {
-        let Some(&server) = self.vm_index.get(&vm.0) else {
+        let Some(server) = self.vm_index.get(vm) else {
             return false;
         };
         let actor = ActorId::new(server as u32);

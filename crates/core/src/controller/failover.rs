@@ -23,12 +23,10 @@
 //! other (stage, event) pair is illegal: counted into `invalid_payloads`
 //! and dropped by `Failover::step`.
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use vbundle_dcn::{DomainKind, Topology};
 use vbundle_fdetect::DomainSuspicion;
 use vbundle_pastry::NodeHandle;
-use vbundle_sim::ActorId;
+use vbundle_sim::{ActorId, FlatMap};
 
 use super::boot::{self, Admission};
 use super::host::Host;
@@ -78,7 +76,7 @@ enum FoEvent {
 #[derive(Debug, Clone)]
 struct Fence {
     primary: NodeHandle,
-    vms: BTreeSet<VmId>,
+    vms: FlatMap<VmId, ()>,
 }
 
 #[derive(Debug)]
@@ -86,14 +84,14 @@ pub(super) struct Failover {
     cfg: FailoverConfig,
     /// Protected VMs by id, so declaration walks and retries run in
     /// deterministic order.
-    charges: BTreeMap<VmId, Charge>,
+    charges: FlatMap<VmId, Charge>,
     /// Fences pending ack, keyed by the stale primary's actor index.
-    fences: BTreeMap<u32, Fence>,
+    fences: FlatMap<u32, Fence>,
     /// Per-server death evidence folded into sticky rack declarations.
     suspicion: DomainSuspicion,
     /// Known handles of servers in protected racks (probe targets),
     /// keyed by actor index.
-    handles: BTreeMap<u32, NodeHandle>,
+    handles: FlatMap<u32, NodeHandle>,
     /// Local counter minting failover boot request ids.
     next_boot: u64,
 }
@@ -109,10 +107,10 @@ impl Failover {
     pub fn new(cfg: FailoverConfig) -> Self {
         Failover {
             cfg,
-            charges: BTreeMap::new(),
-            fences: BTreeMap::new(),
+            charges: FlatMap::new(),
+            fences: FlatMap::new(),
             suspicion: DomainSuspicion::new(),
-            handles: BTreeMap::new(),
+            handles: FlatMap::new(),
             next_boot: 0,
         }
     }
@@ -136,7 +134,7 @@ impl Failover {
     pub fn fenced_vms(&self) -> Vec<VmId> {
         self.fences
             .values()
-            .flat_map(|f| f.vms.iter().copied())
+            .flat_map(|f| f.vms.keys().copied())
             .collect()
     }
 
@@ -204,18 +202,20 @@ impl Failover {
     pub fn tick(&mut self, adm: &mut Admission<'_>, ctx: &mut Ctx<'_, '_, '_, '_>) {
         let me = ctx.self_handle();
         let topo = ctx.pastry_state().topology().clone();
-        let racks: BTreeSet<u32> = self
+        let mut racks: Vec<u32> = self
             .charges
             .values()
             .filter(|c| matches!(c.stage, FoStage::Armed { .. }))
             .filter_map(|c| rack_of(&topo, c.primary.actor))
             .collect();
+        racks.sort_unstable();
+        racks.dedup();
         // Refresh the probe-target cache from the overlay's current
         // view: every known node in a protected rack is a probe target,
         // so a declaration needs the *whole rack* silent, not just the
         // charge primaries.
         for h in ctx.pastry_state().known_iter() {
-            if rack_of(&topo, h.actor).is_some_and(|r| racks.contains(&r)) {
+            if rack_of(&topo, h.actor).is_some_and(|r| racks.binary_search(&r).is_ok()) {
                 self.handles.insert(h.actor.index() as u32, h);
             }
         }
@@ -252,7 +252,7 @@ impl Failover {
             ctx.send_client(
                 fence.primary,
                 CtrlMsg::FoFence {
-                    vms: fence.vms.iter().copied().collect(),
+                    vms: fence.vms.keys().copied().collect(),
                 },
             );
         }
@@ -289,7 +289,7 @@ impl Failover {
     /// A protected rack was declared dead: convert every armed charge
     /// whose primary lived there into a live re-materialization, fence
     /// the stale primary, and release the backing headroom. The
-    /// `BTreeMap` walk makes repeated and overlapping declarations
+    /// key-ordered walk makes repeated and overlapping declarations
     /// deterministic; each charge leaves `Armed` exactly once, so a VM can
     /// never be materialized twice.
     fn on_rack_declared(
@@ -314,13 +314,12 @@ impl Failover {
         for (vm, primary, amount) in victims {
             adm.host.release_backup(amount);
             self.fences
-                .entry(primary.actor.index() as u32)
-                .or_insert_with(|| Fence {
+                .get_or_insert_with(primary.actor.index() as u32, || Fence {
                     primary,
-                    vms: BTreeSet::new(),
+                    vms: FlatMap::new(),
                 })
                 .vms
-                .insert(vm);
+                .insert(vm, ());
             // First fence attempt right away: if the primary is racing a
             // restart it reconciles immediately; if it is dead the send
             // just bounces and the tick resends until the ack.
@@ -524,7 +523,7 @@ mod tests {
         ] {
             fo.charges.get_mut(&protected.id).expect("armed").stage = stage;
             assert!(!arm(&mut fo, amount), "{stage:?}");
-            assert_eq!(fo.charges[&protected.id].stage, stage);
+            assert_eq!(fo.charges.get(&protected.id).expect("armed").stage, stage);
         }
         assert_eq!(c.host.backup_reserved, amount);
         assert_eq!(c.stats.invalid_payloads, 3);

@@ -1,12 +1,10 @@
 //! The server a controller runs on: what every protocol module may read
 //! and change, and nothing that belongs to only one of them.
 
-use std::collections::BTreeMap;
-
 use vbundle_aggregation::{AggregationConfig, Aggregator};
 use vbundle_dcn::Bandwidth;
 use vbundle_obs::{FlightRecorder, Subsystem};
-use vbundle_sim::SimTime;
+use vbundle_sim::{FlatMap, SimTime};
 use vbundle_trade::{LeaseRole, ResourceSpec, TradeBook};
 
 use super::{capacity_topic, demand_topic};
@@ -217,7 +215,7 @@ pub(super) fn clamped(demand: f64, limit: f64) -> f64 {
 /// until its time passes, so the next rounds try other VMs instead of
 /// livelocking on the same one.
 #[derive(Debug, Default)]
-pub(super) struct Cooldown(BTreeMap<VmId, SimTime>);
+pub(super) struct Cooldown(FlatMap<VmId, SimTime>);
 
 impl Cooldown {
     /// Drops every entry whose retry-after time has come.

@@ -3,16 +3,14 @@
 //! `VBundleConfig::spot_market` is set; it owns the pod's price index,
 //! this server's billing book, spot-group membership and the requote memo.
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use vbundle_market::{BillingBook, BillingEntry, EntrySide, PriceIndex};
 use vbundle_scribe::GroupId;
-use vbundle_sim::SimTime;
+use vbundle_sim::{FlatMap, SimTime};
 use vbundle_trade::{Lease, LeaseRole};
 
 use super::host::{Cooldown, Host};
 use super::stats::MarketStats;
-use super::trade::{borrow_scan, MIN_LEASE_MBPS};
+use super::trade::{borrow_scan, customers_of, MIN_LEASE_MBPS};
 use super::{spot_group, Ctx};
 use crate::{CustomerId, SpotMarketConfig, VmId};
 
@@ -43,7 +41,7 @@ pub(super) struct SpotMarket {
     cooldown: Cooldown,
     /// Priced leases already re-quoted near expiry: old id → replacement
     /// id, so one lease is never replaced twice.
-    pub requoted: BTreeMap<u64, u64>,
+    pub requoted: FlatMap<u64, u64>,
     /// The spot group of the pod this server sits in (set by the cluster
     /// builder; spot matching is pod-scoped).
     pub group: GroupId,
@@ -59,7 +57,7 @@ impl SpotMarket {
             billing: BillingBook::new(),
             in_group: false,
             cooldown: Cooldown::default(),
-            requoted: BTreeMap::new(),
+            requoted: FlatMap::new(),
             group: spot_group(0),
             stats,
         }
@@ -94,21 +92,15 @@ impl SpotMarket {
     /// The spot-market slice of the trade tick: sync `Spot-<pod>` group
     /// membership, then issue priced cross-tenant asks for VMs their own
     /// bundle could not help (`tried_intra`: intra-bundle trading always
-    /// gets first refusal).
-    pub fn tick(
-        &mut self,
-        host: &Host,
-        ctx: &mut Ctx<'_, '_, '_, '_>,
-        tried_intra: &BTreeSet<VmId>,
-    ) {
+    /// gets first refusal; sorted by id).
+    pub fn tick(&mut self, host: &Host, ctx: &mut Ctx<'_, '_, '_, '_>, tried_intra: &[VmId]) {
         let now = ctx.now();
         // Membership: sell-side presence. A server joins its pod's spot
         // group while any hosted customer has isolation-capped headroom
         // left to sell.
-        let customers: BTreeSet<CustomerId> = host.vms.iter().map(|v| v.customer).collect();
-        let sellable = customers
-            .iter()
-            .any(|&c| self.cap_room_mbps(host, c, now) >= MIN_LEASE_MBPS);
+        let sellable = customers_of(host)
+            .into_iter()
+            .any(|c| self.cap_room_mbps(host, c, now) >= MIN_LEASE_MBPS);
         if sellable && !self.in_group {
             ctx.join(self.group);
         } else if !sellable && self.in_group {
@@ -126,7 +118,7 @@ impl SpotMarket {
             &mut self.cooldown,
             true,
             |_| group,
-            |vm| tried_intra.contains(&vm),
+            |vm| tried_intra.binary_search(&vm).is_ok(),
         );
         self.stats.spot_asks.add(asked);
     }

@@ -8,9 +8,8 @@
 //! Owns `CtrlMsg::SurvCommit` and the sending side of
 //! `CtrlMsg::{BackupReserve, FoBackupReserve}`.
 
-use std::collections::BTreeMap;
-
 use vbundle_pastry::NodeHandle;
+use vbundle_sim::FlatMap;
 
 use super::stats::ControllerStats;
 use super::Ctx;
@@ -21,12 +20,12 @@ use crate::{CustomerId, VmRecord};
 
 /// One customer's failure-domain occupancy as tracked by its key's root
 /// server — the authoritative source of the [`SurvCaps`] stamped onto
-/// boot queries. `BTreeMap` so snapshot order is deterministic.
+/// boot queries. Sorted maps, so snapshot order is deterministic.
 #[derive(Debug, Clone, Default)]
 struct Occupancy {
     total: u32,
-    per_rack: BTreeMap<u32, u32>,
-    per_pod: BTreeMap<u32, u32>,
+    per_rack: FlatMap<u32, u32>,
+    per_pod: FlatMap<u32, u32>,
 }
 
 #[derive(Debug)]
@@ -34,23 +33,25 @@ pub(super) struct Survivability {
     cfg: SurvivabilityConfig,
     /// Per-customer domain occupancy, maintained on each customer key's
     /// root server.
-    ledger: BTreeMap<u32, Occupancy>,
+    ledger: FlatMap<u32, Occupancy>,
 }
 
 impl Survivability {
     pub fn new(cfg: SurvivabilityConfig) -> Self {
         Survivability {
             cfg,
-            ledger: BTreeMap::new(),
+            ledger: FlatMap::new(),
         }
     }
 
     /// Advances the root-side ledger by one admitted VM.
     pub fn commit(&mut self, customer: CustomerId, rack: u32, pod: u32) {
-        let occ = self.ledger.entry(customer.0).or_default();
+        let occ = self
+            .ledger
+            .get_or_insert_with(customer.0, Occupancy::default);
         occ.total += 1;
-        *occ.per_rack.entry(rack).or_insert(0) += 1;
-        *occ.per_pod.entry(pod).or_insert(0) += 1;
+        *occ.per_rack.get_or_insert_with(rack, || 0) += 1;
+        *occ.per_pod.get_or_insert_with(pod, || 0) += 1;
     }
 
     /// The root's current view of `customer`'s domain occupancy, in the

@@ -8,7 +8,6 @@
 //! on every server; everything about *chasing* a lease — peers, grant
 //! retransmission, trade-tree membership, cooldowns, id minting — is here.
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::mem;
 
 use vbundle_dcn::Bandwidth;
@@ -16,7 +15,7 @@ use vbundle_fdetect::{Courier, CourierConfig, RetryDecision};
 use vbundle_market::EntrySide;
 use vbundle_pastry::NodeHandle;
 use vbundle_scribe::{GroupId, Summary};
-use vbundle_sim::SimTime;
+use vbundle_sim::{FlatMap, SimTime};
 use vbundle_trade::{HalfLease, Lease, LeaseId, LeaseRole};
 
 use super::host::{Cooldown, Host};
@@ -45,11 +44,11 @@ pub(super) struct Trade {
     /// Lease id → the server hosting the opposite half (grants, renewals
     /// and release notices go here; [`HalfLease::peer`] only stores the
     /// `ActorId`, but sends need the full handle).
-    peers: BTreeMap<u64, NodeHandle>,
+    peers: FlatMap<u64, NodeHandle>,
     /// Retransmission state for unacked lease grants, keyed by lease id.
     courier: Courier,
     /// Trade trees this server currently belongs to.
-    groups: BTreeMap<CustomerId, GroupId>,
+    groups: FlatMap<CustomerId, GroupId>,
     /// What those trees and the spot group are told this server can lend.
     offers: Offers,
     /// VMs whose last borrow request went unanswered.
@@ -73,9 +72,9 @@ impl Trade {
             salt: TRADE_COURIER_SALT,
         });
         Trade {
-            peers: BTreeMap::new(),
+            peers: FlatMap::new(),
             courier,
-            groups: BTreeMap::new(),
+            groups: FlatMap::new(),
             offers: Offers::default(),
             cooldown: Cooldown::default(),
             next_lease: 0,
@@ -100,16 +99,16 @@ impl Trade {
             }
         }
         // 2. Membership: one trade tree per hosted customer.
-        let desired: BTreeSet<CustomerId> = host.vms.iter().map(|vm| vm.customer).collect();
+        let desired = customers_of(host);
         for &c in &desired {
-            self.groups.entry(c).or_insert_with(|| {
+            self.groups.get_or_insert_with(c, || {
                 let group = trade_group(c);
                 ctx.join(group);
                 group
             });
         }
         self.groups.retain(|c, &mut group| {
-            let stay = desired.contains(c);
+            let stay = desired.binary_search(c).is_ok();
             if !stay {
                 ctx.leave(group);
             }
@@ -126,7 +125,8 @@ impl Trade {
         // outstanding or unanswered) graduate to a priced cross-tenant ask
         // in the market's slice of the tick.
         self.cooldown.sweep(now);
-        let tried_intra: Option<BTreeSet<VmId>> =
+        // In id order: the cooldown is keyed by VM id.
+        let tried_intra: Option<Vec<VmId>> =
             self.market.as_ref().map(|_| self.cooldown.vms().collect());
         let asked = borrow_scan(host, ctx, &mut self.cooldown, false, trade_group, |_| true);
         host.book.stats.requests_sent.add(asked);
@@ -510,6 +510,14 @@ impl Trade {
     }
 }
 
+/// The customers with a VM on this server, sorted and deduplicated.
+pub(super) fn customers_of(host: &Host) -> Vec<CustomerId> {
+    let mut customers: Vec<CustomerId> = host.vms.iter().map(|vm| vm.customer).collect();
+    customers.sort_unstable();
+    customers.dedup();
+    customers
+}
+
 /// What `vm` could lend given its lease `(inflow, outflow)` — right now
 /// with the book's `delta` at this instant, at any instant of a span with
 /// its `delta_over` the span — bounded by two different ceilings:
@@ -638,7 +646,7 @@ impl Trade {
     /// Where the last one computed is [`ANYBODY`] already there is nothing
     /// to gain: whatever Scribe last told the parent covers it.
     pub fn announce(&self, ctx: &mut Ctx<'_, '_, '_, '_>) {
-        for (c, &group) in &self.groups {
+        for (c, &group) in self.groups.iter() {
             if !self.offers.intra.contains(c) {
                 ctx.summary_changed(group);
             }

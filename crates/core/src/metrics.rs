@@ -2,7 +2,7 @@
 //! (Figs. 7–8), utilization dispersion (Figs. 9–10) and satisfied-versus-
 //! demanded bandwidth (Fig. 11).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use vbundle_dcn::{Bandwidth, ServerId, Topology, TrafficMatrix};
 
@@ -56,7 +56,8 @@ pub struct CustomerLocality {
 }
 
 /// Computes per-customer locality from `(customer, server)` placements —
-/// the quantitative reading of the Figure 7/8 scatter plots.
+/// the quantitative reading of the Figure 7/8 scatter plots — in customer
+/// order.
 ///
 /// Pair statistics are computed from per-rack counts, so the cost is
 /// `O(V + racks²)` per customer rather than `O(V²)`.
@@ -64,17 +65,13 @@ pub fn customer_locality(
     topo: &Topology,
     placements: &[(CustomerId, ServerId)],
 ) -> Vec<CustomerLocality> {
-    let mut per_customer: HashMap<u32, Vec<ServerId>> = HashMap::new();
-    for &(c, s) in placements {
-        per_customer.entry(c.0).or_default().push(s);
-    }
-    let mut out: Vec<CustomerLocality> = per_customer
+    per_customer(placements)
         .into_iter()
         .map(|(c, servers)| {
             let n = servers.len();
-            let mut rack_counts: HashMap<usize, f64> = HashMap::new();
-            let mut server_counts: HashMap<usize, f64> = HashMap::new();
-            let mut pod_counts: HashMap<usize, f64> = HashMap::new();
+            let mut rack_counts: BTreeMap<usize, f64> = BTreeMap::new();
+            let mut server_counts: BTreeMap<usize, f64> = BTreeMap::new();
+            let mut pod_counts: BTreeMap<usize, f64> = BTreeMap::new();
             for &s in &servers {
                 *rack_counts.entry(topo.rack_of(s).index()).or_default() += 1.0;
                 *server_counts.entry(s.index()).or_default() += 1.0;
@@ -103,25 +100,29 @@ pub fn customer_locality(
                 mean_pair_distance: mean_dist,
             }
         })
-        .collect();
-    out.sort_by_key(|l| l.customer.0);
-    out
+        .collect()
+}
+
+/// The servers of each customer's VMs, in customer order.
+fn per_customer(placements: &[(CustomerId, ServerId)]) -> BTreeMap<u32, Vec<ServerId>> {
+    let mut per_customer: BTreeMap<u32, Vec<ServerId>> = BTreeMap::new();
+    for &(c, s) in placements {
+        per_customer.entry(c.0).or_default().push(s);
+    }
+    per_customer
 }
 
 /// Builds the all-pairs "chatting VMs" traffic matrix the paper's
 /// placement argument assumes: every pair of same-customer VMs exchanges
-/// `rate_per_pair`, with each VM's total spread over its peers.
+/// `rate_per_pair`, with each VM's total spread over its peers. Flows
+/// come customer by customer, in customer order.
 pub fn chatting_traffic(
     topo: &Topology,
     placements: &[(CustomerId, ServerId)],
     per_vm_rate: Bandwidth,
 ) -> TrafficMatrix {
-    let mut per_customer: HashMap<u32, Vec<ServerId>> = HashMap::new();
-    for &(c, s) in placements {
-        per_customer.entry(c.0).or_default().push(s);
-    }
     let mut tm = TrafficMatrix::new();
-    for servers in per_customer.values() {
+    for servers in per_customer(placements).values() {
         let n = servers.len();
         if n < 2 {
             continue;
@@ -246,6 +247,27 @@ mod tests {
         let tm = chatting_traffic(&t, &scattered, Bandwidth::from_mbps(100.0));
         let report = tm.bisection_report(&t);
         assert_eq!(report.bisection_traffic().as_mbps(), 200.0);
+    }
+
+    /// Flows come customer by customer in key order, so two calls on the
+    /// same placements agree flow for flow (a per-process-seeded table
+    /// once made the order differ from one call to the next).
+    #[test]
+    fn chatting_traffic_is_in_customer_order() {
+        let t = topo();
+        let placements: Vec<_> = (0..40u32)
+            .map(|i| (CustomerId(i % 10 * 7 % 10), t.server(i as usize % 8)))
+            .collect();
+        let rate = Bandwidth::from_mbps(50.0);
+        let first = chatting_traffic(&t, &placements, rate);
+        assert_eq!(first.len(), 10 * 4 * 3);
+        assert_eq!(
+            first.flows(),
+            chatting_traffic(&t, &placements, rate).flows()
+        );
+        let locality = customer_locality(&t, &placements);
+        let order: Vec<u32> = locality.iter().map(|l| l.customer.0).collect();
+        assert_eq!(order, (0..10).collect::<Vec<_>>());
     }
 
     #[test]

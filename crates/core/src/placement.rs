@@ -12,7 +12,7 @@
 //! - [`ClusterModel::place_random`] places uniformly at random, the
 //!   "simple method" §I attributes to today's IaaS providers.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -70,9 +70,9 @@ pub struct ClusterModel {
     backup_reserved: Vec<ResourceVector>,
     vms: Vec<Vec<VmRecord>>,
     /// Per-customer-key walk order and fill cursor.
-    walks: HashMap<u128, Walk>,
+    walks: BTreeMap<u128, Walk>,
     /// Per-customer failure-domain occupancy, for the survivable caps.
-    surv: HashMap<u32, SurvState>,
+    surv: BTreeMap<u32, SurvState>,
     /// Per-VM backup charges, in placement order.
     backup_charges: Vec<BackupCharge>,
     backups_unplaced: u64,
@@ -128,8 +128,8 @@ impl ClusterModel {
             reserved: vec![ResourceVector::ZERO; n],
             backup_reserved: vec![ResourceVector::ZERO; n],
             vms: vec![Vec::new(); n],
-            walks: HashMap::new(),
-            surv: HashMap::new(),
+            walks: BTreeMap::new(),
+            surv: BTreeMap::new(),
             backup_charges: Vec::new(),
             backups_unplaced: 0,
             greedy_cursor: 0,
@@ -483,7 +483,7 @@ mod tests {
     fn random_spreads_load() {
         let mut m = model();
         let mut rng = StdRng::seed_from_u64(7);
-        let mut used = std::collections::HashSet::new();
+        let mut used = std::collections::BTreeSet::new();
         for i in 0..16 {
             let s = m.place_random(vm(i, 0, 100.0), &mut rng).expect("placed");
             used.insert(s.index());
@@ -539,8 +539,8 @@ mod tests {
     fn survivable_caps_domain_fraction() {
         let mut m = model(); // 2 pods × 2 racks × 4 servers, 400 Mbps each
         let key = Key::from_name("tenant-s");
-        let mut per_rack = std::collections::HashMap::new();
-        let mut per_pod = std::collections::HashMap::new();
+        let mut per_rack = BTreeMap::new();
+        let mut per_pod = BTreeMap::new();
         for i in 0..8 {
             let s = m
                 .place_survivable(key, vm(i, 0, 100.0), 0.5, 0.0)

@@ -784,8 +784,8 @@ fn survivable_boots_spread_domains_and_reserve_backup() {
     // Per-domain counts respect cap = ceil(0.5 × 8) = 4; a plain v-Bundle
     // walk would pack all 8 into the root's neighborhood instead.
     let cap = survivable_domain_cap(0.5, hosts.len() as u32);
-    let mut per_rack = std::collections::HashMap::new();
-    let mut per_pod = std::collections::HashMap::new();
+    let mut per_rack = std::collections::BTreeMap::new();
+    let mut per_pod = std::collections::BTreeMap::new();
     for &h in &hosts {
         *per_rack.entry(topo.rack_of(h)).or_insert(0u32) += 1;
         *per_pod.entry(topo.pod_of(h)).or_insert(0u32) += 1;

@@ -17,11 +17,9 @@
 //! `(salt, key, attempt)`, so retransmission schedules are fully
 //! deterministic yet de-synchronized across concurrent requests.
 
-use std::collections::BTreeMap;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use vbundle_sim::SimDuration;
+use vbundle_sim::{FlatMap, SimDuration};
 
 /// Tunables of a [`Courier`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,7 +69,7 @@ pub enum RetryDecision {
 #[derive(Debug, Clone)]
 pub struct Courier {
     /// key → attempts already sent.
-    outstanding: BTreeMap<u64, u32>,
+    outstanding: FlatMap<u64, u32>,
     config: CourierConfig,
 }
 
@@ -79,7 +77,7 @@ impl Courier {
     /// Creates a courier.
     pub fn new(config: CourierConfig) -> Self {
         Courier {
-            outstanding: BTreeMap::new(),
+            outstanding: FlatMap::new(),
             config,
         }
     }
@@ -120,7 +118,7 @@ impl Courier {
     /// the key if it is not outstanding — used to re-arm timers after a
     /// restart purged them without burning a retry.
     pub fn arm(&mut self, key: u64) -> SimDuration {
-        let attempts = *self.outstanding.entry(key).or_insert(1);
+        let attempts = *self.outstanding.get_or_insert_with(key, || 1);
         self.timeout_for(key, attempts - 1)
     }
 

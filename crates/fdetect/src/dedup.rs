@@ -2,7 +2,9 @@
 //! ([`FaultAction::Duplicate`](vbundle_sim::FaultAction) or courier
 //! retransmissions) are idempotent by construction.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
+
+use vbundle_sim::FlatMap;
 
 /// A bounded set of recently seen message ids with FIFO eviction.
 ///
@@ -17,7 +19,7 @@ use std::collections::{BTreeSet, VecDeque};
 /// ```
 #[derive(Debug, Clone)]
 pub struct DedupWindow<K: Ord + Clone> {
-    seen: BTreeSet<K>,
+    seen: FlatMap<K, ()>,
     order: VecDeque<K>,
     cap: usize,
 }
@@ -27,7 +29,7 @@ impl<K: Ord + Clone> DedupWindow<K> {
     pub fn new(cap: usize) -> Self {
         let cap = cap.max(1);
         DedupWindow {
-            seen: BTreeSet::new(),
+            seen: FlatMap::new(),
             // Grown on demand: most windows (every non-root node's
             // Scribe publish window) never remember anything.
             order: VecDeque::new(),
@@ -38,7 +40,7 @@ impl<K: Ord + Clone> DedupWindow<K> {
     /// Records `key`; returns true iff it had not been seen (within the
     /// window's horizon).
     pub fn remember(&mut self, key: K) -> bool {
-        if !self.seen.insert(key.clone()) {
+        if self.seen.insert(key.clone(), ()).is_some() {
             return false;
         }
         if self.order.len() == self.cap {
@@ -52,7 +54,7 @@ impl<K: Ord + Clone> DedupWindow<K> {
 
     /// Whether `key` is currently remembered.
     pub fn contains(&self, key: &K) -> bool {
-        self.seen.contains(key)
+        self.seen.contains_key(key)
     }
 
     /// Number of ids currently remembered.

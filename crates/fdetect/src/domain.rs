@@ -10,7 +10,7 @@
 //! failover path runs exactly once per domain death even when evidence
 //! keeps arriving.
 
-use std::collections::{BTreeMap, BTreeSet};
+use vbundle_sim::FlatMap;
 
 /// Evidence-driven aggregation of per-server liveness into per-domain
 /// death declarations.
@@ -26,9 +26,9 @@ use std::collections::{BTreeMap, BTreeSet};
 #[derive(Debug, Default, Clone)]
 pub struct DomainSuspicion {
     /// Per-member verdict: `true` = latest evidence says dead.
-    dead: BTreeMap<u64, bool>,
+    dead: FlatMap<u64, bool>,
     /// Domains already declared dead (sticky).
-    declared: BTreeSet<u32>,
+    declared: FlatMap<u32, ()>,
 }
 
 impl DomainSuspicion {
@@ -56,7 +56,7 @@ impl DomainSuspicion {
 
     /// Whether `domain` is currently declared dead.
     pub fn is_declared(&self, domain: u32) -> bool {
-        self.declared.contains(&domain)
+        self.declared.contains_key(&domain)
     }
 
     /// Attempts to declare `domain` (with the given member set) dead.
@@ -65,7 +65,7 @@ impl DomainSuspicion {
     /// standing death evidence and the domain was not already declared.
     /// An empty member set never declares — no evidence is not evidence.
     pub fn declare(&mut self, domain: u32, members: impl IntoIterator<Item = u64>) -> bool {
-        if self.declared.contains(&domain) {
+        if self.declared.contains_key(&domain) {
             return false;
         }
         let mut any = false;
@@ -78,7 +78,7 @@ impl DomainSuspicion {
         if !any {
             return false;
         }
-        self.declared.insert(domain);
+        self.declared.insert(domain, ());
         true
     }
 
@@ -91,7 +91,7 @@ impl DomainSuspicion {
 
     /// Domains currently declared dead, in order.
     pub fn declared(&self) -> impl Iterator<Item = u32> + '_ {
-        self.declared.iter().copied()
+        self.declared.keys().copied()
     }
 }
 

@@ -2,6 +2,7 @@
 
 use std::collections::BTreeMap;
 
+use vbundle_sim::FlatMap;
 use vbundle_trade::Lease;
 
 /// Numeric tolerance for pairing checks, in price units. Both sides
@@ -76,14 +77,14 @@ pub struct BillingRecord {
 /// books). Keyed by lease id for deterministic iteration.
 #[derive(Debug, Clone, Default)]
 pub struct BillingBook {
-    entries: BTreeMap<u64, BillingEntry>,
+    entries: FlatMap<u64, BillingEntry>,
 }
 
 impl BillingBook {
     /// An empty book.
     pub const fn new() -> Self {
         BillingBook {
-            entries: BTreeMap::new(),
+            entries: FlatMap::new(),
         }
     }
 

@@ -7,7 +7,7 @@
 //! [`topology_aware_ids`] implements that policy; [`random_ids`] provides
 //! the conventional uniformly random assignment for ablation comparisons.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -78,7 +78,7 @@ pub fn topology_aware_ids(topo: &Topology) -> Vec<NodeId> {
 pub fn random_ids(n: usize, seed: u64) -> Vec<NodeId> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut ids = Vec::with_capacity(n);
-    let mut drawn = HashSet::with_capacity(n);
+    let mut drawn = BTreeSet::new();
     while ids.len() < n {
         let id = NodeId::from_u128(rng.gen());
         if drawn.insert(id) {

@@ -1,7 +1,7 @@
 //! End-to-end tests of Scribe trees: spanning-tree structure, multicast
 //! coverage, anycast DFS semantics, pruning and failure repair.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -79,7 +79,7 @@ fn assert_spanning_tree(net: &Net, handles: &[NodeHandle], g: GroupId, members: 
     // Every member reaches the root by following parents, without cycles.
     for &m in members {
         let mut cur = handles[m];
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         loop {
             assert!(seen.insert(cur.id), "cycle at {cur}");
             let st = net
@@ -406,8 +406,8 @@ fn concurrent_groups_do_not_interfere() {
     net.run_to_quiescence();
     for (i, h) in handles.iter().enumerate() {
         let got = &net.actor(h.actor).app().client().multicasts;
-        let expect: HashSet<u64> = [(i % 8) as u64, ((i + 1) % 8) as u64].into();
-        let seen: HashSet<u64> = got.iter().map(|(_, p)| p.0).collect();
+        let expect: BTreeSet<u64> = [(i % 8) as u64, ((i + 1) % 8) as u64].into();
+        let seen: BTreeSet<u64> = got.iter().map(|(_, p)| p.0).collect();
         assert_eq!(seen, expect, "node {i} got wrong topic set");
     }
 }

@@ -48,6 +48,7 @@ mod actor;
 mod counters;
 mod engine;
 mod fault;
+mod flat_map;
 mod latency;
 mod prefetch;
 mod queue;
@@ -57,6 +58,7 @@ pub use actor::{Actor, ActorId, Context, Message, MsgCategory};
 pub use counters::ActorCounters;
 pub use engine::Engine;
 pub use fault::{CorruptionMode, FaultAction, FaultInjector, FaultStats};
+pub use flat_map::FlatMap;
 pub use latency::{Latency, TieredLatency};
 pub use queue::CalendarQueue;
 pub use time::{SimDuration, SimTime};

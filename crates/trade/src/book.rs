@@ -9,11 +9,10 @@
 //! half (a dangling *lender* half merely under-uses the bundle and is
 //! tolerated until expiry — the unsafe direction is phantom credit).
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use vbundle_obs::Counter;
-use vbundle_sim::{ActorId, SimTime};
+use vbundle_sim::{ActorId, FlatMap, SimTime};
 
 use crate::ids::VmId;
 use crate::lease::{Lease, LeaseId};
@@ -108,11 +107,11 @@ impl fmt::Debug for TradeStats {
 
 /// The set of lease halves hosted on one server.
 ///
-/// All state lives in a `BTreeMap` keyed by [`LeaseId`] so iteration is
-/// deterministic — the simulation replays byte-identically per seed.
+/// All state lives in a [`FlatMap`] keyed by [`LeaseId`] so iteration is
+/// in id order — the simulation replays byte-identically per seed.
 #[derive(Debug, Clone, Default)]
 pub struct TradeBook {
-    halves: BTreeMap<LeaseId, HalfLease>,
+    halves: FlatMap<LeaseId, HalfLease>,
     /// Subsystem counters.
     pub stats: TradeStats,
 }
@@ -147,16 +146,14 @@ impl TradeBook {
     /// Drops every half whose validity ended (`expires <= now`) and
     /// returns them, counting them in [`TradeStats::leases_expired`].
     pub fn expire(&mut self, now: SimTime) -> Vec<HalfLease> {
-        let dead: Vec<LeaseId> = self
-            .halves
-            .values()
-            .filter(|h| h.lease.expires <= now)
-            .map(|h| h.lease.id)
-            .collect();
-        let gone: Vec<HalfLease> = dead
-            .iter()
-            .filter_map(|id| self.halves.remove(id))
-            .collect();
+        let mut gone = Vec::new();
+        self.halves.retain(|_, h| {
+            let dead = h.lease.expires <= now;
+            if dead {
+                gone.push(*h);
+            }
+            !dead
+        });
         self.stats.leases_expired.add(gone.len() as u64);
         gone
     }
