@@ -116,6 +116,7 @@ impl ClusterBuilder {
         let registry = engine.metrics().clone();
         let flight = engine.flight().clone();
         let mirror = StatMirror::register(&registry);
+        engine.reserve_actors(states.len());
         for (i, state) in states.into_iter().enumerate() {
             let capacity = match &self.capacity_fn {
                 Some(f) => f(i),

@@ -353,6 +353,20 @@ const _: () = {
     assert!(size_of::<PastryNode<Scribe<Controller>>>() <= 1984);
 };
 
+// Layout guards for the per-link liveness records: a server keeps one per
+// heartbeated leaf-set member and one per tree child, so each byte here is
+// paid per link.
+const _: () = {
+    use std::mem::size_of;
+    use vbundle_fdetect::{ArrivalWindow, PeerDetector};
+    use vbundle_pastry::LeafLink;
+    use vbundle_scribe::ChildLink;
+    assert!(size_of::<ArrivalWindow>() <= 104);
+    assert!(size_of::<PeerDetector>() <= 112);
+    assert!(size_of::<LeafLink>() <= 136);
+    assert!(size_of::<ChildLink>() <= 160);
+};
+
 impl Message for CtrlMsg {
     fn wire_size(&self) -> usize {
         match self {

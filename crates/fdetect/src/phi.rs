@@ -69,18 +69,56 @@ impl PhiConfig {
     }
 }
 
+/// Stands for "never" in the stamps below: no real arrival or evaluation
+/// happens at the end of time, and a plain `SimTime` is half the size of
+/// an `Option`.
+const NEVER: SimTime = SimTime::MAX;
+
+/// A window's samples in micros: `u32`s while every gap fits one (up to
+/// 71.6 min), widened for good into boxed `u64`s the first time one does
+/// not, so every sample stays exact.
+#[derive(Debug, Clone)]
+enum Samples {
+    Narrow([u32; WINDOW]),
+    Wide(Box<[u64; WINDOW]>),
+}
+
+impl Samples {
+    fn get(&self, i: usize) -> u64 {
+        match self {
+            Samples::Narrow(s) => u64::from(s[i]),
+            Samples::Wide(s) => s[i],
+        }
+    }
+
+    fn set(&mut self, i: usize, gap: u64) {
+        match self {
+            Samples::Wide(s) => s[i] = gap,
+            Samples::Narrow(s) => match u32::try_from(gap) {
+                Ok(narrow) => s[i] = narrow,
+                Err(_) => {
+                    let mut wide = Box::new(s.map(u64::from));
+                    wide[i] = gap;
+                    *self = Samples::Wide(wide);
+                }
+            },
+        }
+    }
+}
+
 /// A bounded window of inter-arrival times for one peer: the last
 /// [`WINDOW`] samples in a ring held inline, so a link record that embeds
-/// one owns no heap block.
+/// one owns no heap block until a gap outgrows a `u32`.
 #[derive(Debug, Clone)]
 pub struct ArrivalWindow {
-    /// Samples in micros; `len` of them, the oldest at `head`.
-    intervals: [u64; WINDOW],
+    /// `len` samples, the oldest at `head`.
+    samples: Samples,
     head: u8,
     len: u8,
     /// Sum of the samples, kept so the fitted mean is O(1).
     sum: u64,
-    last: Option<SimTime>,
+    /// The last arrival (or start of observation); [`NEVER`] before one.
+    last: SimTime,
     first_estimate: u64, // micros
 }
 
@@ -89,11 +127,11 @@ impl ArrivalWindow {
     /// cadence until real samples arrive.
     pub fn new(first_estimate: SimDuration) -> Self {
         ArrivalWindow {
-            intervals: [0; WINDOW],
+            samples: Samples::Narrow([0; WINDOW]),
             head: 0,
             len: 0,
             sum: 0,
-            last: None,
+            last: NEVER,
             first_estimate: first_estimate.as_micros().max(1),
         }
     }
@@ -102,39 +140,39 @@ impl ArrivalWindow {
     /// a peer first becomes interesting, so that it can accrue suspicion
     /// even if it never sends anything.
     pub fn observe(&mut self, now: SimTime) {
-        if self.last.is_none() {
-            self.last = Some(now);
+        if self.last == NEVER {
+            self.last = now;
         }
     }
 
     /// Records a proof-of-life arrival; a full window drops its oldest
     /// sample.
     pub fn record(&mut self, now: SimTime) {
-        if let Some(last) = self.last {
-            let gap = now.saturating_since(last).as_micros();
+        if self.last != NEVER {
+            let gap = now.saturating_since(self.last).as_micros();
             let len = usize::from(self.len);
             let at = (usize::from(self.head) + len) % WINDOW;
             if len == WINDOW {
-                self.sum -= self.intervals[at];
+                self.sum -= self.samples.get(at);
                 self.head = ((at + 1) % WINDOW) as u8;
             } else {
                 self.len += 1;
             }
-            self.intervals[at] = gap;
+            self.samples.set(at, gap);
             self.sum += gap;
         }
-        self.last = Some(now);
+        self.last = now;
     }
 
     /// The samples, oldest first.
     fn samples_in_order(&self) -> impl Iterator<Item = u64> + '_ {
         let head = usize::from(self.head);
-        (0..usize::from(self.len)).map(move |i| self.intervals[(head + i) % WINDOW])
+        (0..usize::from(self.len)).map(move |i| self.samples.get((head + i) % WINDOW))
     }
 
     /// When the peer last proved itself (or started being observed).
     pub fn last_seen(&self) -> Option<SimTime> {
-        self.last
+        (self.last != NEVER).then_some(self.last)
     }
 
     /// Number of recorded inter-arrival samples.
@@ -171,7 +209,7 @@ impl ArrivalWindow {
     /// The silence so far and the expected gap (fitted mean plus `pause`),
     /// both in microseconds; `None` before the first observation.
     fn silence_and_expected(&self, now: SimTime, pause: SimDuration) -> Option<(f64, f64)> {
-        let elapsed = now.saturating_since(self.last?).as_micros() as f64;
+        let elapsed = now.saturating_since(self.last_seen()?).as_micros() as f64;
         Some((elapsed, self.mean_micros() + pause.as_micros() as f64))
     }
 
@@ -231,7 +269,8 @@ pub enum Verdict {
 #[derive(Debug, Clone)]
 pub struct PeerDetector {
     window: ArrivalWindow,
-    suspect_since: Option<SimTime>,
+    /// When the peer became suspect; [`NEVER`] while it is not.
+    suspect_since: SimTime,
 }
 
 impl PeerDetector {
@@ -243,14 +282,14 @@ impl PeerDetector {
         window.observe(now);
         PeerDetector {
             window,
-            suspect_since: None,
+            suspect_since: NEVER,
         }
     }
 
     /// Records a proof of life and clears any suspicion.
     pub fn heartbeat(&mut self, now: SimTime) {
         self.window.record(now);
-        self.suspect_since = None;
+        self.suspect_since = NEVER;
     }
 
     /// The current suspicion level.
@@ -261,7 +300,7 @@ impl PeerDetector {
 
     /// Whether the peer is currently under suspicion.
     pub fn is_suspect(&self) -> bool {
-        self.suspect_since.is_some()
+        self.suspect_since != NEVER
     }
 
     /// Classifies the peer at `now`, advancing the suspicion state machine.
@@ -276,16 +315,16 @@ impl PeerDetector {
                 .window
                 .within_expected_gap(now, config.acceptable_pause);
         if surely_alive || self.phi(config, now) < config.threshold {
-            self.suspect_since = None;
+            self.suspect_since = NEVER;
             return Verdict::Alive;
         }
-        match self.suspect_since {
-            None => {
-                self.suspect_since = Some(now);
-                Verdict::NewlySuspect
-            }
-            Some(since) if now.saturating_since(since) >= config.confirm_timeout => Verdict::Dead,
-            Some(_) => Verdict::Suspect,
+        if self.suspect_since == NEVER {
+            self.suspect_since = now;
+            Verdict::NewlySuspect
+        } else if now.saturating_since(self.suspect_since) >= config.confirm_timeout {
+            Verdict::Dead
+        } else {
+            Verdict::Suspect
         }
     }
 }
@@ -353,6 +392,25 @@ mod tests {
         let config = PhiConfig::default();
         let mut d = PeerDetector::new(SimDuration::from_secs(1), t(0));
         assert_eq!(d.evaluate(&config, t(30)), Verdict::NewlySuspect);
+    }
+
+    #[test]
+    fn a_gap_past_u32_widens_the_window_for_good() {
+        let mut w = ArrivalWindow::new(FIRST_INTERVAL);
+        w.record(t(0));
+        w.record(t(1));
+        assert!(matches!(w.samples, Samples::Narrow(_)));
+        let long = SimDuration::from_micros(u64::from(u32::MAX) + 1);
+        let at = t(1) + long;
+        w.record(at);
+        assert!(matches!(w.samples, Samples::Wide(_)));
+        assert_eq!(w.sum, 1_000_000 + long.as_micros());
+        // Once the long gap has left the ring, the window stays wide.
+        for s in 1..=WINDOW as u64 {
+            w.record(at + SimDuration::from_secs(s));
+        }
+        assert_eq!(w.sum, WINDOW as u64 * 1_000_000);
+        assert!(matches!(w.samples, Samples::Wide(_)));
     }
 
     /// `ArrivalWindow` as it was before the inline ring: a `VecDeque` of
@@ -479,6 +537,7 @@ mod tests {
                 ring.record(now);
                 deque.record(now);
                 proptest::prop_assert_eq!(ring.samples(), deque.intervals.len());
+                proptest::prop_assert_eq!(ring.last_seen(), deque.last);
                 proptest::prop_assert_eq!(ring.mean_micros().to_bits(), deque.mean_micros().to_bits());
                 proptest::prop_assert_eq!(
                     ring.phi(now, min_std, pause).to_bits(),
@@ -492,16 +551,16 @@ mod tests {
     /// verdict always comes from the fitted phi.
     fn evaluate_reference(d: &mut PeerDetector, config: &PhiConfig, now: SimTime) -> Verdict {
         if d.phi(config, now) < config.threshold {
-            d.suspect_since = None;
+            d.suspect_since = NEVER;
             return Verdict::Alive;
         }
-        match d.suspect_since {
-            None => {
-                d.suspect_since = Some(now);
-                Verdict::NewlySuspect
-            }
-            Some(since) if now.saturating_since(since) >= config.confirm_timeout => Verdict::Dead,
-            Some(_) => Verdict::Suspect,
+        if d.suspect_since == NEVER {
+            d.suspect_since = now;
+            Verdict::NewlySuspect
+        } else if now.saturating_since(d.suspect_since) >= config.confirm_timeout {
+            Verdict::Dead
+        } else {
+            Verdict::Suspect
         }
     }
 

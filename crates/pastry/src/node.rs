@@ -644,8 +644,8 @@ impl<A: PastryApp> PastryNode<A> {
     /// One liveness round: a `Heartbeat` to every leaf-set member, which
     /// is this node's proof of life there. Members and their records are
     /// walked together — a record sits where the previous round met its
-    /// member, so in steady state the match is one compare and the round
-    /// allocates nothing.
+    /// member, so in steady state the match is one compare, no record
+    /// moves and the round allocates nothing.
     fn heartbeat_round(&mut self, ctx: &mut SimContext<'_, PastryMsg<A::Msg>>) {
         let Some(interval) = self.config.heartbeat else {
             return;
@@ -668,7 +668,9 @@ impl<A: PastryApp> PastryNode<A> {
                     self.links.len() - 1
                 }
             };
-            self.links.swap(met, at);
+            if at != met {
+                self.links.swap(met, at);
+            }
             let verdict = self.links[met].verdict(&self.config, interval, now);
             met += 1;
             if verdict == Verdict::Dead {

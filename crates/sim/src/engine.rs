@@ -204,6 +204,13 @@ impl<W: Message, A: Actor<W>> Engine<W, A> {
         id
     }
 
+    /// Makes room for `additional` more actors in one allocation of the
+    /// exact size, so registering a known population neither doubles past
+    /// it nor copies the records on the way.
+    pub fn reserve_actors(&mut self, additional: usize) {
+        self.actors.reserve_exact(additional);
+    }
+
     /// Number of registered actors (alive or failed).
     pub fn num_actors(&self) -> usize {
         self.actors.len()
