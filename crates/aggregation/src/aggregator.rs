@@ -6,6 +6,8 @@
 //! information bases* and pushes the subtree summary to its parent; the
 //! root publishes the global aggregate back down the tree (§III.D).
 
+use std::rc::Rc;
+
 use vbundle_fdetect::{ArrivalWindow, PhiConfig, FIRST_INTERVAL};
 use vbundle_pastry::{Id, NodeHandle};
 use vbundle_scribe::{GroupId, ScribeCtx};
@@ -132,16 +134,19 @@ impl Topics {
 #[derive(Debug)]
 pub struct Aggregator {
     topics: Topics,
-    config: AggregationConfig,
+    /// Immutable and the same on every server of a cluster, so the
+    /// v-Bundle cluster builder hands each aggregator a clone of one `Rc`.
+    config: Rc<AggregationConfig>,
     rejected: u64,
 }
 
 impl Aggregator {
-    /// Creates an aggregator with the given configuration.
-    pub fn new(config: AggregationConfig) -> Self {
+    /// Creates an aggregator with the given configuration: an
+    /// [`AggregationConfig`] or an `Rc` of one shared with other servers.
+    pub fn new(config: impl Into<Rc<AggregationConfig>>) -> Self {
         Aggregator {
             topics: Topics::default(),
-            config,
+            config: config.into(),
             rejected: 0,
         }
     }

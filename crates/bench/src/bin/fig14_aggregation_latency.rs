@@ -8,6 +8,13 @@
 //! while the server count grows exponentially, because only the tree
 //! height (⌈log₁₆ N⌉-ish) adds hops.
 //!
+//! The wait for the root's aggregate is bounded in simulated time
+//! ([`WAIT`] after the leaves publish), not in events: immediate-mode
+//! aggregation costs a number of events that grows faster than the
+//! servers (≈ 585 000 at 1 024 servers). Exits 1 when a size yields no
+//! latency, when the raw latency exceeds height × (10 ms hop + 1.5 ms
+//! processing), or when the tree is taller than ⌈log₁₆ N⌉ + 1.
+//!
 //! Run: `cargo run --release -p vbundle-bench --bin fig14_aggregation_latency`
 
 use std::sync::Arc;
@@ -20,8 +27,31 @@ use vbundle_scribe::{group_id, Scribe};
 use vbundle_sim::{ActorId, Latency, SimDuration, SimTime};
 
 const UPDATE_INTERVAL_MS: u64 = 30_000; // the paper's red-line offset
+/// One LAN hop plus one node's processing: what each tree level adds.
+const LEVEL_MS: f64 = 10.0 + 1.5;
+/// How long after the leaves publish the root's aggregate may take.
+const WAIT: SimDuration = SimDuration::from_secs(10);
 
-fn measure(servers: usize, seed: u64) -> (f64, usize) {
+/// One size's outcome.
+struct Point {
+    /// Leaves-to-root latency; NaN if the root never saw every leaf.
+    raw_ms: f64,
+    /// Longest parent chain of the tree.
+    height: usize,
+    /// Events processed between the publish and the full aggregate.
+    events: u64,
+}
+
+/// ⌈log₁₆ n⌉: the digits a Pastry route resolves, one tree level each.
+fn log16_ceil(n: usize) -> usize {
+    let mut levels = 0;
+    while 16usize.pow(levels as u32) < n {
+        levels += 1;
+    }
+    levels
+}
+
+fn measure(servers: usize, seed: u64) -> Point {
     let racks = servers.div_ceil(16) as u32;
     let topo = Arc::new(
         Topology::builder()
@@ -68,10 +98,8 @@ fn measure(servers: usize, seed: u64) -> (f64, usize) {
         .position(|h| net.actor(h.actor).app().group(t).is_some_and(|st| st.root))
         .expect("root exists");
     let mut latency_ms = f64::NAN;
-    for _ in 0..400_000 {
-        if !net.step() {
-            break;
-        }
+    let events_before = net.events_processed();
+    while net.step_before(t0 + WAIT) {
         let g = net
             .actor(ActorId::new(root as u32))
             .app()
@@ -97,24 +125,49 @@ fn measure(servers: usize, seed: u64) -> (f64, usize) {
         }
         height = height.max(depth);
     }
-    (latency_ms, height)
+    Point {
+        raw_ms: latency_ms,
+        height,
+        events: net.events_processed() - events_before,
+    }
 }
 
 fn main() {
     println!("# Figure 14: leaves-to-root aggregation latency vs number of servers");
     println!(
-        "{:>8} {:>12} {:>20} {:>8}",
-        "servers", "raw (ms)", "with interval (ms)", "height"
+        "{:>8} {:>12} {:>20} {:>8} {:>10}",
+        "servers", "raw (ms)", "with interval (ms)", "height", "events"
     );
     let mut rows = Vec::new();
+    let mut broken = Vec::new();
     for &n in &[16usize, 32, 64, 128, 256, 512, 1024] {
-        let (raw, height) = measure(n, 14);
+        let Point {
+            raw_ms: raw,
+            height,
+            events,
+        } = measure(n, 14);
         let with_interval = raw + UPDATE_INTERVAL_MS as f64;
         println!(
-            "{:>8} {:>12.1} {:>20.1} {:>8}",
-            n, raw, with_interval, height
+            "{:>8} {:>12.1} {:>20.1} {:>8} {:>10}",
+            n, raw, with_interval, height, events
         );
         rows.push(format!("{n},{raw:.2},{with_interval:.2},{height}"));
+        if raw.is_nan() {
+            broken.push(format!(
+                "{n} servers: no aggregate within {} s",
+                WAIT.as_secs_f64()
+            ));
+        } else if raw > height as f64 * LEVEL_MS + 1e-9 {
+            broken.push(format!(
+                "{n} servers: {raw:.2} ms exceeds height {height} × {LEVEL_MS} ms"
+            ));
+        }
+        if height > log16_ceil(n) + 1 {
+            broken.push(format!(
+                "{n} servers: height {height} exceeds ⌈log16 n⌉ + 1 = {}",
+                log16_ceil(n) + 1
+            ));
+        }
     }
     write_csv(
         "fig14_aggregation_latency.csv",
@@ -123,4 +176,10 @@ fn main() {
     );
     println!("\n(latency grows linearly as servers grow exponentially: only the");
     println!(" tree height adds 10 ms hops + 1.5 ms per-node processing)");
+    if !broken.is_empty() {
+        for line in &broken {
+            eprintln!("{line}");
+        }
+        std::process::exit(1);
+    }
 }

@@ -2,6 +2,7 @@
 //! engine → Pastry → Scribe → controllers) and offers the operations the
 //! examples and figure benchmarks drive it with.
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use vbundle_aggregation::{AggregationConfig, UpdateMode};
@@ -97,18 +98,21 @@ impl ClusterBuilder {
     }
 
     /// Launches the cluster: builds the overlay, starts every controller.
+    /// Each layer's configuration is built once and shared by every
+    /// server through an `Rc`.
     pub fn build(self) -> Cluster {
         let latency = TopologyLatency::new(Arc::clone(&self.topo)).devirtualize();
-        let agg_config = AggregationConfig {
+        let agg_config = Rc::new(AggregationConfig {
             mode: UpdateMode::Periodic(self.vbundle.update_interval),
             ..self.agg.unwrap_or_default()
-        };
+        });
         let default_capacity: ResourceVector = self.topo.capacity().into();
-        let vb = self.vbundle.clone();
-        let scribe_config = self.scribe.clone();
+        let vb = Rc::new(self.vbundle);
+        let scribe_config = Rc::new(self.scribe);
         let ids = overlay::topology_aware_ids(&self.topo);
         let handles = overlay::handles_for(&ids);
         let states = overlay::build_states(&self.topo, &handles, &self.pastry);
+        let pastry_config = Rc::new(self.pastry);
         let mut engine: VbEngine = Engine::with_latency(latency, self.seed);
         if let Some(capacity) = self.flight_capacity {
             engine.enable_flight_recorder(capacity);
@@ -122,12 +126,12 @@ impl ClusterBuilder {
                 Some(f) => f(i),
                 None => default_capacity,
             };
-            let mut controller = Controller::new(capacity, agg_config.clone(), vb.clone());
+            let mut controller = Controller::new(capacity, Rc::clone(&agg_config), Rc::clone(&vb));
             controller.attach_obs(i as u32, &registry, &flight);
             controller.set_pod(self.topo.pod_of(self.topo.server(i)).index() as u32);
-            let mut scribe = Scribe::with_config(controller, scribe_config.clone());
+            let mut scribe = Scribe::with_config(controller, Rc::clone(&scribe_config));
             scribe.attach_obs(&registry, &flight);
-            let mut node = PastryNode::with_state(state, scribe, self.pastry.clone());
+            let mut node = PastryNode::with_state(state, scribe, Rc::clone(&pastry_config));
             node.attach_obs(&registry, &flight);
             engine.add_actor(node);
         }

@@ -1,6 +1,8 @@
 //! The server a controller runs on: what every protocol module may read
 //! and change, and nothing that belongs to only one of them.
 
+use std::rc::Rc;
+
 use vbundle_aggregation::{AggregationConfig, Aggregator};
 use vbundle_dcn::Bandwidth;
 use vbundle_obs::{FlightRecorder, Subsystem};
@@ -21,7 +23,9 @@ use crate::{ResourceKind, ResourceVector, VBundleConfig, VmId, VmRecord};
 #[derive(Debug)]
 pub(super) struct Host {
     pub capacity: ResourceVector,
-    pub config: VBundleConfig,
+    /// Immutable and the same on every server, shared through one `Rc`
+    /// per cluster.
+    pub config: Rc<VBundleConfig>,
     pub vms: Vec<VmRecord>,
     /// The embedded aggregation component (cluster means).
     pub agg: Aggregator,
@@ -52,10 +56,14 @@ pub(super) struct Host {
 }
 
 impl Host {
-    pub fn new(capacity: ResourceVector, agg: AggregationConfig, config: VBundleConfig) -> Self {
+    pub fn new(
+        capacity: ResourceVector,
+        agg: impl Into<Rc<AggregationConfig>>,
+        config: impl Into<Rc<VBundleConfig>>,
+    ) -> Self {
         Host {
             capacity,
-            config,
+            config: config.into(),
             vms: Vec::new(),
             agg: Aggregator::new(agg),
             book: TradeBook::new(),

@@ -40,6 +40,8 @@ mod stats;
 mod surv;
 mod trade;
 
+use std::rc::Rc;
+
 use vbundle_aggregation::{AggregationConfig, Aggregator};
 use vbundle_dcn::Bandwidth;
 use vbundle_market::BillingBook;
@@ -159,11 +161,14 @@ pub struct Controller {
 
 impl Controller {
     /// Creates a controller for a server with the given physical capacity.
+    /// Either configuration may be passed by value or as an `Rc` shared
+    /// with the other servers of a cluster.
     pub fn new(
         capacity: ResourceVector,
-        agg_config: AggregationConfig,
-        config: VBundleConfig,
+        agg_config: impl Into<Rc<AggregationConfig>>,
+        config: impl Into<Rc<VBundleConfig>>,
     ) -> Self {
+        let config = config.into();
         let market_stats = MarketStats::default();
         let trade = config.bundle_trading.then(|| {
             let market = config

@@ -337,20 +337,23 @@ const _: () = {
     use std::mem::size_of;
     use vbundle_pastry::PastryMsg;
     use vbundle_scribe::ScribeMsg;
-    assert!(size_of::<PastryMsg<ScribeMsg<CtrlMsg>>>() <= 64);
+    assert!(size_of::<PastryMsg<ScribeMsg<CtrlMsg>>>() <= 48);
     assert!(size_of::<ScribeMsg<CtrlMsg>>() <= 160);
     assert!(size_of::<CtrlMsg>() <= 96);
 };
 
 // Layout guards for what every server carries inline: the controller,
-// whose optional protocols are boxed, and the engine's actor record.
+// whose optional protocols are boxed and whose configs are shared, and
+// the engine's actor record. With the engine's 48-byte actor metadata a
+// node of at most 1 488 bytes fills a 64-byte-aligned record of 1 536
+// bytes (24 cache lines).
 const _: () = {
     use crate::Controller;
     use std::mem::size_of;
     use vbundle_pastry::PastryNode;
     use vbundle_scribe::Scribe;
-    assert!(size_of::<Controller>() <= 920);
-    assert!(size_of::<PastryNode<Scribe<Controller>>>() <= 1984);
+    assert!(size_of::<Controller>() <= 736);
+    assert!(size_of::<PastryNode<Scribe<Controller>>>() <= 1488);
 };
 
 // Layout guards for the per-link liveness records: a server keeps one per

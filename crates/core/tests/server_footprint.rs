@@ -50,10 +50,12 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Live heap bytes per server after `build()`: 7 261 B measured on
-/// x86-64, plus 139 B (1.9 %) of headroom. Before each per-node table was
-/// sized to its bound the same cluster held 8 937 B per server.
-const BUDGET_PER_SERVER: i64 = 7_400;
+/// Live heap bytes per server after `build()`: 5 912 B measured on
+/// x86-64, plus 118 B (2.0 %) of headroom. With 24-byte handles, a
+/// 2 048-byte actor record and four configs copied into every server the
+/// same cluster held 6 904 B per server; before each per-node table was
+/// sized to its bound, 8 937 B.
+const BUDGET_PER_SERVER: i64 = 6_030;
 
 #[test]
 fn a_built_server_stays_within_its_heap_budget() {

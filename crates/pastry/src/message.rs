@@ -23,7 +23,7 @@ pub struct RouteEnvelope<M> {
 /// payload type (for v-Bundle: Scribe messages).
 ///
 /// The engine moves this type by value several times per event, so it is
-/// kept to 56 bytes whatever `M` is: Pastry's own maintenance variants and
+/// kept to 48 bytes whatever `M` is: Pastry's own maintenance variants and
 /// the application's [`Signal`]s are inline, any other application payload
 /// sits behind one owning `Box`, allocated where the message originates
 /// and carried — not re-allocated — across route hops.
@@ -187,10 +187,10 @@ const HANDLE_BYTES: usize = 20; // 16-byte id + 4-byte address
 
 // Layout guards: the wire sizes above are explicit constants, the
 // in-memory sizes are what every queue slot and every move pays.
-const _: () = assert!(std::mem::size_of::<NodeHandle>() == 24);
-const _: () = assert!(std::mem::size_of::<Option<NodeHandle>>() == 32);
+const _: () = assert!(std::mem::size_of::<NodeHandle>() == 20);
+const _: () = assert!(std::mem::size_of::<Option<NodeHandle>>() == 24);
 const _: () = assert!(std::mem::size_of::<Signal>() <= 24);
-const _: () = assert!(std::mem::size_of::<PastryMsg<[u64; 64]>>() <= 56);
+const _: () = assert!(std::mem::size_of::<PastryMsg<[u64; 64]>>() <= 48);
 
 impl<M: Message> Message for PastryMsg<M> {
     fn wire_size(&self) -> usize {

@@ -1,5 +1,7 @@
 //! The Pastry node actor and the application upcall interface.
 
+use std::rc::Rc;
+
 use vbundle_fdetect::{backoff_rounds, PeerDetector, Verdict, FIXED_INTERVAL_ROUNDS};
 use vbundle_obs::{Counter, FlightRecorder, Registry, Subsystem};
 use vbundle_sim::{Actor, ActorId, Context as SimContext, Message, SimDuration, SimTime};
@@ -268,7 +270,10 @@ impl LeafLink {
 pub struct PastryNode<A: PastryApp> {
     state: PastryState,
     app: A,
-    config: PastryConfig,
+    /// Immutable and the same on every node of an overlay, so one copy is
+    /// shared: [`overlay::launch`](crate::overlay::launch) and the v-Bundle
+    /// cluster builder hand each node a clone of one `Rc`.
+    config: Rc<PastryConfig>,
     joined: bool,
     bootstrap: Option<ActorId>,
     /// One record per leaf-set member, in the order the last heartbeat
@@ -297,12 +302,13 @@ pub struct PastryNode<A: PastryApp> {
 impl<A: PastryApp> PastryNode<A> {
     /// Creates a node with pre-built routing state (the paper's
     /// "centralized certificate authority" mode, §II.B): the node is born
-    /// joined.
-    pub fn with_state(state: PastryState, app: A, config: PastryConfig) -> Self {
+    /// joined. `config` is a [`PastryConfig`] or an `Rc` of one shared
+    /// with other nodes.
+    pub fn with_state(state: PastryState, app: A, config: impl Into<Rc<PastryConfig>>) -> Self {
         PastryNode {
             state,
             app,
-            config,
+            config: config.into(),
             joined: true,
             bootstrap: None,
             links: Vec::new(),
@@ -314,11 +320,16 @@ impl<A: PastryApp> PastryNode<A> {
 
     /// Creates a node with empty state that will join through `bootstrap`
     /// (a physically nearby, already-joined node) when started.
-    pub fn joining(state: PastryState, bootstrap: ActorId, app: A, config: PastryConfig) -> Self {
+    pub fn joining(
+        state: PastryState,
+        bootstrap: ActorId,
+        app: A,
+        config: impl Into<Rc<PastryConfig>>,
+    ) -> Self {
         PastryNode {
             state,
             app,
-            config,
+            config: config.into(),
             joined: false,
             bootstrap: Some(bootstrap),
             links: Vec::new(),

@@ -8,6 +8,7 @@
 //! the conventional uniformly random assignment for ablation comparisons.
 
 use std::collections::BTreeSet;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -279,10 +280,11 @@ pub fn launch<A: PastryApp>(
     let ids = assign_ids(topo, policy);
     let handles = handles_for(&ids);
     let states = build_states(topo, &handles, &config);
+    let config = Rc::new(config);
     let mut engine = Engine::with_latency(latency, seed);
     for (i, state) in states.into_iter().enumerate() {
         let app = app_factory(i, handles[i]);
-        engine.add_actor(PastryNode::with_state(state, app, config.clone()));
+        engine.add_actor(PastryNode::with_state(state, app, Rc::clone(&config)));
     }
     engine.start();
     (engine, handles)

@@ -12,9 +12,11 @@ use crate::{Key, NodeHandle, NodeId};
 /// The leaf set: the `L/2` numerically closest nodes clockwise and
 /// counter-clockwise of the local node. It completes the last routing hop
 /// and anchors repair after failures.
+///
+/// The set does not store the local id: [`PastryState`] owns it and
+/// passes it as `self_id` to the methods that measure distances from it.
 #[derive(Debug, Clone)]
 pub struct LeafSet {
-    self_id: NodeId,
     half: usize,
     /// Sorted by clockwise distance from `self_id`, ascending.
     cw: Vec<NodeHandle>,
@@ -23,16 +25,15 @@ pub struct LeafSet {
 }
 
 impl LeafSet {
-    /// Creates an empty leaf set for a node with id `self_id` holding up to
-    /// `half` entries per side (`L = 2 × half`).
+    /// Creates an empty leaf set holding up to `half` entries per side
+    /// (`L = 2 × half`).
     ///
     /// # Panics
     ///
     /// Panics if `half` is zero.
-    pub fn new(self_id: NodeId, half: usize) -> Self {
+    pub fn new(half: usize) -> Self {
         assert!(half > 0, "leaf set half-size must be positive");
         LeafSet {
-            self_id,
             half,
             cw: Vec::with_capacity(half),
             ccw: Vec::with_capacity(half),
@@ -44,30 +45,31 @@ impl LeafSet {
         self.half
     }
 
-    /// Offers a handle; it is kept if it ranks among the `half` closest on
-    /// either side. Returns `true` if the set changed.
-    pub fn insert(&mut self, h: NodeHandle) -> bool {
-        if h.id == self.self_id {
+    /// Offers a handle to the leaf set of node `self_id`; it is kept if it
+    /// ranks among the `half` closest on either side. Returns `true` if the
+    /// set changed.
+    pub fn insert(&mut self, self_id: NodeId, h: NodeHandle) -> bool {
+        if h.id == self_id {
             return false;
         }
         let mut changed = false;
-        let cw_key = self.self_id.cw_distance(h.id);
+        let cw_key = self_id.cw_distance(h.id);
         changed |= Self::insert_side(
             &mut self.cw,
             h,
             cw_key,
             self.half,
             |s, x| s.cw_distance(x),
-            self.self_id,
+            self_id,
         );
-        let ccw_key = h.id.cw_distance(self.self_id);
+        let ccw_key = h.id.cw_distance(self_id);
         changed |= Self::insert_side(
             &mut self.ccw,
             h,
             ccw_key,
             self.half,
             |s, x| x.cw_distance(s),
-            self.self_id,
+            self_id,
         );
         changed
     }
@@ -98,17 +100,18 @@ impl LeafSet {
         true
     }
 
-    /// True if both sides are full and `id` lies beyond both extremes: it
-    /// is not a member and [`insert`](LeafSet::insert) would reject it.
-    /// Most senders (tree peers from anywhere on the ring) are.
-    pub fn out_of_reach(&self, id: NodeId) -> bool {
+    /// True if both sides are full and `id` lies beyond both extremes as
+    /// seen from `self_id`: it is not a member and
+    /// [`insert`](LeafSet::insert) would reject it. Most senders (tree
+    /// peers from anywhere on the ring) are.
+    pub fn out_of_reach(&self, self_id: NodeId, id: NodeId) -> bool {
         let (Some(cw), Some(ccw)) = (self.cw.last(), self.ccw.last()) else {
             return false;
         };
         self.cw.len() == self.half
             && self.ccw.len() == self.half
-            && self.self_id.cw_distance(id) > self.self_id.cw_distance(cw.id)
-            && id.cw_distance(self.self_id) > ccw.id.cw_distance(self.self_id)
+            && self_id.cw_distance(id) > self_id.cw_distance(cw.id)
+            && id.cw_distance(self_id) > ccw.id.cw_distance(self_id)
     }
 
     /// Removes a (failed) node from both sides. Returns `true` if present.
@@ -167,11 +170,12 @@ impl LeafSet {
         self.ccw.last().copied()
     }
 
-    /// True if `key` falls within the leaf-set range, i.e. between the
-    /// counter-clockwise and clockwise extremes (through the local node).
-    /// A side that is not yet full means the node knows its entire
-    /// neighborhood on that side, so coverage extends to everything.
-    pub fn covers(&self, key: Key) -> bool {
+    /// True if `key` falls within the leaf-set range of node `self_id`,
+    /// i.e. between the counter-clockwise and clockwise extremes (through
+    /// the local node). A side that is not yet full means the node knows
+    /// its entire neighborhood on that side, so coverage extends to
+    /// everything.
+    pub fn covers(&self, self_id: NodeId, key: Key) -> bool {
         if self.cw.len() < self.half || self.ccw.len() < self.half {
             return true;
         }
@@ -180,7 +184,7 @@ impl LeafSet {
         // If the local id is not on the clockwise arc lo -> hi, the two
         // sides have wrapped past each other: the leaf set spans the whole
         // ring and covers every key.
-        if !self.self_id.in_cw_arc(lo, hi) {
+        if !self_id.in_cw_arc(lo, hi) {
             return true;
         }
         key == lo || key.in_cw_arc(lo, hi)
@@ -189,7 +193,6 @@ impl LeafSet {
     /// The member (or the local node, represented by `self_handle`)
     /// numerically closest to `key`.
     pub fn closest(&self, key: Key, self_handle: NodeHandle) -> NodeHandle {
-        debug_assert_eq!(self_handle.id, self.self_id);
         let mut best = self_handle;
         for e in self.cw.iter().chain(self.ccw.iter()) {
             if key.closer_of(e.id, best.id) == e.id && e.id != best.id {
@@ -201,10 +204,11 @@ impl LeafSet {
 }
 
 /// The prefix-routing table: row `r` holds nodes sharing exactly `r` digits
-/// with the local id, indexed by their digit at position `r`.
-#[derive(Debug, Clone)]
+/// with the local id, indexed by their digit at position `r`. Like
+/// [`LeafSet`], the table does not store the local id; the methods that
+/// need it take it as `self_id`.
+#[derive(Debug, Clone, Default)]
 pub struct RoutingTable {
-    self_id: NodeId,
     /// Rows up to the deepest one that ever held an entry; later rows are
     /// allocated on first use (a table fills about log16(n) of its 32
     /// rows) and read as empty until then.
@@ -212,9 +216,9 @@ pub struct RoutingTable {
 }
 
 /// One routing-table row: sixteen slots and a bit per filled one. The
-/// mask takes the place of an `Option` tag per slot, which would cost 8
-/// bytes of padding each (a row is 392 bytes instead of 512), and lets
-/// readers visit filled slots only.
+/// mask takes the place of an `Option` tag per slot, which would cost 4
+/// bytes each (a row is 324 bytes instead of 384), and lets readers visit
+/// filled slots only.
 #[derive(Debug, Clone, Copy)]
 struct Row {
     slots: [NodeHandle; DIGIT_BASE],
@@ -245,23 +249,26 @@ impl Row {
 }
 
 impl RoutingTable {
-    /// Creates an empty table for `self_id`.
-    pub fn new(self_id: NodeId) -> Self {
-        RoutingTable {
-            self_id,
-            rows: Vec::new(),
-        }
+    /// Creates an empty table.
+    pub fn new() -> Self {
+        RoutingTable::default()
     }
 
-    /// Offers a handle; it lands in the row given by its shared prefix with
-    /// the local id. An occupied slot is replaced only by a physically
-    /// closer node (`proximity` = smaller is closer), which is how Pastry
-    /// builds locality-aware tables. Returns `true` if the table changed.
-    pub fn insert(&mut self, h: NodeHandle, proximity: impl Fn(&NodeHandle) -> u32) -> bool {
-        if h.id == self.self_id {
+    /// Offers a handle to the table of node `self_id`; it lands in the row
+    /// given by its shared prefix with `self_id`. An occupied slot is
+    /// replaced only by a physically closer node (`proximity` = smaller is
+    /// closer), which is how Pastry builds locality-aware tables. Returns
+    /// `true` if the table changed.
+    pub fn insert(
+        &mut self,
+        self_id: NodeId,
+        h: NodeHandle,
+        proximity: impl Fn(&NodeHandle) -> u32,
+    ) -> bool {
+        if h.id == self_id {
             return false;
         }
-        let row = self.self_id.shared_prefix_len(h.id);
+        let row = self_id.shared_prefix_len(h.id);
         debug_assert!(row < NUM_DIGITS);
         let col = h.id.digit(row);
         if row >= self.rows.len() {
@@ -297,10 +304,10 @@ impl RoutingTable {
         self.rows.get(row).and_then(|r| r.get(col))
     }
 
-    /// The next hop the prefix rule proposes for `key`, if the slot is
-    /// filled.
-    pub fn next_hop(&self, key: Key) -> Option<NodeHandle> {
-        let row = self.self_id.shared_prefix_len(key);
+    /// The next hop the prefix rule of node `self_id` proposes for `key`,
+    /// if the slot is filled.
+    pub fn next_hop(&self, self_id: NodeId, key: Key) -> Option<NodeHandle> {
+        let row = self_id.shared_prefix_len(key);
         if row >= NUM_DIGITS {
             return None; // key == self id
         }
@@ -357,35 +364,35 @@ impl RoutingTable {
 
 /// The neighbor set `M`: the physically closest nodes regardless of id —
 /// the set v-Bundle's placement algorithm walks when the target server
-/// cannot host a new VM (§II.B).
+/// cannot host a new VM (§II.B). Like [`LeafSet`], the set does not store
+/// the owner's id; [`insert`](NeighborSet::insert) takes it as `self_id`.
 #[derive(Debug, Clone)]
 pub struct NeighborSet {
     capacity: usize,
     /// Sorted by (proximity, ring distance to owner), ascending.
     items: Vec<(u32, NodeHandle)>,
-    self_id: NodeId,
 }
 
 impl NeighborSet {
     /// Creates an empty neighbor set holding up to `capacity` nodes.
-    pub fn new(self_id: NodeId, capacity: usize) -> Self {
+    pub fn new(capacity: usize) -> Self {
         NeighborSet {
             capacity,
             items: Vec::with_capacity(capacity),
-            self_id,
         }
     }
 
     /// Offers a handle with the given physical proximity (smaller =
-    /// closer). Returns `true` if the set changed.
-    pub fn insert(&mut self, h: NodeHandle, proximity: u32) -> bool {
-        if h.id == self.self_id {
+    /// closer) to the neighbor set of node `self_id`. Returns `true` if
+    /// the set changed.
+    pub fn insert(&mut self, self_id: NodeId, h: NodeHandle, proximity: u32) -> bool {
+        if h.id == self_id {
             return false;
         }
-        let sort_key = (proximity, self.self_id.ring_distance(h.id));
+        let sort_key = (proximity, self_id.ring_distance(h.id));
         // A full set rejects anything sorting after its last member, and a
         // member would be rejected as a duplicate: no scan either way.
-        let rank = |&(p, e): &(u32, NodeHandle)| (p, self.self_id.ring_distance(e.id));
+        let rank = |&(p, e): &(u32, NodeHandle)| (p, self_id.ring_distance(e.id));
         if self.items.len() == self.capacity
             && self.items.last().is_some_and(|l| sort_key > rank(l))
         {
@@ -501,7 +508,7 @@ pub enum RouteDecision {
     Forward(NodeHandle),
 }
 
-/// Slots in [`PastryState`]'s settled-peer memo (504 bytes per node).
+/// Slots in [`PastryState`]'s settled-peer memo (420 bytes per node).
 const SETTLED_SLOTS: usize = 21;
 
 /// The complete routing state of one Pastry node.
@@ -534,9 +541,9 @@ impl PastryState {
     ) -> Self {
         PastryState {
             handle,
-            leaf_set: LeafSet::new(handle.id, leaf_half),
-            routing_table: RoutingTable::new(handle.id),
-            neighbor_set: NeighborSet::new(handle.id, neighbor_capacity),
+            leaf_set: LeafSet::new(leaf_half),
+            routing_table: RoutingTable::new(),
+            neighbor_set: NeighborSet::new(neighbor_capacity),
             topology,
             settled: [handle; SETTLED_SLOTS],
         }
@@ -585,14 +592,15 @@ impl PastryState {
         if self.settled[slot] == h || h.id == self.handle.id {
             return false;
         }
-        let far = self.leaf_set.out_of_reach(h.id);
+        let me = self.handle.id;
+        let far = self.leaf_set.out_of_reach(me, h.id);
         let prox = self.proximity(h.actor);
-        let mut changed = !far && self.leaf_set.insert(h);
+        let mut changed = !far && self.leaf_set.insert(me, h);
         let (topo, my_actor) = (&self.topology, self.handle.actor);
         changed |= self
             .routing_table
-            .insert(h, |c| actor_distance(topo, my_actor, c.actor));
-        changed |= self.neighbor_set.insert(h, prox);
+            .insert(me, h, |c| actor_distance(topo, my_actor, c.actor));
+        changed |= self.neighbor_set.insert(me, h, prox);
         if changed {
             self.settled.fill(self.handle);
         } else if !far {
@@ -652,7 +660,7 @@ impl PastryState {
             return RouteDecision::DeliverHere;
         }
         // (1) Leaf-set rule.
-        if self.leaf_set.covers(key) {
+        if self.leaf_set.covers(self.handle.id, key) {
             let closest = self.leaf_set.closest(key, self.handle);
             return if closest.id == self.handle.id {
                 RouteDecision::DeliverHere
@@ -661,7 +669,7 @@ impl PastryState {
             };
         }
         // (2) Prefix rule.
-        if let Some(next) = self.routing_table.next_hop(key) {
+        if let Some(next) = self.routing_table.next_hop(self.handle.id, key) {
             return RouteDecision::Forward(next);
         }
         // (3) Rare case: improve numerically without losing prefix length.
@@ -727,9 +735,10 @@ mod tests {
 
         #[test]
         fn keeps_closest_per_side() {
-            let mut ls = LeafSet::new(Id::from_u128(100), 2);
+            let me = Id::from_u128(100);
+            let mut ls = LeafSet::new(2);
             for (v, a) in [(110, 1), (120, 2), (130, 3), (90, 4), (80, 5), (70, 6)] {
-                ls.insert(h(v, a));
+                ls.insert(me, h(v, a));
             }
             assert_eq!(ls.cw_extreme().unwrap().id, Id::from_u128(120));
             assert_eq!(ls.ccw_extreme().unwrap().id, Id::from_u128(80));
@@ -740,53 +749,59 @@ mod tests {
 
         #[test]
         fn rejects_self_and_duplicates() {
-            let mut ls = LeafSet::new(Id::from_u128(100), 2);
-            assert!(!ls.insert(h(100, 0)));
-            assert!(ls.insert(h(110, 1)));
-            assert!(!ls.insert(h(110, 1)));
+            let me = Id::from_u128(100);
+            let mut ls = LeafSet::new(2);
+            assert!(!ls.insert(me, h(100, 0)));
+            assert!(ls.insert(me, h(110, 1)));
+            assert!(!ls.insert(me, h(110, 1)));
             assert_eq!(ls.len(), 1);
         }
 
         #[test]
         fn wrap_around_distances() {
-            let mut ls = LeafSet::new(Id::from_u128(5), 1);
-            ls.insert(h(u128::MAX - 2, 1)); // 8 counter-clockwise of 5
-            ls.insert(h(2, 2)); // 3 counter-clockwise
-            ls.insert(h(10, 3)); // 5 clockwise
-                                 // The wrap-around id at distance 8 loses the single ccw slot to
-                                 // the id at distance 3; the cw slot goes to the nearest cw id.
+            let me = Id::from_u128(5);
+            let mut ls = LeafSet::new(1);
+            ls.insert(me, h(u128::MAX - 2, 1)); // 8 counter-clockwise of 5
+            ls.insert(me, h(2, 2)); // 3 counter-clockwise
+            ls.insert(me, h(10, 3)); // 5 clockwise
+
+            // The wrap-around id at distance 8 loses the single ccw slot to
+            // the id at distance 3; the cw slot goes to the nearest cw id.
             assert_eq!(ls.ccw_extreme().unwrap().id, Id::from_u128(2));
             assert_eq!(ls.cw_extreme().unwrap().id, Id::from_u128(10));
         }
 
         #[test]
         fn small_ring_node_on_both_sides() {
-            let mut ls = LeafSet::new(Id::from_u128(100), 4);
-            ls.insert(h(200, 1));
+            let me = Id::from_u128(100);
+            let mut ls = LeafSet::new(4);
+            ls.insert(me, h(200, 1));
             // Only two nodes in the ring: 200 is both cw and ccw neighbor.
             assert_eq!(ls.members().len(), 1);
-            assert!(ls.covers(Id::from_u128(u128::MAX)));
+            assert!(ls.covers(me, Id::from_u128(u128::MAX)));
         }
 
         #[test]
         fn coverage_when_full() {
-            let mut ls = LeafSet::new(Id::from_u128(100), 1);
-            ls.insert(h(120, 1));
-            ls.insert(h(80, 2));
-            assert!(ls.covers(Id::from_u128(100)));
-            assert!(ls.covers(Id::from_u128(80)));
-            assert!(ls.covers(Id::from_u128(120)));
-            assert!(ls.covers(Id::from_u128(95)));
-            assert!(!ls.covers(Id::from_u128(121)));
-            assert!(!ls.covers(Id::from_u128(79)));
+            let me = Id::from_u128(100);
+            let mut ls = LeafSet::new(1);
+            ls.insert(me, h(120, 1));
+            ls.insert(me, h(80, 2));
+            assert!(ls.covers(me, Id::from_u128(100)));
+            assert!(ls.covers(me, Id::from_u128(80)));
+            assert!(ls.covers(me, Id::from_u128(120)));
+            assert!(ls.covers(me, Id::from_u128(95)));
+            assert!(!ls.covers(me, Id::from_u128(121)));
+            assert!(!ls.covers(me, Id::from_u128(79)));
         }
 
         #[test]
         fn closest_prefers_nearest() {
             let self_h = h(100, 0);
-            let mut ls = LeafSet::new(self_h.id, 2);
-            ls.insert(h(120, 1));
-            ls.insert(h(80, 2));
+            let me = self_h.id;
+            let mut ls = LeafSet::new(2);
+            ls.insert(me, h(120, 1));
+            ls.insert(me, h(80, 2));
             assert_eq!(
                 ls.closest(Id::from_u128(118), self_h).id,
                 Id::from_u128(120)
@@ -800,8 +815,9 @@ mod tests {
 
         #[test]
         fn remove_both_sides() {
-            let mut ls = LeafSet::new(Id::from_u128(100), 4);
-            ls.insert(h(110, 1));
+            let me = Id::from_u128(100);
+            let mut ls = LeafSet::new(4);
+            ls.insert(me, h(110, 1));
             assert!(ls.remove(Id::from_u128(110)));
             assert!(ls.is_empty());
             assert!(!ls.remove(Id::from_u128(110)));
@@ -814,14 +830,14 @@ mod tests {
         #[test]
         fn places_by_prefix_row() {
             let self_id = Id::from_u128(0x1234 << 112);
-            let mut rt = RoutingTable::new(self_id);
+            let mut rt = RoutingTable::new();
             // Shares 0 digits: row 0, col = first digit.
             let far = h(0xF000 << 112, 1);
-            assert!(rt.insert(far, |_| 3));
+            assert!(rt.insert(self_id, far, |_| 3));
             assert_eq!(rt.entry(0, 0xF), Some(far));
             // Shares 2 digits (0x12..): row 2, col 7.
             let near = h(0x127F << 112, 2);
-            assert!(rt.insert(near, |_| 3));
+            assert!(rt.insert(self_id, near, |_| 3));
             assert_eq!(rt.entry(2, 7), Some(near));
             assert_eq!(rt.len(), 2);
         }
@@ -829,33 +845,34 @@ mod tests {
         #[test]
         fn keeps_physically_closer_on_conflict() {
             let self_id = Id::from_u128(0);
-            let mut rt = RoutingTable::new(self_id);
+            let mut rt = RoutingTable::new();
             let a = h(0xF000 << 112, 1);
             let b = h(0xF111 << 112, 2);
-            assert!(rt.insert(a, |_| 3));
+            assert!(rt.insert(self_id, a, |_| 3));
             // Same slot (row 0, col F), b is closer -> replaces.
-            assert!(rt.insert(b, |x| if x.actor.index() == 2 { 1 } else { 3 }));
+            assert!(rt.insert(self_id, b, |x| if x.actor.index() == 2 { 1 } else { 3 }));
             assert_eq!(rt.entry(0, 0xF), Some(b));
             // a is farther -> rejected.
-            assert!(!rt.insert(a, |x| if x.actor.index() == 2 { 1 } else { 3 }));
+            assert!(!rt.insert(self_id, a, |x| if x.actor.index() == 2 { 1 } else { 3 }));
         }
 
         #[test]
         fn next_hop_follows_prefix() {
             let self_id = Id::from_u128(0x1000 << 112);
-            let mut rt = RoutingTable::new(self_id);
+            let mut rt = RoutingTable::new();
             let target = h(0x1200 << 112, 1);
-            rt.insert(target, |_| 0);
+            rt.insert(self_id, target, |_| 0);
             let key = Id::from_u128(0x12FF << 112);
-            assert_eq!(rt.next_hop(key), Some(target));
-            assert_eq!(rt.next_hop(self_id), None);
+            assert_eq!(rt.next_hop(self_id, key), Some(target));
+            assert_eq!(rt.next_hop(self_id, self_id), None);
         }
 
         #[test]
         fn remove_clears_all_occurrences() {
-            let mut rt = RoutingTable::new(Id::from_u128(0));
+            let self_id = Id::from_u128(0);
+            let mut rt = RoutingTable::new();
             let a = h(0xF000 << 112, 1);
-            rt.insert(a, |_| 0);
+            rt.insert(self_id, a, |_| 0);
             assert!(rt.remove(a.id));
             assert!(rt.is_empty());
             assert!(!rt.remove(a.id));
@@ -863,9 +880,10 @@ mod tests {
 
         #[test]
         fn row_lists_entries() {
-            let mut rt = RoutingTable::new(Id::from_u128(0));
-            rt.insert(h(0x1000 << 112, 1), |_| 0);
-            rt.insert(h(0x2000 << 112, 2), |_| 0);
+            let self_id = Id::from_u128(0);
+            let mut rt = RoutingTable::new();
+            rt.insert(self_id, h(0x1000 << 112, 1), |_| 0);
+            rt.insert(self_id, h(0x2000 << 112, 2), |_| 0);
             assert_eq!(rt.row(0).len(), 2);
             assert!(rt.row(1).is_empty());
         }
@@ -876,23 +894,25 @@ mod tests {
 
         #[test]
         fn orders_by_proximity() {
-            let mut ns = NeighborSet::new(Id::from_u128(0), 2);
-            assert!(ns.insert(h(1, 1), 3));
-            assert!(ns.insert(h(2, 2), 1));
-            assert!(ns.insert(h(3, 3), 2));
+            let me = Id::from_u128(0);
+            let mut ns = NeighborSet::new(2);
+            assert!(ns.insert(me, h(1, 1), 3));
+            assert!(ns.insert(me, h(2, 2), 1));
+            assert!(ns.insert(me, h(3, 3), 2));
             let members: Vec<_> = ns.members().collect();
             assert_eq!(members.len(), 2);
             assert_eq!(members[0].id, Id::from_u128(2));
             assert_eq!(members[1].id, Id::from_u128(3));
             // Farther node rejected when full.
-            assert!(!ns.insert(h(4, 4), 5));
+            assert!(!ns.insert(me, h(4, 4), 5));
         }
 
         #[test]
         fn remove_and_duplicates() {
-            let mut ns = NeighborSet::new(Id::from_u128(0), 4);
-            ns.insert(h(1, 1), 1);
-            assert!(!ns.insert(h(1, 1), 1));
+            let me = Id::from_u128(0);
+            let mut ns = NeighborSet::new(4);
+            ns.insert(me, h(1, 1), 1);
+            assert!(!ns.insert(me, h(1, 1), 1));
             assert!(ns.remove(Id::from_u128(1)));
             assert!(ns.is_empty());
         }
@@ -1060,13 +1080,14 @@ mod tests {
                 return false;
             }
             let prox = st.proximity(h.actor);
-            let mut changed = st.leaf_set.insert(h);
+            let own = st.handle.id;
+            let mut changed = st.leaf_set.insert(own, h);
             let (topo, me) = (&st.topology, st.handle.actor);
             changed |= st
                 .routing_table
-                .insert(h, |c| actor_distance(topo, me, c.actor));
+                .insert(own, h, |c| actor_distance(topo, me, c.actor));
             let ns = &mut st.neighbor_set;
-            changed | neighbors_reference(&mut ns.items, ns.self_id, h, prox, ns.capacity)
+            changed | neighbors_reference(&mut ns.items, own, h, prox, ns.capacity)
         }
 
         fn forget_reference(st: &mut PastryState, id: NodeId) -> bool {
@@ -1288,7 +1309,7 @@ mod tests {
                 ops in proptest::collection::vec((0u32..4, 0u32..4, 0u32..16, 0u32..4, 0u32..8), 1..200),
             ) {
                 let me = Id::from_u128(0x8000 << 112);
-                let mut table = RoutingTable::new(me);
+                let mut table = RoutingTable::new();
                 let mut model = Reference { self_id: me, rows: Vec::new() };
                 let prox = |c: &NodeHandle| proximity[c.actor.index()];
                 for (kind, row, col, tail, actor) in ops {
@@ -1297,7 +1318,7 @@ mod tests {
                         (table.remove(id), model.remove(id))
                     } else {
                         let offer = NodeHandle::new(id, ActorId::new(actor));
-                        (table.insert(offer, prox), model.insert(offer, prox))
+                        (table.insert(me, offer, prox), model.insert(offer, prox))
                     };
                     prop_assert_eq!(changed.0, changed.1);
                     prop_assert_eq!(table.entries().collect::<Vec<_>>(), model.entries());
@@ -1312,8 +1333,8 @@ mod tests {
                         }
                     }
                     let key = id_at(me, col % 4, tail * 4 + row, actor);
-                    prop_assert_eq!(table.next_hop(key), model.next_hop(key));
-                    prop_assert_eq!(table.next_hop(me), None);
+                    prop_assert_eq!(table.next_hop(me, key), model.next_hop(key));
+                    prop_assert_eq!(table.next_hop(me, me), None);
                 }
             }
         }

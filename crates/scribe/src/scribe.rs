@@ -9,6 +9,8 @@
 //! topologically close children — the property v-Bundle's Less-Loaded tree
 //! relies on to find *nearby* load receivers (§III.C).
 
+use std::rc::Rc;
+
 use vbundle_fdetect::{DedupWindow, FailureDetection, PhiConfig, Verdict, FIXED_INTERVAL_ROUNDS};
 use vbundle_obs::{Counter, FlightRecorder, Registry, Subsystem};
 use vbundle_pastry::{
@@ -380,8 +382,9 @@ pub struct Scribe<C: ScribeClient> {
     groups: Groups,
     /// `(origin, nonce)` pairs of Publishes already disseminated by this
     /// root: a Publish duplicated in flight must not fan out twice under
-    /// two sequence numbers.
-    pub_seen: DedupWindow<(u128, u64)>,
+    /// two sequence numbers. Only a root reads it, so it is created when
+    /// the first valid Publish reaches this node and non-roots hold none.
+    pub_seen: Option<Box<DedupWindow<(u128, u64)>>>,
     /// Nonce for the next Publish this node sends toward a root.
     next_pub_nonce: u64,
     /// Tree links dropped by parent-side expiry. An obs shard: detached by
@@ -394,7 +397,9 @@ pub struct Scribe<C: ScribeClient> {
     /// Flight-recorder handle for expiry events (disabled by default).
     flight: FlightRecorder,
     client: C,
-    config: ScribeConfig,
+    /// Immutable and the same on every node, so the v-Bundle cluster
+    /// builder hands each node a clone of one `Rc`.
+    config: Rc<ScribeConfig>,
 }
 
 /// Root-side memory of recently disseminated Publish nonces.
@@ -406,17 +411,18 @@ impl<C: ScribeClient> Scribe<C> {
         Scribe::with_config(client, ScribeConfig::default())
     }
 
-    /// Creates a Scribe layer with explicit tunables.
-    pub fn with_config(client: C, config: ScribeConfig) -> Self {
+    /// Creates a Scribe layer with explicit tunables: a [`ScribeConfig`]
+    /// or an `Rc` of one shared with other nodes.
+    pub fn with_config(client: C, config: impl Into<Rc<ScribeConfig>>) -> Self {
         Scribe {
             groups: Groups::default(),
-            pub_seen: DedupWindow::new(PUB_DEDUP_WINDOW),
+            pub_seen: None,
             next_pub_nonce: 0,
             children_expired: Counter::default(),
             anycast_steps: Counter::default(),
             flight: FlightRecorder::disabled(),
             client,
-            config,
+            config: config.into(),
         }
     }
 
@@ -1085,7 +1091,11 @@ impl<C: ScribeClient> PastryApp for Scribe<C> {
                 // A Publish duplicated in flight must not fan out twice
                 // under two root-assigned sequence numbers. Poisoned
                 // payloads are dropped before they can fan out at all.
-                if self.client.validate_payload(&payload) && self.pub_seen.remember((origin, nonce))
+                if self.client.validate_payload(&payload)
+                    && self
+                        .pub_seen
+                        .get_or_insert_with(|| Box::new(DedupWindow::new(PUB_DEDUP_WINDOW)))
+                        .remember((origin, nonce))
                 {
                     self.disseminate_as_root(ctx, group, payload);
                 }
@@ -1354,5 +1364,52 @@ impl<C: ScribeClient> std::fmt::Debug for Scribe<C> {
         f.debug_struct("Scribe")
             .field("groups", &self.groups.len())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use vbundle_dcn::Topology;
+    use vbundle_pastry::{overlay, IdAssignment, PastryConfig};
+    use vbundle_sim::Latency;
+
+    use super::*;
+    use crate::{group_id, CollectClient, TestPayload};
+
+    #[test]
+    fn only_the_root_holds_a_publish_window() {
+        let topo = Arc::new(Topology::builder().rack_sizes(&[4, 4, 4]).build());
+        let (mut net, handles) = overlay::launch(
+            &topo,
+            IdAssignment::TopologyAware,
+            PastryConfig::default(),
+            4,
+            Latency::Constant(SimDuration::from_micros(100)),
+            |_, _| Scribe::new(CollectClient::default()),
+        );
+        let g = group_id("window");
+        for (i, h) in handles.iter().enumerate() {
+            net.call(h.actor, |node, ctx| {
+                node.app_call(ctx, |scribe, actx| {
+                    scribe.client_call(actx, |_, sctx| {
+                        sctx.join(g);
+                        if i % 3 == 0 {
+                            sctx.multicast(g, TestPayload(i as u64));
+                        }
+                    });
+                });
+            });
+        }
+        net.run_to_quiescence();
+        let mut roots = 0;
+        for h in &handles {
+            let scribe = net.actor(h.actor).app();
+            let root = scribe.group(g).is_some_and(|st| st.root);
+            assert_eq!(scribe.pub_seen.is_some(), root, "node {h}");
+            roots += usize::from(root);
+        }
+        assert_eq!(roots, 1);
     }
 }
