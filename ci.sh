@@ -53,6 +53,12 @@ for sweep in chaos_sweep poison_sweep bundle_market scale_sweep survivability_sw
     cargo run --release -q -p vbundle-bench --bin "${sweep}" -- --smoke
 done
 
+# The same smoke with the flight recorder and profiler on: obs observes,
+# never steers, so it must pass the unmodified golden. It is the one step
+# that records into (and renders) a live recorder.
+echo "==> chaos_sweep --smoke --obs (same golden, obs on)"
+cargo run --release -q -p vbundle-bench --bin chaos_sweep -- --smoke --obs
+
 # The full chaos sweep (a few seconds) carries the detection-quality guard
 # every message-diet step has to pass: per-scenario repair ceilings, no
 # open invariant, no false eviction under the adaptive detector. It

@@ -5,7 +5,7 @@
 //! disabled must leave the simulation in byte-identical state — same
 //! event count, same fault tallies, same per-controller protocol stats,
 //! same satisfied bandwidth. And the enabled run must itself replay
-//! byte-identically from the seed.
+//! byte-identically from the seed, flight-recorder tail included.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -23,8 +23,9 @@ const SEED: u64 = 42;
 /// plan (crash + restart under a lossy window) driven to a fixed
 /// deadline. With `obs` the run records flight events, profiles the hot
 /// path and exports the metrics registry mid-run — all of which must be
-/// invisible to the simulation.
-fn run_scenario(obs: bool) -> String {
+/// invisible to the simulation. Returns the end-state digest and the
+/// rendered flight tail (empty without `obs`).
+fn run_scenario(obs: bool) -> (String, String) {
     let topo = Arc::new(Topology::paper_testbed());
     let pastry = PastryConfig {
         heartbeat: Some(SimDuration::from_secs(1)),
@@ -86,7 +87,7 @@ fn run_scenario(obs: bool) -> String {
             "obs run produced no profile — profiling was not on"
         );
     }
-    digest(&cluster)
+    (digest(&cluster), cluster.engine.flight().dump_tail(4096))
 }
 
 /// Everything deterministic about the end state, rendered to a string so
@@ -133,8 +134,8 @@ fn digest(cluster: &Cluster) -> String {
 
 #[test]
 fn obs_on_and_off_reach_byte_identical_state() {
-    let plain = run_scenario(false);
-    let observed = run_scenario(true);
+    let (plain, _) = run_scenario(false);
+    let (observed, _) = run_scenario(true);
     assert_eq!(
         plain, observed,
         "enabling observability changed the simulation"
@@ -143,9 +144,15 @@ fn obs_on_and_off_reach_byte_identical_state() {
 
 #[test]
 fn obs_enabled_run_replays_byte_identically() {
+    let (digest, tail) = run_scenario(true);
+    let (again, tail_again) = run_scenario(true);
     assert_eq!(
-        run_scenario(true),
-        run_scenario(true),
+        digest, again,
         "obs-enabled run did not replay deterministically"
+    );
+    assert_eq!(tail.lines().count(), 4096, "the ring did not fill");
+    assert!(
+        tail == tail_again,
+        "the flight tail did not replay byte for byte"
     );
 }

@@ -6,6 +6,7 @@
 
 use rand::Rng;
 use vbundle_aggregation::{AggMsg, AGG_TICK_TAG};
+use vbundle_obs::Kind;
 use vbundle_pastry::NodeHandle;
 use vbundle_scribe::{GroupId, ScribeClient, Summary};
 use vbundle_sim::{ActorId, SimDuration, SimTime};
@@ -18,6 +19,10 @@ use super::{
 };
 use crate::message::{BootQuery, CtrlMsg};
 use crate::VmId;
+
+// Flight records of a fence arriving at a stale primary.
+const FO_LEASE_REVERT: Kind = Kind::new("fo-lease-revert", "leases", "vm");
+const FO_FENCE: Kind = Kind::new("fo-fence", "dropped", "by");
 
 impl Controller {
     /// One hop of a boot walk on this server.
@@ -84,9 +89,7 @@ impl Controller {
                 let leases = self.host.book.ids_involving(vm).len() as u64;
                 if leases > 0 {
                     self.stats.fo_lease_reverts.add(leases);
-                    self.host.event("fo-lease-revert", || {
-                        format!("{leases} lease(s) of fenced vm {vm:?}")
-                    });
+                    self.host.event(&FO_LEASE_REVERT, leases, vm.0);
                 }
                 self.release_vm_leases(ctx, vm);
                 self.remove_vm(vm);
@@ -94,12 +97,8 @@ impl Controller {
             }
         }
         if dropped > 0 {
-            self.host.event("fo-fence", || {
-                format!(
-                    "dropped {dropped} stale VM(s) fenced by node#{}",
-                    from.actor.index()
-                )
-            });
+            self.host
+                .event(&FO_FENCE, dropped, from.actor.index() as u64);
         }
         ctx.send_client(from, CtrlMsg::FoFenceAck { vms });
     }

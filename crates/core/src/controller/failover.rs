@@ -25,6 +25,7 @@
 
 use vbundle_dcn::{DomainKind, Topology};
 use vbundle_fdetect::DomainSuspicion;
+use vbundle_obs::Kind;
 use vbundle_pastry::NodeHandle;
 use vbundle_sim::{ActorId, FlatMap};
 
@@ -35,6 +36,10 @@ use super::{Ctx, FAILOVER_BOOT_BASE, FAILOVER_TAG};
 use crate::config::FailoverConfig;
 use crate::message::{BootQuery, CtrlMsg, Visited};
 use crate::{ResourceVector, VmId, VmRecord};
+
+// Flight records of a backup site: a rack declared dead, a VM restored.
+const FO_DOMAIN_DEAD: Kind = Kind::new("fo-domain-dead", "rack", "");
+const FO_REMATERIALIZE: Kind = Kind::new("fo-rematerialize", "vm", "onto");
 
 /// The stage of one protection charge.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -300,8 +305,7 @@ impl Failover {
         topo: &Topology,
     ) {
         adm.stats.fo_domains_declared.inc();
-        adm.host
-            .event("fo-domain-dead", || format!("rack {rack} declared dead"));
+        adm.host.event(&FO_DOMAIN_DEAD, u64::from(rack), 0);
         let victims: Vec<(VmId, NodeHandle, ResourceVector)> = self
             .charges
             .values()
@@ -391,9 +395,7 @@ impl Failover {
                 };
                 if let (Some(_), Some(to)) = (self.step(stats, vm, event), placed_on) {
                     stats.fo_rematerialized.inc();
-                    host.event("fo-rematerialize", || {
-                        format!("vm {vm:?} onto node#{}", to.actor.index())
-                    });
+                    host.event(&FO_REMATERIALIZE, vm.0, to.actor.index() as u64);
                 }
             }
             CtrlMsg::FoBackupReserve {

@@ -1,6 +1,8 @@
 //! The cluster-mean sanity gate (graceful degradation under poisoned
 //! aggregates). Present only when `VBundleConfig::mean_gate` is on.
 
+use vbundle_obs::Kind;
+
 use super::host::Host;
 use super::stats::ControllerStats;
 use crate::ResourceKind;
@@ -72,7 +74,7 @@ impl MeanGates {
             return;
         }
         stats.rejected_aggregates.inc();
-        host.event("mean-gate-reject", || format!("{kind:?} reading {reading}"));
+        host.event(&MEAN_GATE_REJECT, kind as u64, 0);
         // Suspect. Readings agreeing with the current candidate level
         // extend the streak; a genuine load change repeats itself and
         // re-anchors after `mean_recovery_rounds`, while flapping poison
@@ -102,6 +104,10 @@ impl MeanGates {
 /// Absolute plausibility ceiling on the mean utilization (demand over
 /// capacity; oversubscription can push it past 1, but not this far).
 const MEAN_CEILING: f64 = 10.0;
+
+/// Flight record: a mean reading the gate refused (`resource` is the
+/// `ResourceKind` index).
+const MEAN_GATE_REJECT: Kind = Kind::new("mean-gate-reject", "resource", "");
 
 /// Whether a mean reading clears the gate's absolute (memoryless)
 /// plausibility bounds.

@@ -5,7 +5,7 @@ use std::rc::Rc;
 
 use vbundle_aggregation::{AggregationConfig, Aggregator};
 use vbundle_dcn::Bandwidth;
-use vbundle_obs::{FlightRecorder, Subsystem};
+use vbundle_obs::{FlightRecorder, Kind, Subsystem};
 use vbundle_sim::{FlatMap, SimTime};
 use vbundle_trade::{LeaseRole, ResourceSpec, TradeBook};
 
@@ -194,9 +194,9 @@ impl Host {
     }
 
     /// Records a flight event of this server at the current clock.
-    pub fn event(&self, kind: &'static str, detail: impl FnOnce() -> String) {
+    pub fn event(&self, kind: &'static Kind, a: u64, b: u64) {
         let (at, sub) = (self.clock.as_micros(), Subsystem::Controller);
-        self.flight.event_with(at, self.node, sub, kind, detail);
+        self.flight.record(at, self.node, sub, kind, a, b);
     }
 }
 

@@ -19,6 +19,7 @@
 mod sheds;
 
 use vbundle_fdetect::{Courier, CourierConfig, RetryDecision};
+use vbundle_obs::Kind;
 use vbundle_pastry::NodeHandle;
 use vbundle_sim::{SimDuration, SimTime};
 
@@ -46,6 +47,12 @@ const MIGRATION_DELAY: SimDuration = SimDuration::from_secs(10);
 /// How long a receiver holds reserved bandwidth for an accepted VM before
 /// the hold expires.
 const HOLD_TIMEOUT: SimDuration = SimDuration::from_mins(10);
+
+// Flight records: shed candidates held back by live leases, a planned
+// migration stopped because its VM was leased since, a VM leaving.
+const SHED_LEASE_BLOCKED: Kind = Kind::new("shed-lease-blocked", "vms", "");
+const MIGRATE_LEASE_BLOCKED: Kind = Kind::new("migrate-lease-blocked", "vm", "");
+const MIGRATE_OUT: Kind = Kind::new("migrate-out", "vm", "to");
 
 /// A server's self-identified role in the current rebalancing epoch
 /// (§III.C step 1).
@@ -294,9 +301,7 @@ impl Shuffle {
         let blocked = (before - candidates.len()) as u64;
         if blocked > 0 {
             stats.sheds_lease_blocked.add(blocked);
-            host.event("shed-lease-blocked", || {
-                format!("{blocked} candidate VMs held by live leases")
-            });
+            host.event(&SHED_LEASE_BLOCKED, blocked, 0);
         }
         candidates.sort_by(|a, b| vm_demand(b).total_cmp(&vm_demand(a)));
         let stop_line = mean + host.config.threshold;
@@ -454,9 +459,7 @@ impl Shuffle {
                     return;
                 };
                 stats.migrations_out += 1;
-                host.event("migrate-out", || {
-                    format!("vm {:?} to node#{}", vm.id, receiver.actor.index())
-                });
+                host.event(&MIGRATE_OUT, vm.id.0, receiver.actor.index() as u64);
                 stats.migration_times.push(ctx.now());
                 let timeout = self.courier.register(query);
                 self.send_migrate(ctx, query, vm, receiver, timeout);
@@ -592,9 +595,7 @@ fn take_for_migration(host: &mut Host, stats: &mut ControllerStats, vm: VmId) ->
     let pos = host.vms.iter().position(|v| v.id == vm)?;
     if host.book.vm_involved(vm) {
         stats.sheds_lease_blocked.inc();
-        host.event("shed-lease-blocked", || {
-            format!("vm {vm:?} re-leased while query was in flight")
-        });
+        host.event(&MIGRATE_LEASE_BLOCKED, vm.0, 0);
         return None;
     }
     if host.config.cost_benefit && !migration_worthwhile(host, &host.vms[pos]) {

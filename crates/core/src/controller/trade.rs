@@ -13,6 +13,7 @@ use std::mem;
 use vbundle_dcn::Bandwidth;
 use vbundle_fdetect::{Courier, CourierConfig, RetryDecision};
 use vbundle_market::EntrySide;
+use vbundle_obs::Kind;
 use vbundle_pastry::NodeHandle;
 use vbundle_scribe::{GroupId, Summary};
 use vbundle_sim::{FlatMap, SimTime};
@@ -38,6 +39,13 @@ const TRADE_MARGIN: f64 = 0.1;
 const MAX_TRADES_PER_ROUND: usize = 4;
 /// Lender markup over the pod's price index when quoting a spot ask.
 const ASK_MARKUP: f64 = 0.1;
+
+// Flight records: a lease minted by its lender, and taken by its borrower.
+const LEASE_GRANT: Kind = Kind::new("lease-grant", "lease", "to");
+const SPOT_GRANT: Kind = Kind::new("spot-grant", "lease", "to");
+const SPOT_REQUOTE: Kind = Kind::new("spot-requote", "lease", "to");
+const LEASE_BORROWED: Kind = Kind::new("lease-borrowed", "lease", "from");
+const SPOT_BORROWED: Kind = Kind::new("spot-borrowed", "lease", "from");
 
 #[derive(Debug)]
 pub(super) struct Trade {
@@ -194,7 +202,7 @@ impl Trade {
         }
         let amount = ResourceVector::bandwidth_only(Bandwidth::from_mbps(give));
         let until = now + host.config.lease_duration;
-        let kind = if q.spot { "spot-grant" } else { "lease-grant" };
+        let kind = if q.spot { &SPOT_GRANT } else { &LEASE_GRANT };
         // Within a bundle the buyer is the lender's own customer: a free
         // lease. Across tenants the lease is priced.
         self.mint(host, ctx, q.origin, kind, |id| Lease {
@@ -215,7 +223,7 @@ impl Trade {
         host: &mut Host,
         ctx: &mut Ctx<'_, '_, '_, '_>,
         to: NodeHandle,
-        kind: &'static str,
+        kind: &'static Kind,
         terms: impl FnOnce(LeaseId) -> Lease,
     ) -> u64 {
         let raw = ((ctx.self_handle().actor.index() as u64) << 32) | self.next_lease;
@@ -232,14 +240,7 @@ impl Trade {
         if let (true, Some(m)) = (lease.is_priced(), &mut self.market) {
             m.book(&lease, EntrySide::Revenue);
         }
-        host.event(kind, || {
-            format!(
-                "lease {raw:#x}: {} Mbps at {:.4}/Mbps·s to node#{}",
-                lease.amount.bandwidth.as_mbps(),
-                lease.price,
-                to.actor.index()
-            )
-        });
+        host.event(kind, raw, to.actor.index() as u64);
         let timeout = self.courier.register(raw);
         ctx.send_client(
             to,
@@ -285,22 +286,15 @@ impl Trade {
             host.lendable_moved = true;
             self.peers.insert(id.0, from);
             host.book.stats.leases_borrowed.inc();
-            let mut kind = "lease-borrowed";
+            let mut kind = &LEASE_BORROWED;
             if let (true, Some(m)) = (lease.is_priced(), &mut self.market) {
                 // The buyer's side of price discovery: the cleared price
                 // steers this pod's index too.
                 m.book(&lease, EntrySide::Spend);
                 m.stats.spot_trades.inc();
-                kind = "spot-borrowed";
+                kind = &SPOT_BORROWED;
             }
-            host.event(kind, || {
-                format!(
-                    "lease {:#x} at {:.4}/Mbps·s from node#{}",
-                    id.0,
-                    lease.price,
-                    from.actor.index()
-                )
-            });
+            host.event(kind, id.0, from.actor.index() as u64);
         }
         ctx.send_client(from, CtrlMsg::LeaseAck { id, accepted });
     }
@@ -400,7 +394,7 @@ impl Trade {
             return;
         }
         let until = h.lease.expires + host.config.lease_duration;
-        let raw = self.mint(host, ctx, from, "spot-requote", |id| Lease {
+        let raw = self.mint(host, ctx, from, &SPOT_REQUOTE, |id| Lease {
             id,
             starts: h.lease.expires,
             expires: until,

@@ -11,9 +11,11 @@
 //!    load/add/store, so subsystems keep their counters *on* registry
 //!    handles instead of ad-hoc stat structs.
 //! 2. **Sim-time tracing** ([`FlightRecorder`]) — a bounded ring of
-//!    structured events keyed by `(tick, node, subsystem)`. Disabled by
-//!    default; when a chaos invariant fails, the tail is the flight
-//!    recorder for the post-mortem.
+//!    fixed-size `Copy` records keyed by `(tick, node, subsystem)`: a
+//!    static [`Kind`] and two integer operands, rendered to text only
+//!    when the tail is dumped. Disabled by default; when a chaos
+//!    invariant fails, the tail is the flight recorder for the
+//!    post-mortem.
 //! 3. **Wall-clock profiling** ([`Profiler`]) — scoped timers around the
 //!    engine hot path, aggregated per [`HotSection`]. Wall-clock readings
 //!    never feed back into simulation state, so they are kept strictly
@@ -33,5 +35,5 @@ mod recorder;
 mod registry;
 
 pub use profile::{HotSection, Profiler, SectionStats};
-pub use recorder::{FlightRecorder, ObsEvent, Subsystem};
-pub use registry::{Counter, Gauge, Histogram, MetricId, MetricKind, Registry, Scope};
+pub use recorder::{FlightRecorder, Kind, ObsEvent, Subsystem};
+pub use registry::{Counter, Gauge, Histogram, MetricKind, Registry, Scope};

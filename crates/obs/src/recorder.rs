@@ -1,17 +1,22 @@
-//! The sim-time tracing plane: a bounded ring of structured events keyed
+//! The sim-time tracing plane: a bounded ring of fixed-size records keyed
 //! by `(tick, node, subsystem)` — the flight recorder that turns "a chaos
 //! invariant failed at minute 60" into a readable last-N-events story.
 //!
+//! A record is `Copy` and holds no text: a static [`Kind`] (its label and
+//! the names of its two operands, fixed where the kind is defined) plus two
+//! integer operands — peer index, VM or lease id, count, delay. Text exists
+//! only when the ring is dumped, so recording into a warm ring allocates
+//! nothing.
+//!
 //! The recorder is a shared handle (`Clone` shares the ring), so the
 //! engine and every subsystem can append to one ring without plumbing
-//! mutable references through the actor stack. Disabled recorders
-//! ([`FlightRecorder::disabled`], also the `Default`) ignore appends for
-//! nearly zero cost; the closure-taking [`FlightRecorder::event_with`]
-//! keeps even the detail-string formatting off the disabled path.
+//! mutable references through the actor stack. A disabled recorder
+//! ([`FlightRecorder::disabled`], also the `Default`) costs one `Option`
+//! branch per [`FlightRecorder::record`].
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::rc::Rc;
 
 /// Which layer of the stack recorded an event.
@@ -23,14 +28,8 @@ pub enum Subsystem {
     Pastry,
     /// The Scribe trees (membership, child expiry).
     Scribe,
-    /// The aggregation service.
-    Aggregation,
-    /// The v-Bundle controller (placement, shuffling, mean gate).
+    /// The v-Bundle controller (placement, shuffling, trading, failover).
     Controller,
-    /// The bundle-trading marketplace.
-    Trade,
-    /// The chaos driver (fault plan events).
-    Chaos,
 }
 
 impl fmt::Display for Subsystem {
@@ -39,30 +38,48 @@ impl fmt::Display for Subsystem {
             Subsystem::Engine => "engine",
             Subsystem::Pastry => "pastry",
             Subsystem::Scribe => "scribe",
-            Subsystem::Aggregation => "aggregation",
             Subsystem::Controller => "controller",
-            Subsystem::Trade => "trade",
-            Subsystem::Chaos => "chaos",
         };
         f.write_str(s)
     }
 }
 
-/// One recorded event (or span, when `span_us > 0`).
-#[derive(Debug, Clone)]
+/// An event kind: its label and the names of its two operands. Each kind
+/// is a `const` next to the code that records it; an empty operand name
+/// marks an unused operand, which is recorded as 0 and not rendered.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Kind {
+    /// The label (`"deliver"`, `"evict"`, …).
+    pub label: &'static str,
+    /// The names of operands `a` and `b`.
+    pub operands: [&'static str; 2],
+}
+
+impl Kind {
+    /// A kind labelled `label` whose operands are named `a` and `b`.
+    pub const fn new(label: &'static str, a: &'static str, b: &'static str) -> Kind {
+        Kind {
+            label,
+            operands: [a, b],
+        }
+    }
+}
+
+/// One recorded event.
+#[derive(Debug, Clone, Copy)]
 pub struct ObsEvent {
-    /// Simulated time of the event in microseconds (a span's *end*).
+    /// Simulated time of the event in microseconds.
     pub at_us: u64,
     /// The node (actor index) the event happened on.
     pub node: u32,
     /// The recording subsystem.
     pub subsystem: Subsystem,
-    /// A static label naming the event kind (`"deliver"`, `"evict"`, …).
-    pub label: &'static str,
-    /// Free-form detail, already rendered.
-    pub detail: String,
-    /// Span length in simulated microseconds; `0` marks an instant event.
-    pub span_us: u64,
+    /// What happened, and what the operands mean.
+    pub kind: &'static Kind,
+    /// The first operand (named by `kind.operands[0]`).
+    pub a: u64,
+    /// The second operand (named by `kind.operands[1]`).
+    pub b: u64,
 }
 
 impl fmt::Display for ObsEvent {
@@ -70,13 +87,12 @@ impl fmt::Display for ObsEvent {
         write!(
             f,
             "[{}us] node#{} {}/{}",
-            self.at_us, self.node, self.subsystem, self.label
+            self.at_us, self.node, self.subsystem, self.kind.label
         )?;
-        if self.span_us > 0 {
-            write!(f, " (span {}us)", self.span_us)?;
-        }
-        if !self.detail.is_empty() {
-            write!(f, ": {}", self.detail)?;
+        for (name, value) in self.kind.operands.iter().zip([self.a, self.b]) {
+            if !name.is_empty() {
+                write!(f, " {name}={value}")?;
+            }
         }
         Ok(())
     }
@@ -118,80 +134,39 @@ impl FlightRecorder {
         FlightRecorder::default()
     }
 
-    /// Whether appends are retained.
+    /// Whether appends are retained. Callers whose operands cost more
+    /// than a field read compute them behind this check.
     #[inline]
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
     }
 
-    /// Records an instant event.
-    pub fn event(
-        &self,
-        at_us: u64,
-        node: u32,
-        subsystem: Subsystem,
-        label: &'static str,
-        detail: String,
-    ) {
-        self.push(ObsEvent {
-            at_us,
-            node,
-            subsystem,
-            label,
-            detail,
-            span_us: 0,
-        });
-    }
-
-    /// Records an instant event, rendering the detail only when the
-    /// recorder is enabled — use this on hot paths.
+    /// Records one event of `kind` with operands `a` and `b`, evicting the
+    /// oldest record when the ring is full.
     #[inline]
-    pub fn event_with(
+    pub fn record(
         &self,
         at_us: u64,
         node: u32,
         subsystem: Subsystem,
-        label: &'static str,
-        detail: impl FnOnce() -> String,
+        kind: &'static Kind,
+        a: u64,
+        b: u64,
     ) {
-        if self.is_enabled() {
-            self.event(at_us, node, subsystem, label, detail());
-        }
-    }
-
-    /// Records a span `[start_us, end_us]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `end_us < start_us`.
-    pub fn span(
-        &self,
-        start_us: u64,
-        end_us: u64,
-        node: u32,
-        subsystem: Subsystem,
-        label: &'static str,
-        detail: String,
-    ) {
-        assert!(end_us >= start_us, "span must not end before it starts");
-        self.push(ObsEvent {
-            at_us: end_us,
-            node,
-            subsystem,
-            label,
-            detail,
-            span_us: end_us - start_us,
-        });
-    }
-
-    fn push(&self, ev: ObsEvent) {
         if let Some(inner) = &self.inner {
             let mut ring = inner.borrow_mut();
             if ring.events.len() == ring.capacity {
                 ring.events.pop_front();
                 ring.dropped += 1;
             }
-            ring.events.push_back(ev);
+            ring.events.push_back(ObsEvent {
+                at_us,
+                node,
+                subsystem,
+                kind,
+                a,
+                b,
+            });
         }
     }
 
@@ -219,46 +194,26 @@ impl FlightRecorder {
     /// All retained events, oldest first.
     pub fn snapshot(&self) -> Vec<ObsEvent> {
         match &self.inner {
-            Some(inner) => inner.borrow().events.iter().cloned().collect(),
+            Some(inner) => inner.borrow().events.iter().copied().collect(),
             None => Vec::new(),
         }
-    }
-
-    /// Retained events matching `keep`, oldest first.
-    pub fn filtered(&self, keep: impl Fn(&ObsEvent) -> bool) -> Vec<ObsEvent> {
-        match &self.inner {
-            Some(inner) => inner
-                .borrow()
-                .events
-                .iter()
-                .filter(|e| keep(e))
-                .cloned()
-                .collect(),
-            None => Vec::new(),
-        }
-    }
-
-    /// Retained events for one node, oldest first.
-    pub fn for_node(&self, node: u32) -> Vec<ObsEvent> {
-        self.filtered(|e| e.node == node)
-    }
-
-    /// Retained events for one subsystem, oldest first.
-    pub fn for_subsystem(&self, subsystem: Subsystem) -> Vec<ObsEvent> {
-        self.filtered(|e| e.subsystem == subsystem)
     }
 
     /// Renders the most recent `n` events as lines, oldest first —
     /// the post-mortem dump printed when an invariant fails.
     pub fn dump_tail(&self, n: usize) -> String {
-        let events = self.snapshot();
-        let skip = events.len().saturating_sub(n);
-        events
-            .iter()
-            .skip(skip)
-            .map(ObsEvent::to_string)
-            .collect::<Vec<_>>()
-            .join("\n")
+        let mut out = String::new();
+        if let Some(inner) = &self.inner {
+            let ring = inner.borrow();
+            let skip = ring.events.len().saturating_sub(n);
+            for (i, ev) in ring.events.iter().skip(skip).enumerate() {
+                if i > 0 {
+                    out.push('\n');
+                }
+                let _ = write!(out, "{ev}");
+            }
+        }
+        out
     }
 }
 
@@ -266,19 +221,25 @@ impl FlightRecorder {
 mod tests {
     use super::*;
 
-    fn ev(rec: &FlightRecorder, at: u64, node: u32, label: &'static str) {
-        rec.event(at, node, Subsystem::Engine, label, format!("d{at}"));
+    const A: Kind = Kind::new("a", "n", "");
+    const B: Kind = Kind::new("b", "n", "");
+    const C: Kind = Kind::new("c", "n", "");
+
+    fn ev(rec: &FlightRecorder, at: u64, node: u32, kind: &'static Kind) {
+        rec.record(at, node, Subsystem::Engine, kind, at, 0);
     }
 
     #[test]
     fn ring_bounds_and_drop_count() {
         let rec = FlightRecorder::new(2);
-        ev(&rec, 1, 0, "a");
-        ev(&rec, 2, 0, "b");
-        ev(&rec, 3, 0, "c");
+        ev(&rec, 1, 0, &A);
+        ev(&rec, 2, 0, &B);
+        ev(&rec, 3, 0, &C);
         assert_eq!(rec.len(), 2);
         assert_eq!(rec.dropped(), 1);
-        let labels: Vec<_> = rec.snapshot().iter().map(|e| e.label).collect();
+        // The ring holds `capacity` records of 40 B each, nothing else.
+        assert_eq!(std::mem::size_of::<ObsEvent>(), 40);
+        let labels: Vec<_> = rec.snapshot().iter().map(|e| e.kind.label).collect();
         assert_eq!(labels, vec!["b", "c"]);
     }
 
@@ -286,45 +247,42 @@ mod tests {
     fn clone_shares_the_ring() {
         let rec = FlightRecorder::new(8);
         let other = rec.clone();
-        ev(&other, 5, 1, "shared");
+        ev(&other, 5, 1, &A);
         assert_eq!(rec.len(), 1);
-        assert_eq!(rec.snapshot()[0].label, "shared");
+        assert_eq!(rec.snapshot()[0].kind, &A);
     }
 
     #[test]
     fn disabled_recorder_ignores_everything() {
         let rec = FlightRecorder::disabled();
-        ev(&rec, 1, 0, "a");
-        let mut rendered = false;
-        rec.event_with(2, 0, Subsystem::Chaos, "b", || {
-            rendered = true;
-            String::new()
-        });
-        assert!(!rendered, "detail must not render when disabled");
+        ev(&rec, 1, 0, &A);
         assert!(rec.is_empty());
         assert!(!rec.is_enabled());
+        assert_eq!(rec.dropped(), 0);
         assert_eq!(rec.dump_tail(10), "");
     }
 
     #[test]
-    fn filters_by_node_and_subsystem() {
-        let rec = FlightRecorder::new(16);
-        ev(&rec, 1, 0, "a");
-        ev(&rec, 2, 1, "b");
-        rec.event(3, 1, Subsystem::Controller, "c", String::new());
-        assert_eq!(rec.for_node(1).len(), 2);
-        assert_eq!(rec.for_subsystem(Subsystem::Controller).len(), 1);
-        assert_eq!(rec.filtered(|e| e.at_us >= 2).len(), 2);
-    }
-
-    #[test]
-    fn spans_render_their_length() {
+    fn renders_each_record_shape() {
+        const NONE: Kind = Kind::new("fail", "", "");
+        const ONE: Kind = Kind::new("evict", "peer", "");
+        const TWO: Kind = Kind::new("fault-delay", "from", "extra_us");
         let rec = FlightRecorder::new(4);
-        rec.span(10, 35, 2, Subsystem::Trade, "lease", "id=7".into());
-        let dump = rec.dump_tail(1);
-        assert!(
-            dump.contains("[35us] node#2 trade/lease (span 25us): id=7"),
-            "{dump}"
+        rec.record(7, 3, Subsystem::Engine, &NONE, 0, 0);
+        rec.record(8, 4, Subsystem::Pastry, &ONE, 12, 0);
+        rec.record(9, 5, Subsystem::Engine, &TWO, 1, 2500);
+        rec.record(10, 6, Subsystem::Controller, &TWO, u64::MAX, 0);
+        assert_eq!(
+            rec.dump_tail(4),
+            "[7us] node#3 engine/fail\n\
+             [8us] node#4 pastry/evict peer=12\n\
+             [9us] node#5 engine/fault-delay from=1 extra_us=2500\n\
+             [10us] node#6 controller/fault-delay from=18446744073709551615 extra_us=0"
+        );
+        // The tail keeps the newest records.
+        assert_eq!(
+            rec.dump_tail(1),
+            "[10us] node#6 controller/fault-delay from=18446744073709551615 extra_us=0"
         );
     }
 

@@ -1,5 +1,5 @@
-//! The metrics plane: interned metric ids, sharded counter/gauge/histogram
-//! handles and deterministic JSON/CSV export.
+//! The metrics plane: named, sharded counter/gauge/histogram handles and
+//! deterministic JSON/CSV export.
 //!
 //! # Handles and shards
 //!
@@ -21,12 +21,6 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::rc::Rc;
-
-/// Interned identity of a registered metric: a dense index assigned in
-/// registration order. Handles already embed their cell, so hot paths
-/// never look anything up; ids exist for export-side addressing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct MetricId(pub u32);
 
 /// What kind of series a metric is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -324,13 +318,6 @@ impl Registry {
         }
     }
 
-    /// The interned id of `name`, if registered.
-    pub fn id(&self, name: &str) -> Option<MetricId> {
-        let inner = self.inner.as_ref()?;
-        let idx = *inner.borrow().by_name.get(name)?;
-        Some(MetricId(idx as u32))
-    }
-
     /// Registered metric names in export (sorted) order.
     pub fn names(&self) -> Vec<String> {
         match &self.inner {
@@ -559,9 +546,15 @@ mod tests {
         let reg = Registry::new();
         reg.counter("b");
         reg.counter("a");
-        assert_eq!(reg.id("b"), Some(MetricId(0)));
-        assert_eq!(reg.id("a"), Some(MetricId(1)));
-        assert_eq!(reg.id("missing"), None);
+        reg.counter("b");
+        let idx = |name: &str| {
+            let inner = reg.inner.as_ref().unwrap().borrow();
+            inner.by_name.get(name).copied()
+        };
+        assert_eq!(idx("b"), Some(0));
+        assert_eq!(idx("a"), Some(1));
+        assert_eq!(idx("missing"), None);
+        assert_eq!(reg.inner.as_ref().unwrap().borrow().entries.len(), 2);
         // Export order is by name, not registration.
         assert_eq!(reg.names(), vec!["a".to_string(), "b".to_string()]);
     }

@@ -3,7 +3,7 @@
 use std::rc::Rc;
 
 use vbundle_fdetect::{backoff_rounds, PeerDetector, Verdict, FIXED_INTERVAL_ROUNDS};
-use vbundle_obs::{Counter, FlightRecorder, Registry, Subsystem};
+use vbundle_obs::{Counter, FlightRecorder, Kind, Registry, Subsystem};
 use vbundle_sim::{Actor, ActorId, Context as SimContext, Message, SimDuration, SimTime};
 
 use crate::message::{PastryMsg, RouteEnvelope, Signal};
@@ -32,6 +32,8 @@ const GRAVEYARD_CAP: usize = 32;
 const MAX_HOPS: u32 = 64;
 /// Leaf peers asked to ping a newly suspected member (SWIM's `k`).
 const INDIRECT_PROBES: usize = 3;
+/// Flight record: a leaf peer declared dead and evicted.
+const EVICT: Kind = Kind::new("evict", "peer", "");
 
 /// An application layered over a Pastry node (for v-Bundle: Scribe).
 ///
@@ -718,13 +720,10 @@ impl<A: PastryApp> PastryNode<A> {
         debug_assert_eq!(met, self.links.len(), "a record outlived its membership");
         for d in dead {
             self.evictions.inc();
-            self.flight.event_with(
-                ctx.now().as_micros(),
-                ctx.self_id().index() as u32,
-                Subsystem::Pastry,
-                "evict",
-                || format!("peer {}", d.id),
-            );
+            let (at, me) = (ctx.now().as_micros(), ctx.self_id().index() as u32);
+            let peer = d.actor.index() as u64;
+            self.flight
+                .record(at, me, Subsystem::Pastry, &EVICT, peer, 0);
             self.fail_node(ctx, d);
         }
         ctx.schedule(interval, HEARTBEAT_TAG);

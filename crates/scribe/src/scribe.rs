@@ -12,7 +12,7 @@
 use std::rc::Rc;
 
 use vbundle_fdetect::{DedupWindow, FailureDetection, PhiConfig, Verdict, FIXED_INTERVAL_ROUNDS};
-use vbundle_obs::{Counter, FlightRecorder, Registry, Subsystem};
+use vbundle_obs::{Counter, FlightRecorder, Kind, Registry, Subsystem};
 use vbundle_pastry::{
     actor_distance, AppCtx, Id, Key, NodeHandle, PastryApp, RouteDecision, Signal, Site,
 };
@@ -30,6 +30,10 @@ const PROBE_TAG: u64 = SCRIBE_TAG_BASE + 1;
 
 /// Tree-depth guard for multicast dissemination.
 const DISSEMINATE_TTL: u32 = 64;
+
+/// Flight record: a silent child dropped from a tree (the group id's top
+/// 64 bits name the tree).
+const CHILD_EXPIRED: Kind = Kind::new("child-expired", "child", "group_top64");
 
 /// Tunables of the Scribe layer.
 #[derive(Debug, Clone)]
@@ -1296,13 +1300,11 @@ impl<C: ScribeClient> PastryApp for Scribe<C> {
                         .is_some_and(|st| st.children.remove(child.id));
                     if removed {
                         self.children_expired.inc();
-                        self.flight.event_with(
-                            ctx.now().as_micros(),
-                            ctx.self_handle().actor.index() as u32,
-                            Subsystem::Scribe,
-                            "child-expired",
-                            || format!("group {g} child {}", child.id),
-                        );
+                        let at = ctx.now().as_micros();
+                        let me = ctx.self_handle().actor.index() as u32;
+                        let (who, top) = (child.actor.index() as u64, (g.as_u128() >> 64) as u64);
+                        let sub = Subsystem::Scribe;
+                        self.flight.record(at, me, sub, &CHILD_EXPIRED, who, top);
                         self.with_client(ctx, |c, sctx| c.on_child_removed(sctx, g, child));
                         self.prune(ctx, g);
                     }

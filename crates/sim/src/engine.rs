@@ -14,7 +14,9 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use vbundle_obs::{Counter, FlightRecorder, Gauge, HotSection, Profiler, Registry, Subsystem};
+use vbundle_obs::{
+    Counter, FlightRecorder, Gauge, HotSection, Kind, Profiler, Registry, Subsystem,
+};
 
 use crate::actor::{Actor, ActorId, Context, Effect, Message};
 use crate::counters::ActorCounters;
@@ -84,6 +86,17 @@ enum EventKind<W> {
         msg: W,
     },
 }
+
+// The engine's flight-record kinds. `bytes` is the message's `wire_size`.
+const DELIVER: Kind = Kind::new("deliver", "from", "bytes");
+const TIMER: Kind = Kind::new("timer", "tag", "");
+const BOUNCE: Kind = Kind::new("bounce", "target", "bytes");
+const FAIL: Kind = Kind::new("fail", "", "");
+const RESTART: Kind = Kind::new("restart", "", "");
+const FAULT_DROP: Kind = Kind::new("fault-drop", "from", "bytes");
+const FAULT_DELAY: Kind = Kind::new("fault-delay", "from", "extra_us");
+const FAULT_DUPLICATE: Kind = Kind::new("fault-duplicate", "from", "gap_us");
+const FAULT_CORRUPT: Kind = Kind::new("fault-corrupt", "from", "bytes");
 
 /// One parked event: destination plus payload. The `(at, seq)` sort key
 /// lives in the [`CalendarQueue`]'s metadata tier, so queue maintenance
@@ -292,13 +305,7 @@ impl<W: Message, A: Actor<W>> Engine<W, A> {
             return;
         }
         self.actors[id.index()].meta.alive = false;
-        self.flight.event_with(
-            self.now.as_micros(),
-            id.index() as u32,
-            Subsystem::Engine,
-            "fail",
-            String::new,
-        );
+        self.trace(id, &FAIL, 0, 0);
     }
 
     /// Revives a failed actor in place (a *warm* restart: its state
@@ -330,13 +337,7 @@ impl<W: Message, A: Actor<W>> Engine<W, A> {
         self.depth -= meta.pending as usize;
         meta.pending = 0;
         meta.alive = true;
-        self.flight.event_with(
-            self.now.as_micros(),
-            id.index() as u32,
-            Subsystem::Engine,
-            "restart",
-            String::new,
-        );
+        self.trace(id, &RESTART, 0, 0);
         self.with_ctx(id, |actor, ctx| actor.on_restart(ctx));
     }
 
@@ -532,20 +533,13 @@ impl<W: Message, A: Actor<W>> Engine<W, A> {
                 return true;
             }
             if self.flight.is_enabled() {
-                let (label, detail) = match &ev.kind {
-                    EventKind::Message { msg, .. } => ("deliver", summarize(msg)),
-                    EventKind::Timer { tag, .. } => ("timer", format!("tag={tag:#x}")),
+                match &ev.kind {
+                    EventKind::Message { from, msg } => self.trace_msg(ev.to, &DELIVER, *from, msg),
+                    EventKind::Timer { tag, .. } => self.trace(ev.to, &TIMER, *tag, 0),
                     EventKind::Bounce { target, msg } => {
-                        ("bounce", format!("to {target}: {}", summarize(msg)))
+                        self.trace_msg(ev.to, &BOUNCE, *target, msg)
                     }
-                };
-                self.flight.event(
-                    self.now.as_micros(),
-                    ev.to.index() as u32,
-                    Subsystem::Engine,
-                    label,
-                    detail,
-                );
+                }
             }
             let dispatch_timer = self.profiler.as_ref().map(|_| Instant::now());
             match ev.kind {
@@ -613,36 +607,18 @@ impl<W: Message, A: Actor<W>> Engine<W, A> {
             FaultAction::Deliver => {}
             FaultAction::Drop => {
                 self.engine_metrics.dropped.inc();
-                self.flight.event_with(
-                    self.now.as_micros(),
-                    to.index() as u32,
-                    Subsystem::Engine,
-                    "fault-drop",
-                    || format!("from {from}: {}", summarize(&msg)),
-                );
+                self.trace_msg(to, &FAULT_DROP, from, &msg);
                 return;
             }
             FaultAction::Delay(extra) => {
                 self.engine_metrics.delayed.inc();
-                self.flight.event_with(
-                    self.now.as_micros(),
-                    to.index() as u32,
-                    Subsystem::Engine,
-                    "fault-delay",
-                    || format!("from {from} +{extra}: {}", summarize(&msg)),
-                );
+                self.trace(to, &FAULT_DELAY, from.index() as u64, extra.as_micros());
                 self.push(at + extra, to, EventKind::Message { from, msg });
                 return;
             }
             FaultAction::Duplicate(gap) => {
                 self.engine_metrics.duplicated.inc();
-                self.flight.event_with(
-                    self.now.as_micros(),
-                    to.index() as u32,
-                    Subsystem::Engine,
-                    "fault-duplicate",
-                    || format!("from {from} +{gap}: {}", summarize(&msg)),
-                );
+                self.trace(to, &FAULT_DUPLICATE, from.index() as u64, gap.as_micros());
                 let clone_timer = self.profiler.as_ref().map(|_| Instant::now());
                 let dup = msg.clone();
                 if let (Some(profiler), Some(t)) = (self.profiler.as_mut(), clone_timer) {
@@ -653,17 +629,28 @@ impl<W: Message, A: Actor<W>> Engine<W, A> {
             FaultAction::Corrupt(mode) => {
                 if msg.corrupt(mode) {
                     self.engine_metrics.corrupted.inc();
-                    self.flight.event_with(
-                        self.now.as_micros(),
-                        to.index() as u32,
-                        Subsystem::Engine,
-                        "fault-corrupt",
-                        || format!("from {from}: {}", summarize(&msg)),
-                    );
+                    self.trace_msg(to, &FAULT_CORRUPT, from, &msg);
                 }
             }
         }
         self.push(at, to, EventKind::Message { from, msg });
+    }
+
+    /// Records `kind` on actor `on` at the current clock.
+    #[inline]
+    fn trace(&self, on: ActorId, kind: &'static Kind, a: u64, b: u64) {
+        let at = self.now.as_micros();
+        self.flight
+            .record(at, on.index() as u32, Subsystem::Engine, kind, a, b);
+    }
+
+    /// Records a message event: the peer's index and the message's wire
+    /// size, read only when the recorder is on.
+    #[inline]
+    fn trace_msg(&self, on: ActorId, kind: &'static Kind, peer: ActorId, msg: &W) {
+        if self.flight.is_enabled() {
+            self.trace(on, kind, peer.index() as u64, msg.wire_size() as u64);
+        }
     }
 
     /// Stamps the next sequence number and inserts the event. The peak is
@@ -714,21 +701,6 @@ impl<W: Message, A: Actor<W>> Engine<W, A> {
         self.effects_scratch = effects;
         out
     }
-}
-
-/// Truncates a `Debug` rendering to a flight-recorder-friendly length.
-fn summarize(value: &dyn std::fmt::Debug) -> String {
-    let mut s = format!("{value:?}");
-    const MAX: usize = 96;
-    if s.len() > MAX {
-        let mut cut = MAX;
-        while !s.is_char_boundary(cut) {
-            cut -= 1;
-        }
-        s.truncate(cut);
-        s.push('…');
-    }
-    s
 }
 
 impl<W: Message, A: Actor<W>> std::fmt::Debug for Engine<W, A> {
@@ -923,15 +895,6 @@ mod tests {
     }
 
     #[test]
-    fn summarize_truncates() {
-        let long = "x".repeat(500);
-        let s = summarize(&long);
-        assert!(s.len() < 110);
-        assert!(s.ends_with('…'));
-        assert_eq!(summarize(&42u32), "42");
-    }
-
-    #[test]
     fn restart_revives_actor_and_reruns_start() {
         let (mut e, a, b) = two_actor_engine(1);
         e.fail(b);
@@ -1101,29 +1064,34 @@ mod tests {
         ))));
         e.post(b, a, TestMsg::Ping(0), SimDuration::ZERO);
         e.run_to_quiescence();
-        let events = e.flight().for_subsystem(Subsystem::Engine);
-        assert!(events.iter().any(|ev| ev.label == "deliver"), "{events:?}");
-        assert!(
-            events.iter().any(|ev| ev.label == "fault-duplicate"),
-            "{events:?}"
+        let events = e.flight().snapshot();
+        assert!(events.iter().all(|ev| ev.subsystem == Subsystem::Engine));
+        assert!(events.iter().any(|ev| ev.kind == &DELIVER), "{events:?}");
+        let dup = events
+            .iter()
+            .find(|ev| ev.kind == &FAULT_DUPLICATE)
+            .expect("duplicate recorded");
+        assert_eq!(
+            (dup.node, dup.a, dup.b),
+            (b.index() as u32, a.index() as u64, 5_000)
         );
         e.fail(b);
-        assert!(e.flight().snapshot().iter().any(|ev| ev.label == "fail"));
+        assert!(e.flight().snapshot().iter().any(|ev| ev.kind == &FAIL));
         e.restart(b);
-        assert!(e.flight().snapshot().iter().any(|ev| ev.label == "restart"));
+        assert!(e.flight().snapshot().iter().any(|ev| ev.kind == &RESTART));
         // A send that bounces off a dead actor is visible at the sender,
-        // with the failed target and the returned message in the detail.
+        // with the failed target as its operand.
         e.take_injector();
         e.fail(a);
         e.post(a, b, TestMsg::Ping(0), SimDuration::ZERO);
         e.run_to_quiescence();
-        let events = e.flight().for_subsystem(Subsystem::Engine);
+        let events = e.flight().snapshot();
         let bounce = events
             .iter()
-            .find(|ev| ev.label == "bounce")
+            .find(|ev| ev.kind == &BOUNCE)
             .expect("bounce recorded");
         assert_eq!(bounce.node, b.index() as u32);
-        assert!(bounce.detail.contains("Ping"), "{bounce:?}");
+        assert_eq!(bounce.a, a.index() as u64, "{bounce:?}");
     }
 
     #[test]
