@@ -2,8 +2,8 @@
 //! offline placement throughput, overlay construction, the anycast pick
 //! and a whole anycast walk that cannot succeed, a boot walk across a
 //! full rack, the leaf-set heartbeat round, the engine's event-queue
-//! discipline (binary heap vs calendar queue) and the bare engine under
-//! gossip. These guard the harness's ability to run the paper's
+//! discipline (binary heap vs delay FIFOs, under the delay mixes the
+//! benchmark workloads measure) and the bare engine under gossip. These guard the harness's ability to run the paper's
 //! 3000-server scenarios quickly.
 //!
 //! Run: `cargo bench -p vbundle-bench --bench perf_micro [-- <filter>]`
@@ -23,7 +23,7 @@ use vbundle_core::{
 use vbundle_dcn::{Bandwidth, Topology};
 use vbundle_pastry::{overlay, Id, IdAssignment, PastryConfig, PastryMsg, PastryNode, Site};
 use vbundle_scribe::{group_id, Children, CollectClient, Scribe, ScribeMsg, TestPayload};
-use vbundle_sim::{ActorId, CalendarQueue, Engine, Latency, SimDuration, SimTime};
+use vbundle_sim::{ActorId, Engine, EventQueue, Latency, SimDuration, SimTime};
 
 fn bench_shaper(c: &mut Criterion) {
     let mut group = c.benchmark_group("perf/shaper_allocate");
@@ -289,38 +289,117 @@ fn bench_heartbeat_round(c: &mut Criterion) {
 /// a small wire message), so the disciplines pay realistic move costs.
 type Payload = [u64; 6];
 
-/// Steady-state queue churn at a fixed depth: pre-fill to `depth`, then
-/// alternate push/pop so the structure stays at its working size — the
-/// regime the engine spends a whole run in. Arrival offsets mimic the
-/// engine's mix: mostly sub-millisecond hops with a long-timer tail that
-/// exercises the calendar queue's far tier.
-fn churn_offsets(rounds: usize) -> Vec<u64> {
-    // Deterministic pseudo-offsets without pulling rand into the loop.
-    (0..rounds)
-        .map(|i| {
-            let h = (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40;
-            if i % 64 == 0 {
-                // A periodic long timer: several seconds out.
-                3_000_000 + h
-            } else {
-                h % 900
-            }
-        })
-        .collect()
+/// The two queue disciplines, behind one interface: the binary heap the
+/// engine started with and the engine's delay-FIFO queue.
+trait Discipline: Default {
+    fn insert(&mut self, now: u64, at: u64, seq: u64, value: Payload);
+    fn pop(&mut self) -> Option<(u64, Payload)>;
 }
 
-/// Rounds per `burst_round` iteration: enough that a ring slot hoarding
-/// its burst shows up in the retained bytes (each round lands in a
-/// different slot — a second is 15 625 buckets, coprime with the ring).
-const BURST_ROUNDS: u64 = 32;
+impl Discipline for BinaryHeap<Reverse<(u64, u64, Payload)>> {
+    fn insert(&mut self, _now: u64, at: u64, seq: u64, value: Payload) {
+        self.push(Reverse((at, seq, value)));
+    }
+    fn pop(&mut self) -> Option<(u64, Payload)> {
+        BinaryHeap::pop(self).map(|Reverse((at, _, v))| (at, v))
+    }
+}
+
+impl Discipline for EventQueue<Payload> {
+    fn insert(&mut self, now: u64, at: u64, seq: u64, value: Payload) {
+        self.insert_from(now, at, seq, value);
+    }
+    fn pop(&mut self) -> Option<(u64, Payload)> {
+        EventQueue::pop(self).map(|(at, _, v)| (at, v))
+    }
+}
+
+/// A deterministic pseudo-random draw for the `i`-th insert.
+fn draw(i: u64) -> u64 {
+    i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 24
+}
+
+/// The stack workloads' insert delays in µs, per mille of inserts: the
+/// four DCN tiers, two protocol round trips and the Scribe probe and
+/// update periods. The remaining 3 ‰ are one-off delays.
+const STACK_MIX: [(u64, u64); 8] = [
+    (500, 300),
+    (250, 250),
+    (100, 200),
+    (10, 100),
+    (2_000, 50),
+    (1_750, 47),
+    (30_000_000, 25),
+    (300_000_000, 25),
+];
+
+/// The `i`-th stack delay: a [`STACK_MIX`] tier, or a one-off up to 10 s.
+fn stack_delay(i: u64) -> u64 {
+    let mut pick = draw(i) % 1_000;
+    for (delay, share) in STACK_MIX {
+        if pick < share {
+            return delay;
+        }
+        pick -= share;
+    }
+    draw(i ^ 0x5555) % 10_000_000
+}
+
+/// The stack mix, closed loop: `depth` events queued, then every pop
+/// inserts one more at a mixed delay from the popped time, then a drain.
+fn stack_mix<Q: Discipline>(depth: u64) -> u64 {
+    let mut queue = Q::default();
+    let mut seq = 0u64;
+    for _ in 0..depth {
+        queue.insert(0, stack_delay(seq), seq, [seq; 6]);
+        seq += 1;
+    }
+    let mut acc = 0u64;
+    for _ in 0..4 * depth {
+        let (now, v) = queue.pop().expect("filled");
+        queue.insert(now, now + stack_delay(seq), seq, v);
+        seq += 1;
+        acc ^= now;
+    }
+    while let Some((at, _)) = queue.pop() {
+        acc ^= at;
+    }
+    acc
+}
+
+/// `engine_gossip`'s mix: `actors` start timers jittered over one 100-ms
+/// tick, then each timer pop re-arms at 100 ms and sends four zero-delay
+/// messages, for `8 × actors` pops.
+fn gossip_mix<Q: Discipline>(actors: u64) -> u64 {
+    const TICK: u64 = 100_000;
+    let mut queue = Q::default();
+    let mut seq = 0u64;
+    for _ in 0..actors {
+        queue.insert(0, draw(seq) % TICK, seq, [0; 6]);
+        seq += 1;
+    }
+    let mut acc = 0u64;
+    for _ in 0..8 * actors {
+        let (now, v) = queue.pop().expect("filled");
+        if v[0] == 0 {
+            queue.insert(now, now + TICK, seq, v);
+            seq += 1;
+            for _ in 0..4 {
+                queue.insert(now, now, seq, [1; 6]);
+                seq += 1;
+            }
+        }
+        acc ^= now;
+    }
+    acc
+}
 
 /// One periodic protocol round per simulated second — a timer fires, its
 /// handler sends `keys` same-latency messages, all are dispatched before
-/// the next round — the heartbeat / tree-probe shape that decides what a
-/// drained ring slot should keep. Returns the bytes the queue still
-/// holds once everything has drained.
+/// the next round. Returns the bytes the queue still holds once
+/// everything has drained.
 fn burst_rounds(keys: u64) -> usize {
-    let mut queue: CalendarQueue<Payload> = CalendarQueue::new();
+    let mut queue: EventQueue<Payload> = EventQueue::new();
     let mut seq = 0u64;
     for round in 1..=BURST_ROUNDS {
         let tick = round * 1_000_000;
@@ -338,70 +417,47 @@ fn burst_rounds(keys: u64) -> usize {
     queue.heap_bytes()
 }
 
+/// Rounds per `burst_round` iteration.
+const BURST_ROUNDS: u64 = 32;
+
+type Heap = BinaryHeap<Reverse<(u64, u64, Payload)>>;
+
 fn bench_queue_discipline(c: &mut Criterion) {
-    let mut group = c.benchmark_group("perf/queue_churn");
-    for &depth in &[1_000usize, 100_000] {
-        let offsets = churn_offsets(depth);
-        group.throughput(Throughput::Elements(depth as u64));
+    let mut group = c.benchmark_group("perf/queue_mix");
+    for &depth in &[1_000u64, 10_000] {
+        group.throughput(Throughput::Elements(5 * depth));
         group.bench_with_input(
-            BenchmarkId::new("binary_heap", depth),
-            &offsets,
-            |b, offsets| {
-                b.iter(|| {
-                    let mut heap: BinaryHeap<Reverse<(u64, u64, Payload)>> = BinaryHeap::new();
-                    let mut seq = 0u64;
-                    for &off in offsets {
-                        heap.push(Reverse((off, seq, [seq; 6])));
-                        seq += 1;
-                    }
-                    let mut acc = 0u64;
-                    for &off in offsets {
-                        let Reverse((at, _, v)) = heap.pop().expect("filled");
-                        heap.push(Reverse((at + off + 1, seq, v)));
-                        seq += 1;
-                        acc ^= at;
-                    }
-                    while let Some(Reverse((at, _, _))) = heap.pop() {
-                        acc ^= at;
-                    }
-                    acc
-                });
-            },
+            BenchmarkId::new("stack/binary_heap", depth),
+            &depth,
+            |b, &d| b.iter(|| stack_mix::<Heap>(d)),
         );
         group.bench_with_input(
-            BenchmarkId::new("calendar", depth),
-            &offsets,
-            |b, offsets| {
-                b.iter(|| {
-                    let mut queue: CalendarQueue<Payload> = CalendarQueue::new();
-                    let mut seq = 0u64;
-                    for &off in offsets {
-                        queue.insert(off, seq, [seq; 6]);
-                        seq += 1;
-                    }
-                    let mut acc = 0u64;
-                    for &off in offsets {
-                        let (at, _, v) = queue.pop().expect("filled");
-                        queue.insert(at + off + 1, seq, v);
-                        seq += 1;
-                        acc ^= at;
-                    }
-                    while let Some((at, _, _)) = queue.pop() {
-                        acc ^= at;
-                    }
-                    acc
-                });
-            },
+            BenchmarkId::new("stack/event_queue", depth),
+            &depth,
+            |b, &d| b.iter(|| stack_mix::<EventQueue<Payload>>(d)),
         );
-        group.throughput(Throughput::Elements(BURST_ROUNDS * depth as u64));
+    }
+    for &actors in &[1_000u64, 100_000] {
+        group.throughput(Throughput::Elements(8 * actors));
         group.bench_with_input(
-            BenchmarkId::new("burst_round", depth),
-            &(depth as u64),
-            |b, &keys| b.iter(|| burst_rounds(keys)),
+            BenchmarkId::new("gossip/binary_heap", actors),
+            &actors,
+            |b, &n| b.iter(|| gossip_mix::<Heap>(n)),
         );
+        group.bench_with_input(
+            BenchmarkId::new("gossip/event_queue", actors),
+            &actors,
+            |b, &n| b.iter(|| gossip_mix::<EventQueue<Payload>>(n)),
+        );
+    }
+    for &keys in &[1_000u64, 100_000] {
+        group.throughput(Throughput::Elements(BURST_ROUNDS * keys));
+        group.bench_with_input(BenchmarkId::new("burst_round", keys), &keys, |b, &keys| {
+            b.iter(|| burst_rounds(keys))
+        });
         println!(
-            "      burst_round/{depth}: {} B retained after {BURST_ROUNDS} drained rounds",
-            burst_rounds(depth as u64)
+            "      burst_round/{keys}: {} B retained after {BURST_ROUNDS} drained rounds",
+            burst_rounds(keys)
         );
     }
     group.finish();

@@ -11,27 +11,25 @@ use vbundle_pastry::{PastryConfig, PastryMsg};
 use vbundle_scribe::{ScribeConfig, ScribeMsg};
 use vbundle_sim::SimDuration;
 
-/// One parked engine event: the wire message plus its destination,
-/// sender and kind (16 bytes over the message).
-const ENTRY_BYTES: usize = size_of::<PastryMsg<ScribeMsg<CtrlMsg>>>() + 16;
-/// The queue's private key size, ring size, `SLOT_KEEP` and slab page.
-const KEY_BYTES: usize = 24;
-const NBUCKETS: usize = 4096;
-const SLOT_KEEP: usize = 64;
-const PAGE: usize = 1024;
+/// One queued engine event: its `(at, seq)` key and the wire message
+/// with its destination, sender and kind (16 bytes over the message).
+const ENTRY_BYTES: usize = 16 + size_of::<PastryMsg<ScribeMsg<CtrlMsg>>>() + 16;
+/// The queue's private FIFO count, chunk length and header size.
+const NFIFO: usize = 16;
+const CHUNK: usize = 64;
+const HEADER: usize = 32;
 
 /// The most the gauge may drift once warm at an unchanged peak: one
-/// further slab page, the bound's one step not proportional to live
-/// entries besides the fixed slot headers.
-const PAGE_SLACK: f64 = (PAGE * ENTRY_BYTES + 8) as f64;
+/// further chunk for each FIFO, the bound's one step not proportional to
+/// live entries (a FIFO's run may straddle one more chunk boundary).
+const CHUNK_SLACK: f64 = (NFIFO * (CHUNK * ENTRY_BYTES + HEADER)) as f64;
 
 /// The `sim::queue` module doc's bound on `heap_bytes()` for a queue
 /// whose live entry count never exceeded `peak`.
 fn heap_bound(peak: usize) -> f64 {
     let p = peak.max(4);
-    let bytes = KEY_BYTES * (6 * p + (SLOT_KEEP + 2) * p.min(NBUCKETS) + NBUCKETS)
-        + p.div_ceil(PAGE) * (PAGE * ENTRY_BYTES + 8)
-        + 2 * p * size_of::<u32>();
+    let bytes = ENTRY_BYTES * (3 * p + 2 * NFIFO * CHUNK)
+        + HEADER * ((2 * (NFIFO + 1) * p).div_ceil(CHUNK) + 9 * NFIFO);
     bytes as f64
 }
 
@@ -57,7 +55,7 @@ fn queue_heap_gauge_does_not_grow_with_the_horizon() {
     let ((once, _), (twice, peak)) = (held(), held());
     assert!(once > 0.0);
     assert!(
-        twice <= once + PAGE_SLACK,
+        twice <= once + CHUNK_SLACK,
         "queue held {once} B at 120 s but {twice} B at 240 s"
     );
     assert!(

@@ -34,6 +34,6 @@ mod profile;
 mod recorder;
 mod registry;
 
-pub use profile::{HotSection, Profiler, SectionStats};
+pub use profile::{HotSection, Profiler, SectionStats, SAMPLE_EVERY};
 pub use recorder::{FlightRecorder, Kind, ObsEvent, Subsystem};
 pub use registry::{Counter, Gauge, Histogram, MetricKind, Registry, Scope};

@@ -8,7 +8,13 @@
 //! and perf trajectories (`BENCH_scale.json`), never for goldens.
 
 use std::fmt::Write as _;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// One in this many executions of a section is timed (a power of two).
+/// An `Instant` pair costs about as much as a queue pop, so timing every
+/// one would weigh on the run it measures; the sampled mean, scaled by
+/// the exact execution count, estimates the total.
+pub const SAMPLE_EVERY: u64 = 64;
 
 /// The instrumented sections of the engine hot path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,9 +31,9 @@ pub enum HotSection {
     /// Cloning a message for a duplicate delivery (the
     /// PastryMsg→ScribeMsg→CtrlMsg clone chain).
     MessageClone,
-    /// Nothing records this any more: the calendar queue no longer
-    /// promotes far-future events (they pop straight off its one heap),
-    /// so `sim.far_promote_ns` reads 0 and a far key's cost shows inside
+    /// Nothing records this any more: the event queue never moves a
+    /// far-future event (it pops straight off its FIFO or the heap), so
+    /// `sim.far_promote_ns` reads 0 and a far key's cost shows inside
     /// [`HotSection::QueuePop`]. Kept because the benchmark names it.
     FarPromote,
 }
@@ -81,10 +87,19 @@ impl SectionStats {
     }
 }
 
-/// Accumulates scoped wall-clock timings per [`HotSection`].
+/// One section's tallies: every execution counted, a sample timed.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally {
+    calls: u64,
+    timed: u64,
+    timed_ns: u64,
+    max_ns: u64,
+}
+
+/// Accumulates sampled wall-clock timings per [`HotSection`].
 #[derive(Debug, Clone, Default)]
 pub struct Profiler {
-    sections: [SectionStats; HotSection::ALL.len()],
+    sections: [Tally; HotSection::ALL.len()],
 }
 
 impl Profiler {
@@ -93,24 +108,62 @@ impl Profiler {
         Profiler::default()
     }
 
-    /// Folds one timed execution of `section` into the aggregate.
+    /// Counts one execution of `section` and, for the first of every
+    /// [`SAMPLE_EVERY`], returns the start to hand to [`Profiler::finish`].
+    /// A sampled start reads the clock twice: the first read pulls the
+    /// clock's code and data back into cache, which the events since the
+    /// last sample evicted, so the timed read does not charge their misses
+    /// to the section.
     #[inline]
+    pub fn start(&mut self, section: HotSection) -> Option<Instant> {
+        let s = &mut self.sections[section.index()];
+        let due = s.calls.is_multiple_of(SAMPLE_EVERY);
+        s.calls += 1;
+        due.then(|| {
+            std::hint::black_box(Instant::now());
+            Instant::now()
+        })
+    }
+
+    /// Times the execution [`Profiler::start`] sampled.
+    #[inline]
+    pub fn finish(&mut self, section: HotSection, started: Instant) {
+        self.sample(section, started.elapsed());
+    }
+
+    /// Folds one execution of `section`, timed at `elapsed`, into the
+    /// aggregate.
     pub fn record(&mut self, section: HotSection, elapsed: Duration) {
+        self.sections[section.index()].calls += 1;
+        self.sample(section, elapsed);
+    }
+
+    fn sample(&mut self, section: HotSection, elapsed: Duration) {
         let ns = elapsed.as_nanos().min(u128::from(u64::MAX)) as u64;
         let s = &mut self.sections[section.index()];
-        s.count += 1;
-        s.total_ns += ns;
+        s.timed += 1;
+        s.timed_ns += ns;
         s.max_ns = s.max_ns.max(ns);
     }
 
-    /// The aggregate for one section.
+    /// The aggregate for one section: its exact execution count, the
+    /// sampled mean scaled to that count, and the slowest sample.
     pub fn stats(&self, section: HotSection) -> SectionStats {
-        self.sections[section.index()]
+        let s = self.sections[section.index()];
+        let total = u128::from(s.timed_ns) * u128::from(s.calls) / u128::from(s.timed.max(1));
+        SectionStats {
+            count: s.calls,
+            total_ns: total.min(u128::from(u64::MAX)) as u64,
+            max_ns: s.max_ns,
+        }
     }
 
     /// Total profiled wall-clock nanoseconds across all sections.
     pub fn total_ns(&self) -> u64 {
-        self.sections.iter().map(|s| s.total_ns).sum()
+        HotSection::ALL
+            .iter()
+            .map(|&s| self.stats(s).total_ns)
+            .sum()
     }
 
     /// Renders the hot-path profile as a table sorted by total time,
@@ -172,6 +225,22 @@ mod tests {
         let pop_at = report.find("queue_pop").unwrap();
         assert!(dispatch_at < pop_at, "biggest section first:\n{report}");
         assert!(report.contains("99.0%"), "{report}");
+    }
+
+    #[test]
+    fn sampled_sections_count_every_execution_and_scale_the_time() {
+        let mut p = Profiler::new();
+        let mut timed = 0;
+        for _ in 0..3 * SAMPLE_EVERY {
+            if let Some(t) = p.start(HotSection::QueuePop) {
+                timed += 1;
+                p.finish(HotSection::QueuePop, t);
+            }
+        }
+        assert_eq!(timed, 3, "the first of every {SAMPLE_EVERY} is timed");
+        let s = p.stats(HotSection::QueuePop);
+        assert_eq!(s.count, 3 * SAMPLE_EVERY);
+        assert!(s.total_ns >= SAMPLE_EVERY * s.max_ns, "{s:?}");
     }
 
     #[test]

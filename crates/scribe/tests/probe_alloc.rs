@@ -5,12 +5,10 @@
 //! Pastry `Signal`, not in a `Direct` box, and a link's arrival window is
 //! a fixed ring inside the link record.
 //!
-//! The engine is held to the same budget. Its calendar queue parks each
-//! round's probes in a ring slot of 64 µs, and a slot the burst has not
-//! used before grows its key vector from nothing. The probe interval is
-//! therefore a whole number of ring periods (4 096 slots × 64 µs), so every
-//! round's probes land in the slot the last round's used, which kept its
-//! capacity.
+//! The engine is held to the same budget. Its event queue keeps each
+//! round's probes in the FIFO of their delay, in chunks the warm-up
+//! rounds already took from its pool, so a round allocates nothing
+//! whatever its interval.
 //!
 //! One test only: the counting allocator is this test binary's global
 //! allocator, and the count is per thread.
@@ -57,7 +55,7 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Four periods of the engine queue's bucket ring, about 1.05 s.
+/// About 1.05 s between probe rounds.
 const PROBE: SimDuration = SimDuration::from_micros(4 * 4096 * 64);
 
 #[test]

@@ -1,15 +1,13 @@
 //! The discrete-event engine: clock, event queue and actor dispatch.
 //!
 //! The hot path is built for data-center scale (100k+ actors): events
-//! flow through a [`CalendarQueue`] (sorted window, bucket ring, one heap)
-//! that parks payloads in a slab, actor callbacks reuse one effects scratch buffer (no per-event
-//! allocation), latency models are devirtualized through [`Latency`],
+//! flow through an [`EventQueue`] (one FIFO per recurring delay, one heap,
+//! payloads inline), actor callbacks reuse one effects scratch buffer (no
+//! per-event allocation), latency models are devirtualized through [`Latency`],
 //! and [`Engine::restart`] purges a crashed actor's timers in O(1) via
 //! per-actor epochs checked lazily on pop — all without perturbing the
 //! byte-identical seeded-replay contract the chaos and golden gates
 //! depend on.
-
-use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -23,7 +21,7 @@ use crate::counters::ActorCounters;
 use crate::fault::{FaultAction, FaultInjector, FaultStats};
 use crate::latency::Latency;
 use crate::prefetch;
-use crate::queue::CalendarQueue;
+use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
 
 /// The engine's own registry handles. Event and fault tallies live *on*
@@ -46,7 +44,7 @@ struct EngineMetrics {
     corrupted: Counter,
     /// High-water mark of the event queue, mirrored for export.
     queue_peak: Gauge,
-    /// [`CalendarQueue::heap_bytes`], mirrored for export.
+    /// [`EventQueue::heap_bytes`], mirrored for export.
     queue_heap_bytes: Gauge,
 }
 
@@ -98,9 +96,9 @@ const FAULT_DELAY: Kind = Kind::new("fault-delay", "from", "extra_us");
 const FAULT_DUPLICATE: Kind = Kind::new("fault-duplicate", "from", "gap_us");
 const FAULT_CORRUPT: Kind = Kind::new("fault-corrupt", "from", "bytes");
 
-/// One parked event: destination plus payload. The `(at, seq)` sort key
-/// lives in the [`CalendarQueue`]'s metadata tier, so queue maintenance
-/// never moves this (potentially large) record.
+/// One queued event: destination plus payload, stored inline beside its
+/// `(at, seq)` key in the [`EventQueue`] — in a FIFO, where pops read the
+/// entries in sequence, or in the heap, whose sifts move it.
 #[derive(Debug)]
 struct EventRecord<W> {
     to: ActorId,
@@ -153,7 +151,7 @@ struct ActorRec<A> {
 pub struct Engine<W: Message, A: Actor<W>> {
     /// Actors interleaved with their dispatch metadata (see [`ActorRec`]).
     actors: Vec<ActorRec<A>>,
-    queue: CalendarQueue<EventRecord<W>>,
+    queue: EventQueue<EventRecord<W>>,
     /// Live events queued: the physical queue minus epoch-stale timers,
     /// which were already discounted when their actor restarted.
     depth: usize,
@@ -179,7 +177,7 @@ impl<W: Message, A: Actor<W>> Engine<W, A> {
         let engine_metrics = EngineMetrics::register(&metrics);
         Engine {
             actors: Vec::new(),
-            queue: CalendarQueue::new(),
+            queue: EventQueue::new(),
             depth: 0,
             now: SimTime::ZERO,
             seq: 0,
@@ -483,23 +481,24 @@ impl<W: Message, A: Actor<W>> Engine<W, A> {
     /// *not* advanced to the deadline; [`Engine::run_until`] does that.
     pub fn step_before(&mut self, deadline: SimTime) -> bool {
         loop {
-            let pop_timer = self.profiler.as_ref().map(|_| Instant::now());
+            let pop_timer = self
+                .profiler
+                .as_mut()
+                .and_then(|p| p.start(HotSection::QueuePop));
             let popped = self.queue.pop_before(deadline.as_micros());
             if let (Some(profiler), Some(t)) = (self.profiler.as_mut(), pop_timer) {
-                profiler.record(HotSection::QueuePop, t.elapsed());
+                profiler.finish(HotSection::QueuePop, t);
             }
             let Some((at, _seq, ev)) = popped else {
                 return false;
             };
-            // Software-pipelined lookahead: the rolling drain cursor
-            // prefetches the active bucket's upcoming events — parked
-            // payload (queue-side), actor record and send counters
-            // (here) — a few entries per pop, so the prefetches spread
-            // over the bucket's dispatch window instead of flooding the
-            // fill buffers in one burst. Invisible to deterministic
-            // replay.
-            for hint in self.queue.drain_prefetch(4) {
-                if let Some(r) = self.actors.get(hint as usize) {
+            // Software-pipelined lookahead: each pop from a FIFO prefetches
+            // the actor record of the event a few places behind it in the
+            // same FIFO, a rolling cursor per FIFO, so its lines are in
+            // flight by the time it dispatches. Invisible to
+            // deterministic replay.
+            if let Some(next) = self.queue.ahead(4) {
+                if let Some(r) = self.actors.get(next.to.index()) {
                     prefetch::touch(&r.actor);
                     prefetch::touch(&r.meta);
                 }
@@ -541,7 +540,10 @@ impl<W: Message, A: Actor<W>> Engine<W, A> {
                     }
                 }
             }
-            let dispatch_timer = self.profiler.as_ref().map(|_| Instant::now());
+            let dispatch_timer = self
+                .profiler
+                .as_mut()
+                .and_then(|p| p.start(HotSection::Dispatch));
             match ev.kind {
                 EventKind::Message { from, msg } => {
                     self.engine_metrics.deliveries.inc();
@@ -557,7 +559,7 @@ impl<W: Message, A: Actor<W>> Engine<W, A> {
                 }
             }
             if let (Some(profiler), Some(t)) = (self.profiler.as_mut(), dispatch_timer) {
-                profiler.record(HotSection::Dispatch, t.elapsed());
+                profiler.finish(HotSection::Dispatch, t);
             }
             return true;
         }
@@ -594,7 +596,7 @@ impl<W: Message, A: Actor<W>> Engine<W, A> {
         let consult_timer = self
             .injector
             .is_some()
-            .then(|| self.profiler.as_ref().map(|_| Instant::now()))
+            .then(|| self.profiler.as_mut()?.start(HotSection::InjectorConsult))
             .flatten();
         let action = match self.injector.as_mut() {
             Some(injector) => injector.on_send(self.now, from, to),
@@ -619,10 +621,13 @@ impl<W: Message, A: Actor<W>> Engine<W, A> {
             FaultAction::Duplicate(gap) => {
                 self.engine_metrics.duplicated.inc();
                 self.trace(to, &FAULT_DUPLICATE, from.index() as u64, gap.as_micros());
-                let clone_timer = self.profiler.as_ref().map(|_| Instant::now());
+                let clone_timer = self
+                    .profiler
+                    .as_mut()
+                    .and_then(|p| p.start(HotSection::MessageClone));
                 let dup = msg.clone();
                 if let (Some(profiler), Some(t)) = (self.profiler.as_mut(), clone_timer) {
-                    profiler.record(HotSection::MessageClone, t.elapsed());
+                    profiler.finish(HotSection::MessageClone, t);
                 }
                 self.push(at + gap, to, EventKind::Message { from, msg: dup });
             }
@@ -657,12 +662,9 @@ impl<W: Message, A: Actor<W>> Engine<W, A> {
     /// tracked in a plain field; the gauge mirror happens at read time.
     fn push(&mut self, at: SimTime, to: ActorId, kind: EventKind<W>) {
         let seq = self.next_seq();
-        self.queue.insert_hinted(
-            at.as_micros(),
-            seq,
-            to.index() as u32,
-            EventRecord { to, kind },
-        );
+        let now = self.now.as_micros();
+        self.queue
+            .insert_from(now, at.as_micros(), seq, EventRecord { to, kind });
         self.depth += 1;
         if self.depth > self.queue_peak {
             self.queue_peak = self.depth;

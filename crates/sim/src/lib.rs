@@ -60,5 +60,5 @@ pub use engine::Engine;
 pub use fault::{CorruptionMode, FaultAction, FaultInjector, FaultStats};
 pub use flat_map::FlatMap;
 pub use latency::{Latency, TieredLatency};
-pub use queue::CalendarQueue;
+pub use queue::EventQueue;
 pub use time::{SimDuration, SimTime};

@@ -3,10 +3,10 @@
 //! fixed-size record into the ring; nothing is rendered until the tail is
 //! dumped.
 //!
-//! The engine is held to the same budget, so each round is laid out in
-//! the same slots of the calendar queue's bucket ring: rounds start a
-//! whole ring period (4 096 slots × 64 µs) apart, and the injector's
-//! verdict depends only on the send's offset into its round.
+//! The engine is held to the same budget, so every round repeats the
+//! last one's delays: the injector's verdict depends only on the send's
+//! offset into its round, and the event queue's FIFOs and chunk pool,
+//! sized by the warm-up rounds, take each round's events as they come.
 //!
 //! One test only: the counting allocator is this test binary's global
 //! allocator, and the count is per thread.
@@ -50,7 +50,7 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// One period of the engine queue's bucket ring, about 0.26 s.
+/// About 0.26 s between rounds.
 const ROUND_US: u64 = 4096 * 64;
 /// Hops of one round's rally.
 const HOPS: u32 = 12;
