@@ -58,6 +58,19 @@ impl HotSection {
         }
     }
 
+    /// The section this one runs inside, if any: the injector consult
+    /// and the duplicate's clone happen in `Engine::enqueue_send`, which
+    /// the dispatch timer spans when it drains the handler's sends. A
+    /// send posted from outside any event (`Engine::post`) is the
+    /// exception: its consult is counted in its own row but under no
+    /// dispatch.
+    fn parent(self) -> Option<HotSection> {
+        match self {
+            HotSection::InjectorConsult | HotSection::MessageClone => Some(HotSection::Dispatch),
+            HotSection::QueuePop | HotSection::Dispatch | HotSection::FarPromote => None,
+        }
+    }
+
     fn name(self) -> &'static str {
         match self {
             HotSection::QueuePop => "queue_pop",
@@ -158,40 +171,60 @@ impl Profiler {
         }
     }
 
-    /// Total profiled wall-clock nanoseconds across all sections.
+    /// Total profiled wall-clock nanoseconds: the sum of the top-level
+    /// sections, each nested section already inside its parent.
     pub fn total_ns(&self) -> u64 {
         HotSection::ALL
             .iter()
+            .filter(|s| s.parent().is_none())
             .map(|&s| self.stats(s).total_ns)
             .sum()
     }
 
-    /// Renders the hot-path profile as a table sorted by total time,
-    /// with each section's share of the profiled total.
+    /// Renders the hot-path profile as a table: the top-level sections
+    /// sorted by total time, each with its share of the profiled total
+    /// and followed by its nested sections (indented), whose share is of
+    /// their parent.
     pub fn report(&self) -> String {
-        let mut rows: Vec<(HotSection, SectionStats)> = HotSection::ALL
+        let by_total = |sections: &mut Vec<(HotSection, SectionStats)>| {
+            sections.sort_by_key(|r| std::cmp::Reverse(r.1.total_ns));
+        };
+        let mut top: Vec<(HotSection, SectionStats)> = HotSection::ALL
             .iter()
+            .filter(|s| s.parent().is_none())
             .map(|&s| (s, self.stats(s)))
             .collect();
-        rows.sort_by_key(|r| std::cmp::Reverse(r.1.total_ns));
-        let total = self.total_ns().max(1);
+        by_total(&mut top);
         let mut out = String::from("hot-path profile (wall clock)\n");
         let _ = writeln!(
             out,
             "{:<18} {:>12} {:>14} {:>10} {:>10} {:>6}",
             "section", "count", "total_ns", "mean_ns", "max_ns", "share"
         );
-        for (section, s) in rows {
+        let mut row = |name: String, s: SectionStats, of: u64| {
             let _ = writeln!(
                 out,
                 "{:<18} {:>12} {:>14} {:>10} {:>10} {:>5.1}%",
-                section.name(),
+                name,
                 s.count,
                 s.total_ns,
                 s.mean_ns(),
                 s.max_ns,
-                100.0 * s.total_ns as f64 / total as f64
+                100.0 * s.total_ns as f64 / of.max(1) as f64
             );
+        };
+        let total = self.total_ns();
+        for (parent, stats) in top {
+            row(parent.name().to_string(), stats, total);
+            let mut nested: Vec<(HotSection, SectionStats)> = HotSection::ALL
+                .iter()
+                .filter(|s| s.parent() == Some(parent))
+                .map(|&s| (s, self.stats(s)))
+                .collect();
+            by_total(&mut nested);
+            for (section, s) in nested {
+                row(format!("  {}", section.name()), s, stats.total_ns);
+            }
         }
         out
     }
@@ -225,6 +258,36 @@ mod tests {
         let pop_at = report.find("queue_pop").unwrap();
         assert!(dispatch_at < pop_at, "biggest section first:\n{report}");
         assert!(report.contains("99.0%"), "{report}");
+    }
+
+    #[test]
+    fn nested_sections_count_once_and_report_as_shares_of_their_parent() {
+        let mut p = Profiler::new();
+        p.record(HotSection::QueuePop, Duration::from_nanos(500));
+        p.record(HotSection::Dispatch, Duration::from_nanos(1_500));
+        p.record(HotSection::InjectorConsult, Duration::from_nanos(300));
+        p.record(HotSection::MessageClone, Duration::from_nanos(150));
+        assert_eq!(p.total_ns(), 2_000, "nested sections are inside dispatch");
+        let report = p.report();
+        let line = |name: &str| {
+            report
+                .lines()
+                .find(|l| l.trim_start().starts_with(name))
+                .unwrap_or_else(|| panic!("no {name} row:\n{report}"))
+                .to_string()
+        };
+        assert!(line("dispatch").ends_with("75.0%"), "{report}");
+        assert!(line("queue_pop").ends_with("25.0%"), "{report}");
+        assert!(line("injector_consult").starts_with("  "), "{report}");
+        assert!(line("injector_consult").ends_with("20.0%"), "{report}");
+        assert!(line("message_clone").ends_with("10.0%"), "{report}");
+        let at = |name: &str| report.find(&line(name)).expect("row");
+        assert!(at("dispatch") < at("injector_consult"), "{report}");
+        assert!(at("injector_consult") < at("message_clone"), "{report}");
+        assert!(
+            at("message_clone") < at("queue_pop"),
+            "nested rows follow their parent:\n{report}"
+        );
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Pastry routing state: leaf set, routing table and neighbor set (§II.A
 //! of the v-Bundle paper, after Rowstron & Druschel).
 
+use std::cell::Cell;
+use std::fmt;
 use std::sync::Arc;
 
 use vbundle_dcn::Topology;
@@ -237,14 +239,19 @@ impl Row {
         (self.filled & (1 << col) != 0).then(|| self.slots[col])
     }
 
-    /// Filled slots, lowest column first.
-    fn entries(&self) -> impl Iterator<Item = NodeHandle> + '_ {
+    /// Columns of the filled slots, lowest first.
+    fn cols(&self) -> impl Iterator<Item = usize> {
         let mut left = self.filled;
         std::iter::from_fn(move || {
             let col = left.trailing_zeros() as usize;
             left &= left.wrapping_sub(1);
-            (col < DIGIT_BASE).then(|| self.slots[col])
+            (col < DIGIT_BASE).then_some(col)
         })
+    }
+
+    /// Filled slots, lowest column first.
+    fn entries(&self) -> impl Iterator<Item = NodeHandle> + '_ {
+        self.cols().map(|col| self.slots[col])
     }
 }
 
@@ -511,6 +518,52 @@ pub enum RouteDecision {
 /// Slots in [`PastryState`]'s settled-peer memo (420 bytes per node).
 const SETTLED_SLOTS: usize = 21;
 
+/// A known node's place in [`PastryState`]: the top two bits name the
+/// structure, the low 14 bits the index in it.
+type Slot = u16;
+const SLOT_CW: Slot = 0;
+const SLOT_CCW: Slot = 1 << 14;
+/// Index `row * 16 + column`: at most 32 × 16 = 512.
+const SLOT_ROW: Slot = 2 << 14;
+const SLOT_NEIGHBOR: Slot = 3 << 14;
+const SLOT_INDEX: Slot = (1 << 14) - 1;
+
+/// The known nodes ranked by nearness to one target, nearest first.
+struct Ranking {
+    target: NodeHandle,
+    /// Every distinct known node once; empty when the state changed
+    /// since it was ranked (or no node is known), which a query takes
+    /// as a miss.
+    order: Vec<Slot>,
+}
+
+/// [`PastryState::nearest`]'s memo, boxed on the first query: a node
+/// that never answers one carries 8 bytes for it. Cloning a state
+/// leaves the clone's memo empty.
+#[derive(Default)]
+struct RankMemo(Cell<Option<Box<Ranking>>>);
+
+impl Clone for RankMemo {
+    fn clone(&self) -> Self {
+        RankMemo::default()
+    }
+}
+
+impl fmt::Debug for RankMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("RankMemo")
+    }
+}
+
+impl RankMemo {
+    /// Marks the ranking stale, keeping its allocation for the next one.
+    fn invalidate(&mut self) {
+        if let Some(ranking) = self.0.get_mut() {
+            ranking.order.clear();
+        }
+    }
+}
+
 /// The complete routing state of one Pastry node.
 #[derive(Debug, Clone)]
 pub struct PastryState {
@@ -529,16 +582,27 @@ pub struct PastryState {
     /// cannot evict its ring neighbours. A vacant slot holds the local
     /// handle, for which `learn` is a no-op by definition.
     settled: [NodeHandle; SETTLED_SLOTS],
+    /// The last [`nearest`](PastryState::nearest) ranking, wiped with
+    /// `settled`: both hold only while the three structures do not change.
+    ranking: RankMemo,
 }
 
 impl PastryState {
     /// Creates empty state for a node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `leaf_half` or `neighbor_capacity` exceeds 16 384.
     pub fn new(
         handle: NodeHandle,
         topology: Arc<Topology>,
         leaf_half: usize,
         neighbor_capacity: usize,
     ) -> Self {
+        assert!(
+            leaf_half.max(neighbor_capacity) <= usize::from(SLOT_INDEX) + 1,
+            "leaf set half {leaf_half} or neighbor set {neighbor_capacity} too large"
+        );
         PastryState {
             handle,
             leaf_set: LeafSet::new(leaf_half),
@@ -546,6 +610,7 @@ impl PastryState {
             neighbor_set: NeighborSet::new(neighbor_capacity),
             topology,
             settled: [handle; SETTLED_SLOTS],
+            ranking: RankMemo::default(),
         }
     }
 
@@ -603,6 +668,7 @@ impl PastryState {
         changed |= self.neighbor_set.insert(me, h, prox);
         if changed {
             self.settled.fill(self.handle);
+            self.ranking.invalidate();
         } else if !far {
             self.settled[slot] = h;
         }
@@ -617,6 +683,7 @@ impl PastryState {
         let changed = a || b || c;
         if changed {
             self.settled.fill(self.handle);
+            self.ranking.invalidate();
         }
         changed
     }
@@ -650,6 +717,110 @@ impl PastryState {
             }
         }
         out
+    }
+
+    /// The known node nearest `target` that `skip` does not reject, by
+    /// the key `(distance to target, distance to this node, ring distance
+    /// to target)`, the first in [`known_iter`] order on equal keys.
+    /// Distances are [`actor_distance`]s. This is v-Bundle's boot walk
+    /// (§II.B): a full server forwards to the known server physically
+    /// closest to the customer key's root.
+    ///
+    /// The known nodes are ranked by that key once per target and kept:
+    /// until the target changes or [`learn`](PastryState::learn) or
+    /// [`forget`](PastryState::forget) changes a structure, a query walks
+    /// the ranking and stops at the first node not skipped. A new ranking
+    /// reuses the memo's allocation, which grows only when more nodes
+    /// are known than ever before.
+    ///
+    /// [`known_iter`]: PastryState::known_iter
+    pub fn nearest(
+        &self,
+        target: NodeHandle,
+        mut skip: impl FnMut(ActorId) -> bool,
+    ) -> Option<NodeHandle> {
+        let mut ranking = self.ranking.0.take().unwrap_or_else(|| {
+            Box::new(Ranking {
+                target,
+                order: Vec::new(),
+            })
+        });
+        if ranking.target != target || ranking.order.is_empty() {
+            ranking.target = target;
+            self.rank(target, &mut ranking.order);
+        }
+        let found = ranking
+            .order
+            .iter()
+            .map(|&slot| self.at(slot))
+            .find(|h| !skip(h.actor));
+        self.ranking.0.set(Some(ranking));
+        found
+    }
+
+    /// Fills `order` with every distinct known node, nearest `target`
+    /// first (the key of [`nearest`](PastryState::nearest)). Before the
+    /// stable sort the nodes stand in [`known_iter`] order, each at its
+    /// first occurrence, so equal keys keep that order.
+    ///
+    /// [`known_iter`]: PastryState::known_iter
+    fn rank(&self, target: NodeHandle, order: &mut Vec<Slot>) {
+        order.clear();
+        order.reserve_exact(self.distinct_slots().count());
+        order.extend(self.distinct_slots());
+        let topo = &*self.topology;
+        let target_at = (target.actor, Site::of(topo, target.actor));
+        let me_at = (self.handle.actor, Site::of(topo, self.handle.actor));
+        order.sort_by_key(|&slot| {
+            let h = self.at(slot);
+            let at = (h.actor, Site::of(topo, h.actor));
+            (
+                site_distance(at, target_at),
+                site_distance(at, me_at),
+                h.id.ring_distance(target.id),
+            )
+        });
+    }
+
+    /// The slot of each distinct known node at its first occurrence in
+    /// [`known_iter`](PastryState::known_iter) order. A side of the leaf
+    /// set, the routing table and the neighbor set hold no repeats of
+    /// their own, and a node the table holds sits in the slot its id
+    /// names, so a repeat is found without a scan of the table.
+    fn distinct_slots(&self) -> impl Iterator<Item = Slot> + '_ {
+        let (leaf, table) = (&self.leaf_set, &self.routing_table);
+        let me = self.handle.id;
+        let in_table = move |h: &NodeHandle| {
+            let row = me.shared_prefix_len(h.id);
+            table
+                .entry(row, h.id.digit(row))
+                .is_some_and(|e| e.id == h.id)
+        };
+        let cw = (0..leaf.cw.len()).map(|i| SLOT_CW | i as Slot);
+        let ccw = (leaf.ccw.iter().enumerate())
+            .filter(|(_, h)| !leaf.cw.iter().any(|c| c.id == h.id))
+            .map(|(i, _)| SLOT_CCW | i as Slot);
+        let rows = table.rows.iter().enumerate().flat_map(move |(r, row)| {
+            row.cols()
+                .filter(|&col| !leaf.contains(row.slots[col].id))
+                .map(move |col| SLOT_ROW | (r * DIGIT_BASE + col) as Slot)
+        });
+        let neighbors = (self.neighbor_set.items.iter().enumerate())
+            .filter(move |(_, (_, h))| !leaf.contains(h.id) && !in_table(h))
+            .map(|(i, _)| SLOT_NEIGHBOR | i as Slot);
+        cw.chain(ccw).chain(rows).chain(neighbors)
+    }
+
+    /// The known node at `slot`.
+    #[inline]
+    fn at(&self, slot: Slot) -> NodeHandle {
+        let i = usize::from(slot & SLOT_INDEX);
+        match slot & !SLOT_INDEX {
+            SLOT_CW => self.leaf_set.cw[i],
+            SLOT_CCW => self.leaf_set.ccw[i],
+            SLOT_ROW => self.routing_table.rows[i / DIGIT_BASE].slots[i % DIGIT_BASE],
+            _ => self.neighbor_set.items[i].1,
+        }
     }
 
     /// The Pastry routing rule (§II.A): leaf set if the key is in range,
@@ -1160,6 +1331,135 @@ mod tests {
                     prop_assert_eq!(contents(&fast), contents(&slow));
                 }
             }
+        }
+    }
+
+    mod nearest {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The query by its definition: the least key over the distinct
+        /// known nodes not visited, the first of equal keys in
+        /// `known_nodes` order.
+        fn reference(
+            st: &PastryState,
+            target: NodeHandle,
+            visited: &[ActorId],
+        ) -> Option<NodeHandle> {
+            let (topo, me) = (st.topology(), st.handle());
+            st.known_nodes()
+                .into_iter()
+                .filter(|h| !visited.contains(&h.actor))
+                .min_by_key(|h| {
+                    (
+                        actor_distance(topo, h.actor, target.actor),
+                        actor_distance(topo, h.actor, me.actor),
+                        h.id.ring_distance(target.id),
+                    )
+                })
+        }
+
+        proptest! {
+            /// Ids come from a 40-value ring around the local node and
+            /// the leaf set holds 4 per side, so most learned
+            /// nodes sit in the leaf set (often on both sides), the
+            /// routing table *and* the neighbor set: `known_iter` repeats
+            /// them, `known_nodes` does not, and the answer must not
+            /// care. The actors are the last 16 servers of the topology
+            /// and 8 past it, so distances are coarse and equal keys
+            /// common: same-rack ties, ring ties on both sides of the
+            /// target, and `u32::MAX` ties when the target or the local
+            /// node is off the topology. After the first query, `ops`
+            /// interleaves learns, forgets and growth of the visited set
+            /// with queries towards two or three targets, so the ranking
+            /// is reused, made stale by a change and replaced by another
+            /// target's. The wide ring ranks 20–40 nodes, past the length
+            /// below which an unstable sort happens to keep ties in order.
+            #[test]
+            fn next_hop_matches_known_nodes_reference(
+                shape in (any::<bool>(), any::<bool>(), 0u32..24),
+                peers in proptest::collection::vec(1u128..40, 0..60),
+                visited in proptest::collection::vec(0u32..24, 0..16),
+                targets in proptest::collection::vec((1u128..40, 0u32..24), 2..4),
+                ops in proptest::collection::vec((0usize..8, 1u128..40, 0u32..24), 0..80),
+            ) {
+                let (large, wide, me_at) = shape;
+                let topo = Arc::new(if large {
+                    Topology::builder().pods(2).racks_per_pod(65).servers_per_rack(32).build()
+                } else {
+                    Topology::builder().pods(2).racks_per_pod(2).servers_per_rack(4).build()
+                });
+                let base = topo.num_servers() as u32 - 16;
+                let actor = |i: u32| ActorId::new(base + i);
+                // The wide ring spreads its ids over the first digit's
+                // 16 values, and its sets hold twice as many nodes.
+                let (step, half, capacity) = if wide { (6, 8, 16) } else { (1, 4, 8) };
+                let id = |i: u128| Id::from_u128((i * step) << 120);
+                // One actor per id, as in any real overlay.
+                let node = |i: u128| NodeHandle::new(id(i), actor((i * 7 % 24) as u32));
+                let me = NodeHandle::new(id(20), actor(me_at));
+                let mut state = PastryState::new(me, topo.clone(), half, capacity);
+                for &i in &peers {
+                    state.learn(node(i));
+                }
+                let mut visited: Vec<ActorId> = visited.into_iter().map(actor).collect();
+                let targets: Vec<NodeHandle> = targets
+                    .into_iter()
+                    .map(|(i, a)| NodeHandle::new(id(i), actor(a)))
+                    .collect();
+                let target = targets[0];
+                prop_assert_eq!(
+                    state.nearest(target, |a| visited.contains(&a)),
+                    reference(&state, target, &visited)
+                );
+                for (op, i, a) in ops {
+                    match op {
+                        0 => {
+                            state.learn(node(i));
+                        }
+                        1 => {
+                            state.forget(id(i));
+                        }
+                        2 => visited.push(actor(a)),
+                        _ => {
+                            let target = targets[op % targets.len()];
+                            prop_assert_eq!(
+                                state.nearest(target, |a| visited.contains(&a)),
+                                reference(&state, target, &visited),
+                                "op {} towards {:?}", op, target
+                            );
+                        }
+                    }
+                }
+                prop_assert!(
+                    state.known_iter().count() >= state.known_nodes().len(),
+                    "known_iter yields every known node at least once"
+                );
+            }
+        }
+
+        /// A clone starts without the memo, and the memo's ranking is
+        /// sized to the distinct known nodes.
+        #[test]
+        fn ranking_holds_each_known_node_once() {
+            let topo = Arc::new(
+                Topology::builder()
+                    .pods(2)
+                    .racks_per_pod(2)
+                    .servers_per_rack(4)
+                    .build(),
+            );
+            let me = h(20 << 120, 0);
+            let mut state = PastryState::new(me, topo, 4, 8);
+            for i in 1..16u32 {
+                state.learn(h(u128::from(20 + i) << 120, i));
+            }
+            assert!(state.nearest(me, |_| false).is_some());
+            let ranking = state.ranking.0.take().expect("memo after a query");
+            assert_eq!(ranking.order.len(), state.known_nodes().len());
+            assert_eq!(ranking.order.capacity(), ranking.order.len());
+            state.ranking.0.set(Some(ranking));
+            assert!(state.clone().ranking.0.take().is_none());
         }
     }
 
