@@ -73,13 +73,14 @@ echo "==> survivability_sweep --failover smoke (deterministic golden)"
 cargo run --release -q -p vbundle-bench --bin survivability_sweep -- --smoke --failover
 
 # The paper's figures: each fig*/ablation_* binary runs once (seconds in
-# all), so a panic in any of them fails CI, and so does a broken claim in
-# the binaries that gate one (fig08, fig14 exit 1). Each runs in its own
-# scratch directory, so the tracked results/fig*.csv stay as they are.
+# all) and gates its figure's claim through the one figure driver: it
+# exits 1 when a check fails, so a broken claim fails CI as a panic does.
+# Each runs in its own scratch directory, so the tracked results/fig*.csv
+# stay as they are.
 root=$(pwd)
 for src in crates/bench/src/bin/fig*.rs crates/bench/src/bin/ablation_*.rs; do
     bin=$(basename "$src" .rs)
-    echo "==> ${bin} (runs without panicking)"
+    echo "==> ${bin} (every check of its claim holds)"
     scratch=$(mktemp -d)
     if ! (cd "$scratch" && cargo run --release -q --manifest-path "$root/Cargo.toml" \
             -p vbundle-bench --bin "$bin" > run.log 2>&1); then

@@ -9,15 +9,26 @@
 //!   host (Linux TC semantics) but never move;
 //! - **v-Bundle**: rate/ceil plus decentralized shuffling.
 //!
+//! EC2-fixed strands everything above each VM's fixed size; rate/ceil
+//! recovers same-host slack; v-Bundle also moves VMs to idle hosts. Checks
+//! that the delivered share orders EC2-fixed < rate/ceil < v-Bundle.
+//!
 //! Run: `cargo run --release -p vbundle-bench --bin ablation_fixed_vs_vbundle`
 
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use vbundle_bench::scenarios::fabric;
+use vbundle_bench::{run_figure, CliSpec, Figure};
 use vbundle_core::{Cluster, CustomerId, ResourceSpec, ResourceVector, VBundleConfig, VmRecord};
-use vbundle_dcn::{Bandwidth, Topology};
+use vbundle_dcn::Bandwidth;
 use vbundle_sim::{SimDuration, SimTime};
+
+const CLI: CliSpec = CliSpec::figure(
+    "ablation_fixed_vs_vbundle",
+    "Ablation: offering model vs delivered bandwidth (same workload)",
+);
 
 #[derive(Clone, Copy, PartialEq)]
 enum Offering {
@@ -26,14 +37,10 @@ enum Offering {
     VBundle,
 }
 
-fn run(offering: Offering) -> (f64, f64, u64) {
-    let topo = Arc::new(
-        Topology::builder()
-            .pods(2)
-            .racks_per_pod(4)
-            .servers_per_rack(8)
-            .build(),
-    );
+/// Runs one offering, claims its demand, satisfied bandwidth, delivered
+/// share and migrations under `p`, and returns the delivered share.
+fn run(fig: &mut Figure, p: &str, offering: Offering) -> f64 {
+    let topo = fabric(2, 4, 8);
     let nic = topo.capacity().bandwidth;
     let config = VBundleConfig::default()
         .with_threshold(0.15)
@@ -60,14 +67,9 @@ fn run(offering: Offering) -> (f64, f64, u64) {
             };
             let mut vm = VmRecord::new(id, CustomerId(0), spec);
             let hot = server < topo.num_servers() / 4 && slot < 6;
-            let demand = if hot {
-                purchased * rng.gen_range(2.0..3.0)
-            } else {
-                purchased * rng.gen_range(0.1..0.3)
-            };
-            vm.demand = ResourceVector::bandwidth_only(demand);
-            let sid = topo.server(server);
-            cluster.install_vm(sid, vm);
+            let peak = if hot { 2.0..3.0 } else { 0.1..0.3 };
+            vm.demand = ResourceVector::bandwidth_only(purchased * rng.gen_range(peak));
+            cluster.install_vm(topo.server(server), vm);
         }
     }
     cluster.reindex();
@@ -77,34 +79,26 @@ fn run(offering: Offering) -> (f64, f64, u64) {
         cluster.run_until(SimTime::from_mins(30));
     }
     let totals = cluster.satisfaction();
-    (
-        totals.demand.as_mbps(),
-        totals.satisfied.as_mbps(),
-        cluster.total_migrations(),
-    )
+    let (demand, satisfied) = (totals.demand.as_mbps(), totals.satisfied.as_mbps());
+    let delivered = satisfied / demand * 100.0;
+    fig.claim(format!("{p}.demand_mbps"), format!("{demand:.0}"));
+    fig.claim(format!("{p}.satisfied_mbps"), format!("{satisfied:.0}"));
+    fig.claim(format!("{p}.delivered_pct"), format!("{delivered:.1}"));
+    fig.claim(format!("{p}.migrations"), cluster.total_migrations());
+    delivered
 }
 
 fn main() {
-    println!("# Ablation: offering model vs delivered bandwidth (same workload)");
-    println!(
-        "{:<14} {:>16} {:>18} {:>12} {:>12}",
-        "offering", "demand (Mbps)", "satisfied (Mbps)", "delivered", "migrations"
-    );
-    for (name, offering) in [
-        ("EC2-fixed", Offering::Ec2Fixed),
-        ("rate/ceil", Offering::RateCeil),
-        ("v-Bundle", Offering::VBundle),
-    ] {
-        let (demand, satisfied, migrations) = run(offering);
-        println!(
-            "{:<14} {:>16.0} {:>18.0} {:>11.1}% {:>12}",
-            name,
-            demand,
-            satisfied,
-            satisfied / demand * 100.0,
-            migrations
-        );
-    }
-    println!("\nEC2-fixed strands everything above each VM's fixed size; rate/ceil");
-    println!("recovers same-host slack; v-Bundle also moves VMs to idle hosts.");
+    run_figure(&CLI, |_| figure());
+}
+
+fn figure() -> Figure {
+    let mut fig = Figure::default();
+    let fixed = run(&mut fig, "ec2_fixed", Offering::Ec2Fixed);
+    let rate_ceil = run(&mut fig, "rate_ceil", Offering::RateCeil);
+    let vbundle = run(&mut fig, "vbundle", Offering::VBundle);
+    let detail = format!("{fixed:.1} < {rate_ceil:.1} < {vbundle:.1} %");
+    let holds = fixed < rate_ceil && rate_ceil < vbundle;
+    fig.check("delivered_fixed_lt_rate_ceil_lt_vbundle", holds, detail);
+    fig
 }

@@ -3,66 +3,41 @@
 //!
 //! The paper shows a scatter plot (rack × slot, colored by customer) in
 //! which each customer's VMs form tight contiguous blocks. This binary
-//! prints the quantitative reading — per-customer rack span, same-rack
-//! pair fraction, mean pair distance, bisection traffic — and writes the
-//! full map to `results/fig07_map.csv` for plotting.
+//! claims the quantitative reading — per-customer rack span, same-rack
+//! pair fraction, mean pair distance, bisection traffic — checks that
+//! every customer spans at most 3 racks, and writes the full map to
+//! `results/fig07_map.csv` for plotting. (The policy order on this same
+//! placement is Fig. 8's wave-1 check.)
 //!
 //! Run: `cargo run --release -p vbundle-bench --bin fig07_placement`
 
 use std::sync::Arc;
 
-use vbundle_bench::scenarios::five_customer_placement;
-use vbundle_bench::write_csv;
-use vbundle_core::{metrics, PlacementPolicy};
+use vbundle_bench::scenarios::{claim_locality, five_customer_placement};
+use vbundle_bench::{run_figure, CliSpec, Figure};
+use vbundle_core::PlacementPolicy;
 use vbundle_dcn::{Bandwidth, Topology};
 
+const CLI: CliSpec = CliSpec::figure(
+    "fig07_placement",
+    "Figure 7: v-Bundle placement of 5000 VMs / 3000 servers / 5 customers",
+);
+
 fn main() {
+    run_figure(&CLI, |_| figure());
+}
+
+fn figure() -> Figure {
     let topo = Arc::new(Topology::simulation_3000());
-    let per_customer = 1000; // 5 customers × 1000 = 5000 VMs
-    let (model, customers) = five_customer_placement(
-        &topo,
-        PlacementPolicy::VBundle,
-        per_customer,
-        Bandwidth::from_mbps(100.0),
-        7,
-    );
-
-    println!("# Figure 7: v-Bundle placement of 5000 VMs / 3000 servers / 5 customers");
-    println!(
-        "{:<10} {:>6} {:>12} {:>18} {:>16}",
-        "customer", "vms", "racks_used", "same_rack_pairs", "mean_pair_dist"
-    );
-    let placements: Vec<_> = model
-        .placements()
-        .iter()
-        .map(|(vm, s)| (vm.customer, *s))
-        .collect();
-    let locality = metrics::customer_locality(&topo, &placements);
-    for l in &locality {
-        let name = &customers[l.customer.0 as usize].name;
-        println!(
-            "{:<10} {:>6} {:>12} {:>17.1}% {:>16.3}",
-            name,
-            l.vms,
-            l.racks_spanned,
-            l.same_rack_pair_fraction * 100.0,
-            l.mean_pair_distance
-        );
-    }
-
-    // Bi-section consumption if every same-customer pair chats.
-    let tm = metrics::chatting_traffic(&topo, &placements, Bandwidth::from_mbps(50.0));
-    let report = tm.bisection_report(&topo);
-    println!();
-    println!(
-        "chatting-traffic bisection fraction: {:.2}% (cross-rack {:.0} Mbps of {:.0} Mbps total)",
-        report.bisection_fraction() * 100.0,
-        report.bisection_traffic().as_mbps(),
-        report.total().as_mbps()
-    );
-
+    let (policy, reservation) = (PlacementPolicy::VBundle, Bandwidth::from_mbps(100.0));
+    // 5 customers × 1000 = 5000 VMs
+    let (model, customers) = five_customer_placement(&topo, policy, 1000, reservation, 7);
+    let mut fig = Figure::default();
+    let max = claim_locality(&mut fig, "vbundle", &model).max_racks;
+    let detail = format!("widest customer spans {max} racks");
+    fig.check("racks_per_customer_le_3", max <= 3, detail);
     // The scatter-plot data itself.
-    let rows: Vec<String> = model
+    let rows = model
         .placements()
         .iter()
         .map(|(vm, s)| {
@@ -75,5 +50,6 @@ fn main() {
             )
         })
         .collect();
-    write_csv("fig07_map.csv", "rack,slot,customer_id,customer", &rows);
+    fig.table("fig07_map.csv", "rack,slot,customer_id,customer", rows);
+    fig
 }

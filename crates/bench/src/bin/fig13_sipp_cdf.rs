@@ -2,23 +2,32 @@
 //! after rebalancing.
 //!
 //! The paper reports that before rebalancing only ~10% of calls answer
-//! within 10 ms, while afterwards ~94.5% do.
+//! within 10 ms, while afterwards ~94.5% do. Checks that the share under
+//! 10 ms rises and that the after-CDF is at least the before-CDF at every
+//! 5-ms point.
 //!
 //! Run: `cargo run --release -p vbundle-bench --bin fig13_sipp_cdf`
 
 use vbundle_bench::scenarios::SippTestbed;
-use vbundle_bench::write_csv;
+use vbundle_bench::{run_figure, CliSpec, Figure};
 use vbundle_workloads::Cdf;
 
+const CLI: CliSpec = CliSpec::figure(
+    "fig13_sipp_cdf",
+    "Figure 13: SIPp response-time CDF before vs after rebalancing",
+);
+
 fn main() {
-    println!("# Figure 13: SIPp response-time CDF before vs after rebalancing");
+    run_figure(&CLI, |_| figure());
+}
+
+fn figure() -> Figure {
     let mut testbed = SippTestbed::new(14, 12);
     // Phase 1: the "before rebalancing" window — sampled from the onset
-    // of contention (granted < demand) until the first migration, which
-    // is what the paper's before-curve measures.
-    let mut rebalance_at = None;
+    // of contention (granted < demand) until the SIPp host first sheds a
+    // VM, which is what the paper's before-curve measures.
     let mut contended = false;
-    for second in 1..=500u64 {
+    for _ in 1..=500u64 {
         let (_, granted, demand) = testbed.tick_1s();
         // Deep contention (under 70% of demand met) marks the paper's
         // steady "before rebalancing" state; the healthy ramp and shallow
@@ -27,12 +36,10 @@ fn main() {
             contended = true;
             testbed.sipp.take_response_samples();
         }
-        if rebalance_at.is_none() && testbed.cluster.total_migrations() > 0 {
-            rebalance_at = Some(second);
+        if testbed.shed_at.is_some() {
             break;
         }
     }
-    let rebalance_at = rebalance_at.expect("rebalancing never started");
     let before = testbed.sipp.take_response_samples();
     // Let the shuffle settle, then collect the "after" phase.
     for _ in 0..30 {
@@ -44,27 +51,29 @@ fn main() {
     }
     let after = testbed.sipp.take_response_samples();
 
-    let before_cdf = Cdf::from_samples(before);
-    let after_cdf = Cdf::from_samples(after);
-    println!("rebalancing started at t = {rebalance_at} s");
-    println!(
-        "calls under 10 ms: before {:.1}%  after {:.1}% (paper: 10% -> 94.5%)",
-        before_cdf.fraction_at_or_below(10.0) * 100.0,
-        after_cdf.fraction_at_or_below(10.0) * 100.0
-    );
-    println!(
-        "median response: before {:.1} ms, after {:.1} ms",
-        before_cdf.quantile(0.5),
-        after_cdf.quantile(0.5)
-    );
+    let mut fig = Figure::default();
+    testbed.claim_relief(&mut fig);
+    let (before, after) = (Cdf::from_samples(before), Cdf::from_samples(after));
+    let pct = |cdf: &Cdf| cdf.fraction_at_or_below(10.0) * 100.0;
+    let (under_before, under_after) = (pct(&before), pct(&after));
+    fig.claim("under_10ms_pct.before", format!("{under_before:.1}"));
+    fig.claim("under_10ms_pct.after", format!("{under_after:.1}"));
+    fig.claim("median_ms.before", format!("{:.1}", before.quantile(0.5)));
+    fig.claim("median_ms.after", format!("{:.1}", after.quantile(0.5)));
+    let detail = format!("{under_before:.1} % → {under_after:.1} %");
+    fig.check("under_10ms_rises", under_after > under_before, detail);
 
-    println!("\n{:>12} {:>12} {:>12}", "ms", "CDF before", "CDF after");
-    let mut rows = Vec::new();
+    let (mut rows, mut dominated) = (Vec::new(), 0);
     for ms in (0..=200).step_by(5) {
-        let b = before_cdf.fraction_at_or_below(ms as f64);
-        let a = after_cdf.fraction_at_or_below(ms as f64);
-        println!("{:>12} {:>12.3} {:>12.3}", ms, b, a);
+        let [b, a] = [&before, &after].map(|cdf| cdf.fraction_at_or_below(ms as f64));
+        dominated += usize::from(a >= b);
         rows.push(format!("{ms},{b:.4},{a:.4}"));
     }
-    write_csv("fig13_response_cdf.csv", "ms,cdf_before,cdf_after", &rows);
+    let detail = format!(
+        "after >= before at {dominated} of {} 5-ms points",
+        rows.len()
+    );
+    fig.check("after_cdf_dominates", dominated == rows.len(), detail);
+    fig.table("fig13_response_cdf.csv", "ms,cdf_before,cdf_after", rows);
+    fig
 }

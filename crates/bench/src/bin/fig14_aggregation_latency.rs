@@ -11,20 +11,24 @@
 //! The wait for the root's aggregate is bounded in simulated time
 //! ([`WAIT`] after the leaves publish), not in events: immediate-mode
 //! aggregation costs a number of events that grows faster than the
-//! servers (≈ 585 000 at 1 024 servers). Exits 1 when a size yields no
-//! latency, when the raw latency exceeds height × (10 ms hop + 1.5 ms
-//! processing), or when the tree is taller than ⌈log₁₆ N⌉ + 1.
+//! servers (≈ 585 000 at 1 024 servers). Checks at each size that the
+//! root aggregates at all, that the raw latency is at most height ×
+//! (10 ms hop + 1.5 ms processing), and that the tree is at most
+//! ⌈log₁₆ N⌉ + 1 tall.
 //!
 //! Run: `cargo run --release -p vbundle-bench --bin fig14_aggregation_latency`
 
-use std::sync::Arc;
-
 use vbundle_aggregation::{AggClient, AggregationConfig, Aggregator, UpdateMode};
-use vbundle_bench::write_csv;
-use vbundle_dcn::Topology;
+use vbundle_bench::scenarios::fabric;
+use vbundle_bench::{run_figure, CliSpec, Figure};
 use vbundle_pastry::{overlay, IdAssignment, PastryConfig};
 use vbundle_scribe::{group_id, Scribe};
 use vbundle_sim::{ActorId, Latency, SimDuration, SimTime};
+
+const CLI: CliSpec = CliSpec::figure(
+    "fig14_aggregation_latency",
+    "Figure 14: leaves-to-root aggregation latency vs number of servers",
+);
 
 const UPDATE_INTERVAL_MS: u64 = 30_000; // the paper's red-line offset
 /// One LAN hop plus one node's processing: what each tree level adds.
@@ -32,34 +36,10 @@ const LEVEL_MS: f64 = 10.0 + 1.5;
 /// How long after the leaves publish the root's aggregate may take.
 const WAIT: SimDuration = SimDuration::from_secs(10);
 
-/// One size's outcome.
-struct Point {
-    /// Leaves-to-root latency; NaN if the root never saw every leaf.
-    raw_ms: f64,
-    /// Longest parent chain of the tree.
-    height: usize,
-    /// Events processed between the publish and the full aggregate.
-    events: u64,
-}
-
-/// ⌈log₁₆ n⌉: the digits a Pastry route resolves, one tree level each.
-fn log16_ceil(n: usize) -> usize {
-    let mut levels = 0;
-    while 16usize.pow(levels as u32) < n {
-        levels += 1;
-    }
-    levels
-}
-
-fn measure(servers: usize, seed: u64) -> Point {
-    let racks = servers.div_ceil(16) as u32;
-    let topo = Arc::new(
-        Topology::builder()
-            .pods(1)
-            .racks_per_pod(racks)
-            .servers_per_rack(16)
-            .build(),
-    );
+/// Measures one size, claims its events and checks its latency and tree
+/// height; returns its CSV row.
+fn measure(fig: &mut Figure, servers: usize, seed: u64) -> String {
+    let topo = fabric(1, servers.div_ceil(16) as u32, 16);
     let config = AggregationConfig {
         mode: UpdateMode::Immediate,
         processing_delay: SimDuration::from_micros(1500),
@@ -97,7 +77,8 @@ fn measure(servers: usize, seed: u64) -> Point {
         .iter()
         .position(|h| net.actor(h.actor).app().group(t).is_some_and(|st| st.root))
         .expect("root exists");
-    let mut latency_ms = f64::NAN;
+    // Leaves-to-root latency; NaN if the root never saw every leaf.
+    let mut raw = f64::NAN;
     let events_before = net.events_processed();
     while net.step_before(t0 + WAIT) {
         let g = net
@@ -107,7 +88,7 @@ fn measure(servers: usize, seed: u64) -> Point {
             .agg
             .subtree(t);
         if g.count as usize == servers && (g.sum - servers as f64).abs() < 1e-6 {
-            latency_ms = (net.now() - t0).as_millis_f64();
+            raw = (net.now() - t0).as_millis_f64();
             break;
         }
     }
@@ -125,61 +106,41 @@ fn measure(servers: usize, seed: u64) -> Point {
         }
         height = height.max(depth);
     }
-    Point {
-        raw_ms: latency_ms,
-        height,
-        events: net.events_processed() - events_before,
-    }
+    let p = format!("servers_{servers}");
+    fig.claim(
+        format!("{p}.events"),
+        net.events_processed() - events_before,
+    );
+    let detail = format!("within {} s of the publish", WAIT.as_secs_f64());
+    fig.check(format!("{p}.aggregated"), !raw.is_nan(), detail);
+    let detail = format!("{raw:.2} <= height {height} × {LEVEL_MS} ms");
+    let holds = raw <= height as f64 * LEVEL_MS + 1e-9;
+    fig.check(format!("{p}.latency_le_height_x_level"), holds, detail);
+    // ⌈log₁₆ n⌉ + 1: one tree level per digit a Pastry route resolves, plus one.
+    let levels = (servers - 1).ilog(16) as usize + 2;
+    let detail = format!("{height} <= ⌈log16 n⌉ + 1 = {levels}");
+    fig.check(
+        format!("{p}.height_le_log16_plus_1"),
+        height <= levels,
+        detail,
+    );
+    let with_interval = raw + UPDATE_INTERVAL_MS as f64;
+    format!("{servers},{raw:.2},{with_interval:.2},{height}")
 }
 
 fn main() {
-    println!("# Figure 14: leaves-to-root aggregation latency vs number of servers");
-    println!(
-        "{:>8} {:>12} {:>20} {:>8} {:>10}",
-        "servers", "raw (ms)", "with interval (ms)", "height", "events"
-    );
-    let mut rows = Vec::new();
-    let mut broken = Vec::new();
-    for &n in &[16usize, 32, 64, 128, 256, 512, 1024] {
-        let Point {
-            raw_ms: raw,
-            height,
-            events,
-        } = measure(n, 14);
-        let with_interval = raw + UPDATE_INTERVAL_MS as f64;
-        println!(
-            "{:>8} {:>12.1} {:>20.1} {:>8} {:>10}",
-            n, raw, with_interval, height, events
-        );
-        rows.push(format!("{n},{raw:.2},{with_interval:.2},{height}"));
-        if raw.is_nan() {
-            broken.push(format!(
-                "{n} servers: no aggregate within {} s",
-                WAIT.as_secs_f64()
-            ));
-        } else if raw > height as f64 * LEVEL_MS + 1e-9 {
-            broken.push(format!(
-                "{n} servers: {raw:.2} ms exceeds height {height} × {LEVEL_MS} ms"
-            ));
-        }
-        if height > log16_ceil(n) + 1 {
-            broken.push(format!(
-                "{n} servers: height {height} exceeds ⌈log16 n⌉ + 1 = {}",
-                log16_ceil(n) + 1
-            ));
-        }
-    }
-    write_csv(
+    run_figure(&CLI, |_| figure());
+}
+
+fn figure() -> Figure {
+    let mut fig = Figure::default();
+    let rows = [16, 32, 64, 128, 256, 512, 1024]
+        .map(|n| measure(&mut fig, n, 14))
+        .to_vec();
+    fig.table(
         "fig14_aggregation_latency.csv",
         "servers,raw_ms,with_interval_ms,tree_height",
-        &rows,
+        rows,
     );
-    println!("\n(latency grows linearly as servers grow exponentially: only the");
-    println!(" tree height adds 10 ms hops + 1.5 ms per-node processing)");
-    if !broken.is_empty() {
-        for line in &broken {
-            eprintln!("{line}");
-        }
-        std::process::exit(1);
-    }
+    fig
 }

@@ -3,13 +3,17 @@
 //!
 //! Each binary regenerates one table or figure of the paper's evaluation
 //! (§IV–§V); see `DESIGN.md` for the experiment index and
-//! `EXPERIMENTS.md` for paper-vs-measured numbers.
+//! `EXPERIMENTS.md` for paper-vs-measured numbers. Every `fig*` and
+//! `ablation_*` binary builds one [`Figure`] and hands it to
+//! [`run_figure`], which writes its CSVs, prints its claims and checks,
+//! and exits 1 when a check fails.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod scenarios;
 
+use std::fmt::Display;
 use std::io::Write;
 use std::path::Path;
 
@@ -40,6 +44,17 @@ const BUILTIN_FLAGS: [(&str, &str); 3] = [
 ];
 
 impl CliSpec {
+    /// The spec of a figure binary: no flags or options beyond the
+    /// built-ins; `about` doubles as the figure's title.
+    pub const fn figure(bin: &'static str, about: &'static str) -> CliSpec {
+        CliSpec {
+            bin,
+            about,
+            flags: &[],
+            options: &[],
+        }
+    }
+
     /// Renders the usage text shown by `--help` and on a bad flag.
     pub fn usage(&self) -> String {
         let mut out = format!(
@@ -203,10 +218,14 @@ pub fn golden_gate(label: &str, name: &str, report: &str, bless: bool) {
 /// with a header line. Errors are reported but non-fatal so figure
 /// binaries still print their stdout series.
 pub fn write_csv(name: &str, header: &str, rows: &[String]) {
-    let dir = Path::new("results");
+    write_csv_in(Path::new("results"), name, header, rows);
+}
+
+fn write_csv_in(dir: &Path, name: &str, header: &str, rows: &[String]) {
+    let path = dir.join(name);
     let write = || -> std::io::Result<()> {
         std::fs::create_dir_all(dir)?;
-        let mut f = std::fs::File::create(dir.join(name))?;
+        let mut f = std::fs::File::create(&path)?;
         writeln!(f, "{header}")?;
         for row in rows {
             writeln!(f, "{row}")?;
@@ -214,8 +233,75 @@ pub fn write_csv(name: &str, header: &str, rows: &[String]) {
         Ok(())
     };
     match write() {
-        Ok(()) => eprintln!("[wrote results/{name}]"),
-        Err(e) => eprintln!("[could not write results/{name}: {e}]"),
+        Ok(()) => eprintln!("[wrote {}]", path.display()),
+        Err(e) => eprintln!("[could not write {}: {e}]", path.display()),
+    }
+}
+
+/// What one figure binary measured: its CSV tables (rows of cells
+/// formatted once), its `claim <key> <value>` cells and its named checks.
+/// The binary builds it; [`run_figure`] writes, prints and gates it.
+#[derive(Default)]
+pub struct Figure {
+    tables: Vec<(&'static str, &'static str, Vec<String>)>,
+    claims: Vec<String>,
+    checks: Vec<String>,
+    failed: usize,
+}
+
+impl Figure {
+    /// Adds the CSV table `results/<file>` with its header line.
+    pub fn table(&mut self, file: &'static str, header: &'static str, rows: Vec<String>) {
+        self.tables.push((file, header, rows));
+    }
+
+    /// Adds the claim line `claim <key> <value>`.
+    pub fn claim(&mut self, key: impl Display, value: impl Display) {
+        self.claims.push(format!("claim {key} {value}"));
+    }
+
+    /// Adds the check line `check <name> ok|FAILED <detail>`; a failed
+    /// check makes the binary exit 1.
+    pub fn check(&mut self, name: impl Display, ok: bool, detail: impl Display) {
+        let verdict = if ok { "ok" } else { "FAILED" };
+        self.checks.push(format!("check {name} {verdict} {detail}"));
+        self.failed += usize::from(!ok);
+    }
+
+    /// The figure's stdout: the title, then every claim line, then every
+    /// check line, each in the order added.
+    pub fn report(&self, title: &str) -> String {
+        let mut out = format!("# {title}\n");
+        for line in self.claims.iter().chain(&self.checks) {
+            out.push_str(line);
+            out.push('\n');
+        }
+        out
+    }
+
+    /// True when every check holds.
+    pub fn passed(&self) -> bool {
+        self.failed == 0
+    }
+}
+
+/// The figure driver. Parses the arguments through `spec` (a figure has
+/// no golden, so `--smoke` and `--bless` exit 2 with usage), builds the
+/// figure, writes its tables through [`write_csv`], prints
+/// [`Figure::report`] under `spec.about` and exits 1 if a check failed.
+pub fn run_figure(spec: &CliSpec, build: impl FnOnce(&BenchArgs) -> Figure) {
+    let args = BenchArgs::parse_with(spec);
+    if args.smoke() || args.bless() {
+        eprint!("{}: a figure has no golden\n\n{}", spec.bin, spec.usage());
+        std::process::exit(2);
+    }
+    let figure = build(&args);
+    for (file, header, rows) in &figure.tables {
+        write_csv(file, header, rows);
+    }
+    print!("{}", figure.report(spec.about));
+    if !figure.passed() {
+        std::process::exit(1);
     }
 }
 
@@ -315,6 +401,53 @@ mod tests {
         for needle in ["--smoke", "--bless", "--help", "--full", "demo_sweep"] {
             assert!(usage.contains(needle), "{usage}");
         }
+    }
+
+    fn demo_figure(second_holds: bool) -> Figure {
+        let mut fig = Figure::default();
+        fig.table("demo.csv", "a,b", vec!["1,2.50".into(), "3,4.00".into()]);
+        fig.claim("alpha", 1);
+        fig.check("first", true, "1 < 2");
+        fig.claim("beta", format!("{:.2}", 0.5));
+        fig.check("second", second_holds, "2 < 3");
+        fig
+    }
+
+    #[test]
+    fn report_is_title_claims_then_checks_in_order_every_time() {
+        let fig = demo_figure(true);
+        let report = fig.report("Demo");
+        assert_eq!(
+            report,
+            "# Demo\nclaim alpha 1\nclaim beta 0.50\ncheck first ok 1 < 2\ncheck second ok 2 < 3\n"
+        );
+        assert_eq!(report, fig.report("Demo"));
+        assert_eq!(report, demo_figure(true).report("Demo"));
+        assert!(fig.passed());
+    }
+
+    #[test]
+    fn failed_check_fails_the_figure_and_names_itself() {
+        let fig = demo_figure(false);
+        assert!(!fig.passed());
+        let report = fig.report("Demo");
+        assert!(report.contains("\ncheck first ok 1 < 2\n"), "{report}");
+        assert!(
+            report.ends_with("\ncheck second FAILED 2 < 3\n"),
+            "{report}"
+        );
+    }
+
+    #[test]
+    fn table_is_written_by_the_csv_writer_as_header_then_rows() {
+        let dir = std::env::temp_dir().join(format!("vbundle-bench-csv-{}", std::process::id()));
+        let fig = demo_figure(true);
+        for (file, header, rows) in &fig.tables {
+            write_csv_in(&dir, file, header, rows);
+        }
+        let text = std::fs::read_to_string(dir.join("demo.csv")).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(text, "a,b\n1,2.50\n3,4.00\n");
     }
 
     #[test]

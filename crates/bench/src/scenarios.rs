@@ -8,13 +8,15 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vbundle_core::{
-    Cluster, ClusterModel, Customer, CustomerId, PlacementPolicy, ResourceSpec, ResourceVector,
-    VBundleConfig, VmId, VmRecord,
+    metrics, Cluster, ClusterModel, Customer, CustomerId, PlacementPolicy, ResourceSpec,
+    ResourceVector, VBundleConfig, VmId, VmRecord,
 };
 use vbundle_dcn::{Bandwidth, ServerId, Topology};
 use vbundle_pastry::overlay;
 use vbundle_sim::{Actor, ActorId, Context, Engine, Message, SimDuration, SimTime};
 use vbundle_workloads::{SippGenerator, SkewedLoad};
+
+use crate::Figure;
 
 /// Places `per_customer` VMs for each of the paper's five customers with
 /// the given policy and returns the model (Figs. 7–8). VMs arrive
@@ -72,6 +74,87 @@ pub fn place_wave(
     }
 }
 
+/// One placement's locality, each a mean over customers except the
+/// racks of the widest customer and the bisection share of all chatting
+/// traffic.
+pub struct Locality {
+    /// Racks spanned by the customer that spans the most.
+    pub max_racks: usize,
+    /// Racks spanned per customer.
+    pub racks: f64,
+    /// Fraction of same-customer VM pairs that share a rack.
+    pub same_rack: f64,
+    /// Physical distance (0–3) between same-customer VM pairs.
+    pub dist: f64,
+    /// Share of the chatting traffic that crosses the bisection.
+    pub bisection: f64,
+}
+
+/// Claims the locality of `model`'s placement of the paper's five
+/// customers under the prefix `p`: per customer
+/// `<p>.<name>.{vms,racks,same_rack_pct,pair_dist}`, the means over
+/// customers, and the chatting traffic (every same-customer pair at
+/// 50 Mbps) with the share of it that crosses the bisection.
+pub fn claim_locality(fig: &mut Figure, p: &str, model: &ClusterModel) -> Locality {
+    let (topo, customers) = (model.topology(), Customer::paper_five());
+    let placements: Vec<_> = model
+        .placements()
+        .iter()
+        .map(|(vm, s)| (vm.customer, *s))
+        .collect();
+    let locality = metrics::customer_locality(topo, &placements);
+    let (mut max_racks, mut racks, mut same_rack, mut dist) = (0, 0.0, 0.0, 0.0);
+    for l in &locality {
+        let name = format!("{p}.{}", customers[l.customer.0 as usize].name);
+        let (same_pct, d) = (l.same_rack_pair_fraction * 100.0, l.mean_pair_distance);
+        fig.claim(format!("{name}.vms"), l.vms);
+        fig.claim(format!("{name}.racks"), l.racks_spanned);
+        fig.claim(format!("{name}.same_rack_pct"), format!("{same_pct:.1}"));
+        fig.claim(format!("{name}.pair_dist"), format!("{d:.3}"));
+        max_racks = max_racks.max(l.racks_spanned);
+        racks += l.racks_spanned as f64;
+        same_rack += l.same_rack_pair_fraction;
+        dist += d;
+    }
+    let n = locality.len() as f64;
+    let (racks, same_rack, dist) = (racks / n, same_rack / n, dist / n);
+    let traffic = metrics::chatting_traffic(topo, &placements, Bandwidth::from_mbps(50.0));
+    let report = traffic.bisection_report(topo);
+    let bisection = report.bisection_fraction();
+    let (same_pct, bisection_pct) = (same_rack * 100.0, bisection * 100.0);
+    fig.claim(format!("{p}.mean_racks"), format!("{racks:.1}"));
+    fig.claim(format!("{p}.mean_same_rack_pct"), format!("{same_pct:.1}"));
+    fig.claim(format!("{p}.mean_pair_dist"), format!("{dist:.3}"));
+    fig.claim(format!("{p}.bisection_pct"), format!("{bisection_pct:.2}"));
+    let [cross, total] = [report.bisection_traffic(), report.total()].map(|b| b.as_mbps());
+    fig.claim(format!("{p}.cross_rack_mbps"), format!("{cross:.0}"));
+    fig.claim(format!("{p}.chatting_mbps"), format!("{total:.0}"));
+    Locality {
+        max_racks,
+        racks,
+        same_rack,
+        dist,
+        bisection,
+    }
+}
+
+/// A uniform fabric: `pods` × `racks_per_pod` racks of `servers_per_rack`
+/// servers each.
+pub fn fabric(pods: u32, racks_per_pod: u32, servers_per_rack: u32) -> Arc<Topology> {
+    let mut builder = Topology::builder();
+    builder.pods(pods).racks_per_pod(racks_per_pod);
+    Arc::new(builder.servers_per_rack(servers_per_rack).build())
+}
+
+/// The control loop of the paper's simulations (§IV): `threshold`, a
+/// 5-minute updating interval and a 25-minute rebalancing interval.
+pub fn paper_config(threshold: f64) -> VBundleConfig {
+    VBundleConfig::default()
+        .with_threshold(threshold)
+        .with_update_interval(SimDuration::from_mins(5))
+        .with_rebalance_interval(SimDuration::from_mins(25))
+}
+
 /// A cluster seeded with the skewed per-server load of Figs. 9–11:
 /// each server's target utilization is split into `vms_per_server`
 /// zero-reservation VMs so the shuffler can move them freely. Returns the
@@ -116,6 +199,15 @@ pub struct SippTestbed {
     pub sipp_vm: VmId,
     /// Driver RNG (deterministic).
     pub rng: StdRng,
+    /// VMs the SIPp host (server 0) held when built.
+    built_vms: usize,
+    /// First second at whose end the SIPp host held fewer VMs than it
+    /// was built with: when its contention ends.
+    pub shed_at: Option<u64>,
+    /// First second at whose end `Cluster::total_migrations` read
+    /// non-zero. The counter moves when a migration lands, seconds after
+    /// the host has shed.
+    pub counted_at: Option<u64>,
 }
 
 impl SippTestbed {
@@ -177,10 +269,13 @@ impl SippTestbed {
         // Calls start at t=100 s as in Fig. 12.
         let sipp = SippGenerator::new(SimTime::from_secs(100));
         SippTestbed {
+            built_vms: cluster.controller(0).vms().len(),
             cluster,
             sipp,
             sipp_vm,
             rng: StdRng::seed_from_u64(seed ^ 0x5199),
+            shed_at: None,
+            counted_at: None,
         }
     }
 
@@ -201,7 +296,24 @@ impl SippTestbed {
         let granted = self.granted_at(host);
         self.sipp
             .step(now, SimDuration::from_secs(1), granted, &mut self.rng);
+        let second = now.as_millis() / 1000;
+        if self.shed_at.is_none() && self.cluster.controller(0).vms().len() < self.built_vms {
+            self.shed_at = Some(second);
+        }
+        if self.counted_at.is_none() && self.cluster.total_migrations() > 0 {
+            self.counted_at = Some(second);
+        }
         (self.sipp.cumulative_failed(), granted, demand)
+    }
+
+    /// Claims `shed_s` and `counted_s` ([`SippTestbed::shed_at`],
+    /// [`SippTestbed::counted_at`]; `none` if not yet seen) and returns
+    /// the shed second.
+    pub fn claim_relief(&self, fig: &mut Figure) -> Option<u64> {
+        let second = |s: Option<u64>| s.map_or("none".to_string(), |s| s.to_string());
+        fig.claim("shed_s", second(self.shed_at));
+        fig.claim("counted_s", second(self.counted_at));
+        self.shed_at
     }
 
     fn granted_at(&self, host: ServerId) -> Bandwidth {
