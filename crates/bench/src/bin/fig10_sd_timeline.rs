@@ -6,7 +6,9 @@
 //! The paper's point: both sizes reach a stable snapshot in similar time,
 //! because shedding decisions are local and exchanges happen in parallel —
 //! the cost does not grow with the number of servers. Checks that at both
-//! sizes the SD at minute 75 is at most 0.8 × the SD at minute 15.
+//! sizes the SD at minute 75 is at most 0.8 × the SD at minute 15, and
+//! that by minute 75 no server sits above mean + θ: the rounds found every
+//! overloaded server a receiver.
 //!
 //! Run: `cargo run --release -p vbundle-bench --bin fig10_sd_timeline`
 
@@ -41,6 +43,7 @@ fn run(fig: &mut Figure, topo: Arc<Topology>, vms_per_server: usize) -> Vec<f64>
     // Sample the SD each minute from minute 15 to 75, as the paper plots.
     let mut series: Vec<f64> = Vec::new();
     let mut drops = Vec::new();
+    let mut over_at_end = 0;
     for minute in 15..=75u64 {
         cluster.run_until(SimTime::from_mins(minute));
         let utils = cluster.utilizations();
@@ -50,6 +53,7 @@ fn run(fig: &mut Figure, topo: Arc<Topology>, vms_per_server: usize) -> Vec<f64>
             let line = metrics::mean(&utils) + 0.183;
             let over = utils.iter().filter(|&&u| u > line).count();
             fig.claim(format!("{p}.over_line_min{minute}"), over);
+            over_at_end = over;
             let held = (0..utils.len()).filter(|&i| cluster.controller(i).conservative_mode());
             fig.claim(format!("{p}.gate_holding_min{minute}"), held.count());
         }
@@ -66,6 +70,12 @@ fn run(fig: &mut Figure, topo: Arc<Topology>, vms_per_server: usize) -> Vec<f64>
     fig.claim(format!("{p}.drop_minutes"), drops.join(","));
     let detail = format!("minute 75 {last:.4} <= 0.8 × minute 15 {first:.4}");
     fig.check(format!("{p}.sd_falls_20pct"), last <= 0.8 * first, detail);
+    let detail = format!("{over_at_end} servers above mean + 0.183 at minute 75");
+    fig.check(
+        format!("{p}.none_over_line_min75"),
+        over_at_end == 0,
+        detail,
+    );
     series
 }
 

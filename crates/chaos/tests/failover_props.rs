@@ -425,11 +425,10 @@ fn duplicated_backup_charges_carve_once() {
         }
     }
     driver.run_until(&mut cluster.engine, t(60));
-    // (A duplicated `Boot` can itself be admitted twice — the root's
-    // ledger moves between the two copies; that is ROADMAP item 4's
-    // business, not this test's.)
+    // The root answers a copy of a boot whose op it has recorded, so a
+    // duplicated `Boot` is placed once.
     let placements = cluster.placements();
-    assert!(placements.len() >= TENANTS as usize * VMS_PER_TENANT);
+    assert_eq!(placements.len(), TENANTS as usize * VMS_PER_TENANT);
     let charge = bw(VM_MBPS * BACKUP);
     let armed: usize = (0..8)
         .map(|s| cluster.controller(s).protected_vms().len())
@@ -454,6 +453,12 @@ fn duplicated_backup_charges_carve_once() {
     });
     assert!(open.is_empty(), "fences never acked: {open:#?}");
     assert!(fo_counter(&cluster, |s| s.fo_rematerialized.get()) > 0);
+    // A re-materialization's result, duplicated or not, is its backup
+    // site's own: the entry servers report the tenant boots and no more.
+    let results: usize = (0..8)
+        .map(|s| cluster.controller(s).stats.boot_results.len())
+        .sum();
+    assert_eq!(results, TENANTS as usize * VMS_PER_TENANT);
     for s in 0..cluster.num_servers() {
         let ctrl = cluster.controller(s);
         let still_armed = ctrl.protected_vms().len();
@@ -463,4 +468,61 @@ fn duplicated_backup_charges_carve_once() {
             "server {s}: reserved headroom differs from its {still_armed} armed charge(s)"
         );
     }
+}
+
+/// The passive half of the same storm: with failover off, a site that
+/// sees one VM's `BackupReserve` more than once still carves its share
+/// once, so the backup reserved across the cluster is exactly what
+/// admission owes — one share per placed VM.
+#[test]
+fn duplicated_passive_backups_carve_once() {
+    use vbundle_chaos::{LinkFault, Scope};
+
+    let topo = Arc::new(
+        Topology::builder()
+            .pods(2)
+            .racks_per_pod(2)
+            .servers_per_rack(2)
+            .build(),
+    );
+    let mut cluster = Cluster::builder(Arc::clone(&topo))
+        .vbundle(
+            VBundleConfig::default()
+                .with_update_interval(SimDuration::from_secs(5))
+                .with_rebalance_interval(SimDuration::from_secs(1000))
+                .with_survivability(SurvivabilityConfig {
+                    max_frac_per_domain: MAX_FRAC_PER_DOMAIN,
+                    backup: BACKUP,
+                }),
+        )
+        .seed(61)
+        .build();
+    let t = SimTime::from_secs;
+    let storm = LinkFault::loss(0.0).with_duplicate(0.35, SimDuration::from_millis(2));
+    let plan = FaultPlan::new(61).degrade_both(t(1), Scope::All, Scope::All, storm);
+    let mut driver = ChaosDriver::install(&mut cluster.engine, Arc::clone(&topo), plan);
+    driver.run_until(&mut cluster.engine, t(20));
+    for c in 0..TENANTS {
+        let customer = Customer::new(CustomerId(c), format!("tenant-{c}"));
+        for v in 0..VMS_PER_TENANT {
+            let spec = ResourceSpec::fixed(ResourceVector::bandwidth_only(bw(VM_MBPS)));
+            cluster.request_boot((c as usize + v) % 8, &customer, spec, spec.reservation);
+            let next = cluster.now() + SimDuration::from_secs(2);
+            driver.run_until(&mut cluster.engine, next);
+        }
+    }
+    driver.run_until(&mut cluster.engine, t(60));
+    let placed = cluster.placements().len();
+    assert_eq!(placed, TENANTS as usize * VMS_PER_TENANT);
+    let stats = |s| &cluster.controller(s).stats;
+    assert_eq!((0..8).map(|s| stats(s).backups_unplaced).sum::<u64>(), 0);
+    assert_eq!(
+        (0..8).map(|s| stats(s).backups_reserved).sum::<u64>(),
+        placed as u64,
+        "carves per placement"
+    );
+    let reserved: f64 = (0..8)
+        .map(|s| cluster.controller(s).backup_reserved().bandwidth.as_mbps())
+        .sum();
+    assert_eq!(reserved, placed as f64 * VM_MBPS * BACKUP);
 }

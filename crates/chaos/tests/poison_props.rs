@@ -263,13 +263,17 @@ fn duplicate_and_corrupt_reach_through_the_boxes() {
     // anycast step walks on by itself, and a walk that the subtree
     // summaries stop after a few steps instead of thirty-odd has far fewer
     // steps to duplicate — a quarter of the events, a fourteenth of the
-    // bytes, the same fifteen leases.
+    // bytes, the same fifteen leases. Re-pinned at the op id (queries and
+    // leases named `actor << 32 | seq` from one counter per server):
+    // events 74674 → 74675 with messages and bytes unmoved, so one more
+    // timer fell inside the horizon — ack timeouts are jittered by the
+    // id they chase.
     let head: Vec<&str> = a.lines().take(2).collect();
     assert_eq!(
         head,
         [
             "FaultStats { dropped: 0, delayed: 0, duplicated: 12807, corrupted: 391 }",
-            "events 74674 msgs 56396 bytes 2810317 migrations 9 leases 15",
+            "events 74675 msgs 56396 bytes 2810317 migrations 9 leases 15",
         ],
         "{a}"
     );

@@ -142,7 +142,6 @@ impl ClusterBuilder {
             ids,
             topo: self.topo,
             vm_index: VmIndex::default(),
-            next_request: 0,
             next_vm: 0,
             mirror,
         }
@@ -236,7 +235,6 @@ pub struct Cluster {
     /// The datacenter topology.
     pub topo: Arc<Topology>,
     vm_index: VmIndex,
-    next_request: u64,
     next_vm: u64,
     mirror: StatMirror,
 }
@@ -292,7 +290,8 @@ impl Cluster {
     }
 
     /// Issues a boot request through the protocol (§II.B) from `entry`'s
-    /// server; returns the request id. The result appears in `entry`'s
+    /// server; returns the request id, which `entry`'s controller mints
+    /// as an op id. The result appears in `entry`'s
     /// controller stats once routing completes.
     pub fn request_boot(
         &mut self,
@@ -301,16 +300,14 @@ impl Cluster {
         spec: ResourceSpec,
         demand: ResourceVector,
     ) -> (u64, VmId) {
-        let request = self.next_request;
-        self.next_request += 1;
         let vm_id = self.alloc_vm_id();
         let mut vm = VmRecord::new(vm_id, customer.id, spec);
         vm.demand = demand;
         let key = customer.key;
-        self.engine.call(ActorId::new(entry as u32), |node, ctx| {
+        let request = self.engine.call(ActorId::new(entry as u32), |node, ctx| {
             node.app_call(ctx, |scribe, actx| {
-                scribe.client_call(actx, |c, sctx| c.request_boot(sctx, request, key, vm));
-            });
+                scribe.client_call(actx, |c, sctx| c.request_boot(sctx, key, vm))
+            })
         });
         (request, vm_id)
     }

@@ -30,8 +30,6 @@ pub(super) struct Admission<'a> {
     pub host: &'a mut Host,
     pub stats: &'a mut ControllerStats,
     pub surv: &'a mut Option<Box<Survivability>>,
-    /// Whether backups are requested as failover charges.
-    pub protect: bool,
 }
 
 /// One hop of a boot walk. The query arrives and leaves in the box its
@@ -55,6 +53,7 @@ pub(super) fn handle(
                 request: q.request,
                 vm: q.vm.id,
                 host,
+                failover: q.failover,
             },
         );
     };
@@ -68,8 +67,13 @@ pub(super) fn handle(
     let spread_ok = match adm.surv {
         Some(surv) => {
             if at_root {
-                // We are the customer key's root: stamp the ledger snapshot
-                // so every walk server enforces the same spreading caps.
+                // We are the customer key's root: answer a copy of a boot
+                // already admitted, or stamp the ledger snapshot so every
+                // walk server enforces the same spreading caps.
+                if let Some(host) = surv.placed(q.vm.customer, q.request) {
+                    answer(ctx, &q, Some(host));
+                    return;
+                }
                 q.caps = Some(surv.caps(q.vm.customer));
             }
             q.caps
@@ -82,7 +86,7 @@ pub(super) fn handle(
         adm.host.install(q.vm);
         answer(ctx, &q, Some(me));
         if let Some(surv) = adm.surv {
-            surv.after_admit(adm.stats, ctx, q.vm, root, q.failover, adm.protect);
+            surv.after_admit(adm.stats, ctx, &q, root);
         }
         return;
     }

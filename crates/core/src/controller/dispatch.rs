@@ -14,8 +14,8 @@ use vbundle_sim::{ActorId, SimDuration, SimTime};
 use super::boot::{self, Admission};
 use super::trade;
 use super::{
-    capacity_topic, demand_topic, less_loaded_group, Controller, Ctx, FAILOVER_BOOT_BASE,
-    FAILOVER_TAG, MIGRATE_RETRY_TAG_BASE, REBALANCE_TAG, TRADE_RETRY_TAG_BASE, UPDATE_TAG,
+    capacity_topic, demand_topic, less_loaded_group, Controller, Ctx, FAILOVER_TAG,
+    MIGRATE_RETRY_TAG_BASE, REBALANCE_TAG, TRADE_RETRY_TAG_BASE, UPDATE_TAG,
 };
 use crate::message::{BootQuery, CtrlMsg};
 use crate::VmId;
@@ -31,7 +31,6 @@ impl Controller {
             host: &mut self.host,
             stats: &mut self.stats,
             surv: &mut self.surv,
-            protect: self.failover.is_some(),
         };
         boot::handle(&mut adm, ctx, q);
     }
@@ -142,7 +141,6 @@ impl ScribeClient for Controller {
                         host,
                         stats,
                         surv: &mut self.surv,
-                        protect: true,
                     };
                     fo.tick(&mut adm, ctx);
                 }
@@ -210,9 +208,14 @@ impl ScribeClient for Controller {
             // Load queries and borrow requests only arrive via anycast.
             CtrlMsg::Agg(_) | CtrlMsg::Load(_) | CtrlMsg::Borrow(_) => {}
             CtrlMsg::Boot(q) => self.boot(ctx, q),
-            // Boots in the failover id space are a backup site's own
-            // re-materializations, not tenant boots.
-            CtrlMsg::BootResult { request, vm, host } if request < FAILOVER_BOOT_BASE => {
+            // A failover-flagged result is a backup site's own
+            // re-materialization, not a tenant boot.
+            CtrlMsg::BootResult {
+                request,
+                vm,
+                host,
+                failover: false,
+            } => {
                 // A duplicated (or re-acked) result must not double-count.
                 if !stats.boot_results.iter().any(|(r, ..)| *r == request) {
                     stats.boot_results.push((request, vm, host));
@@ -233,18 +236,27 @@ impl ScribeClient for Controller {
                 customer,
                 rack,
                 pod,
+                op,
             } => {
                 if let Some(surv) = &mut self.surv {
-                    surv.commit(customer, rack, pod);
+                    surv.commit(customer, op, rack, pod, from);
                 }
             }
-            // Best-effort: the backup is carved out only when it fits.
-            // Nothing identifies the VM it backs, so a duplicated request
-            // carves twice (see DESIGN.md, "Survivable placement").
-            CtrlMsg::BackupReserve { amount, .. } => {
-                if self.surv.is_some() && host.carve_backup(amount) {
-                    stats.backups_reserved += 1;
-                }
+            // Best-effort: the backup is carved out only when it fits, and
+            // at most once per VM.
+            CtrlMsg::BackupReserve {
+                vm,
+                primary,
+                amount,
+            } => {
+                let carved = match (&mut self.failover, &mut self.surv) {
+                    (Some(fo), _) => fo.arm(host, stats, *vm, primary, amount),
+                    (None, Some(surv)) => {
+                        surv.carved.insert(vm.id, ()).is_none() && host.carve_backup(amount)
+                    }
+                    (None, None) => false,
+                };
+                stats.backups_reserved += u64::from(carved);
             }
             CtrlMsg::FoFence { vms } => {
                 if self.failover.is_some() {
@@ -252,7 +264,6 @@ impl ScribeClient for Controller {
                 }
             }
             CtrlMsg::BootResult { .. }
-            | CtrlMsg::FoBackupReserve { .. }
             | CtrlMsg::FoProbe { .. }
             | CtrlMsg::FoProbeAck { .. }
             | CtrlMsg::FoFenceAck { .. } => {
@@ -362,7 +373,7 @@ impl ScribeClient for Controller {
                 }
             }
             // The chosen backup site died before the charge landed.
-            CtrlMsg::FoBackupReserve { .. } => self.stats.backups_unplaced += 1,
+            CtrlMsg::BackupReserve { .. } => self.stats.backups_unplaced += 1,
             _ => {}
         }
         self.announce(ctx);

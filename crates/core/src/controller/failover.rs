@@ -4,15 +4,16 @@
 //! the ordinary boot path and fences the stale primaries. Present only
 //! when `VBundleConfig::failover` is set.
 //!
-//! Owns `CtrlMsg::{FoBackupReserve (receiving), FoProbe, FoProbeAck,
-//! FoFenceAck}`, the `FAILOVER_TAG` tick and the boot results in the
-//! `FAILOVER_BOOT_BASE` request-id space. (`FoFence` is applied by the
-//! controller itself: dropping a VM touches every module.)
+//! Owns `CtrlMsg::{FoProbe, FoProbeAck, FoFenceAck}`, the receiving side
+//! of `CtrlMsg::BackupReserve` with failover on, the `FAILOVER_TAG` tick
+//! and the results of its own boots (`BootResult::failover`).
+//! (`FoFence` is applied by the controller itself: dropping a VM touches
+//! every module.)
 //!
 //! One protected VM is one row of `Failover::charges`:
 //!
 //! ```text
-//!   FoBackupReserve ──► Armed ──rack declared──► Booting ──placed──► done
+//!   BackupReserve ──► Armed ──rack declared──► Booting ──placed──► done
 //!   (carve fits)                                  │   ▲
 //!                                        rejected ▼   │ next tick
 //!                                                Retry
@@ -32,7 +33,7 @@ use vbundle_sim::{ActorId, FlatMap};
 use super::boot::{self, Admission};
 use super::host::Host;
 use super::stats::ControllerStats;
-use super::{Ctx, FAILOVER_BOOT_BASE, FAILOVER_TAG};
+use super::{Ctx, FAILOVER_TAG};
 use crate::config::FailoverConfig;
 use crate::message::{BootQuery, CtrlMsg, Visited};
 use crate::{ResourceVector, VmId, VmRecord};
@@ -97,8 +98,6 @@ pub(super) struct Failover {
     /// Known handles of servers in protected racks (probe targets),
     /// keyed by actor index.
     handles: FlatMap<u32, NodeHandle>,
-    /// Local counter minting failover boot request ids.
-    next_boot: u64,
 }
 
 /// The rack index behind an actor, if it maps to a server of the
@@ -116,7 +115,6 @@ impl Failover {
             fences: FlatMap::new(),
             suspicion: DomainSuspicion::new(),
             handles: FlatMap::new(),
-            next_boot: 0,
         }
     }
 
@@ -147,7 +145,7 @@ impl Failover {
     /// headroom and remembers `vm`/`primary` so a declared death of the
     /// primary's rack re-materializes the VM here. The carve is idempotent
     /// per VM: a second charge for a VM that already has a row — a
-    /// twice-delivered `FoBackupReserve` — is counted into
+    /// twice-delivered `BackupReserve` — is counted into
     /// `invalid_payloads` and carves nothing. Returns whether the charge
     /// is now armed (false: duplicate, or no room).
     pub fn arm(
@@ -335,9 +333,9 @@ impl Failover {
 
     /// Issues (or re-issues) one re-materialization through the ordinary
     /// boot path. The dead rack's servers are pre-seeded into `visited`
-    /// so the walk can never resolve onto a host being fenced, and the
-    /// request id lives in the [`FAILOVER_BOOT_BASE`] space so the
-    /// result is intercepted rather than surfaced as a tenant boot.
+    /// so the walk can never resolve onto a host being fenced, and its
+    /// result echoes the `failover` flag so it is intercepted rather than
+    /// surfaced as a tenant boot.
     fn issue_boot(
         &mut self,
         adm: &mut Admission<'_>,
@@ -345,8 +343,7 @@ impl Failover {
         vm: VmId,
         topo: &Topology,
     ) {
-        let request = FAILOVER_BOOT_BASE | self.next_boot;
-        self.next_boot += 1;
+        let request = adm.host.next_op(ctx.self_handle().actor);
         let Some(charge) = self.step(adm.stats, vm, FoEvent::Boot { request }) else {
             return;
         };
@@ -388,6 +385,7 @@ impl Failover {
                 request,
                 vm,
                 host: placed_on,
+                ..
             } => {
                 let event = match placed_on {
                     Some(_) => FoEvent::Placed { request },
@@ -397,14 +395,6 @@ impl Failover {
                     stats.fo_rematerialized.inc();
                     host.event(&FO_REMATERIALIZE, vm.0, to.actor.index() as u64);
                 }
-            }
-            CtrlMsg::FoBackupReserve {
-                vm,
-                primary,
-                amount,
-            } => {
-                let armed = self.arm(host, stats, *vm, primary, amount);
-                stats.backups_reserved += u64::from(armed);
             }
             CtrlMsg::FoProbe { rack } => ctx.send_client(from, CtrlMsg::FoProbeAck { rack }),
             CtrlMsg::FoProbeAck { .. } => self.suspicion.mark_alive(from.actor.index() as u64),
@@ -502,7 +492,7 @@ mod tests {
     }
 
     /// Arming is idempotent per VM, whatever stage the existing row is in:
-    /// a twice-delivered `FoBackupReserve` carves the headroom once, and a
+    /// a twice-delivered `BackupReserve` carves the headroom once, and a
     /// charge that does not fit carves nothing.
     #[test]
     fn arming_carves_once_per_vm() {

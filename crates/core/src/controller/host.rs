@@ -6,10 +6,10 @@ use std::rc::Rc;
 use vbundle_aggregation::{AggregationConfig, Aggregator};
 use vbundle_dcn::Bandwidth;
 use vbundle_obs::{FlightRecorder, Kind, Subsystem};
-use vbundle_sim::{FlatMap, SimTime};
+use vbundle_sim::{ActorId, FlatMap, SimTime};
 use vbundle_trade::{LeaseRole, ResourceSpec, TradeBook};
 
-use super::{capacity_topic, demand_topic};
+use super::{capacity_topic, demand_topic, TRADE_RETRY_TAG_BASE};
 use crate::{ResourceKind, ResourceVector, VBundleConfig, VmId, VmRecord};
 
 /// Host state, handed to each protocol module by `&mut` next to the
@@ -47,6 +47,8 @@ pub(super) struct Host {
     pub flight: FlightRecorder,
     /// This server's actor index, for tagging flight events.
     pub node: u32,
+    /// Operations minted so far (see [`Host::next_op`]).
+    ops: u32,
     /// Set by whatever changes what this server's VMs could lend — a
     /// lease half recorded, reverted or expired, a VM installed, removed
     /// or given a new demand, a shed offered or settled — and cleared when
@@ -72,8 +74,19 @@ impl Host {
             clock: SimTime::ZERO,
             flight: FlightRecorder::disabled(),
             node: 0,
+            ops: 0,
             lendable_moved: true,
         }
+    }
+
+    /// Mints the op id of a boot, load query or lease this server starts:
+    /// `(me's actor index << 32) | seq`, unique in the cluster and below
+    /// both retry-tag spaces for any cluster under 2^28 servers.
+    pub fn next_op(&mut self, me: ActorId) -> u64 {
+        let op = ((me.index() as u64) << 32) | u64::from(self.ops);
+        self.ops += 1;
+        debug_assert!(op < TRADE_RETRY_TAG_BASE);
+        op
     }
 
     /// Starts hosting `vm`. Admission is the caller's business.
@@ -123,8 +136,8 @@ impl Host {
     }
 
     /// Carves `amount` of backup headroom out of this server if it is sane
-    /// and fits — the one carve path behind `BackupReserve`,
-    /// `FoBackupReserve` and both offline seeding calls.
+    /// and fits — the one carve path behind `BackupReserve` and both
+    /// offline seeding calls.
     pub fn carve_backup(&mut self, amount: ResourceVector) -> bool {
         let fits = amount.is_sane() && self.admits(amount);
         if fits {

@@ -22,12 +22,12 @@
 //! | module | protocol | messages | timer tags |
 //! |---|---|---|---|
 //! | `boot` | boot walk (§II.B) | `Boot`, tenant `BootResult` | — |
-//! | `surv` | survivable admission | `SurvCommit`, sends `BackupReserve`/`FoBackupReserve` | — |
+//! | `surv` | survivable admission | `SurvCommit`, sends `BackupReserve` (receives it with failover off) | — |
 //! | `shuffle` | shed/receive + migration (§III.C) | `Load`, `LoadAccept`, `Migrate`, `MigrateAck` | `REBALANCE_TAG`, `MIGRATE_RETRY_TAG_BASE \| query` |
 //! | `gate` | cluster-mean sanity gate (owned by `shuffle`, its only reader) | — | — |
 //! | `trade` + `market` | bundle trading, spot market | `Borrow`, `BorrowGrant`, `LeaseAck`, `LeaseRenew`, `LeaseRelease` | `TRADE_RETRY_TAG_BASE \| lease` |
-//! | `failover` | backup-activated failover | `FoBackupReserve`, `FoProbe`, `FoProbeAck`, `FoFenceAck`, failover `BootResult` | `FAILOVER_TAG` |
-//! | `dispatch` | the `ScribeClient` impl | `Agg`, `BackupReserve`, `FoFence` | `UPDATE_TAG`, `AGG_TICK_TAG` |
+//! | `failover` | backup-activated failover | `BackupReserve` (failover on), `FoProbe`, `FoProbeAck`, `FoFenceAck`, failover `BootResult` | `FAILOVER_TAG` |
+//! | `dispatch` | the `ScribeClient` impl | `Agg`, `FoFence` | `UPDATE_TAG`, `AGG_TICK_TAG` |
 
 mod boot;
 mod dispatch;
@@ -72,17 +72,12 @@ pub const REBALANCE_TAG: u64 = 0x102;
 /// Client timer tag for the failover tick (probe protected racks, resend
 /// fences, retry re-materializations). Armed only when failover is on.
 pub const FAILOVER_TAG: u64 = 0x103;
-/// Request-id space for failover re-materialization boots (`base | n`).
-/// Disjoint from any harness-assigned request id, so a backup site can
-/// intercept its own [`CtrlMsg::BootResult`]s instead of surfacing them
-/// as tenant boots.
-pub const FAILOVER_BOOT_BASE: u64 = 1 << 62;
 /// Timer-tag space for per-migration ack timeouts (`base | query id`);
 /// sits below the Scribe-reserved space, above the small client tags.
 pub const MIGRATE_RETRY_TAG_BASE: u64 = 1 << 61;
 /// Timer-tag space for per-lease grant-ack timeouts (`base | lease id`);
-/// below the migration space. Lease ids are
-/// `(lender server index << 32) | counter`, far under `1 << 60`.
+/// below the migration space. Query and lease ids are op ids
+/// (`Host::next_op`), far under `1 << 60`.
 pub const TRADE_RETRY_TAG_BASE: u64 = 1 << 60;
 
 /// The aggregation topic carrying every server's NIC capacity.
@@ -343,7 +338,7 @@ impl Controller {
     /// Registers a protection charge on this server: reserves `amount`
     /// as backup headroom and remembers `vm`/`primary` so a declared
     /// death of the primary's rack re-materializes the VM here — the
-    /// offline seeding counterpart of [`CtrlMsg::FoBackupReserve`]. With
+    /// offline seeding counterpart of [`CtrlMsg::BackupReserve`]. With
     /// failover off only the headroom is reserved.
     ///
     /// # Panics
@@ -515,17 +510,17 @@ impl Controller {
         self.host.install(vm);
     }
 
-    /// Initiates the boot protocol for `vm`: the query is routed to the
-    /// customer's key and the result arrives in
+    /// Initiates the boot protocol for `vm` and returns its op id: the
+    /// query is routed to the customer's key and the result arrives in
     /// [`ControllerStats::boot_results`] on *this* server.
     pub fn request_boot(
         &mut self,
         ctx: &mut ScribeCtx<'_, '_, '_, '_, CtrlMsg>,
-        request: u64,
         key: vbundle_pastry::Key,
         vm: VmRecord,
-    ) {
+    ) -> u64 {
         let me = ctx.self_handle();
+        let request = self.host.next_op(me.actor);
         ctx.route_client(
             key,
             CtrlMsg::Boot(Box::new(BootQuery {
@@ -539,6 +534,7 @@ impl Controller {
                 failover: false,
             })),
         );
+        request
     }
 }
 

@@ -106,7 +106,6 @@ pub(super) struct Shuffle {
     courier: Courier,
     /// VMs whose last query found no receiver.
     cooldown: Cooldown,
-    next_query: u64,
     /// The sanity gate between the aggregated cluster means and everything
     /// above that steers on them; `None` with `VBundleConfig::mean_gate`
     /// off, when the raw means steer.
@@ -132,7 +131,6 @@ impl Shuffle {
             sheds: Sheds::default(),
             courier,
             cooldown: Cooldown::default(),
-            next_query: 0,
             gate: config.mean_gate.then(MeanGates::default),
         }
     }
@@ -315,8 +313,7 @@ impl Shuffle {
             if after / cap < mean - host.config.threshold {
                 continue;
             }
-            let query = self.next_query;
-            self.next_query += 1;
+            let query = host.next_op(me.actor);
             self.sheds.insert(query, Shed::Offered(vm.id));
             host.lendable_moved = true;
             stats.queries_sent += 1;
@@ -502,7 +499,6 @@ impl Shuffle {
             },
             MIGRATION_DELAY,
         );
-        debug_assert!(query < MIGRATE_RETRY_TAG_BASE);
         ctx.schedule(timeout, MIGRATE_RETRY_TAG_BASE | query);
     }
 
@@ -714,6 +710,36 @@ mod tests {
         // accept arriving in that very tick is not double-charged.
         c.host.expire_holds(expires);
         assert_eq!(c.reserved().bandwidth.as_mbps(), 0.0);
+    }
+
+    /// Two shedders shed into one receiver: the first VM to arrive releases
+    /// only its own hold (numbered per shedder, both queries were 0).
+    #[test]
+    fn a_migrate_releases_only_its_own_hold() {
+        let topo = vbundle_dcn::Topology::builder().racks_per_pod(1).build(); // 4 servers
+        let config = VBundleConfig::default().with_update_interval(SimDuration::from_secs(10));
+        let mut cluster = crate::Cluster::builder(topo.into()).vbundle(config).build();
+        // 100 Mbps VMs `server × 100 + i`: shedders 0 and 1 at 0.9, server 2
+        // just above the mean of 0.65, and the one receiver, 3, at 0.1.
+        for (server, vms) in [(0u64, 9), (1, 9), (2, 7), (3, 1)] {
+            for i in 0..vms {
+                let sid = cluster.topo.server(server as usize);
+                cluster.install_vm(sid, vm(server * 100 + i, 0.0, 1000.0, 100.0));
+            }
+        }
+        cluster.reindex();
+        let mut most = 0;
+        while cluster.controller(3).stats.migrations_in == 0 {
+            assert!(cluster.engine.step(), "no VM migrated");
+            let holds = &cluster.controller(3).host.holds;
+            let held_for = |s| holds.iter().any(|h| h.vm.id.0 / 100 == s);
+            if held_for(0) && held_for(1) {
+                most = most.max(holds.len());
+            }
+        }
+        assert!(most >= 2, "the receiver never held for both shedders");
+        let left = cluster.controller(3).host.holds.len();
+        assert_eq!(left, most - 1, "a Migrate released another hold");
     }
 
     /// Every (stage, event) pair of a shed query: a legal pair moves the

@@ -57,14 +57,14 @@ pub struct ControllerStats {
     /// ([`ScribeClient::validate_payload`]),
     /// and direct messages naming a protocol step that is not legal in
     /// the stage its operation is in (a `LoadAccept` for another VM than
-    /// the one offered, a second `FoBackupReserve` for a VM already
-    /// charged, a boot result for a request not outstanding).
+    /// the one offered, with failover on a second `BackupReserve` for a VM
+    /// already charged).
     ///
     /// [`ScribeClient::validate_payload`]: vbundle_scribe::ScribeClient::validate_payload
     pub invalid_payloads: u64,
     /// Backup reservations this server carved out on behalf of other
     /// servers' survivable admissions (receiver side of
-    /// [`CtrlMsg::BackupReserve`]).
+    /// [`CtrlMsg::BackupReserve`], at most one per VM).
     ///
     /// [`CtrlMsg::BackupReserve`]: crate::CtrlMsg::BackupReserve
     pub backups_reserved: u64,

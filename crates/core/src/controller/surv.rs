@@ -5,8 +5,8 @@
 //! set. The carve itself is `Host::carve_backup`: the headroom is host
 //! state because offline seeding carves it with survivability off.
 //!
-//! Owns `CtrlMsg::SurvCommit` and the sending side of
-//! `CtrlMsg::{BackupReserve, FoBackupReserve}`.
+//! Owns `CtrlMsg::SurvCommit`, the sending side of `CtrlMsg::BackupReserve`
+//! and its receiving side with failover off.
 
 use vbundle_pastry::NodeHandle;
 use vbundle_sim::FlatMap;
@@ -14,26 +14,20 @@ use vbundle_sim::FlatMap;
 use super::stats::ControllerStats;
 use super::Ctx;
 use crate::config::SurvivabilityConfig;
-use crate::message::{CtrlMsg, SurvCaps};
+use crate::message::{BootQuery, CtrlMsg, SurvCaps};
 use crate::placement::survivable_domain_cap;
-use crate::{CustomerId, VmRecord};
-
-/// One customer's failure-domain occupancy as tracked by its key's root
-/// server — the authoritative source of the [`SurvCaps`] stamped onto
-/// boot queries. Sorted maps, so snapshot order is deterministic.
-#[derive(Debug, Clone, Default)]
-struct Occupancy {
-    total: u32,
-    per_rack: FlatMap<u32, u32>,
-    per_pod: FlatMap<u32, u32>,
-}
+use crate::{CustomerId, VmId};
 
 #[derive(Debug)]
 pub(super) struct Survivability {
     cfg: SurvivabilityConfig,
-    /// Per-customer domain occupancy, maintained on each customer key's
-    /// root server.
-    ledger: FlatMap<u32, Occupancy>,
+    /// Per customer, on each customer key's root server: the `(rack, pod,
+    /// host)` of every admitted boot by op id, so a twice-delivered commit
+    /// counts once — the source of the [`SurvCaps`] stamped onto boots.
+    ledger: FlatMap<u32, FlatMap<u64, (u32, u32, NodeHandle)>>,
+    /// VMs carved for with failover off: one carve per VM, the rule the
+    /// failover charge table keeps with it on.
+    pub carved: FlatMap<VmId, ()>,
 }
 
 impl Survivability {
@@ -41,30 +35,38 @@ impl Survivability {
         Survivability {
             cfg,
             ledger: FlatMap::new(),
+            carved: FlatMap::new(),
         }
     }
 
-    /// Advances the root-side ledger by one admitted VM.
-    pub fn commit(&mut self, customer: CustomerId, rack: u32, pod: u32) {
-        let occ = self
-            .ledger
-            .get_or_insert_with(customer.0, Occupancy::default);
-        occ.total += 1;
-        *occ.per_rack.get_or_insert_with(rack, || 0) += 1;
-        *occ.per_pod.get_or_insert_with(pod, || 0) += 1;
+    /// Records boot `op` of `customer` as admitted on `host` in
+    /// `(rack, pod)`; a commit already recorded changes nothing.
+    pub fn commit(&mut self, customer: CustomerId, op: u64, rack: u32, pod: u32, host: NodeHandle) {
+        let ops = self.ledger.get_or_insert_with(customer.0, FlatMap::new);
+        ops.get_or_insert_with(op, || (rack, pod, host));
+    }
+
+    /// The server boot `op` of `customer` was admitted on, if this root
+    /// has recorded it.
+    pub fn placed(&self, customer: CustomerId, op: u64) -> Option<NodeHandle> {
+        Some(self.ledger.get(&customer.0)?.get(&op)?.2)
     }
 
     /// The root's current view of `customer`'s domain occupancy, in the
     /// wire shape stamped onto boot queries.
     pub fn caps(&self, customer: CustomerId) -> SurvCaps {
-        match self.ledger.get(&customer.0) {
-            Some(l) => SurvCaps {
-                total: l.total,
-                per_rack: l.per_rack.iter().map(|(&r, &n)| (r, n)).collect(),
-                per_pod: l.per_pod.iter().map(|(&p, &n)| (p, n)).collect(),
-            },
-            None => SurvCaps::default(),
+        let mut caps = SurvCaps::default();
+        let placed = self.ledger.get(&customer.0).into_iter();
+        for &(rack, pod, _) in placed.flat_map(FlatMap::values) {
+            caps.total += 1;
+            for (counts, domain) in [(&mut caps.per_rack, rack), (&mut caps.per_pod, pod)] {
+                match counts.binary_search_by_key(&domain, |&(d, _)| d) {
+                    Ok(i) => counts[i].1 += 1,
+                    Err(i) => counts.insert(i, (domain, 1)),
+                }
+            }
         }
+        caps
     }
 
     /// Whether admitting one more of the customer's VMs *here* keeps
@@ -85,24 +87,22 @@ impl Survivability {
         rack_ok && pod_ok
     }
 
-    /// Post-admission bookkeeping: report the new VM's domain to the
-    /// customer key's root (or record it directly when we are the root)
-    /// and ask the nearest known cross-domain peer to carve out the backup
-    /// share — with `protect` (failover on) as a charge that names the VM
-    /// and its primary, so the site can bring the VM back. The request is
+    /// Post-admission bookkeeping for boot `q`: report the new VM's
+    /// domain to the customer key's `root` (or record it directly when we
+    /// are the root) and ask the nearest known cross-domain peer to carve
+    /// out the backup share for the VM and its primary, so that with
+    /// failover on the site can bring the VM back. The request is
     /// best-effort — a receiver without room simply drops it, mirroring
     /// the offline model's `backups_unplaced` accounting. A VM that was
-    /// itself `rematerialized` consumed the protection that re-admitted
-    /// it; carving a fresh backup would grow the overhead with every
-    /// failover, so protection is single-shot.
+    /// itself re-materialized (`q.failover`) consumed the protection that
+    /// re-admitted it; carving a fresh backup would grow the overhead with
+    /// every failover, so protection is single-shot.
     pub fn after_admit(
         &mut self,
         stats: &mut ControllerStats,
         ctx: &mut Ctx<'_, '_, '_, '_>,
-        vm: VmRecord,
+        q: &BootQuery,
         root: NodeHandle,
-        rematerialized: bool,
-        protect: bool,
     ) {
         let me = ctx.self_handle();
         let topo = ctx.pastry_state().topology().clone();
@@ -114,20 +114,19 @@ impl Survivability {
             topo.rack_of(sid).index() as u32,
             topo.pod_of(sid).index() as u32,
         );
+        let (vm, op) = (q.vm, q.request);
         if root.actor == me.actor {
-            self.commit(vm.customer, rack, pod);
+            self.commit(vm.customer, op, rack, pod, me);
         } else {
-            let customer = vm.customer;
-            ctx.send_client(
-                root,
-                CtrlMsg::SurvCommit {
-                    customer,
-                    rack,
-                    pod,
-                },
-            );
+            let commit = CtrlMsg::SurvCommit {
+                customer: vm.customer,
+                rack,
+                pod,
+                op,
+            };
+            ctx.send_client(root, commit);
         }
-        if self.cfg.backup <= 0.0 || rematerialized {
+        if self.cfg.backup <= 0.0 || q.failover {
             return;
         }
         let amount = vm.spec.reservation.scale(self.cfg.backup);
@@ -153,18 +152,59 @@ impl Survivability {
             stats.backups_unplaced += 1;
             return;
         };
-        let msg = if protect {
-            CtrlMsg::FoBackupReserve {
-                vm: Box::new(vm),
-                primary: me,
-                amount,
-            }
-        } else {
-            CtrlMsg::BackupReserve {
-                customer: vm.customer,
-                amount,
-            }
+        let reserve = CtrlMsg::BackupReserve {
+            vm: Box::new(vm),
+            primary: me,
+            amount,
         };
-        ctx.send_client(site, msg);
+        ctx.send_client(site, reserve);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use vbundle_dcn::Topology;
+    use vbundle_scribe::ScribeClient;
+    use vbundle_sim::ActorId;
+
+    use crate::{Cluster, CtrlMsg, CustomerId, SurvivabilityConfig, VBundleConfig};
+
+    /// The root's ledger is keyed by op: a `SurvCommit` delivered twice
+    /// advances it once, and only another op advances it again.
+    #[test]
+    fn twice_delivered_commit_advances_the_ledger_once() {
+        let topo = Topology::builder()
+            .pods(1)
+            .racks_per_pod(2)
+            .servers_per_rack(2)
+            .build();
+        let config = VBundleConfig::default().with_survivability(SurvivabilityConfig::default());
+        let mut cluster = Cluster::builder(Arc::new(topo)).vbundle(config).build();
+        let (from, customer) = (cluster.handles[3], CustomerId(4));
+        let mut deliver = |op| {
+            let commit = CtrlMsg::SurvCommit {
+                customer,
+                rack: 1,
+                pod: 0,
+                op,
+            };
+            cluster.engine.call(ActorId::new(0), |node, ctx| {
+                node.app_call(ctx, |scribe, actx| {
+                    scribe.client_call(actx, |c, sctx| c.on_direct(sctx, from, commit));
+                });
+            });
+            let surv = cluster.controller(0).surv.as_ref().expect("survivable");
+            let caps = surv.caps(customer);
+            (caps.total, caps.rack_count(1), surv.placed(customer, op))
+        };
+        assert_eq!(deliver(7), (1, 1, Some(from)));
+        assert_eq!(
+            deliver(7),
+            (1, 1, Some(from)),
+            "a duplicate commit moved the ledger"
+        );
+        assert_eq!(deliver(8), (2, 2, Some(from)));
     }
 }

@@ -6,7 +6,7 @@
 //! `TRADE_RETRY_TAG_BASE | lease id` timers. The lease halves themselves
 //! sit in `Host::book`, because admission control and the shaper read them
 //! on every server; everything about *chasing* a lease — peers, grant
-//! retransmission, trade-tree membership, cooldowns, id minting — is here.
+//! retransmission, trade-tree membership, cooldowns — is here.
 
 use std::mem;
 
@@ -61,8 +61,6 @@ pub(super) struct Trade {
     offers: Offers,
     /// VMs whose last borrow request went unanswered.
     cooldown: Cooldown,
-    /// Local counter minting unique lease ids.
-    next_lease: u64,
     pub market: Option<SpotMarket>,
 }
 
@@ -85,7 +83,6 @@ impl Trade {
             groups: FlatMap::new(),
             offers: Offers::default(),
             cooldown: Cooldown::default(),
-            next_lease: 0,
             market,
         }
     }
@@ -213,7 +210,7 @@ impl Trade {
     }
 
     /// Commits this server as lender of the lease `terms` builds around a
-    /// freshly minted id, and starts chasing the borrower's ack — the one
+    /// freshly minted op id, and starts chasing the borrower's ack — the one
     /// place a lease is minted, whether it is free, priced, or the priced
     /// replacement of an expiring one. A cross-tenant lease carries the
     /// quoted spot price and is booked as revenue the moment it is debited
@@ -226,9 +223,7 @@ impl Trade {
         kind: &'static Kind,
         terms: impl FnOnce(LeaseId) -> Lease,
     ) -> u64 {
-        let raw = ((ctx.self_handle().actor.index() as u64) << 32) | self.next_lease;
-        self.next_lease += 1;
-        debug_assert!(raw < TRADE_RETRY_TAG_BASE);
+        let raw = host.next_op(ctx.self_handle().actor);
         let mut lease = terms(LeaseId(raw));
         if let (true, Some(m)) = (lease.cross_tenant(), &self.market) {
             lease.price = m.index.quote(ASK_MARKUP);

@@ -45,7 +45,7 @@ impl SurvCaps {
 /// server can admit the VM's reservation.
 #[derive(Debug, Clone)]
 pub struct BootQuery {
-    /// Harness-assigned request id, echoed in the result.
+    /// The origin's op id for the boot, echoed in the result.
     pub request: u64,
     /// The VM to place.
     pub vm: VmRecord,
@@ -146,7 +146,7 @@ impl std::fmt::Debug for Visited {
 /// "who can take this VM?"
 #[derive(Debug, Clone)]
 pub struct LoadQuery {
-    /// Shedder-assigned query id, echoed in the acceptance.
+    /// The shedder's op id for the query, echoed in the acceptance.
     pub query: u64,
     /// The VM the shedder wants to evacuate.
     pub vm: VmRecord,
@@ -197,6 +197,8 @@ pub enum CtrlMsg {
         vm: VmId,
         /// The hosting server, or `None` if no server could admit it.
         host: Option<NodeHandle>,
+        /// Echo of [`BootQuery::failover`]: not a tenant boot's result.
+        failover: bool,
     },
     /// A shedder's query, carried by the Less-Loaded tree anycast.
     Load(Box<LoadQuery>),
@@ -272,26 +274,19 @@ pub enum CtrlMsg {
         rack: u32,
         /// Pod index of the admitting server.
         pod: u32,
+        /// The boot's op id: the root records each op once.
+        op: u64,
     },
-    /// An admitting server's request that `customer`'s backup share be
-    /// carved out on the receiver (chosen in a different failure
-    /// domain). Best-effort: a receiver without room drops it.
+    /// An admitting server's request that a VM's backup share be carved
+    /// out, once per VM, on the receiver (chosen in a different failure
+    /// domain), which with failover on re-materializes the VM if the
+    /// primary's rack is declared dead. Best-effort: no room, no carve.
     BackupReserve {
-        /// The customer the backup protects.
-        customer: CustomerId,
-        /// The backup amount (`backup` × the VM's reservation).
-        amount: ResourceVector,
-    },
-    /// The failover-aware variant of [`CtrlMsg::BackupReserve`]: carries
-    /// the protected VM's full record and its primary host, so the
-    /// receiving backup site can re-materialize the VM if the primary's
-    /// rack is declared dead. Only sent when failover is on.
-    FoBackupReserve {
         /// The protected VM (re-booted verbatim on failover).
         vm: Box<VmRecord>,
         /// The server currently hosting the VM.
         primary: NodeHandle,
-        /// The backup amount reserved on the receiver.
+        /// The backup amount (`backup` × the VM's reservation).
         amount: ResourceVector,
     },
     /// A backup site's liveness probe into a rack it protects. Any live
@@ -386,7 +381,7 @@ impl Message for CtrlMsg {
                     + caps
                     + usize::from(q.failover)
             }
-            CtrlMsg::BootResult { .. } => 8 + 8 + HANDLE_BYTES,
+            CtrlMsg::BootResult { failover, .. } => 8 + 8 + HANDLE_BYTES + usize::from(*failover),
             CtrlMsg::Load(_) => 8 + VM_BYTES + HANDLE_BYTES,
             CtrlMsg::LoadAccept { .. } => 8 + 8 + HANDLE_BYTES,
             CtrlMsg::Migrate { .. } => 8 + VM_BYTES + HANDLE_BYTES,
@@ -403,9 +398,8 @@ impl Message for CtrlMsg {
             CtrlMsg::LeaseAck { .. } => 8 + 1,
             CtrlMsg::LeaseRenew { .. } => 8,
             CtrlMsg::LeaseRelease { .. } => 8,
-            CtrlMsg::SurvCommit { .. } => 4 + 4 + 4,
-            CtrlMsg::BackupReserve { .. } => 4 + 3 * 8,
-            CtrlMsg::FoBackupReserve { .. } => VM_BYTES + HANDLE_BYTES + 3 * 8,
+            CtrlMsg::SurvCommit { .. } => 4 + 4 + 4 + 8,
+            CtrlMsg::BackupReserve { .. } => VM_BYTES + HANDLE_BYTES + 3 * 8,
             CtrlMsg::FoProbe { .. } | CtrlMsg::FoProbeAck { .. } => 4,
             CtrlMsg::FoFence { vms } | CtrlMsg::FoFenceAck { vms } => 8 * vms.len(),
         }
@@ -501,13 +495,9 @@ mod tests {
             customer: CustomerId(1),
             rack: 2,
             pod: 0,
+            op: 7,
         };
-        assert_eq!(commit.wire_size(), 12);
-        let reserve = CtrlMsg::BackupReserve {
-            customer: CustomerId(1),
-            amount: ResourceVector::bandwidth_only(Bandwidth::from_mbps(25.0)),
-        };
-        assert_eq!(reserve.wire_size(), 28);
+        assert_eq!(commit.wire_size(), 20);
         let mut c = commit;
         assert!(!c.corrupt(CorruptionMode::Nan));
     }
@@ -568,7 +558,7 @@ mod tests {
             CustomerId(2),
             ResourceSpec::fixed(ResourceVector::bandwidth_only(Bandwidth::from_mbps(80.0))),
         );
-        let reserve = CtrlMsg::FoBackupReserve {
+        let reserve = CtrlMsg::BackupReserve {
             vm: Box::new(vm),
             primary: h,
             amount: ResourceVector::bandwidth_only(Bandwidth::from_mbps(20.0)),

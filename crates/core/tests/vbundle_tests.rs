@@ -202,13 +202,14 @@ fn mismatching_load_accept_is_counted_and_dropped() {
             break s;
         }
     };
-    // Query 0 offered the shedder's largest VM (its first); the forged
-    // accept names its last.
+    // The shedder's first op (`actor << 32 | 0`: its VMs were installed,
+    // not booted) offered its largest VM (its first); the forged accept
+    // names its last. Forged `query: 0` until queries were op ids.
     let hosted = cluster.controller(shedder).vms().len();
     let wrong = cluster.controller(shedder).vms()[hosted - 1].id;
     let receiver = cluster.handles[15];
     let forged = CtrlMsg::LoadAccept {
-        query: 0,
+        query: (shedder as u64) << 32,
         vm: wrong,
         receiver,
     };

@@ -136,11 +136,10 @@ fn ctrl_variant(m: &CtrlMsg) -> usize {
         CtrlMsg::LeaseRelease { .. } => 11,
         CtrlMsg::SurvCommit { .. } => 12,
         CtrlMsg::BackupReserve { .. } => 13,
-        CtrlMsg::FoBackupReserve { .. } => 14,
-        CtrlMsg::FoProbe { .. } => 15,
-        CtrlMsg::FoProbeAck { .. } => 16,
-        CtrlMsg::FoFence { .. } => 17,
-        CtrlMsg::FoFenceAck { .. } => 18,
+        CtrlMsg::FoProbe { .. } => 14,
+        CtrlMsg::FoProbeAck { .. } => 15,
+        CtrlMsg::FoFence { .. } => 16,
+        CtrlMsg::FoFenceAck { .. } => 17,
     }
 }
 
@@ -233,6 +232,7 @@ fn ctrl_wire_sizes_are_pinned() {
                 request: 1,
                 vm: VmId(1),
                 host: Some(h(3)),
+                failover: false,
             },
             36,
             Payload,
@@ -242,8 +242,22 @@ fn ctrl_wire_sizes_are_pinned() {
                 request: 1,
                 vm: VmId(1),
                 host: None,
+                failover: false,
             },
             36,
+            Payload,
+        ),
+        (
+            // A re-materialization's result echoes its query's failover
+            // flag (+1 B, failover runs only) since the failover request-id
+            // space is gone; a tenant's result is unchanged.
+            CtrlMsg::BootResult {
+                request: 1,
+                vm: VmId(1),
+                host: Some(h(3)),
+                failover: true,
+            },
+            37,
             Payload,
         ),
         (load(), 112, Payload),
@@ -297,20 +311,18 @@ fn ctrl_wire_sizes_are_pinned() {
                 customer: CustomerId(1),
                 rack: 2,
                 pod: 0,
+                op: 7,
             },
-            12,
+            // 12 B until the commit carried the boot's op id (+8 B), so the
+            // root records a twice-delivered commit once.
+            20,
             Payload,
         ),
         (
+            // The failover variant's 128 B: the one backup request names
+            // its VM with failover on or off, so a site carves once per VM
+            // (the anonymous 28-B request it replaced carved per delivery).
             CtrlMsg::BackupReserve {
-                customer: CustomerId(1),
-                amount: amount(),
-            },
-            28,
-            Payload,
-        ),
-        (
-            CtrlMsg::FoBackupReserve {
                 vm: vm().into(),
                 primary: h(1),
                 amount: amount(),
@@ -330,7 +342,7 @@ fn ctrl_wire_sizes_are_pinned() {
         (CtrlMsg::FoFenceAck { vms: vec![VmId(1)] }, 8, Payload),
         (CtrlMsg::FoFenceAck { vms: Vec::new() }, 0, Payload),
     ];
-    check("CtrlMsg", 19, ctrl_variant, rows);
+    check("CtrlMsg", 18, ctrl_variant, rows);
 }
 
 /// One row per `ScribeMsg` shape worth pinning.

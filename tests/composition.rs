@@ -228,5 +228,11 @@ fn all_subsystems_compose_to_the_pinned_outcome() {
 /// six lease lines name other leases (104 halves instead of 44, on
 /// servers 15, 24, 29, 30, 31 and 42), billing follows (spend 425 865 →
 /// 368 991) and `events 260240` → `events 261041` (EXPERIMENTS.md
-/// "One admission ledger").
-const PINNED: u64 = 7_713_550_161_776_764_621;
+/// "One admission ledger"), as 7_713_550_161_776_764_621. Re-pinned once
+/// more when lease ids became op ids, whose sequence half every boot, load
+/// query and lease of the lender shares: of the 90 lines only the six
+/// lease lines change, each naming the same halves on the same servers in
+/// the same order under a higher sequence number (server 24's first lease
+/// `0x1800000038` → `0x1800000051`); placements, billing and `events
+/// 261041` are unmoved.
+const PINNED: u64 = 15_537_208_762_483_812_235;
