@@ -340,15 +340,15 @@ const _: () = {
 // Layout guards for what every server carries inline: the controller,
 // whose optional protocols are boxed and whose configs are shared, and
 // the engine's actor record. With the engine's 48-byte actor metadata a
-// node of at most 1 488 bytes fills a 64-byte-aligned record of 1 536
-// bytes (24 cache lines).
+// node of 1 136 bytes fills a 64-byte-aligned record of 1 216 bytes (19
+// cache lines).
 const _: () = {
     use crate::Controller;
     use std::mem::size_of;
     use vbundle_pastry::PastryNode;
     use vbundle_scribe::Scribe;
     assert!(size_of::<Controller>() <= 736);
-    assert!(size_of::<PastryNode<Scribe<Controller>>>() <= 1488);
+    assert!(size_of::<PastryNode<Scribe<Controller>>>() <= 1136);
 };
 
 // Layout guards for the per-link liveness records: a server keeps one per

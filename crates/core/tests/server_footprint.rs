@@ -1,18 +1,21 @@
 //! The heap a server's stack costs once the cluster is built: Pastry's
 //! leaf set, routing rows and neighbor set, Scribe, the controller and
 //! the engine's share, per server of a 1 000-server cluster with the
-//! optional subsystems (trading, survivability, failover) off. DESIGN.md
-//! "Per-server footprint" breaks the figure down by table.
+//! optional subsystems (trading, survivability, failover) off, and each
+//! Pastry table's own share. DESIGN.md "Per-server footprint" breaks the
+//! figure down by table.
 //!
 //! One test only: the counting allocator is this test binary's global
 //! allocator, and the count is per thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::mem::size_of;
 use std::sync::Arc;
 
 use vbundle_core::{Cluster, VBundleConfig};
 use vbundle_dcn::Topology;
+use vbundle_pastry::{overlay, PastryConfig, PastryState, TableBytes};
 
 thread_local! {
     static LIVE: Cell<i64> = const { Cell::new(0) };
@@ -50,12 +53,25 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Live heap bytes per server after `build()`: 5 912 B measured on
-/// x86-64, plus 118 B (2.0 %) of headroom. With 24-byte handles, a
-/// 2 048-byte actor record and four configs copied into every server the
-/// same cluster held 6 904 B per server; before each per-node table was
-/// sized to its bound, 8 937 B.
-const BUDGET_PER_SERVER: i64 = 6_030;
+/// Live heap bytes per server after `build()`: 4 289 B measured on
+/// x86-64, plus 86 B (2.0 %) of headroom. With 20-byte handles in every
+/// Pastry table the same cluster held 5 866 B per server; with 24-byte
+/// handles, a 2 048-byte actor record and four configs copied into every
+/// server, 6 904 B; before each per-node table was sized to its bound,
+/// 8 937 B.
+const BUDGET_PER_SERVER: i64 = 4_375;
+
+/// Per server, what `overlay::build_states` leaves live, table by table
+/// (DESIGN.md "Per-server footprint"): both leaf-set sides (2 × 8 actor
+/// references of 4 B), the neighbor set (16 × 8 B), the routing rows
+/// (2.99 rows of 68 B on average), the inline `PastryState`, and the
+/// roster the states share (one 20-B id per server plus its header).
+/// Each bound is the measured value; a table that grows names itself.
+const LEAF_SET: usize = 64;
+const NEIGHBOR_SET: usize = 128;
+const ROUTING_ROWS: usize = 204;
+const PASTRY_STATE: usize = 240;
+const ROSTER: i64 = 21;
 
 #[test]
 fn a_built_server_stays_within_its_heap_budget() {
@@ -80,5 +96,41 @@ fn a_built_server_stays_within_its_heap_budget() {
     assert!(
         per_server <= BUDGET_PER_SERVER,
         "{per_server} live heap bytes per server, budget {BUDGET_PER_SERVER}"
+    );
+    drop(cluster);
+
+    let handles = overlay::handles_for(&overlay::topology_aware_ids(&topo));
+    let before = LIVE.with(Cell::get);
+    let states = overlay::build_states(&topo, &handles, &PastryConfig::default());
+    let live = LIVE.with(Cell::get) - before;
+    let n = states.len();
+    let mut tables = TableBytes::default();
+    for t in states.iter().map(PastryState::table_bytes) {
+        tables.leaf_set += t.leaf_set;
+        tables.neighbor_set += t.neighbor_set;
+        tables.routing_rows += t.routing_rows;
+    }
+    for (table, bytes, bound) in [
+        ("leaf set", tables.leaf_set, LEAF_SET),
+        ("neighbor set", tables.neighbor_set, NEIGHBOR_SET),
+        ("routing rows", tables.routing_rows, ROUTING_ROWS),
+        (
+            "inline PastryState",
+            n * size_of::<PastryState>(),
+            PASTRY_STATE,
+        ),
+    ] {
+        assert!(
+            bytes <= bound * n,
+            "{table}: {} B per server, bound {bound}",
+            bytes as f64 / n as f64
+        );
+    }
+    // What no table accounts for is the roster.
+    let inline = n * size_of::<PastryState>();
+    let rest = live - (inline + tables.leaf_set + tables.neighbor_set + tables.routing_rows) as i64;
+    assert!(
+        (0..=ROSTER * n as i64).contains(&rest),
+        "{rest} B of overlay state outside the tables, bound {ROSTER} per server"
     );
 }

@@ -1,4 +1,5 @@
-//! Node handles: the (id, address) pairs stored in routing state.
+//! Node handles: the (id, address) pairs that messages carry and that
+//! routing state answers in.
 
 use vbundle_sim::ActorId;
 

@@ -33,11 +33,12 @@ pub const NUM_DIGITS: usize = 128 / BITS_PER_DIGIT as usize;
 ///
 /// Stored 4-byte aligned (a `u128` asks for 16), so a [`NodeHandle`]
 /// (id + 4-byte address) is 20 bytes with no padding rather than 32 —
-/// three eighths off every routing-table slot and every handle carried
-/// in a message. Loads and stores are unaligned, which cost no measurable
+/// three eighths off every handle carried in a message and every id in
+/// the [`Roster`]. Loads and stores are unaligned, which cost no measurable
 /// time on x86-64 (DESIGN.md, "Message layout and ownership").
 ///
 /// [`NodeHandle`]: crate::NodeHandle
+/// [`Roster`]: crate::Roster
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 #[repr(C, packed(4))]
 pub struct Id(u128);

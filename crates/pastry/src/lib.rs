@@ -65,7 +65,7 @@ pub use message::{PastryMsg, RouteEnvelope, Signal};
 pub use node::{AppCtx, LeafLink, PastryApp, PastryNode, PASTRY_TAG_BASE};
 pub use overlay::IdAssignment;
 pub use state::{
-    actor_distance, site_distance, LeafSet, NeighborSet, PastryState, RouteDecision, RoutingTable,
-    Site,
+    actor_distance, site_distance, LeafSet, NeighborSet, PastryState, Roster, RouteDecision,
+    RoutingTable, Site, TableBytes, View,
 };
 pub use vbundle_fdetect::{FailureDetection, PhiConfig};

@@ -19,7 +19,7 @@ use vbundle_sim::{ActorId, Engine, Latency, SimDuration};
 use crate::id::{BITS_PER_DIGIT, DIGIT_BASE};
 use crate::message::PastryMsg;
 use crate::node::{PastryApp, PastryNode};
-use crate::state::{PastryState, Site};
+use crate::state::{PastryState, Roster, Site};
 use crate::{NodeHandle, NodeId, PastryConfig};
 
 /// How node ids are assigned to servers.
@@ -153,11 +153,14 @@ fn first_in(sorted: &[(u32, NodeHandle)], lo: NodeId, hi: NodeId) -> Option<Node
 /// the ring-nearest of the node's rack, pod and ring are offered, in their
 /// sweep order.
 ///
+/// The states share one [`Roster`] of the ids in `handles`; a node that
+/// joins later adds its own as its peers learn it.
+///
 /// # Panics
 ///
-/// Panics if `handles` is empty, contains duplicate ids, or names an actor
-/// that is not a server of `topo` (handles come from [`handles_for`]:
-/// actor `i` is server `i`).
+/// Panics if `handles` is empty, contains duplicate ids, gives an actor
+/// two ids, or names an actor that is not a server of `topo` (handles
+/// come from [`handles_for`]: actor `i` is server `i`).
 pub fn build_states(
     topo: &Arc<Topology>,
     handles: &[NodeHandle],
@@ -186,12 +189,14 @@ pub fn build_states(
         assert!(w[0].1.id != w[1].1.id, "duplicate node id {:?}", w[0].1.id);
     }
     let n = ring.len();
+    let roster = Rc::new(Roster::of(handles));
     let mut offers: Vec<NodeHandle> = Vec::new();
     handles
         .iter()
         .map(|&me| {
-            let mut st = PastryState::new(
+            let mut st = PastryState::on_roster(
                 me,
+                Rc::clone(&roster),
                 Arc::clone(topo),
                 config.leaf_half,
                 config.neighbor_capacity,

@@ -1,6 +1,7 @@
 //! End-to-end tests of the Pastry overlay: routing correctness, the join
 //! protocol, and failure detection/repair.
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -99,6 +100,11 @@ fn join_protocol_integrates_newcomer() {
     // Build the overlay from the first 16 nodes; node 16 joins by protocol.
     let existing = &handles[..16];
     let states = overlay::build_states(&topo, existing, &config);
+    // The built states hold each id once, in one roster, which has no
+    // entry for the newcomer yet.
+    let roster = Rc::clone(states[0].roster());
+    assert!(states.iter().all(|st| Rc::ptr_eq(st.roster(), &roster)));
+    assert_eq!(roster.get(handles[16].actor), None);
     let mut engine: Engine<PastryMsg<Probe>, PastryNode<NullApp>> =
         Engine::with_latency(Latency::Constant(SimDuration::from_micros(100)), 5);
     for st in states {
@@ -129,6 +135,20 @@ fn join_protocol_integrates_newcomer() {
     let node = engine.actor(newcomer.actor);
     assert!(node.is_joined(), "newcomer failed to join");
     assert!(!node.state().leaf_set().is_empty());
+    // Its peers learned it: the roster they share took its id, and its
+    // ring neighbors on both sides hold it in their leaf sets.
+    assert_eq!(roster.get(newcomer.actor), Some(newcomer.id));
+    let mut ring = handles.clone();
+    ring.sort_by_key(|h| h.id);
+    let at = ring.iter().position(|h| h.id == newcomer.id).unwrap();
+    for side in [1, ring.len() - 1] {
+        let peer = ring[(at + side) % ring.len()];
+        let leaf = engine.actor(peer.actor).state().leaf_set();
+        assert!(
+            leaf.contains(newcomer.id),
+            "{peer} does not hold the newcomer"
+        );
+    }
 
     // A message keyed exactly at the newcomer's id reaches it from anywhere.
     engine.call(handles[3].actor, |node, ctx| {
