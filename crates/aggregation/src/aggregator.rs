@@ -8,7 +8,7 @@
 
 use std::rc::Rc;
 
-use vbundle_fdetect::{ArrivalWindow, PhiConfig, FIRST_INTERVAL};
+use vbundle_fdetect::{ArrivalWindow, FIRST_INTERVAL, MIN_STD_DEV, PHI_THRESHOLD};
 use vbundle_pastry::{Id, NodeHandle};
 use vbundle_scribe::{GroupId, ScribeCtx};
 use vbundle_sim::{FlatMap, Message, SimDuration, SimTime};
@@ -31,6 +31,17 @@ pub enum UpdateMode {
     Immediate,
 }
 
+impl UpdateMode {
+    /// The expected gap between global results: the period, or one
+    /// [`FIRST_INTERVAL`] when results follow every change.
+    fn cadence(self) -> SimDuration {
+        match self {
+            UpdateMode::Periodic(interval) => interval,
+            UpdateMode::Immediate => FIRST_INTERVAL,
+        }
+    }
+}
+
 /// Tunables of the aggregation service.
 #[derive(Debug, Clone)]
 pub struct AggregationConfig {
@@ -39,12 +50,6 @@ pub struct AggregationConfig {
     /// Per-node processing time added before each upward push (the paper
     /// measures 1–2 ms per tree level; default 1.5 ms).
     pub processing_delay: SimDuration,
-    /// If set, each node tracks the arrival cadence of global results with
-    /// a phi-accrual window and expires its cached aggregate once the
-    /// publishing root has been silent implausibly long — so a dead root's
-    /// last value cannot steer rebalancing forever. `None` keeps cached
-    /// aggregates until a newer result supersedes them.
-    pub staleness: Option<PhiConfig>,
     /// How incoming contributions are screened and combined. Defaults to
     /// [`Robustness::TrustAll`] — exact, lossless aggregation — because
     /// honest-network tests and the Fig. 14 measurements assert exact sums;
@@ -57,7 +62,6 @@ impl Default for AggregationConfig {
         AggregationConfig {
             mode: UpdateMode::Periodic(SimDuration::from_mins(5)),
             processing_delay: SimDuration::from_micros(1500),
-            staleness: Some(PhiConfig::default()),
             robustness: Robustness::TrustAll,
         }
     }
@@ -255,18 +259,12 @@ impl Aggregator {
     /// expires the cache so rebalancing falls back to local knowledge
     /// instead of steering on a ghost value.
     fn expire_stale(&mut self, now: SimTime) {
-        let Some(phi) = &self.config.staleness else {
-            return;
-        };
-        let pause = match self.config.mode {
-            UpdateMode::Periodic(interval) => phi.acceptable_pause.max(interval),
-            UpdateMode::Immediate => phi.acceptable_pause.max(FIRST_INTERVAL),
-        };
+        let pause = self.config.mode.cadence();
         for (_, st) in &mut self.topics.0 {
             let stale = st
                 .results
                 .as_ref()
-                .is_some_and(|w| w.phi(now, phi.min_std_dev, pause) > phi.threshold);
+                .is_some_and(|w| w.phi(now, MIN_STD_DEV, pause) > PHI_THRESHOLD);
             if stale {
                 st.global = None;
                 st.results = None;
@@ -350,15 +348,8 @@ impl Aggregator {
 
     /// Records an accepted global result in the topic's arrival window.
     fn record_result(config: &AggregationConfig, st: &mut TopicState, now: SimTime) {
-        if config.staleness.is_none() {
-            return;
-        }
-        let estimate = match config.mode {
-            UpdateMode::Periodic(interval) => interval,
-            UpdateMode::Immediate => FIRST_INTERVAL,
-        };
         st.results
-            .get_or_insert_with(|| Box::new(ArrivalWindow::new(estimate)))
+            .get_or_insert_with(|| Box::new(ArrivalWindow::new(config.mode.cadence())))
             .record(now);
     }
 
@@ -491,19 +482,6 @@ mod tests {
         assert!(a.global(topic()).is_some(), "within estimate + pause");
         a.expire_stale(t(60));
         assert!(a.global(topic()).is_none(), "way past any plausible round");
-    }
-
-    #[test]
-    fn disabled_staleness_keeps_ghost_values() {
-        let mut a = Aggregator::new(AggregationConfig {
-            mode: UpdateMode::Periodic(SimDuration::from_secs(10)),
-            staleness: None,
-            ..AggregationConfig::default()
-        });
-        a.track(topic());
-        a.on_result(topic(), 5, 1, AggValue::of(1.0), t(0));
-        a.expire_stale(t(100_000));
-        assert!(a.global(topic()).is_some());
     }
 
     #[test]

@@ -119,7 +119,7 @@ fn bench_anycast_step(c: &mut Criterion) {
         let mut children = Children::default();
         for &h in &handles {
             let site = Site::of(&topo, h.actor);
-            children.graft(h, || site, parent, SimTime::ZERO, None, Some(1));
+            children.graft(h, || site, parent, SimTime::ZERO, Some(1));
         }
         let visited: Vec<ActorId> = handles.iter().step_by(3).map(|h| h.actor).collect();
         let origins: Vec<_> = handles.iter().step_by(16).copied().collect();

@@ -7,12 +7,9 @@
 //! reports are asserted byte-identical — the reproducibility claim of the
 //! `vbundle-chaos` subsystem, checked on every run.
 //!
-//! A second section compares the phi-accrual failure detector (the
-//! default) against the legacy fixed `3 × interval` deadline under
-//! degraded-but-alive networks: every detector-driven eviction in those
-//! sweeps is a false positive, because no node ever actually dies. The
-//! sweep asserts the adaptive detector strictly reduces false evictions
-//! under ≥10 % message loss.
+//! A second section runs the phi-accrual failure detector under
+//! degraded-but-alive networks: every detector-driven eviction there is
+//! a false positive, because no node ever actually dies.
 //!
 //! The full sweep ends on a **guard**, asserted in-process: no scenario
 //! takes longer to repair than it did when this guard was written, no
@@ -46,7 +43,7 @@ use vbundle_core::{
     VmId, VmRecord,
 };
 use vbundle_dcn::{Bandwidth, Topology};
-use vbundle_pastry::{FailureDetection, PastryConfig};
+use vbundle_pastry::PastryConfig;
 use vbundle_scribe::ScribeConfig;
 use vbundle_sim::{ActorId, SimDuration, SimTime};
 
@@ -73,21 +70,17 @@ fn topology() -> Arc<Topology> {
     )
 }
 
-/// Builds the cluster fresh (same seed every time) with the requested
-/// failure-detection mode, seeds a skewed VM population and warms the
-/// overlay up, returning the VM ids installed.
-fn build_cluster_with(detection: FailureDetection) -> (Cluster, Vec<VmId>) {
+/// Builds the cluster fresh (same seed every time), seeds a skewed VM
+/// population and warms the overlay up, returning the VM ids installed.
+fn build_cluster() -> (Cluster, Vec<VmId>) {
     let pastry = PastryConfig {
         heartbeat: Some(SimDuration::from_secs(1)),
         maintenance: Some(SimDuration::from_secs(10)),
-        failure_detection: detection.clone(),
         ..PastryConfig::default()
     };
-    let mut scribe = ScribeConfig::default().with_probe_interval(SimDuration::from_secs(5));
-    scribe.child_detection = detection;
     let mut builder = Cluster::builder(topology())
         .pastry(pastry)
-        .scribe(scribe)
+        .scribe(ScribeConfig::default().with_probe_interval(SimDuration::from_secs(5)))
         .vbundle(
             VBundleConfig::default()
                 .with_update_interval(SimDuration::from_secs(10))
@@ -145,9 +138,9 @@ fn failed_migrations(engine: &VbEngine) -> u64 {
 }
 
 /// Cluster-wide count of leaf-set members evicted by the failure
-/// detector (fixed deadline or phi, whichever is configured). Evictions
-/// triggered by bounced sends to genuinely dead actors are *not* counted,
-/// so under degraded-but-alive plans this is the false-positive count.
+/// detector. Evictions triggered by bounced sends to genuinely dead
+/// actors are *not* counted, so under degraded-but-alive plans this is
+/// the false-positive count.
 fn detector_evictions(engine: &VbEngine) -> u64 {
     engine
         .actors()
@@ -156,11 +149,11 @@ fn detector_evictions(engine: &VbEngine) -> u64 {
 }
 
 fn play(name: &str, plan: FaultPlan) -> RecoveryReport {
-    play_with(name, plan, FailureDetection::default()).0
+    play_counting_evictions(name, plan).0
 }
 
-fn play_with(name: &str, plan: FaultPlan, detection: FailureDetection) -> (RecoveryReport, u64) {
-    let (mut cluster, vms) = build_cluster_with(detection);
+fn play_counting_evictions(name: &str, plan: FaultPlan) -> (RecoveryReport, u64) {
+    let (mut cluster, vms) = build_cluster();
     let spec = ScenarioSpec {
         name: name.to_string(),
         check_interval: SimDuration::from_secs(1),
@@ -331,7 +324,7 @@ fn scenarios() -> Vec<(&'static str, FaultPlan)> {
     ]
 }
 
-/// Degraded-but-alive plans for the detector comparison: nobody dies, so
+/// Degraded-but-alive plans for the detector section: nobody dies, so
 /// every detector eviction is a false positive.
 fn degraded_plans() -> Vec<(&'static str, FaultPlan)> {
     let t = SimTime::from_secs;
@@ -382,52 +375,26 @@ fn fmt_opt(d: Option<SimDuration>) -> String {
     }
 }
 
-/// Runs the phi-vs-fixed comparison and returns the CSV rows. The phi side
-/// is under the guard: no false eviction, nothing to reconverge from.
-fn detector_comparison(broken: &mut Vec<String>) -> Vec<String> {
-    println!("\n# Failure-detector comparison under degraded-but-alive networks");
+/// Runs the detector under the degraded-but-alive plans and returns the
+/// CSV rows, all under the guard: no false eviction, nothing to
+/// reconverge from.
+fn detector_quality(broken: &mut Vec<String>) -> Vec<String> {
+    println!("\n# Failure detector under degraded-but-alive networks");
     println!("# (every eviction is a false positive: no node actually dies)");
     println!(
-        "\n{:<18} {:>14} {:>14} {:>18} {:>18}",
-        "plan", "fp-evict(phi)", "fp-evict(3x)", "reconverge(phi)", "reconverge(3x)"
+        "\n{:<18} {:>14} {:>18}",
+        "plan", "fp-evict(phi)", "reconverge(phi)"
     );
     let mut rows = Vec::new();
     for (name, plan) in degraded_plans() {
-        let (phi_report, phi_evict) = play_with(
-            name,
-            plan.clone(),
-            FailureDetection::PhiAccrual(Default::default()),
-        );
-        let (fixed_report, fixed_evict) = play_with(name, plan, FailureDetection::FixedInterval);
-        guard(&phi_report, SimDuration::ZERO, broken);
-        if phi_evict > 0 {
-            broken.push(format!(
-                "{name}: phi-accrual evicted {phi_evict} live peers"
-            ));
+        let (report, evicted) = play_counting_evictions(name, plan);
+        guard(&report, SimDuration::ZERO, broken);
+        if evicted > 0 {
+            broken.push(format!("{name}: phi-accrual evicted {evicted} live peers"));
         }
-        if !fixed_report.violations_at_deadline.is_empty() {
-            broken.push(format!("{name} (fixed): invariants open at the deadline"));
-        }
-        println!(
-            "{:<18} {:>14} {:>14} {:>18} {:>18}",
-            name,
-            phi_evict,
-            fixed_evict,
-            fmt_opt(phi_report.time_to_repair()),
-            fmt_opt(fixed_report.time_to_repair()),
-        );
-        if name.starts_with("lossy") {
-            assert!(
-                phi_evict < fixed_evict,
-                "{name}: phi-accrual must strictly reduce false evictions \
-                 (phi {phi_evict} vs fixed {fixed_evict})"
-            );
-        }
-        rows.push(format!(
-            "{name},{phi_evict},{fixed_evict},{},{}",
-            fmt_opt(phi_report.time_to_repair()),
-            fmt_opt(fixed_report.time_to_repair()),
-        ));
+        let reconverge = fmt_opt(report.time_to_repair());
+        println!("{name:<18} {evicted:>14} {reconverge:>18}");
+        rows.push(format!("{name},{evicted},{reconverge}"));
     }
     rows
 }
@@ -493,10 +460,10 @@ fn main() {
         &rows,
     );
 
-    let detector_rows = detector_comparison(&mut broken);
+    let detector_rows = detector_quality(&mut broken);
     write_csv(
         "chaos_detectors.csv",
-        "plan,fp_evictions_phi,fp_evictions_fixed,reconverge_phi,reconverge_fixed",
+        "plan,fp_evictions_phi,reconverge_phi",
         &detector_rows,
     );
     println!("\nall scenarios reproduced byte-identically across two runs");

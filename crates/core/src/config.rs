@@ -129,10 +129,6 @@ pub struct VBundleConfig {
     /// Largest absolute change of the cluster mean utilization between two
     /// consecutive update ticks the gate accepts without suspicion.
     pub mean_jump_bound: f64,
-    /// Consecutive mutually consistent suspect readings after which the
-    /// gate re-anchors on the new level — a genuine cluster-wide load
-    /// change must not wedge the controller on a stale mean forever.
-    pub mean_recovery_rounds: u32,
     /// Enables intra-customer bundle trading (§I, §III): starved VMs
     /// borrow bandwidth entitlement from idle same-customer siblings via
     /// time-bounded leases, and the shaper's rate/ceil follow the live
@@ -176,7 +172,6 @@ impl Default for VBundleConfig {
             oscillation_guard: true,
             mean_gate: true,
             mean_jump_bound: 0.5,
-            mean_recovery_rounds: 3,
             bundle_trading: false,
             lease_duration: SimDuration::from_mins(15),
             survivability: None,
@@ -232,12 +227,6 @@ impl VBundleConfig {
     /// Sets the per-tick jump bound of the mean sanity gate.
     pub fn with_mean_jump_bound(mut self, bound: f64) -> Self {
         self.mean_jump_bound = bound;
-        self
-    }
-
-    /// Sets how many consistent readings re-anchor the mean gate.
-    pub fn with_mean_recovery_rounds(mut self, rounds: u32) -> Self {
-        self.mean_recovery_rounds = rounds;
         self
     }
 
@@ -360,14 +349,11 @@ mod tests {
         let c = VBundleConfig::default();
         assert!(c.mean_gate);
         assert_eq!(c.mean_jump_bound, 0.5);
-        assert_eq!(c.mean_recovery_rounds, 3);
 
         let c = VBundleConfig::default()
             .with_mean_gate(false)
-            .with_mean_jump_bound(0.15)
-            .with_mean_recovery_rounds(5);
+            .with_mean_jump_bound(0.15);
         assert!(!c.mean_gate);
         assert_eq!(c.mean_jump_bound, 0.15);
-        assert_eq!(c.mean_recovery_rounds, 5);
     }
 }

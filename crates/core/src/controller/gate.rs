@@ -77,7 +77,7 @@ impl MeanGates {
         host.event(&MEAN_GATE_REJECT, kind as u64, 0);
         // Suspect. Readings agreeing with the current candidate level
         // extend the streak; a genuine load change repeats itself and
-        // re-anchors after `mean_recovery_rounds`, while flapping poison
+        // re-anchors after `MEAN_RECOVERY_ROUNDS`, while flapping poison
         // keeps resetting.
         if in_bounds {
             if gate.streak > 0 && (reading - gate.candidate).abs() <= config.mean_jump_bound {
@@ -86,7 +86,7 @@ impl MeanGates {
                 gate.candidate = reading;
                 gate.streak = 1;
             }
-            if gate.streak >= config.mean_recovery_rounds {
+            if gate.streak >= MEAN_RECOVERY_ROUNDS {
                 gate.last_good = Some(reading);
                 gate.streak = 0;
             }
@@ -100,6 +100,11 @@ impl MeanGates {
         }
     }
 }
+
+/// Consecutive mutually consistent suspect readings after which the gate
+/// re-anchors on the new level — a genuine cluster-wide load change must
+/// not wedge the controller on a stale mean forever.
+const MEAN_RECOVERY_ROUNDS: u32 = 3;
 
 /// Absolute plausibility ceiling on the mean utilization (demand over
 /// capacity; oversubscription can push it past 1, but not this far).
@@ -149,11 +154,7 @@ mod tests {
 
     #[test]
     fn mean_gate_holds_last_good_and_reanchors() {
-        let mut c = gated(
-            VBundleConfig::default()
-                .with_mean_jump_bound(0.2)
-                .with_mean_recovery_rounds(2),
-        );
+        let mut c = gated(VBundleConfig::default().with_mean_jump_bound(0.2));
         let bw = ResourceKind::Bandwidth;
         feed_mean(&mut c, 1, 0.5);
         c.shuffle.sample_means(&c.host, &mut c.stats);
@@ -169,21 +170,20 @@ mod tests {
         assert_eq!(c.stats.rejected_aggregates.get(), 1);
 
         // The same level repeating looks like a genuine cluster-wide load
-        // change: after `mean_recovery_rounds` consistent readings the gate
-        // re-anchors and leaves conservative mode.
+        // change: after `MEAN_RECOVERY_ROUNDS` (3) consistent readings the
+        // gate re-anchors and leaves conservative mode.
+        c.shuffle.sample_means(&c.host, &mut c.stats);
+        assert_eq!(c.effective_mean_for(bw), Some(0.5));
+        assert!(c.conservative_mode());
         c.shuffle.sample_means(&c.host, &mut c.stats);
         assert_eq!(c.effective_mean_for(bw), Some(5.0));
         assert!(!c.conservative_mode());
-        assert_eq!(c.stats.rejected_aggregates.get(), 2);
+        assert_eq!(c.stats.rejected_aggregates.get(), 3);
     }
 
     #[test]
     fn mean_gate_never_anchors_on_garbage() {
-        let mut c = gated(
-            VBundleConfig::default()
-                .with_mean_jump_bound(0.2)
-                .with_mean_recovery_rounds(2),
-        );
+        let mut c = gated(VBundleConfig::default().with_mean_jump_bound(0.2));
         let bw = ResourceKind::Bandwidth;
         feed_mean(&mut c, 1, 0.5);
         c.shuffle.sample_means(&c.host, &mut c.stats);

@@ -122,7 +122,6 @@ impl Shuffle {
             base_timeout: MIGRATION_DELAY * 2 + HOLD_TIMEOUT / 8,
             max_timeout: HOLD_TIMEOUT / 2,
             max_attempts: MIGRATION_ATTEMPTS,
-            jitter_pct: 10,
             salt: MIGRATION_COURIER_SALT,
         });
         Shuffle {

@@ -74,7 +74,6 @@ impl Trade {
             base_timeout: config.update_interval / 8,
             max_timeout: (config.lease_duration / 4).max(config.update_interval / 4),
             max_attempts: TRADE_ATTEMPTS,
-            jitter_pct: 10,
             salt: TRADE_COURIER_SALT,
         });
         Trade {

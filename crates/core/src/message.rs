@@ -361,8 +361,8 @@ const _: () = {
     use vbundle_scribe::ChildLink;
     assert!(size_of::<ArrivalWindow>() <= 104);
     assert!(size_of::<PeerDetector>() <= 112);
-    assert!(size_of::<LeafLink>() <= 136);
-    assert!(size_of::<ChildLink>() <= 160);
+    assert!(size_of::<LeafLink>() <= 128);
+    assert!(size_of::<ChildLink>() <= 152);
 };
 
 impl Message for CtrlMsg {

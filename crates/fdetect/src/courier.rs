@@ -21,6 +21,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vbundle_sim::{FlatMap, SimDuration};
 
+/// Jitter added to each timeout, as a percentage of that timeout (up to
+/// +10 %). De-synchronizes retry storms.
+const JITTER_PCT: u64 = 10;
+
 /// Tunables of a [`Courier`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CourierConfig {
@@ -31,9 +35,6 @@ pub struct CourierConfig {
     /// Total send attempts (first transmission included) before
     /// [`RetryDecision::GiveUp`].
     pub max_attempts: u32,
-    /// Jitter added to each timeout, as a percentage of that timeout
-    /// (`10` = up to +10%). De-synchronizes retry storms.
-    pub jitter_pct: u32,
     /// Seed salt for the jitter stream — lets two couriers with the same
     /// keys jitter differently.
     pub salt: u64,
@@ -45,7 +46,6 @@ impl Default for CourierConfig {
             base_timeout: SimDuration::from_secs(1),
             max_timeout: SimDuration::from_mins(1),
             max_attempts: 4,
-            jitter_pct: 10,
             salt: 0,
         }
     }
@@ -93,7 +93,7 @@ impl Courier {
         let base = self.config.base_timeout.as_micros().max(1);
         let cap = self.config.max_timeout.as_micros().max(base);
         let backed_off = base.saturating_mul(1u64 << attempt.min(16)).min(cap);
-        let jitter_cap = backed_off / 100 * self.config.jitter_pct as u64;
+        let jitter_cap = backed_off / 100 * JITTER_PCT;
         let jitter = if jitter_cap == 0 {
             0
         } else {
@@ -179,22 +179,19 @@ mod tests {
             base_timeout: SimDuration::from_secs(1),
             max_timeout: SimDuration::from_secs(6),
             max_attempts: 3,
-            jitter_pct: 10,
             salt: 42,
         }
     }
 
+    /// Attempt `k` waits `2^k` s, capped at 6 s, plus up to 10 % jitter.
     #[test]
     fn backoff_doubles_and_caps() {
-        let c = Courier::new(CourierConfig {
-            jitter_pct: 0,
-            ..config()
-        });
-        assert_eq!(c.timeout_for(1, 0), SimDuration::from_secs(1));
-        assert_eq!(c.timeout_for(1, 1), SimDuration::from_secs(2));
-        assert_eq!(c.timeout_for(1, 2), SimDuration::from_secs(4));
-        assert_eq!(c.timeout_for(1, 3), SimDuration::from_secs(6)); // capped
-        assert_eq!(c.timeout_for(1, 63), SimDuration::from_secs(6));
+        let c = Courier::new(config());
+        for (attempt, secs) in [(0, 1), (1, 2), (2, 4), (3, 6), (63, 6)] {
+            let base = SimDuration::from_secs(secs);
+            let t = c.timeout_for(1, attempt);
+            assert!(t >= base && t <= base + base / 10, "attempt {attempt}: {t}");
+        }
     }
 
     #[test]

@@ -32,42 +32,22 @@ pub const WINDOW: usize = 16;
 // `ArrivalWindow` indexes its ring with `u8`s.
 const _: () = assert!(WINDOW <= u8::MAX as usize);
 
-/// Tunables of the phi-accrual detector.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PhiConfig {
-    /// Suspicion level at which a peer becomes suspect. Phi 8 corresponds
-    /// to a false-positive probability of 1e-8 under the fitted model.
-    pub threshold: f64,
-    /// Floor on the fitted standard deviation: very regular arrival
-    /// streams (a deterministic simulator is the extreme case) would
-    /// otherwise make the detector hair-triggered.
-    pub min_std_dev: SimDuration,
-    /// Slack added to the fitted mean — tolerated silence beyond the
-    /// expected cadence before phi starts to climb.
-    pub acceptable_pause: SimDuration,
-    /// How long a suspect may redeem itself (e.g. through an indirect
-    /// probe relayed by an intermediary) before it is declared dead.
-    pub confirm_timeout: SimDuration,
-}
+/// Suspicion level at which a peer becomes suspect. Phi 8 corresponds to
+/// a false-positive probability of 1e-8 under the fitted model.
+pub const PHI_THRESHOLD: f64 = 8.0;
 
-impl Default for PhiConfig {
-    fn default() -> Self {
-        PhiConfig {
-            threshold: 8.0,
-            min_std_dev: SimDuration::from_millis(200),
-            acceptable_pause: SimDuration::ZERO,
-            confirm_timeout: SimDuration::from_secs(3),
-        }
-    }
-}
+/// Floor on the fitted standard deviation: very regular arrival streams
+/// (a deterministic simulator is the extreme case) would otherwise make
+/// the detector hair-triggered.
+pub const MIN_STD_DEV: SimDuration = SimDuration::from_millis(200);
 
-impl PhiConfig {
-    /// Sets the confirmation grace a suspect gets before eviction.
-    pub fn with_confirm_timeout(mut self, timeout: SimDuration) -> Self {
-        self.confirm_timeout = timeout;
-        self
-    }
-}
+/// Slack added to the fitted mean — tolerated silence beyond the expected
+/// cadence before phi starts to climb.
+pub const ACCEPTABLE_PAUSE: SimDuration = SimDuration::ZERO;
+
+/// How long a suspect may redeem itself (e.g. through an indirect probe
+/// relayed by an intermediary) before it is declared dead.
+pub const CONFIRM_TIMEOUT: SimDuration = SimDuration::from_secs(3);
 
 /// Stands for "never" in the stamps below: no real arrival or evaluation
 /// happens at the end of time, and a plain `SimTime` is half the size of
@@ -247,6 +227,8 @@ impl ArrivalWindow {
 /// `log10(2)`, plus a margin far above the float error of the full
 /// computation, so the two can never disagree about a threshold.
 const PHI_WITHIN_EXPECTED_GAP: f64 = std::f64::consts::LOG10_2 + 1e-9;
+// `PeerDetector::evaluate` skips the fit within the expected gap.
+const _: () = assert!(PHI_THRESHOLD > PHI_WITHIN_EXPECTED_GAP);
 
 /// What [`PeerDetector::evaluate`] concluded about a peer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -293,9 +275,13 @@ impl PeerDetector {
     }
 
     /// The current suspicion level.
-    pub fn phi(&self, config: &PhiConfig, now: SimTime) -> f64 {
-        self.window
-            .phi(now, config.min_std_dev, config.acceptable_pause)
+    pub fn phi(&self, now: SimTime) -> f64 {
+        self.window.phi(now, MIN_STD_DEV, ACCEPTABLE_PAUSE)
+    }
+
+    /// When the peer last proved itself alive, or started being tracked.
+    pub fn last_seen(&self) -> SimTime {
+        self.window.last
     }
 
     /// Whether the peer is currently under suspicion.
@@ -305,23 +291,19 @@ impl PeerDetector {
 
     /// Classifies the peer at `now`, advancing the suspicion state machine.
     ///
-    /// A peer still within its expected gap has `phi <= log10(2)`, so for
-    /// any threshold above that the verdict is `Alive` without fitting the
+    /// A peer still within its expected gap has `phi <= log10(2)`, below
+    /// [`PHI_THRESHOLD`], so the verdict is `Alive` without fitting the
     /// variance or evaluating `exp`/`log10` — the common case on every
     /// probe round.
-    pub fn evaluate(&mut self, config: &PhiConfig, now: SimTime) -> Verdict {
-        let surely_alive = config.threshold > PHI_WITHIN_EXPECTED_GAP
-            && self
-                .window
-                .within_expected_gap(now, config.acceptable_pause);
-        if surely_alive || self.phi(config, now) < config.threshold {
+    pub fn evaluate(&mut self, now: SimTime) -> Verdict {
+        if self.window.within_expected_gap(now, ACCEPTABLE_PAUSE) || self.phi(now) < PHI_THRESHOLD {
             self.suspect_since = NEVER;
             return Verdict::Alive;
         }
         if self.suspect_since == NEVER {
             self.suspect_since = now;
             Verdict::NewlySuspect
-        } else if now.saturating_since(self.suspect_since) >= config.confirm_timeout {
+        } else if now.saturating_since(self.suspect_since) >= CONFIRM_TIMEOUT {
             Verdict::Dead
         } else {
             Verdict::Suspect
@@ -366,32 +348,30 @@ mod tests {
 
     #[test]
     fn suspect_state_machine_escalates_then_redeems() {
-        let config = PhiConfig::default().with_confirm_timeout(SimDuration::from_secs(2));
         let mut d = PeerDetector::new(FIRST_INTERVAL, t(0));
         for s in 0..6 {
             d.heartbeat(t(s));
         }
-        assert_eq!(d.evaluate(&config, t(6)), Verdict::Alive);
+        assert_eq!(d.evaluate(t(6)), Verdict::Alive);
         // Silence: threshold crossing yields exactly one NewlySuspect.
-        assert_eq!(d.evaluate(&config, t(9)), Verdict::NewlySuspect);
-        assert_eq!(d.evaluate(&config, t(10)), Verdict::Suspect);
+        assert_eq!(d.evaluate(t(9)), Verdict::NewlySuspect);
+        assert_eq!(d.evaluate(t(10)), Verdict::Suspect);
         assert!(d.is_suspect());
         // A (relayed) proof of life redeems the suspect.
         d.heartbeat(t(10));
         assert!(!d.is_suspect());
-        assert_eq!(d.evaluate(&config, t(11)), Verdict::Alive);
+        assert_eq!(d.evaluate(t(11)), Verdict::Alive);
         // Silence again — longer this time, because the window has now
         // absorbed the 5 s gap and adapted its expectations — and this
         // time nobody vouches: dead after the confirmation grace.
-        assert_eq!(d.evaluate(&config, t(22)), Verdict::NewlySuspect);
-        assert_eq!(d.evaluate(&config, t(25)), Verdict::Dead);
+        assert_eq!(d.evaluate(t(22)), Verdict::NewlySuspect);
+        assert_eq!(d.evaluate(t(25)), Verdict::Dead);
     }
 
     #[test]
     fn observe_alone_accrues_suspicion() {
-        let config = PhiConfig::default();
         let mut d = PeerDetector::new(SimDuration::from_secs(1), t(0));
-        assert_eq!(d.evaluate(&config, t(30)), Verdict::NewlySuspect);
+        assert_eq!(d.evaluate(t(30)), Verdict::NewlySuspect);
     }
 
     #[test]
@@ -549,15 +529,15 @@ mod tests {
 
     /// `evaluate` as it was before the within-expected-gap shortcut: the
     /// verdict always comes from the fitted phi.
-    fn evaluate_reference(d: &mut PeerDetector, config: &PhiConfig, now: SimTime) -> Verdict {
-        if d.phi(config, now) < config.threshold {
+    fn evaluate_reference(d: &mut PeerDetector, now: SimTime) -> Verdict {
+        if d.phi(now) < PHI_THRESHOLD {
             d.suspect_since = NEVER;
             return Verdict::Alive;
         }
         if d.suspect_since == NEVER {
             d.suspect_since = now;
             Verdict::NewlySuspect
-        } else if now.saturating_since(d.suspect_since) >= config.confirm_timeout {
+        } else if now.saturating_since(d.suspect_since) >= CONFIRM_TIMEOUT {
             Verdict::Dead
         } else {
             Verdict::Suspect
@@ -566,26 +546,12 @@ mod tests {
 
     proptest::proptest! {
         /// Steps are mostly around the 1 s cadence (so evaluations land on
-        /// both sides of the fitted mean), with the odd long silence; the
-        /// threshold list straddles `log10(2)` closely, where the shortcut
-        /// must switch itself off.
+        /// both sides of the fitted mean), with the odd long silence.
         #[test]
         fn shortcut_never_changes_a_verdict(
-            threshold_ix in 0usize..10,
-            pause_ms in (0u64..3, 0u64..1500),
-            min_std_ms in 1u64..400,
             estimate_ms in 1u64..3000,
             steps in proptest::collection::vec((0u32..4, 0u64..8, 0u64..1_000_000), 1..120),
         ) {
-            let log2 = std::f64::consts::LOG10_2;
-            let thresholds =
-                [0.0, 0.05, log2 - 1e-6, log2, log2 + 1e-12, log2 + 1e-6, 0.5, 1.0, 8.0, 16.0];
-            let config = PhiConfig {
-                threshold: thresholds[threshold_ix],
-                min_std_dev: SimDuration::from_millis(min_std_ms),
-                acceptable_pause: SimDuration::from_millis(if pause_ms.0 == 0 { 0 } else { pause_ms.1 }),
-                confirm_timeout: SimDuration::from_millis(2500),
-            };
             let estimate = SimDuration::from_millis(estimate_ms);
             let mut now = SimTime::from_secs(1);
             let mut fast = PeerDetector::new(estimate, now);
@@ -599,12 +565,13 @@ mod tests {
                     slow.heartbeat(now);
                 } else {
                     proptest::prop_assert_eq!(
-                        fast.evaluate(&config, now),
-                        evaluate_reference(&mut slow, &config, now)
+                        fast.evaluate(now),
+                        evaluate_reference(&mut slow, now)
                     );
                 }
                 proptest::prop_assert_eq!(fast.is_suspect(), slow.is_suspect());
                 proptest::prop_assert_eq!(fast.suspect_since, slow.suspect_since);
+                proptest::prop_assert_eq!(fast.last_seen(), slow.last_seen());
             }
         }
     }

@@ -1,6 +1,5 @@
 //! Tunables of the Pastry overlay.
 
-use vbundle_fdetect::{FailureDetection, PhiConfig};
 use vbundle_sim::SimDuration;
 
 /// Configuration of a Pastry node.
@@ -15,17 +14,11 @@ pub struct PastryConfig {
     /// Capacity of the physically-closest neighbor set (`|M|`).
     pub neighbor_capacity: usize,
     /// If set, nodes heartbeat their leaf set at this interval and evict
-    /// members whose own heartbeats stop (see
-    /// [`failure_detection`](Self::failure_detection)). `None` disables
-    /// active failure detection (bounced sends still trigger eviction; a
-    /// heartbeat from a node that has it on is acked).
+    /// members whose own heartbeats stop, decided by phi-accrual with
+    /// SWIM-style indirect probing, which tolerates lossy and slow links.
+    /// `None` disables active failure detection (bounced sends still
+    /// trigger eviction; a heartbeat from a node that has it on is acked).
     pub heartbeat: Option<SimDuration>,
-    /// How leaf-set liveness is decided. The default, phi-accrual with
-    /// SWIM-style indirect probing, tolerates lossy and slow links;
-    /// [`FailureDetection::FixedInterval`] restores the legacy deadline of
-    /// [`FIXED_INTERVAL_ROUNDS`](vbundle_fdetect::FIXED_INTERVAL_ROUNDS)
-    /// silent heartbeats (ablation baseline).
-    pub failure_detection: FailureDetection,
     /// If set, nodes periodically exchange routing-table rows with a
     /// random known peer — Pastry's routing-table maintenance, which
     /// repopulates slots emptied by failures and improves entry locality
@@ -39,7 +32,6 @@ impl Default for PastryConfig {
             leaf_half: 8,
             neighbor_capacity: 16,
             heartbeat: None,
-            failure_detection: FailureDetection::default(),
             maintenance: None,
         }
     }
@@ -55,19 +47,6 @@ impl PastryConfig {
     /// Enables periodic routing-table maintenance at `interval`.
     pub fn with_maintenance(mut self, interval: SimDuration) -> Self {
         self.maintenance = Some(interval);
-        self
-    }
-
-    /// Selects the legacy fixed-interval failure detector — the ablation
-    /// baseline for the adaptive default.
-    pub fn with_fixed_detection(mut self) -> Self {
-        self.failure_detection = FailureDetection::FixedInterval;
-        self
-    }
-
-    /// Selects phi-accrual detection with explicit tunables.
-    pub fn with_phi_detection(mut self, phi: PhiConfig) -> Self {
-        self.failure_detection = FailureDetection::PhiAccrual(phi);
         self
     }
 

@@ -68,4 +68,3 @@ pub use state::{
     actor_distance, site_distance, LeafSet, NeighborSet, PastryState, Roster, RouteDecision,
     RoutingTable, Site, TableBytes, View,
 };
-pub use vbundle_fdetect::{FailureDetection, PhiConfig};

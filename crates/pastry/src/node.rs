@@ -2,7 +2,7 @@
 
 use std::rc::Rc;
 
-use vbundle_fdetect::{backoff_rounds, PeerDetector, Verdict, FIXED_INTERVAL_ROUNDS};
+use vbundle_fdetect::{backoff_rounds, PeerDetector, Verdict};
 use vbundle_obs::{Counter, FlightRecorder, Kind, Registry, Subsystem};
 use vbundle_sim::{Actor, ActorId, Context as SimContext, Message, SimDuration, SimTime};
 
@@ -216,50 +216,20 @@ impl<'a, 'b, M: Message + Clone> AppCtx<'a, 'b, M> {
 pub struct LeafLink {
     /// The member.
     pub id: NodeId,
-    /// When the member last proved itself alive (its own heartbeat, or an
-    /// ack where it does not heartbeat us); fixed-interval mode expires on
-    /// it.
-    pub heard: SimTime,
-    /// Phi-accrual state of the link; `None` in fixed-interval mode.
-    pub detector: Option<PeerDetector>,
+    /// Phi-accrual state of the link; its last arrival is when the member
+    /// last proved itself alive (its own heartbeat, or an ack where it
+    /// does not heartbeat us).
+    pub detector: PeerDetector,
 }
 
 impl LeafLink {
     /// Opens the record of leaf-set member `id`: its silence clock starts
     /// now, and until real samples arrive the expected cadence is
     /// `estimate` — one proof of life per round, an RTT after our own.
-    fn open(id: NodeId, config: &PastryConfig, estimate: SimDuration, now: SimTime) -> Self {
-        let phi = config.failure_detection.phi_config();
+    fn open(id: NodeId, estimate: SimDuration, now: SimTime) -> Self {
         LeafLink {
             id,
-            heard: now,
-            detector: phi.map(|_| PeerDetector::new(estimate, now)),
-        }
-    }
-
-    /// Records a proof of life and clears any suspicion.
-    fn stamp(&mut self, now: SimTime) {
-        self.heard = now;
-        if let Some(detector) = &mut self.detector {
-            detector.heartbeat(now);
-        }
-    }
-
-    /// Classifies the member at `now`. The two detection modes differ
-    /// here and nowhere else: phi-accrual suspects first and confirms
-    /// later, the legacy deadline declares a member dead outright after
-    /// [`FIXED_INTERVAL_ROUNDS`] silent rounds.
-    fn verdict(&mut self, config: &PastryConfig, interval: SimDuration, now: SimTime) -> Verdict {
-        if let (Some(detector), Some(phi)) =
-            (&mut self.detector, config.failure_detection.phi_config())
-        {
-            return detector.evaluate(phi, now);
-        }
-        let deadline = interval * FIXED_INTERVAL_ROUNDS;
-        if now.saturating_since(self.heard) > deadline {
-            Verdict::Dead
-        } else {
-            Verdict::Alive
+            detector: PeerDetector::new(estimate, now),
         }
     }
 }
@@ -284,7 +254,7 @@ pub struct PastryNode<A: PastryApp> {
     /// after a round: at most `2 × leaf_half` records, none at all with
     /// heartbeats off.
     links: Vec<LeafLink>,
-    /// Peers evicted by this node's own failure detector (either mode).
+    /// Peers evicted by this node's own failure detector.
     /// Bounced-send evictions are not counted: under a lossy or partitioned
     /// network every detector eviction is a false positive, which is what
     /// the chaos harness measures. An obs shard: detached by default,
@@ -575,11 +545,10 @@ impl<A: PastryApp> PastryNode<A> {
         };
         let now = ctx.now();
         if let Some(link) = self.links.iter_mut().find(|link| link.id == h.id) {
-            link.stamp(now);
+            link.detector.heartbeat(now);
         } else if self.state.leaf_set().contains(h.id) {
             let estimate = interval + ctx.rtt_to(h.actor);
-            self.links
-                .push(LeafLink::open(h.id, &self.config, estimate, now));
+            self.links.push(LeafLink::open(h.id, estimate, now));
         } else {
             return false;
         }
@@ -676,15 +645,14 @@ impl<A: PastryApp> PastryNode<A> {
                 None if self.links[..met].iter().any(|l| l.id == member.id) => continue,
                 None => {
                     let estimate = interval + ctx.rtt_to(member.actor);
-                    self.links
-                        .push(LeafLink::open(member.id, &self.config, estimate, now));
+                    self.links.push(LeafLink::open(member.id, estimate, now));
                     self.links.len() - 1
                 }
             };
             if at != met {
                 self.links.swap(met, at);
             }
-            let verdict = self.links[met].verdict(&self.config, interval, now);
+            let verdict = self.links[met].detector.evaluate(now);
             met += 1;
             if verdict == Verdict::Dead {
                 dead.push(member);

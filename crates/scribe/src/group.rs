@@ -3,7 +3,7 @@
 use std::collections::hash_map::Entry;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use vbundle_fdetect::{PeerDetector, PhiConfig, FIRST_INTERVAL};
+use vbundle_fdetect::{PeerDetector, FIRST_INTERVAL};
 use vbundle_pastry::{Id, NodeHandle, Site};
 use vbundle_sim::{ActorId, SimTime};
 
@@ -47,11 +47,10 @@ pub struct ChildLink {
     /// The child's site, stamped at graft: the anycast order is keyed on
     /// it.
     pub site: Site,
-    /// When the link last proved itself alive (a Join, re-Join or
-    /// ParentProbe from the child); fixed-interval mode expires on it.
-    pub heard: SimTime,
-    /// Phi-accrual state of the link; `None` in fixed-interval mode.
-    pub detector: Option<PeerDetector>,
+    /// Phi-accrual state of the link; its last arrival is when the link
+    /// last proved itself alive (a Join, re-Join or ParentProbe from the
+    /// child).
+    pub detector: PeerDetector,
     /// The subtree summary last heard from the child (in its Join, a
     /// ParentProbe or a Summary). Anycast skips the subtree when the
     /// client says this does not admit the request.
@@ -194,10 +193,9 @@ impl Children {
 
     /// Grafts `child`, a node at `site()`, below `parent` if it is not a
     /// child yet and records proof of life for the link at `now`. `site` is
-    /// called only for a new link, the one place it is stored. `phi`
-    /// selects the link's liveness state: a phi-accrual window under
-    /// `Some`, the bare `heard` stamp otherwise. The link's stored summary
-    /// becomes `summary`, what the child said with this proof of life.
+    /// called only for a new link, the one place it is stored. The link's
+    /// stored summary becomes `summary`, what the child said with this
+    /// proof of life.
     /// Returns whether the child was newly added, and whether the stored
     /// summary changed (a new link starts out unknown).
     pub fn graft(
@@ -206,7 +204,6 @@ impl Children {
         site: impl FnOnce() -> Site,
         parent: Id,
         now: SimTime,
-        phi: Option<&PhiConfig>,
         summary: Option<Summary>,
     ) -> (bool, bool) {
         let (slot, added) = match self.index.entry(child.id.as_u128()) {
@@ -217,8 +214,7 @@ impl Children {
                 self.slots.push(Some(ChildLink {
                     handle: child,
                     site: site(),
-                    heard: now,
-                    detector: phi.map(|_| PeerDetector::new(FIRST_INTERVAL, now)),
+                    detector: PeerDetector::new(FIRST_INTERVAL, now),
                     summary: None,
                 }));
                 let order = self.order.get_or_insert_with(|| {
@@ -239,10 +235,7 @@ impl Children {
         let link = self.slots[slot as usize]
             .as_mut()
             .expect("indexed slot is filled");
-        link.heard = now;
-        if let Some(det) = link.detector.as_mut() {
-            det.heartbeat(now);
-        }
+        link.detector.heartbeat(now);
         let changed = link.summary != summary;
         link.summary = summary;
         (added, changed)
@@ -509,7 +502,7 @@ mod tests {
         assert!(!st.in_tree());
         let mut graft = |summary| {
             st.children
-                .graft(h(1), || site(1), PARENT, SimTime::ZERO, None, summary)
+                .graft(h(1), || site(1), PARENT, SimTime::ZERO, summary)
         };
         assert_eq!(graft(None), (true, false));
         assert_eq!(graft(None), (false, false));
@@ -532,10 +525,7 @@ mod tests {
         #[test]
         fn children_match_vec_model(
             ops in proptest::collection::vec((0u8..10, 1u128..24, 0u32..4), 1..200),
-            phi in any::<bool>(),
         ) {
-            let cfg = PhiConfig::default();
-            let phi = phi.then_some(&cfg);
             let mut st = GroupState::default();
             let mut model: Vec<(NodeHandle, SimTime, Option<Summary>)> = Vec::new();
             for (step, &(kind, v, summary)) in ops.iter().enumerate() {
@@ -545,7 +535,7 @@ mod tests {
                 let held = pos.and_then(|p| model[p].2);
                 match kind {
                     0..=3 => {
-                        let grafted = st.children.graft(h(v), || site(v), PARENT, now, phi, summary);
+                        let grafted = st.children.graft(h(v), || site(v), PARENT, now, summary);
                         prop_assert_eq!(grafted, (pos.is_none(), held != summary));
                         match pos {
                             Some(p) => model[p] = (h(v), now, summary),
@@ -572,12 +562,11 @@ mod tests {
                     }
                 }
                 let got: Vec<(NodeHandle, SimTime, Option<Summary>)> =
-                    st.children.links().map(|l| (l.handle, l.heard, l.summary)).collect();
+                    st.children.links().map(|l| (l.handle, l.detector.last_seen(), l.summary)).collect();
                 prop_assert_eq!(&got, &model);
                 prop_assert_eq!(st.children.len(), model.len());
                 prop_assert_eq!(st.children.is_empty(), model.is_empty());
                 prop_assert_eq!(st.in_tree(), !model.is_empty());
-                prop_assert!(st.children.links().all(|l| l.detector.is_some() == phi.is_some()));
                 prop_assert!(order_is_consistent(&st.children), "after op {step}: {:?}", st.children);
                 for id in 1..24 {
                     let id = Id::from_u128(id);
@@ -739,7 +728,7 @@ mod tests {
                         let site = Site::of(&topo, child.actor);
                         let summary = summary.checked_sub(1);
                         summaries[a as usize] = summary;
-                        if children.graft(child, || site, me.id, SimTime::ZERO, None, summary).0 {
+                        if children.graft(child, || site, me.id, SimTime::ZERO, summary).0 {
                             model.push(child);
                         }
                     }

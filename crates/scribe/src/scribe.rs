@@ -11,7 +11,7 @@
 
 use std::rc::Rc;
 
-use vbundle_fdetect::{DedupWindow, FailureDetection, PhiConfig, Verdict, FIXED_INTERVAL_ROUNDS};
+use vbundle_fdetect::{DedupWindow, Verdict};
 use vbundle_obs::{Counter, FlightRecorder, Kind, Registry, Subsystem};
 use vbundle_pastry::{
     actor_distance, AppCtx, Id, Key, NodeHandle, PastryApp, RouteDecision, Signal, Site,
@@ -35,6 +35,11 @@ const DISSEMINATE_TTL: u32 = 64;
 /// 64 bits name the tree).
 const CHILD_EXPIRED: Kind = Kind::new("child-expired", "child", "group_top64");
 
+/// Flight record: a message dropped for arriving by a path its variant
+/// never takes — routed (`routed` = 1) when it travels direct only, or
+/// direct when it travels routed only. No honest peer sends either.
+const MISDELIVERED: Kind = Kind::new("misdelivered", "from", "routed");
+
 /// Tunables of the Scribe layer.
 #[derive(Debug, Clone)]
 pub struct ScribeConfig {
@@ -45,13 +50,10 @@ pub struct ScribeConfig {
     /// re-join. This is Scribe's tree-repair mechanism driven from the
     /// child side. `None` disables probing — repair then relies on bounced
     /// application traffic alone.
+    /// With probing on, the parent side runs phi-accrual on each child
+    /// link, adapting to its observed probe cadence, and sends the child
+    /// a [`ScribeMsg::ChildProbe`] before dropping the graft.
     pub probe_interval: Option<SimDuration>,
-    /// How parent-side child-link liveness is decided. The default,
-    /// phi-accrual, adapts to each link's observed probe cadence and sends
-    /// the child a [`ScribeMsg::ChildProbe`] before dropping the graft;
-    /// [`FailureDetection::FixedInterval`] restores the legacy rule (drop
-    /// after [`FIXED_INTERVAL_ROUNDS`] silent probe rounds).
-    pub child_detection: FailureDetection,
 }
 
 impl Default for ScribeConfig {
@@ -59,7 +61,6 @@ impl Default for ScribeConfig {
         ScribeConfig {
             anycast_ttl: 4096,
             probe_interval: None,
-            child_detection: FailureDetection::default(),
         }
     }
 }
@@ -68,14 +69,6 @@ impl ScribeConfig {
     /// Enables child→parent tree probing at `interval`.
     pub fn with_probe_interval(mut self, interval: SimDuration) -> Self {
         self.probe_interval = Some(interval);
-        self
-    }
-
-    /// Selects the legacy fixed-interval child-link expiry
-    /// ([`FIXED_INTERVAL_ROUNDS`] silent probe rounds) — the ablation
-    /// baseline for the adaptive default.
-    pub fn with_fixed_child_detection(mut self) -> Self {
-        self.child_detection = FailureDetection::FixedInterval;
         self
     }
 }
@@ -398,7 +391,8 @@ pub struct Scribe<C: ScribeClient> {
     /// Anycast steps taken at this node, a shard of `scribe/anycast_steps`
     /// in the same way: walks that knock on every door show up here.
     anycast_steps: Counter,
-    /// Flight-recorder handle for expiry events (disabled by default).
+    /// Flight-recorder handle for expiry and misdelivery events (disabled
+    /// by default).
     flight: FlightRecorder,
     client: C,
     /// Immutable and the same on every node, so the v-Bundle cluster
@@ -433,7 +427,7 @@ impl<C: ScribeClient> Scribe<C> {
     /// Attaches this layer to the shared observability planes: the expiry
     /// and anycast-step tallies become shards of `scribe/children_expired`
     /// and `scribe/anycast_steps` in `registry` (summed across nodes on
-    /// export) and expiry events are recorded on `flight`.
+    /// export) and expiry and misdelivery events are recorded on `flight`.
     pub fn attach_obs(&mut self, registry: &Registry, flight: &FlightRecorder) {
         let scope = registry.scope("scribe");
         self.children_expired = scope.counter("children_expired");
@@ -457,10 +451,24 @@ impl<C: ScribeClient> Scribe<C> {
         child: NodeHandle,
         summary: Option<Summary>,
     ) {
-        let phi = self.config.child_detection.phi_config();
         let st = self.groups.entry(group);
-        let grafted = link_child(st, pastry, phi, child, summary);
+        let grafted = link_child(st, pastry, child, summary);
         self.grafted(pastry, group, child, grafted);
+    }
+
+    /// Drops a message that came by a path its variant never takes, with
+    /// one flight record naming the sender.
+    fn drop_misdelivered(
+        &self,
+        ctx: &AppCtx<'_, '_, ScribeMsg<C::Msg>>,
+        from: NodeHandle,
+        routed: bool,
+    ) {
+        let at = ctx.now().as_micros();
+        let me = ctx.self_handle().actor.index() as u32;
+        let (who, routed) = (from.actor.index() as u64, u64::from(routed));
+        self.flight
+            .record(at, me, Subsystem::Scribe, &MISDELIVERED, who, routed);
     }
 
     /// What follows a graft: the client hears of a new child, and the
@@ -950,14 +958,12 @@ impl<C: ScribeClient> Scribe<C> {
 fn link_child<M: Message + Clone>(
     st: &mut GroupState,
     pastry: &AppCtx<'_, '_, ScribeMsg<M>>,
-    phi: Option<&PhiConfig>,
     child: NodeHandle,
     summary: Option<Summary>,
 ) -> (bool, bool) {
     let site = || Site::of(pastry.state().topology(), child.actor);
     let me = pastry.self_handle().id;
-    st.children
-        .graft(child, site, me, pastry.now(), phi, summary)
+    st.children.graft(child, site, me, pastry.now(), summary)
 }
 
 /// Sends a tree-maintenance message — `ParentProbe`, `Summary`, `Leave`,
@@ -1110,8 +1116,8 @@ impl<C: ScribeClient> PastryApp for Scribe<C> {
                     self.with_client(ctx, |c, sctx| c.deliver_routed(sctx, key, m, origin));
                 }
             }
-            // Direct-only variants should never arrive through routing.
-            other => debug_assert!(false, "unexpected routed Scribe message: {other:?}"),
+            // Direct-only variants never travel routed.
+            _ => self.drop_misdelivered(ctx, origin, true),
         }
     }
 
@@ -1198,10 +1204,9 @@ impl<C: ScribeClient> PastryApp for Scribe<C> {
             ScribeMsg::ParentProbe { group, summary } => {
                 // Refresh the child link; it may have been dropped by an
                 // over-eager repair.
-                let phi = self.config.child_detection.phi_config();
                 match self.groups.get_mut(group).filter(|st| st.in_tree()) {
                     Some(st) => {
-                        let grafted = link_child(st, ctx, phi, from, summary);
+                        let grafted = link_child(st, ctx, from, summary);
                         self.grafted(ctx, group, from, grafted);
                     }
                     None => send_tree(ctx, from, ScribeMsg::ProbeNack { group }),
@@ -1248,7 +1253,8 @@ impl<C: ScribeClient> PastryApp for Scribe<C> {
                     send_tree(ctx, from, ScribeMsg::Leave { group });
                 }
             }
-            other => debug_assert!(false, "unexpected direct Scribe message: {other:?}"),
+            // Routed-only variants never travel direct.
+            _ => self.drop_misdelivered(ctx, from, false),
         }
     }
 
@@ -1267,24 +1273,15 @@ impl<C: ScribeClient> PastryApp for Scribe<C> {
             }
             // Parent-side expiry: a child that re-parented elsewhere (or
             // died without a Leave) stops probing us; drop the link so no
-            // node stays grafted under two parents. Phi mode adapts to the
-            // link's observed probe cadence and double-checks with a direct
-            // ChildProbe before dropping; fixed mode expires after
-            // FIXED_INTERVAL_ROUNDS silent rounds. One pass over this
-            // node's link records.
-            if let Some(interval) = self.config.probe_interval {
-                let now = ctx.now();
-                let phi = self.config.child_detection.phi_config();
-                let expiry = interval * FIXED_INTERVAL_ROUNDS;
+            // node stays grafted under two parents. The detector adapts to
+            // the link's observed probe cadence and double-checks with a
+            // direct ChildProbe before dropping. One pass over this node's
+            // link records.
+            if self.config.probe_interval.is_some() {
                 let mut expired: Vec<(GroupId, NodeHandle)> = Vec::new();
                 for (g, st) in self.groups.iter_mut() {
                     for link in st.children.links_mut() {
-                        let verdict = match (link.detector.as_mut(), phi) {
-                            (Some(det), Some(cfg)) => det.evaluate(cfg, now),
-                            _ if now.saturating_since(link.heard) > expiry => Verdict::Dead,
-                            _ => Verdict::Alive,
-                        };
-                        match verdict {
+                        match link.detector.evaluate(now) {
                             Verdict::Alive | Verdict::Suspect => {}
                             Verdict::NewlySuspect => {
                                 send_tree(ctx, link.handle, ScribeMsg::ChildProbe { group: g })

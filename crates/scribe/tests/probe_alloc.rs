@@ -67,10 +67,9 @@ fn a_probe_round_allocates_nothing() {
             .servers_per_rack(4)
             .build(),
     );
-    // Probes on, phi-accrual child detection (the default) on, and every
+    // Probes on, and with them phi-accrual child detection, and every
     // member claiming a summary so that each probe carries a word.
     let config = ScribeConfig::default().with_probe_interval(PROBE);
-    assert!(config.child_detection.phi_config().is_some());
     let client = CollectClient {
         summary: Some(1),
         ..CollectClient::default()
@@ -110,19 +109,6 @@ fn a_probe_round_allocates_nothing() {
     };
     let settled = links(&net);
     assert_eq!(settled, 2 * (handles.len() - 1), "two spanning trees");
-    let detectors = net
-        .actors()
-        .flat_map(|(_, node)| {
-            let scribe = node.app();
-            groups
-                .iter()
-                .filter_map(|&g| scribe.group(g))
-                .flat_map(|st| st.children.links().map(|l| l.detector.is_some()))
-                .collect::<Vec<_>>()
-        })
-        .filter(|&d| d)
-        .count();
-    assert_eq!(detectors, settled, "every link runs phi detection");
 
     // Measured: twelve probe rounds, one probe per tree link each.
     let rounds = 12;

@@ -6,8 +6,9 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use vbundle_dcn::Topology;
+use vbundle_obs::{FlightRecorder, Registry};
 use vbundle_pastry::{
-    overlay, IdAssignment, NodeHandle, PastryConfig, PastryMsg, PastryNode, Signal,
+    overlay, IdAssignment, NodeHandle, PastryConfig, PastryMsg, PastryNode, RouteEnvelope, Signal,
 };
 use vbundle_scribe::{group_id, CollectClient, GroupId, Scribe, ScribeMsg, TestPayload};
 use vbundle_sim::{ActorId, Engine, Latency, MsgCategory, SimDuration, SimTime};
@@ -473,6 +474,71 @@ fn an_unassigned_signal_kind_is_dropped() {
     });
     net.run_to_quiescence();
     assert_eq!(net.actor(sender.actor).app().client().directs, directs);
+}
+
+/// A forged message that came the wrong way — a `Join`, which travels
+/// routed only, sent direct, and a `Disseminate`, which travels direct
+/// only, routed — is dropped: nothing changes, nothing is sent, and each
+/// leaves one flight record naming its sender and the path it took.
+#[test]
+fn a_misdelivered_variant_is_dropped() {
+    let (mut net, handles) = launch(16, IdAssignment::TopologyAware, 43);
+    let g = group_id("forgeries");
+    join_all(&mut net, &handles, g);
+    let (sender, target) = (handles[2], handles[7]);
+    let flight = FlightRecorder::new(16);
+    net.actor_mut(target.actor)
+        .app_mut()
+        .attach_obs(&Registry::new(), &flight);
+    let snapshot = |net: &Net| -> Vec<String> {
+        handles
+            .iter()
+            .map(|h| {
+                let scribe = net.actor(h.actor).app();
+                format!("{:?} {:?}", scribe.client(), scribe.group(g))
+            })
+            .collect()
+    };
+    let before = snapshot(&net);
+    let join = ScribeMsg::Join {
+        group: g,
+        child: sender,
+        summary: None,
+    };
+    let disseminate = ScribeMsg::Disseminate {
+        group: g,
+        payload: TestPayload(7),
+        ttl: 8,
+        seq: 1,
+        root: sender.id.as_u128(),
+    };
+    let direct = PastryMsg::Direct {
+        from: sender,
+        msg: Box::new(join),
+    };
+    let routed = PastryMsg::Route(Box::new(RouteEnvelope {
+        key: target.id,
+        payload: disseminate,
+        hops: 0,
+        origin: sender,
+    }));
+    for msg in [direct, routed] {
+        net.post(target.actor, sender.actor, msg, SimDuration::ZERO);
+    }
+    let events = net.events_processed();
+    net.run_to_quiescence();
+    assert_eq!(net.events_processed() - events, 2, "two receipts, no reply");
+    assert_eq!(snapshot(&net), before);
+    // Both arrive one link latency after the post, the last events run.
+    let at = net.now().as_micros();
+    let records: Vec<String> = flight.snapshot().iter().map(|e| e.to_string()).collect();
+    let (node, from) = (target.actor.index(), sender.actor.index());
+    assert_eq!(
+        records,
+        [0, 1].map(|routed| format!(
+            "[{at}us] node#{node} scribe/misdelivered from={from} routed={routed}"
+        ))
+    );
 }
 
 proptest! {

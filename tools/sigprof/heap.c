@@ -6,12 +6,16 @@
  * rounded up to 16n + 8, or to whole pages less 16 once mmapped; one
  * class per 16 bytes below 128 KiB, one per page above — and copies the
  * class table aside each time live bytes stand 5 % above the last copy.
- * One allocation in SAMPLE per class also logs its frame-pointer chain,
- * and the block is tracked until it is freed. At exit /proc/self/maps,
+ * One allocation in SAMPLE per class, and every block of a page or more
+ * (few, and each weighs), also logs its frame-pointer chain, and the
+ * block is tracked until it is freed. At exit /proc/self/maps,
  * the class table at the peak and the stacks of the sampled blocks live
  * at the peak (allocated before the last copy, freed after it or never)
  * go to $SIGPROF_OUT (default sigprof.raw) for `report.py --heap`, so a
  * frequent short-lived allocation site is not mistaken for an owner.
+ * When the sample buffer fills, the samples that can no longer be live
+ * at a peak are compacted away; a sample that still finds no room is
+ * refused and counted in the dump (`--refused n`).
  * Main thread, x86-64 glibc only. */
 #define _GNU_SOURCE
 #include <errno.h>
@@ -38,8 +42,13 @@ static int64_t total, peak_total;
 /* A sample is [n, born, died, class, n - 1 return addresses] in buf; born
  * and died are `ticks` readings, died UINT64_MAX while the block lives. */
 static uint64_t *buf, words, stack_lo, stack_hi, ticks, peak_ticks, tracked;
+/* Samples refused for want of room, and the tick before which a buffer
+ * that a compaction left mostly full is not compacted again. */
+static uint64_t refused, retry;
 /* Sampled blocks still live: open addressing on the block's address. */
 static struct slot { uint64_t ptr, sample; } *table;
+/* The filled slots, sorted by sample offset while compacting. */
+static uint32_t order[SLOTS / 2];
 static int busy = 1; /* bookkeeping off until armed, and while dumping */
 
 static uint64_t home(uint64_t p) { return (p >> 4) * 0x9e3779b97f4a7c15ull >> (64 - SLOT_BITS); }
@@ -62,6 +71,35 @@ static void untrack(uint64_t p) {
     table[i].ptr = 0;
 }
 
+static int by_sample(const void *a, const void *b) {
+    uint64_t x = table[*(const uint32_t *)a].sample, y = table[*(const uint32_t *)b].sample;
+    return (x > y) - (x < y);
+}
+
+/* Drops the samples that died before the current peak or were born after
+ * it: they cannot be live at this peak or any later one. The rest move
+ * down in order, so the k-th live sample is the k-th filled slot sorted
+ * by offset, and that slot is re-pointed. A compaction that leaves the
+ * buffer over 3/4 full backs off until `ticks` has doubled. */
+static void compact(void) {
+    uint64_t n = 0, k = 0, to = 0;
+    busy = 1; /* qsort may allocate */
+    for (uint64_t s = 0; s < SLOTS; s++)
+        if (table[s].ptr) order[n++] = s;
+    qsort(order, n, sizeof *order, by_sample);
+    for (uint64_t i = 0, len; i < words; i += len) {
+        uint64_t born = buf[i + 1], died = buf[i + 2];
+        len = buf[i] + 3;
+        if (died != UINT64_MAX && (died <= peak_ticks || born > peak_ticks)) continue;
+        if (k < n && table[order[k]].sample == i) table[order[k++]].sample = to;
+        memmove(&buf[to], &buf[i], len * sizeof *buf);
+        to += len;
+    }
+    words = to;
+    if (words > MAX_WORDS / 4 * 3) retry = 2 * ticks;
+    busy = 0;
+}
+
 static void note(void *p, int sign, uint64_t *fp) {
     if (!p || busy) return;
     int64_t size = malloc_usable_size(p), page = size >> 12;
@@ -80,7 +118,12 @@ static void note(void *p, int sign, uint64_t *fp) {
         peak_ticks = ticks;
         memcpy(peak, now, sizeof now);
     }
-    if (c->seen++ % SAMPLE || words + MAX_DEPTH + 4 > MAX_WORDS || tracked >= SLOTS / 2) return;
+    if (size < 4096 && c->seen++ % SAMPLE) return;
+    if (words + MAX_DEPTH + 4 > MAX_WORDS && ticks >= retry) compact();
+    if (words + MAX_DEPTH + 4 > MAX_WORDS || tracked >= SLOTS / 2) {
+        refused++;
+        return;
+    }
     uint64_t *count = &buf[words], n = 0, at = (uint64_t)fp, h = home((uint64_t)p);
     while (table[h].ptr) h = (h + 1) % SLOTS;
     table[h] = (struct slot){(uint64_t)p, words};
@@ -136,6 +179,7 @@ __attribute__((destructor)) static void dump(void) {
     while (fgets(line, sizeof line, maps)) fputs(line, out);
     for (unsigned i = 0; i < SMALL + LARGE; i++)
         if (peak[i].live > 0) fprintf(out, "--class %u %ld %ld\n", i, peak[i].live, peak[i].bytes);
+    if (refused) fprintf(out, "--refused %lu\n", refused);
     fprintf(out, "--samples peak=%ld\n", peak_total);
     for (uint64_t i = 0; i < words; i += buf[i] + 3) {
         if (buf[i + 1] > peak_ticks || buf[i + 2] <= peak_ticks) continue;

@@ -18,7 +18,7 @@ import sys
 
 
 def load(path):
-    maps, extra, classes, samples = [], [], [], []
+    maps, extra, classes, samples, refused = [], [], [], [], 0
     with open(path) as f:
         for line in f:
             if line.startswith("--samples"):
@@ -30,6 +30,9 @@ def load(path):
             if line.startswith("--class"):  # heap.c: class, live blocks, live bytes
                 classes.append(tuple(int(w) for w in line.split()[1:]))
                 continue
+            if line.startswith("--refused"):  # heap.c: samples that found no room
+                refused = int(line.split()[1])
+                continue
             m = re.match(r"([0-9a-f]+)-([0-9a-f]+) (\S+) ([0-9a-f]+) \S+ \S+\s*(\S*)", line)
             if m and m.group(5).startswith("/"):
                 lo, hi, perms, off, name = m.groups()
@@ -37,7 +40,7 @@ def load(path):
         dropped = line.strip()
         for line in f:
             samples.append([int(w, 16) for w in line.split()])
-    return maps, extra, classes, samples, dropped
+    return maps, extra, classes, samples, dropped, refused
 
 
 def symbols(path):
@@ -120,9 +123,12 @@ def table(title, counter, total, top):
         print(f"{100 * n / total:6.2f}%  {n:7d}  {name}")
 
 
-def heap(classes, samples, sym, top, header):
+def heap(classes, samples, sym, top, header, refused):
     """Size classes at the peak, largest first, each with the two stacks
     that allocated most of its sampled blocks live at the peak."""
+    if refused:
+        print(f"warning: {refused} samples refused for want of room; "
+              "classes may lack stacks")
     plumbing = re.compile(r"\[heap\.so\]|^alloc::(raw_vec|alloc)::|^std::sys::alloc::|^__r")
     owners = collections.defaultdict(collections.Counter)
     for cls, *chain in samples:
@@ -145,10 +151,10 @@ def main():
     if not args:
         sys.exit(__doc__)
     top = int(args[1]) if len(args) > 1 else 25
-    maps, extra, classes, samples, dropped = load(args[0])
+    maps, extra, classes, samples, dropped, refused = load(args[0])
     sym = Symboliser(maps, extra)
     if "--heap" in sys.argv:
-        return heap(classes, samples, sym, top, dropped)
+        return heap(classes, samples, sym, top, dropped, refused)
     self_c, incl_c, stack_c = (collections.Counter() for _ in range(3))
     total = 0
     for frames in stacks(samples, sym):
