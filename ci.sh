@@ -18,7 +18,7 @@ fi
 # length when the budget was last raised. Cut the file (ROADMAP item 1 (e),
 # the docs diet) or raise its budget here, deliberately.
 echo "==> EXPERIMENTS.md / DESIGN.md line budgets"
-for budget in EXPERIMENTS.md:1762 DESIGN.md:1496; do
+for budget in EXPERIMENTS.md:1761 DESIGN.md:1494; do
     doc=${budget%%:*} max=${budget##*:}
     lines=$(wc -l < "$doc")
     if [ "$lines" -gt "$max" ]; then

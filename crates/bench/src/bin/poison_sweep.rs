@@ -297,7 +297,7 @@ fn run_cell(policy: Policy, mode_name: &'static str, mode: CorruptionMode, f: us
         let ctrl = cluster.controller(i);
         rejected_reports += ctrl.aggregator().rejected_contributions();
         screened_payloads += ctrl.stats.invalid_payloads;
-        gate_rejections += ctrl.stats.rejected_aggregates.get();
+        gate_rejections += ctrl.stats.counters.rejected_aggregates.get();
         conservative += ctrl.stats.conservative_intervals;
     }
 

@@ -109,8 +109,7 @@ fn run_point(servers: usize, sim_secs: u64, with_profile: bool) -> Point {
     let mut engine = build_engine(servers);
     let depth_hist = engine
         .metrics()
-        .scope("scale")
-        .histogram("queue_depth", &DEPTH_BOUNDS);
+        .histogram("scale/queue_depth", &DEPTH_BOUNDS);
     let deadline = SimTime::ZERO + SimDuration::from_secs(sim_secs);
     let wall = Instant::now();
     engine.start();

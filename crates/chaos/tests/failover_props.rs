@@ -176,11 +176,11 @@ fn rack_crash_restores_tenants_without_restart() {
     assert!(open.is_empty(), "tenants did not recover: {open:#?}");
 
     assert_eq!(
-        fo_counter(&cluster, |s| s.fo_rematerialized.get()),
+        fo_counter(&cluster, |s| s.counters.fo_rematerialized.get()),
         lost.len() as u64,
         "every lost VM re-materialized exactly once"
     );
-    assert!(fo_counter(&cluster, |s| s.fo_domains_declared.get()) >= 1);
+    assert!(fo_counter(&cluster, |s| s.counters.fo_domains_declared.get()) >= 1);
     // The dead rack never came back, so nothing needs fencing: each VM
     // lives on exactly one server and every invariant is closed.
     let mut open = check_vm_conservation(&cluster.engine, &vms);
@@ -253,9 +253,9 @@ fn failover_racing_late_restart_fences_stale_copies() {
             );
         }
     }
-    assert!(fo_counter(&cluster, |s| s.fo_fences_sent.get()) >= 1);
+    assert!(fo_counter(&cluster, |s| s.counters.fo_fences_sent.get()) >= 1);
     assert_eq!(
-        fo_counter(&cluster, |s| s.fo_rematerialized.get()),
+        fo_counter(&cluster, |s| s.counters.fo_rematerialized.get()),
         stale_vms.len() as u64
     );
     let open = check_capacity(&cluster.engine);
@@ -319,7 +319,7 @@ fn overlapping_domain_crashes_materialize_each_vm_once() {
         "tenants fell below the degradation floor: {open:#?}"
     );
     assert_eq!(
-        fo_counter(&cluster, |s| s.fo_rematerialized.get()),
+        fo_counter(&cluster, |s| s.counters.fo_rematerialized.get()),
         pod_vms.len() as u64,
         "each lost VM re-materialized exactly once across overlapping crashes"
     );
@@ -342,11 +342,14 @@ fn single_server_crash_never_declares_the_rack() {
     let mut driver = ChaosDriver::install(&mut cluster.engine, topo, plan);
     driver.run_until(&mut cluster.engine, SimTime::from_secs(200));
     assert_eq!(
-        fo_counter(&cluster, |s| s.fo_domains_declared.get()),
+        fo_counter(&cluster, |s| s.counters.fo_domains_declared.get()),
         0,
         "a single-server crash must not be declared a domain death"
     );
-    assert_eq!(fo_counter(&cluster, |s| s.fo_rematerialized.get()), 0);
+    assert_eq!(
+        fo_counter(&cluster, |s| s.counters.fo_rematerialized.get()),
+        0
+    );
 }
 
 /// The failover path is deterministic: two runs of the identical seeded
@@ -367,10 +370,10 @@ fn failover_replay_is_deterministic() {
             .collect();
         (
             sat,
-            fo_counter(&cluster, |s| s.fo_domains_declared.get()),
-            fo_counter(&cluster, |s| s.fo_rematerialized.get()),
-            fo_counter(&cluster, |s| s.fo_fences_sent.get()),
-            fo_counter(&cluster, |s| s.fo_lease_reverts.get()),
+            fo_counter(&cluster, |s| s.counters.fo_domains_declared.get()),
+            fo_counter(&cluster, |s| s.counters.fo_rematerialized.get()),
+            fo_counter(&cluster, |s| s.counters.fo_fences_sent.get()),
+            fo_counter(&cluster, |s| s.counters.fo_lease_reverts.get()),
         )
     };
     assert_eq!(run(), run(), "failover replay diverged");
@@ -452,7 +455,7 @@ fn duplicated_backup_charges_carve_once() {
             .collect()
     });
     assert!(open.is_empty(), "fences never acked: {open:#?}");
-    assert!(fo_counter(&cluster, |s| s.fo_rematerialized.get()) > 0);
+    assert!(fo_counter(&cluster, |s| s.counters.fo_rematerialized.get()) > 0);
     // A re-materialization's result, duplicated or not, is its backup
     // site's own: the entry servers report the tenant boots and no more.
     let results: usize = (0..8)

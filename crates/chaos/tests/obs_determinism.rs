@@ -11,7 +11,10 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use vbundle_chaos::{ChaosDriver, FaultPlan, LinkFault, Scope};
-use vbundle_core::{Cluster, CustomerId, ResourceSpec, ResourceVector, VBundleConfig, VmRecord};
+use vbundle_core::{
+    Cluster, Customer, CustomerId, FailoverConfig, ResourceSpec, ResourceVector, SpotMarketConfig,
+    SurvivabilityConfig, VBundleConfig, VmRecord,
+};
 use vbundle_dcn::{Bandwidth, Topology};
 use vbundle_pastry::PastryConfig;
 use vbundle_scribe::ScribeConfig;
@@ -126,7 +129,7 @@ fn digest(cluster: &Cluster) -> String {
             s.queries_sent,
             s.accepts_sent,
             s.migrations_gated,
-            s.rejected_aggregates.get(),
+            s.counters.rejected_aggregates.get(),
         );
     }
     out
@@ -155,4 +158,98 @@ fn obs_enabled_run_replays_byte_identically() {
         tail == tail_again,
         "the flight tail did not replay byte for byte"
     );
+}
+
+/// Trading, the spot market, survivable admission and failover on a seeded 16-server cluster
+/// that boots hot tenants, then loses a rack: every counter set the stack
+/// owns is attached and the market's are non-zero. Returns the cluster
+/// after the run.
+fn market_cluster(market: bool) -> Cluster {
+    let topo = Arc::new(
+        Topology::builder()
+            .pods(2)
+            .racks_per_pod(2)
+            .servers_per_rack(4)
+            .build(),
+    );
+    let mut config = VBundleConfig::default()
+        .with_update_interval(SimDuration::from_secs(5))
+        .with_rebalance_interval(SimDuration::from_secs(20))
+        .with_bundle_trading(true)
+        .with_lease_duration(SimDuration::from_secs(60))
+        .with_survivability(SurvivabilityConfig::default())
+        .with_failover(FailoverConfig {
+            probe_interval: SimDuration::from_secs(5),
+        });
+    if market {
+        config = config.with_spot_market(SpotMarketConfig::default());
+    }
+    let mut cluster = Cluster::builder(Arc::clone(&topo))
+        .pastry(PastryConfig {
+            heartbeat: Some(SimDuration::from_secs(1)),
+            maintenance: Some(SimDuration::from_secs(10)),
+            ..PastryConfig::default()
+        })
+        .scribe(ScribeConfig::default().with_probe_interval(SimDuration::from_secs(3)))
+        .vbundle(config)
+        .seed(SEED)
+        .build();
+    cluster.run_until(SimTime::from_secs(20));
+    let bw = |mbps| ResourceVector::bandwidth_only(Bandwidth::from_mbps(mbps));
+    let spec = ResourceSpec::bandwidth(Bandwidth::from_mbps(100.0), Bandwidth::from_mbps(150.0));
+    for t in 0..4u32 {
+        let customer = Customer::new(CustomerId(t), format!("tenant-{t}"));
+        for v in 0..4u32 {
+            let entry = ((t * 4 + v) * 5 % 16) as usize;
+            cluster
+                .boot_and_run(entry, &customer, spec, bw(10.0), SimDuration::from_secs(30))
+                .expect("the fabric has room for every boot");
+        }
+    }
+    cluster.reindex();
+    let booted: Vec<_> = cluster
+        .placements()
+        .into_iter()
+        .map(|(vm, _, _)| vm)
+        .collect();
+    for vm in booted.iter().filter(|vm| vm.0 % 3 == 0) {
+        assert!(cluster.set_vm_demand(*vm, bw(420.0)));
+    }
+    let lost_rack = topo
+        .rack_of(cluster.host_of(booted[1]).expect("indexed"))
+        .index();
+    let t = SimTime::from_secs;
+    let start = cluster.now().as_micros() / 1_000_000 + 1;
+    let plan = FaultPlan::new(SEED).crash_rack(t(start + 60), lost_rack);
+    let mut driver = ChaosDriver::install(&mut cluster.engine, Arc::clone(&topo), plan);
+    driver.run_until(&mut cluster.engine, t(start + 180));
+    cluster.engine.take_injector();
+    cluster
+}
+
+/// The metrics export of [`market_cluster`], pinned byte for byte: names,
+/// kinds, sorted order and every summed value.
+#[test]
+fn metrics_export_matches_the_golden() {
+    let cluster = market_cluster(true);
+    let market = |s: usize| &cluster.controller(s).market_stats;
+    let trades: u64 = (0..cluster.num_servers())
+        .map(|s| market(s).spot_trades.get())
+        .sum();
+    assert!(trades > 0, "no spot trade: the golden would pin zeros");
+    let export = format!("{}\n\n{}", cluster.metrics_json(), cluster.metrics_csv());
+    assert!(
+        export == include_str!("../../../results/metrics_export.golden"),
+        "metrics export drifted from results/metrics_export.golden:\n{export}"
+    );
+}
+
+/// With the spot market off no `market/` metric is registered, so an
+/// off-market export names none.
+#[test]
+fn market_off_export_names_no_market_metric() {
+    let cluster = market_cluster(false);
+    let export = format!("{}\n{}", cluster.metrics_json(), cluster.metrics_csv());
+    assert!(export.contains("trade/requests_sent"), "{export}");
+    assert!(!export.contains("market/"), "{export}");
 }

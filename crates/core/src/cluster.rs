@@ -152,10 +152,9 @@ impl ClusterBuilder {
 /// (controller u64 counters, cluster-level totals) into the obs
 /// registry. Registered once at build time — gauges shard per
 /// registration, so re-registering on every export would double-count —
-/// and refreshed by [`Cluster::refresh_metrics`]. Trade tallies need no
-/// mirror anymore: [`TradeStats`](vbundle_trade::TradeStats) fields are
-/// obs [`Counter`](vbundle_obs::Counter) handles registered per
-/// controller by `attach_obs`.
+/// and refreshed by [`Cluster::refresh_metrics`]. The counter sets
+/// (controller, trade, market, Scribe, Pastry) need no mirror: each
+/// owner's `attach_obs` attaches its `Rc` to the registry once.
 struct StatMirror {
     ctrl_migrations_out: Gauge,
     ctrl_migrations_in: Gauge,
@@ -172,20 +171,18 @@ struct StatMirror {
 
 impl StatMirror {
     fn register(registry: &Registry) -> Self {
-        let ctrl = registry.scope("controller");
-        let cluster = registry.scope("cluster");
         StatMirror {
-            ctrl_migrations_out: ctrl.gauge("migrations_out"),
-            ctrl_migrations_in: ctrl.gauge("migrations_in"),
-            ctrl_migrations_failed: ctrl.gauge("migrations_failed"),
-            ctrl_migrations_gated: ctrl.gauge("migrations_gated"),
-            ctrl_queries_sent: ctrl.gauge("queries_sent"),
-            ctrl_accepts_sent: ctrl.gauge("accepts_sent"),
-            ctrl_anycast_failures: ctrl.gauge("anycast_failures"),
-            ctrl_conservative_intervals: ctrl.gauge("conservative_intervals"),
-            ctrl_invalid_payloads: ctrl.gauge("invalid_payloads"),
-            cluster_vms: cluster.gauge("vms"),
-            cluster_active_leases: cluster.gauge("active_leases"),
+            ctrl_migrations_out: registry.gauge("controller/migrations_out"),
+            ctrl_migrations_in: registry.gauge("controller/migrations_in"),
+            ctrl_migrations_failed: registry.gauge("controller/migrations_failed"),
+            ctrl_migrations_gated: registry.gauge("controller/migrations_gated"),
+            ctrl_queries_sent: registry.gauge("controller/queries_sent"),
+            ctrl_accepts_sent: registry.gauge("controller/accepts_sent"),
+            ctrl_anycast_failures: registry.gauge("controller/anycast_failures"),
+            ctrl_conservative_intervals: registry.gauge("controller/conservative_intervals"),
+            ctrl_invalid_payloads: registry.gauge("controller/invalid_payloads"),
+            cluster_vms: registry.gauge("cluster/vms"),
+            cluster_active_leases: registry.gauge("cluster/active_leases"),
         }
     }
 }

@@ -87,7 +87,7 @@ impl Controller {
             if self.host.hosts(vm) {
                 let leases = self.host.book.ids_involving(vm).len() as u64;
                 if leases > 0 {
-                    self.stats.fo_lease_reverts.add(leases);
+                    self.stats.counters.fo_lease_reverts.add(leases);
                     self.host.event(&FO_LEASE_REVERT, leases, vm.0);
                 }
                 self.release_vm_leases(ctx, vm);

@@ -251,7 +251,7 @@ impl Failover {
         // Resend pending fences: a stale primary that restarted since
         // the last tick must still learn its copies moved.
         for fence in self.fences.values() {
-            adm.stats.fo_fences_sent.inc();
+            adm.stats.counters.fo_fences_sent.inc();
             ctx.send_client(
                 fence.primary,
                 CtrlMsg::FoFence {
@@ -302,7 +302,7 @@ impl Failover {
         rack: u32,
         topo: &Topology,
     ) {
-        adm.stats.fo_domains_declared.inc();
+        adm.stats.counters.fo_domains_declared.inc();
         adm.host.event(&FO_DOMAIN_DEAD, u64::from(rack), 0);
         let victims: Vec<(VmId, NodeHandle, ResourceVector)> = self
             .charges
@@ -325,7 +325,7 @@ impl Failover {
             // First fence attempt right away: if the primary is racing a
             // restart it reconciles immediately; if it is dead the send
             // just bounces and the tick resends until the ack.
-            adm.stats.fo_fences_sent.inc();
+            adm.stats.counters.fo_fences_sent.inc();
             ctx.send_client(primary, CtrlMsg::FoFence { vms: vec![vm] });
             self.issue_boot(adm, ctx, vm, topo);
         }
@@ -392,7 +392,7 @@ impl Failover {
                     None => FoEvent::Rejected { request },
                 };
                 if let (Some(_), Some(to)) = (self.step(stats, vm, event), placed_on) {
-                    stats.fo_rematerialized.inc();
+                    stats.counters.fo_rematerialized.inc();
                     host.event(&FO_REMATERIALIZE, vm.0, to.actor.index() as u64);
                 }
             }

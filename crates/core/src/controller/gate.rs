@@ -73,7 +73,7 @@ impl MeanGates {
             gate.streak = 0;
             return;
         }
-        stats.rejected_aggregates.inc();
+        stats.counters.rejected_aggregates.inc();
         host.event(&MEAN_GATE_REJECT, kind as u64, 0);
         // Suspect. Readings agreeing with the current candidate level
         // extend the streak; a genuine load change repeats itself and
@@ -167,7 +167,7 @@ mod tests {
         c.shuffle.sample_means(&c.host, &mut c.stats);
         assert_eq!(c.effective_mean_for(bw), Some(0.5));
         assert!(c.conservative_mode());
-        assert_eq!(c.stats.rejected_aggregates.get(), 1);
+        assert_eq!(c.stats.counters.rejected_aggregates.get(), 1);
 
         // The same level repeating looks like a genuine cluster-wide load
         // change: after `MEAN_RECOVERY_ROUNDS` (3) consistent readings the
@@ -178,7 +178,7 @@ mod tests {
         c.shuffle.sample_means(&c.host, &mut c.stats);
         assert_eq!(c.effective_mean_for(bw), Some(5.0));
         assert!(!c.conservative_mode());
-        assert_eq!(c.stats.rejected_aggregates.get(), 3);
+        assert_eq!(c.stats.counters.rejected_aggregates.get(), 3);
     }
 
     #[test]
@@ -195,7 +195,7 @@ mod tests {
             assert_eq!(c.effective_mean_for(bw), Some(0.5));
             assert!(c.conservative_mode());
         }
-        assert_eq!(c.stats.rejected_aggregates.get(), 5);
+        assert_eq!(c.stats.counters.rejected_aggregates.get(), 5);
     }
 
     #[test]
@@ -207,6 +207,6 @@ mod tests {
         // No gate: the implausible reading steers classification directly.
         assert_eq!(c.effective_mean_for(bw), Some(7.5));
         assert!(!c.conservative_mode());
-        assert_eq!(c.stats.rejected_aggregates.get(), 0);
+        assert_eq!(c.stats.counters.rejected_aggregates.get(), 0);
     }
 }

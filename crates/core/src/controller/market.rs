@@ -3,6 +3,8 @@
 //! `VBundleConfig::spot_market` is set; it owns the pod's price index,
 //! this server's billing book, spot-group membership and the requote memo.
 
+use std::rc::Rc;
+
 use vbundle_market::{BillingBook, BillingEntry, EntrySide, PriceIndex};
 use vbundle_scribe::GroupId;
 use vbundle_sim::{FlatMap, SimTime};
@@ -45,12 +47,12 @@ pub(super) struct SpotMarket {
     /// The spot group of the pod this server sits in (set by the cluster
     /// builder; spot matching is pod-scoped).
     pub group: GroupId,
-    /// The same counter shards as `Controller::market_stats`.
-    pub stats: MarketStats,
+    /// The counter set `Controller::market_stats` holds too.
+    pub stats: Rc<MarketStats>,
 }
 
 impl SpotMarket {
-    pub fn new(cfg: SpotMarketConfig, stats: MarketStats) -> Self {
+    pub fn new(cfg: SpotMarketConfig, stats: Rc<MarketStats>) -> Self {
         SpotMarket {
             cfg,
             index: PriceIndex::new(BASE_PRICE, PRICE_ALPHA),
@@ -202,7 +204,7 @@ mod tests {
             VBundleConfig::default(),
         );
         host.install(vm(1, 100.0, 200.0, 150.0));
-        let mut market = SpotMarket::new(SpotMarketConfig::default(), MarketStats::default());
+        let mut market = SpotMarket::new(SpotMarketConfig::default(), Rc::default());
         // Tenant 0 has already prepaid 60 % of its budget on this host.
         let spent = priced(1, 6_000);
         assert!(market.buyer_accepts(&host, &spent));

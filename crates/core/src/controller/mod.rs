@@ -60,7 +60,7 @@ use surv::Survivability;
 use trade::Trade;
 
 pub use shuffle::ServerStatus;
-pub use stats::{ControllerStats, MarketStats};
+pub use stats::{ControllerCounters, ControllerStats, MarketStats};
 
 /// The capabilities a Scribe upcall hands the controller.
 type Ctx<'a, 'b, 'c, 'd> = ScribeCtx<'a, 'b, 'c, 'd, CtrlMsg>;
@@ -149,7 +149,7 @@ pub struct Controller {
     /// `None` with `VBundleConfig::failover` unset.
     failover: Option<Box<Failover>>,
     /// Observable spot-market counters.
-    pub market_stats: MarketStats,
+    pub market_stats: Rc<MarketStats>,
     /// Observable counters.
     pub stats: ControllerStats,
 }
@@ -164,11 +164,11 @@ impl Controller {
         config: impl Into<Rc<VBundleConfig>>,
     ) -> Self {
         let config = config.into();
-        let market_stats = MarketStats::default();
+        let market_stats = Rc::new(MarketStats::default());
         let trade = config.bundle_trading.then(|| {
             let market = config
                 .spot_market
-                .map(|mc| SpotMarket::new(mc, market_stats.clone()));
+                .map(|mc| SpotMarket::new(mc, Rc::clone(&market_stats)));
             Box::new(Trade::new(&config, market))
         });
         Controller {
@@ -190,47 +190,19 @@ impl Controller {
         self.trade.as_mut()?.market.as_mut()
     }
 
-    /// Attaches this controller to the shared observability planes: the
-    /// mean-gate and lease-block tallies become shards of
-    /// `controller/rejected_aggregates` / `controller/sheds_lease_blocked`
-    /// in `registry` (summed across servers on export; per-server tests
-    /// still read their own shard) and migration/lease/mean-gate events
-    /// are recorded on `flight`, tagged with this server's actor index
-    /// `node`.
+    /// Attaches this controller to the shared observability planes: its
+    /// counter sets join the `controller`, `trade` and (with the spot
+    /// market configured) `market` scopes of `registry`, summed across
+    /// servers on export while per-server tests still read their own
+    /// values, and migration/lease/mean-gate events are recorded on
+    /// `flight`, tagged with this server's actor index `node`.
     pub fn attach_obs(&mut self, node: u32, registry: &Registry, flight: &FlightRecorder) {
-        let scope = registry.scope("controller");
-        self.stats.rejected_aggregates = scope.counter("rejected_aggregates");
-        self.stats.sheds_lease_blocked = scope.counter("sheds_lease_blocked");
-        self.stats.fo_domains_declared = scope.counter("fo_domains_declared");
-        self.stats.fo_rematerialized = scope.counter("fo_rematerialized");
-        self.stats.fo_fences_sent = scope.counter("fo_fences_sent");
-        self.stats.fo_lease_reverts = scope.counter("fo_lease_reverts");
-        let trade = registry.scope("trade");
-        let book = &mut self.host.book.stats;
-        book.requests_sent = trade.counter("requests_sent");
-        book.grants_sent = trade.counter("grants_sent");
-        book.leases_borrowed = trade.counter("leases_borrowed");
-        book.grants_rejected = trade.counter("grants_rejected");
-        book.leases_expired = trade.counter("leases_expired");
-        book.leases_reverted = trade.counter("leases_reverted");
-        book.lender_losses = trade.counter("lender_losses");
+        registry.attach("controller", &self.stats.counters);
+        registry.attach("trade", &self.host.book.stats);
         // Market counters only exist in the export when the market is
-        // configured, so off-market metric exports are byte-identical.
+        // configured, so off-market metric exports name no `market/` metric.
         if self.market().is_some() {
-            let market = registry.scope("market");
-            self.market_stats = MarketStats {
-                spot_asks: market.counter("spot_asks"),
-                spot_trades: market.counter("spot_trades"),
-                spot_rejected_price: market.counter("spot_rejected_price"),
-                spot_rejected_budget: market.counter("spot_rejected_budget"),
-                spot_rejected_cap: market.counter("spot_rejected_cap"),
-                requotes: market.counter("requotes"),
-                billing_reversals: market.counter("billing_reversals"),
-            };
-            let shards = self.market_stats.clone();
-            if let Some(m) = self.market_mut() {
-                m.stats = shards;
-            }
+            registry.attach("market", &self.market_stats);
         }
         self.host.flight = flight.clone();
         self.host.node = node;

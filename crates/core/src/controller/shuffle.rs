@@ -297,7 +297,7 @@ impl Shuffle {
         candidates.retain(|vm| !host.book.vm_involved(vm.id));
         let blocked = (before - candidates.len()) as u64;
         if blocked > 0 {
-            stats.sheds_lease_blocked.add(blocked);
+            stats.counters.sheds_lease_blocked.add(blocked);
             host.event(&SHED_LEASE_BLOCKED, blocked, 0);
         }
         candidates.sort_by(|a, b| vm_demand(b).total_cmp(&vm_demand(a)));
@@ -589,7 +589,7 @@ fn take_for_migration(host: &mut Host, stats: &mut ControllerStats, vm: VmId) ->
     // VM already moved: the receiver's hold will expire.
     let pos = host.vms.iter().position(|v| v.id == vm)?;
     if host.book.vm_involved(vm) {
-        stats.sheds_lease_blocked.inc();
+        stats.counters.sheds_lease_blocked.inc();
         host.event(&MIGRATE_LEASE_BLOCKED, vm.0, 0);
         return None;
     }

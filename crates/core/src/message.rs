@@ -340,15 +340,15 @@ const _: () = {
 // Layout guards for what every server carries inline: the controller,
 // whose optional protocols are boxed and whose configs are shared, and
 // the engine's actor record. With the engine's 48-byte actor metadata a
-// node of 1 136 bytes fills a 64-byte-aligned record of 1 216 bytes (19
+// node of 992 bytes fills a 64-byte-aligned record of 1 088 bytes (17
 // cache lines).
 const _: () = {
     use crate::Controller;
     use std::mem::size_of;
     use vbundle_pastry::PastryNode;
     use vbundle_scribe::Scribe;
-    assert!(size_of::<Controller>() <= 736);
-    assert!(size_of::<PastryNode<Scribe<Controller>>>() <= 1136);
+    assert!(size_of::<Controller>() <= 600);
+    assert!(size_of::<PastryNode<Scribe<Controller>>>() <= 992);
 };
 
 // Layout guards for the per-link liveness records: a server keeps one per

@@ -53,13 +53,14 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Live heap bytes per server after `build()`: 4 289 B measured on
-/// x86-64, plus 86 B (2.0 %) of headroom. With 20-byte handles in every
-/// Pastry table the same cluster held 5 866 B per server; with 24-byte
-/// handles, a 2 048-byte actor record and four configs copied into every
-/// server, 6 904 B; before each per-node table was sized to its bound,
-/// 8 937 B.
-const BUDGET_PER_SERVER: i64 = 4_375;
+/// Live heap bytes per server after `build()`: 3 808 B measured on
+/// x86-64, plus 76 B (2.0 %) of headroom. With one `Rc` per metric
+/// counter (and a 1 216-byte actor record) the same cluster held 4 289 B
+/// per server; with 20-byte handles in every Pastry table, 5 866 B; with
+/// 24-byte handles, a 2 048-byte actor record and four configs copied
+/// into every server, 6 904 B; before each per-node table was sized to
+/// its bound, 8 937 B.
+const BUDGET_PER_SERVER: i64 = 3_884;
 
 /// Per server, what `overlay::build_states` leaves live, table by table
 /// (DESIGN.md "Per-server footprint"): both leaf-set sides (2 × 8 actor

@@ -4,12 +4,13 @@
 //! built so that turning any of them on **cannot change a simulation
 //! run**:
 //!
-//! 1. **Metrics** ([`Registry`]) — interned counters, gauges and
-//!    fixed-bucket histograms with per-subsystem [`Scope`]s and
-//!    deterministic JSON/CSV export. Handles ([`Counter`], [`Gauge`],
-//!    [`Histogram`]) are cheap `Rc` cells: incrementing one is a plain
-//!    load/add/store, so subsystems keep their counters *on* registry
-//!    handles instead of ad-hoc stat structs.
+//! 1. **Metrics** ([`Registry`]) — counter sets, gauges and fixed-bucket
+//!    histograms named per subsystem, with deterministic JSON/CSV
+//!    export. A subsystem declares its [`Counter`]s once, as a
+//!    [`counters!`] set held in one `Rc` and attached to the registry
+//!    once: incrementing a counter is a plain load/add/store, so
+//!    subsystems keep their tallies *in* the exported set instead of
+//!    ad-hoc stat structs.
 //! 2. **Sim-time tracing** ([`FlightRecorder`]) — a bounded ring of
 //!    fixed-size `Copy` records keyed by `(tick, node, subsystem)`: a
 //!    static [`Kind`] and two integer operands, rendered to text only
@@ -36,4 +37,4 @@ mod registry;
 
 pub use profile::{HotSection, Profiler, SectionStats, SAMPLE_EVERY};
 pub use recorder::{FlightRecorder, Kind, ObsEvent, Subsystem};
-pub use registry::{Counter, Gauge, Histogram, MetricKind, Registry, Scope};
+pub use registry::{Counter, CounterSet, Gauge, Histogram, MetricKind, Registry};

@@ -1,25 +1,36 @@
-//! The metrics plane: named, sharded counter/gauge/histogram handles and
+//! The metrics plane: counter sets, gauge/histogram handles and
 //! deterministic JSON/CSV export.
 //!
-//! # Handles and shards
+//! # Counter sets
 //!
-//! A metric is registered once by name and manipulated through a *handle*
-//! ([`Counter`], [`Gauge`], [`Histogram`]). Handles are `Rc` cells: clone
-//! freely, increment from anywhere, no locking (the simulation is
-//! single-threaded by design). Registering the **same name again** returns
-//! a fresh *shard* of the same logical metric — the per-CPU-counter idiom:
-//! each of N controllers owns its own shard (readable on its own for
-//! per-server assertions), and export sums the shards into one series.
+//! A subsystem declares its counters once, as a struct of [`Counter`]
+//! fields generated by [`counters!`](crate::counters): each field is a
+//! plain `Cell<u64>` inline in the set, and the owner holds the whole set
+//! in one `Rc`. [`Registry::attach`] records that `Rc` under a scope — one
+//! 16-B entry per set; the field names are stored once per scope and set
+//! type — and export sums `<scope>/<field>` over every set attached there
+//! (the per-CPU-counter idiom: each of N controllers owns its set, readable
+//! on its own for per-server assertions, and export sums them into one
+//! series). An unattached set still counts; it is just never exported.
+//!
+//! # Gauges and histograms
+//!
+//! A gauge or histogram is registered by name and manipulated through an
+//! `Rc` *handle* ([`Gauge`], [`Histogram`]): clone freely, write from
+//! anywhere, no locking (the simulation is single-threaded by design).
+//! Registering the **same name again** returns a fresh *shard* of the same
+//! logical metric, and export sums the shards.
 //!
 //! # Determinism
 //!
-//! Interning order, shard order and export order are all functions of the
-//! (deterministic) program, never of wall time or hashing, so two seeded
-//! runs export byte-identical reports. Export sorts by metric name.
+//! Interning order, attach order and export order are all functions of
+//! the (deterministic) program, never of wall time or hashing, so two
+//! seeded runs export byte-identical reports. Export sorts by metric name.
 
+use std::any::TypeId;
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::rc::Rc;
 
 /// What kind of series a metric is.
@@ -33,15 +44,17 @@ pub enum MetricKind {
     Histogram,
 }
 
-/// A monotonically increasing counter handle.
+/// A monotonically increasing counter: one field of a [`CounterSet`].
 ///
-/// `Default` yields a *detached* counter: it counts, but belongs to no
-/// registry and is never exported — the zero-configuration state of a
-/// subsystem before [`Scope::counter`] attaches a registered shard.
-#[derive(Debug, Clone, Default)]
-pub struct Counter {
-    cell: Rc<Cell<u64>>,
-}
+/// It is not `Clone`: a clone would copy the count, not share it. Owners
+/// share a counter by sharing the `Rc` of its set.
+///
+/// ```compile_fail
+/// let counter = vbundle_obs::Counter::default();
+/// let _copy = counter.clone();
+/// ```
+#[derive(Debug, Default)]
+pub struct Counter(Cell<u64>);
 
 impl Counter {
     /// Adds one.
@@ -53,18 +66,85 @@ impl Counter {
     /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.cell.set(self.cell.get() + n);
+        self.0.set(self.0.get() + n);
     }
 
-    /// Current value of *this shard* (not the logical metric's sum).
+    /// Current value of *this owner's* counter (not the exported sum).
     #[inline]
     pub fn get(&self) -> u64 {
-        self.cell.get()
+        self.0.get()
     }
 }
 
-/// A last-written-value gauge handle. See [`Counter`] for the detached
-/// `Default` semantics.
+/// A named set of [`Counter`]s, the unit [`Registry::attach`] records.
+/// Implemented by [`counters!`](crate::counters), not by hand.
+pub trait CounterSet: fmt::Debug + 'static {
+    /// The field names in declaration order, exported as
+    /// `<scope>/<name>`.
+    fn names() -> &'static [&'static str]
+    where
+        Self: Sized;
+
+    /// The counter named `names()[i]`.
+    fn counter(&self, i: usize) -> &Counter;
+}
+
+/// Declares a [`CounterSet`]: a struct whose fields are all [`Counter`]s,
+/// with `Default`, the set's field-name list and a `Debug` that prints
+/// each field's value.
+///
+/// ```
+/// vbundle_obs::counters! {
+///     /// Requests and their failures.
+///     pub struct Tally {
+///         /// Requests seen.
+///         pub seen: Counter,
+///         /// Requests that failed.
+///         pub failed: Counter,
+///     }
+/// }
+/// let tally = Tally::default();
+/// tally.seen.inc();
+/// assert_eq!(format!("{tally:?}"), "Tally { seen: 1, failed: 0 }");
+/// ```
+#[macro_export]
+macro_rules! counters {
+    (
+        $(#[$attr:meta])*
+        $vis:vis struct $name:ident {
+            $( $(#[$fattr:meta])* $fvis:vis $field:ident: Counter ),* $(,)?
+        }
+    ) => {
+        $(#[$attr])*
+        #[derive(Default)]
+        $vis struct $name {
+            $( $(#[$fattr])* $fvis $field: $crate::Counter, )*
+        }
+
+        impl $crate::CounterSet for $name {
+            fn names() -> &'static [&'static str] {
+                &[$(stringify!($field)),*]
+            }
+
+            fn counter(&self, i: usize) -> &$crate::Counter {
+                [$(&self.$field),*][i]
+            }
+        }
+
+        impl ::std::fmt::Debug for $name {
+            fn fmt(&self, f: &mut ::std::fmt::Formatter<'_>) -> ::std::fmt::Result {
+                f.debug_struct(stringify!($name))
+                    $(.field(stringify!($field), &self.$field.get()))*
+                    .finish()
+            }
+        }
+    };
+}
+
+/// A last-written-value gauge handle.
+///
+/// `Default` yields a *detached* gauge: it holds a level, but belongs to
+/// no registry and is never exported.
 #[derive(Debug, Clone, Default)]
 pub struct Gauge {
     cell: Rc<Cell<f64>>,
@@ -172,7 +252,11 @@ impl Histogram {
 
 #[derive(Debug)]
 enum Slot {
-    Counter(Vec<Counter>),
+    /// Field `field` of every set in group `group`.
+    Counter {
+        group: usize,
+        field: usize,
+    },
     Gauge(Vec<Gauge>),
     Histogram(Vec<Histogram>),
 }
@@ -180,31 +264,36 @@ enum Slot {
 impl Slot {
     fn kind(&self) -> MetricKind {
         match self {
-            Slot::Counter(_) => MetricKind::Counter,
+            Slot::Counter { .. } => MetricKind::Counter,
             Slot::Gauge(_) => MetricKind::Gauge,
             Slot::Histogram(_) => MetricKind::Histogram,
         }
     }
 }
 
+/// Every set of one type attached under one scope.
+#[derive(Debug)]
+struct SetGroup {
+    scope: String,
+    set_type: TypeId,
+    sets: Vec<Rc<dyn CounterSet>>,
+}
+
 #[derive(Debug, Default)]
 struct RegistryInner {
     entries: Vec<(String, Slot)>,
     by_name: BTreeMap<String, usize>,
+    groups: Vec<SetGroup>,
 }
 
 impl RegistryInner {
-    fn slot_for(&mut self, name: &str, kind: MetricKind) -> &mut Slot {
+    /// The slot registered as `name`, created by `make` if there is none.
+    fn slot_for(&mut self, name: &str, kind: MetricKind, make: impl FnOnce() -> Slot) -> &mut Slot {
         let idx = match self.by_name.get(name) {
             Some(&idx) => idx,
             None => {
                 let idx = self.entries.len();
-                let slot = match kind {
-                    MetricKind::Counter => Slot::Counter(Vec::new()),
-                    MetricKind::Gauge => Slot::Gauge(Vec::new()),
-                    MetricKind::Histogram => Slot::Histogram(Vec::new()),
-                };
-                self.entries.push((name.to_string(), slot));
+                self.entries.push((name.to_string(), make()));
                 self.by_name.insert(name.to_string(), idx);
                 idx
             }
@@ -217,15 +306,26 @@ impl RegistryInner {
         );
         slot
     }
+
+    /// The summed value of field `field` across the sets of `group`.
+    fn counter_sum(&self, group: usize, field: usize) -> u64 {
+        self.groups[group]
+            .sets
+            .iter()
+            .map(|s| s.counter(field).get())
+            .sum()
+    }
 }
 
-/// The metric registry: interns names, retains one shard list per logical
-/// metric and renders deterministic exports.
+/// The metric registry: interns names, retains the attached counter sets
+/// and one shard list per gauge or histogram, and renders deterministic
+/// exports.
 ///
 /// Cloning shares the registry (it is a handle itself). A
-/// [`Registry::disabled`] registry hands out detached handles that still
-/// count — callers never branch — but retains nothing and exports empty
-/// reports: the zero-bookkeeping configuration.
+/// [`Registry::disabled`] registry ignores [`Registry::attach`] and hands
+/// out detached handles that still count — callers never branch — but
+/// retains nothing and exports empty reports: the zero-bookkeeping
+/// configuration.
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
     inner: Option<Rc<RefCell<RegistryInner>>>,
@@ -250,20 +350,50 @@ impl Registry {
         self.inner.is_some()
     }
 
-    /// Registers (or shards) the counter `name` and returns a new handle.
+    /// Attaches `set` under `scope`: export sums each field as
+    /// `<scope>/<field>` across every set of its type attached there. The
+    /// first set of a type under a scope registers the names; each later
+    /// one costs one `Rc` in the group's list.
     ///
     /// # Panics
     ///
-    /// Panics if `name` is already registered with a different kind.
-    pub fn counter(&self, name: &str) -> Counter {
-        let handle = Counter::default();
-        if let Some(inner) = &self.inner {
-            match inner.borrow_mut().slot_for(name, MetricKind::Counter) {
-                Slot::Counter(shards) => shards.push(handle.clone()),
-                _ => unreachable!("slot_for checked the kind"),
+    /// Panics if one of the names is already registered with a different
+    /// kind, or by another set type.
+    pub fn attach<S: CounterSet>(&self, scope: &str, set: &Rc<S>) {
+        let Some(inner) = &self.inner else {
+            return;
+        };
+        let mut inner = inner.borrow_mut();
+        let set_type = TypeId::of::<S>();
+        let found = inner
+            .groups
+            .iter()
+            .position(|g| g.set_type == set_type && g.scope == scope);
+        let group = match found {
+            Some(group) => group,
+            None => {
+                let group = inner.groups.len();
+                for (field, name) in S::names().iter().enumerate() {
+                    let name = format!("{scope}/{name}");
+                    let slot = inner.slot_for(&name, MetricKind::Counter, || Slot::Counter {
+                        group,
+                        field,
+                    });
+                    assert!(
+                        matches!(*slot, Slot::Counter { group: g, .. } if g == group),
+                        "counter {name:?} is declared by two counter sets"
+                    );
+                }
+                inner.groups.push(SetGroup {
+                    scope: scope.to_string(),
+                    set_type,
+                    sets: Vec::new(),
+                });
+                group
             }
-        }
-        handle
+        };
+        let set: Rc<dyn CounterSet> = set.clone();
+        inner.groups[group].sets.push(set);
     }
 
     /// Registers (or shards) the gauge `name` and returns a new handle.
@@ -274,7 +404,8 @@ impl Registry {
     pub fn gauge(&self, name: &str) -> Gauge {
         let handle = Gauge::default();
         if let Some(inner) = &self.inner {
-            match inner.borrow_mut().slot_for(name, MetricKind::Gauge) {
+            let mut inner = inner.borrow_mut();
+            match inner.slot_for(name, MetricKind::Gauge, || Slot::Gauge(Vec::new())) {
                 Slot::Gauge(shards) => shards.push(handle.clone()),
                 _ => unreachable!("slot_for checked the kind"),
             }
@@ -293,7 +424,8 @@ impl Registry {
     pub fn histogram(&self, name: &str, bounds: &[f64]) -> Histogram {
         let handle = Histogram::with_bounds(bounds);
         if let Some(inner) = &self.inner {
-            match inner.borrow_mut().slot_for(name, MetricKind::Histogram) {
+            let mut inner = inner.borrow_mut();
+            match inner.slot_for(name, MetricKind::Histogram, || Slot::Histogram(Vec::new())) {
                 Slot::Histogram(shards) => {
                     if let Some(first) = shards.first() {
                         assert!(
@@ -309,15 +441,6 @@ impl Registry {
         handle
     }
 
-    /// A scope that prefixes every metric it registers with
-    /// `<prefix>/` — one scope per subsystem keeps names collision-free.
-    pub fn scope(&self, prefix: &str) -> Scope {
-        Scope {
-            registry: self.clone(),
-            prefix: prefix.to_string(),
-        }
-    }
-
     /// Registered metric names in export (sorted) order.
     pub fn names(&self) -> Vec<String> {
         match &self.inner {
@@ -326,13 +449,13 @@ impl Registry {
         }
     }
 
-    /// The summed value of counter `name` across its shards.
+    /// The summed value of counter `name` across its attached sets.
     pub fn counter_value(&self, name: &str) -> Option<u64> {
         let inner = self.inner.as_ref()?;
         let inner = inner.borrow();
         let &idx = inner.by_name.get(name)?;
-        match &inner.entries[idx].1 {
-            Slot::Counter(shards) => Some(shards.iter().map(Counter::get).sum()),
+        match inner.entries[idx].1 {
+            Slot::Counter { group, field } => Some(inner.counter_sum(group, field)),
             _ => None,
         }
     }
@@ -358,8 +481,8 @@ impl Registry {
             let inner = inner.borrow();
             for (name, &idx) in &inner.by_name {
                 match &inner.entries[idx].1 {
-                    Slot::Counter(shards) => {
-                        let v: u64 = shards.iter().map(Counter::get).sum();
+                    &Slot::Counter { group, field } => {
+                        let v = inner.counter_sum(group, field);
                         sep(&mut counters);
                         let _ = write!(counters, "\"{name}\": {v}");
                     }
@@ -405,8 +528,8 @@ impl Registry {
             let inner = inner.borrow();
             for (name, &idx) in &inner.by_name {
                 match &inner.entries[idx].1 {
-                    Slot::Counter(shards) => {
-                        let v: u64 = shards.iter().map(Counter::get).sum();
+                    &Slot::Counter { group, field } => {
+                        let v = inner.counter_sum(group, field);
                         let _ = writeln!(out, "{name},counter,{v}");
                     }
                     Slot::Gauge(shards) => {
@@ -432,42 +555,6 @@ impl Registry {
             }
         }
         out
-    }
-}
-
-/// A name-prefixing view of a [`Registry`]: metrics registered through a
-/// scope are named `<prefix>/<name>`.
-#[derive(Debug, Clone)]
-pub struct Scope {
-    registry: Registry,
-    prefix: String,
-}
-
-impl Scope {
-    /// Registers (or shards) the counter `<prefix>/<name>`.
-    pub fn counter(&self, name: &str) -> Counter {
-        self.registry.counter(&format!("{}/{name}", self.prefix))
-    }
-
-    /// Registers (or shards) the gauge `<prefix>/<name>`.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        self.registry.gauge(&format!("{}/{name}", self.prefix))
-    }
-
-    /// Registers (or shards) the histogram `<prefix>/<name>`.
-    pub fn histogram(&self, name: &str, bounds: &[f64]) -> Histogram {
-        self.registry
-            .histogram(&format!("{}/{name}", self.prefix), bounds)
-    }
-
-    /// A nested scope `<prefix>/<name>`.
-    pub fn scope(&self, name: &str) -> Scope {
-        self.registry.scope(&format!("{}/{name}", self.prefix))
-    }
-
-    /// The owning registry.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
     }
 }
 
@@ -508,25 +595,54 @@ fn merge_hist(shards: &[Histogram]) -> (Vec<f64>, Vec<u64>, f64, u64) {
 mod tests {
     use super::*;
 
+    crate::counters! {
+        struct Hits {
+            hits: Counter,
+            misses: Counter,
+        }
+    }
+
+    crate::counters! {
+        struct Level {
+            level: Counter,
+        }
+    }
+
     #[test]
-    fn counter_shards_sum_on_export() {
+    fn counter_sets_sum_on_export() {
         let reg = Registry::new();
-        let a = reg.counter("x/hits");
-        let b = reg.counter("x/hits");
-        a.add(3);
-        b.add(4);
-        assert_eq!(a.get(), 3, "per-shard reads stay per-shard");
+        let a = Rc::new(Hits::default());
+        let b = Rc::new(Hits::default());
+        reg.attach("x", &a);
+        reg.attach("x", &b);
+        a.hits.add(3);
+        b.hits.add(4);
+        b.misses.inc();
+        assert_eq!(a.hits.get(), 3, "each owner reads its own value");
+        assert_eq!(b.hits.get(), 4);
         assert_eq!(reg.counter_value("x/hits"), Some(7));
+        assert_eq!(reg.counter_value("x/misses"), Some(1));
+        assert_eq!(
+            reg.names(),
+            vec!["x/hits".to_string(), "x/misses".to_string()]
+        );
+        assert_eq!(reg.inner.as_ref().unwrap().borrow().groups.len(), 1);
     }
 
     #[test]
     fn detached_handles_count_but_export_nothing() {
         let reg = Registry::disabled();
-        let c = reg.counter("x");
-        c.inc();
-        assert_eq!(c.get(), 1);
+        let set = Rc::new(Hits::default());
+        reg.attach("x", &set);
+        set.hits.inc();
+        assert_eq!(set.hits.get(), 1);
+        assert_eq!(
+            Rc::strong_count(&set),
+            1,
+            "a disabled registry keeps no set"
+        );
         assert!(!reg.is_enabled());
-        assert_eq!(reg.counter_value("x"), None);
+        assert_eq!(reg.counter_value("x/hits"), None);
         assert!(reg.names().is_empty());
         assert_eq!(reg.to_csv(), "metric,kind,value\n");
     }
@@ -534,19 +650,18 @@ mod tests {
     #[test]
     fn scope_prefixes_names() {
         let reg = Registry::new();
-        let scope = reg.scope("engine").scope("faults");
-        let c = scope.counter("dropped");
-        c.inc();
-        assert_eq!(reg.counter_value("engine/faults/dropped"), Some(1));
-        assert!(scope.registry().is_enabled());
+        let set = Rc::new(Level::default());
+        reg.attach("engine/faults", &set);
+        set.level.inc();
+        assert_eq!(reg.counter_value("engine/faults/level"), Some(1));
     }
 
     #[test]
     fn ids_are_interned_in_registration_order() {
         let reg = Registry::new();
-        reg.counter("b");
-        reg.counter("a");
-        reg.counter("b");
+        reg.gauge("b");
+        reg.gauge("a");
+        reg.gauge("b");
         let idx = |name: &str| {
             let inner = reg.inner.as_ref().unwrap().borrow();
             inner.by_name.get(name).copied()
@@ -560,11 +675,39 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "already registered")]
+    #[should_panic(expected = "already registered as Gauge, not Counter")]
     fn kind_conflicts_are_programmer_errors() {
         let reg = Registry::new();
-        reg.counter("x");
-        reg.gauge("x");
+        reg.gauge("x/level");
+        reg.attach("x", &Rc::new(Level::default()));
+    }
+
+    #[test]
+    #[should_panic(expected = "already registered as Counter, not Gauge")]
+    fn gauge_named_like_a_set_field_is_a_kind_conflict() {
+        let reg = Registry::new();
+        reg.attach("x", &Rc::new(Level::default()));
+        reg.gauge("x/level");
+    }
+
+    #[test]
+    #[should_panic(expected = "declared by two counter sets")]
+    fn two_set_types_cannot_share_a_name() {
+        crate::counters! {
+            struct OtherHits {
+                hits: Counter,
+            }
+        }
+        let reg = Registry::new();
+        reg.attach("x", &Rc::new(Hits::default()));
+        reg.attach("x", &Rc::new(OtherHits::default()));
+    }
+
+    #[test]
+    fn set_debug_prints_values() {
+        let set = Hits::default();
+        set.misses.add(2);
+        assert_eq!(format!("{set:?}"), "Hits { hits: 0, misses: 2 }");
     }
 
     #[test]
@@ -614,23 +757,38 @@ mod tests {
     fn exports_are_deterministic_and_sorted() {
         let build = || {
             let reg = Registry::new();
-            reg.counter("z/late").add(2);
-            reg.counter("b/early").add(1);
+            let late = Rc::new(Hits::default());
+            let early = Rc::new(Level::default());
+            reg.attach("z", &late);
+            reg.attach("b", &early);
+            reg.attach("z", &Rc::new(Hits::default()));
+            late.hits.add(2);
+            early.level.inc();
             reg.gauge("a/level").set(1.5);
             reg.histogram("m/dist", &[1.0]).record(0.5);
             (reg.to_json(), reg.to_csv())
         };
         assert_eq!(build(), build());
         let (json, csv) = build();
-        // Within a kind section, metrics are sorted by name regardless of
-        // registration order.
-        assert!(json.find("\"b/early\"").unwrap() < json.find("\"z/late\"").unwrap());
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "metric,kind,value");
-        assert_eq!(lines[1], "a/level,gauge,1.5");
-        assert_eq!(lines[2], "b/early,counter,1");
-        assert!(lines.contains(&"z/late,counter,2"));
-        assert!(lines.contains(&"m/dist,le=+inf,0"));
+        assert_eq!(
+            json,
+            "{\n  \"counters\": {\"b/level\": 1, \"z/hits\": 2, \"z/misses\": 0},\n  \
+             \"gauges\": {\"a/level\": 1.5},\n  \
+             \"histograms\": {\"m/dist\": {\"count\": 1, \"sum\": 0.5, \"buckets\": \
+             [{\"le\": 1, \"count\": 1}, {\"le\": \"+inf\", \"count\": 0}]}}\n}"
+        );
+        assert_eq!(
+            csv,
+            "metric,kind,value\n\
+             a/level,gauge,1.5\n\
+             b/level,counter,1\n\
+             m/dist,histogram_count,1\n\
+             m/dist,histogram_sum,0.5\n\
+             m/dist,le=1,1\n\
+             m/dist,le=+inf,0\n\
+             z/hits,counter,2\n\
+             z/misses,counter,0\n"
+        );
     }
 
     #[test]

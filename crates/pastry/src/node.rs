@@ -3,7 +3,7 @@
 use std::rc::Rc;
 
 use vbundle_fdetect::{backoff_rounds, PeerDetector, Verdict};
-use vbundle_obs::{Counter, FlightRecorder, Kind, Registry, Subsystem};
+use vbundle_obs::{counters, FlightRecorder, Kind, Registry, Subsystem};
 use vbundle_sim::{Actor, ActorId, Context as SimContext, Message, SimDuration, SimTime};
 
 use crate::message::{PastryMsg, RouteEnvelope, Signal};
@@ -234,6 +234,17 @@ impl LeafLink {
     }
 }
 
+counters! {
+    /// The obs counter set of one Pastry node.
+    struct PastryCounters {
+        /// Peers evicted by this node's own failure detector. Bounced-send
+        /// evictions are not counted: under a lossy or partitioned network
+        /// every detector eviction is a false positive, which is what the
+        /// chaos harness measures.
+        evictions: Counter,
+    }
+}
+
 /// A Pastry overlay node hosting an application of type `A`.
 ///
 /// Implements [`Actor`] for the simulation engine; see
@@ -254,13 +265,9 @@ pub struct PastryNode<A: PastryApp> {
     /// after a round: at most `2 × leaf_half` records, none at all with
     /// heartbeats off.
     links: Vec<LeafLink>,
-    /// Peers evicted by this node's own failure detector.
-    /// Bounced-send evictions are not counted: under a lossy or partitioned
-    /// network every detector eviction is a false positive, which is what
-    /// the chaos harness measures. An obs shard: detached by default,
-    /// summed across nodes under `pastry/evictions` once
+    /// This node's obs counters, summed across nodes under `pastry/` once
     /// [`PastryNode::attach_obs`] is called.
-    evictions: Counter,
+    counters: Rc<PastryCounters>,
     /// Flight-recorder handle for eviction events (disabled by default).
     flight: FlightRecorder,
     /// Recently-forgotten nodes as `(handle, probes_sent, rounds_to_next)`.
@@ -284,7 +291,7 @@ impl<A: PastryApp> PastryNode<A> {
             joined: true,
             bootstrap: None,
             links: Vec::new(),
-            evictions: Counter::default(),
+            counters: Rc::default(),
             flight: FlightRecorder::disabled(),
             departed: Vec::new(),
         }
@@ -305,19 +312,18 @@ impl<A: PastryApp> PastryNode<A> {
             joined: false,
             bootstrap: Some(bootstrap),
             links: Vec::new(),
-            evictions: Counter::default(),
+            counters: Rc::default(),
             flight: FlightRecorder::disabled(),
             departed: Vec::new(),
         }
     }
 
-    /// Attaches this node to the shared observability planes: the eviction
-    /// tally becomes a shard of `pastry/evictions` in `registry` (summed
-    /// across nodes on export; [`PastryNode::detector_evictions`] still
-    /// reads this node's own share) and eviction events are recorded on
-    /// `flight`.
+    /// Attaches this node to the shared observability planes: its counter
+    /// set joins the `pastry` scope of `registry` (summed across nodes on
+    /// export; [`PastryNode::detector_evictions`] still reads this node's
+    /// own count) and eviction events are recorded on `flight`.
     pub fn attach_obs(&mut self, registry: &Registry, flight: &FlightRecorder) {
-        self.evictions = registry.scope("pastry").counter("evictions");
+        registry.attach("pastry", &self.counters);
         self.flight = flight.clone();
     }
 
@@ -332,7 +338,7 @@ impl<A: PastryApp> PastryNode<A> {
     /// not count: under lossy links or partitions, where no actor has
     /// actually crashed, this is exactly the false-positive eviction count.
     pub fn detector_evictions(&self) -> u64 {
-        self.evictions.get()
+        self.counters.evictions.get()
     }
 
     /// The node's routing state.
@@ -687,7 +693,7 @@ impl<A: PastryApp> PastryNode<A> {
         }
         debug_assert_eq!(met, self.links.len(), "a record outlived its membership");
         for d in dead {
-            self.evictions.inc();
+            self.counters.evictions.inc();
             let (at, me) = (ctx.now().as_micros(), ctx.self_id().index() as u32);
             let peer = d.actor.index() as u64;
             self.flight

@@ -12,7 +12,7 @@
 use std::rc::Rc;
 
 use vbundle_fdetect::{DedupWindow, Verdict};
-use vbundle_obs::{Counter, FlightRecorder, Kind, Registry, Subsystem};
+use vbundle_obs::{counters, FlightRecorder, Kind, Registry, Subsystem};
 use vbundle_pastry::{
     actor_distance, AppCtx, Id, Key, NodeHandle, PastryApp, RouteDecision, Signal, Site,
 };
@@ -384,13 +384,9 @@ pub struct Scribe<C: ScribeClient> {
     pub_seen: Option<Box<DedupWindow<(u128, u64)>>>,
     /// Nonce for the next Publish this node sends toward a root.
     next_pub_nonce: u64,
-    /// Tree links dropped by parent-side expiry. An obs shard: detached by
-    /// default, summed across nodes under `scribe/children_expired` once
+    /// This node's obs counters, summed across nodes under `scribe/` once
     /// [`Scribe::attach_obs`] is called.
-    children_expired: Counter,
-    /// Anycast steps taken at this node, a shard of `scribe/anycast_steps`
-    /// in the same way: walks that knock on every door show up here.
-    anycast_steps: Counter,
+    counters: Rc<ScribeCounters>,
     /// Flight-recorder handle for expiry and misdelivery events (disabled
     /// by default).
     flight: FlightRecorder,
@@ -398,6 +394,17 @@ pub struct Scribe<C: ScribeClient> {
     /// Immutable and the same on every node, so the v-Bundle cluster
     /// builder hands each node a clone of one `Rc`.
     config: Rc<ScribeConfig>,
+}
+
+counters! {
+    /// The obs counter set of one Scribe node.
+    struct ScribeCounters {
+        /// Tree links dropped by parent-side expiry.
+        children_expired: Counter,
+        /// Anycast steps taken at this node: walks that knock on every door
+        /// show up here.
+        anycast_steps: Counter,
+    }
 }
 
 /// Root-side memory of recently disseminated Publish nonces.
@@ -416,28 +423,25 @@ impl<C: ScribeClient> Scribe<C> {
             groups: Groups::default(),
             pub_seen: None,
             next_pub_nonce: 0,
-            children_expired: Counter::default(),
-            anycast_steps: Counter::default(),
+            counters: Rc::default(),
             flight: FlightRecorder::disabled(),
             client,
             config: config.into(),
         }
     }
 
-    /// Attaches this layer to the shared observability planes: the expiry
-    /// and anycast-step tallies become shards of `scribe/children_expired`
-    /// and `scribe/anycast_steps` in `registry` (summed across nodes on
-    /// export) and expiry and misdelivery events are recorded on `flight`.
+    /// Attaches this layer to the shared observability planes: its
+    /// counter set joins the `scribe` scope of `registry` (summed across
+    /// nodes on export) and expiry and misdelivery events are recorded on
+    /// `flight`.
     pub fn attach_obs(&mut self, registry: &Registry, flight: &FlightRecorder) {
-        let scope = registry.scope("scribe");
-        self.children_expired = scope.counter("children_expired");
-        self.anycast_steps = scope.counter("anycast_steps");
+        registry.attach("scribe", &self.counters);
         self.flight = flight.clone();
     }
 
     /// Tree links this node has dropped by parent-side expiry so far.
     pub fn children_expired(&self) -> u64 {
-        self.children_expired.get()
+        self.counters.children_expired.get()
     }
 
     /// Grafts `child` below this node in `group`'s tree — or, if it is
@@ -821,7 +825,7 @@ impl<C: ScribeClient> Scribe<C> {
     ) {
         let me = pastry.self_handle();
         let g = env.group;
-        self.anycast_steps.inc();
+        self.counters.anycast_steps.inc();
         if env.ttl == 0 {
             self.anycast_fail(pastry, *env);
             return;
@@ -1081,8 +1085,7 @@ impl<C: ScribeClient> PastryApp for Scribe<C> {
                 group,
                 child,
                 summary,
-            } => {
-                debug_assert_eq!(key, group);
+            } if key == group => {
                 // We are (numerically closest to) the rendezvous point.
                 let me = ctx.self_handle();
                 let st = self.groups.entry(group);
@@ -1097,7 +1100,7 @@ impl<C: ScribeClient> PastryApp for Scribe<C> {
                 payload,
                 origin,
                 nonce,
-            } => {
+            } if key == group => {
                 // A Publish duplicated in flight must not fan out twice
                 // under two root-assigned sequence numbers. Poisoned
                 // payloads are dropped before they can fan out at all.
@@ -1116,7 +1119,9 @@ impl<C: ScribeClient> PastryApp for Scribe<C> {
                     self.with_client(ctx, |c, sctx| c.deliver_routed(sctx, key, m, origin));
                 }
             }
-            // Direct-only variants never travel routed.
+            // Direct-only variants never travel routed, and a Join or a
+            // Publish only to its group's key: one routed elsewhere would
+            // make this node a false root.
             _ => self.drop_misdelivered(ctx, origin, true),
         }
     }
@@ -1296,7 +1301,7 @@ impl<C: ScribeClient> PastryApp for Scribe<C> {
                         .get_mut(g)
                         .is_some_and(|st| st.children.remove(child.id));
                     if removed {
-                        self.children_expired.inc();
+                        self.counters.children_expired.inc();
                         let at = ctx.now().as_micros();
                         let me = ctx.self_handle().actor.index() as u32;
                         let (who, top) = (child.actor.index() as u64, (g.as_u128() >> 64) as u64);

@@ -541,6 +541,70 @@ fn a_misdelivered_variant_is_dropped() {
     );
 }
 
+/// A `Join` or `Publish` routed to a key that is not its group reaches a
+/// node that is not the group's rendezvous: it is dropped as misdelivered
+/// — no panic, no second root, no dissemination — with one flight record
+/// each.
+#[test]
+fn a_join_or_publish_routed_off_its_group_is_dropped() {
+    let (mut net, handles) = launch(16, IdAssignment::TopologyAware, 43);
+    let g = group_id("forged-roots");
+    join_all(&mut net, &handles, g);
+    let is_root =
+        |net: &Net, h: &NodeHandle| net.actor(h.actor).app().group(g).is_some_and(|st| st.root);
+    let sender = handles[2];
+    let target = *handles
+        .iter()
+        .find(|h| !is_root(&net, h) && h.actor != sender.actor)
+        .expect("a node that is not the root");
+    let flight = FlightRecorder::new(16);
+    net.actor_mut(target.actor)
+        .app_mut()
+        .attach_obs(&Registry::new(), &flight);
+    let snapshot = |net: &Net| -> Vec<String> {
+        handles
+            .iter()
+            .map(|h| {
+                let scribe = net.actor(h.actor).app();
+                format!("{:?} {:?}", scribe.client(), scribe.group(g))
+            })
+            .collect()
+    };
+    let before = snapshot(&net);
+    let join = ScribeMsg::Join {
+        group: g,
+        child: sender,
+        summary: None,
+    };
+    let publish = ScribeMsg::Publish {
+        group: g,
+        payload: TestPayload(5),
+        origin: sender.id.as_u128(),
+        nonce: 1,
+    };
+    for payload in [join, publish] {
+        let routed = PastryMsg::Route(Box::new(RouteEnvelope {
+            key: target.id,
+            payload,
+            hops: 0,
+            origin: sender,
+        }));
+        net.post(target.actor, sender.actor, routed, SimDuration::ZERO);
+    }
+    net.run_to_quiescence();
+    assert_eq!(
+        handles.iter().filter(|h| is_root(&net, h)).count(),
+        1,
+        "one root"
+    );
+    assert_eq!(snapshot(&net), before);
+    let at = net.now().as_micros();
+    let records: Vec<String> = flight.snapshot().iter().map(|e| e.to_string()).collect();
+    let (node, from) = (target.actor.index(), sender.actor.index());
+    let record = format!("[{at}us] node#{node} scribe/misdelivered from={from} routed=1");
+    assert_eq!(records, [record.clone(), record]);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 

@@ -9,11 +9,13 @@
 //! byte-identical seeded-replay contract the chaos and golden gates
 //! depend on.
 
+use std::rc::Rc;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use vbundle_obs::{
-    Counter, FlightRecorder, Gauge, HotSection, Kind, Profiler, Registry, Subsystem,
+    counters, FlightRecorder, Gauge, HotSection, Kind, Profiler, Registry, Subsystem,
 };
 
 use crate::actor::{Actor, ActorId, Context, Effect, Message};
@@ -24,24 +26,38 @@ use crate::prefetch;
 use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
 
-/// The engine's own registry handles. Event and fault tallies live *on*
-/// these obs counters — `events_processed()` / `fault_stats()` read them
-/// back — so one export surface (the registry) covers the engine without
-/// a parallel stat struct to keep in sync.
+counters! {
+    /// The engine's event tallies, exported under `engine/`.
+    struct EventCounters {
+        /// Events dispatched (messages + timers + bounces).
+        events: Counter,
+        /// Messages delivered into `Actor::on_message`.
+        deliveries: Counter,
+    }
+}
+
+counters! {
+    /// The fault injector's tallies, exported under `engine/faults/`.
+    struct FaultCounters {
+        /// Sends silently discarded by the fault injector.
+        dropped: Counter,
+        /// Sends delivered late by the fault injector.
+        delayed: Counter,
+        /// Sends delivered twice by the fault injector.
+        duplicated: Counter,
+        /// Sends delivered with a mutated payload.
+        corrupted: Counter,
+    }
+}
+
+/// The engine's own metrics. Event and fault tallies live *in* these obs
+/// counter sets — `events_processed()` / `fault_stats()` read them back —
+/// so one export surface (the registry) covers the engine without a
+/// parallel stat struct to keep in sync.
 #[derive(Debug)]
 struct EngineMetrics {
-    /// Events dispatched (messages + timers + bounces).
-    events: Counter,
-    /// Messages delivered into `Actor::on_message`.
-    deliveries: Counter,
-    /// Sends silently discarded by the fault injector.
-    dropped: Counter,
-    /// Sends delivered late by the fault injector.
-    delayed: Counter,
-    /// Sends delivered twice by the fault injector.
-    duplicated: Counter,
-    /// Sends delivered with a mutated payload.
-    corrupted: Counter,
+    counts: Rc<EventCounters>,
+    faults: Rc<FaultCounters>,
     /// High-water mark of the event queue, mirrored for export.
     queue_peak: Gauge,
     /// [`EventQueue::heap_bytes`], mirrored for export.
@@ -50,17 +66,15 @@ struct EngineMetrics {
 
 impl EngineMetrics {
     fn register(registry: &Registry) -> Self {
-        let scope = registry.scope("engine");
-        let faults = scope.scope("faults");
+        let counts = Rc::default();
+        let faults = Rc::default();
+        registry.attach("engine", &counts);
+        registry.attach("engine/faults", &faults);
         EngineMetrics {
-            events: scope.counter("events"),
-            deliveries: scope.counter("deliveries"),
-            dropped: faults.counter("dropped"),
-            delayed: faults.counter("delayed"),
-            duplicated: faults.counter("duplicated"),
-            corrupted: faults.counter("corrupted"),
-            queue_peak: scope.gauge("queue_peak"),
-            queue_heap_bytes: scope.gauge("queue_heap_bytes"),
+            counts,
+            faults,
+            queue_peak: registry.gauge("engine/queue_peak"),
+            queue_heap_bytes: registry.gauge("engine/queue_heap_bytes"),
         }
     }
 }
@@ -234,7 +248,7 @@ impl<W: Message, A: Actor<W>> Engine<W, A> {
 
     /// Total events dispatched so far.
     pub fn events_processed(&self) -> u64 {
-        self.engine_metrics.events.get()
+        self.engine_metrics.counts.events.get()
     }
 
     /// Immutable access to an actor's state.
@@ -358,16 +372,16 @@ impl<W: Message, A: Actor<W>> Engine<W, A> {
     /// Tally of faults applied so far, read back off the obs registry.
     pub fn fault_stats(&self) -> FaultStats {
         FaultStats {
-            dropped: self.engine_metrics.dropped.get(),
-            delayed: self.engine_metrics.delayed.get(),
-            duplicated: self.engine_metrics.duplicated.get(),
-            corrupted: self.engine_metrics.corrupted.get(),
+            dropped: self.engine_metrics.faults.dropped.get(),
+            delayed: self.engine_metrics.faults.delayed.get(),
+            duplicated: self.engine_metrics.faults.duplicated.get(),
+            corrupted: self.engine_metrics.faults.corrupted.get(),
         }
     }
 
-    /// The metrics registry shared by the whole stack. Subsystems clone
-    /// [`vbundle_obs::Scope`]s and handles off this at construction time;
-    /// exporting it (`to_json`/`to_csv`) covers engine and protocol
+    /// The metrics registry shared by the whole stack. Subsystems attach
+    /// their counter sets and register their gauges here at construction
+    /// time; exporting it (`to_json`/`to_csv`) covers engine and protocol
     /// metrics in one surface.
     ///
     /// The queue gauges (peak depth, heap held) are mirrored here, at read
@@ -517,7 +531,7 @@ impl<W: Message, A: Actor<W>> Engine<W, A> {
             let at = SimTime::from_micros(at);
             debug_assert!(at >= self.now, "event queue went backwards");
             self.now = at;
-            self.engine_metrics.events.inc();
+            self.engine_metrics.counts.events.inc();
             if !self.actors[ev.to.index()].meta.alive {
                 // A message to a dead host bounces: the sender gets a
                 // connection-failure notification after one more network
@@ -546,7 +560,7 @@ impl<W: Message, A: Actor<W>> Engine<W, A> {
                 .and_then(|p| p.start(HotSection::Dispatch));
             match ev.kind {
                 EventKind::Message { from, msg } => {
-                    self.engine_metrics.deliveries.inc();
+                    self.engine_metrics.counts.deliveries.inc();
                     self.with_ctx(ev.to, |actor, ctx| actor.on_message(ctx, from, msg));
                 }
                 EventKind::Timer { tag, .. } => {
@@ -608,18 +622,18 @@ impl<W: Message, A: Actor<W>> Engine<W, A> {
         match action {
             FaultAction::Deliver => {}
             FaultAction::Drop => {
-                self.engine_metrics.dropped.inc();
+                self.engine_metrics.faults.dropped.inc();
                 self.trace_msg(to, &FAULT_DROP, from, &msg);
                 return;
             }
             FaultAction::Delay(extra) => {
-                self.engine_metrics.delayed.inc();
+                self.engine_metrics.faults.delayed.inc();
                 self.trace(to, &FAULT_DELAY, from.index() as u64, extra.as_micros());
                 self.push(at + extra, to, EventKind::Message { from, msg });
                 return;
             }
             FaultAction::Duplicate(gap) => {
-                self.engine_metrics.duplicated.inc();
+                self.engine_metrics.faults.duplicated.inc();
                 self.trace(to, &FAULT_DUPLICATE, from.index() as u64, gap.as_micros());
                 let clone_timer = self
                     .profiler
@@ -633,7 +647,7 @@ impl<W: Message, A: Actor<W>> Engine<W, A> {
             }
             FaultAction::Corrupt(mode) => {
                 if msg.corrupt(mode) {
-                    self.engine_metrics.corrupted.inc();
+                    self.engine_metrics.faults.corrupted.inc();
                     self.trace_msg(to, &FAULT_CORRUPT, from, &msg);
                 }
             }

@@ -9,9 +9,8 @@
 //! half (a dangling *lender* half merely under-uses the bundle and is
 //! tolerated until expiry — the unsafe direction is phantom credit).
 
-use std::fmt;
+use std::rc::Rc;
 
-use vbundle_obs::Counter;
 use vbundle_sim::{ActorId, FlatMap, SimTime};
 
 use crate::ids::VmId;
@@ -67,41 +66,28 @@ impl HalfLease {
     }
 }
 
-/// Counters the trade subsystem exposes for benches and reports. Each
-/// field is an obs [`Counter`] handle: detached (counting but invisible)
-/// by default, and live in the export the moment the runtime registers
-/// the same fields under an obs scope — the trade crate itself never
-/// talks to a registry.
-#[derive(Clone, Default)]
-pub struct TradeStats {
-    /// Borrow requests anycast into the trade tree by starved local VMs.
-    pub requests_sent: Counter,
-    /// Grants this server offered as a lender.
-    pub grants_sent: Counter,
-    /// Leases committed with a local VM as borrower.
-    pub leases_borrowed: Counter,
-    /// Grants refused at commit time (stale terms, insane amounts).
-    pub grants_rejected: Counter,
-    /// Halves dropped because their validity window ended.
-    pub leases_expired: Counter,
-    /// Halves reverted early (peer crash, VM migration or shutdown).
-    pub leases_reverted: Counter,
-    /// Grants whose ack never arrived within the retry budget; the lender
-    /// kept its debit (the safe direction) and let it expire.
-    pub lender_losses: Counter,
-}
-
-impl fmt::Debug for TradeStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TradeStats")
-            .field("requests_sent", &self.requests_sent.get())
-            .field("grants_sent", &self.grants_sent.get())
-            .field("leases_borrowed", &self.leases_borrowed.get())
-            .field("grants_rejected", &self.grants_rejected.get())
-            .field("leases_expired", &self.leases_expired.get())
-            .field("leases_reverted", &self.leases_reverted.get())
-            .field("lender_losses", &self.lender_losses.get())
-            .finish()
+vbundle_obs::counters! {
+    /// Counters the trade subsystem exposes for benches and reports: one
+    /// obs counter set, held in an `Rc` by its [`TradeBook`]. It counts
+    /// from the start and enters the export once the runtime attaches the
+    /// `Rc` under an obs scope — the trade crate itself never talks to a
+    /// registry.
+    pub struct TradeStats {
+        /// Borrow requests anycast into the trade tree by starved local VMs.
+        pub requests_sent: Counter,
+        /// Grants this server offered as a lender.
+        pub grants_sent: Counter,
+        /// Leases committed with a local VM as borrower.
+        pub leases_borrowed: Counter,
+        /// Grants refused at commit time (stale terms, insane amounts).
+        pub grants_rejected: Counter,
+        /// Halves dropped because their validity window ended.
+        pub leases_expired: Counter,
+        /// Halves reverted early (peer crash, VM migration or shutdown).
+        pub leases_reverted: Counter,
+        /// Grants whose ack never arrived within the retry budget; the lender
+        /// kept its debit (the safe direction) and let it expire.
+        pub lender_losses: Counter,
     }
 }
 
@@ -112,8 +98,8 @@ impl fmt::Debug for TradeStats {
 #[derive(Debug, Clone, Default)]
 pub struct TradeBook {
     halves: FlatMap<LeaseId, HalfLease>,
-    /// Subsystem counters.
-    pub stats: TradeStats,
+    /// Subsystem counters, shared with the obs registry once attached.
+    pub stats: Rc<TradeStats>,
 }
 
 impl TradeBook {

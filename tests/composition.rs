@@ -183,14 +183,17 @@ fn all_subsystems_compose_to_the_pinned_outcome() {
     assert!(sum(&|s| stats(s).migrations_in) > 0, "no shuffle");
     assert!(sum(&|s| stats(s).backups_reserved) > 0, "no backup carve");
     assert!(
-        sum(&|s| stats(s).fo_domains_declared.get()) > 0,
+        sum(&|s| stats(s).counters.fo_domains_declared.get()) > 0,
         "no rack declared"
     );
     assert!(
-        sum(&|s| stats(s).fo_rematerialized.get()) > 0,
+        sum(&|s| stats(s).counters.fo_rematerialized.get()) > 0,
         "no failover"
     );
-    assert!(sum(&|s| stats(s).fo_fences_sent.get()) > 0, "no fence");
+    assert!(
+        sum(&|s| stats(s).counters.fo_fences_sent.get()) > 0,
+        "no fence"
+    );
     let trades = |s: usize| &cluster.controller(s).trade_book().stats;
     assert!(sum(&|s| trades(s).leases_borrowed.get()) > 0, "no lease");
     assert!(sum(&|s| trades(s).leases_expired.get()) > 0, "no expiry");
