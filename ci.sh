@@ -18,7 +18,7 @@ fi
 # length when the budget was last raised. Cut the file (ROADMAP item 1 (e),
 # the docs diet) or raise its budget here, deliberately.
 echo "==> EXPERIMENTS.md / DESIGN.md line budgets"
-for budget in EXPERIMENTS.md:1761 DESIGN.md:1494; do
+for budget in EXPERIMENTS.md:1757 DESIGN.md:1494; do
     doc=${budget%%:*} max=${budget##*:}
     lines=$(wc -l < "$doc")
     if [ "$lines" -gt "$max" ]; then
@@ -45,51 +45,35 @@ cargo bench --workspace --no-run --quiet
 echo "==> cargo test"
 cargo test --workspace
 
-# Each sweep binary's --smoke mode replays a fixed seeded subset and
-# byte-compares its report against results/<name>_smoke.golden. Any
-# drift prints a unified diff of the blessed golden vs the fresh run.
-for sweep in chaos_sweep poison_sweep bundle_market scale_sweep survivability_sweep market_sweep; do
-    echo "==> ${sweep} smoke (deterministic golden)"
-    cargo run --release -q -p vbundle-bench --bin "${sweep}" -- --smoke
+# Every fig*/ablation_*/sweep binary runs through one driver (`run_figure`,
+# crates/bench/src/lib.rs), and a failed check prints `check <name>
+# FAILED` and exits 1. `--smoke` renders a binary's deterministic text
+# twice and byte-compares it with its golden under results/ (regenerate
+# with `--smoke --bless` after an intended change, reason in CHANGES.md).
+bench() { bin=$1; shift; cargo run --release -q -p vbundle-bench --bin "$bin" -- "$@"; }
+bins=$(ls crates/bench/src/bin | sed -n 's/\.rs$//p' | grep -vx vbundle_sim)
+for run in $bins "survivability_sweep --failover"; do
+    echo "==> ${run} --smoke (deterministic, equal to its golden)"
+    bench $run --smoke
 done
 
-# The same smoke with the flight recorder and profiler on: obs observes,
-# never steers, so it must pass the unmodified golden. It is the one step
-# that records into (and renders) a live recorder.
-echo "==> chaos_sweep --smoke --obs (same golden, obs on)"
-cargo run --release -q -p vbundle-bench --bin chaos_sweep -- --smoke --obs
-
-# The full chaos sweep (a few seconds) carries the detection-quality guard
-# every message-diet step has to pass: per-scenario repair ceilings, no
-# open invariant, no false eviction under the adaptive detector. It
-# asserts them in-process and exits 1 otherwise; its CSVs are tracked, so
-# a moved number also shows up in `git status`.
-echo "==> chaos_sweep full (detection-quality guard)"
-cargo run --release -q -p vbundle-bench --bin chaos_sweep > /dev/null
-
-# The crash-only failover variant has its own golden: backup sites must
-# re-materialize dead domains' VMs without a single Restart event.
-echo "==> survivability_sweep --failover smoke (deterministic golden)"
-cargo run --release -q -p vbundle-bench --bin survivability_sweep -- --smoke --failover
-
-# The paper's figures: each fig*/ablation_* binary runs once (seconds in
-# all) and gates its figure's claim through the one figure driver: it
-# exits 1 when a check fails, so a broken claim fails CI as a panic does.
-# Each runs in its own scratch directory, so the tracked results/fig*.csv
-# stay as they are.
-root=$(pwd)
-for src in crates/bench/src/bin/fig*.rs crates/bench/src/bin/ablation_*.rs; do
-    bin=$(basename "$src" .rs)
-    echo "==> ${bin} (every check of its claim holds)"
-    scratch=$(mktemp -d)
-    if ! (cd "$scratch" && cargo run --release -q --manifest-path "$root/Cargo.toml" \
-            -p vbundle-bench --bin "$bin" > run.log 2>&1); then
-        cat "$scratch/run.log" >&2
-        rm -rf "$scratch"
-        exit 1
-    fi
-    rm -rf "$scratch"
+# The default mode of each, in the repo root: it rewrites its tracked
+# CSVs (and BENCH_{surv,market}.json), which must come out byte for byte
+# as committed. scale_sweep measures wall clock and sleeps, so it is left
+# out, and so is its CSV.
+for run in $bins "survivability_sweep --failover"; do
+    [ "$run" = scale_sweep ] && continue
+    echo "==> ${run} (every check holds)"
+    bench $run
 done
+echo "==> a fresh run rewrites every tracked CSV, golden and BENCH json"
+outputs=('results/*.csv' 'results/*.golden' BENCH_surv.json BENCH_market.json)
+if ! git diff --exit-code -- "${outputs[@]}" ':!results/scale_sweep.csv' ||
+    [ -n "$(git ls-files --others --exclude-standard -- "${outputs[@]}")" ]; then
+    git status --short -- "${outputs[@]}" >&2
+    echo "a fresh run moved a tracked output: inspect it, regenerate on purpose" >&2
+    exit 1
+fi
 
 # The failure-recovery walkthrough doubles as a smoke: pinned seed, hard
 # asserts inside, and a known final line that must survive refactors.
@@ -132,14 +116,6 @@ if command -v cc > /dev/null; then
     # Long enough for a few dozen samples: the report exits 1 on none.
     echo "==> tools/sigprof --bin smoke (a workspace binary instead of a benchmark workload)"
     tools/sigprof/run.sh --bin vbundle_sim -- --servers=500 --minutes=90 > /dev/null
-fi
-
-echo "==> golden files unchanged"
-if ! git diff --quiet -- results/*.golden BENCH_surv.json BENCH_market.json; then
-    git --no-pager diff -- results/*.golden BENCH_surv.json BENCH_market.json
-    echo "golden drift: inspect the diff, then regen with" \
-         "'cargo run --release -p vbundle-bench --bin <sweep> -- --smoke --bless'" >&2
-    exit 1
 fi
 
 echo "CI green."

@@ -7,20 +7,19 @@
 //! marketplace).
 //!
 //! The sweep drives the hot VMs' demand through increasingly skewed
-//! points and asserts trading **strictly** improves total satisfied
+//! points and checks trading **strictly** improves total satisfied
 //! demand at every point where the static run leaves demand on the
 //! table — the claim that makes group resource offerings worth buying.
 //!
 //! Run: `cargo run --release -p vbundle-bench --bin bundle_market`
 //!
-//! `--smoke` runs the most-skewed point twice, asserts byte-identical
-//! reports and diffs against `results/bundle_market_smoke.golden`
-//! (`--smoke --bless` rewrites it).
+//! `--smoke` gates the most-skewed point, both modes, against
+//! `results/bundle_market_smoke.golden`.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use vbundle_bench::{golden_gate, write_csv, BenchArgs, CliSpec};
+use vbundle_bench::{run_figure, CliSpec, Figure};
 use vbundle_core::{Cluster, CustomerId, ResourceSpec, ResourceVector, VBundleConfig, VmRecord};
 use vbundle_dcn::{Bandwidth, Topology};
 use vbundle_pastry::PastryConfig;
@@ -114,68 +113,59 @@ const CLI: CliSpec = CliSpec {
 };
 
 fn main() {
-    let args = BenchArgs::parse_with(&CLI);
-    if args.smoke() {
-        // Fast deterministic gate: the most-skewed point, both modes, run
-        // twice and byte-compared, then diffed against the golden.
-        let render = || {
+    run_figure(&CLI, |args| {
+        let mut fig = Figure::default();
+        if args.smoke() {
             let static_caps = report(&run_cell(240.0, false), false);
             let trading = report(&run_cell(240.0, true), true);
-            format!("{static_caps}\n{trading}\n")
-        };
-        let first = render();
-        let second = render();
-        assert_eq!(first, second, "bundle market smoke is not deterministic");
-        golden_gate(
-            "bundle market",
-            "bundle_market_smoke.golden",
-            &first,
-            args.bless(),
-        );
-        return;
-    }
+            fig.golden(
+                "bundle_market_smoke.golden",
+                format!("{static_caps}\n{trading}\n"),
+            );
+        } else {
+            sweep(&mut fig);
+        }
+        fig
+    });
+}
 
-    println!("# Bundle market: static per-VM caps vs group trading (Fig. 11 metric)");
-    println!(
-        "\n{:>10} {:>12} {:>16} {:>18} {:>8} {:>11}",
-        "hot Mbps", "demand", "satisfied(cap)", "satisfied(trade)", "leases", "gain Mbps"
-    );
+fn sweep(fig: &mut Figure) {
     let mut rows = Vec::new();
+    let (mut demand_differs, mut migrated, mut no_gain) = (Vec::new(), Vec::new(), Vec::new());
     for hot_demand in [120.0, 160.0, 200.0, 240.0] {
         let capped = run_cell(hot_demand, false);
         let traded = run_cell(hot_demand, true);
-        assert!(
-            (capped.demand - traded.demand).abs() < 1e-6,
-            "modes disagree on offered demand"
-        );
-        assert_eq!(capped.migrations, 0, "static run migrated");
-        assert_eq!(traded.migrations, 0, "trading run migrated");
-        let gain = traded.satisfied - capped.satisfied;
-        if capped.satisfied + 1e-6 < capped.demand {
-            // Static caps left demand unsatisfied — the marketplace must
-            // strictly recover some of it from the idle siblings.
-            assert!(
-                gain > 1.0,
-                "hot demand {hot_demand}: trading did not improve satisfied demand \
-                 ({:.3} vs {:.3})",
-                traded.satisfied,
-                capped.satisfied
-            );
-            assert!(traded.leases > 0, "gain without a live lease");
+        if (capped.demand - traded.demand).abs() >= 1e-6 {
+            demand_differs.push(format!("hot {hot_demand}"));
         }
-        println!(
-            "{:>10} {:>12.1} {:>16.1} {:>18.1} {:>8} {:>11.1}",
-            hot_demand, capped.demand, capped.satisfied, traded.satisfied, traded.leases, gain
-        );
+        if capped.migrations + traded.migrations > 0 {
+            migrated.push(format!("hot {hot_demand}"));
+        }
+        let gain = traded.satisfied - capped.satisfied;
+        // Where static caps leave demand unsatisfied, the marketplace must
+        // strictly recover some of it from the idle siblings.
+        if capped.satisfied + 1e-6 < capped.demand && (gain <= 1.0 || traded.leases == 0) {
+            no_gain.push(format!(
+                "hot {hot_demand}: gain {gain:.3} Mbps, {} leases",
+                traded.leases
+            ));
+        }
         rows.push(format!(
             "{hot_demand},{:.3},{:.3},{:.3},{},{:.3}",
             capped.demand, capped.satisfied, traded.satisfied, traded.leases, gain
         ));
     }
-    write_csv(
+    fig.table(
         "bundle_market.csv",
         "hot_demand_mbps,total_demand_mbps,satisfied_static_mbps,satisfied_trading_mbps,active_leases,gain_mbps",
-        &rows,
+        rows,
     );
-    println!("\ngroup trading strictly improved satisfied demand at every skewed point");
+    fig.check_none(
+        "same_demand",
+        "both modes offer the same demand",
+        &demand_differs,
+    );
+    fig.check_none("no_migration", "shuffling is off in both modes", &migrated);
+    let rule = "trading gains > 1 Mbps through a live lease wherever static caps bind";
+    fig.check_none("trading_gains", rule, &no_gain);
 }

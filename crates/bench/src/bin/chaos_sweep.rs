@@ -4,35 +4,30 @@
 //! duplicate-storm that stresses delivery idempotency.
 //!
 //! Every scenario is executed **twice from scratch** and the two recovery
-//! reports are asserted byte-identical — the reproducibility claim of the
+//! reports are checked byte-identical — the reproducibility claim of the
 //! `vbundle-chaos` subsystem, checked on every run.
 //!
 //! A second section runs the phi-accrual failure detector under
 //! degraded-but-alive networks: every detector-driven eviction there is
 //! a false positive, because no node ever actually dies.
 //!
-//! The full sweep ends on a **guard**, asserted in-process: no scenario
-//! takes longer to repair than it did when this guard was written, no
-//! invariant is open at any deadline, and the adaptive detector evicts
-//! nobody and needs no time to reconverge on any degraded-but-alive plan.
-//! A change that trades detection quality for fewer messages has to edit
-//! the ceilings here, in the open; otherwise the binary exits 1.
+//! The full sweep ends on a **guard** check: no scenario takes longer to
+//! repair than it did when this guard was written, no invariant is open
+//! at any deadline, and the adaptive detector evicts nobody and needs no
+//! time to reconverge on any degraded-but-alive plan. A change that
+//! trades detection quality for fewer messages has to edit the ceilings
+//! here, in the open; otherwise the binary exits 1.
 //!
 //! Run: `cargo run --release -p vbundle-bench --bin chaos_sweep`
 //!
-//! `--smoke` runs one scenario and diffs the report against the
-//! checked-in golden at `results/chaos_smoke.golden` (CI's fast
-//! determinism gate); `--smoke --bless` rewrites the golden.
-//!
-//! `--obs` runs the same sweep with every observability plane enabled
-//! (flight recorder, hot-path profiler). Reports must not change —
-//! `--smoke --obs` passes the same golden gate — which makes wall-clock
-//! deltas between the two modes the obs overhead measurement.
+//! `--smoke` gates one scenario's report against
+//! `results/chaos_smoke.golden`, rendered twice with every observability
+//! plane off and once with the flight recorder and profiler on: obs
+//! observes, never steers, so all three must be byte-equal.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use vbundle_bench::{golden_gate, write_csv, BenchArgs, CliSpec};
+use vbundle_bench::{obs_smoke, run_figure, CliSpec, Figure};
 use vbundle_chaos::{
     check_aggregation, check_capacity, check_entitlement_conservation, check_leaf_sets,
     check_scribe_trees, check_vm_conservation, run_scenario, FaultPlan, LinkFault, RecoveryReport,
@@ -49,17 +44,6 @@ use vbundle_sim::{ActorId, SimDuration, SimTime};
 
 const SEED: u64 = 20120618; // ICDCS'12
 
-/// Set by `--obs`: build every cluster with the flight recorder and
-/// profiler on. The goldens must still pass — obs observes, never steers.
-static OBS: AtomicBool = AtomicBool::new(false);
-
-/// Applies the `--obs` planes to a freshly built cluster.
-fn apply_obs(cluster: &mut Cluster) {
-    if OBS.load(Ordering::Relaxed) {
-        cluster.engine.enable_profiling();
-    }
-}
-
 fn topology() -> Arc<Topology> {
     Arc::new(
         Topology::builder()
@@ -70,9 +54,10 @@ fn topology() -> Arc<Topology> {
     )
 }
 
-/// Builds the cluster fresh (same seed every time), seeds a skewed VM
+/// Builds the cluster fresh (same seed every time), with the flight
+/// recorder and profiler on when `obs` is set, seeds a skewed VM
 /// population and warms the overlay up, returning the VM ids installed.
-fn build_cluster() -> (Cluster, Vec<VmId>) {
+fn build_cluster(obs: bool) -> (Cluster, Vec<VmId>) {
     let pastry = PastryConfig {
         heartbeat: Some(SimDuration::from_secs(1)),
         maintenance: Some(SimDuration::from_secs(10)),
@@ -87,11 +72,13 @@ fn build_cluster() -> (Cluster, Vec<VmId>) {
                 .with_rebalance_interval(SimDuration::from_secs(20)),
         )
         .seed(SEED);
-    if OBS.load(Ordering::Relaxed) {
+    if obs {
         builder = builder.flight_recorder(8192);
     }
     let mut cluster = builder.build();
-    apply_obs(&mut cluster);
+    if obs {
+        cluster.engine.enable_profiling();
+    }
     let mut vms = Vec::new();
     let demand = Bandwidth::from_mbps(100.0);
     for server in 0..cluster.num_servers() {
@@ -148,12 +135,9 @@ fn detector_evictions(engine: &VbEngine) -> u64 {
         .sum()
 }
 
-fn play(name: &str, plan: FaultPlan) -> RecoveryReport {
-    play_counting_evictions(name, plan).0
-}
-
-fn play_counting_evictions(name: &str, plan: FaultPlan) -> (RecoveryReport, u64) {
-    let (mut cluster, vms) = build_cluster();
+/// Plays `plan` on a fresh cluster; also returns the detector evictions.
+fn play(name: &str, plan: FaultPlan, obs: bool) -> (RecoveryReport, u64) {
+    let (mut cluster, vms) = build_cluster(obs);
     let spec = ScenarioSpec {
         name: name.to_string(),
         check_interval: SimDuration::from_secs(1),
@@ -176,14 +160,15 @@ fn play_counting_evictions(name: &str, plan: FaultPlan) -> (RecoveryReport, u64)
 /// Trading cluster for the lender-crash scenario: the base skewed
 /// population plus a starved customer-0 VM on server 0 whose only
 /// possible lender is a fat idle sibling on server 1. Warm-up must
-/// commit at least one lease, or the scenario would be vacuous.
-fn build_trading_cluster() -> (Cluster, Vec<VmId>) {
+/// commit at least one lease, or the scenario would be vacuous: the
+/// leases live after warm-up are returned last.
+fn build_trading_cluster() -> (Cluster, Vec<VmId>, usize) {
     let pastry = PastryConfig {
         heartbeat: Some(SimDuration::from_secs(1)),
         maintenance: Some(SimDuration::from_secs(10)),
         ..PastryConfig::default()
     };
-    let mut builder = Cluster::builder(topology())
+    let mut cluster = Cluster::builder(topology())
         .pastry(pastry)
         .scribe(ScribeConfig::default().with_probe_interval(SimDuration::from_secs(5)))
         .vbundle(
@@ -192,12 +177,8 @@ fn build_trading_cluster() -> (Cluster, Vec<VmId>) {
                 .with_rebalance_interval(SimDuration::from_secs(1000))
                 .with_bundle_trading(true),
         )
-        .seed(SEED);
-    if OBS.load(Ordering::Relaxed) {
-        builder = builder.flight_recorder(8192);
-    }
-    let mut cluster = builder.build();
-    apply_obs(&mut cluster);
+        .seed(SEED)
+        .build();
     let mut vms = Vec::new();
     let hot = cluster.alloc_vm_id();
     let mut vm = VmRecord::new(
@@ -233,19 +214,17 @@ fn build_trading_cluster() -> (Cluster, Vec<VmId>) {
         vms.push(id);
     }
     cluster.run_until(SimTime::from_secs(60));
-    assert!(
-        cluster.active_leases() > 0,
-        "lender-crash scenario warmed up without committing a lease"
-    );
-    (cluster, vms)
+    let leases = cluster.active_leases();
+    (cluster, vms, leases)
 }
 
 /// Lender-crash scenario: the only lending server dies mid-lease and
 /// later returns. Recovery requires the borrower to revert its credit
 /// (renewal bounce or failure detection), with entitlement conservation
-/// and the shaper ceiling checked on every tick via `structural`.
-fn play_lender_crash() -> RecoveryReport {
-    let (mut cluster, vms) = build_trading_cluster();
+/// and the shaper ceiling checked on every tick via `structural`. Also
+/// returns what broke the scenario's own premises.
+fn play_lender_crash() -> (RecoveryReport, Vec<String>) {
+    let (mut cluster, vms, leases) = build_trading_cluster();
     let t = SimTime::from_secs;
     let plan = FaultPlan::new(SEED)
         .crash(t(90), ActorId::new(1))
@@ -266,15 +245,19 @@ fn play_lender_crash() -> RecoveryReport {
         failed_migrations,
     );
     // The lender may legitimately be re-lending after its restart, so no
-    // lease-count assertion here — only that trading really ran and the
+    // lease-count check here — only that trading really ran and the
     // ledger is conserved once the network quiesced.
     let grants: u64 = (0..cluster.num_servers())
         .map(|i| cluster.controller(i).trade_book().stats.grants_sent.get())
         .sum();
-    assert!(grants > 0, "lender-crash scenario never granted a lease");
-    let open = check_entitlement_conservation(&cluster.engine);
-    assert!(open.is_empty(), "entitlement broken at quiesce: {open:?}");
-    report
+    let mut broken = check_entitlement_conservation(&cluster.engine);
+    if leases == 0 {
+        broken.push("warmed up without committing a lease".into());
+    }
+    if grants == 0 {
+        broken.push("never granted a lease".into());
+    }
+    (report, broken)
 }
 
 fn scenarios() -> Vec<(&'static str, FaultPlan)> {
@@ -376,24 +359,17 @@ fn fmt_opt(d: Option<SimDuration>) -> String {
 }
 
 /// Runs the detector under the degraded-but-alive plans and returns the
-/// CSV rows, all under the guard: no false eviction, nothing to
-/// reconverge from.
+/// CSV rows, all under the guard: no false eviction (every eviction is a
+/// false positive, since no node dies), nothing to reconverge from.
 fn detector_quality(broken: &mut Vec<String>) -> Vec<String> {
-    println!("\n# Failure detector under degraded-but-alive networks");
-    println!("# (every eviction is a false positive: no node actually dies)");
-    println!(
-        "\n{:<18} {:>14} {:>18}",
-        "plan", "fp-evict(phi)", "reconverge(phi)"
-    );
     let mut rows = Vec::new();
     for (name, plan) in degraded_plans() {
-        let (report, evicted) = play_counting_evictions(name, plan);
+        let (report, evicted) = play(name, plan, false);
         guard(&report, SimDuration::ZERO, broken);
         if evicted > 0 {
             broken.push(format!("{name}: phi-accrual evicted {evicted} live peers"));
         }
         let reconverge = fmt_opt(report.time_to_repair());
-        println!("{name:<18} {evicted:>14} {reconverge:>18}");
         rows.push(format!("{name},{evicted},{reconverge}"));
     }
     rows
@@ -402,76 +378,75 @@ fn detector_quality(broken: &mut Vec<String>) -> Vec<String> {
 const CLI: CliSpec = CliSpec {
     bin: "chaos_sweep",
     about: "recovery metrics for the full stack under deterministic fault scenarios",
-    flags: &[(
-        "obs",
-        "enable flight recorder + profiler (reports must not change)",
-    )],
+    flags: &[],
     options: &[],
 };
 
 fn main() {
-    let args = BenchArgs::parse_with(&CLI);
-    OBS.store(args.flag("obs"), Ordering::Relaxed);
-    if args.smoke() {
-        // Fast deterministic gate for CI: one scenario, byte-compared
-        // against the checked-in golden report.
-        let (name, plan) = scenarios().remove(0);
-        let report = play(name, plan).to_string();
-        golden_gate("chaos", "chaos_smoke.golden", &report, args.bless());
-        return;
-    }
+    let mut observed = false;
+    run_figure(&CLI, |args| {
+        if args.smoke() {
+            return obs_smoke("chaos_smoke.golden", &mut observed, |obs| {
+                let (name, plan) = scenarios().remove(0);
+                play(name, plan, obs).0.to_string()
+            });
+        }
+        sweep()
+    });
+}
 
-    println!("# Chaos sweep: recovery metrics under deterministic fault plans");
+fn sweep() -> Figure {
+    let mut fig = Figure::default();
     let mut rows = Vec::new();
     let mut broken = Vec::new();
+    let mut unstable = Vec::new();
     let mut record = |name: &str, first: RecoveryReport, second: RecoveryReport| {
         guard(&first, repair_ceiling(name), &mut broken);
-        let (first, second) = (first.to_string(), second.to_string());
-        assert_eq!(
-            first, second,
-            "scenario `{name}` is not deterministic across reruns"
+        if first.to_string() != second.to_string() {
+            unstable.push(name.to_string());
+        }
+        let f = &first.faults;
+        let injected = format!(
+            "{} dropped, {} delayed, {} duplicated, {} corrupted",
+            f.dropped, f.delayed, f.duplicated, f.corrupted
         );
-        println!("\n{first}");
-        // Re-derive the CSV row from the (deterministic) report.
-        let report = first;
-        let grab = |label: &str| {
-            report
-                .lines()
-                .find_map(|l| l.trim().strip_prefix(label).map(|v| v.trim().to_string()))
-                .unwrap_or_else(|| "n/a".into())
-        };
+        fig.claim(format!("{name}_injected"), injected);
+        let messages = first
+            .messages_to_repair
+            .map_or("n/a".into(), |n| n.to_string());
+        let staleness = first
+            .aggregate_staleness()
+            .map_or("DID NOT CONVERGE".into(), |d| d.to_string());
         rows.push(format!(
-            "{name},{},{},{},{}",
-            grab("time to repair:"),
-            grab("messages to repair:"),
-            grab("aggregate staleness:"),
-            grab("failed migrations:"),
+            "{name},{},{messages},{staleness},{}",
+            fmt_opt(first.time_to_repair()),
+            first.failed_migrations,
         ));
     };
     for (name, plan) in scenarios() {
-        let first = play(name, plan.clone());
-        let second = play(name, plan);
+        let first = play(name, plan.clone(), false).0;
+        let second = play(name, plan, false).0;
         record(name, first, second);
     }
-    record("lender-crash", play_lender_crash(), play_lender_crash());
-    write_csv(
+    let ((first, mut lender_broken), (second, again)) = (play_lender_crash(), play_lender_crash());
+    record("lender-crash", first, second);
+    lender_broken.extend(again);
+    fig.table(
         "chaos_sweep.csv",
         "scenario,time_to_repair,messages_to_repair,aggregate_staleness,failed_migrations",
-        &rows,
+        rows,
     );
-
     let detector_rows = detector_quality(&mut broken);
-    write_csv(
+    fig.table(
         "chaos_detectors.csv",
         "plan,fp_evictions_phi,reconverge_phi",
-        &detector_rows,
+        detector_rows,
     );
-    println!("\nall scenarios reproduced byte-identically across two runs");
-    if !broken.is_empty() {
-        eprintln!("detection-quality guard broken:\n  {}", broken.join("\n  "));
-        std::process::exit(1);
-    }
-    println!(
-        "guard held: repair times within their ceilings, no open invariant, phi evicted nobody"
-    );
+    let rule = "two runs of each scenario report byte-identically";
+    fig.check_none("deterministic", rule, &unstable);
+    let rule = "lender-crash commits a lease in warm-up, grants, conserves entitlement";
+    fig.check_none("lender_crash_trades", rule, &lender_broken);
+    let rule = "repair times within their ceilings, no open invariant, phi evicted nobody";
+    fig.check_none("guard", rule, &broken);
+    fig
 }

@@ -5,7 +5,7 @@
 //! off) against the **priced spot market** across a price-elasticity
 //! axis (the buyer's `max_price` ceiling).
 //!
-//! Four contracts are asserted in-process at every cell:
+//! Four contracts are checked at every cell:
 //!
 //! 1. where intra-bundle trading leaves demand on the table and the
 //!    price ceiling clears the ask, cross-tenant trading **strictly**
@@ -24,15 +24,14 @@
 //!
 //! Run: `cargo run --release -p vbundle-bench --bin market_sweep`
 //!
-//! `--smoke` runs the most-skewed point twice, asserts byte-identical
-//! reports and diffs against `results/market_smoke.golden`
-//! (`--smoke --bless` rewrites it).
+//! `--smoke` gates the most-skewed point, intra-only and spot, against
+//! `results/market_smoke.golden`; its cells owe contracts 3 and 4 too.
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use vbundle_bench::{golden_gate, json_rows, write_bench_json, write_csv, BenchArgs, CliSpec};
+use vbundle_bench::{json_rows, run_figure, write_bench_json, CliSpec, Figure};
 use vbundle_chaos::{
     check_billing_conservation, check_entitlement_conservation, check_isolation_caps, ChaosDriver,
     FaultPlan,
@@ -56,6 +55,7 @@ const STEPS_PER_ASK_CEILING: f64 = 3.0;
 
 /// One measured cell of the sweep.
 struct Cell {
+    label: String,
     hot_demand: f64,
     demand: f64,
     satisfied: f64,
@@ -67,6 +67,8 @@ struct Cell {
     spend: f64,
     revenue: f64,
     fees: f64,
+    /// Broken conservation invariants and unbalanced books, described.
+    broken: Vec<String>,
 }
 
 fn topology() -> Arc<Topology> {
@@ -128,21 +130,17 @@ fn build(hot_demand: f64, market: Option<SpotMarketConfig>) -> Cluster {
     cluster
 }
 
-/// Conservation gate shared by every cell: billing books reconcile,
-/// isolation caps hold, entitlement is conserved.
-fn assert_conserved(cluster: &Cluster, what: &str) {
-    let billing = check_billing_conservation(&cluster.engine);
-    assert!(billing.is_empty(), "{what}: billing broken: {billing:#?}");
-    let caps = check_isolation_caps(&cluster.engine, SpotMarketConfig::default().isolation_cap);
-    assert!(caps.is_empty(), "{what}: isolation cap broken: {caps:#?}");
-    let entitle = check_entitlement_conservation(&cluster.engine);
-    assert!(
-        entitle.is_empty(),
-        "{what}: entitlement broken: {entitle:#?}"
-    );
+/// Conservation invariants shared by every cell: billing books
+/// reconcile, isolation caps hold, entitlement is conserved.
+fn conservation(cluster: &Cluster, label: &str) -> Vec<String> {
+    let caps = SpotMarketConfig::default().isolation_cap;
+    let mut broken = check_billing_conservation(&cluster.engine);
+    broken.extend(check_isolation_caps(&cluster.engine, caps));
+    broken.extend(check_entitlement_conservation(&cluster.engine));
+    broken.iter().map(|v| format!("{label}: {v}")).collect()
 }
 
-fn measure(cluster: &Cluster, hot_demand: f64) -> Cell {
+fn measure(cluster: &Cluster, hot_demand: f64, label: String) -> Cell {
     let now = cluster.now();
     let totals = cluster.satisfaction();
     let mut priced: BTreeSet<u64> = BTreeSet::new();
@@ -162,13 +160,17 @@ fn measure(cluster: &Cluster, hot_demand: f64) -> Cell {
         );
     }
     let rec = reconcile((0..cluster.num_servers()).map(|i| cluster.controller(i).billing()));
-    assert!(rec.balanced(), "{:#?}", rec.violations);
+    let mut broken = Vec::new();
+    if !rec.balanced() {
+        broken.push(format!("{label}: books unbalanced {:?}", rec.violations));
+    }
     let steps = cluster
         .engine
         .metrics()
         .counter_value("scribe/anycast_steps");
     Cell {
         steps_per_ask: steps.unwrap_or(0) as f64 / asks.max(1) as f64,
+        label,
         hot_demand,
         demand: totals.demand.as_mbps(),
         satisfied: totals.satisfied.as_mbps(),
@@ -178,43 +180,60 @@ fn measure(cluster: &Cluster, hot_demand: f64) -> Cell {
         spend: rec.total_spend,
         revenue: rec.total_revenue,
         fees: rec.total_fees,
+        broken,
     }
 }
 
 fn run_cell(hot_demand: f64, market: Option<SpotMarketConfig>) -> Cell {
+    let label = match &market {
+        Some(mc) => format!("hot {hot_demand} spot max_price {}", mc.max_price),
+        None => format!("hot {hot_demand} intra"),
+    };
     let mut cluster = build(hot_demand, market);
     cluster.run_until(SimTime::from_secs(HORIZON));
-    assert_conserved(&cluster, "sweep cell");
-    let cell = measure(&cluster, hot_demand);
-    assert!(
-        cell.steps_per_ask <= STEPS_PER_ASK_CEILING,
-        "hot {hot_demand}: {:.2} anycast steps per borrow request — walks are knocking on doors \
-         the subtree summaries should have closed",
-        cell.steps_per_ask
-    );
+    let broken = conservation(&cluster, &label);
+    let mut cell = measure(&cluster, hot_demand, label);
+    cell.broken.extend(broken);
     cell
 }
 
 /// The chaos cell: trade at full skew, crash a seller server mid-lease,
-/// let the repair protocols settle, and re-assert every conservation
+/// let the repair protocols settle, and re-check every conservation
 /// invariant — a lender crash must never orphan a tenant's payment,
-/// breach an isolation cap or mint phantom entitlement.
-fn run_chaos_cell(hot_demand: f64) -> (Cell, u64) {
+/// breach an isolation cap or mint phantom entitlement. Returns the
+/// cells before the crash and after the repair, and the reversals.
+fn run_chaos_cell(hot_demand: f64) -> (Cell, Cell, u64) {
     let t = SimTime::from_secs;
     let mut cluster = build(hot_demand, Some(SpotMarketConfig::default()));
     cluster.run_until(t(90));
-    let pre = measure(&cluster, hot_demand);
-    assert!(pre.spot_trades > 0, "chaos cell: nothing traded to crash");
+    let pre = measure(&cluster, hot_demand, "chaos cell (pre-crash)".into());
 
     let plan = FaultPlan::new(SEED).crash(t(100), ActorId::new(1));
     let topo = cluster.topo.clone();
     let mut driver = ChaosDriver::install(&mut cluster.engine, topo, plan);
     driver.run_until(&mut cluster.engine, t(HORIZON + 40));
-    assert_conserved(&cluster, "chaos cell (post-crash)");
+    let label = "chaos cell (post-crash)";
+    let broken = conservation(&cluster, label);
     let reversals = (0..cluster.num_servers())
         .map(|i| cluster.controller(i).market_stats.billing_reversals.get())
         .sum();
-    (measure(&cluster, hot_demand), reversals)
+    let mut post = measure(&cluster, hot_demand, label.into());
+    post.broken.extend(broken);
+    (pre, post, reversals)
+}
+
+/// Contracts 3 and 4, which every cell owes, smoke included.
+fn check_cells(fig: &mut Figure, cells: &[&Cell]) {
+    let broken: Vec<String> = cells.iter().flat_map(|c| c.broken.clone()).collect();
+    let rule = "billing reconciles, isolation caps hold, entitlement is conserved";
+    fig.check_none("conserved", rule, &broken);
+    let steep: Vec<String> = cells
+        .iter()
+        .filter(|c| c.steps_per_ask > STEPS_PER_ASK_CEILING)
+        .map(|c| format!("{}: {:.2}", c.label, c.steps_per_ask))
+        .collect();
+    let rule = format!("<= {STEPS_PER_ASK_CEILING} anycast steps per borrow request");
+    fig.check_none("steps_per_ask", rule, &steep);
 }
 
 fn report(cell: &Cell, mode: &str) -> String {
@@ -241,39 +260,30 @@ const CLI: CliSpec = CliSpec {
 };
 
 fn main() {
-    let args = BenchArgs::parse_with(&CLI);
-    if args.smoke() {
-        // Fast deterministic gate: the most-skewed point, both modes, run
-        // twice and byte-compared, then diffed against the golden.
-        let render = || {
-            let intra = report(&run_cell(320.0, None), "intra-only");
-            let spot = report(
-                &run_cell(320.0, Some(SpotMarketConfig::default())),
-                "spot market",
+    run_figure(&CLI, |args| {
+        let mut fig = Figure::default();
+        if args.smoke() {
+            let intra = run_cell(320.0, None);
+            let spot = run_cell(320.0, Some(SpotMarketConfig::default()));
+            check_cells(&mut fig, &[&intra, &spot]);
+            let text = format!(
+                "{}\n{}\n",
+                report(&intra, "intra-only"),
+                report(&spot, "spot market")
             );
-            format!("{intra}\n{spot}\n")
-        };
-        let first = render();
-        let second = render();
-        assert_eq!(first, second, "market smoke is not deterministic");
-        golden_gate("market", "market_smoke.golden", &first, args.bless());
-        return;
-    }
+            fig.golden("market_smoke.golden", text);
+        } else {
+            sweep(&mut fig);
+        }
+        fig
+    });
+}
 
-    println!("# Spot market: intra-bundle trading vs priced cross-tenant market");
-    println!(
-        "\n{:>10} {:>10} {:>12} {:>16} {:>16} {:>8} {:>11} {:>10}",
-        "hot Mbps",
-        "max price",
-        "demand",
-        "satisfied(intra)",
-        "satisfied(spot)",
-        "trades",
-        "gain Mbps",
-        "steps/ask"
-    );
+fn sweep(fig: &mut Figure) {
     let mut rows = Vec::new();
+    let mut json_cells = Vec::new();
     let mut cells = Vec::new();
+    let (mut demand_differs, mut no_gain, mut cheap_moved) = (Vec::new(), Vec::new(), Vec::new());
     for hot_demand in [200.0, 260.0, 320.0] {
         let intra = run_cell(hot_demand, None);
         for max_price in [1.05, 4.0] {
@@ -282,48 +292,30 @@ fn main() {
                 ..SpotMarketConfig::default()
             };
             let spot = run_cell(hot_demand, Some(mc));
-            assert!(
-                (intra.demand - spot.demand).abs() < 1e-6,
-                "modes disagree on offered demand"
-            );
+            if (intra.demand - spot.demand).abs() >= 1e-6 {
+                demand_differs.push(spot.label.clone());
+            }
             let gain = spot.satisfied - intra.satisfied;
             if max_price >= 2.0 {
                 // The ceiling clears the ask: wherever intra-bundle trading
                 // left demand unsatisfied, the priced market must strictly
                 // recover some of it from the other tenant — and the
                 // recovery must be billed, not free.
-                if intra.satisfied + 1e-6 < intra.demand {
-                    assert!(
-                        gain > 1.0,
-                        "hot {hot_demand}: spot market did not improve satisfied demand \
-                         ({:.3} vs {:.3})",
-                        spot.satisfied,
-                        intra.satisfied
-                    );
-                    assert!(spot.priced_leases > 0, "gain without a live priced lease");
-                    assert!(spot.spend > 0.0 && spot.fees > 0.0, "gain went unbilled");
+                let billed = spot.priced_leases > 0 && spot.spend > 0.0 && spot.fees > 0.0;
+                if intra.satisfied + 1e-6 < intra.demand && (gain <= 1.0 || !billed) {
+                    no_gain.push(format!(
+                        "{}: gain {gain:.3} Mbps, {} priced leases, spend {:.3}, fees {:.3}",
+                        spot.label, spot.priced_leases, spot.spend, spot.fees
+                    ));
                 }
-            } else {
+            } else if spot.rejected_price == 0 || gain.abs() >= 1e-6 || spot.spend != 0.0 {
                 // The ceiling is below every possible quote: the market
                 // must reject and change nothing.
-                assert!(spot.rejected_price > 0, "no quote hit the cheap ceiling");
-                assert!(
-                    (spot.satisfied - intra.satisfied).abs() < 1e-6,
-                    "rejected quotes still moved satisfied demand"
-                );
-                assert!(spot.spend == 0.0, "rejected quotes were billed");
+                cheap_moved.push(format!(
+                    "{}: {} rejected, gain {gain:.3} Mbps, spend {:.3}",
+                    spot.label, spot.rejected_price, spot.spend
+                ));
             }
-            println!(
-                "{:>10} {:>10} {:>12.1} {:>16.1} {:>16.1} {:>8} {:>11.1} {:>10.2}",
-                hot_demand,
-                max_price,
-                intra.demand,
-                intra.satisfied,
-                spot.satisfied,
-                spot.spot_trades,
-                gain,
-                spot.steps_per_ask
-            );
             rows.push(format!(
                 "{hot_demand},{max_price},{:.3},{:.3},{:.3},{},{},{},{:.3},{:.3},{:.3},{:.3}",
                 intra.demand,
@@ -337,44 +329,59 @@ fn main() {
                 spot.fees,
                 spot.steps_per_ask
             ));
-            cells.push(format!(
+            json_cells.push(format!(
                 "{{\"hot_demand\": {hot_demand}, \"max_price\": {max_price}, \
                  \"satisfied_intra\": {:.3}, \"satisfied_spot\": {:.3}, \
                  \"gain\": {gain:.3}, \"trades\": {}, \"spend\": {:.3}, \"fees\": {:.3}}}",
                 intra.satisfied, spot.satisfied, spot.spot_trades, spot.spend, spot.fees
             ));
+            cells.push(spot);
         }
+        cells.push(intra);
     }
-    write_csv(
+    fig.table(
         "market_sweep.csv",
         "hot_demand_mbps,max_price,total_demand_mbps,satisfied_intra_mbps,satisfied_spot_mbps,\
          priced_leases,spot_trades,rejected_price,spend,revenue,fees,anycast_steps_per_ask",
-        &rows,
+        rows,
     );
 
-    println!("\n## chaos cell: seller crash mid-lease");
-    let (after, reversals) = run_chaos_cell(320.0);
-    println!(
-        "billing conserved through the crash: spend {:.3} revenue {:.3} fees {:.3} \
-         (reversals {reversals})",
-        after.spend, after.revenue, after.fees
-    );
-
+    // The chaos cell: a seller crash mid-lease.
+    let (pre, after, reversals) = run_chaos_cell(320.0);
+    fig.claim("chaos_spend", format!("{:.3}", after.spend));
+    fig.claim("chaos_revenue", format!("{:.3}", after.revenue));
+    fig.claim("chaos_fees", format!("{:.3}", after.fees));
+    fig.claim("chaos_reversals", reversals);
     let chaos = format!(
         "{{\"spend\": {:.3}, \"revenue\": {:.3}, \"fees\": {:.3}, \
-         \"reversals\": {reversals}, \"conserved\": true}}",
-        after.spend, after.revenue, after.fees
+         \"reversals\": {reversals}, \"conserved\": {}}}",
+        after.spend,
+        after.revenue,
+        after.fees,
+        after.broken.is_empty()
     );
     write_bench_json(
         "market",
         "market_sweep",
         &[
             ("seed", SEED.to_string()),
-            ("cells", json_rows(&cells)),
+            ("cells", json_rows(&json_cells)),
             ("chaos", chaos),
         ],
     );
-    println!(
-        "\npriced cross-tenant trading strictly improved satisfied demand at every cleared cell"
+
+    fig.check_none(
+        "same_demand",
+        "both modes offer the same demand",
+        &demand_differs,
     );
+    let rule =
+        "a cleared ceiling gains > 1 Mbps, billed, wherever intra-bundle trading falls short";
+    fig.check_none("spot_gains", rule, &no_gain);
+    let rule = "a ceiling below the ask is rejected and moves nothing";
+    fig.check_none("cheap_ceiling_inert", rule, &cheap_moved);
+    let detail = format!("{} spot trades before the seller crash", pre.spot_trades);
+    fig.check("chaos_cell_traded", pre.spot_trades > 0, detail);
+    cells.extend([pre, after]);
+    check_cells(fig, &cells.iter().collect::<Vec<_>>());
 }

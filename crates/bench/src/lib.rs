@@ -1,12 +1,28 @@
-//! Shared scenario assembly for the figure-reproduction binaries
-//! (`src/bin/fig*.rs`) and the Table I Criterion benches (`benches/`).
+//! Shared scenario assembly and the one driver of the figure-reproduction
+//! and sweep binaries (`src/bin/`), plus the Table I Criterion benches
+//! (`benches/`).
 //!
-//! Each binary regenerates one table or figure of the paper's evaluation
-//! (§IV–§V); see `DESIGN.md` for the experiment index and
-//! `EXPERIMENTS.md` for paper-vs-measured numbers. Every `fig*` and
-//! `ablation_*` binary builds one [`Figure`] and hands it to
-//! [`run_figure`], which writes its CSVs, prints its claims and checks,
-//! and exits 1 when a check fails.
+//! Each `fig*` and `ablation_*` binary regenerates one table or figure of
+//! the paper's evaluation (§IV–§V); each sweep measures what this
+//! reproduction adds (chaos, poison, trading, spot market,
+//! survivability, engine scale). See `DESIGN.md` for the experiment
+//! index and `EXPERIMENTS.md` for paper-vs-measured numbers.
+//!
+//! Every one of these binaries builds one [`Figure`] and hands it to
+//! [`run_figure`], which owns both modes:
+//!
+//! - **default**: write the figure's CSV tables under `results/`, print
+//!   its `claim` and `check` lines, exit 1 if a check failed;
+//! - **`--smoke`**: build the figure twice, require the two smoke texts
+//!   byte-equal, then byte-compare them with the golden under
+//!   `results/` (`--smoke --bless` rewrites it); print the check lines
+//!   and exit 1 if any failed.
+//!
+//! A figure's smoke text is its report, gated against
+//! `results/<bin>.golden`. A sweep sets its own with [`Figure::golden`]:
+//! `chaos_smoke`, `poison_smoke`, `bundle_market_smoke`, `market_smoke`,
+//! `scale_smoke`, `surv_smoke` and `surv_failover_smoke` (`--failover`),
+//! each `.golden`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -19,9 +35,9 @@ use std::path::Path;
 
 /// Declarative command-line spec for a sweep/figure binary: what it is,
 /// which bare flags it takes and which `--key=value` options. The
-/// built-in flags `--smoke` (fast deterministic CI gate), `--bless`
-/// (rewrite the golden) and `--help` are accepted by every binary and
-/// need not be listed.
+/// built-in flags `--smoke` (the golden gate of [`run_figure`]),
+/// `--bless` (rewrite the golden) and `--help` are accepted by every
+/// binary and need not be listed.
 pub struct CliSpec {
     /// Binary name, as shown in the usage line.
     pub bin: &'static str,
@@ -37,7 +53,7 @@ pub struct CliSpec {
 const BUILTIN_FLAGS: [(&str, &str); 3] = [
     (
         "smoke",
-        "run the fast deterministic subset and diff the golden",
+        "render the deterministic report twice and diff the golden",
     ),
     ("bless", "rewrite the golden instead of diffing against it"),
     ("help", "print this usage text and exit"),
@@ -146,8 +162,8 @@ impl BenchArgs {
         Ok(BenchArgs { args })
     }
 
-    /// True when `--smoke` was passed: run the fast deterministic subset
-    /// and byte-compare against the checked-in golden.
+    /// True when `--smoke` was passed: build the deterministic smoke text
+    /// and byte-compare it against the checked-in golden.
     pub fn smoke(&self) -> bool {
         self.flag("smoke")
     }
@@ -188,39 +204,9 @@ impl BenchArgs {
     }
 }
 
-/// Byte-compares `report` against the golden at `results/<name>`; with
-/// `bless` the golden is (re)written instead. On divergence both texts
-/// are printed and the process exits non-zero — this is the CI
-/// determinism gate every `--smoke` run goes through.
-pub fn golden_gate(label: &str, name: &str, report: &str, bless: bool) {
-    let path = Path::new("results").join(name);
-    if bless {
-        std::fs::create_dir_all("results").expect("create results/");
-        std::fs::write(&path, report).expect("write golden");
-        println!("[blessed {}]", path.display());
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {} ({e}); run with `--smoke --bless` to create it",
-            path.display()
-        )
-    });
-    if report != golden {
-        eprintln!("{label} smoke diverged from golden {}:", path.display());
-        eprintln!("--- golden\n{golden}\n--- got\n{report}");
-        std::process::exit(1);
-    }
-    println!("{label} smoke: report matches golden byte-for-byte");
-}
-
-/// Writes `rows` as CSV into `results/<name>` (creating the directory),
-/// with a header line. Errors are reported but non-fatal so figure
-/// binaries still print their stdout series.
-pub fn write_csv(name: &str, header: &str, rows: &[String]) {
-    write_csv_in(Path::new("results"), name, header, rows);
-}
-
+/// Writes `rows` as CSV into `dir/<name>` (creating the directory),
+/// with a header line. Errors are reported but non-fatal, so a binary
+/// still prints its report.
 fn write_csv_in(dir: &Path, name: &str, header: &str, rows: &[String]) {
     let path = dir.join(name);
     let write = || -> std::io::Result<()> {
@@ -238,15 +224,52 @@ fn write_csv_in(dir: &Path, name: &str, header: &str, rows: &[String]) {
     }
 }
 
-/// What one figure binary measured: its CSV tables (rows of cells
-/// formatted once), its `claim <key> <value>` cells and its named checks.
-/// The binary builds it; [`run_figure`] writes, prints and gates it.
+/// The `--smoke` gate: two renders of a binary's deterministic text must
+/// be byte-equal, and then equal to the golden `dir/<file>`, which
+/// `bless` rewrites instead. `Ok` and `Err` carry the check's detail; a
+/// failure shows both texts.
+fn smoke_gate_in(
+    dir: &Path,
+    file: &str,
+    first: &str,
+    second: &str,
+    bless: bool,
+) -> Result<String, String> {
+    if first != second {
+        return Err(format!(
+            "two renders differ\n--- first\n{first}--- second\n{second}"
+        ));
+    }
+    let path = dir.join(file);
+    let shown = path.display();
+    if bless {
+        std::fs::create_dir_all(dir)
+            .and_then(|()| std::fs::write(&path, first))
+            .map_err(|e| format!("could not write {shown}: {e}"))?;
+        return Ok(format!("blessed {shown}"));
+    }
+    match std::fs::read_to_string(&path) {
+        Ok(golden) if golden == first => Ok(format!("{shown} matches byte for byte")),
+        Ok(golden) => Err(format!(
+            "{shown} differs\n--- golden\n{golden}--- got\n{first}"
+        )),
+        Err(e) => Err(format!(
+            "cannot read {shown} ({e}); `--smoke --bless` writes it"
+        )),
+    }
+}
+
+/// What one bench binary measured: its CSV tables (rows of cells
+/// formatted once), its `claim <key> <value>` cells, its named checks
+/// and, for a sweep's `--smoke` run, the text its golden holds. The
+/// binary builds it; [`run_figure`] writes, prints and gates it.
 #[derive(Default)]
 pub struct Figure {
     tables: Vec<(&'static str, &'static str, Vec<String>)>,
     claims: Vec<String>,
     checks: Vec<String>,
     failed: usize,
+    golden: Option<(&'static str, String)>,
 }
 
 impl Figure {
@@ -268,6 +291,27 @@ impl Figure {
         self.failed += usize::from(!ok);
     }
 
+    /// Adds the check `name` that holds when no case in `broken` breaks
+    /// `rule`; its detail is the rule, then every broken case.
+    pub fn check_none(&mut self, name: impl Display, rule: impl Display, broken: &[String]) {
+        if broken.is_empty() {
+            self.check(name, true, rule);
+        } else {
+            self.check(
+                name,
+                false,
+                format!("{rule}; broken: {}", broken.join("; ")),
+            );
+        }
+    }
+
+    /// Sets the text `--smoke` byte-compares with `results/<file>`. A
+    /// figure that sets none is gated on its report, against
+    /// `results/<bin>.golden`.
+    pub fn golden(&mut self, file: &'static str, text: String) {
+        self.golden = Some((file, text));
+    }
+
     /// The figure's stdout: the title, then every claim line, then every
     /// check line, each in the order added.
     pub fn report(&self, title: &str) -> String {
@@ -283,23 +327,66 @@ impl Figure {
     pub fn passed(&self) -> bool {
         self.failed == 0
     }
+
+    /// The golden's file name and the text `--smoke` compares with it.
+    fn smoke_text(&self, spec: &CliSpec) -> (String, String) {
+        match &self.golden {
+            Some((file, text)) => (file.to_string(), text.clone()),
+            None => (format!("{}.golden", spec.bin), self.report(spec.about)),
+        }
+    }
 }
 
-/// The figure driver. Parses the arguments through `spec` (a figure has
-/// no golden, so `--smoke` and `--bless` exit 2 with usage), builds the
-/// figure, writes its tables through [`write_csv`], prints
-/// [`Figure::report`] under `spec.about` and exits 1 if a check failed.
-pub fn run_figure(spec: &CliSpec, build: impl FnOnce(&BenchArgs) -> Figure) {
+/// The `--smoke` figure of a sweep whose text must not depend on its obs
+/// planes: `render(false)` is the text gated against `results/<file>`.
+/// The first call (`*observed` still false) also renders with obs on and
+/// checks that both texts are byte-equal, so over the driver's two
+/// renders obs is off twice and on once.
+pub fn obs_smoke(
+    file: &'static str,
+    observed: &mut bool,
+    render: impl Fn(bool) -> String,
+) -> Figure {
+    let text = render(false);
+    let mut fig = Figure::default();
+    if !std::mem::replace(observed, true) {
+        let same = render(true) == text;
+        fig.check(
+            "obs_steers_nothing",
+            same,
+            "an obs-on render equals the obs-off one",
+        );
+    }
+    fig.golden(file, text);
+    fig
+}
+
+/// The one driver of every `fig*`, `ablation_*` and sweep binary. Parses
+/// the arguments through `spec` and builds the figure. By default it
+/// writes the figure's tables under `results/` and prints
+/// [`Figure::report`] under `spec.about`. With `--smoke` it builds the
+/// figure twice and gates its smoke text through the golden (`--bless`
+/// rewrites the golden), printing only check lines. Either way it exits
+/// 1 after all output if a check failed.
+pub fn run_figure(spec: &CliSpec, mut build: impl FnMut(&BenchArgs) -> Figure) {
     let args = BenchArgs::parse_with(spec);
-    if args.smoke() || args.bless() {
-        eprint!("{}: a figure has no golden\n\n{}", spec.bin, spec.usage());
-        std::process::exit(2);
+    let mut figure = build(&args);
+    if args.smoke() {
+        let (file, first) = figure.smoke_text(spec);
+        let (_, second) = build(&args).smoke_text(spec);
+        let gate = smoke_gate_in(Path::new("results"), &file, &first, &second, args.bless());
+        let ok = gate.is_ok();
+        let (Ok(detail) | Err(detail)) = gate;
+        figure.check("smoke", ok, detail);
+        for line in &figure.checks {
+            println!("{line}");
+        }
+    } else {
+        for (file, header, rows) in &figure.tables {
+            write_csv_in(Path::new("results"), file, header, rows);
+        }
+        print!("{}", figure.report(spec.about));
     }
-    let figure = build(&args);
-    for (file, header, rows) in &figure.tables {
-        write_csv(file, header, rows);
-    }
-    print!("{}", figure.report(spec.about));
     if !figure.passed() {
         std::process::exit(1);
     }
@@ -321,7 +408,7 @@ pub fn json_rows(rows: &[String]) -> String {
 /// Writes `BENCH_<file>.json` at the repository root: `{"bench": <bench>,
 /// <fields>}`, one field per line, each value already rendered as JSON
 /// (lists through [`json_rows`]). Errors are reported but non-fatal, like
-/// [`write_csv`].
+/// a table's CSV.
 pub fn write_bench_json(file: &str, bench: &str, fields: &[(&str, String)]) {
     let mut json = format!("{{\n  \"bench\": \"{bench}\"");
     for (key, value) in fields {
@@ -448,6 +535,126 @@ mod tests {
         let text = std::fs::read_to_string(dir.join("demo.csv")).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
         assert_eq!(text, "a,b\n1,2.50\n3,4.00\n");
+    }
+
+    fn scratch_dir(tag: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("vbundle-bench-{tag}-{}", std::process::id()))
+    }
+
+    /// Runs the smoke gate over `dir`, which holds `golden` as
+    /// `demo.golden` when given, and removes `dir` afterwards.
+    fn gate(tag: &str, golden: Option<&str>, first: &str, second: &str) -> Result<String, String> {
+        let dir = scratch_dir(tag);
+        if let Some(text) = golden {
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(dir.join("demo.golden"), text).unwrap();
+        }
+        let result = smoke_gate_in(&dir, "demo.golden", first, second, false);
+        let _ = std::fs::remove_dir_all(&dir);
+        result
+    }
+
+    #[test]
+    fn smoke_gate_passes_equal_text() {
+        let ok = gate(
+            "smoke-equal",
+            Some("claim x 1\n"),
+            "claim x 1\n",
+            "claim x 1\n",
+        )
+        .unwrap();
+        assert!(ok.ends_with("demo.golden matches byte for byte"), "{ok}");
+    }
+
+    #[test]
+    fn smoke_gate_fails_one_byte_off_naming_the_golden_and_both_texts() {
+        let err = gate(
+            "smoke-byte",
+            Some("claim x 1\n"),
+            "claim x 2\n",
+            "claim x 2\n",
+        )
+        .unwrap_err();
+        assert!(err.contains("demo.golden differs"), "{err}");
+        assert!(
+            err.ends_with("\n--- golden\nclaim x 1\n--- got\nclaim x 2\n"),
+            "{err}"
+        );
+        let err = gate("smoke-none", None, "claim x 1\n", "claim x 1\n").unwrap_err();
+        assert!(
+            err.contains("demo.golden") && err.contains("--bless"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn smoke_gate_bless_writes_the_golden() {
+        let dir = scratch_dir("smoke-bless");
+        let ok = smoke_gate_in(&dir, "demo.golden", "claim x 3\n", "claim x 3\n", true).unwrap();
+        let written = std::fs::read_to_string(dir.join("demo.golden")).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(ok.starts_with("blessed "), "{ok}");
+        assert_eq!(written, "claim x 3\n");
+    }
+
+    #[test]
+    fn smoke_gate_fails_on_differing_renders_before_any_golden_is_read() {
+        // The golden would match the first render, and bless would write
+        // it: two renders that differ fail before either happens.
+        let err = gate("smoke-renders", Some("x\n"), "x\n", "y\n").unwrap_err();
+        assert_eq!(err, "two renders differ\n--- first\nx\n--- second\ny\n");
+        let dir = scratch_dir("smoke-renders-bless");
+        assert!(smoke_gate_in(&dir, "demo.golden", "x\n", "y\n", true).is_err());
+        assert!(!dir.exists());
+    }
+
+    #[test]
+    fn smoke_text_is_the_report_unless_a_golden_is_set() {
+        let mut fig = demo_figure(true);
+        let (file, text) = fig.smoke_text(&SPEC);
+        assert_eq!(file, "demo_sweep.golden");
+        assert_eq!(text, fig.report(SPEC.about));
+        fig.golden("demo_smoke.golden", "hot 1\n".into());
+        assert_eq!(
+            fig.smoke_text(&SPEC),
+            ("demo_smoke.golden".to_string(), "hot 1\n".to_string())
+        );
+    }
+
+    #[test]
+    fn obs_smoke_renders_obs_on_once_and_checks_it() {
+        let renders = std::cell::RefCell::new(Vec::new());
+        let render = |obs: bool| {
+            renders.borrow_mut().push(obs);
+            "text\n".to_string()
+        };
+        let mut observed = false;
+        let first = obs_smoke("demo.golden", &mut observed, render);
+        let second = obs_smoke("demo.golden", &mut observed, render);
+        assert_eq!(*renders.borrow(), [false, true, false]);
+        assert!(first.passed() && second.passed());
+        assert_eq!(first.checks.len(), 1);
+        assert!(second.checks.is_empty());
+        let mut observed = false;
+        let steered = obs_smoke("demo.golden", &mut observed, |obs| format!("{obs}\n"));
+        assert!(!steered.passed());
+    }
+
+    #[test]
+    fn check_none_lists_the_broken_cases() {
+        let mut fig = Figure::default();
+        fig.check_none("floor", "every cell >= 45%", &[]);
+        fig.check_none(
+            "ceiling",
+            "steps <= 3",
+            &["hot 200: 4.1".into(), "hot 320: 3.5".into()],
+        );
+        assert!(!fig.passed());
+        assert_eq!(
+            fig.report("T"),
+            "# T\ncheck floor ok every cell >= 45%\n\
+             check ceiling FAILED steps <= 3; broken: hot 200: 4.1; hot 320: 3.5\n"
+        );
     }
 
     #[test]
